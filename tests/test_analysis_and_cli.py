@@ -167,6 +167,50 @@ class TestCli:
         assert "cache hit rate" in out and "speedup" in out
 
 
+FIGURE_NAMES = ["10", "11", "12", "13", "17", "clients", "chaos", "tiers", "shards"]
+SERVING = ["clients", "chaos", "tiers", "shards"]
+
+#: Figure-specific sweep flag -> (a well-formed value, the figures that
+#: take it, the error every other figure answers with).  Running the
+#: wrong (possibly much larger) grid is worse than an argparse error.
+FOREIGN_FLAGS = {
+    "--benches": (
+        "adhoc_stat",
+        ["10", "11", "12"],
+        "--benches applies to --figure 10|11|12; use --panels for Figs 13/17",
+    ),
+    "--panels": ("a", ["13", "17"], "--panels applies to --figure 13|17, not --figure {figure}"),
+    "--points": ("2", ["13"], "--points applies to --figure 13, not --figure {figure}"),
+    "--datasets": ("roads", ["17"], "--datasets applies to --figure 17, not --figure {figure}"),
+    "--neurons": (
+        "6",
+        ["10", "11", "12", "13", *SERVING],
+        "--neurons applies to the neuron-tissue grids "
+        "(figures 10-13, clients, chaos, tiers, shards)",
+    ),
+    "--clients": (
+        "1,2",
+        ["clients"],
+        "--clients applies to --figure clients, not --figure {figure}",
+    ),
+    "--cache-pages": (
+        "64",
+        ["clients"],
+        "--cache-pages applies to --figure clients, not --figure {figure}",
+    ),
+    "--contention": (
+        "hotspot",
+        ["clients"],
+        "--contention applies to --figure clients, not --figure {figure}",
+    ),
+    "--sequences": (
+        "2",
+        ["10", "11", "12", "13", "17"],
+        "--sequences does not apply to --figure {figure} (each client runs one session)",
+    ),
+}
+
+
 class TestSweepCli:
     SWEEP_ARGS = [
         "sweep",
@@ -269,25 +313,25 @@ class TestSweepCli:
         assert main(base) == 0
         assert "resumed 2" in capsys.readouterr().out
 
-    def test_sweep_rejects_mixed_figure_flags(self, tmp_path):
-        mixed = [
-            ["sweep", "--figure", "10", "--panels", "a"],
-            ["sweep", "--figure", "11", "--points", "2"],
-            ["sweep", "--figure", "13", "--benches", "adhoc_stat"],
-            ["sweep", "--figure", "17", "--benches", "adhoc_stat"],
-            ["sweep", "--figure", "17", "--points", "2"],
-            ["sweep", "--figure", "17", "--neurons", "6"],
-            ["sweep", "--figure", "13", "--datasets", "roads"],
-            ["sweep", "--figure", "13", "--clients", "1,2"],
-            ["sweep", "--figure", "10", "--cache-pages", "64"],
-            ["sweep", "--figure", "17", "--contention", "hotspot"],
-            ["sweep", "--figure", "clients", "--sequences", "2"],
-            ["sweep", "--figure", "clients", "--panels", "a"],
-        ]
-        for args in mixed:
-            with pytest.raises(SystemExit) as excinfo:
-                main(args + ["--out", str(tmp_path / "s.jsonl")])
-            assert excinfo.value.code == 2, args
+    @pytest.mark.parametrize(
+        "figure, flag, value, message",
+        [
+            (figure, flag, value, message.format(figure=figure))
+            for flag, (value, takers, message) in FOREIGN_FLAGS.items()
+            for figure in FIGURE_NAMES
+            if figure not in takers
+        ],
+    )
+    def test_sweep_rejects_mixed_figure_flags(self, capsys, figure, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--figure", figure, flag, value])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"scout-repro sweep: error: {message}\n")
+
+    def test_first_foreign_flag_is_the_one_reported(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--figure", "chaos", "--sequences", "2", "--panels", "a"])
+        assert "--panels applies to" in capsys.readouterr().err
 
     CLIENTS_ARGS = [
         "sweep", "--figure", "clients",

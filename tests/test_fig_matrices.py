@@ -1,4 +1,4 @@
-"""The Fig-10/11/12 microbenchmark grids as declarative matrices.
+"""The evaluation grids as declarative matrices.
 
 The contract under test: the matrix builders enumerate exactly the
 figure's (benchmark x prefetcher) grid, cells are labelled back to
@@ -6,13 +6,22 @@ their Figure-10 rows, and -- the determinism anchor -- running a cell
 through the orchestrator produces bit-identical metrics to the direct
 ``benchmarks/test_fig1*.py`` harness path (build tissue, generate
 sequences, run_experiment) on the same tiny tissue.
+
+``tests/golden/grid_keys.json`` additionally pins all nine *default*
+grids as the CLI sweeps them: every cell key, in order, and the
+``--list-cells`` transcript, so plumbing changes between the matrix
+builders and ``scout-repro sweep`` cannot silently move a stored cell.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import EWMAPrefetcher, HilbertPrefetcher, StraightLinePrefetcher
+from repro.cli import main
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.datagen import make_neuron_tissue
 from repro.index import FlatIndex
@@ -21,14 +30,21 @@ from repro.workload import MICROBENCHMARKS, microbenchmark_names
 from repro.workload.sweeps import (
     FIG11_PREFETCHERS,
     FIG12_PREFETCHERS,
+    FIG13_PANELS,
     FIG17_DATASET_PARAMS,
+    FIG17_PANELS,
+    chaos_matrix,
+    clients_matrix,
     fig10_matrix,
     fig11_matrix,
     fig12_matrix,
+    fig13_matrix,
     fig17_dataset_of,
     fig17_matrix,
     fig17_query_volume,
     microbenchmark_of,
+    shards_matrix,
+    tiers_matrix,
 )
 
 TINY_NEURONS = 6
@@ -208,3 +224,43 @@ class TestDeterminismVsDirectHarness:
             c for c in tiny(fig11_matrix, benches=["adhoc_stat"]) if c.prefetcher.kind == "scout"
         )
         assert fig10_cell.key() == fig11_cell.key()
+
+
+GRID_PIN = Path(__file__).parent / "golden" / "grid_keys.json"
+
+#: ``--figure`` value -> the cells ``scout-repro sweep --figure F``
+#: expands to with no other flag, spelled through the public builders.
+DEFAULT_GRIDS = {
+    "10": lambda: fig10_matrix().cells(),
+    "11": lambda: fig11_matrix().cells(),
+    "12": lambda: fig12_matrix().cells(),
+    "13": lambda: [c for panel in FIG13_PANELS for c in fig13_matrix(panel).cells()],
+    "17": lambda: [c for panel in FIG17_PANELS for c in fig17_matrix(panel)],
+    "clients": clients_matrix,
+    "chaos": chaos_matrix,
+    "tiers": tiers_matrix,
+    "shards": shards_matrix,
+}
+
+
+@pytest.mark.parametrize("figure", list(DEFAULT_GRIDS))
+def test_default_grid_keys_and_listing_are_pinned(figure, capsys, request):
+    """Cell keys are store addresses: a default grid must never move.
+
+    Regenerate (only for an intentional grid change, which orphans
+    every stored result of the moved cells) with ``--update-golden``.
+    """
+    keys = [cell.key() for cell in DEFAULT_GRIDS[figure]()]
+    assert main(["sweep", "--figure", figure, "--list-cells"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+
+    if request.config.getoption("--update-golden"):
+        pins = json.loads(GRID_PIN.read_text()) if GRID_PIN.exists() else {}
+        pins[figure] = {"keys": keys, "list_cells": listing}
+        GRID_PIN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        return
+
+    pinned = json.loads(GRID_PIN.read_text())[figure]
+    assert keys == pinned["keys"], f"--figure {figure} cell keys or their order moved"
+    assert listing == pinned["list_cells"], f"--figure {figure} --list-cells output changed"
+    assert listing[-1] == f"{len(keys)} cells"

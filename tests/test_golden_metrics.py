@@ -2,7 +2,7 @@
 
 Each fixture under ``tests/golden/`` freezes the *exact* metrics (hit
 rate, pages fetched, unused-prefetch rate, ...) of one small-seed cell
-from each figure grid (10-13 and 17).  The suite recomputes the cell
+from each figure grid (10-13, 17 and the four serving grids).  The suite recomputes the cell
 from its stored spec and compares **exactly** -- simulation cells are
 deterministic functions of their spec, so any drift in the engine,
 prefetchers, generators or workload synthesis shows up as a diff here
@@ -99,6 +99,32 @@ def golden_cells() -> dict[str, CellSpec]:
             serve={"n_clients": 3, "mode": "hotspot", "stagger": 1, "hot_pool": 1},
             storage={"miss_path": "combined", "tier_pages": 8},
         ),
+        # The same fleet on longer sessions over a *faulty* disk: half
+        # of all read attempts fail transiently, one retry, and a
+        # hair-trigger breaker (trips after two prefetch-path failures,
+        # re-probes after two degraded queries) -- tight enough that a
+        # 24-query cell exhausts retries, trips breakers and serves
+        # degraded queries, freezing the fault-plane accounting.  The
+        # inactive-plan configuration needs no fixture of its own: the
+        # fault suite (test_faults.py) proves it bit-identical to the
+        # bare disk, so the other fixtures pin it.
+        "chaos": CellSpec(
+            dataset=DatasetSpec("neuron", {"n_neurons": 6, "seed": 7}),
+            index=IndexSpec("flat", {"fanout": 16}),
+            workload=WorkloadSpec(n_sequences=3, n_queries=8, volume=30_000.0),
+            prefetcher=PrefetcherSpec("ewma", {"lam": 0.3}),
+            seed=21,
+            sim={"cache_capacity_pages": 8},
+            serve={"n_clients": 3, "mode": "hotspot", "stagger": 1, "hot_pool": 1},
+            faults={
+                "transient_rate": 0.5,
+                "seed": 11,
+                "breaker": True,
+                "retry_limit": 1,
+                "breaker_threshold": 2,
+                "breaker_cooldown": 2,
+            },
+        ),
         # The clients cell a third time, served through an *active*
         # sharded cache (4 Hilbert-partitioned shards with the hot-shard
         # rebalancer armed), freezing the routing-side accounting --
@@ -194,6 +220,14 @@ def compute_serving_metrics(spec: CellSpec) -> dict:
         "cache_evictions": int(report.cache_evictions),
         "n_ticks": int(report.n_ticks),
     }
+    if report.faults_active:
+        # Fault-plane keys only when the cell configures a fault plan,
+        # so the pre-existing serving fixtures stay byte-identical.
+        metric_set.update(
+            failed_reads=int(report.failed_reads),
+            degraded_ticks=int(report.degraded_ticks),
+            breaker_opens=int(report.breaker_opens),
+        )
     if report.tiers_active:
         # Storage-side keys only when the cell configures an active
         # tier, so the pre-existing serving fixtures stay byte-identical.
