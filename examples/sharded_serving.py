@@ -98,8 +98,8 @@ def main() -> None:
         "hot shard's key range at its median owned key and hands the released\n"
         "half to the colder neighbor, migrating cached pages with their LRU\n"
         "position and owner tags.  Every step is a pure function of the touch\n"
-        "sequence, so both serving schedulers rebalance identically -- run\n"
-        "the sweep with --lockstep and the reports match bit for bit."
+        "sequence, so both serving schedulers rebalance identically -- the\n"
+        "sweep (always lockstep) and the round-robin reference match bit for bit."
     )
 
 

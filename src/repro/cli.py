@@ -14,23 +14,26 @@ Seven forms::
 compatibility) executes one experiment cell on synthetic neuron tissue
 and prints its headline numbers.
 
-``sweep`` expands an evaluation grid -- ``--figure 10|11|12`` for the
-microbenchmark grids, ``--figure 13`` (the default) with ``--panels``
-for the sensitivity panels, ``--figure 17`` with ``--panels a,b`` for
-the cross-domain applicability grid (lung/arterial/roads datasets),
-``--figure clients`` for the multi-client serving grid (``--clients``
-counts x prefetchers x ``--cache-pages`` shared-cache sizes, optionally
-under ``--contention hotspot``), ``--figure chaos`` for the
-fault-injection serving grid (fault rate x prefetcher x circuit
-breaker on/off over a seeded faulty disk), ``--figure tiers`` for the
-tiered-storage serving grid (prefetcher x miss-path mechanism x tier
-size over a :class:`~repro.storage.tiered.TieredStore`), ``--figure
-shards`` for the sharded-cache serving grid (clients x shard count x
-partition scheme x prefetcher over a
-:class:`~repro.storage.sharded.ShardedCache`) -- into experiment cells,
-fans them out over ``--jobs`` worker processes,
-persists every finished cell to a JSON-lines store keyed by the cell
-spec's content hash, and renders figure tables from the stored results.
+``sweep`` expands an evaluation grid into experiment cells.  Every
+``--figure`` value is one entry of the registry in
+:mod:`repro.workload.figures` -- ``10|11|12`` the microbenchmark grids
+(``--benches``), ``13`` (the default) the sensitivity panels
+(``--panels``, ``--points``), ``17`` the cross-domain applicability
+grid (``--panels a,b``, ``--datasets``), and the four serving grids:
+``clients`` (client counts x prefetchers x shared-cache sizes;
+``--clients``, ``--cache-pages``, ``--contention``), ``chaos`` (fault
+rate x prefetcher x circuit breaker over a seeded faulty disk),
+``tiers`` (prefetcher x miss-path mechanism x tier size over a
+:class:`~repro.storage.tiered.TieredStore`) and ``shards`` (clients x
+shard count x partition scheme x prefetcher over a
+:class:`~repro.storage.sharded.ShardedCache`) -- and this module holds
+one generic path over it: build the grids, filter to the shard, list or
+run, render the entry's tables (a flag the entry does not list is
+refused).  The cells fan out over ``--jobs`` worker processes; every
+finished cell is persisted to a JSON-lines store keyed by the cell
+spec's content hash, and the figure tables render from the stored
+results.  Serving cells always run on the vectorized lockstep scheduler
+(bit-identical to the round-robin reference, DESIGN.md §6.1).
 Re-runs against the same ``--out`` file resume: successful cells in the
 store are skipped (disable with ``--no-resume``); corrupt or stale
 store lines are dropped and recomputed.  Fault tolerance: ``--timeout``
@@ -68,11 +71,9 @@ daemon gracefully afterwards).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.quickstart import quick_experiment
-from repro.sim.serve import LOCKSTEP_ENV
 from repro.storage.sharded import PARTITIONS
 from repro.storage.tiered import MISS_PATHS, STORAGE_BACKENDS
 from repro.workload import MICROBENCHMARKS
@@ -142,19 +143,35 @@ def _parse_shard(value: str) -> tuple[int, int]:
     return shard_index, n_shards
 
 
-def _parse_figure(value: str):
-    """``--figure`` value: a figure number, or a named grid."""
-    if value in ("clients", "chaos", "tiers", "shards"):
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"figure must be 10|11|12|13|17|clients|chaos|tiers|shards, got {value!r}"
-        ) from None
+#: Figure-specific sweep flag (argparse dest) -> the error answered when
+#: it is set for a figure whose registry entry does not list it.
+_FOREIGN_FLAG_ERRORS = {
+    "benches": "--benches applies to --figure 10|11|12; use --panels for Figs 13/17",
+    "panels": "--panels applies to --figure 13|17, not --figure {figure}",
+    "points": "--points applies to --figure 13, not --figure {figure}",
+    "datasets": "--datasets applies to --figure 17, not --figure {figure}",
+    "neurons": "--neurons applies to the neuron-tissue grids "
+    "(figures 10-13, clients, chaos, tiers, shards)",
+    "clients": "--clients applies to --figure clients, not --figure {figure}",
+    "cache_pages": "--cache-pages applies to --figure clients, not --figure {figure}",
+    "contention": "--contention applies to --figure clients, not --figure {figure}",
+    "sequences": "--sequences does not apply to --figure {figure} (each client runs one session)",
+}
 
 
-def _build_sweep_parser() -> argparse.ArgumentParser:
+def _build_sweep_parser(figures) -> argparse.ArgumentParser:
+    """The sweep parser over a figure registry (``--figure`` value -> entry)."""
+
+    def parse_figure(value: str):
+        """``--figure`` value: a figure number, or a named grid."""
+        if value in figures:
+            return value
+        try:
+            return int(value)
+        except ValueError:
+            names = "|".join(str(name) for name in figures)
+            raise argparse.ArgumentTypeError(f"figure must be {names}, got {value!r}") from None
+
     parser = argparse.ArgumentParser(
         prog="scout-repro sweep",
         description="Run an evaluation grid (paper Figs 10-13/17, or the "
@@ -163,8 +180,8 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--figure",
-        type=_parse_figure,
-        choices=[10, 11, 12, 13, 17, "clients", "chaos", "tiers", "shards"],
+        type=parse_figure,
+        choices=list(figures),
         default=13,
         help="which evaluation grid to sweep: the Fig-10 microbenchmark "
         "registry, the Fig-11 no-gap or Fig-12 with-gap comparison grids, "
@@ -214,13 +231,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         default="independent",
         help="serving workload regime: independent walks per client, or "
         "Zipf-skewed hot-region sharing (--figure clients only)",
-    )
-    parser.add_argument(
-        "--lockstep",
-        action="store_true",
-        help="serve each cell's clients with the vectorized lockstep "
-        "scheduler (bit-identical metrics, much faster for large "
-        "fleets; --figure clients only)",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
@@ -293,445 +303,12 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prefetcher_label(result) -> str:
-    """Table row label for a cell: kind, plus lambda for EWMA variants."""
-    prefetcher = result.spec["prefetcher"]
-    lam = prefetcher["params"].get("lam")
-    if prefetcher["kind"] == "ewma" and lam is not None:
-        return f"ewma-{lam:g}"
-    return prefetcher["kind"]
-
-
-def _fig13_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import FIG13_PANELS, fig13_axes, fig13_matrix
-
-    panel_arg = "a,b,c,d,e,f" if args.panels is None else args.panels
-    panels = [p.strip() for p in panel_arg.split(",") if p.strip()]
-    if not panels:
-        parser.error("--panels must name at least one Fig-13 panel")
-    unknown = [p for p in panels if p not in FIG13_PANELS]
-    if unknown:
-        print(f"unknown panel(s): {', '.join(unknown)} (expected {', '.join(FIG13_PANELS)})")
-        return None
-
-    axes = fig13_axes()
-    grids = []  # (panel, cells) in panel order
-    for panel in panels:
-        axis_key, _ = FIG13_PANELS[panel]
-        axis = axes[axis_key]
-        if args.points is not None:
-            axis = axis[: max(1, args.points)]
-        if panel == "b" and args.neurons is not None:
-            # Panel b's axis IS the neuron count; rescale it around the
-            # requested size so --neurons shrinks this panel too instead
-            # of being silently ignored.
-            from repro.workload.sweeps import SENSITIVITY_DEFAULTS
-
-            ratio = args.neurons / SENSITIVITY_DEFAULTS.n_neurons
-            axis = [max(2, int(round(n * ratio))) for n in axis]
-        matrix = fig13_matrix(
-            panel,
-            n_neurons=args.neurons,
-            n_sequences=args.sequences,
-            workload_seed=13 if args.seed is None else args.seed,
-            axis=axis,
-        )
-        grids.append((panel, matrix.cells()))
-    return grids
-
-
-def _fig17_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import FIG17_DATASET_PARAMS, FIG17_PANELS, fig17_matrix
-
-    panel_arg = "a,b" if args.panels is None else args.panels
-    panels = [p.strip() for p in panel_arg.split(",") if p.strip()]
-    if not panels:
-        parser.error("--panels must name at least one Fig-17 panel")
-    unknown = [p for p in panels if p not in FIG17_PANELS]
-    if unknown:
-        print(f"unknown panel(s): {', '.join(unknown)} (expected {', '.join(FIG17_PANELS)})")
-        return None
-
-    datasets = None
-    if args.datasets is not None:
-        kinds = [d.strip() for d in args.datasets.split(",") if d.strip()]
-        bad = [k for k in kinds if k not in FIG17_DATASET_PARAMS]
-        if bad or not kinds:
-            known = ", ".join(FIG17_DATASET_PARAMS)
-            print(f"unknown dataset(s): {', '.join(bad) or '(none)'} (expected {known})")
-            return None
-        datasets = {kind: FIG17_DATASET_PARAMS[kind] for kind in kinds}
-
-    return [
-        (
-            panel,
-            fig17_matrix(
-                panel,
-                datasets=datasets,
-                n_sequences=args.sequences,
-                workload_seed=17 if args.seed is None else args.seed,
-            ),
-        )
-        for panel in panels
-    ]
-
-
-def _render_fig17_tables(grids, results) -> None:
-    from repro.workload.sweeps import FIG17_PANELS, fig17_dataset_of
-
-    _render_panel_tables(
-        grids,
-        results,
-        figure=17,
-        titles=FIG17_PANELS,
-        column_of_for=lambda panel: lambda r: fig17_dataset_of(r.spec),
-        row_of=_prefetcher_label,
-    )
-
-
-def _clients_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import SERVE_CACHE_PAGES, SERVE_CLIENTS, clients_matrix
-
-    clients = list(SERVE_CLIENTS)
-    if args.clients is not None:
-        try:
-            clients = [int(c) for c in args.clients.split(",") if c.strip()]
-        except ValueError:
-            parser.error(f"--clients must be comma-separated ints, got {args.clients!r}")
-        if not clients or any(c < 1 for c in clients):
-            parser.error(f"--clients counts must be >= 1, got {args.clients!r}")
-
-    cache_sizes: list = list(SERVE_CACHE_PAGES)
-    if args.cache_pages is not None:
-        cache_sizes = []
-        for item in args.cache_pages.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if item == "auto":
-                cache_sizes.append(None)
-                continue
-            try:
-                pages = int(item)
-            except ValueError:
-                parser.error(
-                    f"--cache-pages entries must be ints or 'auto', got {item!r}"
-                )
-            if pages < 1:
-                parser.error(f"--cache-pages sizes must be >= 1, got {item!r}")
-            cache_sizes.append(pages)
-        if not cache_sizes:
-            parser.error("--cache-pages must name at least one size")
-
-    kwargs = {}
-    if args.neurons is not None:
-        kwargs["n_neurons"] = args.neurons
-    # One grid group per shared-cache size, so each renders as one table.
-    return [
-        (
-            "auto" if capacity is None else f"{capacity} pages",
-            clients_matrix(
-                clients=clients,
-                cache_pages=(capacity,),
-                mode=args.contention,
-                workload_seed=21 if args.seed is None else args.seed,
-                **kwargs,
-            ),
-        )
-        for capacity in cache_sizes
-    ]
-
-
-def _render_clients_tables(grids, results) -> None:
-    from repro.analysis import sweep_table
-    from repro.workload.sweeps import serve_clients_of
-
-    offset = 0
-    for label, cells in grids:
-        panel_results = [r for r in results[offset : offset + len(cells)] if r.ok]
-        offset += len(cells)
-        hit = sweep_table(
-            f"Serving sweep -- shared cache {label} -- aggregate hit rate [%]",
-            panel_results,
-            column_of=lambda r: serve_clients_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-            figure_id="clients",
-        )
-        spread = sweep_table(
-            f"Serving sweep -- shared cache {label} -- per-client hit-rate std [%]",
-            panel_results,
-            column_of=lambda r: serve_clients_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: 100.0 * r.metrics.hit_rate_std,
-        )
-        print()
-        print(hit.render())
-        print()
-        print(spread.render())
-
-
-def _chaos_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import chaos_matrix
-
-    kwargs = {}
-    if args.neurons is not None:
-        kwargs["n_neurons"] = args.neurons
-    # One grid group per breaker setting, so each renders as one table.
-    return [
-        (
-            f"breaker {'on' if breaker else 'off'}",
-            chaos_matrix(
-                breakers=(breaker,),
-                workload_seed=21 if args.seed is None else args.seed,
-                **kwargs,
-            ),
-        )
-        for breaker in (True, False)
-    ]
-
-
-def _render_chaos_tables(grids, results) -> None:
-    from repro.analysis import sweep_table
-    from repro.workload.sweeps import chaos_rate_of
-
-    offset = 0
-    for label, cells in grids:
-        panel_results = [r for r in results[offset : offset + len(cells)] if r.ok]
-        offset += len(cells)
-        hit = sweep_table(
-            f"Chaos sweep -- {label} -- aggregate hit rate [%]",
-            panel_results,
-            column_of=lambda r: chaos_rate_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-            figure_id="chaos",
-        )
-        degraded = sweep_table(
-            f"Chaos sweep -- {label} -- degraded queries (demand paging)",
-            panel_results,
-            column_of=lambda r: chaos_rate_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: r.metrics.degraded_ticks or 0,
-            precision=0,
-        )
-        print()
-        print(hit.render())
-        print()
-        print(degraded.render())
-
-
-def _tiers_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import TIER_SIZES, tiers_matrix
-
-    kwargs = {}
-    if args.neurons is not None:
-        kwargs["n_neurons"] = args.neurons
-    # One grid group per tier size, so each renders as one table.
-    return [
-        (
-            f"tier {size} pages",
-            tiers_matrix(
-                tier_sizes=(size,),
-                workload_seed=21 if args.seed is None else args.seed,
-                **kwargs,
-            ),
-        )
-        for size in TIER_SIZES
-    ]
-
-
-def _render_tiers_tables(grids, results) -> None:
-    from repro.analysis import sweep_table
-    from repro.workload.sweeps import tiers_path_of
-
-    offset = 0
-    for label, cells in grids:
-        panel_results = [r for r in results[offset : offset + len(cells)] if r.ok]
-        offset += len(cells)
-        hit = sweep_table(
-            f"Tiers sweep -- {label} -- aggregate hit rate [%]",
-            panel_results,
-            column_of=lambda r: tiers_path_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-            figure_id="tiers",
-        )
-        absorbed = sweep_table(
-            f"Tiers sweep -- {label} -- tier + miss-path hits (absorbed reads)",
-            panel_results,
-            column_of=lambda r: tiers_path_of(r.spec),
-            row_of=_prefetcher_label,
-            value_of=lambda r: (r.metrics.tier_hits or 0) + (r.metrics.miss_path_hits or 0),
-            precision=0,
-        )
-        print()
-        print(hit.render())
-        print()
-        print(absorbed.render())
-
-
-def _shards_grids(args, parser) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import SHARD_PARTITIONS, shards_matrix
-
-    kwargs = {}
-    if args.neurons is not None:
-        kwargs["n_neurons"] = args.neurons
-    # One grid group per partition scheme, so each renders as one table.
-    return [
-        (
-            f"partition {partition}",
-            shards_matrix(
-                partitions=(partition,),
-                workload_seed=21 if args.seed is None else args.seed,
-                **kwargs,
-            ),
-        )
-        for partition in SHARD_PARTITIONS
-    ]
-
-
-def _render_shards_tables(grids, results) -> None:
-    from repro.analysis import sweep_table
-    from repro.workload.sweeps import serve_clients_of, shards_k_of
-
-    def _row(result) -> str:
-        return f"{_prefetcher_label(result)} x{serve_clients_of(result.spec)}"
-
-    def _imbalance(result) -> float:
-        # max/mean per-shard request load: 1.0 is perfectly even, K is
-        # "one shard absorbs everything".  K=1 cells report 1.0.
-        requests = result.metrics.shard_requests
-        if not requests or sum(requests) == 0:
-            return 1.0
-        return max(requests) / (sum(requests) / len(requests))
-
-    offset = 0
-    for label, cells in grids:
-        panel_results = [r for r in results[offset : offset + len(cells)] if r.ok]
-        offset += len(cells)
-        hit = sweep_table(
-            f"Shards sweep -- {label} -- aggregate hit rate [%]",
-            panel_results,
-            column_of=lambda r: shards_k_of(r.spec),
-            row_of=_row,
-            value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-            figure_id="shards",
-        )
-        imbalance = sweep_table(
-            f"Shards sweep -- {label} -- request imbalance (max/mean shard load)",
-            panel_results,
-            column_of=lambda r: shards_k_of(r.spec),
-            row_of=_row,
-            value_of=_imbalance,
-            precision=2,
-        )
-        print()
-        print(hit.render())
-        print()
-        print(imbalance.render())
-
-
-def _microbenchmark_grids(args) -> list[tuple[str, list]] | None:
-    from repro.workload.sweeps import FIGURE_MATRICES
-
-    builder = FIGURE_MATRICES[args.figure]
-    benches = None
-    if args.benches is not None:
-        benches = [b.strip() for b in args.benches.split(",") if b.strip()]
-    kwargs = {} if args.seed is None else {"workload_seed": args.seed}
-    try:
-        matrix = builder(
-            benches=benches,
-            n_neurons=args.neurons,
-            n_sequences=args.sequences,
-            **kwargs,
-        )
-    except ValueError as error:
-        print(error)
-        return None
-    return [(f"fig{args.figure}", matrix.cells())]
-
-
-def _render_panel_tables(grids, results, *, figure, titles, column_of_for, row_of) -> None:
-    """Render the hit-rate table of each panel of a panel-based figure.
-
-    ``grids`` is the (panel, cells) list the sweep ran, in order, and
-    ``results`` the run's cell-parallel result list -- each panel's
-    results are the next ``len(cells)`` entries.  ``titles`` maps a
-    panel letter to its (regime/axis, human title) pair and
-    ``column_of_for(panel)`` builds the table's column extractor.
-    """
-    from repro.analysis import sweep_table
-
-    offset = 0
-    for panel, cells in grids:
-        panel_results = [r for r in results[offset : offset + len(cells)] if r.ok]
-        offset += len(cells)
-        _, title = titles[panel]
-        table = sweep_table(
-            f"Fig {figure}{panel} -- {title} [hit %]",
-            panel_results,
-            column_of=column_of_for(panel),
-            row_of=row_of,
-            value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-            figure_id=f"fig{figure}{panel}",
-        )
-        print()
-        print(table.render())
-
-
-def _render_fig13_tables(grids, results) -> None:
-    from repro.workload.sweeps import FIG13_PANELS, fig13_axis_value
-
-    _render_panel_tables(
-        grids,
-        results,
-        figure=13,
-        titles=FIG13_PANELS,
-        column_of_for=lambda panel: lambda r: fig13_axis_value(panel, r.spec),
-        row_of=lambda r: r.prefetcher_kind,
-    )
-
-
-#: ``--figure`` -> figure ids of the (hit-rate, speedup) tables, keying
-#: the paper-shape notes printed above each table.
-_FIGURE_TABLE_IDS = {10: ("fig10sweep", ""), 11: ("fig11a", "fig11b"), 12: ("fig12", "")}
-
-
-def _render_microbenchmark_tables(figure: int, results) -> None:
-    from repro.analysis import sweep_table
-    from repro.workload.sweeps import microbenchmark_of
-
-    ok_results = [r for r in results if r.ok]
-    hit_id, speed_id = _FIGURE_TABLE_IDS[figure]
-    hit = sweep_table(
-        f"Fig {figure} sweep -- cache hit rate [%]",
-        ok_results,
-        column_of=lambda r: microbenchmark_of(r.spec) or "?",
-        row_of=_prefetcher_label,
-        value_of=lambda r: 100.0 * r.metrics.cache_hit_rate,
-        figure_id=hit_id,
-    )
-    speed = sweep_table(
-        f"Fig {figure} sweep -- speedup vs no prefetching",
-        ok_results,
-        column_of=lambda r: microbenchmark_of(r.spec) or "?",
-        row_of=_prefetcher_label,
-        value_of=lambda r: r.metrics.speedup,
-        figure_id=speed_id,
-        precision=2,
-    )
-    print()
-    print(hit.render())
-    print()
-    print(speed.render())
-
-
 def _sweep_command(argv: list[str]) -> int:
+    from repro.analysis import sweep_table
     from repro.sim import ParallelRunner, ResultStore, ShardedResultStore, shard_of
+    from repro.workload.figures import FIGURES
 
-    parser = _build_sweep_parser()
+    parser = _build_sweep_parser(FIGURES)
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -739,64 +316,23 @@ def _sweep_command(argv: list[str]) -> int:
         parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.timeout is not None and args.timeout <= 0:
         parser.error(f"--timeout must be positive, got {args.timeout}")
+    figure = FIGURES[args.figure]
     # Refuse mixed-figure flags loudly: running the wrong (possibly
     # much larger) grid is worse than an argparse error.
-    if args.figure in (13, 17, "clients", "chaos", "tiers", "shards") and args.benches is not None:
-        parser.error("--benches applies to --figure 10|11|12; use --panels for Figs 13/17")
-    if args.figure not in (13, 17) and args.panels is not None:
-        parser.error(f"--panels applies to --figure 13|17, not --figure {args.figure}")
-    if args.figure != 13 and args.points is not None:
-        parser.error(f"--points applies to --figure 13, not --figure {args.figure}")
-    if args.figure != 17 and args.datasets is not None:
-        parser.error(f"--datasets applies to --figure 17, not --figure {args.figure}")
-    if args.figure == 17 and args.neurons is not None:
-        parser.error(
-            "--neurons applies to the neuron-tissue grids "
-            "(figures 10-13, clients, chaos, tiers, shards)"
-        )
-    if args.figure != "clients":
-        if args.clients is not None:
-            parser.error(f"--clients applies to --figure clients, not --figure {args.figure}")
-        if args.cache_pages is not None:
-            parser.error(
-                f"--cache-pages applies to --figure clients, not --figure {args.figure}"
-            )
-        if args.contention != "independent":
-            parser.error(
-                f"--contention applies to --figure clients, not --figure {args.figure}"
-            )
-        if args.lockstep and args.figure not in ("chaos", "tiers", "shards"):
-            parser.error(
-                f"--lockstep applies to the serving grids (clients, chaos, tiers, "
-                f"shards), not --figure {args.figure}"
-            )
-    if args.figure in ("clients", "chaos", "tiers", "shards") and args.sequences is not None:
-        parser.error(f"--sequences does not apply to --figure {args.figure} "
-                     "(each client runs one session)")
-    if args.lockstep:
-        # Environment toggle (like REPRO_SCALE) so sweep worker
-        # processes inherit the scheduler choice; results are
-        # bit-identical either way, so stores and cell keys are
-        # unaffected.
-        os.environ[LOCKSTEP_ENV] = "1"
+    for flag, message in _FOREIGN_FLAG_ERRORS.items():
+        if flag not in figure.flags and getattr(args, flag) != parser.get_default(flag):
+            parser.error(message.format(figure=args.figure))
+    if args.seed is None:
+        args.seed = figure.seed
     figure_stem = args.figure if isinstance(args.figure, str) else f"fig{args.figure}"
     out = args.out if args.out is not None else f"results/{figure_stem}_sweep.jsonl"
 
-    if args.figure == 13:
-        grids = _fig13_grids(args, parser)
-    elif args.figure == 17:
-        grids = _fig17_grids(args, parser)
-    elif args.figure == "clients":
-        grids = _clients_grids(args, parser)
-    elif args.figure == "chaos":
-        grids = _chaos_grids(args, parser)
-    elif args.figure == "tiers":
-        grids = _tiers_grids(args, parser)
-    elif args.figure == "shards":
-        grids = _shards_grids(args, parser)
-    else:
-        grids = _microbenchmark_grids(args)
-    if grids is None:
+    try:
+        grids = figure.grids(args)
+    except argparse.ArgumentTypeError as malformed:
+        parser.error(str(malformed))
+    except ValueError as unknown:
+        print(unknown)
         return 2
 
     if args.shard is not None:
@@ -808,34 +344,10 @@ def _sweep_command(argv: list[str]) -> int:
 
     all_cells = [cell for _, cells in grids for cell in cells]
     if args.list_cells:
-        from repro.workload.sweeps import (
-            chaos_rate_of,
-            fig13_axis_value,
-            fig17_dataset_of,
-            microbenchmark_of,
-            serve_clients_of,
-            shards_k_of,
-            shards_partition_of,
-            tiers_path_of,
-        )
-
         for label, cells in grids:
             for cell in cells:
-                if args.figure == 13:
-                    axis = f"axis={fig13_axis_value(label, cell.to_dict()):g}"
-                elif args.figure == 17:
-                    axis = f"dataset={fig17_dataset_of(cell.to_dict())}"
-                elif args.figure == "clients":
-                    axis = f"clients={serve_clients_of(cell.to_dict())}"
-                elif args.figure == "chaos":
-                    axis = f"rate={chaos_rate_of(cell.to_dict()):g}"
-                elif args.figure == "tiers":
-                    axis = f"miss-path={tiers_path_of(cell.to_dict())}"
-                elif args.figure == "shards":
-                    spec = cell.to_dict()
-                    axis = f"K={shards_k_of(spec)} {shards_partition_of(spec)}"
-                else:
-                    axis = f"bench={microbenchmark_of(cell.to_dict()) or '?'}"
+                spec = cell.to_dict()
+                axis = figure.axis.format(col=figure.column_of(label, spec), spec=spec)
                 print(f"{label}  {cell.key()[:12]}  {cell.prefetcher.kind:10s} {axis}")
         suffix = "" if args.shard is None else f" (shard {args.shard[0]}/{args.shard[1]})"
         print(f"{len(all_cells)} cells{suffix}")
@@ -860,20 +372,27 @@ def _sweep_command(argv: list[str]) -> int:
     finally:
         store.close()
 
-    if args.figure == 13:
-        _render_fig13_tables(grids, report.results)
-    elif args.figure == 17:
-        _render_fig17_tables(grids, report.results)
-    elif args.figure == "clients":
-        _render_clients_tables(grids, report.results)
-    elif args.figure == "chaos":
-        _render_chaos_tables(grids, report.results)
-    elif args.figure == "tiers":
-        _render_tiers_tables(grids, report.results)
-    elif args.figure == "shards":
-        _render_shards_tables(grids, report.results)
-    else:
-        _render_microbenchmark_tables(args.figure, report.results)
+    # ``report.results`` is cell-parallel to ``all_cells``: each group's
+    # results are the next ``len(cells)`` entries.
+    offset = 0
+    for label, cells in grids:
+        group = [r for r in report.results[offset : offset + len(cells)] if r.ok]
+        offset += len(cells)
+        for table in figure.tables:
+            print()
+            print(
+                sweep_table(
+                    f"{figure.title} -- {table.title}".format(
+                        label=label, panel=figure.panels.get(label)
+                    ),
+                    group,
+                    column_of=lambda r: figure.column_of(label, r.spec),
+                    row_of=figure.row_of,
+                    value_of=table.value_of,
+                    figure_id=table.figure_id.format(label=label),
+                    precision=table.precision,
+                ).render()
+            )
 
     shard_note = "" if args.shard is None else f"  shard {args.shard[0]}/{args.shard[1]}"
     print()

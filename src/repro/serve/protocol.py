@@ -71,11 +71,14 @@ def decode_frame(payload: bytes) -> dict:
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     """Read one message; ``None`` on clean EOF at a frame boundary."""
-    header = await reader.read(_HEADER.size)
-    if not header:
-        return None
-    if len(header) < _HEADER.size:
-        raise ProtocolError("connection closed mid-header")
+    try:
+        # readexactly, not read: TCP may deliver the header in pieces,
+        # and a short read on a live connection is not an EOF.
+        header = await reader.readexactly(_HEADER.size)
+    except asyncio.IncompleteReadError as eof:
+        if not eof.partial:
+            return None
+        raise ProtocolError("connection closed mid-header") from None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})")

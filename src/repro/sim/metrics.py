@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
+    "ADDITIVE_METRICS",
     "AggregateMetrics",
     "ClientMetrics",
     "LatencyReport",
@@ -141,15 +142,46 @@ class SequenceMetrics:
         return sum(r.gap_io_pages for r in self.records)
 
 
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+#: The additive metric keys: ``(name, cast, gate)`` in *emission order*
+#: (store lines are written with unsorted ``json.dumps``, so the order
+#: is part of the byte-level store format).  ``gate`` names the
+#: :class:`ServeReport` flag that must be set for the key to be carried
+#: into the aggregate (``None``: every serving cell).  An unset key is
+#: ``None`` on :class:`AggregateMetrics` and omitted from persisted
+#: records, which is what keeps pre-existing stores byte-identical as
+#: layers are added.  :meth:`ServeReport.to_aggregate` and
+#: :func:`repro.sim.results.metrics_to_dict` / ``metrics_from_dict``
+#: all iterate this table; a new layer's counters are new rows here.
+ADDITIVE_METRICS: tuple[tuple[str, type, str | None], ...] = (
+    ("cross_client_hits", int, None),
+    ("evicted_misses", int, None),
+    ("failed_reads", int, "faults_active"),
+    ("degraded_ticks", int, "faults_active"),
+    ("breaker_opens", int, "faults_active"),
+    ("tier_hits", int, "tiers_active"),
+    ("miss_path_hits", int, "tiers_active"),
+    ("tier_fills", int, "tiers_active"),
+    ("tier_stall_seconds", float, "tiers_active"),
+    ("shard_requests", _ints, "shards_active"),
+    ("shard_hits", _ints, "shards_active"),
+    ("shard_rebalances", int, "shards_active"),
+    ("shard_pages_moved", int, "shards_active"),
+    ("shard_hop_seconds", float, "shards_active"),
+)
+
+
 @dataclass
 class AggregateMetrics:
     """Metrics pooled over several sequences of one experiment cell.
 
-    The two trailing contention counters only apply to serving cells
-    (many clients on one shared cache); single-client cells leave them
-    ``None`` and persist without them, so pre-serving stored records
-    stay byte-identical (additive keys only -- see
-    :func:`repro.sim.results.metrics_to_dict`).
+    The trailing :data:`ADDITIVE_METRICS` fields only apply to serving
+    cells (many clients on one shared cache); single-client cells leave
+    them ``None`` and persist without them, so pre-serving stored
+    records stay byte-identical.
     """
 
     n_sequences: int
@@ -163,26 +195,18 @@ class AggregateMetrics:
     per_sequence_hit_rates: list[float]
     cross_client_hits: int | None = None
     evicted_misses: int | None = None
-    #: Fault-plane counters (DESIGN.md §7): populated only by cells run
-    #: with an active fault plan; ``None`` (and omitted from persisted
-    #: records) everywhere else, so fault-free stores stay byte-identical.
+    #: Fault-plane counters (DESIGN.md §7; active fault plan only).
     failed_reads: int | None = None
     degraded_ticks: int | None = None
     breaker_opens: int | None = None
-    #: Tiered-storage counters (DESIGN.md §9): populated only by cells
-    #: run with an active storage tier; ``None`` (and omitted from
-    #: persisted records) everywhere else, so tier-free stores stay
-    #: byte-identical.
+    #: Tiered-storage counters (DESIGN.md §9; active storage tier only).
     tier_hits: int | None = None
     miss_path_hits: int | None = None
     tier_fills: int | None = None
     tier_stall_seconds: float | None = None
-    #: Sharded-cache counters (DESIGN.md §10): populated only by cells
-    #: run with an active shard layout (``K > 1``); ``None`` (and
-    #: omitted from persisted records) everywhere else, so unsharded
-    #: stores stay byte-identical.  ``shard_requests``/``shard_hits``
-    #: are per-shard, in shard order, and exactly partition the shared
-    #: cache's touch totals.
+    #: Sharded-cache counters (DESIGN.md §10; ``K > 1`` only).
+    #: ``shard_requests``/``shard_hits`` are per-shard, in shard order,
+    #: and exactly partition the shared cache's touch totals.
     shard_requests: list[int] | None = None
     shard_hits: list[int] | None = None
     shard_rebalances: int | None = None
@@ -363,39 +387,17 @@ class ServeReport:
         same schema as single-client cells.  The contention counters
         (``cross_client_hits``, ``evicted_misses``) ride along as
         additive keys, so a stored serving cell keeps the numbers that
-        distinguish sharing wins from eviction pressure.
+        distinguish sharing wins from eviction pressure; each layer's
+        counters join them when its ``*_active`` gate is set.
         """
-        pooled = aggregate([client.metrics for client in self.clients])
-        pooled = replace(
-            pooled,
-            cross_client_hits=self.cross_client_hits,
-            evicted_misses=self.evicted_misses,
+        return replace(
+            aggregate([client.metrics for client in self.clients]),
+            **{
+                name: getattr(self, name)
+                for name, _, gate in ADDITIVE_METRICS
+                if gate is None or getattr(self, gate)
+            },
         )
-        if self.faults_active:
-            pooled = replace(
-                pooled,
-                failed_reads=self.failed_reads,
-                degraded_ticks=self.degraded_ticks,
-                breaker_opens=self.breaker_opens,
-            )
-        if self.tiers_active:
-            pooled = replace(
-                pooled,
-                tier_hits=self.tier_hits,
-                miss_path_hits=self.miss_path_hits,
-                tier_fills=self.tier_fills,
-                tier_stall_seconds=self.tier_stall_seconds,
-            )
-        if self.shards_active:
-            pooled = replace(
-                pooled,
-                shard_requests=self.shard_requests,
-                shard_hits=self.shard_hits,
-                shard_rebalances=self.shard_rebalances,
-                shard_pages_moved=self.shard_pages_moved,
-                shard_hop_seconds=self.shard_hop_seconds,
-            )
-        return pooled
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.sim.metrics import AggregateMetrics
+from repro.sim.metrics import ADDITIVE_METRICS, AggregateMetrics
 from repro.util import slice_of
 
 __all__ = [
@@ -119,9 +119,10 @@ def metrics_to_dict(metrics: AggregateMetrics) -> dict[str, Any]:
     An infinite speedup (zero residual I/O) is stored as ``null``;
     :func:`metrics_from_dict` restores it.
 
-    The serving-only contention counters are *additive keys*: present
-    only when set (serving cells), so records of single-client cells --
-    and therefore existing stores -- stay byte-identical.
+    The :data:`~repro.sim.metrics.ADDITIVE_METRICS` keys are present
+    only when set (serving cells; a layer's counters only when the
+    layer is active), in table order, so records of cells that predate
+    a key -- and therefore existing stores -- stay byte-identical.
     """
     speedup = metrics.speedup
     data = {
@@ -135,34 +136,10 @@ def metrics_to_dict(metrics: AggregateMetrics) -> dict[str, Any]:
         "prediction_seconds": metrics.prediction_seconds,
         "per_sequence_hit_rates": list(metrics.per_sequence_hit_rates),
     }
-    if metrics.cross_client_hits is not None:
-        data["cross_client_hits"] = int(metrics.cross_client_hits)
-    if metrics.evicted_misses is not None:
-        data["evicted_misses"] = int(metrics.evicted_misses)
-    if metrics.failed_reads is not None:
-        data["failed_reads"] = int(metrics.failed_reads)
-    if metrics.degraded_ticks is not None:
-        data["degraded_ticks"] = int(metrics.degraded_ticks)
-    if metrics.breaker_opens is not None:
-        data["breaker_opens"] = int(metrics.breaker_opens)
-    if metrics.tier_hits is not None:
-        data["tier_hits"] = int(metrics.tier_hits)
-    if metrics.miss_path_hits is not None:
-        data["miss_path_hits"] = int(metrics.miss_path_hits)
-    if metrics.tier_fills is not None:
-        data["tier_fills"] = int(metrics.tier_fills)
-    if metrics.tier_stall_seconds is not None:
-        data["tier_stall_seconds"] = float(metrics.tier_stall_seconds)
-    if metrics.shard_requests is not None:
-        data["shard_requests"] = [int(v) for v in metrics.shard_requests]
-    if metrics.shard_hits is not None:
-        data["shard_hits"] = [int(v) for v in metrics.shard_hits]
-    if metrics.shard_rebalances is not None:
-        data["shard_rebalances"] = int(metrics.shard_rebalances)
-    if metrics.shard_pages_moved is not None:
-        data["shard_pages_moved"] = int(metrics.shard_pages_moved)
-    if metrics.shard_hop_seconds is not None:
-        data["shard_hop_seconds"] = float(metrics.shard_hop_seconds)
+    for name, cast, _ in ADDITIVE_METRICS:
+        value = getattr(metrics, name)
+        if value is not None:
+            data[name] = cast(value)
     return data
 
 
@@ -179,52 +156,10 @@ def metrics_from_dict(data: Mapping[str, Any]) -> AggregateMetrics:
         graph_build_seconds=float(data["graph_build_seconds"]),
         prediction_seconds=float(data["prediction_seconds"]),
         per_sequence_hit_rates=[float(r) for r in data["per_sequence_hit_rates"]],
-        cross_client_hits=(
-            None if data.get("cross_client_hits") is None else int(data["cross_client_hits"])
-        ),
-        evicted_misses=(
-            None if data.get("evicted_misses") is None else int(data["evicted_misses"])
-        ),
-        failed_reads=(
-            None if data.get("failed_reads") is None else int(data["failed_reads"])
-        ),
-        degraded_ticks=(
-            None if data.get("degraded_ticks") is None else int(data["degraded_ticks"])
-        ),
-        breaker_opens=(
-            None if data.get("breaker_opens") is None else int(data["breaker_opens"])
-        ),
-        tier_hits=(None if data.get("tier_hits") is None else int(data["tier_hits"])),
-        miss_path_hits=(
-            None if data.get("miss_path_hits") is None else int(data["miss_path_hits"])
-        ),
-        tier_fills=(None if data.get("tier_fills") is None else int(data["tier_fills"])),
-        tier_stall_seconds=(
-            None
-            if data.get("tier_stall_seconds") is None
-            else float(data["tier_stall_seconds"])
-        ),
-        shard_requests=(
-            None
-            if data.get("shard_requests") is None
-            else [int(v) for v in data["shard_requests"]]
-        ),
-        shard_hits=(
-            None if data.get("shard_hits") is None else [int(v) for v in data["shard_hits"]]
-        ),
-        shard_rebalances=(
-            None if data.get("shard_rebalances") is None else int(data["shard_rebalances"])
-        ),
-        shard_pages_moved=(
-            None
-            if data.get("shard_pages_moved") is None
-            else int(data["shard_pages_moved"])
-        ),
-        shard_hop_seconds=(
-            None
-            if data.get("shard_hop_seconds") is None
-            else float(data["shard_hop_seconds"])
-        ),
+        **{
+            name: None if data.get(name) is None else cast(data[name])
+            for name, cast, _ in ADDITIVE_METRICS
+        },
     )
 
 

@@ -228,6 +228,11 @@ class PrefetcherSpec:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
+#: :class:`CellSpec` mappings serialized only when non-empty, so cells
+#: that predate (or do not use) a layer keep their content hash.
+_ADDITIVE_SPEC_FIELDS = ("serve", "faults", "storage", "shards")
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One experiment cell, fully declarative and picklable.
@@ -248,23 +253,16 @@ class CellSpec:
     Serialization omits an empty ``serve``, so every pre-existing cell
     keeps its content hash (and its stored results).
 
-    ``faults`` holds :class:`~repro.storage.faults.FaultPlan` field
-    overrides: when non-empty, the cell's disk is wrapped in a
-    :class:`~repro.storage.faults.FaultyDiskModel` compiled from the
-    plan.  Like ``serve``, an empty ``faults`` is omitted from
-    serialization, so fault-free cells keep their content hash.
-
-    ``storage`` holds :class:`~repro.storage.tiered.StorageSpec` field
-    overrides: when non-empty, the cell's disk is wrapped in a
-    :class:`~repro.storage.tiered.TieredStore` (DESIGN.md §9).  Like
-    ``faults``, an empty ``storage`` is omitted from serialization, so
-    tier-free cells keep their content hash.
-
-    ``shards`` holds :class:`~repro.storage.sharded.ShardSpec` field
-    overrides: when non-empty, the cell's prefetch cache is compiled
-    into a :class:`~repro.storage.sharded.ShardedCache` (DESIGN.md
-    §10).  Like ``storage``, an empty ``shards`` is omitted from
-    serialization, so unsharded cells keep their content hash.
+    The three layer mappings hold field overrides of their spec class
+    and are omitted from serialization when empty, exactly like
+    ``serve``, so cells without the layer keep their content hash:
+    ``faults`` (:class:`~repro.storage.faults.FaultPlan`) wraps the
+    cell's disk in a :class:`~repro.storage.faults.FaultyDiskModel`
+    (DESIGN.md §7); ``storage``
+    (:class:`~repro.storage.tiered.StorageSpec`) wraps it in a
+    :class:`~repro.storage.tiered.TieredStore` (§9); ``shards``
+    (:class:`~repro.storage.sharded.ShardSpec`) compiles the prefetch
+    cache into a :class:`~repro.storage.sharded.ShardedCache` (§10).
     """
 
     dataset: DatasetSpec
@@ -287,14 +285,9 @@ class CellSpec:
             "seed": int(self.seed),
             "sim": dict(self.sim),
         }
-        if self.serve:
-            data["serve"] = dict(self.serve)
-        if self.faults:
-            data["faults"] = dict(self.faults)
-        if self.storage:
-            data["storage"] = dict(self.storage)
-        if self.shards:
-            data["shards"] = dict(self.shards)
+        for name in _ADDITIVE_SPEC_FIELDS:
+            if getattr(self, name):
+                data[name] = dict(getattr(self, name))
         return data
 
     @classmethod
@@ -308,10 +301,7 @@ class CellSpec:
             ),
             seed=int(data["seed"]),
             sim=dict(data.get("sim", {})),
-            serve=dict(data.get("serve", {})),
-            faults=dict(data.get("faults", {})),
-            storage=dict(data.get("storage", {})),
-            shards=dict(data.get("shards", {})),
+            **{name: dict(data.get(name, {})) for name in _ADDITIVE_SPEC_FIELDS},
         )
 
     def key(self) -> str:
@@ -461,24 +451,19 @@ def _memoized(memo: OrderedDict, key: str, build: Callable[[], Any]):
     return value
 
 
-def _sim_config(
-    sim: Mapping[str, Any],
-    faults: Mapping[str, Any] = (),
-    storage: Mapping[str, Any] = (),
-    shards: Mapping[str, Any] = (),
-) -> SimulationConfig | None:
-    if not sim and not faults and not storage and not shards:
+def _sim_config(spec: CellSpec) -> SimulationConfig | None:
+    if not (spec.sim or spec.faults or spec.storage or spec.shards):
         return None
-    kwargs = dict(sim)
+    kwargs = dict(spec.sim)
     disk = kwargs.pop("disk", None)
     if disk is not None:
         kwargs["disk"] = DiskParameters(**disk)
-    if faults:
-        kwargs["faults"] = FaultPlan.from_dict(faults)
-    if storage:
-        kwargs["storage"] = StorageSpec.from_dict(storage)
-    if shards:
-        kwargs["shards"] = ShardSpec.from_dict(shards)
+    if spec.faults:
+        kwargs["faults"] = FaultPlan.from_dict(spec.faults)
+    if spec.storage:
+        kwargs["storage"] = StorageSpec.from_dict(spec.storage)
+    if spec.shards:
+        kwargs["shards"] = ShardSpec.from_dict(spec.shards)
     return SimulationConfig(**kwargs)
 
 
@@ -527,9 +512,7 @@ def prepare_cell(spec: CellSpec):
         window_ratio=w.window_ratio,
     )
     prefetcher = spec.prefetcher.build(dataset, index)
-    return index, sequences, prefetcher, _sim_config(
-        spec.sim, spec.faults, spec.storage, spec.shards
-    )
+    return index, sequences, prefetcher, _sim_config(spec)
 
 
 def prepare_serving_cell(spec: CellSpec):
@@ -573,17 +556,10 @@ def prepare_serving_cell(spec: CellSpec):
         **serve,
     )
     prefetchers = [spec.prefetcher.build(dataset, index) for _ in clients]
-    return index, clients, prefetchers, _sim_config(
-        spec.sim, spec.faults, spec.storage, spec.shards
-    )
+    return index, clients, prefetchers, _sim_config(spec)
 
 
-def run_serving_cell(
-    spec: CellSpec,
-    *,
-    lockstep: bool | None = None,
-    cache_backend: str | None = None,
-) -> tuple[CellResult, "ServeReport"]:
+def run_serving_cell(spec: CellSpec) -> tuple[CellResult, "ServeReport"]:
     """Execute one multi-client serving cell; (result, full serve report).
 
     The persisted :class:`CellResult` carries the pooled
@@ -593,19 +569,16 @@ def run_serving_cell(
     :class:`~repro.sim.metrics.ServeReport` (contention counters) is
     returned alongside for callers that hold the live object.
 
-    ``lockstep`` selects the vectorized scheduler (``None`` defers to
-    the ``REPRO_SERVE_LOCKSTEP`` environment toggle, which the CLI's
-    ``--lockstep`` flag sets and sweep worker processes inherit, like
-    ``REPRO_SCALE``).  Reports are bit-identical either way, so cell
-    keys and stored results are scheduler-agnostic.
+    Sweeps always serve with the vectorized lockstep scheduler: its
+    reports are bit-identical to the round-robin reference's (pinned by
+    ``tests/test_serving_lockstep.py``), so cell keys and stored results
+    do not depend on the scheduler -- only the wall-clock does.
     """
     from repro.sim.serve import ServingSimulator
 
     started = time.perf_counter()
     index, clients, prefetchers, config = prepare_serving_cell(spec)
-    report = ServingSimulator(index, config).run(
-        clients, prefetchers, lockstep=lockstep, cache_backend=cache_backend
-    )
+    report = ServingSimulator(index, config).run(clients, prefetchers, lockstep=True)
     result = CellResult(
         key=spec.key(),
         spec=spec.to_dict(),

@@ -21,9 +21,10 @@ Two schedulers produce **bit-identical reports** (pinned by
 ``tests/test_serving_lockstep.py``):
 
 ``round_robin`` (default)
-    the reference loop above -- one client's full query at a time;
+    the reference loop above -- one client's full query at a time; the
+    oracle the tests and ``bench_serving`` compare against;
 ``lockstep``
-    the vectorized plane for large fleets.  Each tick resolves every
+    the vectorized plane sweeps run on.  Each tick resolves every
     active client's query in one batched ``query_many`` pass, runs the
     sessions over an array-backed shared cache
     (:class:`~repro.storage.cache.ArrayCache`), and -- when every
@@ -42,7 +43,6 @@ property suite in ``tests/test_serving.py``.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
@@ -51,17 +51,7 @@ from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.metrics import ClientMetrics, ServeReport
 from repro.workload.multiclient import ClientWorkload
 
-__all__ = ["ServingSimulator", "lockstep_from_env"]
-
-#: Environment toggle for the lockstep scheduler (inherits into sweep
-#: worker processes, like ``REPRO_SCALE``); set by the CLI's
-#: ``--lockstep`` flag.
-LOCKSTEP_ENV = "REPRO_SERVE_LOCKSTEP"
-
-
-def lockstep_from_env() -> bool:
-    """Whether the ``REPRO_SERVE_LOCKSTEP`` toggle is on."""
-    return os.environ.get(LOCKSTEP_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
+__all__ = ["ServingSimulator"]
 
 
 def _plans_shareable(prefetchers: Sequence[Prefetcher]) -> bool:
@@ -96,7 +86,7 @@ class ServingSimulator:
         clients: Sequence[ClientWorkload],
         prefetchers: Sequence[Prefetcher],
         *,
-        lockstep: bool | None = None,
+        lockstep: bool = False,
         cache_backend: str | None = None,
         share_plans: bool | None = None,
     ) -> ServeReport:
@@ -107,9 +97,9 @@ class ServingSimulator:
         and disk are shared.  Deterministic: same clients + prefetchers
         in, same report out, regardless of wall-clock or scheduler.
 
-        ``lockstep`` selects the vectorized scheduler (``None`` reads
-        the ``REPRO_SERVE_LOCKSTEP`` environment toggle); the report is
-        bit-identical either way.  ``cache_backend`` picks the shared
+        ``lockstep`` selects the vectorized scheduler (sweeps always
+        do, see :func:`repro.sim.runner.run_serving_cell`); the report
+        is bit-identical either way.  ``cache_backend`` picks the shared
         cache implementation (``"dict"`` or ``"array"``; ``None`` keeps
         the dict cache for round-robin and the array cache for
         lockstep).  ``share_plans`` controls leader/follower plan
@@ -126,8 +116,6 @@ class ServingSimulator:
                 f"got {len(prefetchers)} prefetchers for {len(clients)} clients; "
                 "each client needs its own instance"
             )
-        if lockstep is None:
-            lockstep = lockstep_from_env()
         if cache_backend is None:
             cache_backend = "array" if lockstep else "dict"
         # A configured fault plan disables leader/follower plan sharing:

@@ -1,0 +1,324 @@
+"""The figure registry: every ``scout-repro sweep --figure`` grid as data.
+
+:mod:`repro.workload.sweeps` builds the evaluation grids; this module
+says how the command line exposes them.  :data:`FIGURES` holds one
+:class:`Figure` per ``--figure`` value -- its default seed, the
+figure-specific flags it takes, how parsed flags expand into labelled
+groups of cells, how ``--list-cells`` annotates a cell, and the
+:class:`Table` set each group's stored results render as.  The sweep
+command (:mod:`repro.cli`) is one generic path over that table: it
+names no figure, so adding a grid is one builder in ``sweeps`` plus one
+entry here (DESIGN.md §6.2).
+"""
+
+from __future__ import annotations
+
+from argparse import ArgumentTypeError
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
+
+from repro.workload import sweeps
+
+__all__ = ["FIGURES", "Figure", "Table"]
+
+
+def _prefetcher_label(result) -> str:
+    """Table row label for a cell: kind, plus lambda for EWMA variants."""
+    prefetcher = result.spec["prefetcher"]
+    lam = prefetcher["params"].get("lam")
+    if prefetcher["kind"] == "ewma" and lam is not None:
+        return f"ewma-{lam:g}"
+    return prefetcher["kind"]
+
+
+def _hit_rate(result) -> float:
+    return 100.0 * result.metrics.cache_hit_rate
+
+
+def _shard_imbalance(result) -> float:
+    # max/mean per-shard request load: 1.0 is perfectly even, K is
+    # "one shard absorbs everything".  K=1 cells report 1.0.
+    requests = result.metrics.shard_requests
+    if not requests or sum(requests) == 0:
+        return 1.0
+    return max(requests) / (sum(requests) / len(requests))
+
+
+@dataclass(frozen=True)
+class Table:
+    """One table a figure renders for each of its cell groups.
+
+    The rendered title is ``"<figure.title> -- <table.title>"``.
+    ``value_of`` maps a stored :class:`~repro.sim.results.CellResult`
+    to the plotted number; ``figure_id`` keys the paper-shape note
+    printed above the table.  ``title`` and ``figure_id`` are
+    ``str.format`` templates, see :class:`Figure`.
+    """
+
+    title: str
+    value_of: Callable[[Any], Any] = _hit_rate
+    precision: int = 1
+    figure_id: str = ""
+
+
+@dataclass(frozen=True)
+class Figure:
+    """What ``scout-repro sweep --figure F`` needs to know about ``F``.
+
+    ``seed`` is the default workload seed.  ``flags`` names the
+    figure-specific sweep flags (argparse dests) it takes; the CLI
+    rejects the rest.  ``grids(args)`` expands the parsed flags into
+    ``[(label, cells)]``, one group per rendered table set, raising
+    :class:`argparse.ArgumentTypeError` for a malformed flag value and
+    :class:`ValueError` for a well-formed one that names nothing known.
+    ``column_of(label, spec)`` is a cell's table column, ``row_of`` its
+    row; ``axis`` is the ``--list-cells`` annotation, a template over
+    that column (``col``) and the cell ``spec``.  ``title`` heads every
+    table of a group; title templates see the group's ``label`` and, on
+    panel figures, its ``panel`` entry (``panels`` maps label to
+    ``(axis key, human title)``).
+    """
+
+    seed: int
+    flags: tuple[str, ...]
+    grids: Callable[[Any], list[tuple[str, list]]]
+    axis: str
+    column_of: Callable[[str, Mapping[str, Any]], Any]
+    title: str
+    tables: tuple[Table, ...]
+    row_of: Callable[[Any], str] = _prefetcher_label
+    panels: Mapping[str, tuple[str, str]] = field(default_factory=dict)
+
+
+def _csv(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _chosen_panels(args, panels: Mapping[str, Any], figure: int) -> list[str]:
+    chosen = list(panels) if args.panels is None else _csv(args.panels)
+    if not chosen:
+        raise ArgumentTypeError(f"--panels must name at least one Fig-{figure} panel")
+    unknown = [p for p in chosen if p not in panels]
+    if unknown:
+        raise ValueError(f"unknown panel(s): {', '.join(unknown)} (expected {', '.join(panels)})")
+    return chosen
+
+
+def _microbenchmark_grids(builder, label: str, args) -> list[tuple[str, list]]:
+    matrix = builder(
+        benches=None if args.benches is None else _csv(args.benches),
+        n_neurons=args.neurons,
+        n_sequences=args.sequences,
+        workload_seed=args.seed,
+    )
+    return [(label, matrix.cells())]
+
+
+def _fig13_grids(args) -> list[tuple[str, list]]:
+    axes = sweeps.fig13_axes()
+    grids = []
+    for panel in _chosen_panels(args, sweeps.FIG13_PANELS, 13):
+        axis = axes[sweeps.FIG13_PANELS[panel][0]]
+        if args.points is not None:
+            axis = axis[: max(1, args.points)]
+        if panel == "b" and args.neurons is not None:
+            # Panel b's axis IS the neuron count; rescale it around the
+            # requested size so --neurons shrinks this panel too instead
+            # of being silently ignored.
+            ratio = args.neurons / sweeps.SENSITIVITY_DEFAULTS.n_neurons
+            axis = [max(2, int(round(n * ratio))) for n in axis]
+        matrix = sweeps.fig13_matrix(
+            panel,
+            n_neurons=args.neurons,
+            n_sequences=args.sequences,
+            workload_seed=args.seed,
+            axis=axis,
+        )
+        grids.append((panel, matrix.cells()))
+    return grids
+
+
+def _fig17_grids(args) -> list[tuple[str, list]]:
+    panels = _chosen_panels(args, sweeps.FIG17_PANELS, 17)
+    datasets = None
+    if args.datasets is not None:
+        kinds = _csv(args.datasets)
+        bad = [k for k in kinds if k not in sweeps.FIG17_DATASET_PARAMS]
+        if bad or not kinds:
+            known = ", ".join(sweeps.FIG17_DATASET_PARAMS)
+            raise ValueError(f"unknown dataset(s): {', '.join(bad) or '(none)'} (expected {known})")
+        datasets = {kind: sweeps.FIG17_DATASET_PARAMS[kind] for kind in kinds}
+    return [
+        (
+            panel,
+            sweeps.fig17_matrix(
+                panel, datasets=datasets, n_sequences=args.sequences, workload_seed=args.seed
+            ),
+        )
+        for panel in panels
+    ]
+
+
+def _serving_grids(builder, axis: str, groups: Sequence[tuple[Any, str]], args, **fixed):
+    """One labelled group per value of the builder's ``axis``, so each renders as one table."""
+    if args.neurons is not None:
+        fixed["n_neurons"] = args.neurons
+    return [
+        (label, builder(**{axis: (value,)}, workload_seed=args.seed, **fixed))
+        for value, label in groups
+    ]
+
+
+def _clients_grids(args) -> list[tuple[str, list]]:
+    clients = list(sweeps.SERVE_CLIENTS)
+    if args.clients is not None:
+        try:
+            clients = [int(c) for c in _csv(args.clients)]
+        except ValueError:
+            raise ArgumentTypeError(
+                f"--clients must be comma-separated ints, got {args.clients!r}"
+            ) from None
+        if not clients or any(c < 1 for c in clients):
+            raise ArgumentTypeError(f"--clients counts must be >= 1, got {args.clients!r}")
+
+    cache_sizes: list = list(sweeps.SERVE_CACHE_PAGES)
+    if args.cache_pages is not None:
+        cache_sizes = []
+        for item in _csv(args.cache_pages):
+            if item == "auto":
+                cache_sizes.append(None)
+                continue
+            try:
+                pages = int(item)
+            except ValueError:
+                raise ArgumentTypeError(
+                    f"--cache-pages entries must be ints or 'auto', got {item!r}"
+                ) from None
+            if pages < 1:
+                raise ArgumentTypeError(f"--cache-pages sizes must be >= 1, got {item!r}")
+            cache_sizes.append(pages)
+        if not cache_sizes:
+            raise ArgumentTypeError("--cache-pages must name at least one size")
+
+    return _serving_grids(
+        sweeps.clients_matrix,
+        "cache_pages",
+        [(pages, "auto" if pages is None else f"{pages} pages") for pages in cache_sizes],
+        args,
+        clients=clients,
+        mode=args.contention,
+    )
+
+
+def _microbenchmark_figure(number: int, builder, seed: int, hit_id: str, speed_id: str = ""):
+    return Figure(
+        seed=seed,
+        flags=("benches", "neurons", "sequences"),
+        grids=partial(_microbenchmark_grids, builder, f"fig{number}"),
+        axis="bench={col}",
+        column_of=lambda label, spec: sweeps.microbenchmark_of(spec) or "?",
+        title=f"Fig {number} sweep",
+        tables=(
+            Table("cache hit rate [%]", figure_id=hit_id),
+            Table("speedup vs no prefetching", lambda r: r.metrics.speedup, 2, speed_id),
+        ),
+    )
+
+
+#: ``--figure`` value -> its :class:`Figure`, in ``--help`` order.  The
+#: sweep command is generic over this table (DESIGN.md §6.2).
+FIGURES: dict[int | str, Figure] = {
+    10: _microbenchmark_figure(10, sweeps.fig10_matrix, 11, "fig10sweep"),
+    11: _microbenchmark_figure(11, sweeps.fig11_matrix, 11, "fig11a", "fig11b"),
+    12: _microbenchmark_figure(12, sweeps.fig12_matrix, 12, "fig12"),
+    13: Figure(
+        seed=13,
+        flags=("panels", "points", "neurons", "sequences"),
+        grids=_fig13_grids,
+        axis="axis={col:g}",
+        column_of=sweeps.fig13_axis_value,
+        title="Fig 13{label}",
+        tables=(Table("{panel[1]} [hit %]", figure_id="fig13{label}"),),
+        row_of=lambda r: r.prefetcher_kind,
+        panels=sweeps.FIG13_PANELS,
+    ),
+    17: Figure(
+        seed=17,
+        flags=("panels", "datasets", "sequences"),
+        grids=_fig17_grids,
+        axis="dataset={col}",
+        column_of=lambda label, spec: sweeps.fig17_dataset_of(spec),
+        title="Fig 17{label}",
+        tables=(Table("{panel[1]} [hit %]", figure_id="fig17{label}"),),
+        panels=sweeps.FIG17_PANELS,
+    ),
+    "clients": Figure(
+        seed=21,
+        flags=("clients", "cache_pages", "contention", "neurons"),
+        grids=_clients_grids,
+        axis="clients={col}",
+        column_of=lambda label, spec: sweeps.serve_clients_of(spec),
+        title="Serving sweep -- shared cache {label}",
+        tables=(
+            Table("aggregate hit rate [%]", figure_id="clients"),
+            Table("per-client hit-rate std [%]", lambda r: 100.0 * r.metrics.hit_rate_std),
+        ),
+    ),
+    "chaos": Figure(
+        seed=21,
+        flags=("neurons",),
+        grids=partial(
+            _serving_grids,
+            sweeps.chaos_matrix,
+            "breakers",
+            ((True, "breaker on"), (False, "breaker off")),
+        ),
+        axis="rate={col:g}",
+        column_of=lambda label, spec: sweeps.chaos_rate_of(spec),
+        title="Chaos sweep -- {label}",
+        tables=(
+            Table("aggregate hit rate [%]", figure_id="chaos"),
+            Table("degraded queries (demand paging)", lambda r: r.metrics.degraded_ticks or 0, 0),
+        ),
+    ),
+    "tiers": Figure(
+        seed=21,
+        flags=("neurons",),
+        grids=partial(
+            _serving_grids,
+            sweeps.tiers_matrix,
+            "tier_sizes",
+            [(size, f"tier {size} pages") for size in sweeps.TIER_SIZES],
+        ),
+        axis="miss-path={col}",
+        column_of=lambda label, spec: sweeps.tiers_path_of(spec),
+        title="Tiers sweep -- {label}",
+        tables=(
+            Table("aggregate hit rate [%]", figure_id="tiers"),
+            Table(
+                "tier + miss-path hits (absorbed reads)",
+                lambda r: (r.metrics.tier_hits or 0) + (r.metrics.miss_path_hits or 0),
+                0,
+            ),
+        ),
+    ),
+    "shards": Figure(
+        seed=21,
+        flags=("neurons",),
+        grids=partial(
+            _serving_grids,
+            sweeps.shards_matrix,
+            "partitions",
+            [(scheme, f"partition {scheme}") for scheme in sweeps.SHARD_PARTITIONS],
+        ),
+        axis="K={col} {spec[shards][partition]}",
+        column_of=lambda label, spec: sweeps.shards_k_of(spec),
+        title="Shards sweep -- {label}",
+        tables=(
+            Table("aggregate hit rate [%]", figure_id="shards"),
+            Table("request imbalance (max/mean shard load)", _shard_imbalance, 2),
+        ),
+        row_of=lambda r: f"{_prefetcher_label(r)} x{sweeps.serve_clients_of(r.spec)}",
+    ),
+}

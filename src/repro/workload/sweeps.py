@@ -1,6 +1,6 @@
 """Parameter sweeps for the paper's evaluation grids (Figs 10-13, 17).
 
-Three families of declarative grids live here:
+Four families of declarative grids live here:
 
 * the **microbenchmark grids** -- :func:`fig10_matrix` (the Figure-10
   workload registry under one prefetcher), :func:`fig11_matrix` (the
@@ -20,24 +20,31 @@ Three families of declarative grids live here:
   mesh, arterial tree, road network) with the standard prefetcher set,
   one panel per query-size regime (small / large, sized as fractions of
   each dataset's volume);
-* the **client-scaling grid** (serving layer, DESIGN.md §6 -- an
-  extension beyond the paper): :func:`clients_matrix` crosses client
-  counts with prefetchers and shared-cache sizes, each cell a
-  multi-client :class:`~repro.sim.serve.ServingSimulator` run over one
-  shared cache and disk.
+* the **serving grids** (DESIGN.md §6-§10 -- extensions beyond the
+  paper), every cell a multi-client
+  :class:`~repro.sim.serve.ServingSimulator` run over one shared cache
+  and disk: :func:`clients_matrix` (client counts x prefetchers x
+  shared-cache sizes), :func:`chaos_matrix` (fault rate x prefetcher x
+  circuit breaker), :func:`tiers_matrix` (tier size x prefetcher x
+  miss-path mechanism) and :func:`shards_matrix` (clients x shard count
+  x partition scheme x prefetcher).
 
 All builders return pure-data :class:`~repro.sim.ExperimentMatrix`
-values (Fig 17 and the clients grid return cell lists, because their
+values (Fig 17 and the serving grids return cell lists, because their
 cells vary per-dataset query volumes or per-cell serving parameters);
 run them with :class:`~repro.sim.ParallelRunner` (cells are keyed by
 content hash, so repeated runs resume from the store).
+
+:mod:`repro.workload.figures` registers each grid as a ``scout-repro
+sweep --figure`` value: the flags it takes, how they expand into these
+builders' cells, and the tables the results render as.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.workload.benchmarks import MICROBENCHMARKS, microbenchmark_names
 
@@ -48,11 +55,9 @@ __all__ = [
     "FIG13_PANELS",
     "FIG17_DATASET_PARAMS",
     "FIG17_PANELS",
-    "FIGURE_MATRICES",
     "SENSITIVITY_DEFAULTS",
     "SERVE_CACHE_PAGES",
     "SERVE_CLIENTS",
-    "SERVE_CLIENTS_LARGE",
     "SERVE_PREFETCHERS",
     "SHARD_CLIENTS",
     "SHARD_COUNTS",
@@ -60,7 +65,6 @@ __all__ = [
     "TIER_MISS_PATHS",
     "TIER_SIZES",
     "SweepDefaults",
-    "chaos_breaker_of",
     "chaos_matrix",
     "chaos_rate_of",
     "clients_matrix",
@@ -79,10 +83,8 @@ __all__ = [
     "serve_clients_of",
     "shards_k_of",
     "shards_matrix",
-    "shards_partition_of",
     "tiers_matrix",
     "tiers_path_of",
-    "tiers_size_of",
 ]
 
 
@@ -527,10 +529,77 @@ SERVE_PREFETCHERS: tuple[tuple[str, dict], ...] = (
 #: heavy contention -- every client fights for the same few pages).
 SERVE_CACHE_PAGES: tuple[int | None, ...] = (None, 128)
 
-#: Large-fleet client counts for the lockstep serving plane (run with
-#: ``--lockstep``; the round-robin reference is impractically slow past
-#: a few hundred clients, and the schedulers are proven bit-identical).
-SERVE_CLIENTS_LARGE: tuple[int, ...] = (64, 256, 1024)
+
+def _serving_cells(
+    points: Iterable[tuple[int, tuple[str, Mapping[str, Any]], Mapping[str, Any]]],
+    *,
+    mode: str,
+    stagger: int,
+    n_neurons: int,
+    n_queries: int | None,
+    volume: float | None,
+    dataset_seed: int,
+    workload_seed: int,
+    fanout: int,
+    defaults: SweepDefaults,
+) -> list:
+    """Expand ``(n_clients, prefetcher, layers)`` points into serving cells.
+
+    Everything the serving grids share lives here: one neuron tissue
+    and FLAT index, one session per client (so the workload's
+    ``n_sequences`` mirrors the fleet size), the §7.4 query defaults,
+    and the ``serve`` mapping.  ``layers`` is the point's own
+    contribution: the optional :class:`~repro.sim.runner.CellSpec`
+    fields (``sim`` | ``faults`` | ``storage`` | ``shards``) its grid
+    sweeps.  Cells come back in ``points`` order.
+    """
+    # Imported here: repro.sim.runner imports repro.workload.sequence,
+    # so a module-level import would be circular through repro.sim.
+    from repro.sim.runner import (
+        CellSpec,
+        DatasetSpec,
+        IndexSpec,
+        PrefetcherSpec,
+        WorkloadSpec,
+    )
+
+    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
+    volume = defaults.volume if volume is None else float(volume)
+    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
+    index = IndexSpec("flat", {"fanout": fanout})
+    return [
+        CellSpec(
+            dataset=dataset,
+            index=index,
+            workload=WorkloadSpec(
+                n_sequences=n_clients,  # one session per client
+                n_queries=n_queries,
+                volume=volume,
+                gap=defaults.gap,
+                aspect=defaults.aspect,
+                window_ratio=defaults.window_ratio,
+            ),
+            prefetcher=PrefetcherSpec(kind, dict(params)),
+            seed=workload_seed,
+            serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
+            **layers,
+        )
+        for n_clients, (kind, params), layers in points
+    ]
+
+
+def _client_counts(clients: Sequence[int]) -> list[int]:
+    counts = [int(n) for n in clients]
+    if not counts or any(n < 1 for n in counts):
+        raise ValueError(f"clients must be positive ints, got {list(clients)!r}")
+    return counts
+
+
+def _fleet_size(n_clients: int) -> int:
+    n_clients = int(n_clients)
+    if n_clients < 1:
+        raise ValueError(f"n_clients must be positive, got {n_clients}")
+    return n_clients
 
 
 def clients_matrix(
@@ -560,48 +629,28 @@ def clients_matrix(
     cache size renders as one table.  Returns a flat cell list, like
     :func:`fig17_matrix`, because the serving parameters vary per cell.
     """
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
+    client_counts = _client_counts(clients)
+    return _serving_cells(
+        (
+            (
+                n,
+                prefetcher,
+                {"sim": {} if capacity is None else {"cache_capacity_pages": int(capacity)}},
+            )
+            for capacity in cache_pages
+            for prefetcher in prefetchers
+            for n in client_counts
+        ),
+        mode=mode,
+        stagger=stagger,
+        n_neurons=n_neurons,
+        n_queries=n_queries,
+        volume=volume,
+        dataset_seed=dataset_seed,
+        workload_seed=workload_seed,
+        fanout=fanout,
+        defaults=defaults,
     )
-
-    client_counts = [int(n) for n in clients]
-    if not client_counts or any(n < 1 for n in client_counts):
-        raise ValueError(f"clients must be positive ints, got {list(clients)!r}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for capacity in cache_pages:
-        sim = {} if capacity is None else {"cache_capacity_pages": int(capacity)}
-        for kind, params in prefetchers:
-            for n in client_counts:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        sim=sim,
-                        serve={"n_clients": n, "mode": mode, "stagger": int(stagger)},
-                    )
-                )
-    return cells
 
 
 def serve_clients_of(spec: Mapping[str, Any]) -> int:
@@ -662,64 +711,44 @@ def chaos_matrix(
     (inactive) fault plan too, pinning the wrapper's no-op overhead
     into the same store.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
-
     fault_rates = [float(r) for r in rates]
     if not fault_rates or any(not 0.0 <= r <= 1.0 for r in fault_rates):
         raise ValueError(f"rates must be fractions in [0, 1], got {list(rates)!r}")
-    n_clients = int(n_clients)
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for breaker in breakers:
-        for kind, params in prefetchers:
-            for rate in fault_rates:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n_clients,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
-                        faults={
-                            "transient_rate": rate,
-                            "corrupt_rate": rate / 2.0,
-                            "latency_rate": rate / 2.0,
-                            "seed": int(fault_seed),
-                            "breaker": bool(breaker),
-                        },
-                    )
-                )
-    return cells
+    n_clients = _fleet_size(n_clients)
+    return _serving_cells(
+        (
+            (
+                n_clients,
+                prefetcher,
+                {
+                    "faults": {
+                        "transient_rate": rate,
+                        "corrupt_rate": rate / 2.0,
+                        "latency_rate": rate / 2.0,
+                        "seed": int(fault_seed),
+                        "breaker": bool(breaker),
+                    }
+                },
+            )
+            for breaker in breakers
+            for prefetcher in prefetchers
+            for rate in fault_rates
+        ),
+        mode=mode,
+        stagger=stagger,
+        n_neurons=n_neurons,
+        n_queries=n_queries,
+        volume=volume,
+        dataset_seed=dataset_seed,
+        workload_seed=workload_seed,
+        fanout=fanout,
+        defaults=defaults,
+    )
 
 
 def chaos_rate_of(spec: Mapping[str, Any]) -> float:
     """The fault-rate column a chaos cell-spec dict belongs to."""
     return float(spec["faults"]["transient_rate"])
-
-
-def chaos_breaker_of(spec: Mapping[str, Any]) -> bool:
-    """Whether a chaos cell-spec dict runs with the circuit breaker on."""
-    return bool(spec["faults"].get("breaker", True))
 
 
 # -- the tiered-storage serving grid ------------------------------------------------
@@ -767,59 +796,38 @@ def tiers_matrix(
     deterministic (LRU over the request order, no randomness), so the
     grid keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
     from repro.storage.tiered import MISS_PATHS
 
     paths = [str(p) for p in miss_paths]
-    unknown = set(paths) - set(MISS_PATHS)
-    if not paths or unknown:
+    if not paths or set(paths) - set(MISS_PATHS):
         raise ValueError(
             f"miss_paths must be drawn from {list(MISS_PATHS)}, got {list(miss_paths)!r}"
         )
     sizes = [int(s) for s in tier_sizes]
     if not sizes or any(s < 0 for s in sizes):
         raise ValueError(f"tier_sizes must be non-negative ints, got {list(tier_sizes)!r}")
-    n_clients = int(n_clients)
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for size in sizes:
-        for kind, params in prefetchers:
-            for path in paths:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n_clients,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
-                        storage={
-                            "backend": str(backend),
-                            "miss_path": path,
-                            "tier_pages": size,
-                        },
-                    )
-                )
-    return cells
+    n_clients = _fleet_size(n_clients)
+    return _serving_cells(
+        (
+            (
+                n_clients,
+                prefetcher,
+                {"storage": {"backend": str(backend), "miss_path": path, "tier_pages": size}},
+            )
+            for size in sizes
+            for prefetcher in prefetchers
+            for path in paths
+        ),
+        mode=mode,
+        stagger=stagger,
+        n_neurons=n_neurons,
+        n_queries=n_queries,
+        volume=volume,
+        dataset_seed=dataset_seed,
+        workload_seed=workload_seed,
+        fanout=fanout,
+        defaults=defaults,
+    )
 
 
 # -- the sharded-cache serving grid -------------------------------------------------
@@ -871,59 +879,42 @@ def shards_matrix(
     Routing, eviction and rebalancing are deterministic, so the grid
     keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
     from repro.storage.sharded import PARTITIONS
 
     parts = [str(p) for p in partitions]
-    unknown = set(parts) - set(PARTITIONS)
-    if not parts or unknown:
+    if not parts or set(parts) - set(PARTITIONS):
         raise ValueError(
             f"partitions must be drawn from {list(PARTITIONS)}, got {list(partitions)!r}"
         )
     counts = [int(k) for k in shard_counts]
     if not counts or any(k < 1 for k in counts):
         raise ValueError(f"shard_counts must be positive ints, got {list(shard_counts)!r}")
-    client_counts = [int(n) for n in clients]
-    if not client_counts or any(n < 1 for n in client_counts):
-        raise ValueError(f"clients must be positive ints, got {list(clients)!r}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
+    client_counts = _client_counts(clients)
 
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for partition in parts:
-        for n in client_counts:
-            for kind, params in prefetchers:
-                for k in counts:
-                    shards = {"n_shards": k, "partition": partition}
-                    if rebalance and partition == "hilbert":
-                        shards["rebalance"] = True
-                    cells.append(
-                        CellSpec(
-                            dataset=dataset,
-                            index=index,
-                            workload=WorkloadSpec(
-                                n_sequences=n,  # one session per client
-                                n_queries=n_queries,
-                                volume=volume,
-                                gap=defaults.gap,
-                                aspect=defaults.aspect,
-                                window_ratio=defaults.window_ratio,
-                            ),
-                            prefetcher=PrefetcherSpec(kind, dict(params)),
-                            seed=workload_seed,
-                            serve={"n_clients": n, "mode": mode, "stagger": int(stagger)},
-                            shards=shards,
-                        )
-                    )
-    return cells
+    def layout(k: int, partition: str) -> dict[str, Any]:
+        shards: dict[str, Any] = {"n_shards": k, "partition": partition}
+        if rebalance and partition == "hilbert":
+            shards["rebalance"] = True
+        return {"shards": shards}
+
+    return _serving_cells(
+        (
+            (n, prefetcher, layout(k, partition))
+            for partition in parts
+            for n in client_counts
+            for prefetcher in prefetchers
+            for k in counts
+        ),
+        mode=mode,
+        stagger=stagger,
+        n_neurons=n_neurons,
+        n_queries=n_queries,
+        volume=volume,
+        dataset_seed=dataset_seed,
+        workload_seed=workload_seed,
+        fanout=fanout,
+        defaults=defaults,
+    )
 
 
 def shards_k_of(spec: Mapping[str, Any]) -> int:
@@ -931,28 +922,9 @@ def shards_k_of(spec: Mapping[str, Any]) -> int:
     return int(spec["shards"]["n_shards"])
 
 
-def shards_partition_of(spec: Mapping[str, Any]) -> str:
-    """The partitioning scheme a shards cell-spec dict sweeps."""
-    return str(spec["shards"]["partition"])
-
-
 def tiers_path_of(spec: Mapping[str, Any]) -> str:
     """The miss-path column a tiers cell-spec dict belongs to."""
     return str(spec["storage"]["miss_path"])
-
-
-def tiers_size_of(spec: Mapping[str, Any]) -> int:
-    """The tier-cache capacity (pages) a tiers cell-spec dict sweeps."""
-    return int(spec["storage"]["tier_pages"])
-
-
-#: Figure number -> (matrix builder, default benches) for the
-#: microbenchmark-grid figures; Figures 13 and 17 keep panel-based APIs.
-FIGURE_MATRICES: dict[int, Any] = {
-    10: fig10_matrix,
-    11: fig11_matrix,
-    12: fig12_matrix,
-}
 
 
 def microbenchmark_of(spec: Mapping[str, Any]) -> str | None:
@@ -996,3 +968,4 @@ def fig13_axis_value(panel: str, spec: Mapping[str, Any]):
         return spec["workload"]["gap"]
     known = ", ".join(sorted(FIG13_PANELS))
     raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
+

@@ -314,19 +314,21 @@ class TestSweepCli:
         assert "resumed 2" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "figure, flag, value, message",
+        "figure, flag",
         [
-            (figure, flag, value, message.format(figure=figure))
-            for flag, (value, takers, message) in FOREIGN_FLAGS.items()
+            (figure, flag)
+            for flag, (_, takers, _) in FOREIGN_FLAGS.items()
             for figure in FIGURE_NAMES
             if figure not in takers
         ],
     )
-    def test_sweep_rejects_mixed_figure_flags(self, capsys, figure, flag, value, message):
+    def test_sweep_rejects_mixed_figure_flags(self, capsys, figure, flag):
+        value, _, message = FOREIGN_FLAGS[flag]
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--figure", figure, flag, value])
         assert excinfo.value.code == 2
-        assert capsys.readouterr().err.endswith(f"scout-repro sweep: error: {message}\n")
+        expected = f"scout-repro sweep: error: {message.format(figure=figure)}\n"
+        assert capsys.readouterr().err.endswith(expected)
 
     def test_first_foreign_flag_is_the_one_reported(self, capsys):
         with pytest.raises(SystemExit):

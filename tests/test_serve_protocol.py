@@ -97,6 +97,20 @@ class TestReadFrame:
         with pytest.raises(ProtocolError, match="mid-header"):
             _read_all(b"\x00\x00")
 
+    def test_header_split_across_reads_is_not_an_eof(self):
+        """TCP may deliver the 4-byte header in pieces on a live connection."""
+        wire = encode_frame({"op": "query", "i": 7})
+
+        async def trickle():
+            reader = asyncio.StreamReader()
+            pending = asyncio.ensure_future(read_frame(reader))
+            for byte in wire:
+                await asyncio.sleep(0)  # let the reader consume what has arrived
+                reader.feed_data(bytes([byte]))
+            return await pending
+
+        assert asyncio.run(trickle()) == {"op": "query", "i": 7}
+
     def test_eof_mid_frame_is_protocol_error(self):
         wire = encode_frame({"op": "hello"})
         with pytest.raises(ProtocolError, match="mid-frame"):

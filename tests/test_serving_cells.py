@@ -119,21 +119,14 @@ class TestServeCellExecution:
 
 
 class TestLockstepPlumbing:
-    def test_lockstep_cell_metrics_identical(self):
-        """run_serving_cell is scheduler-agnostic: same cell, same metrics."""
+    def test_sweep_cells_match_the_round_robin_reference(self):
+        """Sweeps serve lockstep; the round-robin oracle must agree exactly."""
         spec = serving_spec()
-        reference = run_serving_cell(spec, lockstep=False)[0]
-        vectorized = run_serving_cell(spec, lockstep=True)[0]
-        assert vectorized.key == reference.key
-        assert vectorized.metrics == reference.metrics
-
-    def test_env_toggle_drives_the_scheduler(self, monkeypatch):
-        """REPRO_SERVE_LOCKSTEP reaches run_serving_cell (and so workers)."""
-        spec = serving_spec()
-        reference = run_serving_cell(spec)[0]
-        monkeypatch.setenv("REPRO_SERVE_LOCKSTEP", "1")
-        toggled = run_serving_cell(spec)[0]
-        assert toggled.metrics == reference.metrics
+        result, report = run_serving_cell(spec)
+        index, clients, prefetchers, config = prepare_serving_cell(spec)
+        reference = ServingSimulator(index, config).run(clients, prefetchers, lockstep=False)
+        assert report == reference
+        assert result.metrics == reference.to_aggregate()
 
     def test_serving_metrics_carry_contention_counters(self):
         """The persisted aggregate keeps cross_client_hits/evicted_misses."""

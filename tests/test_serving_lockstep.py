@@ -25,7 +25,6 @@ from repro.baselines import EWMAPrefetcher, StraightLinePrefetcher
 from repro.core import ScoutPrefetcher
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
 from repro.sim.results import metrics_from_dict, metrics_to_dict
-from repro.sim.serve import lockstep_from_env
 from repro.workload import multiclient_sessions
 
 
@@ -198,16 +197,6 @@ class TestPlanSharing:
                 lockstep=False,
                 share_plans=True,
             )
-
-
-class TestEnvToggle:
-    def test_lockstep_env_parsing(self, monkeypatch):
-        for value, expected in [("1", True), ("true", True), ("ON", True),
-                                ("0", False), ("", False), ("off", False)]:
-            monkeypatch.setenv("REPRO_SERVE_LOCKSTEP", value)
-            assert lockstep_from_env() is expected
-        monkeypatch.delenv("REPRO_SERVE_LOCKSTEP")
-        assert lockstep_from_env() is False
 
 
 class TestAggregateCarryThrough:
