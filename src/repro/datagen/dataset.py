@@ -107,9 +107,6 @@ class NavigationGraph:
     def edges_at(self, node: int) -> list[int]:
         return self._adjacency.get(node, [])
 
-    def total_length(self) -> float:
-        return float(sum(edge.polyline.length for edge in self.edges))
-
     def random_walk(
         self,
         rng: np.random.Generator,

@@ -89,10 +89,6 @@ class AABB:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
-    @property
-    def longest_side(self) -> float:
-        return float(self.extent.max())
-
     # -- predicates --------------------------------------------------------
 
     def contains_point(self, point) -> bool:
@@ -163,10 +159,6 @@ class AABB:
         xs, ys, zs = zip(self.lo, self.hi)
         grid = np.array(np.meshgrid(xs, ys, zs, indexing="ij"), dtype=np.float64)
         return grid.reshape(3, 8).T
-
-    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniform random point inside the box."""
-        return rng.uniform(self.lo, self.hi)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lo = np.array2string(self.lo, precision=2)

@@ -21,10 +21,6 @@ class SpatialGraph:
 
     # -- construction -----------------------------------------------------------
 
-    def add_vertex(self, vertex: int) -> None:
-        """Add an isolated vertex (no-op if present)."""
-        self._adjacency.setdefault(int(vertex), set())
-
     def add_edge(self, u: int, v: int) -> None:
         """Add an undirected edge (self-loops are ignored)."""
         u, v = int(u), int(v)

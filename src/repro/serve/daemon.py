@@ -3,8 +3,8 @@
 One process owns the serving plane the simulator shares out: a dataset,
 its page-granular index, one shared prefetch cache and one disk model
 (optionally fault-wrapped, complete with the per-client circuit
-breakers of DESIGN.md §7).  Each client *connection* runs a resumable
-:class:`~repro.sim.engine.QuerySession` -- the PR-5 phase machine is
+breakers of DESIGN.md §7).  Each client *connection* runs a
+:class:`~repro.sim.engine.QuerySession`, whose ``step_query`` is
 exactly the unit an event loop needs: a query advances in one
 synchronous, sub-millisecond step, so the daemon executes steps inline
 on the loop and concurrency lives in the *queueing*, not in threads

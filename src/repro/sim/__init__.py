@@ -7,7 +7,7 @@ time), the prediction computation runs and the predicted locations are
 prefetched incrementally until the window closes.
 """
 
-from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, fault_surface
+from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.metrics import (
     AggregateMetrics,
     ClientMetrics,
@@ -73,7 +73,6 @@ __all__ = [
     "aggregate",
     "cached_dataset",
     "cell_key",
-    "fault_surface",
     "merge_stores",
     "run_cell",
     "run_experiment",

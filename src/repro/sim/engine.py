@@ -16,18 +16,17 @@ For every query of a guided sequence the engine:
 All I/O is page-granular and deterministic; see DESIGN.md §2 for the
 substitution rationale.
 
-The per-query loop lives in :class:`QuerySession`, a resumable state
-machine that advances one explicit phase at a time (serve → window →
-observe/predict → execute-plan).  :meth:`SimulationEngine.run` drives a
-single session to completion over a private cache and disk -- the
-classic one-client experiment -- while the serving layer
+The per-query loop lives in :meth:`QuerySession.step_query`: one
+straight-line function (serve → window → observe/predict → prefetch)
+that every driver calls.  :meth:`SimulationEngine.run` steps a single
+session to completion over a private cache and disk -- the classic
+one-client experiment -- while the serving layer
 (:mod:`repro.sim.serve`, DESIGN.md §6) interleaves many sessions over
 one shared cache and disk to model concurrent users.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -36,7 +35,7 @@ import numpy as np
 from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
 from repro.geometry.aabb import AABB
 from repro.index.base import SpatialIndex
-from repro.sim.metrics import QueryRecord, SequenceMetrics
+from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
 from repro.storage.disk import DiskModel, DiskParameters
 from repro.storage.faults import CircuitBreaker, FaultPlan, FaultyDiskModel, ReadFailure
@@ -44,36 +43,30 @@ from repro.storage.sharded import ShardedCache, ShardSpec, make_sharded_cache
 from repro.storage.tiered import StorageSpec, TieredStore, make_storage
 from repro.workload.sequence import QuerySequence
 
-__all__ = ["QuerySession", "SimulationConfig", "SimulationEngine", "fault_surface"]
-
-
-def fault_surface(disk) -> FaultyDiskModel | None:
-    """The disk's fault plane, seen through any tier wrapper.
-
-    The engine needs the :class:`FaultyDiskModel` recovery surface
-    (``verify_delivery`` / ``recover_read``) whether the session's disk
-    is the fault model itself or a :class:`TieredStore` wrapping one;
-    returns ``None`` for a bare, never-failing disk.
-    """
-    if isinstance(disk, FaultyDiskModel):
-        return disk
-    if isinstance(disk, TieredStore):
-        return disk.fault_disk
-    return None
+__all__ = ["QuerySession", "SimulationConfig", "SimulationEngine"]
 
 
 class _SharedProbeStream:
     """Memoized (region, page_ids) list over one target's region iterator.
 
+    Plan execution consumes one incremental region at a time (budget
+    spending decides when to stop), but the regions themselves do not
+    depend on probe results -- so the stream pulls them from the
+    iterator a chunk ahead and answers all of the chunk's page lookups
+    in one vectorized
+    :meth:`~repro.index.base.SpatialIndex.pages_for_regions` pass.
+    Per-region results are identical to one-at-a-time calls; a partially
+    consumed chunk merely wasted some (cheap, vectorized) lookahead.
+
     Plan-sharing groups (see :mod:`repro.sim.serve`) execute the *same*
     plan against different per-client budgets and cache states: each
-    member consumes a prefix of the target's probe sequence, the prefix
-    length depending on its own spending.  The stream resolves regions
-    through the batched index API a chunk at a time -- the exact
-    :class:`_BatchedProbes` schedule -- and memoizes, so the group pays
-    for each index lookup once while every member sees the identical
-    per-region page sets it would have computed alone (probe resolution
-    is pure: region in, pages out).
+    member consumes a prefix of the target's probe sequence through its
+    own :meth:`view`, the prefix length depending on its own spending.
+    Resolved chunks are memoized, so the group pays for each index
+    lookup once while every member sees the identical per-region page
+    sets it would have computed alone (probe resolution is pure: region
+    in, pages out).  A query stepped alone is the one-consumer case of
+    the same schedule.
     """
 
     def __init__(self, index, regions, chunk: int = 8) -> None:
@@ -118,26 +111,28 @@ class _ProbeCursor:
 class _QueryBundle:
     """The pure (cache- and disk-independent) work of one query.
 
-    Captured by a plan-sharing group's leader and replayed by its
-    followers (:meth:`QuerySession.step_query_capture` /
-    :meth:`QuerySession.step_query_replay`).  Everything here is a pure
-    function of the shared sequence and the (bitwise-identical)
-    prefetcher state, so replaying it is exactly the computation the
-    follower would have done itself; all cache touches, disk reads and
-    budget spending stay per-client.
+    :meth:`QuerySession.step_query` computes each field the first time
+    a step needs it and reads it afterwards, so whoever steps the query
+    first fills the record and later members of a plan-sharing group
+    (:meth:`QuerySession.step_query_replay`) read it.  Everything here
+    is a pure function of the shared sequence and the
+    (bitwise-identical) prefetcher state, so reading it is exactly the
+    computation the follower would have done itself; all cache touches,
+    disk reads and budget spending stay per-client.  ``None`` marks a
+    field nobody has computed yet.
     """
 
     cursor: int
     result: object = None
-    pages: object = None
-    object_pages: object = None
-    cold: float = 0.0
-    prediction_cost: float = 0.0
-    build_cost: float = 0.0
-    gap_pages: list = field(default_factory=list)
-    targets: object = None
-    streams: object = None
-    n_candidates: int = 0
+    pages: np.ndarray | None = None
+    object_pages: np.ndarray | None = None
+    cold: float | None = None
+    prediction_cost: float | None = None
+    build_cost: float | None = None
+    gap_pages: list | None = None
+    targets: list | None = None
+    streams: list | None = None
+    n_candidates: int | None = None
 
 
 @dataclass(frozen=True)
@@ -211,35 +206,6 @@ class SimulationConfig:
         return make_sharded_cache(self.shards, backend, capacity, index=index)
 
 
-class _BatchedProbes:
-    """Resolve a region iterator's page probes through the batched index API.
-
-    Plan execution consumes one incremental region at a time (budget
-    spending decides when to stop), but the regions themselves do not
-    depend on probe results -- so we can pull them from the iterator a
-    chunk ahead and answer all of the chunk's page lookups in one
-    vectorized :meth:`~repro.index.base.SpatialIndex.pages_for_regions`
-    pass.  Per-region results are identical to one-at-a-time calls; a
-    partially consumed chunk merely wasted some (cheap, vectorized)
-    lookahead.
-    """
-
-    def __init__(self, index, regions, chunk: int = 8) -> None:
-        self._index = index
-        self._regions = iter(regions)
-        self._chunk = max(1, int(chunk))
-        self._buffer: deque = deque()
-
-    def next(self):
-        """The next ``(region, page_ids)`` pair, or ``None`` when done."""
-        if not self._buffer:
-            batch = list(islice(self._regions, self._chunk))
-            if not batch:
-                return None
-            self._buffer.extend(zip(batch, self._index.pages_for_regions(batch)))
-        return self._buffer.popleft()
-
-
 class SimulationEngine:
     """Runs prefetchers against guided query sequences."""
 
@@ -278,11 +244,18 @@ class SimulationEngine:
     def run(self, sequence: QuerySequence, prefetcher: Prefetcher) -> SequenceMetrics:
         """Execute one sequence with one prefetcher, cold caches.
 
-        Thin wrapper driving one :class:`QuerySession` to completion over
-        a private cache and disk; metrics are bit-identical to the
-        historical monolithic loop.
+        Steps one :class:`QuerySession` to completion over a private
+        cache and disk.
         """
         return QuerySession(self, sequence, prefetcher).run()
+
+    def _probe_streams(self, targets: list[PrefetchTarget], query) -> list[_SharedProbeStream]:
+        """One probe stream per target over its incremental regions."""
+        side = float(np.cbrt(max(query.bounds.volume, 1e-30)))
+        return [
+            _SharedProbeStream(self.index, self._incremental_regions(t, side))
+            for t in targets
+        ]
 
     def _execute_plan(
         self,
@@ -292,7 +265,7 @@ class SimulationEngine:
         disk: DiskModel,
         budget: float,
         owner: int | None = None,
-        probes: list | None = None,
+        streams: list[_SharedProbeStream] | None = None,
     ) -> tuple[int, float]:
         """Spend the window on the plan; returns (pages read, seconds).
 
@@ -315,30 +288,18 @@ class SimulationEngine:
         residual query I/O does; the batch that crosses the budget line
         is trimmed so the window is overshot by at most one page read.
 
-        Region page probes are resolved through the index's batched API
-        a chunk at a time (:class:`_BatchedProbes`); the spending loop
-        below is unchanged and sees identical per-region page sets.
-        ``probes`` overrides the per-target probe sources (one object
-        with a ``next()`` method per target) so plan-sharing groups can
-        feed every member the same memoized :class:`_SharedProbeStream`.
+        ``streams`` is one (possibly shared) :class:`_SharedProbeStream`
+        per target, consumed through a private cursor; a caller with no
+        streams of its own gets fresh ones.
         """
         if not targets:
             return 0, 0.0
-        # Fault-wrapped disks verify delivered payloads before the cache
-        # insert (read-repair); a propagating ReadFailure is enriched
-        # with the partial work already done so the caller can account
-        # the window's actual spending.
-        faulty = fault_surface(disk) is not None
-        page_table = self.index.page_table if faulty else None
-        if probes is None:
-            side = float(np.cbrt(max(query.bounds.volume, 1e-30)))
-            probes = [
-                _BatchedProbes(self.index, self._incremental_regions(t, side))
-                for t in targets
-            ]
+        page_table = self.index.page_table
+        if streams is None:
+            streams = self._probe_streams(targets, query)
         states = [
-            {"share": t.share, "probes": p, "done": False}
-            for t, p in zip(targets, probes)
+            {"share": t.share, "probes": stream.view(), "done": False}
+            for t, stream in zip(targets, streams)
         ]
 
         pages_read = 0
@@ -371,11 +332,15 @@ class SimulationEngine:
                     try:
                         cost = disk.read_pages(batch)
                     except ReadFailure as failure:
+                        # Enrich the failure with the partial work done
+                        # so the caller can account the window's actual
+                        # spending.
                         failure.prior_pages = pages_read
                         failure.prior_seconds = seconds
                         raise
-                    if faulty:
-                        cost += disk.verify_delivery(batch, page_table)
+                    # Delivered payloads are verified before the cache
+                    # insert (read-repair; free on a fault-free disk).
+                    cost += disk.verify_delivery(batch, page_table)
                     spent += cost
                     remaining -= cost
                     seconds += cost
@@ -388,36 +353,31 @@ class SimulationEngine:
 
 
 class QuerySession:
-    """One client's sequence as a resumable state machine.
+    """One client's sequence, advanced one whole query at a time.
 
-    The monolithic per-query loop of the historical ``run`` method,
-    split into the four explicit phases of the paper's Figure-2
-    timeline so sessions can be *interleaved*:
+    :meth:`step_query` is the paper's Figure-2 timeline as one
+    straight-line function, and the only method that advances a query:
 
-    ``serve``
+    *serve*
         execute the query; cached pages are hits, the rest is residual
         I/O read from the (possibly shared) disk;
-    ``window``
+    *window*
         open the prefetch window (``window_ratio x`` the cold read time);
-    ``predict``
+    *predict*
         let the prefetcher observe the query and charge its prediction
         cost against the window;
-    ``prefetch``
+    *prefetch*
         spend the remaining window on gap I/O and the incremental plan,
-        then append the query's :class:`QueryRecord` and rewind to
-        ``serve`` for the next query.
+        then append the query's :class:`QueryRecord`.
 
-    Phase order and every cache/disk operation match the historical
-    loop exactly, so a session run to completion over a private cache
-    and disk is bit-identical to it -- the property the golden-metrics
-    suite pins.  :class:`~repro.sim.serve.ServingSimulator` instead
-    passes many sessions one *shared* cache and disk; ``client_id``
-    tags that session's prefetched pages so the shared cache can
-    attribute hits across clients (DESIGN.md §6).
+    A session run to completion over a private cache and disk is the
+    classic single-client experiment the golden-metrics suite pins.
+    :class:`~repro.sim.serve.ServingSimulator` and the serving daemon
+    instead pass many sessions one *shared* cache and disk and
+    interleave their steps; ``client_id`` tags that session's prefetched
+    pages so the shared cache can attribute hits across clients
+    (DESIGN.md §6).
     """
-
-    #: Phase cycle of one query, in execution order.
-    PHASES = ("serve", "window", "predict", "prefetch")
 
     def __init__(
         self,
@@ -437,66 +397,38 @@ class QuerySession:
         self.disk = config.build_disk() if disk is None else disk
         self.client_id = client_id
         self.metrics = SequenceMetrics()
-        self.phase = "serve"
+        #: This client's per-sequence records plus its shared-cache,
+        #: fault, tier and shard attribution (DESIGN.md §6/§7/§9/§10);
+        #: the serving report takes it as is.
+        self.client_metrics = ClientMetrics(client_id=client_id, metrics=self.metrics)
         self._cursor = 0
-        self._ctx: dict = {}
-        # Lockstep serving hooks: a pre-resolved index result for the
-        # current query (from a batched query_many pass), and the
-        # plan-sharing bundle being captured or replayed.
-        self._injected_result = None
-        self._bundle_in: _QueryBundle | None = None
-        self._bundle_out: _QueryBundle | None = None
-        # Shared-cache accounting: this session's page touches, and the
-        # contention-attributed subsets (see DESIGN.md §6).
-        self.shared_hits = 0
-        self.shared_misses = 0
-        self.cross_client_hits = 0
-        self.evicted_misses = 0
-        # Fault-plane accounting (DESIGN.md §7): serve-path pages whose
-        # read exhausted its retries (they complete via clean recovery
-        # reads, and together with shared_misses partition the cache's
-        # miss count), and queries served degraded (demand paging only)
-        # behind an open circuit breaker.
-        self.failed_reads = 0
-        self.degraded_ticks = 0
-        # Tiered-storage accounting (DESIGN.md §9): this session's share
-        # of the store's per-layer counters, attributed by snapshotting
-        # the store around the session's own (synchronous) disk phases.
-        self.tier_hits = 0
-        self.miss_path_hits = 0
-        self.tier_fills = 0
-        self.tier_stall_seconds = 0.0
-        # Sharded-cache accounting (DESIGN.md §10): this session's share
-        # of cross-shard hop time, attributed by snapshotting the shared
-        # cache's hop clock around the session's own demand touches.
-        self.shard_hop_seconds = 0.0
+        # Tier counters and the sharded cache's hop clock are shared by
+        # every session on the store / cache; each session attributes
+        # its own share by snapshotting around its own (synchronous)
+        # disk reads and demand touches (DESIGN.md §9/§10).
         self._shard_cache = self.cache if isinstance(self.cache, ShardedCache) else None
-        self._fault_disk = fault_surface(self.disk)
         self._tier_store: TieredStore | None = None
         if isinstance(self.disk, TieredStore):
             self.disk.bind_page_table(engine.index.page_table)
             if self.disk.tiering_active:
                 self._tier_store = self.disk
+        # Armed from the config's plan: every driver builds the disk it
+        # passes in from this same config (``build_disk``).
         self._breaker: CircuitBreaker | None = None
-        if self._fault_disk is not None and self._fault_disk.plan.breaker:
-            plan = self._fault_disk.plan
+        plan = config.faults
+        if plan is not None and plan.breaker:
             self._breaker = CircuitBreaker(plan.breaker_threshold, plan.breaker_cooldown)
         prefetcher.begin_sequence()
-
-    @property
-    def breaker_opens(self) -> int:
-        """How many times this client's circuit breaker tripped."""
-        return 0 if self._breaker is None else self._breaker.opens
 
     # -- tiered-storage attribution ---------------------------------------------------
 
     def _tier_mark(self):
         """Snapshot the shared store's counters before this session's I/O.
 
-        Disk operations within one phase are synchronous -- no other
+        Disk operations within one step are synchronous -- no other
         session runs between the mark and the matching collect under
-        either scheduler -- so the counter delta is exactly this
-        session's share of the store's per-layer activity.
+        any scheduler -- so the counter delta is exactly this session's
+        share of the store's per-layer activity.
         """
         store = self._tier_store
         return None if store is None else store.tier_stats.snapshot()
@@ -505,37 +437,22 @@ class QuerySession:
         if mark is None:
             return
         now = self._tier_store.tier_stats
-        self.tier_hits += now.tier_hits - mark.tier_hits
-        self.miss_path_hits += now.mechanism_hits - mark.mechanism_hits
-        self.tier_fills += now.backing_pages - mark.backing_pages
-        self.tier_stall_seconds += now.stall_seconds - mark.stall_seconds
-
-    # -- sharded-cache attribution ----------------------------------------------------
-
-    def _shard_mark(self) -> float:
-        """Snapshot the sharded cache's hop clock before a demand touch."""
-        cache = self._shard_cache
-        return 0.0 if cache is None else cache.hop_seconds
-
-    def _shard_collect(self, mark: float) -> float:
-        """This session's hop-seconds delta since ``mark`` (also accrued)."""
-        cache = self._shard_cache
-        if cache is None:
-            return 0.0
-        delta = cache.hop_seconds - mark
-        self.shard_hop_seconds += delta
-        return delta
+        mine = self.client_metrics
+        mine.tier_hits += now.tier_hits - mark.tier_hits
+        mine.miss_path_hits += now.mechanism_hits - mark.mechanism_hits
+        mine.tier_fills += now.backing_pages - mark.backing_pages
+        mine.tier_stall_seconds += now.stall_seconds - mark.stall_seconds
 
     # -- state ----------------------------------------------------------------------
 
     @property
     def done(self) -> bool:
-        """Whether every query has fully completed (no phase in flight)."""
+        """Whether every query of the sequence has completed."""
         return self._cursor >= len(self.sequence.queries)
 
     @property
     def query_index(self) -> int:
-        """Index of the query currently (or next) being processed."""
+        """Index of the next query to be stepped."""
         return self._cursor
 
     def renew(self, prefetcher: Prefetcher) -> "QuerySession":
@@ -558,118 +475,69 @@ class QuerySession:
 
     # -- stepping -------------------------------------------------------------------
 
-    def step(self) -> str | None:
-        """Run the current phase and advance; returns the phase run.
-
-        Returns ``None`` when the session is already done.  Phases cycle
-        ``serve -> window -> predict -> prefetch`` per query; the
-        ``prefetch`` phase appends the query's record and rewinds to
-        ``serve`` for the next query.
-        """
-        if self.done:
-            return None
-        phase = self.phase
-        getattr(self, f"_phase_{phase}")()
-        at = self.PHASES.index(phase)
-        self.phase = self.PHASES[(at + 1) % len(self.PHASES)]
-        return phase
-
-    def step_query(self) -> QueryRecord | None:
-        """Advance through every phase of one query; its record, or None.
-
-        Resumes mid-query: if a previous caller stopped between phases,
-        only the remaining phases run.
-        """
-        if self.done:
-            return None
-        while self.step() != "prefetch":
-            pass
-        return self.metrics.records[-1]
-
     def run(self) -> SequenceMetrics:
-        """Run the session to completion (the single-client fast path)."""
+        """Step the session to completion (the single-client experiment)."""
         while not self.done:
             self.step_query()
         return self.metrics
 
-    # -- lockstep serving hooks -------------------------------------------------------
+    def step_query_capture(self, result=None) -> "_QueryBundle | None":
+        """Advance one query; returns the record of its pure work.
 
-    def prime_result(self, result) -> None:
-        """Provide the current query's index result ahead of ``serve``.
-
-        The lockstep scheduler resolves every active session's query in
-        one batched ``query_many`` pass at tick start; ``_phase_serve``
-        consumes the injected result instead of re-querying.  The
-        batched API is element-wise identical to per-query calls, so
-        this changes where the lookup happens, never what it returns.
-        """
-        self._injected_result = result
-
-    def step_query_capture(self) -> "_QueryBundle | None":
-        """Advance one query, capturing its pure work for group replay.
-
-        Called on a plan-sharing group's *leader*; the returned bundle
-        holds everything about this query that does not depend on cache
-        or disk state (index result, cold cost, prediction costs, plan
-        targets with shared probe streams), for the group's followers to
-        replay via :meth:`step_query_replay`.
+        Called on a plan-sharing group's *leader*, whose step fills the
+        record (index result, cold cost, prediction costs, plan targets
+        with shared probe streams) for the group's followers to read via
+        :meth:`step_query_replay`.
         """
         if self.done:
             return None
-        bundle = _QueryBundle(cursor=self._cursor)
-        self._bundle_out = bundle
-        try:
-            self.step_query()
-        finally:
-            self._bundle_out = None
-        return bundle
+        work = _QueryBundle(cursor=self._cursor)
+        self.step_query(result, work)
+        return work
 
-    def step_query_replay(self, bundle: "_QueryBundle") -> QueryRecord | None:
-        """Advance one query, replaying a leader's captured pure work.
+    def step_query_replay(self, work: "_QueryBundle") -> QueryRecord | None:
+        """Advance one query, reading a leader's pure work.
 
         Only valid when this session is bitwise-identical to the
         leader in its pure computations (same sequence object, same
         start tick, same prefetcher kind -- the scheduler's grouping
-        invariant): the observe/plan phases are skipped entirely, so
+        invariant): observing and planning are skipped entirely, so
         this session's prefetcher state goes stale and must never be
         consulted again.  Cache touches, disk reads and budget spending
         all still happen here, per-client, in scheduler order.
         """
+        return self.step_query(None, work)
+
+    def step_query(self, result=None, work: "_QueryBundle | None" = None) -> QueryRecord | None:
+        """Advance one whole query; its record, or ``None`` when done.
+
+        ``result`` is the query's index result when the caller already
+        resolved it (the lockstep scheduler answers every active
+        session's query in one batched ``query_many`` pass, element-wise
+        identical to per-query calls -- this changes where the lookup
+        happens, never what it returns).  ``work`` is the query's
+        pure-work record when a plan-sharing group shares one; a query
+        stepped alone fills a private record through the same code.
+        """
         if self.done:
             return None
-        if bundle.cursor != self._cursor:
-            raise ValueError(
-                f"bundle for query {bundle.cursor} replayed at cursor {self._cursor}"
-            )
-        self._bundle_in = bundle
-        try:
-            return self.step_query()
-        finally:
-            self._bundle_in = None
-
-    # -- the four phases --------------------------------------------------------------
-
-    def _phase_serve(self) -> None:
+        if work is None:
+            work = _QueryBundle(cursor=self._cursor)
+        elif work.cursor != self._cursor:
+            raise ValueError(f"bundle for query {work.cursor} replayed at cursor {self._cursor}")
+        engine, cache, disk = self.engine, self.cache, self.disk
+        mine = self.client_metrics
+        page_table = engine.index.page_table
         query = self.sequence.queries[self._cursor]
-        bundle_in, bundle_out = self._bundle_in, self._bundle_out
-        if bundle_in is not None:
-            result = bundle_in.result
-            pages = bundle_in.pages
-            object_pages = bundle_in.object_pages
-        else:
-            result = self._injected_result
-            self._injected_result = None
-            if result is None:
-                result = self.engine.index.query(query.bounds)
-            pages = np.asarray(result.page_ids, dtype=np.int64).ravel()
-            object_pages = np.asarray(
-                self.engine.index.page_table.page_ids_of_objects(result.object_ids),
-                dtype=np.int64,
+
+        # -- serve ------------------------------------------------------------------
+        if work.result is None:
+            work.result = engine.index.query(query.bounds) if result is None else result
+            work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel()
+            work.object_pages = np.asarray(
+                page_table.page_ids_of_objects(work.result.object_ids), dtype=np.int64
             ).ravel()
-            if bundle_out is not None:
-                bundle_out.result = result
-                bundle_out.pages = pages
-                bundle_out.object_pages = object_pages
+        result, pages, object_pages = work.result, work.pages, work.object_pages
 
         # Pages in the prefetch cache are hits; the rest is residual
         # I/O.  Result pages do NOT enter the prefetch cache -- the
@@ -677,26 +545,26 @@ class QuerySession:
         # from the prefetch cache rather than from disk", §3.3).
         # touch never inserts, so membership is invariant across the
         # batch and the hit mask's complement is exactly the miss set.
-        cache = self.cache
-        shard_mark = self._shard_mark()
+        shard_cache = self._shard_cache
+        hop_mark = 0.0 if shard_cache is None else shard_cache.hop_seconds
         hit_mask = cache.touch_many(pages)
-        hop_seconds = self._shard_collect(shard_mark)
+        hop_seconds = 0.0 if shard_cache is None else shard_cache.hop_seconds - hop_mark
+        mine.shard_hop_seconds += hop_seconds
         hit_pages = pages[hit_mask]
         miss_pages = pages[~hit_mask]
-        fault_disk = self._fault_disk
-        miss_failed = False
         tier_mark = self._tier_mark()
-        if fault_disk is None:
-            residual = self.disk.read_pages(miss_pages)
+        try:
+            residual = disk.read_pages(miss_pages)
+        except ReadFailure as failure:
+            # The user is still owed the data: recover with a clean
+            # demand re-read, charging both the doomed attempts and
+            # the recovery read to residual time.  For accounting these
+            # pages are failed reads, not ordinary misses: hits + misses
+            # + failed_reads partitions the cache's touch counts.
+            residual = failure.seconds + disk.recover_read(miss_pages)
+            mine.failed_reads += int(miss_pages.size)
         else:
-            try:
-                residual = self.disk.read_pages(miss_pages)
-            except ReadFailure as failure:
-                # The user is still owed the data: recover with a clean
-                # demand re-read, charging both the doomed attempts and
-                # the recovery read to residual time.
-                residual = failure.seconds + fault_disk.recover_read(miss_pages)
-                miss_failed = True
+            mine.shared_misses += int(miss_pages.size)
         self._tier_collect(tier_mark)
         if hop_seconds:
             # Cross-shard fan-out on the demand path is user-visible
@@ -704,18 +572,11 @@ class QuerySession:
             residual += hop_seconds
 
         n_hits = int(hit_pages.size)
-        self.shared_hits += n_hits
-        if miss_failed:
-            # These pages complete via recovery, but for accounting they
-            # are failed reads, not ordinary misses: hits + misses +
-            # failed_reads partitions the cache's touch counts.
-            self.failed_reads += int(miss_pages.size)
-        else:
-            self.shared_misses += int(miss_pages.size)
+        mine.shared_hits += n_hits
         if self.client_id is not None:
             owners = cache.owners_many(hit_pages)
-            self.cross_client_hits += int(np.count_nonzero(owners != self.client_id))
-            self.evicted_misses += int(np.count_nonzero(cache.evicted_many(miss_pages)))
+            mine.cross_client_hits += int(np.count_nonzero(owners != self.client_id))
+            mine.evicted_misses += int(np.count_nonzero(cache.evicted_many(miss_pages)))
 
         # Data-level hit accounting (§3.3): an object is served from
         # the cache when its page was prefetched.  Every object page is
@@ -729,202 +590,112 @@ class QuerySession:
             hit_table[hit_pages - lo] = True
             objects_hit = int(np.count_nonzero(hit_table[object_pages - lo]))
 
-        self._ctx = {
-            "query": query,
-            "result": result,
-            "pages": pages,
-            "n_hits": n_hits,
-            "residual": residual,
-            "objects_hit": objects_hit,
-        }
+        # -- window -----------------------------------------------------------------
+        if work.cold is None:
+            work.cold = disk.cost_if_cold(pages)
+        window = self.sequence.window_ratio * work.cold
 
-    def _phase_window(self) -> None:
-        ctx = self._ctx
-        bundle_in, bundle_out = self._bundle_in, self._bundle_out
-        if bundle_in is not None:
-            ctx["cold"] = bundle_in.cold
-        else:
-            ctx["cold"] = self.disk.cost_if_cold(ctx["pages"])
-            if bundle_out is not None:
-                bundle_out.cold = ctx["cold"]
-        ctx["window"] = self.sequence.window_ratio * ctx["cold"]
-
-    def _phase_predict(self) -> None:
-        ctx = self._ctx
+        # -- predict, then prefetch ---------------------------------------------------
+        prediction_cost = build_cost = 0.0
+        prefetch_pages = 0
+        prefetch_seconds = 0.0
+        gap_pages_used = 0
+        n_candidates = 0
         breaker = self._breaker
         if breaker is not None and not breaker.allow_prefetch():
             # Open breaker: this client is degraded to demand paging.
             # The prefetcher is bypassed entirely -- no observation, no
             # prediction cost, no plan -- so a misbehaving prefetch path
             # cannot keep hurting the client it already failed.
-            ctx["degraded"] = True
-            self.degraded_ticks += 1
-            ctx["prediction_cost"] = 0.0
-            ctx["build_cost"] = 0.0
-            ctx["budget"] = 0.0
-            return
-        bundle_in, bundle_out = self._bundle_in, self._bundle_out
-        if bundle_in is not None:
-            # Replay: the leader's prefetcher state is bitwise-identical
-            # to what this session's would have been, so its costs are
-            # this session's costs; observe() is skipped outright.
-            ctx["prediction_cost"] = bundle_in.prediction_cost
-            ctx["build_cost"] = bundle_in.build_cost
+            mine.degraded_ticks += 1
         else:
-            self.prefetcher.observe(
-                ObservedQuery(
-                    index=self._cursor,
-                    bounds=ctx["query"].bounds,
-                    result_object_ids=ctx["result"].object_ids,
-                )
-            )
-            ctx["prediction_cost"] = self.prefetcher.prediction_cost_seconds()
-            ctx["build_cost"] = self.prefetcher.graph_build_cost_seconds()
-            if bundle_out is not None:
-                bundle_out.prediction_cost = ctx["prediction_cost"]
-                bundle_out.build_cost = ctx["build_cost"]
-        ctx["budget"] = ctx["window"] - ctx["prediction_cost"]
-
-    def _spend_window(self, ctx: dict, budget: float) -> tuple[int, float, int]:
-        """Gap I/O plus plan execution; (plan pages, seconds, gap pages).
-
-        The historical body of the prefetch phase.  A propagating
-        :class:`ReadFailure` leaves with its ``prior_*`` fields covering
-        *everything* this window spent before the doomed batch -- gap
-        reads included -- so the caller can account the query from the
-        exception alone.
-        """
-        cache, disk = self.cache, self.disk
-        bundle_in, bundle_out = self._bundle_in, self._bundle_out
-        fault_disk = self._fault_disk
-        prefetch_pages = 0
-        prefetch_seconds = 0.0
-        gap_pages_used = 0
-        try:
-            # Prediction I/O first (SCOUT-OPT gap traversal, §6.3).  Replay
-            # iterates the leader's captured pull sequence; the scheduler
-            # only shares plans for gap-free prefetchers, so leader and
-            # follower always pull the same (empty) prefix.
-            gap_source = (
-                bundle_in.gap_pages if bundle_in is not None else self.prefetcher.gap_io_pages()
-            )
-            for page in gap_source:
-                if budget <= 0:
-                    break
-                gap_pages_used += 1
-                if bundle_out is not None:
-                    bundle_out.gap_pages.append(page)
-                if page in cache:
-                    continue
-                cost = disk.read_pages([page])
-                if fault_disk is not None:
-                    cost += fault_disk.verify_delivery([page], self.engine.index.page_table)
-                budget -= cost
-                prefetch_seconds += cost
-                cache.insert(page, self.client_id)
-
-            # Execute the plan within the remaining window.  Group members
-            # enter with identical budgets (pure inputs), so the leader's
-            # planned/not-planned decision is every member's decision; each
-            # member still spends its own budget against its own view of
-            # the shared cache, consuming its own prefix of the shared
-            # probe streams.
-            if budget > 0:
-                if bundle_in is not None:
-                    targets = bundle_in.targets
-                    probes = (
-                        [s.view() for s in bundle_in.streams]
-                        if bundle_in.streams is not None
-                        else None
+            if work.prediction_cost is None:
+                self.prefetcher.observe(
+                    ObservedQuery(
+                        index=self._cursor,
+                        bounds=query.bounds,
+                        result_object_ids=result.object_ids,
                     )
-                else:
-                    targets = self.prefetcher.plan()
-                    probes = None
-                    if bundle_out is not None:
-                        bundle_out.targets = targets
-                        if targets:
-                            side = float(np.cbrt(max(ctx["query"].bounds.volume, 1e-30)))
-                            bundle_out.streams = [
-                                _SharedProbeStream(
-                                    self.engine.index,
-                                    self.engine._incremental_regions(t, side),
-                                )
-                                for t in targets
-                            ]
-                            probes = [s.view() for s in bundle_out.streams]
-                used = self.engine._execute_plan(
-                    targets, ctx["query"], cache, disk, budget, self.client_id, probes=probes
                 )
-                prefetch_pages += used[0]
-                prefetch_seconds += used[1]
-        except ReadFailure as failure:
-            failure.prior_pages += prefetch_pages
-            failure.prior_seconds += prefetch_seconds
-            failure.gap_pages_used = gap_pages_used
-            raise
-        return prefetch_pages, prefetch_seconds, gap_pages_used
+                work.prediction_cost = self.prefetcher.prediction_cost_seconds()
+                work.build_cost = self.prefetcher.graph_build_cost_seconds()
+                # The scheduler only shares plans for gap-free
+                # prefetchers, so a group's members all see the same
+                # (empty) gap list.
+                work.gap_pages = self.prefetcher.gap_io_pages()
+            prediction_cost, build_cost = work.prediction_cost, work.build_cost
+            budget = window - prediction_cost
 
-    def _phase_prefetch(self) -> None:
-        ctx = self._ctx
-        budget = ctx["budget"]
-        bundle_in, bundle_out = self._bundle_in, self._bundle_out
-
-        prefetch_pages = 0
-        prefetch_seconds = 0.0
-        gap_pages_used = 0
-        degraded = bool(ctx.get("degraded"))
-
-        if not degraded:
             tier_mark = self._tier_mark()
             try:
-                prefetch_pages, prefetch_seconds, gap_pages_used = self._spend_window(
-                    ctx, budget
-                )
+                # Prediction I/O first (SCOUT-OPT gap traversal, §6.3).
+                for page in work.gap_pages:
+                    if budget <= 0:
+                        break
+                    gap_pages_used += 1
+                    if page in cache:
+                        continue
+                    cost = disk.read_pages([page])
+                    cost += disk.verify_delivery([page], page_table)
+                    budget -= cost
+                    prefetch_seconds += cost
+                    cache.insert(page, self.client_id)
+
+                # Execute the plan within the remaining window.  Group
+                # members enter with identical budgets (pure inputs), so
+                # the leader's planned/not-planned decision is every
+                # member's decision; each member still spends its own
+                # budget against its own view of the shared cache,
+                # consuming its own prefix of the shared probe streams.
+                if budget > 0:
+                    if work.streams is None:
+                        work.targets = self.prefetcher.plan()
+                        work.streams = engine._probe_streams(work.targets, query)
+                    plan_pages, plan_seconds = engine._execute_plan(
+                        work.targets, query, cache, disk, budget, self.client_id, work.streams
+                    )
+                    prefetch_pages += plan_pages
+                    prefetch_seconds += plan_seconds
                 prefetch_failed = False
             except ReadFailure as failure:
                 # The failing batch never reached the cache; account the
-                # partial work done before it (enriched prior_* fields)
-                # plus the doomed attempts' charged time, and abandon
-                # the rest of this window.
-                prefetch_pages = failure.prior_pages
-                prefetch_seconds = failure.prior_seconds + failure.seconds
-                gap_pages_used = failure.gap_pages_used
+                # partial work done before it (gap reads above, plus the
+                # plan executor's prior_* enrichment) and the doomed
+                # attempts' charged time, and abandon the rest of this
+                # window.
+                prefetch_pages += failure.prior_pages
+                # Left to right, so the float sum the goldens pin holds.
+                prefetch_seconds = prefetch_seconds + failure.prior_seconds + failure.seconds
                 prefetch_failed = True
             self._tier_collect(tier_mark)
-            if self._breaker is not None:
+            if breaker is not None:
                 if prefetch_failed:
-                    self._breaker.record_failure()
+                    breaker.record_failure()
+                    mine.breaker_opens = breaker.opens
                 else:
-                    self._breaker.record_success()
+                    breaker.record_success()
 
-        if degraded:
-            n_candidates = 0
-        elif bundle_in is not None:
-            n_candidates = bundle_in.n_candidates
-        else:
-            n_candidates = getattr(self.prefetcher, "n_candidates", 0)
-            if bundle_out is not None:
-                bundle_out.n_candidates = n_candidates
+            if work.n_candidates is None:
+                work.n_candidates = getattr(self.prefetcher, "n_candidates", 0)
+            n_candidates = work.n_candidates
 
-        result = ctx["result"]
-        self.metrics.records.append(
-            QueryRecord(
-                index=self._cursor,
-                pages_needed=len(ctx["pages"]),
-                pages_hit=ctx["n_hits"],
-                objects_needed=result.n_objects,
-                objects_hit=ctx["objects_hit"],
-                residual_seconds=ctx["residual"],
-                cold_seconds=ctx["cold"],
-                window_seconds=ctx["window"],
-                prediction_seconds=ctx["prediction_cost"],
-                graph_build_seconds=ctx["build_cost"],
-                prefetch_pages=prefetch_pages,
-                prefetch_seconds=prefetch_seconds,
-                gap_io_pages=gap_pages_used,
-                n_result_objects=result.n_objects,
-                n_candidates=n_candidates,
-            )
+        record = QueryRecord(
+            index=self._cursor,
+            pages_needed=len(pages),
+            pages_hit=n_hits,
+            objects_needed=result.n_objects,
+            objects_hit=objects_hit,
+            residual_seconds=residual,
+            cold_seconds=work.cold,
+            window_seconds=window,
+            prediction_seconds=prediction_cost,
+            graph_build_seconds=build_cost,
+            prefetch_pages=prefetch_pages,
+            prefetch_seconds=prefetch_seconds,
+            gap_io_pages=gap_pages_used,
+            n_result_objects=result.n_objects,
+            n_candidates=n_candidates,
         )
-        self._ctx = {}
+        self.metrics.records.append(record)
         self._cursor += 1
+        return record

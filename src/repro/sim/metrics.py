@@ -127,19 +127,9 @@ class SequenceMetrics:
         return sum(r.prediction_seconds for r in self.records)
 
     @property
-    def residual_io_seconds(self) -> float:
-        """Total residual (cache-miss) I/O time."""
-        return sum(r.residual_seconds for r in self.records)
-
-    @property
     def total_prefetch_pages(self) -> int:
         """Pages brought into the cache by prefetching."""
         return sum(r.prefetch_pages for r in self.records)
-
-    @property
-    def total_gap_io_pages(self) -> int:
-        """Pages read by SCOUT-OPT's gap traversal (prediction I/O)."""
-        return sum(r.gap_io_pages for r in self.records)
 
 
 def _ints(values) -> list[int]:
@@ -232,9 +222,14 @@ class ClientMetrics:
     pages *another* client prefetched; ``evicted_misses`` are misses on
     pages that had been prefetched but were evicted before use -- the
     contention signature of an undersized shared cache.
+
+    Every :class:`~repro.sim.engine.QuerySession` owns one and accrues
+    into it as it steps; the serving report takes them as they are.
+    ``client_id`` is ``None`` for a session run outside the serving
+    layer (private cache, nothing to attribute).
     """
 
-    client_id: int
+    client_id: int | None
     metrics: SequenceMetrics
     shared_hits: int = 0
     shared_misses: int = 0

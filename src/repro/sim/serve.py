@@ -7,8 +7,8 @@ pressure that decides whether prefetching still pays off at scale
 (DESIGN.md §6).  :class:`ServingSimulator` models exactly that:
 
 * every client is a :class:`~repro.sim.engine.QuerySession` -- the same
-  resumable state machine the single-client engine drives -- so serving
-  changes *scheduling*, never per-query semantics;
+  ``step_query`` the single-client engine calls -- so serving changes
+  *scheduling*, never per-query semantics;
 * all sessions share one prefetch cache and one
   :class:`~repro.storage.disk.DiskModel`; prefetched pages are
   owner-tagged, so hits can be attributed across clients and misses to
@@ -29,7 +29,7 @@ Two schedulers produce **bit-identical reports** (pinned by
     sessions over an array-backed shared cache
     (:class:`~repro.storage.cache.ArrayCache`), and -- when every
     client runs the same position-only prefetcher -- lets clients that
-    share a hot sequence replay their group leader's pure work (index
+    share a hot sequence read their group leader's pure work (index
     result, prediction, plan with memoized probe streams) instead of
     recomputing it.  Only *pure* work is ever hoisted or shared; every
     cache touch, disk read and budget decision still executes in exact
@@ -48,7 +48,7 @@ from typing import Sequence
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
 from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
-from repro.sim.metrics import ClientMetrics, ServeReport
+from repro.sim.metrics import ServeReport
 from repro.workload.multiclient import ClientWorkload
 
 __all__ = ["ServingSimulator"]
@@ -87,7 +87,6 @@ class ServingSimulator:
         prefetchers: Sequence[Prefetcher],
         *,
         lockstep: bool = False,
-        cache_backend: str | None = None,
         share_plans: bool | None = None,
     ) -> ServeReport:
         """Serve every client to completion; returns the pooled report.
@@ -98,15 +97,14 @@ class ServingSimulator:
         in, same report out, regardless of wall-clock or scheduler.
 
         ``lockstep`` selects the vectorized scheduler (sweeps always
-        do, see :func:`repro.sim.runner.run_serving_cell`); the report
-        is bit-identical either way.  ``cache_backend`` picks the shared
-        cache implementation (``"dict"`` or ``"array"``; ``None`` keeps
-        the dict cache for round-robin and the array cache for
-        lockstep).  ``share_plans`` controls leader/follower plan
-        sharing under lockstep: ``None`` enables it automatically when
-        every client runs the same position-only prefetcher, ``False``
-        disables it, ``True`` insists on it (raising if the prefetcher
-        fleet cannot share soundly).
+        do, see :func:`repro.sim.runner.run_serving_cell`) and with it
+        the shared cache implementation: the array cache under
+        lockstep, the dict cache under the round-robin reference.  The
+        report is bit-identical either way.  ``share_plans`` controls
+        leader/follower plan sharing under lockstep: ``None`` enables it
+        automatically when every client runs the same position-only
+        prefetcher, ``False`` disables it, ``True`` insists on it
+        (raising if the prefetcher fleet cannot share soundly).
         """
         clients = list(clients)
         if not clients:
@@ -116,8 +114,6 @@ class ServingSimulator:
                 f"got {len(prefetchers)} prefetchers for {len(clients)} clients; "
                 "each client needs its own instance"
             )
-        if cache_backend is None:
-            cache_backend = "array" if lockstep else "dict"
         # A configured fault plan disables leader/follower plan sharing:
         # per-client breaker state diverges under failures, so a
         # follower's observe/plan work is no longer a pure replay of its
@@ -139,7 +135,7 @@ class ServingSimulator:
         # absorbs a touch, and both schedulers feed the cache identical
         # batch sequences (DESIGN.md §10).
         sharded = self.config.shards is not None and self.config.shards.sharding_active
-        cache = self.config.build_cache(self.index, cache_backend)
+        cache = self.config.build_cache(self.index, "array" if lockstep else "dict")
         disk = self.config.build_disk()
         sessions = [
             QuerySession(
@@ -161,25 +157,7 @@ class ServingSimulator:
             n_ticks = self._run_round_robin(clients, sessions)
 
         return ServeReport(
-            clients=[
-                ClientMetrics(
-                    client_id=client.client_id,
-                    metrics=session.metrics,
-                    shared_hits=session.shared_hits,
-                    shared_misses=session.shared_misses,
-                    cross_client_hits=session.cross_client_hits,
-                    evicted_misses=session.evicted_misses,
-                    failed_reads=session.failed_reads,
-                    degraded_ticks=session.degraded_ticks,
-                    breaker_opens=session.breaker_opens,
-                    tier_hits=session.tier_hits,
-                    miss_path_hits=session.miss_path_hits,
-                    tier_fills=session.tier_fills,
-                    tier_stall_seconds=session.tier_stall_seconds,
-                    shard_hop_seconds=session.shard_hop_seconds,
-                )
-                for client, session in zip(clients, sessions)
-            ],
+            clients=[session.client_metrics for session in sessions],
             capacity_pages=cache.capacity_pages,
             cache_hits=cache.hits,
             cache_misses=cache.misses,
@@ -226,16 +204,16 @@ class ServingSimulator:
         """The vectorized plane: batch the tick's pure work, then step.
 
         Per tick: (1) resolve every active session's current query in
-        one batched ``query_many`` pass and inject the results; (2) step
-        every active session's full query *in client order* -- all cache
+        one batched ``query_many`` pass; (2) step every active session's
+        full query *in client order*, handing it its result -- all cache
         and disk mutations happen here, exactly as round-robin
         interleaves them.  Plan-sharing groups (clients on the same
         sequence object with the same start tick, eligible prefetchers)
         additionally skip recomputing the leader's pure work: every
         active group member advances exactly one query per tick, so
         members stay bitwise-identical in their pure computations for
-        the whole run and the leader's capture *is* the follower's own
-        computation.
+        the whole run and the record the leader's step fills *is* the
+        follower's own computation.
         """
         sharing = (
             _plans_shareable(prefetchers) if share_plans in (None, True) else False
@@ -275,23 +253,22 @@ class ServingSimulator:
             # One batched index pass per tick over the distinct queries
             # (a follower's query is its leader's query).
             owners = [i for i in active if leader_of.get(i, i) == i]
+            results: dict[int, object] = {}
             if owners:
                 bounds = [
                     sessions[i].sequence.queries[sessions[i].query_index].bounds
                     for i in owners
                 ]
-                for i, result in zip(owners, self.index.query_many(bounds)):
-                    sessions[i].prime_result(result)
+                results = dict(zip(owners, self.index.query_many(bounds)))
 
             bundles: dict[int, object] = {}
             for i in active:
                 leader = leader_of.get(i, i)
-                if leader == i:
-                    if group_size.get(i, 1) > 1:
-                        bundles[i] = sessions[i].step_query_capture()
-                    else:
-                        sessions[i].step_query()
-                else:
+                if leader != i:
                     sessions[i].step_query_replay(bundles[leader])
+                elif group_size.get(i, 1) > 1:
+                    bundles[i] = sessions[i].step_query_capture(results[i])
+                else:
+                    sessions[i].step_query(results[i])
             tick += 1
         return tick

@@ -362,10 +362,7 @@ class ArrayCache:
     def insert_many(self, page_ids, owner: int | None = None) -> None:
         if self.capacity_pages == 0:
             return
-        pages = np.asarray(
-            page_ids if not isinstance(page_ids, (list, tuple)) else page_ids,
-            dtype=np.int64,
-        ).ravel()
+        pages = np.asarray(page_ids, dtype=np.int64).ravel()
         if pages.size == 0:
             return
         if int(pages.min()) < 0:
@@ -492,8 +489,9 @@ class ArrayCache:
         return np.where(valid, marks[np.where(valid, pages, 0)], False)
 
 
-#: Cache backend registry used by the serving layer's ``cache_backend``
-#: knob; both classes satisfy the same observable contract.
+#: Cache backend registry: the serving layer's schedulers pick by name
+#: (round-robin reference -> ``dict``, lockstep -> ``array``); both
+#: classes satisfy the same observable contract.
 _BACKENDS = {"dict": PrefetchCache, "array": ArrayCache}
 
 

@@ -168,6 +168,21 @@ class DiskModel:
             + len(pages) * params.transfer_s_per_page
         )
 
+    # -- recovery surface (trivial on a disk that never fails) ----------------
+
+    def verify_delivery(self, page_ids: Sequence[int] | Iterable[int], page_table) -> float:
+        """Repair time for torn payloads among the just-read pages: none.
+
+        The bare model delivers every page intact, so callers can verify
+        unconditionally; :class:`~repro.storage.faults.FaultyDiskModel`
+        is where this does work.
+        """
+        return 0.0
+
+    def recover_read(self, page_ids: Sequence[int] | Iterable[int]) -> float:
+        """A clean demand re-read of a failed batch: an ordinary read here."""
+        return self.read_pages(page_ids)
+
     def estimate_read_time(self, n_pages: int, contiguous_fraction: float = 0.5) -> float:
         """Cost estimate for ``n_pages`` without reading them.
 

@@ -78,7 +78,6 @@ class ReadFailure(Exception):
         self.seconds = float(seconds)
         self.prior_pages = 0
         self.prior_seconds = 0.0
-        self.gap_pages_used = 0
 
 
 @dataclass(frozen=True)

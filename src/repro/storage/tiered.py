@@ -70,7 +70,7 @@ __all__ = [
 #: Miss-path mechanism names, per the SimpleScalar taxonomy.
 MISS_PATHS = ("none", "victim", "miss", "stream", "combined")
 
-#: Registered page-store backend names (the keys of the builder registry).
+#: Page-store backend names :class:`StorageSpec` accepts.
 STORAGE_BACKENDS = ("ram", "mmap")
 
 
@@ -144,8 +144,8 @@ class StorageSpec:
 class TierStats:
     """Per-layer counters of the tiered store (hits, fills, writebacks).
 
-    One instance per store; the serving layer snapshots it around each
-    session phase to attribute deltas per client.  All fields are
+    One instance per store; each session snapshots it around its own
+    disk reads to attribute deltas per client.  All fields are
     additive, so :meth:`merged_with` mirrors
     :class:`~repro.storage.stats.IOStats`.
     """
@@ -201,8 +201,8 @@ class TieredStore:
     :class:`~repro.storage.faults.FaultyDiskModel` and exposes the exact
     same surface (``params`` / ``stats`` / ``read_pages`` /
     ``trim_to_budget`` / ``cost_if_cold`` / ``estimate_read_time`` /
-    ``reset_head`` / ``reset_stats``) plus the fault plane's recovery
-    surface when the inner model carries one.  Planning calls
+    ``reset_head`` / ``reset_stats`` and the recovery surface
+    ``verify_delivery`` / ``recover_read``).  Planning calls
     (``trim_to_budget``, ``cost_if_cold``, ``estimate_read_time``)
     delegate to the inner model unconditionally: windows are sized from
     nominal device cost, conservatively ignoring tier hits, exactly as
@@ -243,11 +243,6 @@ class TieredStore:
         return self._inner.stats
 
     @property
-    def fault_disk(self) -> FaultyDiskModel | None:
-        """The wrapped fault surface, if the inner model carries one."""
-        return self._inner if isinstance(self._inner, FaultyDiskModel) else None
-
-    @property
     def tiering_active(self) -> bool:
         return self._tiering
 
@@ -274,14 +269,10 @@ class TieredStore:
         return self._inner.estimate_read_time(n_pages, contiguous_fraction)
 
     def verify_delivery(self, page_ids: Sequence[int] | Iterable[int], page_table) -> float:
-        faulty = self.fault_disk
-        return 0.0 if faulty is None else faulty.verify_delivery(page_ids, page_table)
+        return self._inner.verify_delivery(page_ids, page_table)
 
     def recover_read(self, page_ids: Sequence[int] | Iterable[int]) -> float:
-        faulty = self.fault_disk
-        if faulty is not None:
-            return faulty.recover_read(page_ids)
-        return self._inner.read_pages(page_ids)
+        return self._inner.recover_read(page_ids)
 
     # -- the tiered read path ------------------------------------------------
 
@@ -462,18 +453,6 @@ class TieredStore:
                 pass
 
 
-def _build_ram(inner, spec: StorageSpec, page_table) -> TieredStore:
-    return TieredStore(inner, spec, page_table=page_table)
-
-
-def _build_mmap(inner, spec: StorageSpec, page_table) -> TieredStore:
-    return TieredStore(inner, spec, page_table=page_table)
-
-
-#: Storage backend registry; mirrors ``repro.storage.cache.make_cache``.
-_STORAGE_BACKENDS = {"ram": _build_ram, "mmap": _build_mmap}
-
-
 def make_storage(
     inner: DiskModel | FaultyDiskModel,
     spec: StorageSpec,
@@ -481,15 +460,9 @@ def make_storage(
 ) -> TieredStore:
     """Build the configured storage stack around an inner disk model.
 
-    ``spec.backend`` selects the byte service from the backend registry
-    (``ram`` serves from the page table, ``mmap`` from a checksummed
-    page file); the tier cache and miss-path mechanism ride on top in
-    either case.
+    ``spec.backend`` selects the byte service (``ram`` serves from the
+    page table, ``mmap`` from a checksummed page file; validated by
+    :class:`StorageSpec`); the tier cache and miss-path mechanism ride
+    on top in either case.
     """
-    builder = _STORAGE_BACKENDS.get(spec.backend)
-    if builder is None:
-        raise ValueError(
-            f"unknown storage backend {spec.backend!r}; "
-            f"known: {sorted(_STORAGE_BACKENDS)}"
-        )
-    return builder(inner, spec, page_table)
+    return TieredStore(inner, spec, page_table=page_table)

@@ -251,7 +251,6 @@ def test_make_cache_rejects_unknown_backend():
 # -- partition invariant under lockstep serving ------------------------------
 
 
-@pytest.mark.parametrize("cache_backend", BACKENDS)
 @settings(deadline=None, max_examples=10)
 @given(
     n_clients=st.integers(min_value=1, max_value=4),
@@ -260,10 +259,10 @@ def test_make_cache_rejects_unknown_backend():
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_lockstep_serving_partitions_cache_totals(
-    tissue, tissue_flat, cache_backend, n_clients, mode, cache_pages, seed
+    tissue, tissue_flat, n_clients, mode, cache_pages, seed
 ):
     """Per-client hits+misses partition the shared cache's counters under
-    the lockstep scheduler, for both cache backends (the round-robin
+    the lockstep scheduler and its array cache (the round-robin / dict
     counterpart lives in test_serving.py)."""
     from repro.baselines import EWMAPrefetcher
     from repro.sim import ServingSimulator, SimulationConfig
@@ -278,7 +277,6 @@ def test_lockstep_serving_partitions_cache_totals(
         clients,
         [EWMAPrefetcher(lam=0.3) for _ in clients],
         lockstep=True,
-        cache_backend=cache_backend,
     )
     assert sum(c.shared_hits for c in report.clients) == report.cache_hits
     assert sum(c.shared_misses for c in report.clients) == report.cache_misses

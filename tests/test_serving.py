@@ -1,4 +1,4 @@
-"""Serving layer: QuerySession state machine + multi-client simulator.
+"""Serving layer: QuerySession stepping + multi-client simulator.
 
 Two load-bearing guarantees are pinned here:
 
@@ -13,11 +13,13 @@ Two load-bearing guarantees are pinned here:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import EWMAPrefetcher
+from repro.baselines import EWMAPrefetcher, NoPrefetcher, Prefetcher
 from repro.core import ScoutPrefetcher
 from repro.sim import (
     QuerySession,
@@ -52,29 +54,98 @@ def serve(tissue, index, *, n_clients, kind="ewma", mode="independent",
     return ServingSimulator(index, config).run(clients, prefetchers)
 
 
+class _NeverConsulted(Prefetcher):
+    """A follower's prefetcher: replaying a filled record must not touch it."""
+
+    name = "never"
+
+    def _refuse(self, *args):
+        raise AssertionError("replay consulted the follower's prefetcher")
+
+    observe = plan = prediction_cost_seconds = graph_build_cost_seconds = _refuse
+    gap_io_pages = _refuse
+
+
+def lead_and_follow(engine, sequence, make):
+    """Leader captures every query, follower replays it; private caches."""
+    leader = QuerySession(engine, sequence, make())
+    follower = QuerySession(engine, sequence, _NeverConsulted())
+    while not leader.done:
+        work = leader.step_query_capture()
+        assert work.cursor == follower.query_index
+        assert follower.step_query_replay(work) is follower.metrics.records[-1]
+    return leader, follower
+
+
 class TestQuerySession:
-    def test_phases_cycle_in_order(self, tissue, tissue_flat, rng):
+    def test_finished_session_steps_to_none(self, tissue, tissue_flat):
         sequence = generate_sequences(tissue, 1, 5, n_queries=3, volume=30_000.0)[0]
         session = QuerySession(SimulationEngine(tissue_flat), sequence, EWMAPrefetcher())
-        phases = []
+        records = []
         while not session.done:
-            phases.append(session.step())
-        assert phases == list(QuerySession.PHASES) * 3
-        assert session.step() is None
+            assert session.query_index == len(records)
+            records.append(session.step_query())
+        assert records == session.metrics.records and len(records) == 3
         assert session.step_query() is None
+        assert session.step_query_capture() is None
+        assert session.metrics.records == records
 
-    def test_step_query_resumes_mid_query(self, tissue, tissue_flat):
-        sequence = generate_sequences(tissue, 1, 5, n_queries=2, volume=30_000.0)[0]
+    @pytest.mark.parametrize(
+        "make", [partial(EWMAPrefetcher, lam=0.3), NoPrefetcher], ids=["ewma", "planless"]
+    )
+    def test_capture_then_replay_equals_independent_steps(self, tissue, tissue_flat, make):
+        """The shared-work record: leader fills it, follower only reads it."""
+        sequence = generate_sequences(tissue, 1, 7, n_queries=6, volume=30_000.0)[0]
         engine = SimulationEngine(tissue_flat)
-        session = QuerySession(engine, sequence, EWMAPrefetcher())
-        assert session.step() == "serve"  # stop between phases...
-        record = session.step_query()  # ...and resume to the query's end
-        assert record is session.metrics.records[0]
-        assert session.query_index == 1
+        leader, follower = lead_and_follow(engine, sequence, make)
+        reference = engine.run(sequence, make())
+        assert leader.metrics.records == reference.records
+        assert follower.metrics.records == reference.records
+        assert follower.done
 
-        reference = engine.run(sequence, EWMAPrefetcher())
-        session.step_query()
+    def test_replay_across_a_window_that_closes_mid_plan(self, tissue, tissue_flat):
+        """Each member consumes its own prefix of the shared probe streams."""
+        sequence = generate_sequences(
+            tissue, 1, 7, n_queries=6, volume=30_000.0, window_ratio=0.1
+        )[0]
+        engine = SimulationEngine(tissue_flat)
+        make = partial(EWMAPrefetcher, lam=0.3)
+        leader, follower = lead_and_follow(engine, sequence, make)
+        reference = engine.run(sequence, make())
+        # The window ran out while the plan still had regions to read.
+        cut_short = [
+            r for r in reference.records
+            if r.prefetch_pages and r.prefetch_seconds + r.prediction_seconds >= r.window_seconds
+        ]
+        assert cut_short
+        assert leader.metrics.records == reference.records
+        assert follower.metrics.records == reference.records
+
+    def test_pre_resolved_result_changes_nothing(self, tissue, tissue_flat, monkeypatch):
+        sequence = generate_sequences(tissue, 1, 7, n_queries=5, volume=30_000.0)[0]
+        engine = SimulationEngine(tissue_flat)
+        reference = engine.run(sequence, EWMAPrefetcher(lam=0.3))
+        results = tissue_flat.query_many([q.bounds for q in sequence.queries])
+
+        def no_query(bounds):
+            raise AssertionError("the session re-queried a pre-resolved result")
+
+        monkeypatch.setattr(tissue_flat, "query", no_query)
+        session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        for result in results:
+            session.step_query(result)
+        assert session.done
         assert session.metrics.records == reference.records
+
+    def test_replay_at_the_wrong_cursor_raises(self, tissue, tissue_flat):
+        sequence = generate_sequences(tissue, 1, 5, n_queries=3, volume=30_000.0)[0]
+        engine = SimulationEngine(tissue_flat)
+        work = QuerySession(engine, sequence, EWMAPrefetcher()).step_query_capture()
+        follower = QuerySession(engine, sequence, EWMAPrefetcher())
+        follower.step_query_replay(work)
+        with pytest.raises(ValueError, match="bundle for query 0 replayed at cursor 1"):
+            follower.step_query_replay(work)
+        assert follower.query_index == 1 and len(follower.metrics.records) == 1
 
     @pytest.mark.parametrize("kind", ["ewma", "scout"])
     def test_session_matches_engine_run(self, tissue, tissue_flat, kind):

@@ -95,12 +95,13 @@ class TestLockstepEquivalence:
         )
         assert report_state(vectorized) == report_state(reference)
 
-    @pytest.mark.parametrize("cache_backend", ["dict", "array"])
     @pytest.mark.parametrize("stagger,cache_pages", [(0, None), (1, 24), (2, 12)])
     def test_backends_and_contention_knobs(
-        self, tissue, tissue_flat, cache_backend, stagger, cache_pages
+        self, tissue, tissue_flat, stagger, cache_pages
     ):
-        """Both cache backends, staggered arrivals, tiny (evicting) caches."""
+        """Each scheduler on its own cache backend (round-robin on the
+        dict cache, lockstep on the array cache), staggered arrivals,
+        tiny (evicting) caches."""
         reference = serve(
             tissue, tissue_flat, n_clients=4, mode="hotspot", stagger=stagger,
             cache_pages=cache_pages, n_queries=5, lockstep=False,
@@ -108,7 +109,6 @@ class TestLockstepEquivalence:
         vectorized = serve(
             tissue, tissue_flat, n_clients=4, mode="hotspot", stagger=stagger,
             cache_pages=cache_pages, n_queries=5, lockstep=True,
-            cache_backend=cache_backend,
         )
         assert report_state(vectorized) == report_state(reference)
 
