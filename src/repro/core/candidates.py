@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import ScoutConfig
-from repro.core.exits import split_entries_exits
+from repro.core.exits import split_entries_exits_grouped
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.graph.spatial_graph import SpatialGraph
@@ -125,26 +125,19 @@ class CandidateTracker:
         ]
         all_crossings = region_crossings_grouped(dataset, component_ids, region)
 
-        new_tracks: list[CandidateTrack] = []
-        unmatched: list[CandidateTrack] = []
-        for component, object_ids, crossings in zip(
-            components, component_ids, all_crossings
-        ):
-            entries, exits = split_entries_exits(crossings, region.center, movement)
-            # Smooth exit directions over the structure's trailing window
-            # so the linear extrapolation follows the fiber's local
-            # trend rather than the last segment's jitter.
-            exits = [
-                refine_crossing_direction(dataset, object_ids, e, radius=side * 0.3)
-                for e in exits
-            ]
+        # Tracks travel with their component's id array: refinement
+        # below reads the objects in that (set-iteration) order.
+        new_tracks: list[tuple[CandidateTrack, np.ndarray]] = []
+        unmatched: list[tuple[CandidateTrack, np.ndarray]] = []
+        all_splits = split_entries_exits_grouped(all_crossings, region.center, movement)
+        for component, object_ids, (entries, exits) in zip(components, component_ids, all_splits):
             track = CandidateTrack(frozenset(component), exits, entries)
 
             if not self.tracks:
                 # First query (or fresh reset state): every structure
                 # that leaves the query region is a candidate.
                 if track.has_exits:
-                    new_tracks.append(track)
+                    new_tracks.append((track, object_ids))
                     traversal_work += len(component)
                 continue
 
@@ -158,22 +151,34 @@ class CandidateTracker:
                     (old.age for old in self.tracks if self._object_overlap(old, component)),
                     default=0,
                 )
-                new_tracks.append(track)
+                new_tracks.append((track, object_ids))
                 traversal_work += len(component)
             else:
-                unmatched.append(track)
+                unmatched.append((track, object_ids))
 
         if self.tracks and not new_tracks and self.config.reset_on_no_match:
             # The user abandoned the structure: the candidate set again
             # contains all structures of the last range query result.
             self.resets += 1
-            new_tracks = [t for t in unmatched if t.has_exits]
-            traversal_work += sum(len(t.objects) for t in new_tracks)
+            new_tracks = [pair for pair in unmatched if pair[0].has_exits]
+            traversal_work += sum(len(track.objects) for track, _ in new_tracks)
 
         # Keep only candidates that can predict something.
-        with_exits = [t for t in new_tracks if t.has_exits]
+        with_exits = [pair for pair in new_tracks if pair[0].has_exits]
         if with_exits:
             new_tracks = with_exits
+
+        # Smooth exit directions over the structure's trailing window
+        # so the linear extrapolation follows the fiber's local trend
+        # rather than the last segment's jitter.  Only the next update's
+        # proximity match and the planner read them, and both see
+        # survivors only: pruned components are never refined.
+        for track, object_ids in new_tracks:
+            track.exits = [
+                refine_crossing_direction(dataset, object_ids, e, radius=side * 0.3)
+                for e in track.exits
+            ]
+        new_tracks = [track for track, _ in new_tracks]
 
         self.tracks = new_tracks
         self.last_traversal_work = traversal_work

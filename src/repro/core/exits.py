@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.traversal import Crossing
+from repro.util import row_dots, row_norms
 
-__all__ = ["split_entries_exits", "estimate_gap"]
+__all__ = ["split_entries_exits", "split_entries_exits_grouped", "estimate_gap"]
 
 _EPS = 1e-12
 
@@ -31,21 +32,39 @@ def split_entries_exits(
     with the movement.  Without movement information everything is an
     exit (first query of a sequence: the user may go anywhere).
     """
-    if movement is None or np.linalg.norm(movement) < _EPS:
-        return [], list(crossings)
-    forward = movement / np.linalg.norm(movement)
-    entries: list[Crossing] = []
-    exits: list[Crossing] = []
-    for crossing in crossings:
-        offset = float((crossing.point - region_center) @ forward)
-        heading = float(crossing.direction @ forward)
-        # Positional test dominates; the heading breaks near-plane ties.
-        score = offset + 0.25 * heading * np.linalg.norm(crossing.point - region_center)
-        if score > 0:
-            exits.append(crossing)
-        else:
-            entries.append(crossing)
-    return entries, exits
+    return split_entries_exits_grouped([crossings], region_center, movement)[0]
+
+
+def split_entries_exits_grouped(
+    groups: list[list[Crossing]],
+    region_center: np.ndarray,
+    movement: np.ndarray | None,
+) -> list[tuple[list[Crossing], list[Crossing]]]:
+    """:func:`split_entries_exits` of every group, scored in one array pass.
+
+    The tracker classifies the crossings of all of a result's components
+    at once; the dot products go through :func:`repro.util.row_dots` /
+    :func:`repro.util.row_norms`, so every score carries the bits of the
+    per-crossing scalar expression.
+    """
+    flat = [crossing for group in groups for crossing in group]
+    speed = 0.0 if movement is None else np.linalg.norm(movement)
+    if speed < _EPS or not flat:
+        return [([], list(group)) for group in groups]
+    forward = movement / speed
+    rel = np.array([crossing.point for crossing in flat]) - region_center
+    heading = row_dots(np.array([crossing.direction for crossing in flat]), forward)
+    # Positional test dominates; the heading breaks near-plane ties.
+    score = row_dots(rel, forward) + 0.25 * heading * row_norms(rel)
+    is_exit = iter((score > 0).tolist())
+    split = []
+    for group in groups:
+        entries: list[Crossing] = []
+        exits: list[Crossing] = []
+        for crossing in group:
+            (exits if next(is_exit) else entries).append(crossing)
+        split.append((entries, exits))
+    return split
 
 
 def estimate_gap(centers: list[np.ndarray], side: float) -> float:

@@ -50,7 +50,6 @@ class ScoutPrefetcher(Prefetcher):
         self._last_build_cost = 0.0
         # Accounting the analysis section (§8) reports on:
         self.last_build_report = None
-        self.last_graph_memory_bytes = 0
         self.total_build_wall_seconds = 0.0
         self.total_build_work_units = 0
 
@@ -71,13 +70,17 @@ class ScoutPrefetcher(Prefetcher):
         self._centers.append(observed.center)
         self._last_side = observed.side
 
-        report = self._build_graph(observed)
+        report = build_graph(
+            self.dataset,
+            observed.result_object_ids,
+            region,
+            resolution=self.config.grid_resolution,
+        )
         self.last_build_report = report
         self.total_build_wall_seconds += report.wall_seconds
         self.total_build_work_units += report.work_units
 
         self.tracker.update(self.dataset, report.graph, region, movement)
-        self.last_graph_memory_bytes = self._memory_bytes(report)
 
         self._last_build_cost = SIM_SECONDS_PER_BUILD_UNIT * report.work_units
         self._last_prediction_cost = (
@@ -97,22 +100,17 @@ class ScoutPrefetcher(Prefetcher):
     def graph_build_cost_seconds(self) -> float:
         return self._last_build_cost
 
-    # -- hooks for SCOUT-OPT --------------------------------------------------------
-
-    def _build_graph(self, observed: ObservedQuery):
-        """Build the full result graph (SCOUT-OPT overrides with sparse)."""
-        return build_graph(
-            self.dataset,
-            observed.result_object_ids,
-            observed.bounds,
-            resolution=self.config.grid_resolution,
-        )
-
-    def _memory_bytes(self, report) -> int:
-        """Memory of the prediction structures (§8.2 reports ~24 %)."""
-        return report.graph.memory_bytes()
-
     # -- introspection ----------------------------------------------------------------
+
+    @property
+    def last_graph_memory_bytes(self) -> int:
+        """Memory of the prediction structures (§8.2 reports ~24 %).
+
+        Computed when read: the accounting walks every adjacency set,
+        which the per-query path has no use for.
+        """
+        report = self.last_build_report
+        return 0 if report is None else report.graph.memory_bytes()
 
     @property
     def n_candidates(self) -> int:

@@ -67,15 +67,6 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
         self._pending_gap_pages = []
         self._gap_targets = []
         super().observe(observed)
-        # Sparse construction bounds the retained graph to the subgraph
-        # reachable from the candidate structures; §8.2 reports this at
-        # ~6 % of the result footprint versus ~24 % for the full graph.
-        if self.last_build_report is not None and self.tracker.tracks:
-            reachable: set[int] = set()
-            graph = self.last_build_report.graph
-            for track in self.tracker.tracks:
-                reachable |= graph.reachable_from(track.objects)
-            self.last_graph_memory_bytes = graph.subgraph(reachable).memory_bytes()
         # Ordered retrieval lets prediction overlap with result I/O; the
         # residual charge is only the final traversal of the candidate
         # subgraph (§6.2: "the prediction process is already finished
@@ -88,6 +79,22 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
         gap = estimate_gap(self._centers, self._last_side)
         if gap > self._last_side * 0.05:
             self._prepare_gap_traversal(observed, gap)
+
+    @property
+    def last_graph_memory_bytes(self) -> int:
+        """Memory of the retained graph, computed when read.
+
+        Sparse construction bounds the retained graph to the subgraph
+        reachable from the candidate structures; §8.2 reports this at
+        ~6 % of the result footprint versus ~24 % for the full graph.
+        """
+        report = self.last_build_report
+        if report is None or not self.tracker.tracks:
+            return super().last_graph_memory_bytes
+        reachable: set[int] = set()
+        for track in self.tracker.tracks:
+            reachable |= report.graph.reachable_from(track.objects)
+        return report.graph.subgraph(reachable).memory_bytes()
 
     # -- gap traversal ------------------------------------------------------------
 

@@ -199,32 +199,27 @@ def segments_clip_intervals(
     Returns ``(ok, t0, t1)``: whether each segment hits the box and the
     clipped parametric interval within ``[0, 1]``.  This is the batched
     counterpart of :func:`_slab_clip` -- same epsilon, same per-axis
-    max/min order -- so ``a + t0*delta`` / ``a + t1*delta`` reproduce
-    :func:`clip_segment_to_aabb`'s endpoints bit for bit.  ``t0``/``t1``
-    are meaningful only where ``ok`` is true.
+    quotients, and max/min are exact in any order -- so ``a + t0*delta``
+    / ``a + t1*delta`` reproduce :func:`clip_segment_to_aabb`'s
+    endpoints bit for bit.  ``t0``/``t1`` are meaningful only where
+    ``ok`` is true.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     delta = b - a
 
-    t0 = np.zeros(len(a))
-    t1 = np.ones(len(a))
-    ok = np.ones(len(a), dtype=bool)
-    for axis in range(3):
-        d = delta[:, axis]
-        lo = box.lo[axis] - a[:, axis]
-        hi = box.hi[axis] - a[:, axis]
-        parallel = np.abs(d) < _EPS
-        # Parallel segments must start inside the slab.
-        ok &= ~(parallel & ((lo > 0.0) | (hi < 0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = np.where(parallel, -np.inf, lo / d)
-            tb = np.where(parallel, np.inf, hi / d)
-        swap = ta > tb
-        ta2 = np.where(swap, tb, ta)
-        tb2 = np.where(swap, ta, tb)
-        t0 = np.maximum(t0, ta2)
-        t1 = np.minimum(t1, tb2)
+    # All three slabs at once, as (n, 3) arrays.
+    lo = box.lo - a
+    hi = box.hi - a
+    parallel = np.abs(delta) < _EPS
+    # Parallel segments must start inside the slab.
+    ok = ~(parallel & ((lo > 0.0) | (hi < 0.0))).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = np.where(parallel, -np.inf, lo / delta)
+        tb = np.where(parallel, np.inf, hi / delta)
+    swap = ta > tb
+    t0 = np.maximum(0.0, np.where(swap, tb, ta).max(axis=1))
+    t1 = np.minimum(1.0, np.where(swap, ta, tb).min(axis=1))
     ok &= t0 <= t1
     return ok, t0, t1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -66,15 +67,21 @@ def _sample_segment_cells(
     object_ids: np.ndarray,
     p0: np.ndarray,
     p1: np.ndarray,
-) -> dict[int, list[int]]:
-    """Map each object's segment into the grid cells it touches.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (object, cell) pairs of the objects' segments.
 
-    Rasterization samples points along each segment densely enough that
-    no crossed cell can be skipped (spacing < half the smallest cell
-    edge), then deduplicates (object, cell) pairs -- a vectorized,
-    conservative stand-in for per-segment DDA that processes thousands
-    of objects per query without Python-level loops.  The exact DDA
-    (:meth:`UniformGrid.cells_of_segment`) remains the test oracle.
+    Each segment is sampled at evenly spaced points (spacing 0.45 of the
+    smallest cell edge, endpoints included) and every sample is hashed
+    to its cell.  A segment gets at most 64 samples, so one that is long
+    against a fine grid can step over cells: the rasterization is an
+    approximation, with the exact DDA
+    (:meth:`UniformGrid.cells_of_segment`) as the test oracle.  There is
+    one array pass per distinct sample count (segments of a result are
+    of similar length, so usually one or two), none per object.
+
+    Returns ``(owners, cells)``: parallel arrays of object id and flat
+    cell id, deduplicated and sorted by ``(owner, cell)`` -- the *pair
+    order* that fixes the edge insertion order downstream.
     """
     lengths = np.linalg.norm(p1 - p0, axis=1)
     min_cell_edge = float(grid.cell_extent.min())
@@ -93,15 +100,10 @@ def _sample_segment_cells(
     points = np.concatenate(point_chunks)
     owners = np.concatenate(owner_chunks)
 
-    cells = grid.cells_of_points(points)
-    flat = grid.flat_ids(cells)
-    pair_key = owners * np.int64(grid.n_cells) + flat
-    _, unique_idx = np.unique(pair_key, return_index=True)
-
-    buckets: dict[int, list[int]] = {}
-    for idx in unique_idx:
-        buckets.setdefault(int(flat[idx]), []).append(int(owners[idx]))
-    return buckets
+    flat = grid.flat_ids(grid.cells_of_points(points))
+    n_cells = np.int64(grid.n_cells)
+    pairs = np.unique(owners * n_cells + flat)
+    return pairs // n_cells, pairs % n_cells
 
 
 def build_graph_grid_hash(
@@ -118,18 +120,29 @@ def build_graph_grid_hash(
 
     if len(object_ids):
         grid = UniformGrid.with_cell_count(region, max(1, int(resolution)))
-        buckets = _sample_segment_cells(
+        owners, cells = _sample_segment_cells(
             grid, object_ids, dataset.p0[object_ids], dataset.p1[object_ids]
         )
-        work += sum(len(members) for members in buckets.values())
-        for members in buckets.values():
-            # Pairwise connection of co-located objects; the cost of
-            # coarse resolutions (big buckets) is quadratic, exactly the
-            # §4.2 trade-off.
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    graph.add_edge(members[i], members[j])
-            work += len(members) * (len(members) - 1) // 2
+        # One stable sort groups the pairs by cell and keeps each cell's
+        # owners in pair order.  Most cells hold a single object; only
+        # the shared ones connect anything.
+        by_cell = np.argsort(cells, kind="stable")
+        grouped = cells[by_cell]
+        starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        sizes = np.diff(starts, append=len(by_cell))
+        # Cell insertions plus pairwise connections; the cost of coarse
+        # resolutions (big cells) is quadratic, exactly the §4.2
+        # trade-off.
+        work = len(by_cell) + int((sizes * (sizes - 1) // 2).sum())
+        shared = np.flatnonzero(sizes > 1)
+        # Shared cells in order of first appearance in pair order, so
+        # edges are inserted in the order every adjacency set -- and
+        # with it DFS, component and exit order -- depends on.
+        shared = shared[np.argsort(by_cell[starts[shared]])]
+        members = owners[by_cell].tolist()
+        for start, size in zip(starts[shared].tolist(), sizes[shared].tolist()):
+            for u, v in combinations(members[start : start + size], 2):
+                graph.add_edge(u, v)
 
     return GraphBuildReport(
         graph=graph,

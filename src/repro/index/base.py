@@ -28,7 +28,7 @@ from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.storage.page import PageTable
 
-__all__ = ["QueryResult", "SpatialIndex", "PAGE_FANOUT"]
+__all__ = ["QueryResult", "SpatialIndex", "PAGE_FANOUT", "region_corners"]
 
 #: Objects per 4 KB page, as configured in §7.1.
 PAGE_FANOUT = 87
@@ -55,6 +55,17 @@ class QueryResult:
         return len(self.page_ids)
 
 
+def region_corners(regions: Sequence[AABB] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` corner arrays, each ``(n, 3)``, of a probe batch.
+
+    Packed ``(n, 2, 3)`` corners are split as views; a box sequence is
+    gathered into fresh arrays.
+    """
+    if isinstance(regions, np.ndarray):
+        return regions[:, 0], regions[:, 1]
+    return np.array([r.lo for r in regions]), np.array([r.hi for r in regions])
+
+
 class SpatialIndex(abc.ABC):
     """Page-organized spatial index over a :class:`Dataset`."""
 
@@ -76,13 +87,18 @@ class SpatialIndex(abc.ABC):
 
     # -- batched probes ------------------------------------------------------
 
-    def pages_for_regions(self, regions: Sequence[AABB]) -> list[np.ndarray]:
+    def pages_for_regions(self, regions: Sequence[AABB] | np.ndarray) -> list[np.ndarray]:
         """Per-region sorted page ids for a batch of probe boxes.
 
-        Element ``i`` equals ``pages_for_region(regions[i])``.  The base
-        implementation is the naive per-region loop; array-backed
-        indexes override it with a single vectorized pass.
+        ``regions`` is a sequence of boxes or their packed corners, an
+        ``(n, 2, 3)`` array holding box ``i``'s ``lo`` at ``[i, 0]`` and
+        ``hi`` at ``[i, 1]``.  Element ``i`` of the answer equals
+        ``pages_for_region`` of box ``i``.  The base implementation is
+        the naive per-region loop; array-backed indexes override it with
+        a single vectorized pass over :func:`region_corners`.
         """
+        if isinstance(regions, np.ndarray):
+            regions = [AABB(lo, hi) for lo, hi in regions]
         return [self.pages_for_region(region) for region in regions]
 
     def query_many(self, regions: Sequence[AABB]) -> list[QueryResult]:

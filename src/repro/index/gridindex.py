@@ -18,7 +18,7 @@ import numpy as np
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import UniformGrid
-from repro.index.base import PAGE_FANOUT, SpatialIndex
+from repro.index.base import PAGE_FANOUT, SpatialIndex, region_corners
 from repro.storage.page import PageTable
 
 __all__ = ["GridIndex"]
@@ -99,9 +99,7 @@ class GridIndex(SpatialIndex):
     def pages_for_regions(self, regions) -> list[np.ndarray]:
         if not len(regions):
             return []
-        qlo = np.array([r.lo for r in regions])
-        qhi = np.array([r.hi for r in regions])
-        return self._pages_for_boxes(qlo, qhi)
+        return self._pages_for_boxes(*region_corners(regions))
 
     def _pages_for_boxes(self, qlo: np.ndarray, qhi: np.ndarray) -> list[np.ndarray]:
         """All-pairs broadcast test, chunked to bound temporary memory."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
-from repro.index.base import PAGE_FANOUT, SpatialIndex
+from repro.index.base import PAGE_FANOUT, SpatialIndex, region_corners
 from repro.storage.page import PageTable
 from repro.util import csr_expand
 
@@ -145,11 +145,11 @@ class STRTree(SpatialIndex):
                 return np.array([0], dtype=np.int64)
             return np.empty(0, dtype=np.int64)
 
-        frontier = np.zeros(1, dtype=np.int64)  # the root node
-        for level in self._levels:
-            hit = np.all(
-                (level.lo[frontier] <= qhi) & (level.hi[frontier] >= qlo), axis=1
-            )
+        # Every node lies inside the root's box, so the root needs no
+        # test of its own: the descent starts at its children.
+        frontier = self._levels[0].children
+        for level in self._levels[1:]:
+            hit = ((level.lo[frontier] <= qhi) & (level.hi[frontier] >= qlo)).all(axis=1)
             survivors = frontier[hit]
             if not len(survivors):
                 return np.empty(0, dtype=np.int64)
@@ -157,17 +157,13 @@ class STRTree(SpatialIndex):
             counts = level.child_start[survivors + 1] - starts
             frontier = level.children[csr_expand(starts, counts)]
 
-        hit = np.all(
-            (self._leaf_lo[frontier] <= qhi) & (self._leaf_hi[frontier] >= qlo), axis=1
-        )
+        hit = ((self._leaf_lo[frontier] <= qhi) & (self._leaf_hi[frontier] >= qlo)).all(axis=1)
         return np.sort(frontier[hit])
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
         if not len(regions):
             return []
-        qlo = np.array([r.lo for r in regions])
-        qhi = np.array([r.hi for r in regions])
-        return self._pages_for_boxes(qlo, qhi)
+        return self._pages_for_boxes(*region_corners(regions))
 
     def _pages_for_boxes(self, qlo: np.ndarray, qhi: np.ndarray) -> list[np.ndarray]:
         """Batched traversal over ``(n, 3)`` probe-corner arrays.
@@ -188,12 +184,12 @@ class STRTree(SpatialIndex):
             one = np.array([0], dtype=np.int64)
             return [one.copy() if h else empty for h in hits]
 
-        node = np.zeros(n_regions, dtype=np.int64)
-        region = np.arange(n_regions, dtype=np.int64)
-        for level in self._levels:
-            hit = np.all(
-                (level.lo[node] <= qhi[region]) & (level.hi[node] >= qlo[region]), axis=1
-            )
+        # As in pages_for_region, the descent starts below the root.
+        top = self._levels[0].children
+        node = np.tile(top, n_regions)
+        region = np.repeat(np.arange(n_regions, dtype=np.int64), len(top))
+        for level in self._levels[1:]:
+            hit = ((level.lo[node] <= qhi[region]) & (level.hi[node] >= qlo[region])).all(axis=1)
             node, region = node[hit], region[hit]
             if not len(node):
                 return [empty] * n_regions
@@ -202,9 +198,8 @@ class STRTree(SpatialIndex):
             node = level.children[csr_expand(starts, counts)]
             region = np.repeat(region, counts)
 
-        hit = np.all(
-            (self._leaf_lo[node] <= qhi[region]) & (self._leaf_hi[node] >= qlo[region]),
-            axis=1,
+        hit = ((self._leaf_lo[node] <= qhi[region]) & (self._leaf_hi[node] >= qlo[region])).all(
+            axis=1
         )
         node, region = node[hit], region[hit]
         cuts = np.searchsorted(region, np.arange(n_regions + 1))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.index.base import SpatialIndex
 from repro.index.flat import FlatIndex
 from repro.index.rtree import STRTree
 
@@ -62,7 +63,7 @@ class ScalarSTRTree(STRTree):
         return pages_for_region_scalar(self, region)
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
-        return [self.pages_for_region(region) for region in regions]
+        return SpatialIndex.pages_for_regions(self, regions)
 
 
 class ScalarFlatIndex(FlatIndex):
@@ -77,4 +78,4 @@ class ScalarFlatIndex(FlatIndex):
         return pages_for_region_scalar(self, region)
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
-        return [self.pages_for_region(region) for region in regions]
+        return SpatialIndex.pages_for_regions(self, regions)

@@ -730,6 +730,9 @@ def check_budget(report: BenchReport, budget_path: str | Path) -> list[str]:
     storage_tiers = report.results.get("storage_tiers", {})
     sharded = report.results.get("sharded_serving", {})
     daemon = report.results.get("serving_daemon", {})
+    # Floors are "higher is better", so the prediction path's
+    # milliseconds per observe+plan are gated as queries per second.
+    observe_plan_ms = report.results.get("prediction", {}).get("observe_plan_ms_per_query", 0.0)
     measured = {
         # Speedup ratios are the primary gates: scalar baseline and
         # vectorized path run on the same machine in the same bench, so
@@ -746,6 +749,8 @@ def check_budget(report: BenchReport, budget_path: str | Path) -> list[str]:
         "sharded_routing_overhead": sharded.get("overhead_ratio", 0.0),
         "sharded_hot_qps": sharded.get("hot_sharded_sim_qps", 0.0),
         "serving_daemon_qps": daemon.get("achieved_qps", 0.0),
+        "prediction_observe_plan_qps": 1e3 / observe_plan_ms if observe_plan_ms else 0.0,
+        "fig13a_sweep_speedup": report.results.get("fig13a", {}).get("sweep_speedup", 0.0),
     }
     failures = []
     for name, floor in budget.get("floors", {}).items():

@@ -28,12 +28,10 @@ one shared cache and disk to model concurrent users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
-from repro.geometry.aabb import AABB
 from repro.index.base import SpatialIndex
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
@@ -47,16 +45,19 @@ __all__ = ["QuerySession", "SimulationConfig", "SimulationEngine"]
 
 
 class _SharedProbeStream:
-    """Memoized (region, page_ids) list over one target's region iterator.
+    """Memoized per-region page lists of one target's probe boxes.
 
     Plan execution consumes one incremental region at a time (budget
     spending decides when to stop), but the regions themselves do not
-    depend on probe results -- so the stream pulls them from the
-    iterator a chunk ahead and answers all of the chunk's page lookups
-    in one vectorized
+    depend on probe results -- so the stream resolves them a chunk
+    ahead, answering all of the chunk's page lookups in one vectorized
     :meth:`~repro.index.base.SpatialIndex.pages_for_regions` pass.
-    Per-region results are identical to one-at-a-time calls; a partially
-    consumed chunk merely wasted some (cheap, vectorized) lookahead.
+    ``regions`` is anything that method takes and that slices: a
+    target's explicit ``AABB`` tuple, or the packed ``(n, 2, 3)``
+    corners of an incremental schedule (no ``AABB`` is ever built for
+    those).  Per-region results are identical to one-at-a-time calls; a
+    partially consumed chunk merely wasted some (cheap, vectorized)
+    lookahead.
 
     Plan-sharing groups (see :mod:`repro.sim.serve`) execute the *same*
     plan against different per-client budgets and cache states: each
@@ -71,19 +72,16 @@ class _SharedProbeStream:
 
     def __init__(self, index, regions, chunk: int = 8) -> None:
         self._index = index
-        self._regions = iter(regions)
+        self._regions = regions
         self._chunk = max(1, int(chunk))
         self._resolved: list = []
-        self._exhausted = False
 
     def get(self, position: int):
-        """The (region, page_ids) pair at ``position``, or ``None`` past the end."""
-        while not self._exhausted and position >= len(self._resolved):
-            batch = list(islice(self._regions, self._chunk))
-            if not batch:
-                self._exhausted = True
-                break
-            self._resolved.extend(zip(batch, self._index.pages_for_regions(batch)))
+        """The page ids of the region at ``position``, or ``None`` past the end."""
+        while position >= len(self._resolved) and len(self._resolved) < len(self._regions):
+            start = len(self._resolved)
+            batch = self._regions[start : start + self._chunk]
+            self._resolved.extend(self._index.pages_for_regions(batch))
         if position < len(self._resolved):
             return self._resolved[position]
         return None
@@ -219,25 +217,42 @@ class SimulationEngine:
 
     # -- incremental prefetch expansion (§5.1) ------------------------------------------
 
-    def _incremental_regions(self, target: PrefetchTarget, side: float):
-        """Yield the growing, advancing prefetch regions of one target."""
-        if target.regions is not None:
-            yield from target.regions
-            return
+    def _step_schedule(self, side: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, half_sides)`` of the incremental steps for one plan.
+
+        Step ``k`` probes a cube of half-side ``half_sides[k]`` centred
+        ``offsets[k]`` along the target's axis: sides start small near
+        the exit and grow by ``incremental_growth`` up to the cap, each
+        step advancing by a fraction of the current side.  The schedule
+        depends only on the query side and the config, never on the
+        target.
+        """
         cfg = self.config
         region_side = side * cfg.incremental_start_fraction
         max_side = side * cfg.incremental_max_fraction
         advanced = 0.0
-        direction = target.direction
-        has_direction = bool(np.linalg.norm(direction) > 0)
+        offsets, half_sides = [], []
         for _ in range(cfg.incremental_max_steps):
-            if has_direction:
-                center = target.anchor + direction * (advanced + region_side / 2.0)
-            else:
-                center = target.anchor
-            yield AABB.from_center_extent(center, region_side)
+            offsets.append(advanced + region_side / 2.0)
+            half_sides.append(region_side / 2.0)
             advanced += region_side * cfg.incremental_advance_fraction
             region_side = min(region_side * cfg.incremental_growth, max_side)
+        return np.array(offsets), np.array(half_sides)
+
+    def _incremental_boxes(
+        self, target: PrefetchTarget, offsets: np.ndarray, half_sides: np.ndarray
+    ) -> np.ndarray:
+        """Packed ``(n, 2, 3)`` lo/hi corners of one target's growing regions.
+
+        Row ``k`` is the box ``AABB.from_center_extent`` would build at
+        ``anchor + direction * offsets[k]`` with side ``2 *
+        half_sides[k]`` -- the same floating-point operations, over the
+        whole schedule at once.  A target without direction expands in
+        place.
+        """
+        centers = target.anchor + target.direction * offsets[:, None]
+        half = half_sides[:, None]
+        return np.stack((centers - half, centers + half), axis=1)
 
     # -- one sequence ---------------------------------------------------------------------
 
@@ -250,12 +265,20 @@ class SimulationEngine:
         return QuerySession(self, sequence, prefetcher).run()
 
     def _probe_streams(self, targets: list[PrefetchTarget], query) -> list[_SharedProbeStream]:
-        """One probe stream per target over its incremental regions."""
-        side = float(np.cbrt(max(query.bounds.volume, 1e-30)))
-        return [
-            _SharedProbeStream(self.index, self._incremental_regions(t, side))
-            for t in targets
-        ]
+        """One probe stream per target: its explicit regions, or its
+        incremental boxes on the plan's step schedule (computed once,
+        and only for a plan that has an incremental target)."""
+        schedule = None
+        streams = []
+        for target in targets:
+            regions = target.regions
+            if regions is None:
+                if schedule is None:
+                    side = float(np.cbrt(max(query.bounds.volume, 1e-30)))
+                    schedule = self._step_schedule(side)
+                regions = self._incremental_boxes(target, *schedule)
+            streams.append(_SharedProbeStream(self.index, regions))
+        return streams
 
     def _execute_plan(
         self,
@@ -319,12 +342,11 @@ class SimulationEngine:
                 allotment = pass_budget * (state["share"] / total_share) + carry
                 spent = 0.0
                 while spent < allotment and remaining > 0:
-                    probe = state["probes"].next()
-                    if probe is None:
+                    probe_pages = state["probes"].next()
+                    if probe_pages is None:
                         state["done"] = True
                         break
                     advanced = True
-                    _, probe_pages = probe
                     batch = cache.missing_many(probe_pages)
                     if not batch:
                         continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csr_expand", "row_norms", "slice_of"]
+__all__ = ["csr_expand", "row_dots", "row_norms", "slice_of"]
 
 
 def slice_of(key, n_slices: int):
@@ -54,6 +54,16 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
 
 
+def row_dots(vectors: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``row @ vector`` per row, bit-identical to the 1-D ``@`` of each row.
+
+    Same batched-matmul routing as :func:`row_norms` (a plain
+    ``vectors @ vector`` goes through gemv and can differ in the last
+    bit); ``tests/test_prediction_path_equivalence.py`` pins it.
+    """
+    return np.matmul(vectors[..., None, :], vector[:, None])[..., 0, 0]
+
+
 def csr_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat indices for variable-length runs ``[starts, starts+counts)``.
 
@@ -66,8 +76,7 @@ def csr_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Offset of each output element within its run: a global ramp minus
-    # the (repeated) number of elements emitted before the run started.
+    # A global ramp, shifted per run from "elements emitted before the
+    # run started" to the run's start offset.
     before = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(before, counts)
-    return np.repeat(starts, counts) + within
+    return np.repeat(starts - before, counts) + np.arange(total, dtype=np.int64)

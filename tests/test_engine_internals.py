@@ -44,40 +44,72 @@ def sequence(tissue, rng):
 
 
 class TestIncrementalRegions:
-    def make_target(self, direction=(1.0, 0, 0)):
-        return PrefetchTarget(anchor=np.zeros(3), direction=np.array(direction))
+    def make_target(self, direction=(1.0, 0, 0), anchor=(0.0, 0, 0)):
+        return PrefetchTarget(anchor=np.array(anchor), direction=np.array(direction))
+
+    def boxes(self, engine, target, side=10.0):
+        return engine._incremental_boxes(target, *engine._step_schedule(side))
 
     def test_regions_grow_up_to_cap(self, engine):
         side = 10.0
-        regions = list(engine._incremental_regions(self.make_target(), side))
         cfg = engine.config
-        assert len(regions) == cfg.incremental_max_steps
-        sides = [r.extent[0] for r in regions]
+        offsets, half_sides = engine._step_schedule(side)
+        assert len(offsets) == len(half_sides) == cfg.incremental_max_steps
+        sides = 2.0 * half_sides
+        cap = side * cfg.incremental_max_fraction
         assert sides[0] == pytest.approx(side * cfg.incremental_start_fraction)
-        assert all(b >= a - 1e-9 for a, b in zip(sides, sides[1:]))
-        assert max(sides) <= side * cfg.incremental_max_fraction + 1e-9
+        for before, after in zip(sides, sides[1:]):
+            assert after == pytest.approx(min(before * cfg.incremental_growth, cap))
+        assert sides[-1] == pytest.approx(cap)
+        # Each step advances by a fraction of the side it just probed.
+        starts = offsets - half_sides
+        assert starts[0] == 0.0
+        assert np.diff(starts) == pytest.approx(sides[:-1] * cfg.incremental_advance_fraction)
 
     def test_regions_advance_along_direction(self, engine):
-        regions = list(engine._incremental_regions(self.make_target(), 10.0))
-        xs = [r.center[0] for r in regions]
-        assert xs == sorted(xs)
-        assert xs[-1] > xs[0]
+        target = self.make_target(direction=(0.0, 3.0, 4.0), anchor=(1.0, 2.0, 3.0))
+        boxes = self.boxes(engine, target)
+        offsets, half_sides = engine._step_schedule(10.0)
+        centres = (boxes[:, 0] + boxes[:, 1]) / 2.0
+        assert centres == pytest.approx(target.anchor + offsets[:, None] * [0.0, 0.6, 0.8])
+        assert boxes[:, 1] - boxes[:, 0] == pytest.approx(
+            np.repeat(2.0 * half_sides[:, None], 3, axis=1)
+        )
+        assert np.all(np.diff(centres @ target.direction) > 0)
+
+    def test_boxes_are_the_per_step_aabbs(self, engine):
+        """Row k holds the very bits ``AABB.from_center_extent`` builds at step k."""
+        target = self.make_target(direction=(0.3, -2.0, 0.7), anchor=(17.25, -3.5, 8.125))
+        side = 23.7
+        offsets, half_sides = engine._step_schedule(side)
+        boxes = engine._incremental_boxes(target, offsets, half_sides)
+        for k, (offset, half) in enumerate(zip(offsets.tolist(), half_sides.tolist())):
+            box = AABB.from_center_extent(target.anchor + target.direction * offset, 2.0 * half)
+            assert np.array_equal(boxes[k, 0], box.lo) and np.array_equal(boxes[k, 1], box.hi)
 
     def test_first_region_touches_anchor(self, engine):
-        regions = list(engine._incremental_regions(self.make_target(), 10.0))
-        assert regions[0].contains_point(np.zeros(3))
+        target = self.make_target(anchor=(4.0, 5.0, 6.0))
+        boxes = self.boxes(engine, target)
+        assert AABB(boxes[0, 0], boxes[0, 1]).contains_point(target.anchor)
 
     def test_zero_direction_expands_in_place(self, engine):
         target = PrefetchTarget(anchor=np.ones(3), direction=np.zeros(3))
-        regions = list(engine._incremental_regions(target, 10.0))
-        for region in regions:
-            assert np.allclose(region.center, 1.0)
+        boxes = self.boxes(engine, target)
+        assert np.array_equal((boxes[:, 0] + boxes[:, 1]) / 2.0, np.ones((len(boxes), 3)))
+        assert np.all(np.diff(boxes[:, 1, 0] - boxes[:, 0, 0]) >= 0)
 
-    def test_explicit_regions_passthrough(self, engine):
+    def test_explicit_regions_passthrough(self, engine, sequence):
         boxes = (AABB([0, 0, 0], [1, 1, 1]), AABB([5, 5, 5], [6, 6, 6]))
-        target = PrefetchTarget(anchor=np.zeros(3), direction=np.zeros(3), regions=boxes)
-        regions = list(engine._incremental_regions(target, 10.0))
-        assert regions == list(boxes)
+        explicit = PrefetchTarget(anchor=np.zeros(3), direction=np.zeros(3), regions=boxes)
+        incremental = self.make_target()
+        query = sequence.queries[0]
+        streams = engine._probe_streams([explicit, incremental], query)
+        assert streams[0]._regions is boxes
+        assert streams[1]._regions.shape == (engine.config.incremental_max_steps, 2, 3)
+        # The explicit stream resolves exactly its two boxes, in order.
+        for position, box in enumerate(boxes):
+            assert np.array_equal(streams[0].get(position), engine.index.pages_for_region(box))
+        assert streams[0].get(len(boxes)) is None
 
 
 class TestBudgetAccounting:

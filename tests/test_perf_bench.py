@@ -165,6 +165,32 @@ class TestReportAndBudget:
         failures = check_budget(report, path)
         assert failures and "serving_daemon_qps" in failures[0]
 
+    def test_prediction_floor_gates_on_queries_per_second(self, tmp_path):
+        report = self.make_report(50_000.0, 9_000.0)
+        report.results["prediction"] = {"observe_plan_ms_per_query": 2.0}  # 500 q/s
+        path = tmp_path / "budget.json"
+        path.write_text(
+            json.dumps({"tolerance": 0.3, "floors": {"prediction_observe_plan_qps": 300}})
+        )
+        assert check_budget(report, path) == []
+        # Slower per query means fewer per second: 5 ms is 200 < 300 * 0.7.
+        report.results["prediction"]["observe_plan_ms_per_query"] = 5.0
+        failures = check_budget(report, path)
+        assert failures and "prediction_observe_plan_qps" in failures[0]
+        # A report without the suite measures nothing, which is below any floor.
+        del report.results["prediction"]
+        assert check_budget(report, path)
+
+    def test_fig13a_floor_gates_on_sweep_speedup(self, tmp_path):
+        report = self.make_report(50_000.0, 9_000.0)
+        report.results["fig13a"] = {"sweep_speedup": 4.1}
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps({"tolerance": 0.3, "floors": {"fig13a_sweep_speedup": 3.0}}))
+        assert check_budget(report, path) == []
+        report.results["fig13a"]["sweep_speedup"] = 1.9
+        failures = check_budget(report, path)
+        assert failures and "fig13a_sweep_speedup" in failures[0]
+
     def test_checked_in_budget_is_loadable(self):
         from pathlib import Path
 
@@ -183,6 +209,8 @@ class TestReportAndBudget:
             "storage_tiers_overhead",
             "sharded_routing_overhead",
             "sharded_hot_qps",
+            "prediction_observe_plan_qps",
+            "fig13a_sweep_speedup",
         }
         assert 0.0 < budget["tolerance"] < 1.0
         for ratio_gate in (
