@@ -73,14 +73,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.quickstart import quick_experiment
+from repro.quickstart import PREFETCHER_NAMES, quick_experiment
 from repro.storage.sharded import PARTITIONS
 from repro.storage.tiered import MISS_PATHS, STORAGE_BACKENDS
 from repro.workload import MICROBENCHMARKS
 
 __all__ = ["main"]
-
-_PREFETCHERS = ["scout", "scout-opt", "ewma", "straight-line", "hilbert", "none"]
 
 
 def _build_run_parser() -> argparse.ArgumentParser:
@@ -88,7 +86,7 @@ def _build_run_parser() -> argparse.ArgumentParser:
         prog="scout-repro",
         description="Run a SCOUT-reproduction experiment cell on synthetic neuron tissue.",
     )
-    parser.add_argument("--prefetcher", choices=_PREFETCHERS, default="scout")
+    parser.add_argument("--prefetcher", choices=PREFETCHER_NAMES, default="scout")
     parser.add_argument(
         "--benchmark",
         choices=sorted(MICROBENCHMARKS),
@@ -547,7 +545,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8641, help="TCP port (0 picks an ephemeral port)"
     )
     parser.add_argument("--neurons", type=int, default=16, help="tissue size in neurons")
-    parser.add_argument("--prefetcher", choices=_PREFETCHERS, default="ewma")
+    parser.add_argument("--prefetcher", choices=PREFETCHER_NAMES, default="ewma")
     parser.add_argument(
         "--pool",
         type=int,
@@ -630,8 +628,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="cache shard count: 0 keeps the single unsharded cache, "
-        "K >= 1 routes every touch through a partitioned cache of K "
+        help="cache shard count: 0 or 1 keeps the single unsharded cache, "
+        "K > 1 routes every touch through a partitioned cache of K "
         "shards (DESIGN.md §10)",
     )
     parser.add_argument(

@@ -2,7 +2,7 @@
 
 Times the system's hot paths and writes one ``BENCH_<rev>.json`` per
 git revision, so the repository accumulates a measured performance
-trajectory alongside its correctness tests.  Nine suites:
+trajectory alongside its correctness tests.  Seven suites:
 
 * **index_build** -- bulk-load time of the three index types, plus the
   scalar-path FLAT build (whose adjacency preprocessing runs the
@@ -22,25 +22,11 @@ trajectory alongside its correctness tests.  Nine suites:
   stepped once by the reference round-robin scheduler and once by the
   vectorized lockstep scheduler, with both full serve reports required
   to be bit-identical before any timing counts;
-* **fault_layer** -- the fault-injection wrapper's no-op cost: the
-  serving fleet on a bare disk vs a disabled
-  :class:`~repro.storage.faults.FaultPlan`, reports required identical,
-  throughput ratio gated by the ``fault_layer_overhead`` budget floor;
-* **storage_tiers** -- the tiered-storage wrapper's pass-through cost:
-  the serving fleet on a bare disk vs a disabled
-  :class:`~repro.storage.tiered.TieredStore`, reports required
-  identical, throughput ratio gated by the ``storage_tiers_overhead``
-  budget floor (an active combined-miss-path tier is timed for the
-  record);
-* **sharded_serving** -- the sharded cache's pass-through cost (a
-  one-shard :class:`~repro.storage.sharded.ShardSpec` vs the bare
-  shared cache, reports required *fully* bit-identical, throughput
-  ratio gated by the ``sharded_routing_overhead`` budget floor) and
-  the hot-shard scale-out gain (a thrashing Zipf fleet resharded to
-  K = 8 with rebalancing must beat the single cache on simulated
-  throughput, gated by the ``sharded_hot_qps`` budget floor); the
-  suite pins its own workload size so both gates hold at every bench
-  scale;
+* **sharded_serving** -- the hot-shard scale-out gain: a thrashing
+  Zipf fleet resharded to K = 8 with rebalancing must beat the single
+  cache on simulated throughput, gated by the ``sharded_hot_qps``
+  budget floor; the suite pins its own workload size so the gate holds
+  at every bench scale;
 * **serving_daemon** -- end-to-end throughput of the real asyncio
   serving surface (:mod:`repro.serve`): an in-process daemon on an
   ephemeral port driven by the seeded open-loop load generator at a
@@ -82,7 +68,6 @@ from repro.index.scalar_ref import ScalarFlatIndex
 from repro.sim import run_experiment
 from repro.sim.engine import SimulationConfig
 from repro.sim.serve import ServingSimulator
-from repro.storage.faults import FaultPlan
 from repro.workload.multiclient import multiclient_sessions
 from repro.workload.sequence import generate_sequences
 
@@ -348,204 +333,33 @@ def bench_serving(dataset, index, n_clients: int, n_queries: int, repeats: int) 
     }
 
 
-def bench_fault_overhead(
-    dataset, index, n_clients: int, n_queries: int, repeats: int
-) -> dict[str, Any]:
-    """Cost of the fault-injection layer when every fault rate is zero.
-
-    Runs the serving fleet twice under the lockstep scheduler: once on
-    the bare :class:`~repro.storage.disk.DiskModel` and once wrapped in
-    a :class:`~repro.storage.faults.FaultyDiskModel` compiled from a
-    no-op :class:`~repro.storage.faults.FaultPlan`.  Plan sharing is
-    off on both sides (a fault plan disables it, so the bare baseline
-    must match), which isolates the wrapper's per-read dispatch cost.
-    Both reports must be bit-identical apart from the ``faults_active``
-    flag before any timing counts; ``overhead_ratio`` is the faulty
-    side's throughput as a fraction of the plain side's (1.0 = free),
-    gated by the ``fault_layer_overhead`` budget floor.
-    """
-    clients = multiclient_sessions(
-        dataset,
-        n_clients=n_clients,
-        seed=21,
-        n_queries=n_queries,
-        volume=30_000.0,
-        mode="hotspot",
-        stagger=0,
-        hot_pool=8,
-    )
-    plain_sim = ServingSimulator(index)
-    faulty_sim = ServingSimulator(index, SimulationConfig(faults=FaultPlan()))
-
-    def fleet():
-        return [EWMAPrefetcher(lam=0.3) for _ in clients]
-
-    def run_plain():
-        return plain_sim.run(clients, fleet(), lockstep=True, share_plans=False)
-
-    def run_faulty():
-        return faulty_sim.run(clients, fleet(), lockstep=True)
-
-    plain_report = asdict(run_plain())
-    faulty_report = asdict(run_faulty())
-    plain_report.pop("faults_active")
-    faulty_report.pop("faults_active")
-    if plain_report != faulty_report:
-        raise AssertionError("no-op fault plan changed the serve report")
-
-    plain_s = _best_of(run_plain, repeats)
-    faulty_s = _best_of(run_faulty, repeats)
-    n_total = n_clients * n_queries
-    return {
-        "n_clients": n_clients,
-        "n_queries_per_client": n_queries,
-        "plain_seconds": plain_s,
-        "faulty_seconds": faulty_s,
-        "plain_qps": n_total / plain_s,
-        "faulty_qps": n_total / faulty_s,
-        "overhead_ratio": plain_s / faulty_s,
-        "reports_bit_identical": True,
-    }
-
-
-def bench_storage_tiers(
-    dataset, index, n_clients: int, n_queries: int, repeats: int
-) -> dict[str, Any]:
-    """Cost of the tiered-storage layer when tiering is disabled.
-
-    Runs the serving fleet twice under the lockstep scheduler: once on
-    the bare :class:`~repro.storage.disk.DiskModel` and once behind a
-    :class:`~repro.storage.tiered.TieredStore` built from the default
-    :class:`~repro.storage.tiered.StorageSpec` (no tier, no miss path)
-    -- the pass-through configuration DESIGN.md §9 requires to be
-    bit-identical to the bare disk.  Both reports must match apart from
-    the ``tiers_active`` flag before any timing counts;
-    ``overhead_ratio`` is the tiered side's throughput as a fraction of
-    the plain side's (1.0 = free), gated by the
-    ``storage_tiers_overhead`` budget floor.  An active configuration
-    (combined miss path over a small tier) is also timed for the
-    record, but not gated: its work depends on the workload's reuse.
-    """
-    from repro.storage.tiered import StorageSpec
-
-    clients = multiclient_sessions(
-        dataset,
-        n_clients=n_clients,
-        seed=21,
-        n_queries=n_queries,
-        volume=30_000.0,
-        mode="hotspot",
-        stagger=0,
-        hot_pool=8,
-    )
-    plain_sim = ServingSimulator(index)
-    tiered_sim = ServingSimulator(index, SimulationConfig(storage=StorageSpec()))
-    active_sim = ServingSimulator(
-        index,
-        SimulationConfig(storage=StorageSpec(miss_path="combined", tier_pages=32)),
-    )
-
-    def fleet():
-        return [EWMAPrefetcher(lam=0.3) for _ in clients]
-
-    def run_plain():
-        return plain_sim.run(clients, fleet(), lockstep=True)
-
-    def run_tiered():
-        return tiered_sim.run(clients, fleet(), lockstep=True)
-
-    def run_active():
-        return active_sim.run(clients, fleet(), lockstep=True)
-
-    plain_report = asdict(run_plain())
-    tiered_report = asdict(run_tiered())
-    plain_report.pop("tiers_active")
-    tiered_report.pop("tiers_active")
-    if plain_report != tiered_report:
-        raise AssertionError("disabled storage tier changed the serve report")
-
-    plain_s = _best_of(run_plain, repeats)
-    tiered_s = _best_of(run_tiered, repeats)
-    active_s = _best_of(run_active, repeats)
-    n_total = n_clients * n_queries
-    return {
-        "n_clients": n_clients,
-        "n_queries_per_client": n_queries,
-        "plain_seconds": plain_s,
-        "tiered_seconds": tiered_s,
-        "active_seconds": active_s,
-        "plain_qps": n_total / plain_s,
-        "tiered_qps": n_total / tiered_s,
-        "active_qps": n_total / active_s,
-        "overhead_ratio": plain_s / tiered_s,
-        "reports_bit_identical": True,
-    }
-
-
 def bench_sharded_serving(repeats: int) -> dict[str, Any]:
-    """Pass-through routing overhead and the hot-shard scale-out gain.
+    """The hot-shard scale-out gain of the sharded cache.
 
     Unlike the other serving suites this one builds its own fixed
     workload (16 neurons, 64 clients, 8 queries) in both quick and full
-    modes: both gated quantities -- the pass-through ratio and the hot
-    fleet's simulated q/s -- are meant to be invariants of the
-    *mechanism*, and pinning the workload keeps their budget floors
-    valid at every bench scale.
+    modes: the gated quantity -- the hot fleet's simulated q/s -- is
+    meant to be an invariant of the *mechanism*, and pinning the
+    workload keeps its budget floor valid at every bench scale.
 
-    Two measurements over the lockstep scheduler.  **Pass-through**
-    (gated by the ``sharded_routing_overhead`` budget floor): the
-    hotspot fleet runs on the bare shared cache and behind
-    ``ShardSpec(n_shards=1)``.  A one-shard spec delegates every
-    operation and leaves ``shards_active`` off, so the two serve
-    reports must be *fully* bit-identical -- no flag popping -- before
-    any timing counts; ``overhead_ratio`` is the sharded side's
-    throughput as a fraction of the plain side's (1.0 = free).
-
-    **Hot scale-out** (gated by the ``sharded_hot_qps`` budget floor): a
-    Zipf-hot fleet over a deliberately tiny single cache thrashes --
+    A Zipf-hot fleet over a deliberately tiny single cache thrashes --
     most touches miss and pay demand reads -- then re-runs over K = 8
     Hilbert shards with the same capacity *per shard* and rebalancing
     on: the scale-out story, where each shard is a node bringing its own
     memory arm.  The gain is measured where the simulation accounts
     I/O: queries per *simulated* response second, a deterministic
     quantity for a fixed workload, so the sharded fleet beating the
-    single cache is asserted outright before the numbers count.
-    Wall-clock seconds for both hot runs are recorded for the record
-    but not gated -- python-level routing overhead against simulated
-    I/O saved is not a machine-invariant ratio.
+    single cache is asserted outright before the numbers count (gated
+    by the ``sharded_hot_qps`` budget floor).  Wall-clock seconds for
+    both runs are recorded for the record but not gated -- python-level
+    routing overhead against simulated I/O saved is not a
+    machine-invariant ratio.
     """
     from repro.storage.sharded import ShardSpec
 
     n_clients, n_queries = 64, 8
     dataset = make_neuron_tissue(n_neurons=16, seed=7)
     index = FlatIndex(dataset, fanout=16)
-    clients = multiclient_sessions(
-        dataset,
-        n_clients=n_clients,
-        seed=21,
-        n_queries=n_queries,
-        volume=30_000.0,
-        mode="hotspot",
-        stagger=0,
-        hot_pool=8,
-    )
-    plain_sim = ServingSimulator(index)
-    one_sim = ServingSimulator(index, SimulationConfig(shards=ShardSpec(n_shards=1)))
-
-    def fleet(workload):
-        return [EWMAPrefetcher(lam=0.3) for _ in workload]
-
-    def run_plain():
-        return plain_sim.run(clients, fleet(clients), lockstep=True)
-
-    def run_one():
-        return one_sim.run(clients, fleet(clients), lockstep=True)
-
-    if asdict(run_plain()) != asdict(run_one()):
-        raise AssertionError("one-shard spec changed the serve report")
-
-    plain_s = _best_of(run_plain, repeats)
-    one_s = _best_of(run_one, repeats)
 
     hot_capacity = 64
     hot_clients = multiclient_sessions(
@@ -558,6 +372,10 @@ def bench_sharded_serving(repeats: int) -> dict[str, Any]:
         stagger=0,
         hot_pool=8,
     )
+
+    def fleet():
+        return [EWMAPrefetcher(lam=0.3) for _ in hot_clients]
+
     single_sim = ServingSimulator(
         index, SimulationConfig(cache_capacity_pages=hot_capacity)
     )
@@ -572,10 +390,10 @@ def bench_sharded_serving(repeats: int) -> dict[str, Any]:
     )
 
     def run_single():
-        return single_sim.run(hot_clients, fleet(hot_clients), lockstep=True)
+        return single_sim.run(hot_clients, fleet(), lockstep=True)
 
     def run_sharded():
-        return sharded_sim.run(hot_clients, fleet(hot_clients), lockstep=True)
+        return sharded_sim.run(hot_clients, fleet(), lockstep=True)
 
     single_report = run_single()
     sharded_report = run_sharded()
@@ -594,12 +412,6 @@ def bench_sharded_serving(repeats: int) -> dict[str, Any]:
     return {
         "n_clients": n_clients,
         "n_queries_per_client": n_queries,
-        "plain_seconds": plain_s,
-        "one_shard_seconds": one_s,
-        "plain_qps": n_total / plain_s,
-        "one_shard_qps": n_total / one_s,
-        "overhead_ratio": plain_s / one_s,
-        "reports_bit_identical": True,
         "hot_capacity_pages": hot_capacity,
         "hot_n_shards": 8,
         "hot_rebalances": sharded_report.shard_rebalances,
@@ -701,12 +513,6 @@ def run_bench(quick: bool = False, rev: str | None = None) -> BenchReport:
     report.results["serving"] = bench_serving(
         dataset, index, n_serve_clients, n_queries=8, repeats=repeats
     )
-    report.results["fault_layer"] = bench_fault_overhead(
-        dataset, index, n_serve_clients, n_queries=8, repeats=repeats
-    )
-    report.results["storage_tiers"] = bench_storage_tiers(
-        dataset, index, n_serve_clients, n_queries=8, repeats=repeats
-    )
     report.results["sharded_serving"] = bench_sharded_serving(repeats=repeats)
     report.results["serving_daemon"] = bench_serving_daemon(
         n_requests=400 if quick else 1500, n_neurons=8 if quick else 16
@@ -726,8 +532,6 @@ def check_budget(report: BenchReport, budget_path: str | Path) -> list[str]:
     tolerance = float(budget.get("tolerance", 0.30))
     region = report.results.get("region_query", {})
     serving = report.results.get("serving", {})
-    fault_layer = report.results.get("fault_layer", {})
-    storage_tiers = report.results.get("storage_tiers", {})
     sharded = report.results.get("sharded_serving", {})
     daemon = report.results.get("serving_daemon", {})
     # Floors are "higher is better", so the prediction path's
@@ -744,9 +548,6 @@ def check_budget(report: BenchReport, budget_path: str | Path) -> list[str]:
         "region_query_single_qps": region.get("vector_single_qps", 0.0),
         "serving_lockstep_speedup": serving.get("lockstep_speedup", 0.0),
         "serving_lockstep_qps": serving.get("lockstep_qps", 0.0),
-        "fault_layer_overhead": fault_layer.get("overhead_ratio", 0.0),
-        "storage_tiers_overhead": storage_tiers.get("overhead_ratio", 0.0),
-        "sharded_routing_overhead": sharded.get("overhead_ratio", 0.0),
         "sharded_hot_qps": sharded.get("hot_sharded_sim_qps", 0.0),
         "serving_daemon_qps": daemon.get("achieved_qps", 0.0),
         "prediction_observe_plan_qps": 1e3 / observe_plan_ms if observe_plan_ms else 0.0,
@@ -756,8 +557,8 @@ def check_budget(report: BenchReport, budget_path: str | Path) -> list[str]:
     for name, floor in budget.get("floors", {}).items():
         # A floor is a bare number (gated with the global tolerance) or
         # a {"floor": x, "tolerance": y} object for gates that need a
-        # tighter band than the global one -- the fault-layer overhead
-        # ratio is ~1.0, so a 30 % band would never fire.
+        # tighter band than the global one -- sharded_hot_qps is a
+        # deterministic simulated quantity, so 30 % would hide a change.
         if isinstance(floor, dict):
             floor_value = float(floor["floor"])
             floor_tolerance = float(floor.get("tolerance", tolerance))
@@ -822,28 +623,10 @@ def render_report(report: BenchReport) -> str:
             f"round-robin {s['round_robin_qps']:,.0f} q/s  "
             f"({s['lockstep_speedup']:.1f}x, reports bit-identical)"
         )
-    if "fault_layer" in r:
-        fl = r["fault_layer"]
-        lines.append(
-            f"fault layer    : no-op plan {fl['faulty_qps']:,.0f} q/s  "
-            f"bare disk {fl['plain_qps']:,.0f} q/s  "
-            f"(overhead ratio {fl['overhead_ratio']:.3f}, reports bit-identical)"
-        )
-    if "storage_tiers" in r:
-        st = r["storage_tiers"]
-        lines.append(
-            f"storage tiers  : disabled {st['tiered_qps']:,.0f} q/s  "
-            f"bare disk {st['plain_qps']:,.0f} q/s  "
-            f"active {st['active_qps']:,.0f} q/s  "
-            f"(overhead ratio {st['overhead_ratio']:.3f}, reports bit-identical)"
-        )
     if "sharded_serving" in r:
         sh = r["sharded_serving"]
         lines.append(
-            f"sharded cache  : one-shard {sh['one_shard_qps']:,.0f} q/s  "
-            f"bare cache {sh['plain_qps']:,.0f} q/s  "
-            f"(overhead ratio {sh['overhead_ratio']:.3f}, reports bit-identical)  "
-            f"hot K=8 {sh['hot_sharded_sim_qps']:,.0f} sim-q/s vs "
+            f"sharded cache  : hot K=8 {sh['hot_sharded_sim_qps']:,.0f} sim-q/s vs "
             f"K=1 {sh['hot_single_sim_qps']:,.0f} "
             f"({sh['hot_sim_speedup']:.1f}x, {sh['hot_rebalances']} rebalances)"
         )

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
-from repro.baselines import (
-    EWMAPrefetcher,
-    HilbertPrefetcher,
-    NoPrefetcher,
-    StraightLinePrefetcher,
-)
-from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.datagen import make_neuron_tissue
 from repro.index import FlatIndex
-from repro.sim import ExperimentResult, run_experiment
+from repro.sim import ExperimentResult, PrefetcherSpec, run_experiment
 from repro.workload import microbenchmark
 
-__all__ = ["quick_experiment"]
+__all__ = ["PREFETCHER_NAMES", "default_prefetcher", "quick_experiment"]
+
+#: The prefetchers ``run`` and ``serve`` offer by name (their
+#: ``--prefetcher`` choices): a subset of the sweep runner's kinds, which
+#: keeps its test-only fault-injection kinds unreachable from the CLI.
+PREFETCHER_NAMES = ("scout", "scout-opt", "ewma", "straight-line", "hilbert", "none")
+
+
+def default_prefetcher(name: str) -> PrefetcherSpec:
+    """The named prefetcher with default parameters, as a runner spec."""
+    if name not in PREFETCHER_NAMES:
+        known = ", ".join(sorted(PREFETCHER_NAMES))
+        raise ValueError(f"unknown prefetcher {name!r}; known: {known}")
+    return PrefetcherSpec(name)
 
 
 def quick_experiment(
@@ -26,23 +32,11 @@ def quick_experiment(
 ) -> ExperimentResult:
     """Run one microbenchmark cell on a small synthetic tissue.
 
-    ``prefetcher`` is one of ``scout``, ``scout-opt``, ``ewma``,
-    ``straight-line``, ``hilbert``, ``none``.
+    ``prefetcher`` is one of :data:`PREFETCHER_NAMES`.
     """
+    prefetcher_spec = default_prefetcher(prefetcher)
     dataset = make_neuron_tissue(n_neurons=n_neurons, seed=seed)
     index = FlatIndex(dataset, fanout=16)
     spec = microbenchmark(benchmark)
     sequences = spec.generate(dataset, n_sequences=n_sequences, seed=seed)
-
-    factories = {
-        "scout": lambda: ScoutPrefetcher(dataset, ScoutConfig()),
-        "scout-opt": lambda: ScoutOptPrefetcher(dataset, index, ScoutConfig()),
-        "ewma": lambda: EWMAPrefetcher(lam=0.3),
-        "straight-line": StraightLinePrefetcher,
-        "hilbert": lambda: HilbertPrefetcher(dataset),
-        "none": NoPrefetcher,
-    }
-    if prefetcher not in factories:
-        known = ", ".join(sorted(factories))
-        raise ValueError(f"unknown prefetcher {prefetcher!r}; known: {known}")
-    return run_experiment(index, sequences, factories[prefetcher]())
+    return run_experiment(index, sequences, prefetcher_spec.build(dataset, index))

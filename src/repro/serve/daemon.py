@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.quickstart import default_prefetcher
 from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import ProtocolError, read_frame, write_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
@@ -54,8 +56,8 @@ class DaemonConfig:
     n_neurons: int = 16
     #: Root seed of the workload pool (and the fault plan, if any).
     seed: int = 21
-    #: Prefetcher every session runs (quickstart names: scout, scout-opt,
-    #: ewma, straight-line, hilbert, none).
+    #: Prefetcher every session runs, one of
+    #: :data:`repro.quickstart.PREFETCHER_NAMES`.
     prefetcher: str = "ewma"
     #: Distinct navigation walks in the session pool; connection ``i``
     #: replays walk ``i mod pool`` (hotspot mode Zipf-shares the pool).
@@ -86,36 +88,12 @@ class DaemonConfig:
     #: Page-file path for the ``mmap`` backend (``None``: a private temp
     #: file, removed at shutdown).
     pagefile: str | None = None
-    #: Cache shard count; 0 keeps the single unsharded cache, K >= 1
+    #: Cache shard count; 0 or 1 keeps the single unsharded cache, K > 1
     #: routes every touch through a :class:`~repro.storage.sharded.
     #: ShardedCache` over K shards (DESIGN.md §10).
     shards: int = 0
     #: Partition scheme for the sharded cache (``hilbert`` or ``hash``).
     partition: str = "hilbert"
-
-
-def _prefetcher_factory(name: str, dataset, index):
-    """Per-session prefetcher builder (the quickstart registry, bound)."""
-    from repro.baselines import (
-        EWMAPrefetcher,
-        HilbertPrefetcher,
-        NoPrefetcher,
-        StraightLinePrefetcher,
-    )
-    from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
-
-    factories = {
-        "scout": lambda: ScoutPrefetcher(dataset, ScoutConfig()),
-        "scout-opt": lambda: ScoutOptPrefetcher(dataset, index, ScoutConfig()),
-        "ewma": lambda: EWMAPrefetcher(lam=0.3),
-        "straight-line": StraightLinePrefetcher,
-        "hilbert": lambda: HilbertPrefetcher(dataset),
-        "none": NoPrefetcher,
-    }
-    if name not in factories:
-        known = ", ".join(sorted(factories))
-        raise ValueError(f"unknown prefetcher {name!r}; known: {known}")
-    return factories[name]
 
 
 class _Job:
@@ -197,8 +175,8 @@ class ServeDaemon:
             volume=config.query_volume,
             mode=config.mode,
         )
-        self._make_prefetcher = _prefetcher_factory(
-            config.prefetcher, self.dataset, self.index
+        self._make_prefetcher = functools.partial(
+            default_prefetcher(config.prefetcher).build, self.dataset, self.index
         )
 
         self.recorder = LatencyRecorder()
@@ -352,7 +330,7 @@ class ServeDaemon:
         return report
 
     def _shards_report(self) -> dict:
-        """The sharded-cache slice of the final report (``n_shards`` 0 = off)."""
+        """The sharded-cache slice of the final report (counters when K > 1)."""
         report: dict = {
             "n_shards": self.config.shards,
             "partition": self.config.partition,

@@ -162,23 +162,20 @@ class SimulationConfig:
     #: earlier in practice; this is a safety net).
     incremental_max_steps: int = 24
 
-    #: Fault-injection plan compiled into every disk this config builds
-    #: (``None`` keeps the bare, never-failing model).  A present plan
-    #: with all-zero rates exercises the fault layer's code path without
-    #: injecting anything -- bit-identical metrics, measurable overhead.
+    #: Fault-injection plan for every disk this config builds (``None``:
+    #: the never-failing model).  A plan whose rates are all zero cannot
+    #: inject anything, so no fault layer is built for it either
+    #: (DESIGN.md §6.3); reports still carry the (all-zero) fault counters.
     faults: FaultPlan | None = None
 
-    #: Tiered-storage spec wrapped around every disk this config builds
-    #: (``None`` keeps the bare model).  A present spec with tiering
-    #: disabled (no tier pages, ``miss_path="none"``) is a pure
-    #: pass-through -- bit-identical metrics, like an all-zero fault
-    #: plan (DESIGN.md §9).
+    #: Tiered-storage spec for every disk this config builds (``None``:
+    #: the bare model).  A ``ram`` spec with no tier pages and
+    #: ``miss_path="none"`` cannot change a read, so no store is built.
     storage: StorageSpec | None = None
 
-    #: Sharded-cache spec (``None`` keeps the single shared cache).  A
-    #: present spec with one shard compiles to a pass-through wrapper
-    #: that delegates op-by-op to the unsharded backend -- bit-identical
-    #: metrics, measurable routing overhead (DESIGN.md §10).
+    #: Sharded-cache spec (``None``: the single shared cache).  A
+    #: one-shard spec is that single cache, sized by its
+    #: ``shard_cache_pages`` when set.
     shards: ShardSpec | None = None
 
     def cache_capacity_for(self, index: SpatialIndex) -> int:
@@ -186,22 +183,32 @@ class SimulationConfig:
             return self.cache_capacity_pages
         return max(256, int(0.12 * index.n_pages))
 
+    # The one pass-through rule (DESIGN.md §6.3): a spec that cannot change
+    # behaviour builds nothing.  Reports keep reading the *config* for
+    # their gate flags, so an inert spec still echoes in stored records.
+
     def build_disk(self) -> DiskModel | FaultyDiskModel | TieredStore:
         """The disk this config prescribes: bare, fault-wrapped, tiered."""
-        if self.faults is None:
+        faults, storage = self.faults, self.storage
+        if faults is None or not faults.active:
             disk: DiskModel | FaultyDiskModel = DiskModel(self.disk)
         else:
-            disk = FaultyDiskModel(self.disk, self.faults)
-        if self.storage is None:
+            disk = FaultyDiskModel(self.disk, faults)
+        # An mmap store serves real bytes even with tiering off.
+        if storage is None or (not storage.tiering_active and storage.backend == "ram"):
             return disk
-        return make_storage(disk, self.storage)
+        return make_storage(disk, storage)
 
     def build_cache(self, index: SpatialIndex, backend: str = "dict"):
         """The prefetch cache this config prescribes: plain or sharded."""
         capacity = self.cache_capacity_for(index)
-        if self.shards is None:
-            return make_cache(backend, capacity)
-        return make_sharded_cache(self.shards, backend, capacity, index=index)
+        shards = self.shards
+        if shards is not None and shards.sharding_active:
+            return make_sharded_cache(shards, backend, capacity, index=index)
+        # One shard is the plain cache; a per-shard size is its size.
+        if shards is not None and shards.shard_cache_pages is not None:
+            capacity = shards.shard_cache_pages
+        return make_cache(backend, capacity)
 
 
 class SimulationEngine:

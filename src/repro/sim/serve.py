@@ -87,7 +87,6 @@ class ServingSimulator:
         prefetchers: Sequence[Prefetcher],
         *,
         lockstep: bool = False,
-        share_plans: bool | None = None,
     ) -> ServeReport:
         """Serve every client to completion; returns the pooled report.
 
@@ -100,11 +99,9 @@ class ServingSimulator:
         do, see :func:`repro.sim.runner.run_serving_cell`) and with it
         the shared cache implementation: the array cache under
         lockstep, the dict cache under the round-robin reference.  The
-        report is bit-identical either way.  ``share_plans`` controls
-        leader/follower plan sharing under lockstep: ``None`` enables it
-        automatically when every client runs the same position-only
-        prefetcher, ``False`` disables it, ``True`` insists on it
-        (raising if the prefetcher fleet cannot share soundly).
+        report is bit-identical either way.  Lockstep shares
+        leader/follower plans whenever that is sound: every client on
+        the same position-only prefetcher and no fault that can fire.
         """
         clients = list(clients)
         if not clients:
@@ -114,17 +111,10 @@ class ServingSimulator:
                 f"got {len(prefetchers)} prefetchers for {len(clients)} clients; "
                 "each client needs its own instance"
             )
-        # A configured fault plan disables leader/follower plan sharing:
-        # per-client breaker state diverges under failures, so a
-        # follower's observe/plan work is no longer a pure replay of its
-        # leader's.  Both schedulers still read from the shared faulty
-        # disk in exact client order, so their reports (and the fault
-        # RNG draw sequence) stay bit-identical.
+        # The report gates read the config, not the built objects: an
+        # inert spec builds no layer (``SimulationConfig.build_disk``)
+        # but still flags its counters into stored records.
         faulty = self.config.faults is not None
-        if faulty and share_plans:
-            raise ValueError("share_plans is unavailable under a fault plan")
-        if faulty:
-            share_plans = False
         # A storage tier never perturbs the pure observe/plan work (tier
         # state only decides which backing reads are charged), so plan
         # sharing stays available; the report just flags the tier so the
@@ -150,10 +140,8 @@ class ServingSimulator:
         ]
 
         if lockstep:
-            n_ticks = self._run_lockstep(clients, sessions, prefetchers, share_plans)
+            n_ticks = self._run_lockstep(clients, sessions, prefetchers)
         else:
-            if share_plans:
-                raise ValueError("share_plans requires the lockstep scheduler")
             n_ticks = self._run_round_robin(clients, sessions)
 
         return ServeReport(
@@ -200,7 +188,7 @@ class ServingSimulator:
             tick += 1
         return tick
 
-    def _run_lockstep(self, clients, sessions, prefetchers, share_plans) -> int:
+    def _run_lockstep(self, clients, sessions, prefetchers) -> int:
         """The vectorized plane: batch the tick's pure work, then step.
 
         Per tick: (1) resolve every active session's current query in
@@ -215,14 +203,14 @@ class ServingSimulator:
         the whole run and the record the leader's step fills *is* the
         follower's own computation.
         """
-        sharing = (
-            _plans_shareable(prefetchers) if share_plans in (None, True) else False
-        )
-        if share_plans is True and not sharing:
-            raise ValueError(
-                "share_plans=True needs every client on the same "
-                "position-only prefetcher configuration"
-            )
+        # A fault plan that can fire disables plan sharing: per-client
+        # breaker state diverges under failures, so a follower's
+        # observe/plan work is no longer a pure replay of its leader's.
+        # Both schedulers still read from the shared faulty disk in
+        # exact client order, so their reports (and the fault RNG draw
+        # sequence) stay bit-identical.
+        faults = self.config.faults
+        sharing = (faults is None or not faults.active) and _plans_shareable(prefetchers)
 
         # Static sharing groups: same sequence object + same start tick
         # (hotspot workloads share sequence objects across followers).

@@ -10,9 +10,11 @@ This module makes storage misbehaviour a *first-class, seeded input*:
 * :class:`FaultPlan` is a small picklable spec of four fault kinds --
   transient read errors, latency-spike episodes, torn/corrupt page
   payloads and stuck-disk intervals -- each with a rate, all drawing
-  from per-kind RNG streams derived from one seed.  A plan with every
-  rate at zero consumes **no** randomness and charges no time, so a
-  no-op plan is bit-identical to the bare disk.
+  from per-kind RNG streams derived from one seed.  A kind with rate
+  zero consumes **no** randomness and charges no time, so enabling one
+  kind never perturbs another's draws; a plan with every rate at zero
+  cannot inject at all, and ``SimulationConfig.build_disk`` builds the
+  bare disk for it.
 * :class:`FaultyDiskModel` compiles a plan into a wrapper that is
   interface-identical to :class:`DiskModel`.  Transient errors are
   retried with capped exponential backoff and deterministic jitter;

@@ -50,10 +50,11 @@ into :attr:`ShardedCache.hop_seconds` -- the coordinator pays one hop
 per extra shard contacted on the demand path.  ``QuerySession``
 attributes the delta per client, exactly like tier stalls.
 
-With ``K = 1`` every method delegates directly to the single inner
-cache -- op-by-op identical to the unsharded backend, no routing, no
-hops, no rebalancing -- preserving the repo's determinism contract and
-every golden fixture.
+``SimulationConfig.build_cache`` builds a :class:`ShardedCache` only
+for ``K > 1``; one shard *is* the plain cache.  Constructed directly
+with ``K = 1`` the class needs no special case: every page routes to
+shard 0 and every batch takes the single-shard delegation path, so it
+stays op-by-op identical to the unsharded backend.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_encode
-from repro.storage.cache import NO_OWNER, ArrayCache, PrefetchCache, make_cache
+from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
 from repro.util import slice_of
 
 __all__ = [
@@ -79,6 +80,11 @@ __all__ = [
 #: Registered partitioning schemes.
 PARTITIONS = ("hilbert", "hash")
 
+#: Answers to an empty batch (zero-size, so sharing them is safe); their
+#: dtypes are the dtypes of the per-page answers.
+_NO_FLAGS = np.zeros(0, dtype=bool)
+_NO_OWNERS = np.zeros(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -86,11 +92,10 @@ class ShardSpec:
 
     Frozen and hashable so it can ride inside frozen simulation configs
     and cell specs, like :class:`~repro.storage.tiered.StorageSpec`.
-    ``ShardSpec(n_shards=1)`` compiles to a pure pass-through wrapper,
-    op-by-op identical to the unsharded cache.
+    A config holding ``ShardSpec(n_shards=1)`` builds the plain cache.
     """
 
-    #: Number of cache shards (simulated nodes); 1 = pass-through.
+    #: Number of cache shards (simulated nodes); 1 = no sharding.
     n_shards: int = 1
     #: Partitioning scheme: one of :data:`PARTITIONS`.
     partition: str = "hilbert"
@@ -277,24 +282,6 @@ class ShardedCache:
         self.pages_moved = 0
         self._ewma = np.zeros(self._k, dtype=np.float64)
         self._batches = 0
-        if self._k == 1:
-            # Compile the pass-through: bind the single shard's bound
-            # methods onto the instance so every K = 1 operation costs
-            # one attribute lookup, nothing else (the routing guards in
-            # the class methods below never run).
-            inner = self._shards[0]
-            for name in (
-                "touch",
-                "insert",
-                "insert_many",
-                "discard",
-                "touch_many",
-                "contains_many",
-                "missing_many",
-                "owners_many",
-                "evicted_many",
-            ):
-                setattr(self, name, getattr(inner, name))
 
     # -- routing --------------------------------------------------------------
 
@@ -314,8 +301,6 @@ class ShardedCache:
 
     def route(self, page_id: int) -> int:
         """Owning shard of one page under the current partition."""
-        if self._k == 1:
-            return 0
         if self._splits is None:
             return int(slice_of(int(page_id), self._k))
         return int(
@@ -325,8 +310,6 @@ class ShardedCache:
     def route_many(self, page_ids) -> np.ndarray:
         """Owning shard of each page: ONE ``searchsorted`` per batch."""
         pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return np.zeros(pages.size, dtype=np.int64)
         if self._splits is None:
             return slice_of(pages, self._k)
         return np.searchsorted(self._splits, self._page_keys[pages], side="right")
@@ -406,19 +389,7 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        if self._k == 1:
-            self._shards[0].insert_many(page_ids, owner)
-            return
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if pages.size == 0:
-            return
-        routed = self.route_many(pages)
-        first = int(routed[0])
-        if np.all(routed == first):
-            self._shards[first].insert_many(pages, owner)
-            return
-        for shard_id in np.unique(routed):
-            self._shards[shard_id].insert_many(pages[routed == shard_id], owner)
+        self._fan_out("insert_many", page_ids, None, owner)
 
     def discard(self, page_id: int) -> bool:
         return self._shards[self.route(int(page_id))].discard(page_id)
@@ -448,8 +419,6 @@ class ShardedCache:
         every element been routed individually.
         """
         pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return self._shards[0].touch_many(pages)
         if pages.size == 0:
             return np.zeros(0, dtype=bool)
         routed = self.route_many(pages)
@@ -475,65 +444,53 @@ class ShardedCache:
             self._maybe_rebalance()
         return hit
 
-    def contains_many(self, page_ids) -> np.ndarray:
+    def _fan_out(self, op: str, page_ids, empty, *args, straddling=None):
+        """Run cache method ``op`` over a batch on the shards that own it.
+
+        Routes once.  A batch one shard owns whole -- the common case
+        under Hilbert locality -- delegates intact and that shard's
+        answer is returned as is.  Otherwise every owning shard gets its
+        pages in input order and the answers scatter back into input
+        order, into an array of ``empty``'s dtype (``empty`` is also the
+        answer for no pages; ``None``: the op answers nothing).
+        ``straddling(pages)`` replaces the scatter for an op whose
+        answer is not one value per page.
+        """
         pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return self._shards[0].contains_many(pages)
         if pages.size == 0:
-            return np.zeros(0, dtype=bool)
+            return empty
         routed = self.route_many(pages)
         first = int(routed[0])
         if np.all(routed == first):
-            return self._shards[first].contains_many(pages)
-        out = np.zeros(pages.size, dtype=bool)
+            return getattr(self._shards[first], op)(pages, *args)
+        if straddling is not None:
+            return straddling(pages)
+        out = None if empty is None else np.empty(pages.size, dtype=empty.dtype)
         for shard_id in np.unique(routed):
             mask = routed == shard_id
-            out[mask] = self._shards[shard_id].contains_many(pages[mask])
+            answer = getattr(self._shards[shard_id], op)(pages[mask], *args)
+            if out is not None:
+                out[mask] = answer
         return out
 
+    def contains_many(self, page_ids) -> np.ndarray:
+        return self._fan_out("contains_many", page_ids, _NO_FLAGS)
+
     def missing_many(self, page_ids) -> list[int]:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return self._shards[0].missing_many(pages)
-        if pages.size == 0:
-            return []
-        routed = self.route_many(pages)
-        first = int(routed[0])
-        if np.all(routed == first):
-            return self._shards[first].missing_many(pages)
+        # An order-preserving filter, not a value per page: a straddling
+        # batch asks where its pages are instead of scattering.
+        return self._fan_out(
+            "missing_many", page_ids, [], straddling=self._missing_across_shards
+        )
+
+    def _missing_across_shards(self, pages: np.ndarray) -> list[int]:
         return [int(p) for p in pages[~self.contains_many(pages)]]
 
     def owners_many(self, page_ids) -> np.ndarray:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return self._shards[0].owners_many(pages)
-        if pages.size == 0:
-            return np.full(0, NO_OWNER, dtype=np.int64)
-        routed = self.route_many(pages)
-        first = int(routed[0])
-        if np.all(routed == first):
-            return self._shards[first].owners_many(pages)
-        out = np.full(pages.shape, NO_OWNER, dtype=np.int64)
-        for shard_id in np.unique(routed):
-            mask = routed == shard_id
-            out[mask] = self._shards[shard_id].owners_many(pages[mask])
-        return out
+        return self._fan_out("owners_many", page_ids, _NO_OWNERS)
 
     def evicted_many(self, page_ids) -> np.ndarray:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if self._k == 1:
-            return self._shards[0].evicted_many(pages)
-        if pages.size == 0:
-            return np.zeros(0, dtype=bool)
-        routed = self.route_many(pages)
-        first = int(routed[0])
-        if np.all(routed == first):
-            return self._shards[first].evicted_many(pages)
-        out = np.zeros(pages.shape, dtype=bool)
-        for shard_id in np.unique(routed):
-            mask = routed == shard_id
-            out[mask] = self._shards[shard_id].evicted_many(pages[mask])
-        return out
+        return self._fan_out("evicted_many", page_ids, _NO_FLAGS)
 
     # -- rebalancing ----------------------------------------------------------
 

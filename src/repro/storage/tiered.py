@@ -33,14 +33,16 @@ the per-tier partition invariant holds on every fault-free run::
     requests == tier_hits + victim_hits + stream_hits + miss_hits
                 + backing_pages (+ failed_fills under faults)
 
-With the tier disabled (``tier_pages=0`` and ``miss_path="none"``) every
-call delegates verbatim to the inner model -- bit-identical times and
-:class:`~repro.storage.stats.IOStats`, preserving the repo's determinism
-contract and every golden fixture.  The ``mmap`` backend additionally
-serves *real bytes* from a :class:`~repro.storage.pagefile.PageFile`
+With the tier disabled (``tier_pages=0`` and ``miss_path="none"``) a
+``ram`` spec changes nothing, so ``SimulationConfig.build_disk`` builds
+no store for it; a store constructed anyway delegates every read to the
+inner model -- bit-identical times and
+:class:`~repro.storage.stats.IOStats`.  The ``mmap`` backend serves
+*real bytes* from a :class:`~repro.storage.pagefile.PageFile`
 (checksum-verified per slot; torn slots are repaired from the page
 table, never served) while simulated time still comes from the inner
-model, so a healthy page file is also metric-identical.
+model, so a healthy page file is also metric-identical -- which is why
+an ``mmap`` spec is built even with tiering off.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class StorageSpec:
 
     Frozen and hashable so it can ride inside frozen simulation configs
     and cell specs, like :class:`~repro.storage.faults.FaultPlan`.  The
-    default spec (``ram`` backend, no tier, no miss path) is a pure
-    pass-through, bit-identical to the bare disk model.
+    default spec (``ram`` backend, no tier, no miss path) cannot change a
+    read; a config holding it builds the bare disk model.
     """
 
     #: Where page bytes live: ``ram`` (the page table itself) or
@@ -281,18 +283,19 @@ class TieredStore:
 
         Each page resolves at exactly one layer (tier cache, victim
         buffer, stream buffer, miss cache, or the backing store), and
-        only the backing batch charges time.  With tiering disabled the
-        call is a verbatim delegation -- no extra float operations, no
-        randomness -- so the disabled store is bit-identical to the
-        inner model.
+        only the backing batch charges time.  With tiering disabled
+        (the ``mmap`` byte service alone) the inner model reads the
+        whole batch -- no extra float operations, no randomness -- so
+        simulated time is bit-identical to the inner model's.
         """
+        # Materialized once: ``page_ids`` may be a one-shot iterable.
+        pages = sorted(set(int(p) for p in page_ids))
         if not self._tiering:
-            elapsed = self._inner.read_pages(page_ids)
+            elapsed = self._inner.read_pages(pages)
             if self._pagefile is not None:
-                elapsed += self._serve_slots(sorted(set(int(p) for p in page_ids)))
+                elapsed += self._serve_slots(pages)
             return elapsed
 
-        pages = sorted(set(int(p) for p in page_ids))
         if not pages:
             return 0.0
         ts = self.tier_stats

@@ -697,8 +697,9 @@ def chaos_matrix(
 ) -> list:
     """The graceful-degradation grid: fault rate x prefetcher x breaker.
 
-    Every cell is a multi-client serving run whose shared disk is
-    wrapped in a :class:`~repro.storage.faults.FaultyDiskModel`: the
+    Every cell is a multi-client serving run under a
+    :class:`~repro.storage.faults.FaultPlan` (a non-zero rate wraps the
+    shared disk in a :class:`~repro.storage.faults.FaultyDiskModel`): the
     swept rate drives transient read errors, with torn-page corruption
     and latency spikes at half that rate, all drawn from seeded RNG
     streams so the grid is bit-identical across ``jobs=1``/``jobs=N``.
@@ -708,8 +709,8 @@ def chaos_matrix(
     as the disk degrades, and does breaking early beat retrying?
     Cells order breaker-major (then prefetcher, then rate) so each
     breaker setting renders as one table.  Rate 0.0 cells carry the
-    (inactive) fault plan too, pinning the wrapper's no-op overhead
-    into the same store.
+    (inactive) fault plan too: the healthy baseline of each table, run
+    on the bare disk with the fault counters (all zero) in its record.
     """
     fault_rates = [float(r) for r in rates]
     if not fault_rates or any(not 0.0 <= r <= 1.0 for r in fault_rates):
@@ -832,9 +833,8 @@ def tiers_matrix(
 
 # -- the sharded-cache serving grid -------------------------------------------------
 
-#: Shard counts of the shards sweep: the unsharded baseline (a K=1
-#: pass-through wrapper, bit-identical to no sharding) against a small
-#: multi-node layout.
+#: Shard counts of the shards sweep: the unsharded baseline (K=1 is
+#: the plain shared cache) against a small multi-node layout.
 SHARD_COUNTS: tuple[int, ...] = (1, 4)
 
 #: Partitioning schemes swept: Hilbert range splits (spatially

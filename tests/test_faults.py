@@ -340,13 +340,6 @@ class TestServingUnderFaults:
         assert report.breaker_opens == 0
         assert report.degraded_ticks == 0
 
-    def test_share_plans_unavailable_under_faults(self):
-        index, clients, prefetchers, config = prepare_serving_cell(chaos_cell(0.0))
-        with pytest.raises(ValueError, match="share_plans"):
-            ServingSimulator(index, config).run(
-                clients, prefetchers, lockstep=True, share_plans=True
-            )
-
 
 # -- the store round trip ----------------------------------------------------------
 

@@ -173,6 +173,26 @@ class TestCrashRecovery:
             store.close()
         assert path.exists(), "an explicit-path page file must survive close()"
 
+    @pytest.mark.parametrize("one_shot", [list, iter], ids=["list", "iterator"])
+    def test_every_requested_slot_is_verified_once(self, tmp_path, monkeypatch, one_shot):
+        """``read_pages`` admits any iterable; a one-shot one must not be
+        spent on the inner model before the slots are served."""
+        from repro.storage.disk import DiskModel
+
+        table = small_table()
+        spec = StorageSpec(backend="mmap", path=str(tmp_path / "pages.pf"))
+        store = TieredStore(DiskModel(), spec, page_table=table)
+        served = []
+        verify = PageFile.read_page
+        monkeypatch.setattr(
+            PageFile, "read_page", lambda pf, page: served.append(page) or verify(pf, page)
+        )
+        try:
+            assert store.read_pages(one_shot([0, 1, 2])) == DiskModel().read_pages([0, 1, 2])
+        finally:
+            store.close()
+        assert served == [0, 1, 2]
+
 
 def test_ram_and_mmap_backends_are_metric_identical(tmp_path):
     """storage=ram golden fixtures stay valid for the mmap backend.

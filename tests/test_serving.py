@@ -13,6 +13,7 @@ Two load-bearing guarantees are pinned here:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from functools import partial
 
 import pytest
@@ -27,6 +28,15 @@ from repro.sim import (
     SimulationConfig,
     SimulationEngine,
 )
+from repro.storage import (
+    DiskModel,
+    FaultPlan,
+    PrefetchCache,
+    ShardSpec,
+    StorageSpec,
+    TieredStore,
+)
+from repro.storage.cache import ArrayCache
 from repro.workload import generate_sequences, multiclient_sessions
 from repro.workload.multiclient import zipf_weights
 
@@ -253,6 +263,58 @@ class TestSharedCacheAccounting:
         assert aggregate.n_sequences == 2
         assert aggregate.per_sequence_hit_rates == report.per_client_hit_rates
         assert 0.0 <= report.aggregate_hit_rate <= 1.0
+
+
+class TestDisabledLayerIsNotBuilt:
+    """The one pass-through rule: a spec that cannot change behaviour
+    builds nothing (``SimulationConfig.build_disk`` / ``build_cache``)."""
+
+    @pytest.mark.parametrize(
+        "layer,spec",
+        [
+            pytest.param("faults", FaultPlan(), id="zero-rate-plan"),
+            pytest.param("faults", FaultPlan(breaker=False), id="zero-rate-plan-no-breaker"),
+            pytest.param("storage", StorageSpec(), id="default-storage"),
+            pytest.param("storage", StorageSpec(fill_stall_s=0.01), id="stall-without-tier"),
+            pytest.param("shards", ShardSpec(n_shards=1), id="one-shard"),
+            pytest.param(
+                "shards", ShardSpec(n_shards=1, shard_cache_pages=32), id="one-sized-shard"
+            ),
+        ],
+    )
+    def test_inert_spec_builds_and_serves_as_the_bare_stack(
+        self, tissue, tissue_flat, layer, spec
+    ):
+        config = SimulationConfig(cache_capacity_pages=48, **{layer: spec})
+        capacity = getattr(spec, "shard_cache_pages", None) or 48
+        assert type(config.build_disk()) is DiskModel
+        for backend, plain in (("dict", PrefetchCache), ("array", ArrayCache)):
+            cache = config.build_cache(tissue_flat, backend)
+            assert type(cache) is plain
+            assert cache.capacity_pages == capacity
+
+        clients = multiclient_sessions(
+            tissue, n_clients=6, seed=5, n_queries=4, volume=30_000.0,
+            mode="hotspot", hot_pool=2,
+        )
+
+        def report(config):
+            fleet = [EWMAPrefetcher(lam=0.3) for _ in clients]
+            return asdict(ServingSimulator(tissue_flat, config).run(clients, fleet, lockstep=True))
+
+        served = report(config)
+        bare = report(SimulationConfig(cache_capacity_pages=capacity))
+        # The gates read the config: a present plan flags its (all-zero)
+        # counters into the record; inactive tiers and shards flag nothing.
+        assert served.pop("faults_active") is (layer == "faults")
+        assert bare.pop("faults_active") is False
+        assert served == bare
+
+    def test_mmap_store_is_still_built(self):
+        """It serves real bytes, so tiering off does not make it inert."""
+        disk = SimulationConfig(storage=StorageSpec(backend="mmap")).build_disk()
+        assert type(disk) is TieredStore
+        assert not disk.tiering_active
 
 
 class TestServingValidation:

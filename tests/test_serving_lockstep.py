@@ -10,9 +10,10 @@ every shared-cache total, the tick count.  Timing claims (the perf
 suite's 5x) are only meaningful on top of this equality.
 
 Also pinned: N=1 lockstep reproduces ``SimulationEngine.run`` exactly
-(extending the PR-5 invariant to the new scheduler), the plan-sharing
-eligibility guard, and the ``to_aggregate`` round trip that carries the
-contention counters into stored records (additive keys only).
+(extending the PR-5 invariant to the new scheduler), that plan sharing
+engages only for an eligible fleet, and the ``to_aggregate`` round trip
+that carries the contention counters into stored records (additive keys
+only).
 """
 
 from __future__ import annotations
@@ -130,15 +131,12 @@ class TestLockstepEquivalence:
         assert report.to_aggregate().cache_hit_rate == reference.cache_hit_rate
 
     def test_share_plans_off_is_still_identical(self, tissue, tissue_flat):
-        """Sharing is an optimization, not a semantic: off == auto == reference."""
+        """Sharing is an optimization, not a semantic: the reference never shares."""
         shared = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
                        hot_pool=2, lockstep=True)
-        unshared = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
-                         hot_pool=2, lockstep=True, share_plans=False)
         reference = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
                           hot_pool=2, lockstep=False)
         assert report_state(shared) == report_state(reference)
-        assert report_state(unshared) == report_state(reference)
 
 
 class TestPlanSharing:
@@ -173,30 +171,6 @@ class TestPlanSharing:
         reference = ServingSimulator(tissue_flat).run(clients, fleet(), lockstep=False)
         vectorized = ServingSimulator(tissue_flat).run(clients, fleet(), lockstep=True)
         assert report_state(vectorized) == report_state(reference)
-
-    def test_share_plans_true_requires_eligible_fleet(self, tissue, tissue_flat):
-        clients = multiclient_sessions(
-            tissue, n_clients=2, seed=5, n_queries=2, volume=30_000.0
-        )
-        with pytest.raises(ValueError, match="position-only"):
-            ServingSimulator(tissue_flat).run(
-                clients,
-                [EWMAPrefetcher(lam=0.3), ScoutPrefetcher(tissue)],
-                lockstep=True,
-                share_plans=True,
-            )
-
-    def test_share_plans_needs_lockstep(self, tissue, tissue_flat):
-        clients = multiclient_sessions(
-            tissue, n_clients=2, seed=5, n_queries=2, volume=30_000.0
-        )
-        with pytest.raises(ValueError, match="lockstep"):
-            ServingSimulator(tissue_flat).run(
-                clients,
-                [EWMAPrefetcher(lam=0.3) for _ in clients],
-                lockstep=False,
-                share_plans=True,
-            )
 
 
 class TestAggregateCarryThrough:
