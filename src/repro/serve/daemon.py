@@ -9,6 +9,11 @@ exactly the unit an event loop needs: a query advances in one
 synchronous, sub-millisecond step, so the daemon executes steps inline
 on the loop and concurrency lives in the *queueing*, not in threads
 (which also keeps the shared cache single-writer by construction).
+A step's *pure* work -- index result, prediction, plan -- depends only
+on the walk and the position in it, so the daemon keeps one plan tape
+per pool walk and later sessions on that walk read it
+(``step_query_replay``) instead of recomputing it; cache touches, disk
+reads and budget spending still execute per request, in FIFO order.
 
 Admission control is a bounded accept queue: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
@@ -38,6 +43,7 @@ from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import ProtocolError, read_frame, write_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.metrics import LatencyReport
+from repro.sim.serve import plans_shareable
 from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec, TieredStore
@@ -108,14 +114,22 @@ class _Job:
 
 
 class _ConnectionState:
-    """One connection's session slot (renewed in place when exhausted)."""
+    """One connection's session slot (renewed in place when exhausted).
 
-    __slots__ = ("client_id", "session", "make_prefetcher", "sessions_completed")
+    ``tape`` and ``recording`` are how the current session steps, fixed
+    for its whole lifetime by :meth:`ServeDaemon._begin_lifetime`: a
+    session with a ``tape`` replays it, one with a ``recording`` list
+    captures into it, one with neither steps plainly.
+    """
 
-    def __init__(self, client_id: int, session: QuerySession, make_prefetcher):
+    __slots__ = ("client_id", "walk", "session", "tape", "recording", "sessions_completed")
+
+    def __init__(self, client_id: int, walk: int, session: QuerySession):
         self.client_id = client_id
+        self.walk = walk
         self.session = session
-        self.make_prefetcher = make_prefetcher
+        self.tape: list | None = None
+        self.recording: list | None = None
         self.sessions_completed = 0
 
 
@@ -178,11 +192,21 @@ class ServeDaemon:
         self._make_prefetcher = functools.partial(
             default_prefetcher(config.prefetcher).build, self.dataset, self.index
         )
+        # One plan tape per pool walk (DESIGN.md §8): the pure work of
+        # each of its queries, published by the first session that
+        # finishes recording the walk and replayed by every session
+        # opened on it afterwards.  Every session runs the configured
+        # prefetcher, so one instance decides eligibility for all.
+        self._sharing = plans_shareable([self._make_prefetcher()], faults)
+        self._tapes: list[list | None] = [None] * len(self.pool)
 
         self.recorder = LatencyRecorder()
         self.intervals: list[LatencyReport] = []
         self.requests_admitted = 0
         self.requests_shed = 0
+        #: Requests served from a plan tape instead of observe/plan work.
+        self.plans_replayed = 0
+        self._interval_replayed_mark = 0
         self.sessions_completed = 0
         self.queue_depth_max = 0
         self._interval_depth_max = 0
@@ -292,6 +316,7 @@ class ServeDaemon:
             "type": "final",
             "drained": self._stopped.is_set() or self._draining,
             "requests_admitted": self.requests_admitted,
+            "plans_replayed": self.plans_replayed,
             "requests_shed": self.requests_shed,
             "sessions_completed": self.sessions_completed,
             "queue_depth_max": self.queue_depth_max,
@@ -366,15 +391,43 @@ class ServeDaemon:
                 job.future.set_result(reply)
             self._queue.task_done()
 
+    def _begin_lifetime(self, state: _ConnectionState) -> None:
+        """Choose how ``state``'s fresh session steps, once for its whole life.
+
+        A walk with a published tape is replayed; otherwise, when
+        sharing is sound, the session records one.  Never re-deciding
+        mid-session is what makes replay safe: a replaying session's
+        prefetcher goes stale at its first step and is never consulted,
+        because the tape it was given already covers its whole sequence.
+        """
+        state.tape = self._tapes[state.walk]
+        state.recording = [] if self._sharing and state.tape is None else None
+
     def _execute(self, state: _ConnectionState) -> dict:
         """Advance one session step (renewing an exhausted session in place)."""
         session = state.session
         if session.done:
-            session = session.renew(state.make_prefetcher())
+            session = session.renew(self._make_prefetcher())
             state.session = session
             state.sessions_completed += 1
             self.sessions_completed += 1
-        record = session.step_query()
+            self._begin_lifetime(state)
+        if state.tape is not None:
+            record = session.step_query_replay(state.tape[session.query_index])
+            self.plans_replayed += 1
+        elif state.recording is not None:
+            try:
+                state.recording.append(session.step_query_capture())
+            except Exception:
+                # The prefetcher saw a failed step: what this session
+                # computes from here on is not the walk's pure work.
+                state.recording = None
+                raise
+            record = session.metrics.records[-1]
+            if session.done and self._tapes[state.walk] is None:
+                self._tapes[state.walk] = state.recording
+        else:
+            record = session.step_query()
         return {
             "ok": True,
             "client_id": state.client_id,
@@ -398,12 +451,15 @@ class ServeDaemon:
         self.intervals.append(report)
         depth_max = self._interval_depth_max
         self._interval_depth_max = 0
+        replayed = self.plans_replayed - self._interval_replayed_mark
+        self._interval_replayed_mark = self.plans_replayed
         return {
             "type": "interval",
             "interval": len(self.intervals) - 1,
             "queue_depth": self._queue.qsize(),
             "queue_depth_max": depth_max,
             "connections": len(self._writers),
+            "plans_replayed": replayed,
             **report.summary(),
         }
 
@@ -467,16 +523,18 @@ class ServeDaemon:
     def _open_session(self) -> _ConnectionState:
         client_id = self._next_client_id
         self._next_client_id += 1
-        workload = self.pool[client_id % len(self.pool)]
+        walk = client_id % len(self.pool)
         session = QuerySession(
             self.engine,
-            workload.sequence,
+            self.pool[walk].sequence,
             self._make_prefetcher(),
             cache=self.cache,
             disk=self.disk,
             client_id=client_id,
         )
-        return _ConnectionState(client_id, session, self._make_prefetcher)
+        state = _ConnectionState(client_id, walk, session)
+        self._begin_lifetime(state)
+        return state
 
     def _admit(self, state: _ConnectionState | None) -> asyncio.Future:
         """Admission control: enqueue the query, or shed it immediately."""
@@ -502,6 +560,7 @@ class ServeDaemon:
         return {
             "ok": True,
             "requests_admitted": self.requests_admitted,
+            "plans_replayed": self.plans_replayed,
             "requests_shed": self.requests_shed,
             "sessions_completed": self.sessions_completed,
             "queue_depth": self._queue.qsize(),

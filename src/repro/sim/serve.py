@@ -49,22 +49,34 @@ from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
 from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.metrics import ServeReport
+from repro.storage.faults import FaultPlan
 from repro.workload.multiclient import ClientWorkload
 
-__all__ = ["ServingSimulator"]
+__all__ = ["ServingSimulator", "plans_shareable"]
 
 
-def _plans_shareable(prefetchers: Sequence[Prefetcher]) -> bool:
-    """Whether every client's prefetcher admits leader/follower sharing.
+def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None) -> bool:
+    """Whether sessions may read one another's pure observe/plan work.
 
-    Sharing replays the leader's observe/plan work, so it is only sound
-    for prefetchers whose per-query work is a pure function of the
-    observed sequence: the position-only family (their plans derive
-    from observed centers alone, and they issue no gap I/O whose pulls
-    could depend on cache state).  All clients must run the same
-    configuration (type and name -- the name encodes the parameters) so
-    that identical observations imply identical predictions.
+    The one eligibility rule of plan sharing, called by the lockstep
+    scheduler (leader/follower groups within a tick) and by the serving
+    daemon (per-walk plan tapes across time, DESIGN.md §8).  Sharing
+    replays another session's observe/plan work, so it is only sound
+    when that work is a pure function of the observed sequence:
+
+    * every session runs a position-only prefetcher (plans derive from
+      observed centers alone, and no gap I/O whose pulls could depend
+      on cache state) of the same configuration (type and name -- the
+      name encodes the parameters), so identical observations imply
+      identical predictions;
+    * no fault plan that can fire: per-client breaker state diverges
+      under failures, so one session's observe/plan work is no longer a
+      pure replay of another's.  (Every driver still reads the shared
+      faulty disk in exact request order, so reports and the fault RNG
+      draw sequence stay bit-identical without sharing.)
     """
+    if faults is not None and faults.active:
+        return False
     first = prefetchers[0]
     if not isinstance(first, PositionOnlyPrefetcher):
         return False
@@ -203,14 +215,7 @@ class ServingSimulator:
         the whole run and the record the leader's step fills *is* the
         follower's own computation.
         """
-        # A fault plan that can fire disables plan sharing: per-client
-        # breaker state diverges under failures, so a follower's
-        # observe/plan work is no longer a pure replay of its leader's.
-        # Both schedulers still read from the shared faulty disk in
-        # exact client order, so their reports (and the fault RNG draw
-        # sequence) stay bit-identical.
-        faults = self.config.faults
-        sharing = (faults is None or not faults.active) and _plans_shareable(prefetchers)
+        sharing = plans_shareable(prefetchers, self.config.faults)
 
         # Static sharing groups: same sequence object + same start tick
         # (hotspot workloads share sequence objects across followers).

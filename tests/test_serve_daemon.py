@@ -13,7 +13,10 @@ daemon's internal counters are also visible:
 * graceful drain answers every admitted in-flight request before the
   daemon stops, and the final report says so;
 * an exhausted session renews in place (same walk, fresh phase
-  machine), so a connection can run past ``queries_per_session``.
+  machine), so a connection can run past ``queries_per_session``;
+* plan tapes (DESIGN.md §8) change where a step's pure work comes
+  from, never a reply: every reply equals a reference that steps plain
+  ``QuerySession.step_query`` in the same request order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.protocol import read_frame, write_frame
+from repro.sim.engine import QuerySession
 
 
 def daemon_config(**overrides) -> DaemonConfig:
@@ -309,6 +313,221 @@ class TestLoadgenEndToEnd:
         assert report["drained"] is True
         assert final["drained"] is True
         assert final["requests_admitted"] == report["ok"] == 40
+
+
+async def _drive_bursts(daemon, n_connections, bursts):
+    """Pipeline each ``(connection, size)`` burst and collect its replies.
+
+    Connections say hello in order (so connection ``c`` is client
+    ``c``); a burst's queries are all written before its first reply is
+    read, and one burst finishes before the next starts, which makes
+    the worker's FIFO order exactly the order of ``bursts``.  Returns
+    the replies in that order, then the ``stats`` reply.
+    """
+    streams = []
+    try:
+        for _ in range(n_connections):
+            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+            streams.append((reader, writer))
+            await write_frame(writer, {"op": "hello"})
+            assert (await read_frame(reader))["ok"]
+        replies = []
+        for connection, size in bursts:
+            reader, writer = streams[connection]
+            for _ in range(size):
+                await write_frame(writer, {"op": "query"})
+            for _ in range(size):
+                replies.append(await read_frame(reader))
+        reader, writer = streams[0]
+        await write_frame(writer, {"op": "stats"})
+        return replies, await read_frame(reader)
+    finally:
+        for _, writer in streams:
+            writer.close()
+
+
+def _reference_run(config, n_connections, bursts):
+    """The same requests through plain ``step_query``: replies and plane.
+
+    The serving plane (engine, shared cache, disk, walk pool, prefetcher
+    factory) is taken from a daemon that is never started; the stepping
+    is the plain per-request path with no tape anywhere near it.
+    """
+    plane = ServeDaemon(config)
+    sessions = [
+        QuerySession(
+            plane.engine,
+            plane.pool[c % len(plane.pool)].sequence,
+            plane._make_prefetcher(),
+            cache=plane.cache,
+            disk=plane.disk,
+            client_id=c,
+        )
+        for c in range(n_connections)
+    ]
+    completed = [0] * n_connections
+    replies = []
+    for c, size in bursts:
+        for _ in range(size):
+            if sessions[c].done:
+                sessions[c] = sessions[c].renew(plane._make_prefetcher())
+                completed[c] += 1
+            record = sessions[c].step_query()
+            replies.append(
+                {
+                    "ok": True,
+                    "client_id": c,
+                    "query_index": record.index,
+                    "pages_needed": record.pages_needed,
+                    "pages_hit": record.pages_hit,
+                    "prefetch_pages": record.prefetch_pages,
+                    "session_done": sessions[c].done,
+                    "sessions_completed": completed[c],
+                }
+            )
+    return replies, plane.cache, sum(completed)
+
+
+def _seeded_bursts(seed, n_connections, n_bursts, max_size):
+    rng = np.random.default_rng(seed)
+    return [
+        (int(rng.integers(n_connections)), int(rng.integers(1, max_size + 1)))
+        for _ in range(n_bursts)
+    ]
+
+
+def _assert_equals_reference(config, n_connections, bursts):
+    """Drive a daemon and the plain reference; returns the final report."""
+
+    async def scenario(daemon):
+        replies, stats = await _drive_bursts(daemon, n_connections, bursts)
+        return replies, stats, daemon.final_report()
+
+    replies, stats, final = asyncio.run(_with_daemon(config, scenario))
+    expected, cache, sessions_completed = _reference_run(config, n_connections, bursts)
+    for reply in replies:
+        assert reply.pop("latency_ms") >= 0
+    assert replies == expected
+    assert final["cache"] == {
+        "capacity_pages": cache.capacity_pages,
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "evictions": cache.evictions,
+        "insertions": cache.insertions,
+    }
+    assert final["sessions_completed"] == sessions_completed
+    assert final["requests_admitted"] == len(expected)
+    assert stats["plans_replayed"] == final["plans_replayed"]
+    return final
+
+
+class TestPlanTapes:
+    """Tapes move pure work from compute to read and nothing else."""
+
+    def test_replies_equal_plain_stepping_in_request_order(self):
+        # More connections than walks: late joiners replay a tape that
+        # another connection recorded, two connections record the same
+        # walk at once, and every session renews several times.
+        config = daemon_config(session_pool=2, queries_per_session=6)
+        bursts = _seeded_bursts(seed=5, n_connections=5, n_bursts=60, max_size=7)
+        final = _assert_equals_reference(config, 5, bursts)
+        assert final["sessions_completed"] >= 10
+        assert 0 < final["plans_replayed"] < final["requests_admitted"]
+
+    def test_replayed_count_is_everything_after_the_first_lifetime(self):
+        # Distinct walks: each connection records its own first
+        # lifetime (Q requests) and replays from then on.
+        connections, per_connection, queries = 3, 13, 5
+        config = daemon_config(session_pool=4, queries_per_session=queries)
+        bursts = [(c, per_connection) for c in range(connections)]
+        final = _assert_equals_reference(config, connections, bursts)
+        assert final["plans_replayed"] == connections * (per_connection - queries)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(prefetcher="scout"), dict(fault_rate=0.05)], ids=["scout", "faults"]
+    )
+    def test_ineligible_configurations_never_replay(self, overrides):
+        config = daemon_config(session_pool=2, queries_per_session=6, **overrides)
+        bursts = _seeded_bursts(seed=6, n_connections=3, n_bursts=24, max_size=5)
+        final = _assert_equals_reference(config, 3, bursts)
+        assert final["sessions_completed"] >= 3
+        assert final["plans_replayed"] == 0
+
+    def test_dropped_connection_publishes_nothing(self):
+        queries = 6
+
+        async def scenario(daemon):
+            # One walk: a connection that leaves mid-session ...
+            await _drive_bursts(daemon, 1, [(0, queries - 2)])
+            # ... leaves no tape, so the next session on the walk
+            # records its whole first lifetime before anything replays.
+            _, recorded = await _drive_bursts(daemon, 1, [(0, queries)])
+            _, replayed = await _drive_bursts(daemon, 1, [(0, 3)])
+            return recorded, replayed, daemon.interval_report()
+
+        recorded, replayed, interval = asyncio.run(
+            _with_daemon(daemon_config(session_pool=1, queries_per_session=queries), scenario)
+        )
+        assert recorded["plans_replayed"] == 0
+        assert replayed["plans_replayed"] == 3
+        assert interval["plans_replayed"] == 3
+
+    def test_recording_session_whose_step_raises_never_publishes(self, monkeypatch):
+        queries = 6
+
+        async def scenario(daemon):
+            build = daemon._make_prefetcher
+
+            def build_flaky():
+                prefetcher = build()
+                observe, calls = prefetcher.observe, []
+
+                def observe_failing_third(query):
+                    calls.append(query)
+                    if len(calls) == 3:
+                        raise RuntimeError("observe blew up")
+                    return observe(query)
+
+                prefetcher.observe = observe_failing_third
+                return prefetcher
+
+            monkeypatch.setattr(daemon, "_make_prefetcher", build_flaky)
+            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+            try:
+                await write_frame(writer, {"op": "hello"})
+                await read_frame(reader)
+                monkeypatch.undo()  # renewed sessions get healthy prefetchers
+
+                async def ask(n):
+                    out = []
+                    for _ in range(n):
+                        await write_frame(writer, {"op": "query"})
+                        out.append(await read_frame(reader))
+                    return out
+
+                # The third step raises; the worker's guard answers it
+                # and the session carries on from the same query.
+                first = await ask(queries + 1)
+                assert [r["ok"] for r in first] == [True, True, False] + [True] * (queries - 2)
+                assert "observe blew up" in first[2]["error"]
+                assert first[-1]["session_done"]
+                # Had the failed lifetime published, this one would replay.
+                second = await ask(queries)
+                await write_frame(writer, {"op": "stats"})
+                after_second = await read_frame(reader)
+                # The healthy lifetime did publish: the third replays.
+                third = await ask(2)
+                assert all(r["ok"] for r in second + third)
+                return after_second, daemon.final_report()
+            finally:
+                writer.close()
+
+        after_second, final = asyncio.run(
+            _with_daemon(daemon_config(session_pool=1, queries_per_session=queries), scenario)
+        )
+        assert after_second["plans_replayed"] == 0
+        assert final["plans_replayed"] == 2
+        assert final["latency"]["errors"] == 1
 
 
 class TestDaemonConfigValidation:
