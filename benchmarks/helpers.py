@@ -8,13 +8,7 @@ from repro.baselines import (
     StraightLinePrefetcher,
 )
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
-from repro.sim import (
-    CellResult,
-    ExperimentResult,
-    ParallelRunner,
-    run_experiment,
-    warm_cell_resources,
-)
+from repro.sim import CellResult, ExperimentResult, ParallelRunner, run_experiment
 from repro.workload.sweeps import fig13_matrix, scale_factor
 
 #: Sequences per experiment cell (scaled by REPRO_SCALE).  The paper
@@ -57,11 +51,6 @@ def run(index, sequences, prefetcher) -> ExperimentResult:
 def run_cells(cells, jobs: int = 1, store=None, resume: bool = True) -> list[CellResult]:
     """Run declarative cells through the orchestrator, in cell order."""
     return ParallelRunner(jobs=jobs, store=store).run(cells, resume=resume).results
-
-
-def warm(cells) -> None:
-    """Pre-build datasets/indexes so benchmark timing covers simulation only."""
-    warm_cell_resources(cells)
 
 
 def fig13_panel(panel: str, *, sequences_per_cell: int | None = None, **overrides):

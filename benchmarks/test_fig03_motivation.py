@@ -44,8 +44,8 @@ def _series(tissue, tissue_index):
     return rows
 
 
-def test_fig03_motivation(benchmark, tissue, tissue_index):
-    rows = benchmark.pedantic(_series, args=(tissue, tissue_index), rounds=1, iterations=1)
+def test_fig03_motivation(tissue, tissue_index):
+    rows = _series(tissue, tissue_index)
     # Shape assertions from the paper's reading of the figure:
     # higher-degree polynomials do worse (oscillation) ...
     assert sum(rows["poly-3"]) < sum(rows["poly-2"])

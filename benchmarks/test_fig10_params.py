@@ -19,7 +19,7 @@ def _render():
     return table
 
 
-def test_fig10_parameter_table(benchmark):
-    table = benchmark.pedantic(_render, rounds=1, iterations=1)
+def test_fig10_parameter_table():
+    table = _render()
     assert len(table.rows) == 7
     assert table.cell("Model Building", "ratio") == 2.0

@@ -38,8 +38,8 @@ def _grid(tissue, tissue_index):
     return results
 
 
-def test_fig11_microbenchmarks(benchmark, tissue, tissue_index):
-    results = benchmark.pedantic(_grid, args=(tissue, tissue_index), rounds=1, iterations=1)
+def test_fig11_microbenchmarks(tissue, tissue_index):
+    results = _grid(tissue, tissue_index)
     scout_hits, scout_speeds = results["scout"]
     # SCOUT wins every no-gap microbenchmark (Fig 11a).
     for other in ("ewma-0.3", "straight-line", "hilbert"):

@@ -38,8 +38,8 @@ def _grid(tissue, tissue_index):
     return results
 
 
-def test_fig12_gap_benchmarks(benchmark, tissue, tissue_index):
-    results = benchmark.pedantic(_grid, args=(tissue, tissue_index), rounds=1, iterations=1)
+def test_fig12_gap_benchmarks(tissue, tissue_index):
+    results = _grid(tissue, tissue_index)
     scout_hits, _ = results["scout"]
     opt_hits, opt_speeds = results["scout-opt"]
     # SCOUT-OPT dominates SCOUT on every gap benchmark.

@@ -17,7 +17,7 @@ sweep`` CLI runs -- then pivoted into its table with
 from repro.analysis import sweep_table
 from repro.workload.sweeps import fig13_axes, fig13_axis_value
 
-from helpers import fig13_panel, hit_pct, n_sequences, run_cells, warm
+from helpers import fig13_panel, hit_pct, n_sequences, run_cells
 
 AXES = fig13_axes()
 
@@ -35,10 +35,9 @@ def _panel_table(panel, results, title, columns_format=str):
     return table
 
 
-def test_fig13a_query_volume(benchmark):
+def test_fig13a_query_volume():
     matrix = fig13_panel("a")
-    warm(matrix)
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "a",
         results,
@@ -50,9 +49,9 @@ def test_fig13a_query_volume(benchmark):
     assert cells[-1] < cells[0]
 
 
-def test_fig13b_density(benchmark):
+def test_fig13b_density():
     matrix = fig13_panel("b", sequences_per_cell=max(3, n_sequences() // 2))
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "b",
         results,
@@ -65,10 +64,9 @@ def test_fig13b_density(benchmark):
     assert min(cells) > 50.0
 
 
-def test_fig13c_sequence_length(benchmark):
+def test_fig13c_sequence_length():
     matrix = fig13_panel("c")
-    warm(matrix)
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "c", results, "Fig 13c -- accuracy vs sequence length [hit %]"
     )
@@ -77,10 +75,9 @@ def test_fig13c_sequence_length(benchmark):
     assert cells[-1] > cells[0]
 
 
-def test_fig13d_window_ratio(benchmark):
+def test_fig13d_window_ratio():
     matrix = fig13_panel("d")
-    warm(matrix)
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "d",
         results,
@@ -93,10 +90,9 @@ def test_fig13d_window_ratio(benchmark):
     assert cells == sorted(cells) or cells[1] <= cells[-1]
 
 
-def test_fig13e_grid_resolution(benchmark):
+def test_fig13e_grid_resolution():
     matrix = fig13_panel("e")
-    warm(matrix)
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "e", results, "Fig 13e -- accuracy vs grid resolution [hit %]"
     )
@@ -105,10 +101,9 @@ def test_fig13e_grid_resolution(benchmark):
     assert abs(cells[0] - cells[1]) < 12.0
 
 
-def test_fig13f_gap_distance(benchmark):
+def test_fig13f_gap_distance():
     matrix = fig13_panel("f")
-    warm(matrix)
-    results = benchmark.pedantic(run_cells, args=(matrix,), rounds=1, iterations=1)
+    results = run_cells(matrix)
     table = _panel_table(
         "f",
         results,

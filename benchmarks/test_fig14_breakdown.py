@@ -44,8 +44,8 @@ def _breakdown():
     return rows, shares
 
 
-def test_fig14_time_breakdown(benchmark):
-    rows, shares = benchmark.pedantic(_breakdown, rounds=1, iterations=1)
+def test_fig14_time_breakdown():
+    rows, shares = _breakdown()
     table = ResultTable(
         "Fig 14 -- response time breakdown [s, simulated]",
         [f"{n}n" for n in NEURON_COUNTS],

@@ -43,10 +43,8 @@ def _measure(tissue, tissue_index):
     return sizes, full_times, sparse_times
 
 
-def test_fig15_graph_building_cost(benchmark, tissue, tissue_index):
-    sizes, full_times, sparse_times = benchmark.pedantic(
-        _measure, args=(tissue, tissue_index), rounds=1, iterations=1
-    )
+def test_fig15_graph_building_cost(tissue, tissue_index):
+    sizes, full_times, sparse_times = _measure(tissue, tissue_index)
     table = ResultTable(
         "Fig 15 -- graph building time vs result size [ms]",
         [str(s) for s in sizes],

@@ -34,10 +34,8 @@ def _per_index_costs(tissue, tissue_index):
     return [float(np.mean(v)) * 1e6 if v else 0.0 for v in per_index]
 
 
-def test_fig16_prediction_cost_decreases(benchmark, tissue, tissue_index):
-    costs = benchmark.pedantic(
-        _per_index_costs, args=(tissue, tissue_index), rounds=1, iterations=1
-    )
+def test_fig16_prediction_cost_decreases(tissue, tissue_index):
+    costs = _per_index_costs(tissue, tissue_index)
     table = ResultTable(
         "Fig 16 -- prediction time per result element [µs, simulated]",
         [str(i + 1) for i in range(N_QUERIES)],

@@ -50,14 +50,14 @@ def _grid(datasets):
 
 
 def test_fig17_applicability(
-    benchmark, lung, lung_index, arterial, arterial_index, roads, roads_index
+    lung, lung_index, arterial, arterial_index, roads, roads_index
 ):
     datasets = [
         ("lung", lung, lung_index),
         ("arterial", arterial, arterial_index),
         ("roads", roads, roads_index),
     ]
-    results = benchmark.pedantic(_grid, args=(datasets,), rounds=1, iterations=1)
+    results = _grid(datasets)
 
     # (a) small queries: the smooth arterial tree favours extrapolation;
     # SCOUT must stay competitive (paper: EWMA 96% vs SCOUT 90%).

@@ -26,7 +26,7 @@ from repro.workload import generate_sequences
 from helpers import hit_pct, n_sequences
 
 
-def test_mem_graph_footprint(benchmark, tissue, tissue_index):
+def test_mem_graph_footprint(tissue, tissue_index):
     def measure():
         sequences = generate_sequences(
             tissue, 3, seed=82, n_queries=10, volume=120_000.0
@@ -49,7 +49,7 @@ def test_mem_graph_footprint(benchmark, tissue, tissue_index):
                 ratios["scout-opt"].append(opt.last_graph_memory_bytes / result_bytes)
         return {k: float(np.mean(v)) for k, v in ratios.items()}
 
-    ratios = benchmark.pedantic(measure, rounds=1, iterations=1)
+    ratios = measure()
     table = ResultTable(
         "§8.2 -- prediction-structure memory / result footprint [%]",
         ["scout", "scout-opt"],
@@ -62,7 +62,7 @@ def test_mem_graph_footprint(benchmark, tissue, tissue_index):
     assert ratios["scout"] < 1.5  # same order as the result footprint
 
 
-def test_ablation_deep_vs_broad(benchmark, tissue, tissue_index):
+def test_ablation_deep_vs_broad(tissue, tissue_index):
     def measure():
         sequences = generate_sequences(
             tissue, n_sequences(), seed=52, n_queries=25, volume=80_000.0
@@ -80,7 +80,7 @@ def test_ablation_deep_vs_broad(benchmark, tissue, tissue_index):
             )
         return out
 
-    out = benchmark.pedantic(measure, rounds=1, iterations=1)
+    out = measure()
     table = ResultTable(
         "Ablation -- deep vs broad prefetching", ["hit %", "std %"], precision=2
     )
@@ -91,7 +91,7 @@ def test_ablation_deep_vs_broad(benchmark, tissue, tissue_index):
     assert out["broad"][0] > out["deep"][0] - 10.0
 
 
-def test_ablation_incremental_vs_oneshot(benchmark, tissue, tissue_index):
+def test_ablation_incremental_vs_oneshot(tissue, tissue_index):
     def measure():
         sequences = generate_sequences(
             tissue, n_sequences(), seed=53, n_queries=25, volume=80_000.0
@@ -110,7 +110,7 @@ def test_ablation_incremental_vs_oneshot(benchmark, tissue, tissue_index):
         )
         return hit_pct(incremental), hit_pct(oneshot)
 
-    incremental, oneshot = benchmark.pedantic(measure, rounds=1, iterations=1)
+    incremental, oneshot = measure()
     table = ResultTable(
         "Ablation -- incremental vs one-shot prefetch", ["hit %"], precision=2
     )
@@ -120,7 +120,7 @@ def test_ablation_incremental_vs_oneshot(benchmark, tissue, tissue_index):
     assert incremental > oneshot - 8.0
 
 
-def test_ablation_grid_hash_vs_brute_force(benchmark, tissue, tissue_index):
+def test_ablation_grid_hash_vs_brute_force(tissue, tissue_index):
     def measure():
         region = AABB.cube(tissue.bounds.center, 120_000.0)
         result = tissue_index.query(region)
@@ -137,9 +137,7 @@ def test_ablation_grid_hash_vs_brute_force(benchmark, tissue, tissue_index):
             brute_report.graph.n_edges,
         )
 
-    n, grid_s, brute_s, grid_edges, brute_edges = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    n, grid_s, brute_s, grid_edges, brute_edges = measure()
     table = ResultTable(
         "Ablation -- grid hashing vs brute force graph build",
         ["objects", "time ms", "edges"],

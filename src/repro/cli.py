@@ -1,12 +1,11 @@
-"""Command-line entry point: experiment cells, parallel sweeps, benchmarks.
+"""Command-line entry point: experiment cells, parallel sweeps, the serving daemon.
 
-Seven forms::
+Six forms::
 
     scout-repro [run] --prefetcher scout --benchmark adhoc_stat
     scout-repro sweep --figure 11 --jobs 4 --out results/fig11.jsonl
     scout-repro merge --out results/fig11.jsonl results/fig11.shard*.jsonl
     scout-repro compact results/fig11.jsonl
-    scout-repro bench --quick --budget benchmarks/perf/budget.json
     scout-repro serve --port 8641 --report /tmp/serve-report.json
     scout-repro loadgen --port 8641 --requests 200 --rate 400 --seed 42
 
@@ -52,11 +51,6 @@ the result store.
 ``compact`` rewrites result stores in place (atomic replace), dropping
 corrupt, stale and superseded lines accumulated by long resumed sweeps
 and reporting the bytes reclaimed.
-
-``bench`` times the index/prediction hot paths against their scalar
-reference implementations and writes ``BENCH_<rev>.json`` (see
-ROADMAP.md, "Performance tracking"); with ``--budget`` it exits
-non-zero when throughput regresses past the checked-in floors.
 
 ``serve`` boots the open-loop asyncio serving daemon (DESIGN.md §8):
 client connections speak a length-prefixed JSON protocol, each runs a
@@ -480,60 +474,6 @@ def _compact_command(argv: list[str]) -> int:
     return code
 
 
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scout-repro bench",
-        description="Time the index & prediction hot paths vs their scalar "
-        "baselines and write BENCH_<rev>.json.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller dataset and fewer repeats (the CI smoke configuration)",
-    )
-    parser.add_argument(
-        "--out",
-        default=".",
-        help="directory receiving BENCH_<rev>.json (default: current directory)",
-    )
-    parser.add_argument(
-        "--rev",
-        default=None,
-        help="revision label for the report (default: git rev-parse --short HEAD)",
-    )
-    parser.add_argument(
-        "--budget",
-        default=None,
-        help="budget JSON of throughput floors; exit 1 when a measurement "
-        "regresses more than the budget's tolerance below its floor",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the summary without writing BENCH_<rev>.json",
-    )
-    return parser
-
-
-def _bench_command(argv: list[str]) -> int:
-    from repro.perf.bench import check_budget, render_report, run_bench
-
-    args = _build_bench_parser().parse_args(argv)
-    report = run_bench(quick=args.quick, rev=args.rev)
-    print(render_report(report))
-    if not args.no_write:
-        path = report.write(args.out)
-        print(f"wrote {path}")
-    if args.budget is not None:
-        failures = check_budget(report, args.budget)
-        if failures:
-            for failure in failures:
-                print(f"BUDGET FAIL  {failure}")
-            return 1
-        print(f"budget ok ({args.budget})")
-    return 0
-
-
 def _build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scout-repro serve",
@@ -794,8 +734,6 @@ def main(argv: list[str] | None = None) -> int:
         return _merge_command(argv[1:])
     if argv and argv[0] == "compact":
         return _compact_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_command(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_command(argv[1:])
     if argv and argv[0] == "loadgen":

@@ -184,9 +184,8 @@ def region_crossings_reference(
 ) -> list[Crossing]:
     """Scalar per-object reference implementation of :func:`region_crossings`.
 
-    Kept as the equivalence oracle (the vectorized path must match it
-    bit for bit) and as the pre-change baseline for ``scout-repro
-    bench``'s prediction-cost timings.
+    Kept as the equivalence oracle: the vectorized path must match it
+    bit for bit.
     """
     crossings: list[Crossing] = []
     for object_id in np.asarray(object_ids, dtype=np.int64):

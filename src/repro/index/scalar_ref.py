@@ -3,16 +3,14 @@
 The packed R-tree answers region probes with level-synchronous array
 passes; this module preserves the original one-node-at-a-time traversal
 -- a Python stack with a pair of tiny ``np.any``/``np.all`` reductions
-per node -- over the *same* packed levels.  It exists for two reasons:
+per node -- over the *same* packed levels.  It exists as the
+equivalence oracle: the test suite proves the vectorized traversal
+returns bit-identical page sets, and that full simulations over a
+scalar-path index produce bit-identical metrics and records
+(``tests/test_vectorized_equivalence.py``).
 
-* **equivalence guarantees** -- the test suite proves the vectorized
-  traversal returns bit-identical page sets, and that full simulations
-  over a scalar-path index produce bit-identical metrics; and
-* **perf trajectory** -- ``scout-repro bench`` times both paths, so
-  every ``BENCH_<rev>.json`` records the measured speedup of the
-  vectorized hot path over the pre-change baseline.
-
-Nothing in the production system calls these classes.
+Nothing in the production system calls these classes
+(``tests/test_layout.py`` checks that).
 """
 
 from __future__ import annotations

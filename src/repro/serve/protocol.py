@@ -62,7 +62,9 @@ def decode_frame(payload: bytes) -> dict:
     """Parse one frame's payload; raises :class:`ProtocolError` when bad."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    # ValueError covers bad UTF-8, bad JSON and CPython's integer-digit
+    # limit; deep nesting overflows the parser's stack instead.
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"frame payload is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"frame payload must be a JSON object, got {type(message).__name__}")

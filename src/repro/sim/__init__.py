@@ -42,7 +42,6 @@ from repro.sim.runner import (
     cached_dataset,
     run_cell,
     run_serving_cell,
-    warm_cell_resources,
 )
 
 __all__ = [
@@ -79,5 +78,4 @@ __all__ = [
     "run_serving_cell",
     "shard_of",
     "shard_store_path",
-    "warm_cell_resources",
 ]

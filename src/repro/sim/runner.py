@@ -105,7 +105,6 @@ __all__ = [
     "profiled_run_cell",
     "run_cell",
     "run_serving_cell",
-    "warm_cell_resources",
 ]
 
 
@@ -608,16 +607,6 @@ def run_cell(spec: CellSpec) -> CellResult:
         metrics=outcome.metrics,
         elapsed_seconds=time.perf_counter() - started,
     )
-
-
-def warm_cell_resources(cells: Iterable[CellSpec]) -> None:
-    """Pre-build the cells' datasets and indexes into the process memo.
-
-    Benchmarks call this before timing so the measured region covers
-    simulation only, not dataset/index construction.
-    """
-    for spec in cells:
-        _cached_index(spec.dataset, spec.index)
 
 
 def profiled_run_cell(spec: CellSpec, profile_dir: str | Path) -> CellResult:

@@ -22,7 +22,7 @@ Two schedulers produce **bit-identical reports** (pinned by
 
 ``round_robin`` (default)
     the reference loop above -- one client's full query at a time; the
-    oracle the tests and ``bench_serving`` compare against;
+    oracle the tests compare against;
 ``lockstep``
     the vectorized plane sweeps run on.  Each tick resolves every
     active client's query in one batched ``query_many`` pass, runs the

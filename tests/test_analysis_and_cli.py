@@ -149,6 +149,13 @@ class TestCli:
         assert main(["run", "--list"]) == 0
         assert "adhoc_stat" in capsys.readouterr().out
 
+    def test_retired_bench_subcommand_fails_loudly(self, capsys):
+        """It must not fall through to the default ``run`` cell."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: bench" in capsys.readouterr().err
+
     def test_run_small_experiment(self, capsys):
         code = main(
             [

@@ -9,6 +9,7 @@ truncated store lines are detected, dropped and recomputed.
 from __future__ import annotations
 
 import json
+import pstats
 
 import pytest
 
@@ -285,3 +286,54 @@ class TestRoundTrip:
     def test_cell_key_matches_module_helper(self):
         cell = tiny_matrix().cells()[0]
         assert cell.key() == cell_key(cell.to_dict())
+
+
+class TestSweepProfileFlag:
+    def test_profile_dumps_per_cell_prof_files(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "sweep.jsonl"
+        code = main(
+            [
+                "sweep",
+                "--panels",
+                "d",
+                "--points",
+                "1",
+                "--neurons",
+                "6",
+                "--sequences",
+                "1",
+                "--out",
+                str(out),
+                "--profile",
+            ]
+        )
+        assert code == 0
+        profiles = sorted((tmp_path / "sweep.jsonl.profiles").glob("*.prof"))
+        assert profiles, "expected per-cell .prof files next to the store"
+        stats = pstats.Stats(str(profiles[0]))
+        assert stats.total_calls > 0
+
+    def test_runner_profiled_run_cell(self, tmp_path):
+        from repro.sim.runner import (
+            CellSpec,
+            DatasetSpec,
+            IndexSpec,
+            PrefetcherSpec,
+            WorkloadSpec,
+            profiled_run_cell,
+            run_cell,
+        )
+
+        spec = CellSpec(
+            dataset=DatasetSpec("neuron", {"n_neurons": 6, "seed": 3}),
+            index=IndexSpec("flat", {"fanout": 16}),
+            workload=WorkloadSpec(n_sequences=1, n_queries=3, volume=20_000.0),
+            prefetcher=PrefetcherSpec("scout"),
+            seed=1,
+        )
+        result = profiled_run_cell(spec, tmp_path / "profiles")
+        assert (tmp_path / "profiles" / f"{spec.key()[:16]}.prof").exists()
+        # Profiling must not perturb the simulation itself.
+        assert result.metrics.cache_hit_rate == run_cell(spec).metrics.cache_hit_rate

@@ -16,12 +16,24 @@ daemon's internal counters are also visible:
   machine), so a connection can run past ``queries_per_session``;
 * plan tapes (DESIGN.md §8) change where a step's pure work comes
   from, never a reply: every reply equals a reference that steps plain
-  ``QuerySession.step_query`` in the same request order.
+  ``QuerySession.step_query`` in the same request order;
+* a hostile or careless peer (garbage frames, aborts, churn, a reader
+  that stops reading, repeated signals) costs only itself: one error
+  reply at most, nothing left on the loop, and books that still say
+  every admitted request was answered.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
+import json
+import os
+import signal
+import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +45,7 @@ from repro.serve import (
     poisson_arrivals,
     run_loadgen,
 )
-from repro.serve.protocol import read_frame, write_frame
+from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 from repro.sim.engine import QuerySession
 
 
@@ -528,6 +540,255 @@ class TestPlanTapes:
         assert after_second["plans_replayed"] == 0
         assert final["plans_replayed"] == 2
         assert final["latency"]["errors"] == 1
+
+
+def _framed(payload: bytes) -> bytes:
+    """``payload`` behind an honest length prefix (``encode_frame`` wants a dict)."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+#: What a broken or hostile peer can put on the wire.  ``json.loads``
+#: refuses the last two with a ``RecursionError`` and a plain
+#: ``ValueError``, not a ``JSONDecodeError`` (``test_serve_protocol.py``).
+HOSTILE_WIRES = {
+    "invalid-utf8": _framed(b"\xff\xfe"),
+    "json-array": _framed(b"[1, 2, 3]"),
+    "oversized-announcement": struct.pack(">I", MAX_FRAME_BYTES + 1),
+    "frame-cut-short-by-eof": encode_frame({"op": "hello"})[:-1],
+    "two-header-bytes-then-eof": b"\x00\x00",
+    "nested-200k-deep": _framed(b"[" * 200_000),
+    "5000-digit-integer": _framed(b'{"a":' + b"9" * 5000 + b"}"),
+}
+
+HELLO = encode_frame({"op": "hello"})
+QUERY = encode_frame({"op": "query"})
+
+
+def _run_silently(config: DaemonConfig, scenario):
+    """``_with_daemon`` on a loop whose exception handler must stay silent.
+
+    The handler is where asyncio reports what nobody awaited -- an
+    exception escaping a connection callback, a task that died unseen
+    -- so an empty list means the peer's misbehaviour stayed the
+    peer's problem.  The whole scenario runs under one generous
+    timeout: no case asserts a timing, and none may hang the suite.
+    """
+    complaints: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: complaints.append(context)
+        )
+        try:
+            async with asyncio.timeout(120):
+                return await _with_daemon(config, scenario)
+        finally:
+            gc.collect()  # "exception was never retrieved" speaks at collection
+
+    result = asyncio.run(main())
+    assert complaints == [], complaints
+    return result
+
+
+async def _until(predicate) -> None:
+    """Let the loop (and so the daemon) run until ``predicate`` holds."""
+    while not predicate():
+        await asyncio.sleep(0.002)
+
+
+async def _connect(port: int):
+    return await asyncio.open_connection("127.0.0.1", port)
+
+
+async def _ask(stream, op: str) -> dict:
+    reader, writer = stream
+    await write_frame(writer, {"op": op})
+    return await read_frame(reader)
+
+
+def _books(daemon: ServeDaemon) -> dict:
+    """The final report minus its wall-clock fields."""
+    report = daemon.final_report()
+    for clock_field in ("duration_seconds", "throughput_qps"):
+        del report["latency"][clock_field]
+    return report
+
+
+class TestHostileWire:
+    """ROADMAP item 4(b), first slice: the daemon never dies, hangs or
+    miscounts, whatever one peer does."""
+
+    @pytest.mark.parametrize("wire", HOSTILE_WIRES.values(), ids=HOSTILE_WIRES.keys())
+    def test_hostile_frame_costs_one_error_reply_and_nothing_else(self, wire):
+        async def scenario(daemon):
+            bystander = await _connect(daemon.port)
+            assert (await _ask(bystander, "hello"))["ok"]
+            assert (await _ask(bystander, "query"))["query_index"] == 0
+            before = _books(daemon)
+
+            reader, writer = await _connect(daemon.port)
+            writer.write(wire)
+            writer.write_eof()
+            reply = await read_frame(reader)
+            assert reply is not None, "the peer was dropped without a reply"
+            assert set(reply) == {"ok", "error"}
+            assert reply["ok"] is False and reply["error"]
+            assert await read_frame(reader) is None  # ... and then EOF
+            writer.close()
+            await _until(lambda: len(daemon._writers) == 1)
+            # As if it had never connected.
+            assert _books(daemon) == before
+
+            assert (await _ask(bystander, "query"))["query_index"] == 1
+            assert (await _ask(bystander, "bye"))["bye"]
+            bystander[1].close()
+            await _until(lambda: not daemon._writers)
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_pipelined_queries_of_an_aborted_client_are_executed_and_booked(self):
+        n_queries = 30
+
+        async def scenario(daemon):
+            _, writer = await _connect(daemon.port)
+            writer.write(HELLO + QUERY * n_queries)
+            writer.transport.abort()  # never reads a byte
+            await _until(lambda: daemon.requests_admitted == n_queries)
+            await daemon._queue.join()
+            final = daemon.final_report()
+            assert final["latency"]["count"] + final["latency"]["errors"] == n_queries
+            await _until(lambda: not daemon._writers)
+
+            successor = await _connect(daemon.port)
+            assert (await _ask(successor, "hello"))["client_id"] == 1
+            assert (await _ask(successor, "query"))["ok"]
+            successor[1].close()
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_connection_churn_leaks_no_writer_and_no_task(self):
+        async def scenario(daemon):
+            tasks_before = len(asyncio.all_tasks())
+            for cycle in range(200):
+                reader, writer = await _connect(daemon.port)
+                # Three shapes: bare connect; hello; hello + an unread query.
+                writer.write((b"", HELLO, HELLO + QUERY)[cycle % 3])
+                if cycle % 2:
+                    writer.transport.abort()
+                else:
+                    writer.close()
+                    await writer.wait_closed()
+            await _until(
+                lambda: not daemon._writers and len(asyncio.all_tasks()) == tasks_before
+            )
+            await daemon._queue.join()
+            final = daemon.final_report()
+            assert final["requests_admitted"] == (
+                final["latency"]["count"] + final["latency"]["errors"]
+            )
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_slow_reader_does_not_starve_another_connection(self):
+        n_queries = 3000
+
+        async def scenario(daemon):
+            slow_reader, slow_writer = await _connect(daemon.port)
+            slow_writer.write(HELLO + QUERY * n_queries)  # ... and reads nothing
+
+            other = await _connect(daemon.port)
+            hello = await _ask(other, "hello")
+            reply = await _ask(other, "query")
+            assert reply["ok"] and reply["client_id"] == hello["client_id"]
+            other[1].close()
+
+            # The slow reader catches up: everything it is owed, in order.
+            slow_hello = await read_frame(slow_reader)
+            replies = [await read_frame(slow_reader) for _ in range(n_queries)]
+            assert all(r["ok"] and r["client_id"] == slow_hello["client_id"] for r in replies)
+            per_session = daemon.config.queries_per_session
+            assert [r["query_index"] for r in replies] == [
+                i % per_session for i in range(n_queries)
+            ]
+            slow_writer.close()
+
+        _run_silently(daemon_config(max_queue=4096), scenario)
+
+    def test_second_hello_opens_a_fresh_session_behind_the_replies_owed(self):
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            writer.write(HELLO + QUERY + QUERY + HELLO + QUERY)
+            first, q0, q1, second, fresh = [await read_frame(reader) for _ in range(5)]
+            assert "n_queries" in first and "n_queries" in second  # the two hello replies
+            assert (q0["client_id"], q0["query_index"]) == (first["client_id"], 0)
+            assert (q1["client_id"], q1["query_index"]) == (first["client_id"], 1)
+            assert second["client_id"] != first["client_id"]
+            assert (fresh["client_id"], fresh["query_index"]) == (second["client_id"], 0)
+            writer.close()
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_concurrent_shutdown_callers_all_return_after_the_drain(self):
+        n_queries = 20
+
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            writer.write(HELLO + QUERY * n_queries)
+            await _until(lambda: daemon.requests_admitted == n_queries)
+
+            async def collect():
+                # Python >= 3.12 keeps ``Server.wait_closed`` (and so the
+                # drain) waiting for the peers to leave, so leave.
+                replies = [await read_frame(reader) for _ in range(1 + n_queries)]
+                writer.close()
+                return replies
+
+            replies, *_ = await asyncio.gather(
+                collect(), *(daemon.shutdown() for _ in range(3))
+            )
+            assert all(r["ok"] for r in replies)
+            return daemon.final_report()
+
+        final = _run_silently(daemon_config(), scenario)
+        assert final["drained"] is True
+        assert final["requests_admitted"] == final["latency"]["count"] == n_queries
+
+    def test_sigterm_twice_still_answers_every_queued_request(self):
+        """Across processes: the real ``serve`` command under two signals."""
+        n_queries = 2000
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--neurons", "6",
+             "--max-queue", "4096", "--report-interval", "3600"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))},
+        )
+
+        async def client(port):
+            reader, writer = await _connect(port)
+            writer.write(HELLO + QUERY * n_queries)
+            # The hello reply leaves the daemon as its worker starts on
+            # the queue, so both signals land while requests are queued.
+            replies = [await read_frame(reader)]
+            process.send_signal(signal.SIGTERM)
+            time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            replies += [await read_frame(reader) for _ in range(n_queries)]
+            writer.close()
+            return replies
+
+        try:
+            ready = json.loads(process.stdout.readline())
+            replies = asyncio.run(asyncio.wait_for(client(ready["port"]), timeout=120))
+            stdout, _ = process.communicate(timeout=60)
+        finally:
+            process.kill()
+            process.wait()
+        assert all(r is not None and r["ok"] for r in replies)
+        final = json.loads(stdout.splitlines()[-1])
+        assert final["type"] == "final" and final["drained"] is True
+        assert final["requests_admitted"] == n_queries
+        assert process.returncode == 0
 
 
 class TestDaemonConfigValidation:

@@ -33,6 +33,13 @@ json_values = st.recursive(
 )
 messages = st.dictionaries(st.text(max_size=10), json_values, max_size=6)
 
+#: Two payloads well inside the frame cap that ``json.loads`` refuses
+#: with something other than a ``JSONDecodeError``: nesting deep enough
+#: to overflow the parser's stack, and an integer past CPython's
+#: 4,300-digit conversion limit (a plain ``ValueError``).
+NESTED_PAYLOAD = b"[" * 200_000
+LONG_INTEGER_PAYLOAD = b'{"a":' + b"9" * 5000 + b"}"
+
 
 def _reader_for(data: bytes) -> asyncio.StreamReader:
     reader = asyncio.StreamReader()
@@ -66,6 +73,20 @@ class TestEncodeDecode:
         wire = encode_frame(message)
         assert decode_frame(wire[4:]) == message
 
+    @given(
+        st.binary(max_size=200)
+        | st.integers(1, 200_000).map(lambda depth: b"[" * depth)
+        | st.integers(1, 6000).map(lambda digits: b'{"a":' + b"9" * digits + b"}")
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decode_returns_a_dict_or_raises_protocol_error(self, payload):
+        """Whatever the peer sends, the daemon's only ``except`` is enough."""
+        try:
+            message = decode_frame(payload)
+        except ProtocolError:
+            return
+        assert isinstance(message, dict)
+
     def test_oversized_payload_rejected_on_encode(self):
         huge = {"blob": "x" * (MAX_FRAME_BYTES + 1)}
         with pytest.raises(ProtocolError):
@@ -82,6 +103,10 @@ class TestEncodeDecode:
             decode_frame(b"{not json")
         with pytest.raises(ProtocolError):
             decode_frame(b"\xff\xfe")
+        with pytest.raises(ProtocolError):
+            decode_frame(NESTED_PAYLOAD)
+        with pytest.raises(ProtocolError):
+            decode_frame(LONG_INTEGER_PAYLOAD)
 
 
 class TestReadFrame:
