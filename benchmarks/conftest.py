@@ -1,71 +1,26 @@
-"""Shared fixtures for the figure benchmarks.
+"""Shared fixtures for the direct figure benchmarks (Figs 15, 16, §8.2).
 
-Dataset generation and FLAT preprocessing dominate setup time, so the
-benchmark suite shares session-scoped instances.  ``REPRO_SCALE``
-multiplies dataset sizes and sequence counts for bigger runs.
+The figures a stored sweep cell can answer are regenerated and checked
+through the ``Figure`` registry (``test_figures.py``); the files that
+remain direct read what a cell does not carry, and share one
+session-scoped tissue because dataset generation and FLAT preprocessing
+dominate their setup time.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datagen import (
-    make_arterial_tree,
-    make_lung_airways,
-    make_neuron_tissue,
-    make_road_network,
-)
+from repro.datagen import make_neuron_tissue
 from repro.index import FlatIndex
-from repro.workload.sweeps import scale_factor
-
-#: Page capacity used throughout the benchmarks.  The paper uses 87
-#: objects per 4 KB page on a 450M-object tissue; at laptop scale a
-#: 16-object page keeps the *spatial* page-to-query ratio in the
-#: paper's regime (pages much smaller than queries).  See DESIGN.md §2.
-BENCH_FANOUT = 16
-
-SEED = 7
-
-
-def scaled(n: int) -> int:
-    return max(2, int(round(n * scale_factor())))
 
 
 @pytest.fixture(scope="session")
 def tissue():
-    return make_neuron_tissue(n_neurons=scaled(60), seed=SEED)
+    return make_neuron_tissue(n_neurons=60, seed=7)
 
 
 @pytest.fixture(scope="session")
 def tissue_index(tissue):
-    return FlatIndex(tissue, fanout=BENCH_FANOUT)
-
-
-@pytest.fixture(scope="session")
-def arterial():
-    return make_arterial_tree(seed=SEED)
-
-
-@pytest.fixture(scope="session")
-def arterial_index(arterial):
-    return FlatIndex(arterial, fanout=BENCH_FANOUT)
-
-
-@pytest.fixture(scope="session")
-def lung():
-    return make_lung_airways(seed=SEED)
-
-
-@pytest.fixture(scope="session")
-def lung_index(lung):
-    return FlatIndex(lung, fanout=BENCH_FANOUT)
-
-
-@pytest.fixture(scope="session")
-def roads():
-    return make_road_network(grid_size=20, spacing=40.0, seed=SEED)
-
-
-@pytest.fixture(scope="session")
-def roads_index(roads):
-    return FlatIndex(roads, fanout=BENCH_FANOUT)
+    # 16-object pages, as in every sweep grid (see repro.workload.sweeps.FLAT_INDEX).
+    return FlatIndex(tissue, fanout=16)

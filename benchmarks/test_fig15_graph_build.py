@@ -4,10 +4,14 @@ Measures the *wall-clock* cost of the two construction paths on growing
 result sets: SCOUT's full grid-hash build and SCOUT-OPT's sparse
 (candidate-reachable) construction.  Expected shape: both linear-ish in
 the result size, with the sparse build at or below the full build.
+
+Direct, not a ``Figure`` registry entry (DESIGN.md §4): the figure's
+y-axis is the wall-clock time of single graph builds on chosen regions,
+which a stored sweep cell does not carry (cells hold simulated seconds
+summed over whole sequences).
 """
 
-import numpy as np
-import pytest
+import time
 
 from repro.analysis import ResultTable
 from repro.geometry import AABB
@@ -33,8 +37,6 @@ def _measure(tissue, tissue_index):
         seeds = result.object_ids[
             tissue.centroids[result.object_ids][:, 0] < center[0]
         ]
-        import time
-
         started = time.perf_counter()
         reachable = report.graph.reachable_from(seeds[:50])
         report.graph.subgraph(reachable)

@@ -3,29 +3,31 @@
 The paper runs 50 sequences of 10 queries and shows that the prediction
 time per result element *decreases* along the sequence: iterative
 candidate pruning shrinks the subgraph that must be traversed.
+
+Direct, not a ``Figure`` registry entry (DESIGN.md §4): the figure's
+x-axis is the query's position in its sequence, read from the per-query
+records; a stored sweep cell keeps only per-sequence aggregates.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ResultTable
+from repro.core import ScoutPrefetcher
 from repro.sim import SimulationEngine
 from repro.workload import generate_sequences
 
-from helpers import n_sequences, scout_only
-
 N_QUERIES = 10
+N_SEQUENCES = 12  # the paper runs 50
 
 
 def _per_index_costs(tissue, tissue_index):
     engine = SimulationEngine(tissue_index)
     sequences = generate_sequences(
-        tissue, n_sequences() * 2, seed=16, n_queries=N_QUERIES, volume=80_000.0
+        tissue, N_SEQUENCES, seed=16, n_queries=N_QUERIES, volume=80_000.0
     )
     per_index = [[] for _ in range(N_QUERIES)]
     for sequence in sequences:
-        prefetcher = scout_only(tissue)
-        metrics = engine.run(sequence, prefetcher)
+        metrics = engine.run(sequence, ScoutPrefetcher(tissue))
         for record in metrics.records:
             if record.n_result_objects:
                 per_index[record.index].append(

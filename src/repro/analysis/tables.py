@@ -1,13 +1,14 @@
-"""ASCII result tables printed by the figure benchmarks.
+"""ASCII result tables of the regenerated paper figures.
 
-Every benchmark regenerating a paper table/figure prints one
+Whatever regenerates a paper table/figure prints one
 :class:`ResultTable` whose rows mirror the paper's series, plus the
 paper's reported range where the paper gives one, so a reader can
 eyeball paper-vs-measured without opening the PDF.
 
-:func:`sweep_table` builds the same tables from *persisted* sweep
-results (:class:`repro.sim.CellResult` records out of a
-:class:`repro.sim.ResultStore`), so figures can be re-rendered from a
+:func:`sweep_table` builds the tables from *persisted* sweep results
+(:class:`repro.sim.CellResult` records out of a
+:class:`repro.sim.ResultStore`), so ``scout-repro sweep`` renders --
+and shape-checks, see :mod:`repro.workload.figures` -- a figure from a
 store file without re-simulating a single cell.
 """
 
@@ -20,7 +21,8 @@ __all__ = ["ResultTable", "format_row", "paper_reference", "sweep_table"]
 
 #: Shape expectations lifted from the paper's text, keyed by figure id.
 #: Values are prose, not numbers to assert on -- the harness reproduces
-#: *shapes*, not testbed-specific absolutes (see DESIGN.md §4).
+#: *shapes*, not testbed-specific absolutes; the checkable form of each
+#: note is the ``shape`` of its ``Figure`` entry (see DESIGN.md §4).
 _PAPER_NOTES: dict[str, str] = {
     "fig3": "Best baseline (EWMA 0.3) <= 44%; accuracy drops as query volume grows.",
     "fig10sweep": "SCOUT across the Fig-10 registry: visualization rows highest, ad-hoc lowest.",
@@ -96,7 +98,7 @@ class ResultTable:
         print(self.render())
 
     def cell(self, row_label: str, column: str):
-        """Look up one value (for assertions in the bench tests)."""
+        """Look up one value by row label and column header."""
         column_index = self.columns.index(column)
         for label, values in self.rows:
             if label == row_label:

@@ -15,9 +15,10 @@ and prints its headline numbers.
 
 ``sweep`` expands an evaluation grid into experiment cells.  Every
 ``--figure`` value is one entry of the registry in
-:mod:`repro.workload.figures` -- ``10|11|12`` the microbenchmark grids
-(``--benches``), ``13`` (the default) the sensitivity panels
-(``--panels``, ``--points``), ``17`` the cross-domain applicability
+:mod:`repro.workload.figures` -- ``3`` the motivation grid,
+``10|11|12`` the microbenchmark grids (``--benches``), ``13`` (the
+default) the sensitivity panels (``--panels``, ``--points``), ``14``
+the response-time breakdown, ``17`` the cross-domain applicability
 grid (``--panels a,b``, ``--datasets``), and the four serving grids:
 ``clients`` (client counts x prefetchers x shared-cache sizes;
 ``--clients``, ``--cache-pages``, ``--contention``), ``chaos`` (fault
@@ -27,8 +28,11 @@ rate x prefetcher x circuit breaker over a seeded faulty disk),
 shard count x partition scheme x prefetcher over a
 :class:`~repro.storage.sharded.ShardedCache`) -- and this module holds
 one generic path over it: build the grids, filter to the shard, list or
-run, render the entry's tables (a flag the entry does not list is
-refused).  The cells fan out over ``--jobs`` worker processes; every
+run, render the entry's tables and, where the paper draws the figure,
+print whether they keep its shape (``shape: holds`` or ``shape: differs
+-- <statements>`` under each group; the exit code does not depend on
+it, since smoke-size grids may differ).  A flag the entry does not list
+is refused.  The cells fan out over ``--jobs`` worker processes; every
 finished cell is persisted to a JSON-lines store keyed by the cell
 spec's content hash, and the figure tables render from the stored
 results.  Serving cells always run on the vectorized lockstep scheduler
@@ -143,7 +147,7 @@ _FOREIGN_FLAG_ERRORS = {
     "points": "--points applies to --figure 13, not --figure {figure}",
     "datasets": "--datasets applies to --figure 17, not --figure {figure}",
     "neurons": "--neurons applies to the neuron-tissue grids "
-    "(figures 10-13, clients, chaos, tiers, shards)",
+    "(figures 3, 10-13, clients, chaos, tiers, shards)",
     "clients": "--clients applies to --figure clients, not --figure {figure}",
     "cache_pages": "--cache-pages applies to --figure clients, not --figure {figure}",
     "contention": "--contention applies to --figure clients, not --figure {figure}",
@@ -166,7 +170,7 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="scout-repro sweep",
-        description="Run an evaluation grid (paper Figs 10-13/17, or the "
+        description="Run an evaluation grid (paper Figs 3/10-14/17, or a "
         "multi-client serving grid) as a parallel, fault-tolerant, "
         "resumable experiment sweep.",
     )
@@ -175,9 +179,11 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         type=parse_figure,
         choices=list(figures),
         default=13,
-        help="which evaluation grid to sweep: the Fig-10 microbenchmark "
+        help="which evaluation grid to sweep: the Fig-3 motivation grid "
+        "(trajectory baselines x query volume), the Fig-10 microbenchmark "
         "registry, the Fig-11 no-gap or Fig-12 with-gap comparison grids, "
-        "the Fig-13 sensitivity panels (default), the Fig-17 "
+        "the Fig-13 sensitivity panels (default), the Fig-14 response-time "
+        "breakdown (SCOUT x tissue density), the Fig-17 "
         "cross-domain applicability grid (lung/arterial/roads), the "
         "'clients' grid (N concurrent sessions over one shared cache), "
         "the 'chaos' grid (serving under an injected-fault disk: "
@@ -271,9 +277,9 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="workload seed (default: the figure number's paper seed -- "
-        "13 for Fig 13, 17 for Fig 17, 11/11/12 for Figs 10/11/12, "
-        "21 for the clients grid)",
+        help="workload seed (default: the figure's own -- 13 for Fig 13, "
+        "14 for Fig 14, 17 for Fig 17, 31 for Fig 3, 11/11/12 for Figs "
+        "10/11/12, 21 for the serving grids)",
     )
     parser.add_argument(
         "--points",
@@ -370,21 +376,25 @@ def _sweep_command(argv: list[str]) -> int:
     for label, cells in grids:
         group = [r for r in report.results[offset : offset + len(cells)] if r.ok]
         offset += len(cells)
-        for table in figure.tables:
-            print()
-            print(
-                sweep_table(
-                    f"{figure.title} -- {table.title}".format(
-                        label=label, panel=figure.panels.get(label)
-                    ),
-                    group,
-                    column_of=lambda r: figure.column_of(label, r.spec),
-                    row_of=figure.row_of,
-                    value_of=table.value_of,
-                    figure_id=table.figure_id.format(label=label),
-                    precision=table.precision,
-                ).render()
+        tables = [
+            sweep_table(
+                f"{figure.title} -- {table.title}".format(
+                    label=label, panel=figure.panels.get(label)
+                ),
+                group,
+                column_of=lambda r: figure.column_of(label, r.spec),
+                row_of=figure.row_of,
+                value_of=table.value_of,
+                figure_id=table.figure_id.format(label=label),
+                precision=table.precision,
             )
+            for table in figure.tables
+        ]
+        for table in tables:
+            table.print()
+        if figure.shape is not None:
+            differs = figure.shape(label, tables)
+            print("shape: " + (f"differs -- {'; '.join(differs)}" if differs else "holds"))
 
     shard_note = "" if args.shard is None else f"  shard {args.shard[0]}/{args.shard[1]}"
     print()

@@ -4,10 +4,8 @@ One *experiment cell* is (dataset, index, workload spec, prefetcher);
 its result aggregates the per-sequence metrics the paper plots.
 :func:`run_experiment` executes exactly one cell on already-built
 objects -- it is the primitive that :mod:`repro.sim.runner` schedules
-(serially or across a process pool) and that the figure benchmarks in
-``benchmarks/`` call directly when they already hold a dataset fixture.
-Cells never share engine or cache state, which is what makes them safe
-to fan out.
+(serially or across a process pool).  Cells never share engine or
+cache state, which is what makes them safe to fan out.
 """
 
 from __future__ import annotations

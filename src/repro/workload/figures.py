@@ -4,11 +4,12 @@
 says how the command line exposes them.  :data:`FIGURES` holds one
 :class:`Figure` per ``--figure`` value -- its default seed, the
 figure-specific flags it takes, how parsed flags expand into labelled
-groups of cells, how ``--list-cells`` annotates a cell, and the
-:class:`Table` set each group's stored results render as.  The sweep
-command (:mod:`repro.cli`) is one generic path over that table: it
-names no figure, so adding a grid is one builder in ``sweeps`` plus one
-entry here (DESIGN.md §6.2).
+groups of cells, how ``--list-cells`` annotates a cell, the
+:class:`Table` set each group's stored results render as, and the
+paper's reading of those tables as a checkable ``shape`` (DESIGN.md
+§4).  The sweep command (:mod:`repro.cli`) is one generic path over
+that table: it names no figure, so adding a grid is one builder in
+``sweeps`` plus one entry here (DESIGN.md §6.2).
 """
 
 from __future__ import annotations
@@ -16,19 +17,21 @@ from __future__ import annotations
 from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.workload import sweeps
 
-__all__ = ["FIGURES", "Figure", "Table"]
+__all__ = ["FIGURES", "NOT_EVALUATED", "Figure", "Table"]
 
 
 def _prefetcher_label(result) -> str:
-    """Table row label for a cell: kind, plus lambda for EWMA variants."""
+    """Table row label for a cell: kind, plus the EWMA lambda or polynomial degree."""
     prefetcher = result.spec["prefetcher"]
     lam = prefetcher["params"].get("lam")
     if prefetcher["kind"] == "ewma" and lam is not None:
         return f"ewma-{lam:g}"
+    if prefetcher["kind"] == "polynomial":
+        return f"poly-{prefetcher['params'].get('degree', 2)}"
     return prefetcher["kind"]
 
 
@@ -77,7 +80,11 @@ class Figure:
     that column (``col``) and the cell ``spec``.  ``title`` heads every
     table of a group; title templates see the group's ``label`` and, on
     panel figures, its ``panel`` entry (``panels`` maps label to
-    ``(axis key, human title)``).
+    ``(axis key, human title)``).  ``shape(label, tables)`` reads one
+    group's rendered tables (in ``tables`` order) against the paper and
+    returns the statements that do not hold -- empty when the shape
+    holds; it never raises (see :func:`_shape`).  Grids the paper does
+    not draw have none.
     """
 
     seed: int
@@ -89,6 +96,155 @@ class Figure:
     tables: tuple[Table, ...]
     row_of: Callable[[Any], str] = _prefetcher_label
     panels: Mapping[str, tuple[str, str]] = field(default_factory=dict)
+    shape: Callable[[str, Sequence[Any]], list[str]] | None = None
+
+
+# -- the paper's shapes (DESIGN.md §4) ----------------------------------------------
+
+#: What a shape returns for a group it cannot read in full.
+NOT_EVALUATED = "not evaluated (blank or missing cells)"
+
+_BASELINES = ("ewma-0.3", "straight-line", "hilbert")
+
+
+def _shape(claims: Callable[[str, Sequence[Any]], Iterable[tuple[str, bool]]]):
+    """A :attr:`Figure.shape` out of ``claims(label, tables)``.
+
+    ``claims`` yields ``(statement, holds)`` pairs; the shape returns
+    the statements that do not hold.  A claim that reads a row, column
+    or tick the group does not have -- a ``--shard`` slice, failed
+    cells, ``--datasets lung`` -- raises :class:`LookupError`, which
+    leaves the whole group :data:`NOT_EVALUATED` rather than judged on
+    part of its cells.
+    """
+
+    def shape(label: str, tables: Sequence[Any]) -> list[str]:
+        try:
+            return [statement for statement, holds in claims(label, tables) if not holds]
+        except LookupError:
+            return [NOT_EVALUATED]
+
+    return shape
+
+
+def _row(table, label: str) -> dict[str, float]:
+    """One complete row of a rendered table as ``{column: value}``."""
+    values = table.row_values(label)
+    if None in values:
+        raise LookupError(f"blank cells in row {label!r}")
+    return dict(zip(table.columns, values))
+
+
+def _cells(table, label: str) -> list[float]:
+    return list(_row(table, label).values())
+
+
+@_shape
+def _fig3_shape(label, tables):
+    (hits,) = tables
+    poly2, poly3 = _cells(hits, "poly-2"), _cells(hits, "poly-3")
+    # Higher-degree polynomials oscillate ...
+    yield "poly-3 is below poly-2 summed over the volumes", sum(poly3) < sum(poly2)
+    # ... and accuracy degrades from small to large queries.
+    for name in ("ewma-0.3", "straight-line"):
+        cells = _cells(hits, name)
+        yield f"{name} gains less than 10 points from the smallest to the largest volume", (
+            cells[-1] < cells[0] + 10.0
+        )
+
+
+@_shape
+def _fig11_shape(label, tables):
+    hits, speedups = tables
+    scout = _row(hits, "scout")
+    for other in _BASELINES:
+        theirs = _row(hits, other)
+        wins = sum(scout[bench] >= theirs[bench] for bench in scout)
+        yield f"SCOUT is at or above {other} on all but at most one benchmark", (
+            wins >= len(scout) - 1
+        )
+    yield "SCOUT's lowest hit rate is above 55%", min(scout.values()) > 55.0
+    yield "SCOUT's highest hit rate is above 85%", max(scout.values()) > 85.0
+    yield "SCOUT's best speedup is above 5x", max(_cells(speedups, "scout")) > 5.0
+
+
+@_shape
+def _fig12_shape(label, tables):
+    hits = tables[0]
+    scout, opt = _row(hits, "scout"), _row(hits, "scout-opt")
+    yield "SCOUT-OPT is within 1 point of SCOUT or above it on every gap benchmark", all(
+        opt[bench] >= scout[bench] - 1.0 for bench in opt
+    )
+    for other in ("scout", *_BASELINES):
+        yield f"SCOUT-OPT is above {other} summed over the gap benchmarks", (
+            sum(opt.values()) > sum(_cells(hits, other))
+        )
+
+
+@_shape
+def _fig13_shape(panel, tables):
+    scout = _cells(tables[0], "scout")
+    if panel == "a":
+        yield "accuracy falls from the smallest to the largest query volume", scout[-1] < scout[0]
+    elif panel == "b":
+        yield "accuracy stays within 25 points as density grows", min(scout) > max(scout) - 25.0
+        yield "accuracy stays above 50% at every density", min(scout) > 50.0
+    elif panel == "c":
+        # Iterative pruning pays off on long sequences.
+        yield "the longest sequences beat the shortest", scout[-1] > scout[0]
+    elif panel == "d":
+        # The paper reports 29% -> 88%.
+        yield "accuracy rises by more than 20 points across the window ratios", (
+            scout[0] < scout[-1] - 20.0
+        )
+        yield "accuracy at the second ratio does not exceed the last", scout[1] <= scout[-1]
+    elif panel == "e":
+        yield "the two finest grid resolutions agree within 12 points", (
+            abs(scout[0] - scout[1]) < 12.0
+        )
+    elif panel == "f":
+        yield "SCOUT-OPT is at or above SCOUT summed over the gap distances", (
+            sum(_cells(tables[0], "scout-opt")) >= sum(scout)
+        )
+
+
+@_shape
+def _fig14_shape(label, tables):
+    build, predict = (_cells(table, "scout") for table in tables[1:])
+    # Modeling cost must not dominate, and its share must not grow
+    # systematically with density (the paper's headline observation).
+    yield "graph building stays below 45% of response at every density", max(build) < 45.0
+    yield "prediction stays below 20% of response at every density", max(predict) < 20.0
+    yield "the modeling share grows by less than 15 points from sparsest to densest", (
+        build[-1] + predict[-1] < build[0] + predict[0] + 15.0
+    )
+
+
+@_shape
+def _fig17_shape(panel, tables):
+    (hits,) = tables
+    scout = _row(hits, "scout")
+    others = {name: _row(hits, name) for name in _BASELINES}
+    if panel == "a":
+        # The smooth arterial tree favours extrapolation; SCOUT must
+        # stay competitive (paper: EWMA 96% vs SCOUT 90%).
+        yield "SCOUT is within 25 points of EWMA on the arterial tree", (
+            scout["arterial"] > others["ewma-0.3"]["arterial"] - 25.0
+        )
+    else:
+        # Bends and bifurcations defeat extrapolation at large queries.
+        # The floored small volume is already sizeable at synthetic
+        # scale, which compresses the small/large contrast: SCOUT must
+        # win roads outright and stay competitive elsewhere.
+        best = {dataset: max(row[dataset] for row in others.values()) for dataset in scout}
+        yield "SCOUT beats every baseline on roads", scout["roads"] > best["roads"]
+        for dataset in ("lung", "arterial"):
+            yield f"SCOUT is within 20 points of the best baseline on {dataset}", (
+                scout[dataset] > best[dataset] - 20.0
+            )
+
+
+# -- flags -> grids -----------------------------------------------------------------
 
 
 def _csv(text: str) -> list[str]:
@@ -103,6 +259,13 @@ def _chosen_panels(args, panels: Mapping[str, Any], figure: int) -> list[str]:
     if unknown:
         raise ValueError(f"unknown panel(s): {', '.join(unknown)} (expected {', '.join(panels)})")
     return chosen
+
+
+def _fig3_grids(args) -> list[tuple[str, list]]:
+    matrix = sweeps.fig3_matrix(
+        n_neurons=args.neurons, n_sequences=args.sequences, workload_seed=args.seed
+    )
+    return [("fig3", matrix.cells())]
 
 
 def _microbenchmark_grids(builder, label: str, args) -> list[tuple[str, list]]:
@@ -137,6 +300,11 @@ def _fig13_grids(args) -> list[tuple[str, list]]:
         )
         grids.append((panel, matrix.cells()))
     return grids
+
+
+def _fig14_grids(args) -> list[tuple[str, list]]:
+    matrix = sweeps.fig14_matrix(n_sequences=args.sequences, workload_seed=args.seed)
+    return [("fig14", matrix.cells())]
 
 
 def _fig17_grids(args) -> list[tuple[str, list]]:
@@ -211,7 +379,9 @@ def _clients_grids(args) -> list[tuple[str, list]]:
     )
 
 
-def _microbenchmark_figure(number: int, builder, seed: int, hit_id: str, speed_id: str = ""):
+def _microbenchmark_figure(
+    number: int, builder, seed: int, hit_id: str, speed_id: str = "", shape=None
+):
     return Figure(
         seed=seed,
         flags=("benches", "neurons", "sequences"),
@@ -223,15 +393,41 @@ def _microbenchmark_figure(number: int, builder, seed: int, hit_id: str, speed_i
             Table("cache hit rate [%]", figure_id=hit_id),
             Table("speedup vs no prefetching", lambda r: r.metrics.speedup, 2, speed_id),
         ),
+        shape=shape,
     )
+
+
+def _fig14_seconds(result) -> float:
+    # residual I/O + graph building + traversal (prediction_seconds covers the last two)
+    return result.metrics.response_seconds + result.metrics.prediction_seconds
+
+
+def _fig14_build_share(result) -> float:
+    return 100.0 * result.metrics.graph_build_seconds / _fig14_seconds(result)
+
+
+def _fig14_prediction_share(result) -> float:
+    metrics = result.metrics
+    traversal = metrics.prediction_seconds - metrics.graph_build_seconds
+    return 100.0 * traversal / _fig14_seconds(result)
 
 
 #: ``--figure`` value -> its :class:`Figure`, in ``--help`` order.  The
 #: sweep command is generic over this table (DESIGN.md §6.2).
 FIGURES: dict[int | str, Figure] = {
+    3: Figure(
+        seed=31,
+        flags=("neurons", "sequences"),
+        grids=_fig3_grids,
+        axis="volume={col:g}",
+        column_of=lambda label, spec: spec["workload"]["volume"],
+        title="Fig 3",
+        tables=(Table("baseline accuracy vs query volume [hit %]", figure_id="fig3"),),
+        shape=_fig3_shape,
+    ),
     10: _microbenchmark_figure(10, sweeps.fig10_matrix, 11, "fig10sweep"),
-    11: _microbenchmark_figure(11, sweeps.fig11_matrix, 11, "fig11a", "fig11b"),
-    12: _microbenchmark_figure(12, sweeps.fig12_matrix, 12, "fig12"),
+    11: _microbenchmark_figure(11, sweeps.fig11_matrix, 11, "fig11a", "fig11b", _fig11_shape),
+    12: _microbenchmark_figure(12, sweeps.fig12_matrix, 12, "fig12", shape=_fig12_shape),
     13: Figure(
         seed=13,
         flags=("panels", "points", "neurons", "sequences"),
@@ -242,6 +438,21 @@ FIGURES: dict[int | str, Figure] = {
         tables=(Table("{panel[1]} [hit %]", figure_id="fig13{label}"),),
         row_of=lambda r: r.prefetcher_kind,
         panels=sweeps.FIG13_PANELS,
+        shape=_fig13_shape,
+    ),
+    14: Figure(
+        seed=14,
+        flags=("sequences",),
+        grids=_fig14_grids,
+        axis="neurons={col}",
+        column_of=lambda label, spec: spec["dataset"]["params"]["n_neurons"],
+        title="Fig 14",
+        tables=(
+            Table("response time vs density [s, simulated]", _fig14_seconds, 3, "fig14"),
+            Table("graph-build share of response [%]", _fig14_build_share),
+            Table("prediction share of response [%]", _fig14_prediction_share),
+        ),
+        shape=_fig14_shape,
     ),
     17: Figure(
         seed=17,
@@ -252,6 +463,7 @@ FIGURES: dict[int | str, Figure] = {
         title="Fig 17{label}",
         tables=(Table("{panel[1]} [hit %]", figure_id="fig17{label}"),),
         panels=sweeps.FIG17_PANELS,
+        shape=_fig17_shape,
     ),
     "clients": Figure(
         seed=21,

@@ -1,7 +1,10 @@
-"""Parameter sweeps for the paper's evaluation grids (Figs 10-13, 17).
+"""Parameter sweeps for the paper's evaluation grids (Figs 3, 10-14, 17).
 
-Four families of declarative grids live here:
+Five families of declarative grids live here:
 
+* the **motivation grid** (paper §2, Fig 3): :func:`fig3_matrix`
+  crosses the trajectory baselines SCOUT is motivated against with
+  growing query volumes;
 * the **microbenchmark grids** -- :func:`fig10_matrix` (the Figure-10
   workload registry under one prefetcher), :func:`fig11_matrix` (the
   no-gap microbenchmarks crossed with the standard prefetcher
@@ -15,6 +18,8 @@ Four families of declarative grids live here:
   paper's values where units transfer (volume, window ratio, sequence
   length, grid resolution, gap distance) and scale the density axis to
   synthetic-tissue sizes (Fig 13b varies objects at fixed volume);
+  :func:`fig14_matrix` (§8.1, Fig 14) walks the same density axis for
+  SCOUT's response-time breakdown;
 * the **applicability grid** (paper §8.4, Fig 17):
   :func:`fig17_matrix` crosses the cross-domain datasets (lung airway
   mesh, arterial tree, road network) with the standard prefetcher set,
@@ -33,26 +38,42 @@ All builders return pure-data :class:`~repro.sim.ExperimentMatrix`
 values (Fig 17 and the serving grids return cell lists, because their
 cells vary per-dataset query volumes or per-cell serving parameters);
 run them with :class:`~repro.sim.ParallelRunner` (cells are keyed by
-content hash, so repeated runs resume from the store).
+content hash, so repeated runs resume from the store).  A builder takes
+only what some caller varies; everything else a grid fixes is a module
+constant here, because every such value is part of the cell keys that
+address stored results.
 
 :mod:`repro.workload.figures` registers each grid as a ``scout-repro
 sweep --figure`` value: the flags it takes, how they expand into these
-builders' cells, and the tables the results render as.
+builders' cells, the tables the results render as, and the paper shape
+those tables are checked against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.sim.runner import (
+    CellSpec,
+    DatasetSpec,
+    ExperimentMatrix,
+    IndexSpec,
+    PrefetcherSpec,
+    WorkloadSpec,
+    cached_dataset,
+)
 from repro.workload.benchmarks import MICROBENCHMARKS, microbenchmark_names
 
 __all__ = [
     "CHAOS_RATES",
+    "FIG3_PREFETCHERS",
+    "FIG3_VOLUMES",
     "FIG11_PREFETCHERS",
     "FIG12_PREFETCHERS",
     "FIG13_PANELS",
+    "FIG14_NEURONS",
     "FIG17_DATASET_PARAMS",
     "FIG17_PANELS",
     "SENSITIVITY_DEFAULTS",
@@ -68,40 +89,24 @@ __all__ = [
     "chaos_matrix",
     "chaos_rate_of",
     "clients_matrix",
+    "fig3_matrix",
     "fig10_matrix",
     "fig11_matrix",
     "fig12_matrix",
     "fig13_axes",
     "fig13_axis_value",
     "fig13_matrix",
+    "fig14_matrix",
     "fig17_dataset_of",
     "fig17_matrix",
     "fig17_query_volume",
     "microbenchmark_of",
-    "scale_factor",
-    "serve_cache_label",
     "serve_clients_of",
     "shards_k_of",
     "shards_matrix",
     "tiers_matrix",
     "tiers_path_of",
 ]
-
-
-def scale_factor() -> float:
-    """Global experiment scale from the ``REPRO_SCALE`` environment knob.
-
-    1.0 (default) keeps the bench suite laptop-sized; larger values grow
-    datasets and sequence counts proportionally.
-    """
-    raw = os.environ.get("REPRO_SCALE", "1")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_SCALE must be a number, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"REPRO_SCALE must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,90 @@ class SweepDefaults:
 
 
 SENSITIVITY_DEFAULTS = SweepDefaults()
+
+#: Seed of the neuron tissue every grid but the density axes runs on.
+TISSUE_SEED = 7
+
+#: Every cell queries a FLAT index of 16-object pages.  The paper packs
+#: 87 objects into a 4 KB page of a 450M-object tissue; at laptop scale
+#: 16 keeps the *spatial* page-to-query ratio in the paper's regime
+#: (pages much smaller than queries, DESIGN.md §2).
+FLAT_INDEX = IndexSpec("flat", {"fanout": 16})
+
+#: Tissue extent (µm) the density axes (Figs 13b, 14) hold fixed while
+#: the neuron count grows: the paper adds 50M objects per step to the
+#: same 285 mm³.
+DENSITY_EXTENT = 700.0
+
+
+def _tissue(n_neurons: int | None) -> DatasetSpec:
+    n_neurons = SENSITIVITY_DEFAULTS.n_neurons if n_neurons is None else int(n_neurons)
+    return DatasetSpec("neuron", {"n_neurons": n_neurons, "seed": TISSUE_SEED})
+
+
+def _dense_tissues(neuron_counts: Iterable[int], seed: int) -> tuple[DatasetSpec, ...]:
+    return tuple(
+        DatasetSpec("neuron", {"n_neurons": int(n), "seed": seed, "extent": DENSITY_EXTENT})
+        for n in neuron_counts
+    )
+
+
+def _workload(n_sequences: int | None, **overrides: Any) -> WorkloadSpec:
+    """The §7.4 default workload with ``overrides`` applied."""
+    defaults = SENSITIVITY_DEFAULTS
+    params: dict[str, Any] = dict(
+        n_sequences=defaults.n_sequences if n_sequences is None else int(n_sequences),
+        n_queries=defaults.n_queries,
+        volume=defaults.volume,
+        gap=defaults.gap,
+        aspect=defaults.aspect,
+        window_ratio=defaults.window_ratio,
+    )
+    return WorkloadSpec(**(params | overrides))
+
+
+def _prefetchers(
+    table: Iterable[tuple[str, Mapping[str, Any]]],
+) -> tuple[PrefetcherSpec, ...]:
+    return tuple(PrefetcherSpec(kind, dict(params)) for kind, params in table)
+
+
+# -- the Fig-3 motivation grid ------------------------------------------------------
+
+#: Figure 3's x-axis: query volumes in µm³.
+FIG3_VOLUMES: tuple[float, ...] = (10_000.0, 80_000.0, 150_000.0, 220_000.0)
+
+#: Figure 3's series: the trajectory extrapolators SCOUT is motivated
+#: against (kind, params).
+FIG3_PREFETCHERS: tuple[tuple[str, dict], ...] = (
+    ("ewma", {"lam": 0.3}),
+    ("straight-line", {}),
+    ("polynomial", {"degree": 2}),
+    ("polynomial", {"degree": 3}),
+)
+
+
+def fig3_matrix(
+    *,
+    n_neurons: int | None = None,
+    n_sequences: int | None = None,
+    workload_seed: int = 31,
+):
+    """Figure 3: accuracy of the state of the art vs query volume.
+
+    The paper's motivation experiment: the trajectory baselines on
+    25-query sequences over neuron tissue, at growing query volumes.
+    """
+    return ExperimentMatrix(
+        datasets=(_tissue(n_neurons),),
+        indexes=(FLAT_INDEX,),
+        workloads=tuple(_workload(n_sequences, volume=volume) for volume in FIG3_VOLUMES),
+        prefetchers=_prefetchers(FIG3_PREFETCHERS),
+        seeds=(workload_seed,),
+    )
+
+
+# -- the Fig-13 grid as experiment matrices -----------------------------------------
 
 
 def fig13_axes() -> dict[str, list]:
@@ -137,8 +226,6 @@ def fig13_axes() -> dict[str, list]:
     }
 
 
-# -- the Fig-13 grid as experiment matrices -----------------------------------------
-
 #: Panel letter -> (axis key in :func:`fig13_axes`, human title).
 FIG13_PANELS: dict[str, tuple[str, str]] = {
     "a": ("a_query_volume", "accuracy vs query volume"),
@@ -155,13 +242,8 @@ def fig13_matrix(
     *,
     n_neurons: int | None = None,
     n_sequences: int | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 13,
-    fanout: int = 16,
     axis: Sequence[Any] | None = None,
-    density_extent: float = 700.0,
-    density_seed: int = 13,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ):
     """One Fig-13 panel as a declarative :class:`ExperimentMatrix`.
 
@@ -171,21 +253,7 @@ def fig13_matrix(
     (e) SCOUT's grid resolution, (f) the gap distance (where SCOUT-OPT
     joins SCOUT as a second prefetcher row).  ``axis`` overrides the
     paper's tick values, e.g. to truncate a panel for a smoke run.
-
-    The returned matrix is pure data; run it with
-    :class:`repro.sim.ParallelRunner` (cells are keyed by content hash,
-    so repeated runs resume from the store).
     """
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        DatasetSpec,
-        ExperimentMatrix,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
-
     if panel not in FIG13_PANELS:
         known = ", ".join(sorted(FIG13_PANELS))
         raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
@@ -193,55 +261,53 @@ def fig13_matrix(
     values = list(fig13_axes()[axis_key] if axis is None else axis)
     if not values:
         raise ValueError(f"panel {panel!r} axis must not be empty")
-    n_neurons = defaults.n_neurons if n_neurons is None else int(n_neurons)
-    n_sequences = defaults.n_sequences if n_sequences is None else int(n_sequences)
 
-    def workload(**overrides: Any) -> "WorkloadSpec":
-        merged: dict[str, Any] = dict(
-            n_sequences=n_sequences,
-            n_queries=defaults.n_queries,
-            volume=defaults.volume,
-            gap=defaults.gap,
-            aspect=defaults.aspect,
-            window_ratio=defaults.window_ratio,
-        )
-        merged.update(overrides)
-        return WorkloadSpec(**merged)
-
-    datasets = (DatasetSpec("neuron", {"n_neurons": n_neurons, "seed": dataset_seed}),)
-    indexes = (IndexSpec("flat", {"fanout": fanout}),)
-    workloads = (workload(),)
+    datasets = (_tissue(n_neurons),)
+    workloads = (_workload(n_sequences),)
     prefetchers = (PrefetcherSpec("scout"),)
-
     if panel == "a":
-        workloads = tuple(workload(volume=float(v)) for v in values)
+        workloads = tuple(_workload(n_sequences, volume=float(v)) for v in values)
     elif panel == "b":
-        # Fixed tissue volume, growing object count = growing density
-        # (the paper adds 50M objects to the same 285 mm^3).
-        datasets = tuple(
-            DatasetSpec(
-                "neuron",
-                {"n_neurons": int(n), "seed": density_seed, "extent": float(density_extent)},
-            )
-            for n in values
-        )
+        datasets = _dense_tissues(values, seed=13)
     elif panel == "c":
-        workloads = tuple(workload(n_queries=int(n)) for n in values)
+        workloads = tuple(_workload(n_sequences, n_queries=int(n)) for n in values)
     elif panel == "d":
-        workloads = tuple(workload(window_ratio=float(r)) for r in values)
+        workloads = tuple(_workload(n_sequences, window_ratio=float(r)) for r in values)
     elif panel == "e":
         prefetchers = tuple(
             PrefetcherSpec("scout", {"grid_resolution": int(r)}) for r in values
         )
     elif panel == "f":
-        workloads = tuple(workload(gap=float(g)) for g in values)
+        workloads = tuple(_workload(n_sequences, gap=float(g)) for g in values)
         prefetchers = (PrefetcherSpec("scout"), PrefetcherSpec("scout-opt"))
 
     return ExperimentMatrix(
         datasets=datasets,
-        indexes=indexes,
+        indexes=(FLAT_INDEX,),
         workloads=workloads,
         prefetchers=prefetchers,
+        seeds=(workload_seed,),
+    )
+
+
+# -- the Fig-14 response-time breakdown ---------------------------------------------
+
+#: Figure 14's x-axis: neuron counts at the fixed density extent.
+FIG14_NEURONS: tuple[int, ...] = (40, 60, 80, 100)
+
+
+def fig14_matrix(*, n_sequences: int | None = None, workload_seed: int = 14):
+    """Figure 14: SCOUT's response-time breakdown vs dataset density.
+
+    One SCOUT cell per tissue density at the §7.4 defaults; the stored
+    metrics split each cell's time into residual I/O, graph building
+    and prediction (traversal).
+    """
+    return ExperimentMatrix(
+        datasets=_dense_tissues(FIG14_NEURONS, seed=14),
+        indexes=(FLAT_INDEX,),
+        workloads=(_workload(n_sequences),),
+        prefetchers=(PrefetcherSpec("scout"),),
         seeds=(workload_seed,),
     )
 
@@ -260,143 +326,64 @@ FIG11_PREFETCHERS: tuple[tuple[str, dict], ...] = (
 #: point of the with-gap comparison.
 FIG12_PREFETCHERS: tuple[tuple[str, dict], ...] = FIG11_PREFETCHERS + (("scout-opt", {}),)
 
+#: Figure -> (Figure-10 rows, prefetcher set, workload seed).
+_MICROBENCHMARK_GRIDS: dict[int, tuple[list[str], tuple[tuple[str, dict], ...], int]] = {
+    10: (microbenchmark_names(), (("scout", {}),), 11),
+    11: (microbenchmark_names(with_gaps=False), FIG11_PREFETCHERS, 11),
+    12: (microbenchmark_names(with_gaps=True), FIG12_PREFETCHERS, 12),
+}
+
 
 def _microbenchmark_matrix(
-    benches: Sequence[str],
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]],
+    figure: int,
     *,
-    n_neurons: int | None,
-    n_sequences: int | None,
-    dataset_seed: int,
-    workload_seed: int,
-    fanout: int,
-    defaults: SweepDefaults,
+    benches: Sequence[str] | None = None,
+    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] | None = None,
+    n_neurons: int | None = None,
+    n_sequences: int | None = None,
+    workload_seed: int | None = None,
 ):
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        DatasetSpec,
-        ExperimentMatrix,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
+    """One row of :data:`_MICROBENCHMARK_GRIDS` as a matrix.
 
+    ``benches`` restricts the figure's rows (e.g. for CI slices),
+    ``prefetchers`` its comparison set.
+    """
+    figure_benches, figure_prefetchers, figure_seed = _MICROBENCHMARK_GRIDS[figure]
+    benches = figure_benches if benches is None else list(benches)
     if not benches:
         raise ValueError("benches must name at least one microbenchmark")
     unknown = [name for name in benches if name not in MICROBENCHMARKS]
     if unknown:
         known = ", ".join(MICROBENCHMARKS)
         raise ValueError(f"unknown microbenchmark(s) {', '.join(unknown)}; known: {known}")
-    n_neurons = defaults.n_neurons if n_neurons is None else int(n_neurons)
-    n_sequences = defaults.n_sequences if n_sequences is None else int(n_sequences)
-    workloads = tuple(
-        WorkloadSpec(
-            n_sequences=n_sequences,
-            n_queries=MICROBENCHMARKS[name].n_queries,
-            volume=MICROBENCHMARKS[name].volume,
-            gap=MICROBENCHMARKS[name].gap,
-            aspect=MICROBENCHMARKS[name].aspect,
-            window_ratio=MICROBENCHMARKS[name].window_ratio,
-        )
-        for name in benches
-    )
     return ExperimentMatrix(
-        datasets=(DatasetSpec("neuron", {"n_neurons": n_neurons, "seed": dataset_seed}),),
-        indexes=(IndexSpec("flat", {"fanout": fanout}),),
-        workloads=workloads,
-        prefetchers=tuple(PrefetcherSpec(kind, dict(params)) for kind, params in prefetchers),
-        seeds=(workload_seed,),
+        datasets=(_tissue(n_neurons),),
+        indexes=(FLAT_INDEX,),
+        workloads=tuple(
+            _workload(
+                n_sequences,
+                n_queries=bench.n_queries,
+                volume=bench.volume,
+                gap=bench.gap,
+                aspect=bench.aspect,
+                window_ratio=bench.window_ratio,
+            )
+            for bench in map(MICROBENCHMARKS.__getitem__, benches)
+        ),
+        prefetchers=_prefetchers(figure_prefetchers if prefetchers is None else prefetchers),
+        seeds=(figure_seed if workload_seed is None else workload_seed,),
     )
 
 
-def fig10_matrix(
-    *,
-    benches: Sequence[str] | None = None,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = (("scout", {}),),
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
-):
-    """The full Figure-10 microbenchmark registry as one matrix.
+#: The whole Figure-10 registry under SCOUT alone: the grid behind the
+#: paper's headline numbers, and the cheapest whole-registry smoke sweep.
+fig10_matrix = partial(_microbenchmark_matrix, 10)
 
-    All seven workload rows (ad-hoc, model building, visualization with
-    and without gaps) under a single prefetcher -- the grid behind the
-    paper's headline SCOUT numbers, and the cheapest whole-registry
-    smoke sweep.  ``benches`` restricts the rows (e.g. for CI slices).
-    """
-    benches = microbenchmark_names() if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
+#: Figure 11: the no-gap microbenchmarks x the standard prefetchers.
+fig11_matrix = partial(_microbenchmark_matrix, 11)
 
-
-def fig11_matrix(
-    *,
-    benches: Sequence[str] | None = None,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = FIG11_PREFETCHERS,
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
-):
-    """Figure 11: the no-gap microbenchmarks x the standard prefetchers.
-
-    Matches the direct harness in ``benchmarks/test_fig11_microbenchmarks.py``
-    (workload seed 11) cell for cell; the declarative form adds resume,
-    sharding and fault tolerance on top.
-    """
-    benches = microbenchmark_names(with_gaps=False) if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
-
-
-def fig12_matrix(
-    *,
-    benches: Sequence[str] | None = None,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = FIG12_PREFETCHERS,
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 12,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
-):
-    """Figure 12: the with-gap microbenchmarks, with SCOUT-OPT added.
-
-    Matches ``benchmarks/test_fig12_gaps.py`` (workload seed 12).
-    """
-    benches = microbenchmark_names(with_gaps=True) if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
+#: Figure 12: the with-gap microbenchmarks, with SCOUT-OPT added.
+fig12_matrix = partial(_microbenchmark_matrix, 12)
 
 
 # -- the Fig-17 applicability grid --------------------------------------------------
@@ -410,11 +397,14 @@ FIG17_PANELS: dict[str, tuple[str, str]] = {
 #: The §8.4 cross-domain datasets (kind -> generator params), ordered as
 #: in the figure.  Laptop-scale stand-ins for the paper's lung airway
 #: mesh (7.1M triangles), pig-heart arterial tree (2.1M cylinders) and
-#: North-America road network (7.2M 2D segments).
+#: North-America road network (7.2M 2D segments).  The road grid must be
+#: large enough that 25 large queries stay on the network: at
+#: ``grid_size=12`` the walks leave it and every trajectory method
+#: collapses (straight-line 2.7 %).
 FIG17_DATASET_PARAMS: dict[str, dict[str, Any]] = {
     "lung": {"seed": 17, "max_depth": 4},
     "arterial": {"seed": 17},
-    "roads": {"seed": 17, "grid_size": 12},
+    "roads": {"seed": 17, "grid_size": 20},
 }
 
 #: §8.4 sizes queries as a fraction of the dataset volume; small queries
@@ -422,7 +412,7 @@ FIG17_DATASET_PARAMS: dict[str, dict[str, Any]] = {
 #: than the paper's datasets, so the small volume is floored at one that
 #: returns a handful of objects, and the large regime is a fixed factor
 #: above the small one so the two regimes stay distinct even when the
-#: floor binds (mirrors ``benchmarks/test_fig17_applicability.py``).
+#: floor binds.
 FIG17_SMALL_FRACTION = 5e-7
 FIG17_LARGE_OVER_SMALL = 4.0
 
@@ -447,10 +437,7 @@ def fig17_matrix(
     datasets: Mapping[str, Mapping[str, Any]] | None = None,
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = FIG11_PREFETCHERS,
     n_sequences: int | None = None,
-    n_queries: int | None = None,
     workload_seed: int = 17,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ) -> list:
     """One Fig-17 panel: cross-domain datasets x standard prefetchers.
 
@@ -463,17 +450,6 @@ def fig17_matrix(
     building the datasets to size the queries goes through the runner's
     per-process memo, so a panel pair reuses one build per dataset.
     """
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        DatasetSpec,
-        ExperimentMatrix,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-        cached_dataset,
-    )
-
     if panel not in FIG17_PANELS:
         known = ", ".join(sorted(FIG17_PANELS))
         raise ValueError(f"unknown Fig-17 panel {panel!r}; known: {known}")
@@ -481,8 +457,6 @@ def fig17_matrix(
     dataset_params = FIG17_DATASET_PARAMS if datasets is None else datasets
     if not dataset_params:
         raise ValueError("fig17_matrix needs at least one dataset")
-    n_sequences = defaults.n_sequences if n_sequences is None else int(n_sequences)
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
 
     cells: list = []
     for kind, params in dataset_params.items():
@@ -490,18 +464,9 @@ def fig17_matrix(
         volume = fig17_query_volume(cached_dataset(dataset_spec), regime)
         matrix = ExperimentMatrix(
             datasets=(dataset_spec,),
-            indexes=(IndexSpec("flat", {"fanout": fanout}),),
-            workloads=(
-                WorkloadSpec(
-                    n_sequences=n_sequences,
-                    n_queries=n_queries,
-                    volume=volume,
-                    window_ratio=defaults.window_ratio,
-                ),
-            ),
-            prefetchers=tuple(
-                PrefetcherSpec(kind_, dict(params_)) for kind_, params_ in prefetchers
-            ),
+            indexes=(FLAT_INDEX,),
+            workloads=(_workload(n_sequences, volume=volume),),
+            prefetchers=_prefetchers(prefetchers),
             seeds=(workload_seed,),
         )
         cells.extend(matrix.cells())
@@ -513,7 +478,7 @@ def fig17_dataset_of(spec: Mapping[str, Any]) -> str:
     return spec["dataset"]["kind"]
 
 
-# -- the client-scaling serving grid ------------------------------------------------
+# -- the serving grids --------------------------------------------------------------
 
 #: Concurrent-client counts of the serving sweep's x-axis.
 SERVE_CLIENTS: tuple[int, ...] = (1, 2, 4, 8, 16)
@@ -529,19 +494,23 @@ SERVE_PREFETCHERS: tuple[tuple[str, dict], ...] = (
 #: heavy contention -- every client fights for the same few pages).
 SERVE_CACHE_PAGES: tuple[int | None, ...] = (None, 128)
 
+#: Client ``i`` joins this many ticks after client ``i-1``.
+SERVE_STAGGER = 1
+
+#: The three layer grids (chaos, tiers, shards) serve Zipf-skewed
+#: ``hotspot`` fleets, so clients share pages and load skews; chaos and
+#: tiers fix the fleet at this many clients.
+LAYER_MODE = "hotspot"
+LAYER_CLIENTS = 4
+
 
 def _serving_cells(
     points: Iterable[tuple[int, tuple[str, Mapping[str, Any]], Mapping[str, Any]]],
     *,
     mode: str,
-    stagger: int,
     n_neurons: int,
-    n_queries: int | None,
-    volume: float | None,
-    dataset_seed: int,
     workload_seed: int,
-    fanout: int,
-    defaults: SweepDefaults,
+    n_queries: int | None = None,
 ) -> list:
     """Expand ``(n_clients, prefetcher, layers)`` points into serving cells.
 
@@ -553,35 +522,17 @@ def _serving_cells(
     fields (``sim`` | ``faults`` | ``storage`` | ``shards``) its grid
     sweeps.  Cells come back in ``points`` order.
     """
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
-
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
+    if n_queries is None:
+        n_queries = SENSITIVITY_DEFAULTS.n_queries
+    dataset = _tissue(n_neurons)
     return [
         CellSpec(
             dataset=dataset,
-            index=index,
-            workload=WorkloadSpec(
-                n_sequences=n_clients,  # one session per client
-                n_queries=n_queries,
-                volume=volume,
-                gap=defaults.gap,
-                aspect=defaults.aspect,
-                window_ratio=defaults.window_ratio,
-            ),
+            index=FLAT_INDEX,
+            workload=_workload(n_clients, n_queries=int(n_queries)),  # one session per client
             prefetcher=PrefetcherSpec(kind, dict(params)),
             seed=workload_seed,
-            serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
+            serve={"n_clients": n_clients, "mode": mode, "stagger": SERVE_STAGGER},
             **layers,
         )
         for n_clients, (kind, params), layers in points
@@ -595,34 +546,21 @@ def _client_counts(clients: Sequence[int]) -> list[int]:
     return counts
 
 
-def _fleet_size(n_clients: int) -> int:
-    n_clients = int(n_clients)
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    return n_clients
-
-
 def clients_matrix(
     *,
     clients: Sequence[int] = SERVE_CLIENTS,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
     cache_pages: Sequence[int | None] = SERVE_CACHE_PAGES,
     mode: str = "independent",
-    stagger: int = 1,
     n_neurons: int = 40,
     n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ) -> list:
     """The client-scaling serving grid: clients x prefetchers x cache sizes.
 
     Every cell is a multi-client serving run (``serve`` mapping on the
     spec): N concurrent sessions round-robin over one shared prefetch
-    cache and disk, client ``i`` joining ``stagger`` ticks after client
-    ``i-1``.  ``mode`` picks the contention regime of
+    cache and disk, staggered by :data:`SERVE_STAGGER` ticks.  ``mode``
+    picks the contention regime of
     :func:`repro.workload.multiclient.multiclient_sessions`
     (``independent`` walks vs Zipf-skewed ``hotspot`` sharing).  Cells
     order cache-size-major (then prefetcher, then client count) so each
@@ -638,18 +576,13 @@ def clients_matrix(
                 {"sim": {} if capacity is None else {"cache_capacity_pages": int(capacity)}},
             )
             for capacity in cache_pages
-            for prefetcher in prefetchers
+            for prefetcher in SERVE_PREFETCHERS
             for n in client_counts
         ),
         mode=mode,
-        stagger=stagger,
         n_neurons=n_neurons,
-        n_queries=n_queries,
-        volume=volume,
-        dataset_seed=dataset_seed,
         workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
+        n_queries=n_queries,
     )
 
 
@@ -657,14 +590,6 @@ def serve_clients_of(spec: Mapping[str, Any]) -> int:
     """The client-count column a serving cell-spec dict belongs to."""
     return int(spec["serve"]["n_clients"])
 
-
-def serve_cache_label(spec: Mapping[str, Any]) -> str:
-    """Human label of a serving cell's shared-cache size ("auto" or pages)."""
-    capacity = spec.get("sim", {}).get("cache_capacity_pages")
-    return "auto" if capacity is None else f"{int(capacity)} pages"
-
-
-# -- the chaos (fault-injection) serving grid ---------------------------------------
 
 #: Fault intensities of the chaos sweep's x-axis: the headline
 #: ``transient_rate``; corrupt and latency-spike rates ride at half of
@@ -677,23 +602,15 @@ def serve_cache_label(spec: Mapping[str, Any]) -> str:
 #: keep.
 CHAOS_RATES: tuple[float, ...] = (0.0, 0.2, 0.5, 0.7)
 
+#: Seed of the chaos grid's fault streams (:class:`FaultPlan.seed`).
+CHAOS_FAULT_SEED = 11
+
 
 def chaos_matrix(
     *,
-    rates: Sequence[float] = CHAOS_RATES,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
     breakers: Sequence[bool] = (True, False),
-    n_clients: int = 4,
-    mode: str = "hotspot",
-    stagger: int = 1,
     n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 21,
-    fault_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ) -> list:
     """The graceful-degradation grid: fault rate x prefetcher x breaker.
 
@@ -712,38 +629,28 @@ def chaos_matrix(
     (inactive) fault plan too: the healthy baseline of each table, run
     on the bare disk with the fault counters (all zero) in its record.
     """
-    fault_rates = [float(r) for r in rates]
-    if not fault_rates or any(not 0.0 <= r <= 1.0 for r in fault_rates):
-        raise ValueError(f"rates must be fractions in [0, 1], got {list(rates)!r}")
-    n_clients = _fleet_size(n_clients)
     return _serving_cells(
         (
             (
-                n_clients,
+                LAYER_CLIENTS,
                 prefetcher,
                 {
                     "faults": {
                         "transient_rate": rate,
                         "corrupt_rate": rate / 2.0,
                         "latency_rate": rate / 2.0,
-                        "seed": int(fault_seed),
+                        "seed": CHAOS_FAULT_SEED,
                         "breaker": bool(breaker),
                     }
                 },
             )
             for breaker in breakers
-            for prefetcher in prefetchers
-            for rate in fault_rates
+            for prefetcher in SERVE_PREFETCHERS
+            for rate in CHAOS_RATES
         ),
-        mode=mode,
-        stagger=stagger,
+        mode=LAYER_MODE,
         n_neurons=n_neurons,
-        n_queries=n_queries,
-        volume=volume,
-        dataset_seed=dataset_seed,
         workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
     )
 
 
@@ -751,8 +658,6 @@ def chaos_rate_of(spec: Mapping[str, Any]) -> float:
     """The fault-rate column a chaos cell-spec dict belongs to."""
     return float(spec["faults"]["transient_rate"])
 
-
-# -- the tiered-storage serving grid ------------------------------------------------
 
 #: Miss-path mechanisms of the tiers sweep's x-axis (the SimpleScalar
 #: taxonomy: victim cache, miss cache, stream buffer, all combined);
@@ -768,70 +673,46 @@ TIER_SIZES: tuple[int, ...] = (8, 64)
 
 def tiers_matrix(
     *,
-    miss_paths: Sequence[str] = TIER_MISS_PATHS,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
     tier_sizes: Sequence[int] = TIER_SIZES,
-    backend: str = "ram",
-    n_clients: int = 4,
-    mode: str = "hotspot",
-    stagger: int = 1,
     n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ) -> list:
     """The tiered-storage grid: tier size x prefetcher x miss-path mechanism.
 
     Every cell is a multi-client serving run whose shared disk is
     wrapped in a :class:`~repro.storage.tiered.TieredStore` (DESIGN.md
-    §9): a storage-side tier cache of the swept capacity, with the
-    swept miss-path mechanism probing below it.  The grid answers the
-    comparative question of the SimpleScalar taxonomy -- which
-    mechanism absorbs the misses each prefetcher leaves behind, and at
-    what tier size does raw capacity wash the mechanisms out?  Cells
-    order tier-size-major (then prefetcher, then miss path) so each
-    tier size renders as one table.  The tier structures are
-    deterministic (LRU over the request order, no randomness), so the
-    grid keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
+    §9): a storage-side tier cache of the swept capacity over the
+    ``ram`` backend, with the swept miss-path mechanism probing below
+    it.  The grid answers the comparative question of the SimpleScalar
+    taxonomy -- which mechanism absorbs the misses each prefetcher
+    leaves behind, and at what tier size does raw capacity wash the
+    mechanisms out?  Cells order tier-size-major (then prefetcher, then
+    miss path) so each tier size renders as one table.  The tier
+    structures are deterministic (LRU over the request order, no
+    randomness), so the grid keeps the ``jobs=1``/``jobs=N``
+    bit-identity contract.
     """
-    from repro.storage.tiered import MISS_PATHS
-
-    paths = [str(p) for p in miss_paths]
-    if not paths or set(paths) - set(MISS_PATHS):
-        raise ValueError(
-            f"miss_paths must be drawn from {list(MISS_PATHS)}, got {list(miss_paths)!r}"
-        )
-    sizes = [int(s) for s in tier_sizes]
-    if not sizes or any(s < 0 for s in sizes):
-        raise ValueError(f"tier_sizes must be non-negative ints, got {list(tier_sizes)!r}")
-    n_clients = _fleet_size(n_clients)
     return _serving_cells(
         (
             (
-                n_clients,
+                LAYER_CLIENTS,
                 prefetcher,
-                {"storage": {"backend": str(backend), "miss_path": path, "tier_pages": size}},
+                {"storage": {"backend": "ram", "miss_path": path, "tier_pages": int(size)}},
             )
-            for size in sizes
-            for prefetcher in prefetchers
-            for path in paths
+            for size in tier_sizes
+            for prefetcher in SERVE_PREFETCHERS
+            for path in TIER_MISS_PATHS
         ),
-        mode=mode,
-        stagger=stagger,
+        mode=LAYER_MODE,
         n_neurons=n_neurons,
-        n_queries=n_queries,
-        volume=volume,
-        dataset_seed=dataset_seed,
         workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
     )
 
 
-# -- the sharded-cache serving grid -------------------------------------------------
+def tiers_path_of(spec: Mapping[str, Any]) -> str:
+    """The miss-path column a tiers cell-spec dict belongs to."""
+    return str(spec["storage"]["miss_path"])
+
 
 #: Shard counts of the shards sweep: the unsharded baseline (K=1 is
 #: the plain shared cache) against a small multi-node layout.
@@ -848,72 +729,35 @@ SHARD_CLIENTS: tuple[int, ...] = (4, 8)
 
 def shards_matrix(
     *,
-    clients: Sequence[int] = SHARD_CLIENTS,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
     partitions: Sequence[str] = SHARD_PARTITIONS,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
-    rebalance: bool = False,
-    mode: str = "hotspot",
-    stagger: int = 1,
     n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ) -> list:
     """The sharded-cache grid: clients x shard count x partition x policy.
 
     Every cell is a multi-client serving run whose shared prefetch
     cache is compiled into a :class:`~repro.storage.sharded.ShardedCache`
     (DESIGN.md §10): the total capacity range-partitioned along the
-    page table's Hilbert keys or hash-scattered over page ids.  The
-    grid answers the scale-out questions -- how skewed does per-shard
-    load get under each partitioning, and what does sharding cost or
-    buy each prefetch policy as the fleet grows?  ``rebalance=True``
-    additionally arms the hot-shard rebalancer on the ``hilbert``
-    cells (it is range-partitioning-only, so hash cells never take
-    it).  Cells order partition-major (then clients, then prefetcher,
+    page table's Hilbert keys or hash-scattered over page ids, with the
+    hot-shard rebalancer off.  The grid answers the scale-out questions
+    -- how skewed does per-shard load get under each partitioning, and
+    what does sharding cost or buy each prefetch policy as the fleet
+    grows?  Cells order partition-major (then clients, then prefetcher,
     then shard count) so each partition renders as one table group.
-    Routing, eviction and rebalancing are deterministic, so the grid
-    keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
+    Routing and eviction are deterministic, so the grid keeps the
+    ``jobs=1``/``jobs=N`` bit-identity contract.
     """
-    from repro.storage.sharded import PARTITIONS
-
-    parts = [str(p) for p in partitions]
-    if not parts or set(parts) - set(PARTITIONS):
-        raise ValueError(
-            f"partitions must be drawn from {list(PARTITIONS)}, got {list(partitions)!r}"
-        )
-    counts = [int(k) for k in shard_counts]
-    if not counts or any(k < 1 for k in counts):
-        raise ValueError(f"shard_counts must be positive ints, got {list(shard_counts)!r}")
-    client_counts = _client_counts(clients)
-
-    def layout(k: int, partition: str) -> dict[str, Any]:
-        shards: dict[str, Any] = {"n_shards": k, "partition": partition}
-        if rebalance and partition == "hilbert":
-            shards["rebalance"] = True
-        return {"shards": shards}
-
     return _serving_cells(
         (
-            (n, prefetcher, layout(k, partition))
-            for partition in parts
-            for n in client_counts
-            for prefetcher in prefetchers
-            for k in counts
+            (n, prefetcher, {"shards": {"n_shards": k, "partition": str(partition)}})
+            for partition in partitions
+            for n in SHARD_CLIENTS
+            for prefetcher in SERVE_PREFETCHERS
+            for k in SHARD_COUNTS
         ),
-        mode=mode,
-        stagger=stagger,
+        mode=LAYER_MODE,
         n_neurons=n_neurons,
-        n_queries=n_queries,
-        volume=volume,
-        dataset_seed=dataset_seed,
         workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
     )
 
 
@@ -922,9 +766,7 @@ def shards_k_of(spec: Mapping[str, Any]) -> int:
     return int(spec["shards"]["n_shards"])
 
 
-def tiers_path_of(spec: Mapping[str, Any]) -> str:
-    """The miss-path column a tiers cell-spec dict belongs to."""
-    return str(spec["storage"]["miss_path"])
+# -- labelling stored cells back to their axes --------------------------------------
 
 
 def microbenchmark_of(spec: Mapping[str, Any]) -> str | None:
@@ -968,4 +810,3 @@ def fig13_axis_value(panel: str, spec: Mapping[str, Any]):
         return spec["workload"]["gap"]
     known = ", ".join(sorted(FIG13_PANELS))
     raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
-

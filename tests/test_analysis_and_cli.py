@@ -9,7 +9,6 @@ from repro.workload.sweeps import (
     fig13_axes,
     fig13_axis_value,
     fig13_matrix,
-    scale_factor,
 )
 
 
@@ -58,22 +57,6 @@ class TestSweeps:
         assert SENSITIVITY_DEFAULTS.n_queries == 25
         assert SENSITIVITY_DEFAULTS.volume == 80_000.0
         assert SENSITIVITY_DEFAULTS.window_ratio == 1.0
-
-    def test_scale_factor_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert scale_factor() == 1.0
-
-    def test_scale_factor_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "2.5")
-        assert scale_factor() == 2.5
-
-    def test_scale_factor_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "lots")
-        with pytest.raises(ValueError):
-            scale_factor()
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ValueError):
-            scale_factor()
 
 
 class TestSweepTable:
@@ -174,7 +157,7 @@ class TestCli:
         assert "cache hit rate" in out and "speedup" in out
 
 
-FIGURE_NAMES = ["10", "11", "12", "13", "17", "clients", "chaos", "tiers", "shards"]
+FIGURE_NAMES = ["3", "10", "11", "12", "13", "14", "17", "clients", "chaos", "tiers", "shards"]
 SERVING = ["clients", "chaos", "tiers", "shards"]
 
 #: Figure-specific sweep flag -> (a well-formed value, the figures that
@@ -191,9 +174,9 @@ FOREIGN_FLAGS = {
     "--datasets": ("roads", ["17"], "--datasets applies to --figure 17, not --figure {figure}"),
     "--neurons": (
         "6",
-        ["10", "11", "12", "13", *SERVING],
+        ["3", "10", "11", "12", "13", *SERVING],
         "--neurons applies to the neuron-tissue grids "
-        "(figures 10-13, clients, chaos, tiers, shards)",
+        "(figures 3, 10-13, clients, chaos, tiers, shards)",
     ),
     "--clients": (
         "1,2",
@@ -212,7 +195,7 @@ FOREIGN_FLAGS = {
     ),
     "--sequences": (
         "2",
-        ["10", "11", "12", "13", "17"],
+        ["3", "10", "11", "12", "13", "14", "17"],
         "--sequences does not apply to --figure {figure} (each client runs one session)",
     ),
 }

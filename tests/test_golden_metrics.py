@@ -47,7 +47,7 @@ from repro.workload.sweeps import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-TINY = dict(n_neurons=6, n_sequences=2, dataset_seed=7)
+TINY = dict(n_neurons=6, n_sequences=2)
 
 
 def golden_cells() -> dict[str, CellSpec]:
@@ -60,7 +60,7 @@ def golden_cells() -> dict[str, CellSpec]:
         "fig12": fig12_matrix(
             benches=["vis_gaps_low"], prefetchers=(("scout-opt", {}),), **TINY
         ).cells()[0],
-        "fig13": fig13_matrix("d", n_neurons=6, n_sequences=2, dataset_seed=7).cells()[0],
+        "fig13": fig13_matrix("d", **TINY).cells()[0],
         "fig17": fig17_matrix(
             "a",
             datasets={"roads": {"seed": 17, "grid_size": 6}},

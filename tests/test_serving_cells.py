@@ -19,7 +19,7 @@ from repro.sim.runner import (
     prepare_serving_cell,
     run_serving_cell,
 )
-from repro.workload.sweeps import clients_matrix, serve_cache_label, serve_clients_of
+from repro.workload.sweeps import clients_matrix, serve_clients_of
 
 
 def serving_spec(n_clients=2, serve_extra=(), sim=()):
@@ -141,8 +141,8 @@ class TestClientsMatrix:
             clients=(1, 2), cache_pages=(None, 32), n_neurons=6, n_queries=3
         )
         assert len(cells) == 2 * 2 * 2  # cache x prefetcher x clients
-        labels = [serve_cache_label(c.to_dict()) for c in cells]
-        assert labels == ["auto"] * 4 + ["32 pages"] * 4  # cache-size-major
+        capacities = [c.sim.get("cache_capacity_pages") for c in cells]
+        assert capacities == [None] * 4 + [32] * 4  # cache-size-major, None = auto
         assert [serve_clients_of(c.to_dict()) for c in cells[:2]] == [1, 2]
 
     def test_cells_are_distinct_and_stable(self):
