@@ -292,7 +292,6 @@ class ServeDaemon:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Every already-admitted request still gets a real response.
         await self._queue.join()
         await self._queue.put(None)
@@ -305,6 +304,10 @@ class ServeDaemon:
         for writer in list(self._writers):
             with contextlib.suppress(ConnectionError):
                 writer.close()
+        if self._server is not None:
+            # Only now: from Python 3.12.1 this waits for every connection
+            # to close, so ahead of the drain one idle peer would hold it.
+            await self._server.wait_closed()
         if isinstance(self.disk, TieredStore):
             self.disk.close()
         self._stopped.set()

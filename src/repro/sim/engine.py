@@ -34,7 +34,7 @@ import numpy as np
 from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
 from repro.index.base import SpatialIndex
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
-from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
+from repro.storage.cache import PrefetchCache
 from repro.storage.disk import DiskModel, DiskParameters
 from repro.storage.faults import CircuitBreaker, FaultPlan, FaultyDiskModel, ReadFailure
 from repro.storage.sharded import ShardedCache, ShardSpec, make_sharded_cache
@@ -123,7 +123,8 @@ class _QueryBundle:
     cursor: int
     result: object = None
     pages: np.ndarray | None = None
-    object_pages: np.ndarray | None = None
+    #: Result objects stored on each page of ``pages`` (aligned with it).
+    objects_on_page: np.ndarray | None = None
     cold: float | None = None
     prediction_cost: float | None = None
     build_cost: float | None = None
@@ -199,16 +200,16 @@ class SimulationConfig:
             return disk
         return make_storage(disk, storage)
 
-    def build_cache(self, index: SpatialIndex, backend: str = "dict"):
+    def build_cache(self, index: SpatialIndex) -> PrefetchCache | ShardedCache:
         """The prefetch cache this config prescribes: plain or sharded."""
         capacity = self.cache_capacity_for(index)
         shards = self.shards
         if shards is not None and shards.sharding_active:
-            return make_sharded_cache(shards, backend, capacity, index=index)
+            return make_sharded_cache(shards, capacity, index=index)
         # One shard is the plain cache; a per-shard size is its size.
         if shards is not None and shards.shard_cache_pages is not None:
             capacity = shards.shard_cache_pages
-        return make_cache(backend, capacity)
+        return PrefetchCache(capacity)
 
 
 class SimulationEngine:
@@ -414,7 +415,7 @@ class QuerySession:
         sequence: QuerySequence,
         prefetcher: Prefetcher,
         *,
-        cache: PrefetchCache | ArrayCache | None = None,
+        cache: PrefetchCache | ShardedCache | None = None,
         disk: DiskModel | None = None,
         client_id: int | None = None,
     ) -> None:
@@ -563,10 +564,7 @@ class QuerySession:
         if work.result is None:
             work.result = engine.index.query(query.bounds) if result is None else result
             work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel()
-            work.object_pages = np.asarray(
-                page_table.page_ids_of_objects(work.result.object_ids), dtype=np.int64
-            ).ravel()
-        result, pages, object_pages = work.result, work.pages, work.object_pages
+        result, pages = work.result, work.pages
 
         # Pages in the prefetch cache are hits; the rest is residual
         # I/O.  Result pages do NOT enter the prefetch cache -- the
@@ -609,15 +607,17 @@ class QuerySession:
 
         # Data-level hit accounting (§3.3): an object is served from
         # the cache when its page was prefetched.  Every object page is
-        # in the covering set ``pages``, so a dense hit table over that
-        # range replaces np.isin's sort path exactly.
-        if n_hits == 0 or object_pages.size == 0:
+        # in the covering set ``pages``, which the index returns sorted
+        # and duplicate-free, so each object counts on exactly one slot.
+        if n_hits == 0:
             objects_hit = 0
         else:
-            lo = int(pages.min())
-            hit_table = np.zeros(int(pages.max()) - lo + 1, dtype=bool)
-            hit_table[hit_pages - lo] = True
-            objects_hit = int(np.count_nonzero(hit_table[object_pages - lo]))
+            if work.objects_on_page is None:
+                object_pages = page_table.page_ids_of_objects(result.object_ids)
+                work.objects_on_page = np.bincount(
+                    np.searchsorted(pages, object_pages), minlength=pages.size
+                )
+            objects_hit = int(work.objects_on_page[hit_mask].sum())
 
         # -- window -----------------------------------------------------------------
         if work.cold is None:

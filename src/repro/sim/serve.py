@@ -25,15 +25,14 @@ Two schedulers produce **bit-identical reports** (pinned by
     oracle the tests compare against;
 ``lockstep``
     the vectorized plane sweeps run on.  Each tick resolves every
-    active client's query in one batched ``query_many`` pass, runs the
-    sessions over an array-backed shared cache
-    (:class:`~repro.storage.cache.ArrayCache`), and -- when every
-    client runs the same position-only prefetcher -- lets clients that
-    share a hot sequence read their group leader's pure work (index
-    result, prediction, plan with memoized probe streams) instead of
-    recomputing it.  Only *pure* work is ever hoisted or shared; every
-    cache touch, disk read and budget decision still executes in exact
-    client order, which is why the reports match bit for bit.
+    active client's query in one batched ``query_many`` pass and --
+    when every client runs the same position-only prefetcher -- lets
+    clients that share a hot sequence read their group leader's pure
+    work (index result, prediction, plan with memoized probe streams)
+    instead of recomputing it.  Only *pure* work is ever hoisted or
+    shared; every cache touch, disk read and budget decision still
+    executes in exact client order, which is why the reports match bit
+    for bit.
 
 With one client the shared cache and disk degenerate to private ones,
 so ``ServingSimulator`` over a single session is bit-identical to
@@ -108,12 +107,11 @@ class ServingSimulator:
         in, same report out, regardless of wall-clock or scheduler.
 
         ``lockstep`` selects the vectorized scheduler (sweeps always
-        do, see :func:`repro.sim.runner.run_serving_cell`) and with it
-        the shared cache implementation: the array cache under
-        lockstep, the dict cache under the round-robin reference.  The
-        report is bit-identical either way.  Lockstep shares
-        leader/follower plans whenever that is sound: every client on
-        the same position-only prefetcher and no fault that can fire.
+        do, see :func:`repro.sim.runner.run_serving_cell`); both
+        schedulers serve from the same cache and the report is
+        bit-identical either way.  Lockstep shares leader/follower
+        plans whenever that is sound: every client on the same
+        position-only prefetcher and no fault that can fire.
         """
         clients = list(clients)
         if not clients:
@@ -137,7 +135,7 @@ class ServingSimulator:
         # absorbs a touch, and both schedulers feed the cache identical
         # batch sequences (DESIGN.md §10).
         sharded = self.config.shards is not None and self.config.shards.sharding_active
-        cache = self.config.build_cache(self.index, "array" if lockstep else "dict")
+        cache = self.config.build_cache(self.index)
         disk = self.config.build_disk()
         sessions = [
             QuerySession(

@@ -17,29 +17,36 @@ hits) and a miss to contention (eviction-induced misses).  Single-client
 callers ignore both facilities; they change no eviction or counting
 behaviour.
 
-Two interchangeable implementations share one observable contract:
+Two implementations share one observable contract, and one is built:
 
-* :class:`PrefetchCache` -- the original ``OrderedDict`` cache, one
-  Python dict operation per page;
+* :class:`PrefetchCache` -- the ``OrderedDict`` cache every driver
+  builds (engine, both serving schedulers, the shards of a sharded
+  cache, the daemon): one dict operation per page;
 * :class:`ArrayCache` -- a slot-array cache (page-id -> slot lookup
-  table, epoch-counter LRU) whose batch operations are vectorized for
-  the many-client serving plane.
+  table, epoch-counter LRU) with numpy batch operations.  It measured
+  slower than the dict at every batch size this repo serves (DESIGN.md
+  §6.1), so nothing in ``src`` constructs it; it stays as the
+  independent second implementation the differential suites
+  (``tests/test_cache_properties.py``, ``tests/test_sharded_cache.py``)
+  compare the dict cache with, defined here because the benchmark
+  harness names it.
 
 Both expose the same scalar methods plus the batch API
 (:meth:`touch_many`, :meth:`contains_many`, :meth:`missing_many`,
-:meth:`owners_many`, :meth:`evicted_many`); the property suite in
-``tests/test_cache_properties.py`` runs random operation sequences
-against both and requires identical observable state after every step.
+:meth:`owners_many`, :meth:`evicted_many`); the property suite runs
+random operation sequences against both and requires identical
+observable state after every step.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
+from itertools import compress
 
 import numpy as np
 
-__all__ = ["ArrayCache", "PrefetchCache", "make_cache"]
+__all__ = ["ArrayCache", "PrefetchCache"]
 
 #: Owner sentinel used by the vectorized owner lookups: untagged pages
 #: (single-client use) report ``-1``, which never equals a client id.
@@ -47,6 +54,13 @@ NO_OWNER = -1
 
 #: Sentinel distinguishing "absent" from a cached ``None`` owner tag.
 _MISSING = object()
+
+
+def _as_ints(page_ids: Iterable[int]) -> list[int]:
+    """A batch as plain ``int``s: one ``tolist`` for an array, else one pass."""
+    if isinstance(page_ids, np.ndarray):
+        return page_ids.tolist()
+    return [int(p) for p in page_ids]
 
 
 class PrefetchCache:
@@ -171,42 +185,47 @@ class PrefetchCache:
 
     # -- batch operations -----------------------------------------------------
     #
-    # Loop-based here; :class:`ArrayCache` vectorizes the same contract.
     # Each batch call is defined to be element-wise identical to the
-    # scalar loop, so the serving plane can use either backend.
+    # scalar loop over any iterable of ints.  The batches this repo
+    # serves are 3-25 pages, where one ``tolist`` and a comprehension
+    # over plain ints beat per-call numpy dispatch (DESIGN.md §6.1).
 
-    def touch_many(self, page_ids) -> np.ndarray:
+    def touch_many(self, page_ids: Iterable[int]) -> np.ndarray:
         """Touch every page in order; boolean hit mask (counts as touches)."""
-        return np.fromiter(
-            (self.touch(p) for p in page_ids), dtype=bool, count=len(page_ids)
-        )
+        pages = _as_ints(page_ids)
+        cached = self._pages
+        # touch never inserts, so membership holds across the batch.
+        hit = [p in cached for p in pages]
+        move_to_end = cached.move_to_end
+        for page_id in compress(pages, hit):
+            move_to_end(page_id)
+        n_hits = hit.count(True)
+        self.hits += n_hits
+        self.misses += len(hit) - n_hits
+        return np.array(hit, dtype=bool)
 
-    def contains_many(self, page_ids) -> np.ndarray:
+    def contains_many(self, page_ids: Iterable[int]) -> np.ndarray:
         """Boolean membership mask; no counters, no recency changes."""
-        return np.fromiter(
-            (int(p) in self._pages for p in page_ids), dtype=bool, count=len(page_ids)
-        )
+        cached = self._pages
+        return np.array([p in cached for p in _as_ints(page_ids)], dtype=bool)
 
-    def missing_many(self, page_ids) -> list[int]:
+    def missing_many(self, page_ids: Iterable[int]) -> list[int]:
         """The pages *not* cached, in input order (no counters)."""
-        return [int(p) for p in page_ids if int(p) not in self._pages]
+        cached = self._pages
+        return [p for p in _as_ints(page_ids) if p not in cached]
 
-    def owners_many(self, page_ids) -> np.ndarray:
+    def owners_many(self, page_ids: Iterable[int]) -> np.ndarray:
         """Owner tags (``NO_OWNER`` for untagged or absent pages)."""
-        return np.fromiter(
-            (
-                NO_OWNER if (owner := self._pages.get(int(p))) is None else owner
-                for p in page_ids
-            ),
+        owner_of = self._pages.get
+        return np.array(
+            [NO_OWNER if (owner := owner_of(p)) is None else owner for p in _as_ints(page_ids)],
             dtype=np.int64,
-            count=len(page_ids),
         )
 
-    def evicted_many(self, page_ids) -> np.ndarray:
+    def evicted_many(self, page_ids: Iterable[int]) -> np.ndarray:
         """Boolean was-evicted mask (see :meth:`was_evicted`)."""
-        return np.fromiter(
-            (int(p) in self._evicted for p in page_ids), dtype=bool, count=len(page_ids)
-        )
+        evicted = self._evicted
+        return np.array([p in evicted for p in _as_ints(page_ids)], dtype=bool)
 
 
 class ArrayCache:
@@ -487,20 +506,3 @@ class ArrayCache:
             return marks[pages]
         valid = (pages >= 0) & (pages < marks.size)
         return np.where(valid, marks[np.where(valid, pages, 0)], False)
-
-
-#: Cache backend registry: the serving layer's schedulers pick by name
-#: (round-robin reference -> ``dict``, lockstep -> ``array``); both
-#: classes satisfy the same observable contract.
-_BACKENDS = {"dict": PrefetchCache, "array": ArrayCache}
-
-
-def make_cache(backend: str, capacity_pages: int) -> PrefetchCache | ArrayCache:
-    """Build a cache of the named backend (``dict`` or ``array``)."""
-    try:
-        cls = _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; known: {sorted(_BACKENDS)}"
-        ) from None
-    return cls(capacity_pages)

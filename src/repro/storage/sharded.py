@@ -5,9 +5,8 @@ The serving stack so far funnels every client through ONE shared cache
 clustered, and the repo already computes a Hilbert order
 (:mod:`repro.geometry.hilbert`) that turns spatial locality into key
 locality; this module partitions the page space along that order into
-``K`` cache shards, each an ordinary cache backend
-(:class:`~repro.storage.cache.PrefetchCache` or
-:class:`~repro.storage.cache.ArrayCache`), behind the *same* observable
+``K`` cache shards, each an ordinary
+:class:`~repro.storage.cache.PrefetchCache`, behind the *same* observable
 cache contract, so every consumer -- ``QuerySession``,
 ``ServingSimulator`` (both schedulers), the serving daemon -- takes a
 :class:`ShardedCache` unchanged.
@@ -54,7 +53,7 @@ attributes the delta per client, exactly like tier stalls.
 for ``K > 1``; one shard *is* the plain cache.  Constructed directly
 with ``K = 1`` the class needs no special case: every page routes to
 shard 0 and every batch takes the single-shard delegation path, so it
-stays op-by-op identical to the unsharded backend.
+stays op-by-op identical to the unsharded cache.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_encode
-from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
+from repro.storage.cache import PrefetchCache
 from repro.util import slice_of
 
 __all__ = [
@@ -248,7 +247,7 @@ class ShardedCache:
     def __init__(
         self,
         spec: ShardSpec,
-        shards: Iterable[PrefetchCache | ArrayCache],
+        shards: Iterable[PrefetchCache],
         page_keys: np.ndarray | None = None,
         splits: np.ndarray | None = None,
     ) -> None:
@@ -290,7 +289,7 @@ class ShardedCache:
         return self._k
 
     @property
-    def shards(self) -> list[PrefetchCache | ArrayCache]:
+    def shards(self) -> list[PrefetchCache]:
         """The inner per-shard caches (read-only use intended)."""
         return self._shards
 
@@ -556,13 +555,8 @@ class ShardedCache:
         self._ewma[destination] = pair_mean
 
 
-def make_sharded_cache(
-    spec: ShardSpec,
-    backend: str,
-    capacity_pages: int,
-    index=None,
-) -> ShardedCache:
-    """Compile ``spec`` into a :class:`ShardedCache` of ``backend`` shards.
+def make_sharded_cache(spec: ShardSpec, capacity_pages: int, index=None) -> ShardedCache:
+    """Compile ``spec`` into a :class:`ShardedCache` of dict-cache shards.
 
     ``capacity_pages`` is the *total* budget unless the spec pins
     ``shard_cache_pages`` (per shard -- the scale-out story: each shard
@@ -579,7 +573,7 @@ def make_sharded_cache(
         capacities = [
             base + (1 if shard < remainder else 0) for shard in range(spec.n_shards)
         ]
-    shards = [make_cache(backend, pages) for pages in capacities]
+    shards = [PrefetchCache(pages) for pages in capacities]
     page_keys = None
     if spec.partition == "hilbert" and spec.n_shards > 1:
         if index is None:

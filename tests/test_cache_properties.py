@@ -6,24 +6,25 @@ after *every* operation, eviction must follow least-recently-used
 order against an independent reference model, and bulk insertion must
 be idempotent.
 
-Every model-based property runs against **both** backends (the dict
-:class:`PrefetchCache` and the slot-array :class:`ArrayCache`), and the
-differential suite drives the two with identical random operation
-sequences — owner tags, eviction memory and batch calls included — and
-requires identical observable state after every single step.  That
-equivalence is what lets the lockstep serving plane swap backends
-without changing a bit of any metric.
+Every model-based property runs against **both** classes (the dict
+:class:`PrefetchCache` every driver builds, and the slot-array
+:class:`ArrayCache` kept as a reference), and the differential suite
+drives the two with identical random operation sequences — owner tags,
+eviction memory and batch calls included — and requires identical
+observable state after every single step.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.cache import ArrayCache, PrefetchCache, make_cache
+from repro.storage.cache import NO_OWNER, ArrayCache, PrefetchCache
 
-BACKENDS = ["dict", "array"]
+#: Constructed directly: production builds only the dict cache.
+CACHES = {"dict": PrefetchCache, "array": ArrayCache}
 
 #: Small id universe so sequences collide (re-inserts, touch hits).
 page_ids = st.integers(min_value=0, max_value=15)
@@ -93,35 +94,35 @@ def apply(cache, model: ModelLRU, op) -> None:
             model.insert(page)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CACHES)
 @settings(deadline=None)
 @given(capacity=capacities, ops=operations)
 def test_capacity_invariant_holds_after_every_operation(backend, capacity, ops):
-    cache = make_cache(backend, capacity)
+    cache = CACHES[backend](capacity)
     model = ModelLRU(capacity)
     for op in ops:
         apply(cache, model, op)
         assert len(cache) <= cache.capacity_pages
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CACHES)
 @settings(deadline=None)
 @given(capacity=capacities, ops=operations)
 def test_lru_eviction_order_matches_reference_model(backend, capacity, ops):
     """cached_pages() (LRU-first) tracks the model after every op."""
-    cache = make_cache(backend, capacity)
+    cache = CACHES[backend](capacity)
     model = ModelLRU(capacity)
     for op in ops:
         apply(cache, model, op)
         assert cache.cached_pages() == model.pages
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CACHES)
 @settings(deadline=None)
 @given(capacity=capacities, prefix=operations, pages=st.lists(page_ids, max_size=12))
 def test_insert_many_is_idempotent(backend, capacity, prefix, pages):
     """Re-inserting the same batch leaves contents and order unchanged."""
-    cache = make_cache(backend, capacity)
+    cache = CACHES[backend](capacity)
     model = ModelLRU(capacity)
     for op in prefix:
         apply(cache, model, op)
@@ -131,12 +132,12 @@ def test_insert_many_is_idempotent(backend, capacity, prefix, pages):
     assert cache.cached_pages() == once
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CACHES)
 @settings(deadline=None)
 @given(capacity=st.integers(min_value=1, max_value=8), pages=st.lists(page_ids, min_size=1))
 def test_distinct_tail_survives_bulk_insert(backend, capacity, pages):
     """After insert_many, the cache holds the last distinct pages inserted."""
-    cache = make_cache(backend, capacity)
+    cache = CACHES[backend](capacity)
     cache.insert_many(pages)
     expected: list[int] = []
     for page in reversed(pages):  # last occurrences, newest first
@@ -174,10 +175,9 @@ def observable_state(cache) -> dict:
 def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
     """Same random op sequence -> same observable state after every step.
 
-    This is the bit-identity foundation of the lockstep serving plane:
-    any divergence between the backends here would surface as metric
-    drift in an equivalence test two layers up, so it is pinned at the
-    source with the full op vocabulary (owner tags, batch ops, clear).
+    The array cache is the independent second implementation of the
+    contract: the full op vocabulary (owner tags, batch ops, clear)
+    must leave both in the same observable state.
     """
     dict_cache = PrefetchCache(capacity)
     array_cache = ArrayCache(capacity)
@@ -201,12 +201,12 @@ def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
         assert observable_state(dict_cache) == observable_state(array_cache)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CACHES)
 @settings(deadline=None)
 @given(capacity=capacities, prefix=operations, probe=st.lists(page_ids, max_size=12))
 def test_batch_ops_match_scalar_loops(backend, capacity, prefix, probe):
     """Each batch call equals the scalar loop it replaces, element-wise."""
-    cache = make_cache(backend, capacity)
+    cache = CACHES[backend](capacity)
     model = ModelLRU(capacity)
     for op in prefix:
         apply(cache, model, op)
@@ -219,7 +219,7 @@ def test_batch_ops_match_scalar_loops(backend, capacity, prefix, probe):
     assert cache.evicted_many(probe).tolist() == [cache.was_evicted(p) for p in probe]
 
     # touch_many mutates; compare against a fresh replica touched scalar-wise.
-    replica = make_cache(backend, capacity)
+    replica = CACHES[backend](capacity)
     replica_model = ModelLRU(capacity)
     for op in prefix:
         apply(replica, replica_model, op)
@@ -228,6 +228,69 @@ def test_batch_ops_match_scalar_loops(backend, capacity, prefix, probe):
     assert batch_mask == scalar_mask
     assert cache.cached_pages() == replica.cached_pages()
     assert (cache.hits, cache.misses) == (replica.hits, replica.misses)
+
+
+#: The forms a batch arrives in: the engine passes ndarrays and lists of
+#: ints; a list of numpy scalars or a one-shot iterator must do as well.
+BATCH_FORMS = {
+    "list": list,
+    "int64_elements": lambda pages: [np.int64(p) for p in pages],
+    "ndarray": lambda pages: np.asarray(pages, dtype=np.int64),
+    "generator": iter,
+}
+
+
+@pytest.mark.parametrize("form", BATCH_FORMS)
+@settings(deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=6),
+    warm=st.lists(st.tuples(page_ids, owners), max_size=20),
+    probe=st.lists(page_ids, max_size=8),
+)
+def test_dict_batch_ops_equal_the_scalar_loop_on_any_iterable(form, capacity, warm, probe):
+    """Every batch op of the dict cache is the scalar loop, whatever the
+    batch is made of: duplicates, numpy scalars, a generator, nothing --
+    on a cache that has already evicted."""
+    as_batch = BATCH_FORMS[form]
+    probe = probe + probe[:3]  # duplicates within the batch
+    batch, scalar = PrefetchCache(capacity), PrefetchCache(capacity)
+    for cache in (batch, scalar):
+        for page in range(capacity + 2):  # overflow: evictions happened
+            cache.insert(page, 1)
+        for page, owner in warm:
+            cache.insert(page, owner)
+    assert batch.evictions >= 2
+
+    contains = batch.contains_many(as_batch(probe))
+    assert contains.dtype == bool
+    assert contains.tolist() == [p in scalar for p in probe]
+    missing = batch.missing_many(as_batch(probe))
+    assert missing == [p for p in probe if p not in scalar]
+    assert all(type(p) is int for p in missing)
+    owned = batch.owners_many(as_batch(probe))
+    assert owned.dtype == np.int64
+    assert owned.tolist() == [
+        NO_OWNER if scalar.owner_of(p) is None else scalar.owner_of(p) for p in probe
+    ]
+    marks = batch.evicted_many(as_batch(probe))
+    assert marks.dtype == bool
+    assert marks.tolist() == [scalar.was_evicted(p) for p in probe]
+
+    hit = batch.touch_many(as_batch(probe))
+    assert hit.dtype == bool
+    assert hit.tolist() == [scalar.touch(p) for p in probe]
+    assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
+    assert batch.cached_pages() == scalar.cached_pages()  # recency order
+
+    batch.insert_many(as_batch(probe), 2)
+    for page in probe:
+        scalar.insert(page, 2)
+    assert batch.cached_pages() == scalar.cached_pages()
+    assert all(type(p) is int for p in batch.cached_pages())
+    assert (batch.evictions, batch.insertions) == (scalar.evictions, scalar.insertions)
+    universe = range(16)
+    assert [batch.was_evicted(p) for p in universe] == [scalar.was_evicted(p) for p in universe]
+    assert [batch.owner_of(p) for p in universe] == [scalar.owner_of(p) for p in universe]
 
 
 def test_array_cache_rejects_negative_page_ids():
@@ -241,11 +304,6 @@ def test_array_cache_rejects_negative_page_ids():
     assert cache.touch(-5) is False
     assert cache.contains_many([-1, -7]).tolist() == [False, False]
     assert cache.evicted_many([-1]).tolist() == [False]
-
-
-def test_make_cache_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        make_cache("mmap", 8)
 
 
 # -- partition invariant under lockstep serving ------------------------------
@@ -262,8 +320,8 @@ def test_lockstep_serving_partitions_cache_totals(
     tissue, tissue_flat, n_clients, mode, cache_pages, seed
 ):
     """Per-client hits+misses partition the shared cache's counters under
-    the lockstep scheduler and its array cache (the round-robin / dict
-    counterpart lives in test_serving.py)."""
+    the lockstep scheduler (the round-robin counterpart lives in
+    test_serving.py)."""
     from repro.baselines import EWMAPrefetcher
     from repro.sim import ServingSimulator, SimulationConfig
     from repro.workload import multiclient_sessions

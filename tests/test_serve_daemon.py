@@ -737,8 +737,6 @@ class TestHostileWire:
             await _until(lambda: daemon.requests_admitted == n_queries)
 
             async def collect():
-                # Python >= 3.12 keeps ``Server.wait_closed`` (and so the
-                # drain) waiting for the peers to leave, so leave.
                 replies = [await read_frame(reader) for _ in range(1 + n_queries)]
                 writer.close()
                 return replies
@@ -752,6 +750,30 @@ class TestHostileWire:
         final = _run_silently(daemon_config(), scenario)
         assert final["drained"] is True
         assert final["requests_admitted"] == final["latency"]["count"] == n_queries
+
+    def test_idle_peer_does_not_hold_the_drain(self):
+        """From Python 3.12.1 ``Server.wait_closed`` waits for every
+        connection to close; awaited ahead of the drain it let one idle
+        peer block SIGTERM for as long as it stayed connected."""
+
+        async def scenario(daemon):
+            reader, writer = idle = await _connect(daemon.port)
+            assert (await _ask(idle, "hello"))["ok"]
+            if sys.version_info < (3, 12, 1):
+
+                async def wait_closed():  # what the newer loop does
+                    await _until(lambda: not daemon._writers)
+
+                daemon._server.wait_closed = wait_closed
+            stopping = asyncio.ensure_future(daemon.shutdown())
+            done, _ = await asyncio.wait({stopping}, timeout=2)
+            if done:
+                assert await read_frame(reader) is None  # the daemon hung up
+            writer.close()  # releases a drain that was waiting for us
+            await stopping
+            assert done, "shutdown() waited for an idle peer to leave"
+
+        _run_silently(daemon_config(), scenario)
 
     def test_sigterm_twice_still_answers_every_queued_request(self):
         """Across processes: the real ``serve`` command under two signals."""

@@ -32,11 +32,11 @@ from repro.storage import (
     DiskModel,
     FaultPlan,
     PrefetchCache,
+    ShardedCache,
     ShardSpec,
     StorageSpec,
     TieredStore,
 )
-from repro.storage.cache import ArrayCache
 from repro.workload import generate_sequences, multiclient_sessions
 from repro.workload.multiclient import zipf_weights
 
@@ -288,10 +288,9 @@ class TestDisabledLayerIsNotBuilt:
         config = SimulationConfig(cache_capacity_pages=48, **{layer: spec})
         capacity = getattr(spec, "shard_cache_pages", None) or 48
         assert type(config.build_disk()) is DiskModel
-        for backend, plain in (("dict", PrefetchCache), ("array", ArrayCache)):
-            cache = config.build_cache(tissue_flat, backend)
-            assert type(cache) is plain
-            assert cache.capacity_pages == capacity
+        cache = config.build_cache(tissue_flat)
+        assert type(cache) is PrefetchCache
+        assert cache.capacity_pages == capacity
 
         clients = multiclient_sessions(
             tissue, n_clients=6, seed=5, n_queries=4, volume=30_000.0,
@@ -315,6 +314,41 @@ class TestDisabledLayerIsNotBuilt:
         disk = SimulationConfig(storage=StorageSpec(backend="mmap")).build_disk()
         assert type(disk) is TieredStore
         assert not disk.tiering_active
+
+
+class TestOneCacheClass:
+    """Both schedulers serve from the dict cache; nothing selects another."""
+
+    @pytest.mark.parametrize(
+        "shards", [None, ShardSpec(n_shards=2, partition="hash")], ids=["plain", "sharded"]
+    )
+    def test_both_schedulers_hand_their_sessions_the_same_cache_type(
+        self, monkeypatch, tissue, tissue_flat, shards
+    ):
+        handed = []
+
+        class Spy(QuerySession):
+            def __init__(self, *args, cache, **kwargs):
+                handed.append(cache)
+                super().__init__(*args, cache=cache, **kwargs)
+
+        monkeypatch.setattr("repro.sim.serve.QuerySession", Spy)
+        clients = multiclient_sessions(
+            tissue, n_clients=3, seed=5, n_queries=2, volume=30_000.0
+        )
+        simulator = ServingSimulator(
+            tissue_flat, SimulationConfig(cache_capacity_pages=48, shards=shards)
+        )
+        for lockstep in (False, True):
+            handed.clear()
+            simulator.run(clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=lockstep)
+            shared = handed[0]
+            assert len(handed) == 3 and all(cache is shared for cache in handed)
+            if shards is None:
+                assert type(shared) is PrefetchCache
+            else:
+                assert type(shared) is ShardedCache
+                assert [type(shard) for shard in shared.shards] == [PrefetchCache] * 2
 
 
 class TestServingValidation:

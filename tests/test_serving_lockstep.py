@@ -1,17 +1,18 @@
 """Lockstep serving plane: bit-identity against the round-robin reference.
 
-The vectorized scheduler (batched ``query_many`` per tick, array cache,
-leader/follower plan sharing) is only allowed to change *where* pure
-work happens, never what any client observes.  The matrix here pins
-that: for every client count x contention mode x prefetcher x cache
-backend, the lockstep report equals the round-robin report **bit for
-bit** -- every per-query record, every per-client contention counter,
+The vectorized scheduler (batched ``query_many`` per tick,
+leader/follower plan sharing; the same shared cache as the reference)
+is only allowed to change *where* pure work happens, never what any
+client observes.  The matrix here pins that: for every client count x
+contention mode x prefetcher x cache size, the lockstep report equals
+the round-robin report **bit for bit** -- every per-query record, every per-client contention counter,
 every shared-cache total, the tick count.  Timing claims (the perf
 suite's 5x) are only meaningful on top of this equality.
 
 Also pinned: N=1 lockstep reproduces ``SimulationEngine.run`` exactly
 (extending the PR-5 invariant to the new scheduler), that plan sharing
-engages only for an eligible fleet, and the ``to_aggregate`` round trip
+engages only for an eligible fleet, that a follower's data-level hit
+count is its own (not its leader's), and the ``to_aggregate`` round trip
 that carries the contention counters into stored records (additive keys
 only).
 """
@@ -20,12 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.baselines import EWMAPrefetcher, StraightLinePrefetcher
 from repro.core import ScoutPrefetcher
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
 from repro.sim.results import metrics_from_dict, metrics_to_dict
+from repro.storage.cache import PrefetchCache
 from repro.workload import multiclient_sessions
 
 
@@ -100,9 +103,7 @@ class TestLockstepEquivalence:
     def test_backends_and_contention_knobs(
         self, tissue, tissue_flat, stagger, cache_pages
     ):
-        """Each scheduler on its own cache backend (round-robin on the
-        dict cache, lockstep on the array cache), staggered arrivals,
-        tiny (evicting) caches."""
+        """Staggered arrivals and tiny (evicting) caches."""
         reference = serve(
             tissue, tissue_flat, n_clients=4, mode="hotspot", stagger=stagger,
             cache_pages=cache_pages, n_queries=5, lockstep=False,
@@ -129,6 +130,48 @@ class TestLockstepEquivalence:
         )
         assert report.clients[0].metrics.records == reference.records
         assert report.to_aggregate().cache_hit_rate == reference.cache_hit_rate
+
+    def test_followers_count_their_own_object_hits(self, monkeypatch, tissue, tissue_flat):
+        """A follower reads its leader's per-page object counts but sums
+        them over *its own* hit mask: on a cache this small the leader's
+        prefetch evicts pages it just hit, so followers miss them."""
+        touches = []
+        touch_many = PrefetchCache.touch_many
+
+        def spy(cache, pages):
+            hit = touch_many(cache, pages)
+            touches.append((np.array(pages), hit))
+            return hit
+
+        monkeypatch.setattr(PrefetchCache, "touch_many", spy)
+        n_clients, n_queries = 9, 6
+        clients = multiclient_sessions(
+            tissue, n_clients=n_clients, seed=5, n_queries=n_queries, volume=30_000.0,
+            mode="hotspot", hot_pool=1,
+        )
+        assert len({id(client.sequence) for client in clients}) == 1  # 1 leader, 8 followers
+        report = ServingSimulator(tissue_flat, SimulationConfig(cache_capacity_pages=4)).run(
+            clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=True
+        )
+        assert len(touches) == n_clients * n_queries  # one demand touch per step, tick-major
+
+        page_table = tissue_flat.page_table
+        lost_to_followers = 0
+        for tick, query in enumerate(clients[0].sequence.queries):
+            result = tissue_flat.query(query.bounds)
+            object_pages = page_table.page_ids_of_objects(result.object_ids)
+            _, leader_hit = touches[tick * n_clients]
+            for position, client in enumerate(report.clients):
+                pages, hit = touches[tick * n_clients + position]
+                assert np.array_equal(pages, result.page_ids)
+                # The dense hit table the engine used to build per step.
+                hit_table = np.zeros(page_table.n_pages, dtype=bool)
+                hit_table[pages[hit]] = True
+                record = client.metrics.records[tick]
+                assert record.objects_hit == int(np.count_nonzero(hit_table[object_pages]))
+                assert record.pages_hit == int(np.count_nonzero(hit))
+                lost_to_followers += int(np.count_nonzero(leader_hit & ~hit))
+        assert lost_to_followers > 0
 
     def test_share_plans_off_is_still_identical(self, tissue, tissue_flat):
         """Sharing is an optimization, not a semantic: the reference never shares."""

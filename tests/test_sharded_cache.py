@@ -7,7 +7,8 @@ when it isn't sharding.  This suite pins the contract from four sides:
 * **K=1 pass-through**: a one-shard :class:`ShardedCache` is op-by-op
   identical to the bare backend it wraps -- same return values, same
   counters, same LRU listing -- over hypothesis-generated op sequences,
-  for both cache backends.  This is the invariant that lets a disabled
+  for both cache classes (constructed directly: only the dict cache is
+  ever built by a config).  This is the invariant that lets a disabled
   spec ride inside every golden fixture without regenerating them.
 * **Partition laws**: routing is a total function onto ``[0, K)``,
   batch routing equals scalar routing elementwise, and per-shard
@@ -37,7 +38,7 @@ from repro.datagen import make_neuron_tissue
 from repro.index import FlatIndex
 from repro.sim import ServingSimulator, SimulationConfig
 from repro.sim.results import metrics_from_dict, metrics_to_dict
-from repro.storage.cache import make_cache
+from repro.storage.cache import ArrayCache, PrefetchCache
 from repro.storage.sharded import (
     PARTITIONS,
     ShardSpec,
@@ -93,10 +94,10 @@ class TestPassThroughEquivalence:
     """K=1 is the bare backend: every op, every counter, every listing."""
 
     @settings(max_examples=60, deadline=None)
-    @given(backend=st.sampled_from(["dict", "array"]), ops=st.lists(OPS, max_size=40))
+    @given(backend=st.sampled_from([PrefetchCache, ArrayCache]), ops=st.lists(OPS, max_size=40))
     def test_one_shard_matches_bare_backend(self, backend, ops):
-        bare = make_cache(backend, 8)
-        sharded = ShardedCache(ShardSpec(n_shards=1), [make_cache(backend, 8)])
+        bare = backend(8)
+        sharded = ShardedCache(ShardSpec(n_shards=1), [backend(8)])
         for op in ops:
             assert apply_op(sharded, op) == apply_op(bare, op), op
             assert observable_state(sharded) == observable_state(bare), op
@@ -106,8 +107,8 @@ class TestPassThroughEquivalence:
         assert sharded.pages_moved == 0
 
     def test_one_shard_scalar_inspection_matches(self):
-        bare = make_cache("dict", 4)
-        sharded = ShardedCache(ShardSpec(n_shards=1), [make_cache("dict", 4)])
+        bare = PrefetchCache(4)
+        sharded = ShardedCache(ShardSpec(n_shards=1), [PrefetchCache(4)])
         for cache in (bare, sharded):
             cache.insert_many([3, 5, 9], owner=2)
             cache.touch_many([3, 7, 11])
@@ -130,7 +131,7 @@ class TestPassThroughEquivalence:
 def hash_cache(k: int, *, pages_per_shard: int = 4) -> ShardedCache:
     return ShardedCache(
         ShardSpec(n_shards=k, partition="hash"),
-        [make_cache("dict", pages_per_shard) for _ in range(k)],
+        [PrefetchCache(pages_per_shard) for _ in range(k)],
     )
 
 
@@ -141,7 +142,7 @@ def hilbert_cache(index, k: int, *, pages_per_shard: int = 4, **spec_kwargs):
         shard_cache_pages=pages_per_shard,
         **spec_kwargs,
     )
-    return make_sharded_cache(spec, "dict", 0, index=index)
+    return make_sharded_cache(spec, 0, index=index)
 
 
 class TestPartitionLaws:
@@ -184,10 +185,10 @@ class TestPartitionLaws:
 
     def test_capacity_split_covers_the_total(self):
         for total, k in [(10, 3), (8, 8), (5, 2), (0, 4)]:
-            cache = make_sharded_cache(ShardSpec(n_shards=k, partition="hash"), "dict", total)
+            cache = make_sharded_cache(ShardSpec(n_shards=k, partition="hash"), total)
             assert cache.capacity_pages == total
         pinned = make_sharded_cache(
-            ShardSpec(n_shards=3, partition="hash", shard_cache_pages=7), "dict", 999
+            ShardSpec(n_shards=3, partition="hash", shard_cache_pages=7), 999
         )
         assert [s.capacity_pages for s in pinned.shards] == [7, 7, 7]
 
@@ -250,13 +251,13 @@ class TestSpecValidation:
 
     def test_wrapper_rejects_mismatched_shard_lists(self):
         with pytest.raises(ValueError, match="names 2 shards"):
-            ShardedCache(ShardSpec(n_shards=2, partition="hash"), [make_cache("dict", 4)])
+            ShardedCache(ShardSpec(n_shards=2, partition="hash"), [PrefetchCache(4)])
         with pytest.raises(ValueError, match="per-page keys"):
             ShardedCache(
-                ShardSpec(n_shards=2), [make_cache("dict", 4), make_cache("dict", 4)]
+                ShardSpec(n_shards=2), [PrefetchCache(4), PrefetchCache(4)]
             )
         with pytest.raises(ValueError, match="spatial index"):
-            make_sharded_cache(ShardSpec(n_shards=2), "dict", 8)
+            make_sharded_cache(ShardSpec(n_shards=2), 8)
 
 
 # -- rebalancer determinism ---------------------------------------------------------

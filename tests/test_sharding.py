@@ -106,14 +106,14 @@ class TestSliceOf:
                 )
 
     def test_hash_partitioner_is_slice_of(self):
-        from repro.storage.cache import make_cache
+        from repro.storage.cache import PrefetchCache
         from repro.storage.sharded import ShardedCache, ShardSpec
         from repro.util import slice_of
 
         k = 4
         cache = ShardedCache(
             ShardSpec(n_shards=k, partition="hash"),
-            [make_cache("dict", 4) for _ in range(k)],
+            [PrefetchCache(4) for _ in range(k)],
         )
         pages = np.arange(64, dtype=np.int64)
         assert np.array_equal(cache.route_many(pages), slice_of(pages, k))
