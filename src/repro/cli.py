@@ -351,24 +351,18 @@ def _sweep_command(argv: list[str]) -> int:
         print(f"{len(all_cells)} cells{suffix}")
         return 0
 
-    if args.shard is not None:
-        store = ShardedResultStore(out, *args.shard, async_writes=True)
-    else:
-        store = ResultStore(out, async_writes=True)
-    try:
-        store.load()
-        n_corrupt, n_stale = store.n_corrupt, store.n_stale
-        profile_dir = f"{out}.profiles" if args.profile else None
-        runner = ParallelRunner(
-            jobs=args.jobs,
-            store=store,
-            profile_dir=profile_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-        )
-        report = runner.run(all_cells, resume=not args.no_resume)
-    finally:
-        store.close()
+    store = ResultStore(out) if args.shard is None else ShardedResultStore(out, *args.shard)
+    store.load()
+    n_corrupt, n_stale = store.n_corrupt, store.n_stale
+    profile_dir = f"{out}.profiles" if args.profile else None
+    runner = ParallelRunner(
+        jobs=args.jobs,
+        store=store,
+        profile_dir=profile_dir,
+        timeout=args.timeout,
+        retries=args.retries,
+    )
+    report = runner.run(all_cells, resume=not args.no_resume)
 
     # ``report.results`` is cell-parallel to ``all_cells``: each group's
     # results are the next ``len(cells)`` entries.

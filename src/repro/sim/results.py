@@ -13,11 +13,8 @@ The store itself is one JSON-lines file (one record per line), chosen
 over a database for three properties the orchestrator needs:
 
 * **append-only writes** -- the parent process appends each finished
-  cell as soon as its worker returns, so an interrupted sweep keeps
-  everything computed so far.  With ``async_writes=True`` the appends
-  are drained by a background writer thread, so the scheduling loop
-  never blocks on file I/O (``flush()`` waits for the queue and fsyncs
-  the file so drained lines are durable, ``close()`` stops the thread);
+  cell as soon as its worker returns, fsynced before ``append``
+  returns, so an interrupted sweep keeps everything computed so far;
 * **corruption locality** -- a truncated or garbled line (e.g. from a
   crash mid-write) invalidates only that record.  :meth:`ResultStore.load`
   verifies each line and drops bad records, distinguishing *corrupt*
@@ -32,8 +29,7 @@ Records are wrapped in a **status envelope** (``STORE_SCHEMA = 2``):
 ``{status: ok|failed|timeout, attempts, error, metrics, ...}``.  A cell
 that crashed or exceeded its wall-clock budget is persisted as a
 failure record (``metrics: null``) instead of aborting the sweep, and
-is retried on the next resume.  Legacy schema-1 records (no envelope)
-still load as ``status="ok"``.
+is retried on the next resume.
 
 For multi-host sweeps, :class:`ShardedResultStore` deterministically
 splits the key space into ``n_shards`` slices by spec-hash; independent
@@ -51,8 +47,6 @@ import hashlib
 import json
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -75,13 +69,9 @@ __all__ = [
     "shard_store_path",
 ]
 
-#: Store schema version; bump when the record layout changes.  Older
-#: *loadable* layouts are upgraded on read (schema 1 had no status
-#: envelope); anything else is classified stale and recomputed.
+#: Store schema version; bump when the record layout changes.  A line
+#: of any other version is classified stale and recomputed.
 STORE_SCHEMA = 2
-
-#: Schema versions :meth:`ResultStore.load` still understands.
-_LOADABLE_SCHEMAS = (1, STORE_SCHEMA)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -215,11 +205,10 @@ class CellResult:
             key=record["key"],
             spec=dict(record["spec"]),
             metrics=None if metrics is None else metrics_from_dict(metrics),
-            elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
-            # Schema-1 records predate the envelope: they are ok results.
-            status=record.get("status", STATUS_OK),
-            attempts=int(record.get("attempts", 1)),
-            error=record.get("error"),
+            elapsed_seconds=float(record["elapsed_seconds"]),
+            status=record["status"],
+            attempts=int(record["attempts"]),
+            error=record["error"],
         )
 
 
@@ -231,9 +220,8 @@ class CompactReport:
     the same key (re-runs append; the last record wins on load).  The
     byte counts compare the store file before and after the atomic
     rewrite, so ``reclaimed_bytes`` is the disk space the corrupt, stale
-    and superseded lines were occupying -- it can be *negative* for a
-    store holding legacy schema-1 records, which the rewrite upgrades to
-    the (larger) schema-2 envelope layout.
+    and superseded lines were occupying (never negative: a kept record
+    is rewritten byte for byte).
     """
 
     path: Path
@@ -276,12 +264,10 @@ def _classify_record(record: Any) -> str:
     if cell_key(spec) != key:
         # Tampered or bit-rotted: the spec no longer matches its hash.
         return _CORRUPT
-    if record.get("schema") not in _LOADABLE_SCHEMAS:
+    if record.get("schema") != STORE_SCHEMA:
         return _STALE
-    status = record.get("status", STATUS_OK)
-    if status not in _STATUSES:
-        return _STALE
-    if record.get("schema") == STORE_SCHEMA and not isinstance(record.get("attempts", 0), int):
+    status = record.get("status")
+    if status not in _STATUSES or not isinstance(record.get("attempts"), int):
         return _STALE
     if status == STATUS_OK:
         metrics = record.get("metrics")
@@ -294,13 +280,8 @@ def _classify_record(record: Any) -> str:
     return _VALID
 
 
-def _append_line(path: Path, line: str, fsync: bool = True) -> None:
-    """Append one record line, guarding against a partial final line.
-
-    ``fsync=False`` skips the per-line disk sync; the async writer uses
-    it so a busy queue drains at buffer-cache speed, and restores
-    durability with one file-level fsync at :meth:`_AsyncWriter.flush`.
-    """
+def _append_line(path: Path, line: str) -> None:
+    """Append one record line durably, guarding against a partial final line."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a+b") as fh:
         # A crash mid-write can leave the file without a trailing
@@ -313,96 +294,30 @@ def _append_line(path: Path, line: str, fsync: bool = True) -> None:
                 fh.write(b"\n")
         fh.write((line + "\n").encode("utf-8"))
         fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
 
 
-class _AsyncWriter:
-    """Background thread draining record lines to a store file.
+def _replace_store(path: Path, results: Iterable[CellResult]) -> None:
+    """Atomically rewrite ``path`` to hold exactly ``results``.
 
-    Workers (and the scheduling loop collecting their results) hand
-    lines to :meth:`submit` and move on; the thread does the
-    open/guard/write/fsync cycle.  Write errors are captured and
-    re-raised from the next :meth:`flush` / :meth:`close` so they
-    surface on the caller's thread instead of dying silently.
+    The records go to a tmp file that is fsynced *before* it is renamed
+    over ``path``: a crash, power loss included, leaves either the old
+    store or the complete new one, never a renamed-but-empty file.
     """
-
-    _CLOSE = object()
-
-    def __init__(self, path: Path) -> None:
-        self._path = path
-        self._queue: queue.Queue = queue.Queue()
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain, name=f"result-store-writer:{path.name}", daemon=True
-        )
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is self._CLOSE:
-                    return
-                if self._error is None:
-                    # Per-line fsync would serialize the queue on disk
-                    # latency; durability is restored by the file-level
-                    # fsync in :meth:`flush` (and hence :meth:`close`).
-                    _append_line(self._path, item, fsync=False)
-            except BaseException as exc:  # noqa: BLE001 - reported via flush()
-                self._error = exc
-            finally:
-                self._queue.task_done()
-
-    def _raise_pending(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise RuntimeError(f"async store write to {self._path} failed") from error
-
-    def _sync_file(self) -> None:
-        """fsync the store file so every drained line is durable."""
-        if self._path.exists():
-            fd = os.open(self._path, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-
-    def submit(self, line: str) -> None:
-        if self._closed:
-            raise RuntimeError("async writer is closed")
-        # Surface a failed write on the *next* append rather than
-        # queueing hours of results into a store that stopped taking
-        # them -- mirrors the sync path aborting at the first bad write.
-        self._raise_pending()
-        self._queue.put(line)
-
-    def flush(self) -> None:
-        self._queue.join()
-        self._sync_file()
-        self._raise_pending()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._queue.put(self._CLOSE)
-            self._thread.join()
-            self._sync_file()
-        self._raise_pending()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        for result in results:
+            fh.write(json.dumps(result.to_record()) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    tmp.replace(path)
 
 
 class ResultStore:
-    """JSON-lines store of :class:`CellResult` records, keyed by spec hash.
+    """JSON-lines store of :class:`CellResult` records, keyed by spec hash."""
 
-    With ``async_writes=True`` appends are queued to a writer thread;
-    call :meth:`flush` to wait for them to hit disk (done automatically
-    before reloads and compaction) and :meth:`close` when finished.  The
-    store is also a context manager: ``with ResultStore(p, async_writes=True)
-    as store: ...`` closes the writer on exit.
-    """
-
-    def __init__(self, path: str | Path, async_writes: bool = False) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._results: dict[str, CellResult] = {}
         self._loaded = False
@@ -417,31 +332,6 @@ class ResultStore:
         #: Non-blank lines seen by the last :meth:`load` (valid or not);
         #: lets :meth:`compact` count superseded duplicates.
         self.n_lines = 0
-        self._async = bool(async_writes)
-        self._writer_closed = False
-        # Started lazily on the first append: by then a pooled runner
-        # has already forked its workers, so the fork never happens in
-        # a multi-threaded parent (a documented deadlock risk).
-        self._writer: _AsyncWriter | None = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def flush(self) -> None:
-        """Wait until every queued append is on disk (async mode)."""
-        if self._writer is not None:
-            self._writer.flush()
-
-    def close(self) -> None:
-        """Stop the async writer after draining its queue."""
-        self._writer_closed = True
-        if self._writer is not None:
-            self._writer.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- reading ------------------------------------------------------------
 
@@ -449,7 +339,6 @@ class ResultStore:
         """Parse the store file, dropping (and counting) bad lines."""
         if self._loaded and not reload:
             return self._results
-        self.flush()
         self._results = {}
         self.n_corrupt = 0
         self.n_stale = 0
@@ -492,17 +381,11 @@ class ResultStore:
         """Total lines the last :meth:`load` refused (corrupt + stale)."""
         return self.n_corrupt + self.n_stale
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.load()
-
     def __len__(self) -> int:
         return len(self.load())
 
     def get(self, key: str) -> CellResult | None:
         return self.load().get(key)
-
-    def keys(self) -> set[str]:
-        return set(self.load())
 
     def results(self) -> list[CellResult]:
         return list(self.load().values())
@@ -514,44 +397,26 @@ class ResultStore:
     # -- writing ------------------------------------------------------------
 
     def append(self, result: CellResult) -> None:
-        """Append one record and update the in-memory view.
-
-        In async mode the disk write is queued; the in-memory view is
-        updated immediately, so readers of *this* store object see the
-        result regardless of writer progress.
-        """
+        """Append one record (on disk when this returns) and update the view."""
         self.load()
-        line = json.dumps(result.to_record())
-        if self._async:
-            if self._writer is None:
-                if self._writer_closed:
-                    raise RuntimeError("async writer is closed")
-                self._writer = _AsyncWriter(self.path)
-            self._writer.submit(line)
-        else:
-            _append_line(self.path, line)
+        _append_line(self.path, json.dumps(result.to_record()))
         self._results[result.key] = result
 
     def compact(self) -> CompactReport:
         """Rewrite the file without corrupt, stale or superseded lines.
 
-        The rewrite is atomic (tmp file + rename), so a crash mid-compact
+        The rewrite is atomic (:func:`_replace_store`), so a crash mid-compact
         leaves the original store intact, and idempotent: compacting a
         compacted store keeps every record and reclaims zero bytes.
         Returns a :class:`CompactReport` with the kept/dropped line
         accounting and the bytes reclaimed.  Useful after long resumed
         sweeps have accumulated duplicate or damaged lines.
         """
-        self.flush()
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
         results = self.load(reload=True)
         n_corrupt, n_stale = self.n_corrupt, self.n_stale
         n_superseded = self.n_lines - n_corrupt - n_stale - len(results)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for result in results.values():
-                fh.write(json.dumps(result.to_record()) + "\n")
-        tmp.replace(self.path)
+        _replace_store(self.path, results.values())
         self.n_corrupt = 0
         self.n_stale = 0
         self.n_lines = len(results)
@@ -600,19 +465,13 @@ class ShardedResultStore(ResultStore):
     """One ``--shard i/n`` slice of a sweep's key space.
 
     The store file lives at :func:`shard_store_path`; :meth:`owns`
-    says whether a key hashes into this slice, :meth:`owned_cells`
-    filters a cell list down to it, and :meth:`append` refuses results
-    from other slices so a mis-wired runner cannot silently produce
-    overlapping shard files (which would make merges ambiguous).
+    says whether a key hashes into this slice, and :meth:`append`
+    refuses results from other slices so a mis-wired runner cannot
+    silently produce overlapping shard files (which would make merges
+    ambiguous).
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        shard_index: int,
-        n_shards: int,
-        async_writes: bool = False,
-    ) -> None:
+    def __init__(self, path: str | Path, shard_index: int, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if not 0 <= shard_index < n_shards:
@@ -620,14 +479,10 @@ class ShardedResultStore(ResultStore):
         self.base_path = Path(path)
         self.shard_index = int(shard_index)
         self.n_shards = int(n_shards)
-        super().__init__(shard_store_path(path, shard_index, n_shards), async_writes)
+        super().__init__(shard_store_path(path, shard_index, n_shards))
 
     def owns(self, key: str) -> bool:
         return shard_of(key, self.n_shards) == self.shard_index
-
-    def owned_cells(self, cells: Iterable[Any]) -> list[Any]:
-        """The subset of cell specs whose keys hash into this shard."""
-        return [cell for cell in cells if self.owns(cell.key())]
 
     def append(self, result: CellResult) -> None:
         if not self.owns(result.key):
@@ -666,7 +521,7 @@ def merge_stores(input_paths: Sequence[str | Path], out_path: str | Path) -> Mer
     Inputs are loaded with full validation (corrupt and stale lines
     dropped and counted).  Duplicate keys resolve in favour of ``ok``
     records over failure records; among records of equal status the
-    later input wins.  The output is written atomically (tmp + rename),
+    later input wins.  The output is written atomically (:func:`_replace_store`),
     so merging is idempotent and re-merging after a retry run simply
     upgrades failure records in place.  ``out_path`` may itself be one
     of the inputs.
@@ -699,12 +554,7 @@ def merge_stores(input_paths: Sequence[str | Path], out_path: str | Path) -> Mer
         n_stale += store.n_stale
 
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for result in merged.values():
-            fh.write(json.dumps(result.to_record()) + "\n")
-    tmp.replace(out_path)
+    _replace_store(out_path, merged.values())
     return MergeReport(
         out_path=out_path,
         n_cells=len(merged),

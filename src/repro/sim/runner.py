@@ -324,7 +324,6 @@ class ExperimentMatrix:
     workloads: tuple[WorkloadSpec, ...]
     prefetchers: tuple[PrefetcherSpec, ...]
     seeds: tuple[int, ...] = (0,)
-    sim: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("datasets", "indexes", "workloads", "prefetchers", "seeds"):
@@ -345,7 +344,6 @@ class ExperimentMatrix:
                                     workload=workload,
                                     prefetcher=prefetcher,
                                     seed=seed,
-                                    sim=self.sim,
                                 )
                             )
         return grid
@@ -404,29 +402,25 @@ def _wall_clock_limit(seconds: float | None) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _failure_result(
-    spec: CellSpec, status: str, error: str, attempts: int, elapsed_seconds: float
-) -> CellResult:
-    """The persisted envelope for a cell that exhausted its attempts."""
-    return CellResult(
-        key=spec.key(),
-        spec=spec.to_dict(),
-        metrics=None,
-        elapsed_seconds=elapsed_seconds,
-        status=status,
-        attempts=attempts,
-        error=error,
-    )
+#: Marker key of in-band attempt-failure records (a dict key that cannot
+#: clash with ``CellResult.to_record()`` fields).
+_ERROR_KEY = "__cell_error__"
 
 
-def _error_status(error: BaseException) -> tuple[str, str]:
+def _error_record(error: BaseException, elapsed_seconds: float) -> dict:
+    """A failed attempt as the in-band record :meth:`ParallelRunner._settle` reads."""
     status = STATUS_TIMEOUT if isinstance(error, CellTimeoutError) else STATUS_FAILED
-    return status, f"{type(error).__name__}: {error}"
+    message = f"{type(error).__name__}: {error}"
+    return {_ERROR_KEY: {"status": status, "error": message, "elapsed_seconds": elapsed_seconds}}
 
 
 #: Failure-envelope message for cells that exhausted their attempts on
 #: crashed pools (the worker died without reporting its own error).
-_POOL_CRASH_ERROR = "BrokenProcessPool: a worker process died while the cell was in flight"
+_POOL_CRASH = {
+    "status": STATUS_FAILED,
+    "error": "BrokenProcessPool: a worker process died while the cell was in flight",
+    "elapsed_seconds": 0.0,
+}
 
 
 # -- the single-cell primitive ------------------------------------------------------
@@ -638,35 +632,24 @@ def _attempt_cell(
         return run_cell(spec)
 
 
-#: Marker key of in-band worker error records (a dict key that cannot
-#: clash with ``CellResult.to_record()`` fields).
-_ERROR_KEY = "__cell_error__"
-
-
 def _run_cell_record(
     spec_dict: dict, profile_dir: str | None = None, timeout: float | None = None
 ) -> dict:
-    """Worker entry point: plain dicts in, plain dicts out.
+    """One attempt at a cell: plain dicts in, plain dicts out.
 
-    The wall-clock limit is armed here, inside the worker, so a hung
-    cell interrupts *itself*.  Failures come back as an error record
-    (under the ``_ERROR_KEY``) instead of a raised exception so the
-    attempt's *execution* time travels with them -- the parent cannot
-    tell queue wait from run time on its own.
+    The pool's worker entry point, and what ``jobs=1`` calls in-process.
+    The wall-clock limit is armed here, inside the process running the
+    cell, so a hung cell interrupts *itself*.  Failures come back as an
+    error record (under the ``_ERROR_KEY``) instead of a raised
+    exception so the attempt's *execution* time travels with them -- the
+    parent cannot tell queue wait from run time on its own.
     """
     spec = CellSpec.from_dict(spec_dict)
     started = time.perf_counter()
     try:
         return _attempt_cell(spec, profile_dir, timeout).to_record()
     except Exception as error:  # noqa: BLE001 - becomes a failure record
-        status, message = _error_status(error)
-        return {
-            _ERROR_KEY: {
-                "status": status,
-                "error": message,
-                "elapsed_seconds": time.perf_counter() - started,
-            }
-        }
+        return _error_record(error, time.perf_counter() - started)
 
 
 # -- the runner ---------------------------------------------------------------------
@@ -711,10 +694,11 @@ class RunReport:
 class ParallelRunner:
     """Fans experiment cells out over a process pool.
 
-    ``jobs=1`` runs cells in-process (no pool, no pickling) -- the
-    reference serial path.  ``jobs>1`` uses a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; only spec dicts
-    and metric records cross process boundaries.  With a ``store``,
+    ``jobs=1`` runs cells in-process (no pool, no pickling), ``jobs>1``
+    on a :class:`~concurrent.futures.ProcessPoolExecutor`.  Both call
+    :func:`_run_cell_record` and settle its record in :meth:`_settle`,
+    so only spec dicts and metric records ever cross a boundary and the
+    two paths cannot disagree on an outcome.  With a ``store``,
     finished cells are appended as soon as they complete and, when
     ``resume`` is on, cells whose key is already stored *with metrics*
     are skipped -- stored failure records are retried, so resuming a
@@ -749,10 +733,7 @@ class ParallelRunner:
         self._pool_crashes = 0
 
     def run(
-        self,
-        cells: ExperimentMatrix | Iterable[CellSpec],
-        resume: bool = True,
-        progress: Callable[[CellResult], None] | None = None,
+        self, cells: ExperimentMatrix | Iterable[CellSpec], resume: bool = True
     ) -> RunReport:
         """Run (or reuse) every cell; results come back in cell order.
 
@@ -791,10 +772,6 @@ class ParallelRunner:
                 (computed if result.ok else failed).append(result.key)
                 if self.store is not None:
                     self.store.append(result)
-                if progress is not None:
-                    progress(result)
-        if self.store is not None:
-            self.store.flush()
 
         return RunReport(
             results=[done[key] for key in keys],
@@ -809,39 +786,61 @@ class ParallelRunner:
     def _attempts(self) -> int:
         return self.retries + 1
 
+    def _settle(
+        self,
+        entry: tuple[CellSpec, int, float],
+        record: dict | None,
+        requeue: Callable[[tuple[CellSpec, int, float]], None],
+    ) -> CellResult | None:
+        """Turn one attempt's outcome into a result, a retry or a failure envelope.
+
+        ``entry`` is ``(spec, attempt number, execution seconds already
+        spent in failed attempts)``; ``record`` is what
+        :func:`_run_cell_record` returned, or ``None`` when the pool
+        died under the cell (which of the in-flight cells killed it is
+        unknowable, so each is charged the attempt -- the charge is what
+        bounds a crash-looping cell).  Failed seconds are the attempt's
+        own measurement, so queue wait in a busy pool never inflates an
+        envelope.  A cell with attempts left goes to ``requeue`` and
+        ``None`` comes back.
+        """
+        spec, attempt, elapsed = entry
+        failure = _POOL_CRASH if record is None else record.get(_ERROR_KEY)
+        if failure is None:
+            return replace(CellResult.from_record(record), attempts=attempt)
+        elapsed += failure["elapsed_seconds"]
+        if attempt < self._attempts:
+            requeue((spec, attempt + 1, elapsed))
+            return None
+        return CellResult(
+            key=spec.key(),
+            spec=spec.to_dict(),
+            metrics=None,
+            elapsed_seconds=elapsed,
+            status=failure["status"],
+            attempts=attempt,
+            error=failure["error"],
+        )
+
     def _compute(self, specs: list[CellSpec]) -> Iterator[CellResult]:
+        profile_dir = None if self.profile_dir is None else str(self.profile_dir)
+        backlog: list[tuple[CellSpec, int, float]] = [(spec, 1, 0.0) for spec in specs]
+        if self.jobs == 1:
+            # In-process, through the workers' entry point: serial and
+            # pooled results are one data path.  A retry runs next.
+            work = deque(backlog)
+            while work:
+                entry = work.popleft()
+                record = _run_cell_record(entry[0].to_dict(), profile_dir, self.timeout)
+                result = self._settle(entry, record, work.appendleft)
+                if result is not None:
+                    yield result
+            return
         # jobs>1 always pools, even for a single cell: the user asked
         # for process isolation, and a hard-crashing cell run in-process
         # would take the whole sweep down instead of a respawnable worker.
-        if self.jobs == 1:
-            yield from self._compute_serial(specs)
-        else:
-            yield from self._compute_pooled(specs)
-
-    def _compute_serial(self, specs: list[CellSpec]) -> Iterator[CellResult]:
-        for spec in specs:
-            elapsed = 0.0
-            for attempt in range(1, self._attempts + 1):
-                started = time.perf_counter()
-                try:
-                    result = _attempt_cell(spec, self.profile_dir, self.timeout)
-                except Exception as error:  # noqa: BLE001 - becomes a failure record
-                    elapsed += time.perf_counter() - started
-                    if attempt >= self._attempts:
-                        status, message = _error_status(error)
-                        yield _failure_result(spec, status, message, attempt, elapsed)
-                else:
-                    yield replace(result, attempts=attempt)
-                    break
-
-    def _compute_pooled(self, specs: list[CellSpec]) -> Iterator[CellResult]:
-        profile_dir = None if self.profile_dir is None else str(self.profile_dir)
-        # Work queue of (spec, attempt number, execution seconds already
-        # spent in failed attempts -- worker-measured, so queue wait in
-        # a busy pool never inflates a failure envelope).  Each pass of
-        # the outer loop runs one batch through one executor; retries
-        # and cells orphaned by a pool crash feed the next batch.
-        backlog: list[tuple[CellSpec, int, float]] = [(spec, 1, 0.0) for spec in specs]
+        # Each pass of the outer loop runs one batch through one
+        # executor; cells orphaned by a pool crash feed the next batch.
         while backlog:
             batch, backlog = backlog, []
             work = deque(batch)
@@ -877,50 +876,26 @@ class ParallelRunner:
                 while pending:
                     finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                     for future in finished:
-                        spec, attempt, elapsed = pending.pop(future)
+                        entry = pending.pop(future)
+                        # A retry goes to the front of the queue: it runs
+                        # as soon as a window slot frees (reusing the
+                        # workers' warm dataset/index memos), or in the
+                        # next batch if the pool broke.
+                        requeue = work.appendleft
                         try:
                             record = future.result()
                         except BrokenProcessPool:
                             # A worker died hard and took the pool with
-                            # it.  Which windowed cell killed it is
-                            # unknowable, so each one is charged an
-                            # attempt -- the charge is what bounds a
-                            # crash-looping cell -- and re-enqueued for
-                            # the respawned pool.
+                            # it: re-enqueue for the respawned pool.
                             broken = True
-                            if attempt < self._attempts:
-                                backlog.append((spec, attempt + 1, elapsed))
-                            else:
-                                yield _failure_result(
-                                    spec, STATUS_FAILED, _POOL_CRASH_ERROR, attempt, elapsed
-                                )
-                            continue
+                            record, requeue = None, backlog.append
                         except Exception as error:  # noqa: BLE001 - failure record
                             # Out-of-band failure (e.g. a result that cannot
                             # unpickle); no worker timing available.
-                            status, message = _error_status(error)
-                            failure = (status, message, elapsed)
-                        else:
-                            worker_error = record.get(_ERROR_KEY)
-                            if worker_error is None:
-                                yield replace(
-                                    CellResult.from_record(record), attempts=attempt
-                                )
-                                continue
-                            failure = (
-                                worker_error["status"],
-                                worker_error["error"],
-                                elapsed + worker_error["elapsed_seconds"],
-                            )
-                        status, message, elapsed = failure
-                        if attempt >= self._attempts:
-                            yield _failure_result(spec, status, message, attempt, elapsed)
-                        else:
-                            # Retry at the front of the queue: it runs as
-                            # soon as a window slot frees (reusing the
-                            # workers' warm dataset/index memos), or in
-                            # the next batch if the pool broke.
-                            work.appendleft((spec, attempt + 1, elapsed))
+                            record = _error_record(error, 0.0)
+                        result = self._settle(entry, record, requeue)
+                        if result is not None:
+                            yield result
                     if broken:
                         self._pool_crashes += 1
                         # Drain what is left.  A future may have settled
@@ -928,29 +903,16 @@ class ParallelRunner:
                         # results are yielded as usual, and a worker's
                         # own failure record keeps its true status and
                         # timing instead of being blamed on the crash.
-                        for future, (spec, attempt, elapsed) in pending.items():
-                            candidate = None
+                        for future, entry in pending.items():
+                            record = None
                             if future.done():
                                 try:
-                                    candidate = future.result()
-                                except BaseException:  # noqa: BLE001 - broken future
-                                    candidate = None
-                            if isinstance(candidate, dict) and _ERROR_KEY not in candidate:
-                                yield replace(
-                                    CellResult.from_record(candidate), attempts=attempt
-                                )
-                                continue
-                            if isinstance(candidate, dict):
-                                worker_error = candidate[_ERROR_KEY]
-                                status = worker_error["status"]
-                                message = worker_error["error"]
-                                elapsed += worker_error["elapsed_seconds"]
-                            else:
-                                status, message = STATUS_FAILED, _POOL_CRASH_ERROR
-                            if attempt < self._attempts:
-                                backlog.append((spec, attempt + 1, elapsed))
-                            else:
-                                yield _failure_result(spec, status, message, attempt, elapsed)
+                                    record = future.result()
+                                except Exception:  # noqa: BLE001 - broken or cancelled future
+                                    pass
+                            result = self._settle(entry, record, backlog.append)
+                            if result is not None:
+                                yield result
                         pending.clear()
                     else:
                         top_up()
@@ -959,9 +921,3 @@ class ParallelRunner:
                 backlog.extend(work)
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
-            if backlog and self.store is not None:
-                # The respawned pool forks from a parent whose async
-                # writer thread is live by now; draining its queue parks
-                # the thread in an idle wait (mutex released) so the
-                # fork cannot copy a held lock into the new workers.
-                self.store.flush()

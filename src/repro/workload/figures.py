@@ -80,7 +80,7 @@ class Figure:
     that column (``col``) and the cell ``spec``.  ``title`` heads every
     table of a group; title templates see the group's ``label`` and, on
     panel figures, its ``panel`` entry (``panels`` maps label to
-    ``(axis key, human title)``).  ``shape(label, tables)`` reads one
+    ``(what the panel varies, human title, ...)``).  ``shape(label, tables)`` reads one
     group's rendered tables (in ``tables`` order) against the paper and
     returns the statements that do not hold -- empty when the shape
     holds; it never raises (see :func:`_shape`).  Grids the paper does
@@ -95,7 +95,7 @@ class Figure:
     title: str
     tables: tuple[Table, ...]
     row_of: Callable[[Any], str] = _prefetcher_label
-    panels: Mapping[str, tuple[str, str]] = field(default_factory=dict)
+    panels: Mapping[str, tuple] = field(default_factory=dict)
     shape: Callable[[str, Sequence[Any]], list[str]] | None = None
 
 
@@ -279,17 +279,16 @@ def _microbenchmark_grids(builder, label: str, args) -> list[tuple[str, list]]:
 
 
 def _fig13_grids(args) -> list[tuple[str, list]]:
-    axes = sweeps.fig13_axes()
     grids = []
     for panel in _chosen_panels(args, sweeps.FIG13_PANELS, 13):
-        axis = axes[sweeps.FIG13_PANELS[panel][0]]
+        axis = list(sweeps.FIG13_PANELS[panel][2])
         if args.points is not None:
             axis = axis[: max(1, args.points)]
         if panel == "b" and args.neurons is not None:
             # Panel b's axis IS the neuron count; rescale it around the
             # requested size so --neurons shrinks this panel too instead
             # of being silently ignored.
-            ratio = args.neurons / sweeps.SENSITIVITY_DEFAULTS.n_neurons
+            ratio = args.neurons / sweeps.SENSITIVITY_NEURONS
             axis = [max(2, int(round(n * ratio))) for n in axis]
         matrix = sweeps.fig13_matrix(
             panel,
@@ -459,7 +458,7 @@ FIGURES: dict[int | str, Figure] = {
         flags=("panels", "datasets", "sequences"),
         grids=_fig17_grids,
         axis="dataset={col}",
-        column_of=lambda label, spec: sweeps.fig17_dataset_of(spec),
+        column_of=lambda label, spec: spec["dataset"]["kind"],
         title="Fig 17{label}",
         tables=(Table("{panel[1]} [hit %]", figure_id="fig17{label}"),),
         panels=sweeps.FIG17_PANELS,
@@ -470,7 +469,7 @@ FIGURES: dict[int | str, Figure] = {
         flags=("clients", "cache_pages", "contention", "neurons"),
         grids=_clients_grids,
         axis="clients={col}",
-        column_of=lambda label, spec: sweeps.serve_clients_of(spec),
+        column_of=lambda label, spec: spec["serve"]["n_clients"],
         title="Serving sweep -- shared cache {label}",
         tables=(
             Table("aggregate hit rate [%]", figure_id="clients"),
@@ -487,7 +486,7 @@ FIGURES: dict[int | str, Figure] = {
             ((True, "breaker on"), (False, "breaker off")),
         ),
         axis="rate={col:g}",
-        column_of=lambda label, spec: sweeps.chaos_rate_of(spec),
+        column_of=lambda label, spec: spec["faults"]["transient_rate"],
         title="Chaos sweep -- {label}",
         tables=(
             Table("aggregate hit rate [%]", figure_id="chaos"),
@@ -504,7 +503,7 @@ FIGURES: dict[int | str, Figure] = {
             [(size, f"tier {size} pages") for size in sweeps.TIER_SIZES],
         ),
         axis="miss-path={col}",
-        column_of=lambda label, spec: sweeps.tiers_path_of(spec),
+        column_of=lambda label, spec: spec["storage"]["miss_path"],
         title="Tiers sweep -- {label}",
         tables=(
             Table("aggregate hit rate [%]", figure_id="tiers"),
@@ -525,12 +524,12 @@ FIGURES: dict[int | str, Figure] = {
             [(scheme, f"partition {scheme}") for scheme in sweeps.SHARD_PARTITIONS],
         ),
         axis="K={col} {spec[shards][partition]}",
-        column_of=lambda label, spec: sweeps.shards_k_of(spec),
+        column_of=lambda label, spec: spec["shards"]["n_shards"],
         title="Shards sweep -- {label}",
         tables=(
             Table("aggregate hit rate [%]", figure_id="shards"),
             Table("request imbalance (max/mean shard load)", _shard_imbalance, 2),
         ),
-        row_of=lambda r: f"{_prefetcher_label(r)} x{sweeps.serve_clients_of(r.spec)}",
+        row_of=lambda r: f"{_prefetcher_label(r)} x{r.spec['serve']['n_clients']}",
     ),
 }

@@ -51,7 +51,7 @@ those tables are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -85,44 +85,29 @@ __all__ = [
     "SHARD_PARTITIONS",
     "TIER_MISS_PATHS",
     "TIER_SIZES",
-    "SweepDefaults",
     "chaos_matrix",
-    "chaos_rate_of",
     "clients_matrix",
     "fig3_matrix",
     "fig10_matrix",
     "fig11_matrix",
     "fig12_matrix",
-    "fig13_axes",
     "fig13_axis_value",
     "fig13_matrix",
     "fig14_matrix",
-    "fig17_dataset_of",
     "fig17_matrix",
     "fig17_query_volume",
     "microbenchmark_of",
-    "serve_clients_of",
-    "shards_k_of",
     "shards_matrix",
     "tiers_matrix",
-    "tiers_path_of",
 ]
 
 
-@dataclass(frozen=True)
-class SweepDefaults:
-    """The §7.4 defaults shared by all sensitivity experiments."""
+#: The §7.4 defaults shared by all sensitivity experiments: 25-query
+#: sequences of 80,000 µm³ cubes, no gaps, prefetch-window ratio 1.
+SENSITIVITY_DEFAULTS = WorkloadSpec(n_sequences=8, n_queries=25, volume=80_000.0)
 
-    n_queries: int = 25
-    volume: float = 80_000.0
-    window_ratio: float = 1.0
-    aspect: str = "cube"
-    gap: float = 0.0
-    n_sequences: int = 8
-    n_neurons: int = 80
-
-
-SENSITIVITY_DEFAULTS = SweepDefaults()
+#: Neurons of the tissue those experiments run on unless told otherwise.
+SENSITIVITY_NEURONS = 80
 
 #: Seed of the neuron tissue every grid but the density axes runs on.
 TISSUE_SEED = 7
@@ -140,7 +125,7 @@ DENSITY_EXTENT = 700.0
 
 
 def _tissue(n_neurons: int | None) -> DatasetSpec:
-    n_neurons = SENSITIVITY_DEFAULTS.n_neurons if n_neurons is None else int(n_neurons)
+    n_neurons = SENSITIVITY_NEURONS if n_neurons is None else int(n_neurons)
     return DatasetSpec("neuron", {"n_neurons": n_neurons, "seed": TISSUE_SEED})
 
 
@@ -153,16 +138,9 @@ def _dense_tissues(neuron_counts: Iterable[int], seed: int) -> tuple[DatasetSpec
 
 def _workload(n_sequences: int | None, **overrides: Any) -> WorkloadSpec:
     """The §7.4 default workload with ``overrides`` applied."""
-    defaults = SENSITIVITY_DEFAULTS
-    params: dict[str, Any] = dict(
-        n_sequences=defaults.n_sequences if n_sequences is None else int(n_sequences),
-        n_queries=defaults.n_queries,
-        volume=defaults.volume,
-        gap=defaults.gap,
-        aspect=defaults.aspect,
-        window_ratio=defaults.window_ratio,
-    )
-    return WorkloadSpec(**(params | overrides))
+    if n_sequences is not None:
+        overrides["n_sequences"] = int(n_sequences)
+    return replace(SENSITIVITY_DEFAULTS, **overrides)
 
 
 def _prefetchers(
@@ -209,32 +187,43 @@ def fig3_matrix(
 # -- the Fig-13 grid as experiment matrices -----------------------------------------
 
 
-def fig13_axes() -> dict[str, list]:
-    """The x-axes of the six Fig-13 panels.
-
-    Keys match the panel letters; values follow the paper's tick values
-    except for density, which is expressed in neuron counts scaled to
-    the synthetic tissue (the paper adds 50M objects per step).
-    """
-    return {
-        "a_query_volume": [10_000.0, 45_000.0, 80_000.0, 115_000.0, 150_000.0, 185_000.0],
-        "b_density_neurons": [40, 60, 80, 100, 120],
-        "c_sequence_length": [5, 15, 25, 35, 45, 55],
-        "d_window_ratio": [0.1, 0.7, 1.3, 1.9, 2.5],
-        "e_grid_resolution": [32_768, 4_096, 512, 64, 8],
-        "f_gap_distance": [10.0, 15.0, 20.0, 25.0],
-    }
-
-
-#: Panel letter -> (axis key in :func:`fig13_axes`, human title).
-FIG13_PANELS: dict[str, tuple[str, str]] = {
-    "a": ("a_query_volume", "accuracy vs query volume"),
-    "b": ("b_density_neurons", "accuracy vs dataset density"),
-    "c": ("c_sequence_length", "accuracy vs sequence length"),
-    "d": ("d_window_ratio", "accuracy vs prefetch window ratio"),
-    "e": ("e_grid_resolution", "accuracy vs grid resolution"),
-    "f": ("f_gap_distance", "accuracy vs gap distance"),
+#: Panel letter -> (the cell-spec field the panel varies, as a path into
+#: the spec dict; human title; the x-axis ticks).  Ticks follow the
+#: paper's values except for density, which is expressed in neuron
+#: counts scaled to the synthetic tissue (the paper adds 50M objects per
+#: step).  :func:`fig13_matrix` builds a panel from its row and
+#: :func:`fig13_axis_value` reads a cell's tick back through it.
+FIG13_PANELS: dict[str, tuple[tuple[str, ...], str, tuple]] = {
+    "a": (
+        ("workload", "volume"),
+        "accuracy vs query volume",
+        (10_000.0, 45_000.0, 80_000.0, 115_000.0, 150_000.0, 185_000.0),
+    ),
+    "b": (
+        ("dataset", "params", "n_neurons"),
+        "accuracy vs dataset density",
+        (40, 60, 80, 100, 120),
+    ),
+    "c": (("workload", "n_queries"), "accuracy vs sequence length", (5, 15, 25, 35, 45, 55)),
+    "d": (
+        ("workload", "window_ratio"),
+        "accuracy vs prefetch window ratio",
+        (0.1, 0.7, 1.3, 1.9, 2.5),
+    ),
+    "e": (
+        ("prefetcher", "params", "grid_resolution"),
+        "accuracy vs grid resolution",
+        (32_768, 4_096, 512, 64, 8),
+    ),
+    "f": (("workload", "gap"), "accuracy vs gap distance", (10.0, 15.0, 20.0, 25.0)),
 }
+
+
+def _fig13_field(panel: str) -> tuple[str, ...]:
+    if panel not in FIG13_PANELS:
+        known = ", ".join(sorted(FIG13_PANELS))
+        raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
+    return FIG13_PANELS[panel][0]
 
 
 def fig13_matrix(
@@ -247,39 +236,30 @@ def fig13_matrix(
 ):
     """One Fig-13 panel as a declarative :class:`ExperimentMatrix`.
 
-    Every panel fixes the §7.4 defaults and varies one axis: (a) the
-    query volume, (b) the dataset density (neuron count at fixed tissue
-    extent), (c) the sequence length, (d) the prefetch-window ratio,
-    (e) SCOUT's grid resolution, (f) the gap distance (where SCOUT-OPT
-    joins SCOUT as a second prefetcher row).  ``axis`` overrides the
-    paper's tick values, e.g. to truncate a panel for a smoke run.
+    Every panel fixes the §7.4 defaults and varies the one field its
+    :data:`FIG13_PANELS` row names: (a) the query volume, (b) the
+    dataset density (neuron count at fixed tissue extent), (c) the
+    sequence length, (d) the prefetch-window ratio, (e) SCOUT's grid
+    resolution, (f) the gap distance (where SCOUT-OPT joins SCOUT as a
+    second prefetcher row).  ``axis`` overrides the paper's tick values,
+    e.g. to truncate a panel for a smoke run.
     """
-    if panel not in FIG13_PANELS:
-        known = ", ".join(sorted(FIG13_PANELS))
-        raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
-    axis_key, _ = FIG13_PANELS[panel]
-    values = list(fig13_axes()[axis_key] if axis is None else axis)
+    section, *_, name = _fig13_field(panel)
+    values = list(FIG13_PANELS[panel][2] if axis is None else axis)
     if not values:
         raise ValueError(f"panel {panel!r} axis must not be empty")
 
     datasets = (_tissue(n_neurons),)
     workloads = (_workload(n_sequences),)
     prefetchers = (PrefetcherSpec("scout"),)
-    if panel == "a":
-        workloads = tuple(_workload(n_sequences, volume=float(v)) for v in values)
-    elif panel == "b":
+    if section == "workload":
+        workloads = tuple(_workload(n_sequences, **{name: value}) for value in values)
+    elif section == "dataset":
         datasets = _dense_tissues(values, seed=13)
-    elif panel == "c":
-        workloads = tuple(_workload(n_sequences, n_queries=int(n)) for n in values)
-    elif panel == "d":
-        workloads = tuple(_workload(n_sequences, window_ratio=float(r)) for r in values)
-    elif panel == "e":
-        prefetchers = tuple(
-            PrefetcherSpec("scout", {"grid_resolution": int(r)}) for r in values
-        )
-    elif panel == "f":
-        workloads = tuple(_workload(n_sequences, gap=float(g)) for g in values)
-        prefetchers = (PrefetcherSpec("scout"), PrefetcherSpec("scout-opt"))
+    else:
+        prefetchers = tuple(PrefetcherSpec("scout", {name: int(value)}) for value in values)
+    if panel == "f":
+        prefetchers += (PrefetcherSpec("scout-opt"),)
 
     return ExperimentMatrix(
         datasets=datasets,
@@ -288,6 +268,17 @@ def fig13_matrix(
         prefetchers=prefetchers,
         seeds=(workload_seed,),
     )
+
+
+def fig13_axis_value(panel: str, spec: Mapping[str, Any]):
+    """The varying-axis value of one cell-spec dict of a Fig-13 panel.
+
+    Used to label table columns when rendering stored sweep results.
+    """
+    value: Any = spec
+    for name in _fig13_field(panel):
+        value = value[name]
+    return value
 
 
 # -- the Fig-14 response-time breakdown ---------------------------------------------
@@ -473,11 +464,6 @@ def fig17_matrix(
     return cells
 
 
-def fig17_dataset_of(spec: Mapping[str, Any]) -> str:
-    """The dataset column a Fig-17 cell-spec dict belongs to."""
-    return spec["dataset"]["kind"]
-
-
 # -- the serving grids --------------------------------------------------------------
 
 #: Concurrent-client counts of the serving sweep's x-axis.
@@ -586,11 +572,6 @@ def clients_matrix(
     )
 
 
-def serve_clients_of(spec: Mapping[str, Any]) -> int:
-    """The client-count column a serving cell-spec dict belongs to."""
-    return int(spec["serve"]["n_clients"])
-
-
 #: Fault intensities of the chaos sweep's x-axis: the headline
 #: ``transient_rate``; corrupt and latency-spike rates ride at half of
 #: it.  0.0 keeps the fault layer active but silent -- the degradation
@@ -654,11 +635,6 @@ def chaos_matrix(
     )
 
 
-def chaos_rate_of(spec: Mapping[str, Any]) -> float:
-    """The fault-rate column a chaos cell-spec dict belongs to."""
-    return float(spec["faults"]["transient_rate"])
-
-
 #: Miss-path mechanisms of the tiers sweep's x-axis (the SimpleScalar
 #: taxonomy: victim cache, miss cache, stream buffer, all combined);
 #: ``none`` is the tier-cache-only baseline each mechanism is read
@@ -709,11 +685,6 @@ def tiers_matrix(
     )
 
 
-def tiers_path_of(spec: Mapping[str, Any]) -> str:
-    """The miss-path column a tiers cell-spec dict belongs to."""
-    return str(spec["storage"]["miss_path"])
-
-
 #: Shard counts of the shards sweep: the unsharded baseline (K=1 is
 #: the plain shared cache) against a small multi-node layout.
 SHARD_COUNTS: tuple[int, ...] = (1, 4)
@@ -761,11 +732,6 @@ def shards_matrix(
     )
 
 
-def shards_k_of(spec: Mapping[str, Any]) -> int:
-    """The shard-count column a shards cell-spec dict sweeps."""
-    return int(spec["shards"]["n_shards"])
-
-
 # -- labelling stored cells back to their axes --------------------------------------
 
 
@@ -790,23 +756,3 @@ def microbenchmark_of(spec: Mapping[str, Any]) -> str | None:
             return name
     return None
 
-
-def fig13_axis_value(panel: str, spec: Mapping[str, Any]):
-    """The varying-axis value of one cell-spec dict of a Fig-13 panel.
-
-    Used to label table columns when rendering stored sweep results.
-    """
-    if panel == "a":
-        return spec["workload"]["volume"]
-    if panel == "b":
-        return spec["dataset"]["params"]["n_neurons"]
-    if panel == "c":
-        return spec["workload"]["n_queries"]
-    if panel == "d":
-        return spec["workload"]["window_ratio"]
-    if panel == "e":
-        return spec["prefetcher"]["params"].get("grid_resolution", 4096)
-    if panel == "f":
-        return spec["workload"]["gap"]
-    known = ", ".join(sorted(FIG13_PANELS))
-    raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")

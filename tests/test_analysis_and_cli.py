@@ -5,8 +5,8 @@ import pytest
 from repro.analysis import ResultTable, format_row, paper_reference, sweep_table
 from repro.cli import main
 from repro.workload.sweeps import (
+    FIG13_PANELS,
     SENSITIVITY_DEFAULTS,
-    fig13_axes,
     fig13_axis_value,
     fig13_matrix,
 )
@@ -42,16 +42,16 @@ class TestResultTable:
 
 class TestSweeps:
     def test_axes_cover_all_panels(self):
-        axes = fig13_axes()
-        assert sorted(axes) == [
-            "a_query_volume",
-            "b_density_neurons",
-            "c_sequence_length",
-            "d_window_ratio",
-            "e_grid_resolution",
-            "f_gap_distance",
-        ]
-        assert axes["e_grid_resolution"][0] == 32_768
+        assert sorted(FIG13_PANELS) == ["a", "b", "c", "d", "e", "f"]
+        assert {field[-1] for field, _, _ in FIG13_PANELS.values()} == {
+            "volume",
+            "n_neurons",
+            "n_queries",
+            "window_ratio",
+            "grid_resolution",
+            "gap",
+        }
+        assert FIG13_PANELS["e"][2][0] == 32_768
 
     def test_defaults_match_paper(self):
         assert SENSITIVITY_DEFAULTS.n_queries == 25
@@ -92,22 +92,15 @@ class TestSweepTable:
 
 class TestFig13Matrix:
     def test_every_panel_has_axis_sized_grid(self):
-        axes = fig13_axes()
-        for panel, axis_key in [
-            ("a", "a_query_volume"),
-            ("b", "b_density_neurons"),
-            ("c", "c_sequence_length"),
-            ("d", "d_window_ratio"),
-            ("e", "e_grid_resolution"),
-        ]:
+        for panel in "abcde":
             matrix = fig13_matrix(panel, n_neurons=6, n_sequences=2)
-            assert len(matrix) == len(axes[axis_key]), panel
+            assert len(matrix) == len(FIG13_PANELS[panel][2]), panel
 
     def test_gap_panel_pairs_scout_with_scout_opt(self):
         matrix = fig13_matrix("f", n_neurons=6, n_sequences=2)
         kinds = {cell.prefetcher.kind for cell in matrix}
         assert kinds == {"scout", "scout-opt"}
-        assert len(matrix) == 2 * len(fig13_axes()["f_gap_distance"])
+        assert len(matrix) == 2 * len(FIG13_PANELS["f"][2])
 
     def test_axis_values_recoverable_from_specs(self):
         axis = [0.5, 1.5]

@@ -4,9 +4,9 @@ The contract under test: a crashing or hung cell (1) gets a bounded
 number of retries, (2) is recorded in the store as a ``status:
 failed|timeout`` envelope instead of aborting the sweep, and (3) is
 retried -- not skipped -- on the next resume, so a store converges on
-all-ok as causes are fixed.  Legacy schema-1 records still load, and
-schema-envelope mismatches are classified stale (recomputed), never
-rendered.  A worker that dies *hard* (``os._exit``, simulating an OOM
+all-ok as causes are fixed.  Only schema-2 lines load: any other
+schema version or envelope mismatch is classified stale (recomputed),
+never rendered.  A worker that dies *hard* (``os._exit``, simulating an OOM
 kill or segfault) breaks the process pool; the runner must respawn it,
 re-enqueue the in-flight cells with one attempt charged, and finish the
 sweep.
@@ -149,6 +149,31 @@ class TestTimeouts:
             ParallelRunner(retries=-1)
 
 
+class TestOneLedger:
+    """Serial and pooled attempts settle through the same ledger."""
+
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_serial_and_pooled_envelopes_agree(self, tmp_path, retries):
+        flag = tmp_path / "flag"
+        flaky = cell(PrefetcherSpec("_fail", {"once_flag": str(flag)}))
+
+        def envelopes(jobs):
+            flag.unlink(missing_ok=True)
+            runner = ParallelRunner(jobs=jobs, timeout=0.5, retries=retries)
+            report = runner.run([flaky, HANGING_CELL, RAISING_CELL, OK_CELL])
+            return [(r.status, r.attempts, r.error) for r in report.results]
+
+        serial = envelopes(1)
+        assert serial == envelopes(2)
+        first_try_only = ("failed", 1, "RuntimeError: injected cell failure")
+        assert serial == [
+            first_try_only if retries == 0 else ("ok", 2, None),
+            ("timeout", retries + 1, "CellTimeoutError: cell exceeded its wall-clock timeout"),
+            ("failed", retries + 1, "RuntimeError: injected kaboom"),
+            ("ok", 1, None),
+        ]
+
+
 class TestPoolCrashes:
     """A worker killed mid-sweep must not abort the run."""
 
@@ -203,18 +228,24 @@ class TestSchemaCompatibility:
         ParallelRunner(jobs=1, store=ResultStore(path)).run([OK_CELL])
         return path
 
-    def test_schema1_record_loads_as_ok(self, tmp_path):
-        path = self._stored(tmp_path)
+    def _schema1_line(self, path):
         record = json.loads(path.read_text())
         for legacy_unknown in ("status", "attempts", "error"):
             record.pop(legacy_unknown)
         record["schema"] = 1
-        path.write_text(json.dumps(record) + "\n")
+        return json.dumps(record) + "\n"
+
+    def test_schema1_record_is_stale_and_recomputed(self, tmp_path):
+        path = self._stored(tmp_path)
+        path.write_text(self._schema1_line(path))
 
         store = ResultStore(path)
-        result = store.load()[OK_CELL.key()]
-        assert result.ok and result.attempts == 1 and result.error is None
-        assert store.n_stale == 0 and store.n_corrupt == 0
+        assert OK_CELL.key() not in store.load()
+        assert store.n_stale == 1 and store.n_corrupt == 0
+
+        report = ParallelRunner(jobs=1, store=store).run([OK_CELL])
+        assert report.n_computed == 1 and report.n_skipped == 0
+        assert ResultStore(path).load()[OK_CELL.key()].ok
 
     def test_missing_metric_key_is_stale_not_corrupt(self, tmp_path):
         path = self._stored(tmp_path)
@@ -255,20 +286,15 @@ class TestSchemaCompatibility:
         assert {r.key for r in store.ok_results()} == {OK_CELL.key()}
         assert len(store.results()) == 2
 
-    def test_compact_upgrades_schema1_records_in_place(self, tmp_path):
-        # A legacy record is kept, rewritten as a (larger) schema-2
-        # envelope -- so reclaimed_bytes is honestly negative here.
+    def test_compact_drops_schema1_records_as_stale(self, tmp_path):
         path = self._stored(tmp_path)
-        record = json.loads(path.read_text())
-        for legacy_unknown in ("status", "attempts", "error"):
-            record.pop(legacy_unknown)
-        record["schema"] = 1
-        path.write_text(json.dumps(record) + "\n")
+        current = path.read_text()
+        path.write_text(self._schema1_line(path) + current)
 
         report = ResultStore(path).compact()
-        assert report.n_kept == 1 and report.reclaimed_bytes < 0
-        upgraded = json.loads(path.read_text())
-        assert upgraded["schema"] == 2 and upgraded["status"] == "ok"
+        assert report.n_kept == 1 and report.n_stale == 1
+        assert report.reclaimed_bytes > 0
+        assert path.read_text() == current
 
     def test_compact_clears_stale_counts(self, tmp_path):
         path = self._stored(tmp_path)

@@ -19,7 +19,9 @@ Four load-bearing guarantees are pinned here:
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import EWMAPrefetcher
 from repro.sim import SimulationConfig, run_experiment
-from repro.sim.results import ResultStore
+from repro.sim.results import ResultStore, merge_stores
 from repro.sim.runner import (
     CellSpec,
     DatasetSpec,
@@ -360,9 +362,7 @@ class TestFaultSpecPersistence:
         result, report = run_serving_cell(spec)
         assert result.ok
         assert result.metrics.failed_reads is not None
-        with ResultStore(tmp_path / "chaos.jsonl", async_writes=True) as store:
-            store.append(result)
-            store.flush()
+        ResultStore(tmp_path / "chaos.jsonl").append(result)
         loaded = ResultStore(tmp_path / "chaos.jsonl").load()[spec.key()]
         assert loaded.spec == spec.to_dict()
         assert CellSpec.from_dict(loaded.spec) == spec
@@ -380,9 +380,9 @@ class TestTornLineRecovery:
         spec_a, spec_b = chaos_cell(0.0), chaos_cell(0.5)
         result_a, _ = run_serving_cell(spec_a)
         result_b, _ = run_serving_cell(spec_b)
-        with ResultStore(path) as store:
-            store.append(result_a)
-            store.append(result_b)
+        store = ResultStore(path)
+        store.append(result_a)
+        store.append(result_b)
         return spec_a, spec_b
 
     def test_torn_final_line_counts_corrupt_not_abort(self, tmp_path):
@@ -407,14 +407,37 @@ class TestTornLineRecovery:
         assert store.n_lines == 2
         assert store.n_corrupt >= 1
 
-    def test_async_flush_syncs_the_file(self, tmp_path):
+    def test_append_is_readable_by_an_independent_handle_when_it_returns(self, tmp_path):
         path = tmp_path / "durable.jsonl"
         spec = chaos_cell(0.0)
         result, _ = run_serving_cell(spec)
-        store = ResultStore(path, async_writes=True)
-        store.append(result)
-        store.flush()
-        # The line is on disk (readable by an independent handle) the
-        # moment flush() returns, not merely queued.
+        ResultStore(path).append(result)
         assert spec.key() in ResultStore(path).load()
-        store.close()
+
+    @pytest.mark.parametrize("rewrite", ["compact", "merge"])
+    def test_rewrite_syncs_the_whole_tmp_file_before_renaming_it(
+        self, tmp_path, monkeypatch, rewrite
+    ):
+        # Renaming an unsynced tmp file can reach the disk before its
+        # data: after power loss the store would come back truncated.
+        path = tmp_path / "store.jsonl"
+        self.write_two_cells(path)
+        calls = []
+        real_replace = Path.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+
+        def replace(self, target):
+            calls.append(("replace", self.stat().st_ino, self.stat().st_size))
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        if rewrite == "compact":
+            ResultStore(path).compact()
+        else:
+            merge_stores([path], path)
+        (synced, *file_synced), (renamed, *file_renamed) = calls
+        assert (synced, renamed) == ("fsync", "replace")
+        assert file_synced == file_renamed == [path.stat().st_ino, path.stat().st_size]

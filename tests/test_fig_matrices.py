@@ -46,9 +46,9 @@ from repro.workload.sweeps import (
     fig10_matrix,
     fig11_matrix,
     fig12_matrix,
+    fig13_axis_value,
     fig13_matrix,
     fig14_matrix,
-    fig17_dataset_of,
     fig17_matrix,
     fig17_query_volume,
     microbenchmark_of,
@@ -135,7 +135,8 @@ class TestFig17Grid:
         assert {cell.prefetcher.kind for cell in cells} == {
             kind for kind, _ in FIG11_PREFETCHERS
         }
-        assert {fig17_dataset_of(cell.to_dict()) for cell in cells} == set(TINY_FIG17)
+        column_of = FIGURES[17].column_of
+        assert {column_of("a", cell.to_dict()) for cell in cells} == set(TINY_FIG17)
 
     def test_default_grid_names_the_paper_datasets(self):
         assert list(FIG17_DATASET_PARAMS) == ["lung", "arterial", "roads"]
@@ -235,6 +236,16 @@ class TestDeterminismVsDirectHarness:
             c for c in tiny(fig11_matrix, benches=["adhoc_stat"]) if c.prefetcher.kind == "scout"
         )
         assert fig10_cell.key() == fig11_cell.key()
+
+
+@pytest.mark.parametrize("panel", list(FIG13_PANELS))
+def test_fig13_panel_row_round_trips(panel):
+    """One table row builds the panel and reads its cells' ticks back."""
+    ticks = FIG13_PANELS[panel][2]
+    cells = fig13_matrix(panel).cells()
+    read_back = [fig13_axis_value(panel, cell.to_dict()) for cell in cells]
+    assert tuple(dict.fromkeys(read_back)) == ticks
+    assert len(cells) == len(ticks) * (2 if panel == "f" else 1)
 
 
 GRID_PIN = Path(__file__).parent / "golden" / "grid_keys.json"

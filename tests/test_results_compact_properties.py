@@ -9,10 +9,9 @@ corrupt / stale store lines (hypothesis generates the interleavings):
 * compaction is idempotent -- a second pass keeps every record and
   reclaims zero bytes;
 * the byte accounting is honest -- reclaimed = before - after, and the
-  rewritten file holds exactly the kept records.  Reclaimed is >= 0 for
-  the schema-2 lines generated here; legacy schema-1 records grow on
-  rewrite (upgraded to the envelope layout), covered separately in
-  ``test_fault_tolerance.py``.
+  rewritten file holds exactly the kept records.  Reclaimed is >= 0:
+  a kept record is rewritten byte for byte (only schema-2 lines load;
+  anything else is dropped as stale), so no line can grow.
 """
 
 from __future__ import annotations

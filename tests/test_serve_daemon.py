@@ -326,6 +326,59 @@ class TestLoadgenEndToEnd:
         assert final["drained"] is True
         assert final["requests_admitted"] == report["ok"] == 40
 
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            dict(storage="mmap", miss_path="combined", tier_pages=64),
+            dict(shards=4, partition="hilbert"),
+        ],
+        ids=["mmap-combined-tier64", "hilbert-4-shards"],
+    )
+    def test_final_report_accounts_for_the_layer(self, tmp_path, layer):
+        """What CI's serve-smoke legs boot, with the books read here."""
+        if "storage" in layer:
+            layer = dict(layer, pagefile=str(tmp_path / "pages.pf"))
+
+        async def scenario(daemon):
+            report = await run_loadgen(
+                "127.0.0.1",
+                daemon.port,
+                connections=4,
+                process="poisson",
+                rate=2000.0,
+                requests=200,
+                seed=42,
+                shutdown=True,
+            )
+            await asyncio.wait_for(daemon._stopped.wait(), timeout=10)
+            return report, daemon.final_report()
+
+        report, final = asyncio.run(_with_daemon(daemon_config(**layer), scenario))
+        assert report["requests"] == 200 and report["errors"] == 0
+        assert report["drained"] is True
+        assert final["type"] == "final" and final["drained"] is True
+        assert final["requests_admitted"] == report["ok"]
+        assert final["latency"]["count"] == final["requests_admitted"]
+        storage, shards, cache = final["storage"], final["shards"], final["cache"]
+        if "storage" in layer:
+            assert (storage["backend"], storage["miss_path"], storage["tier_pages"]) == (
+                "mmap",
+                "combined",
+                64,
+            )
+            assert storage["requests"] > 0
+            assert storage["requests"] == (
+                storage["tier_hits"] + storage["miss_path_hits"] + storage["backing_pages"]
+            )
+            assert storage["torn_detected"] == 0
+        else:
+            assert (shards["n_shards"], shards["partition"]) == (4, "hilbert")
+            per = shards["per_shard"]
+            assert len(per) == 4
+            assert cache["hits"] + cache["misses"] > 0
+            for counter in ("hits", "misses", "insertions"):
+                assert sum(shard[counter] for shard in per) == cache[counter]
+
 
 async def _drive_bursts(daemon, n_connections, bursts):
     """Pipeline each ``(connection, size)`` burst and collect its replies.

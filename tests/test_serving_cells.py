@@ -19,7 +19,7 @@ from repro.sim.runner import (
     prepare_serving_cell,
     run_serving_cell,
 )
-from repro.workload.sweeps import clients_matrix, serve_clients_of
+from repro.workload.sweeps import clients_matrix
 
 
 def serving_spec(n_clients=2, serve_extra=(), sim=()):
@@ -110,9 +110,8 @@ class TestServeCellExecution:
             clients=(1, 2), cache_pages=(None,), n_neurons=6, n_queries=3,
         )
         serial = ParallelRunner(jobs=1).run(cells, resume=False)
-        store = ResultStore(tmp_path / "serve.jsonl", async_writes=True)
-        with store:
-            pooled = ParallelRunner(jobs=2, store=store).run(cells, resume=False)
+        store = ResultStore(tmp_path / "serve.jsonl")
+        pooled = ParallelRunner(jobs=2, store=store).run(cells, resume=False)
         for a, b in zip(serial.results, pooled.results):
             assert a.key == b.key
             assert a.metrics == b.metrics
@@ -143,7 +142,7 @@ class TestClientsMatrix:
         assert len(cells) == 2 * 2 * 2  # cache x prefetcher x clients
         capacities = [c.sim.get("cache_capacity_pages") for c in cells]
         assert capacities == [None] * 4 + [32] * 4  # cache-size-major, None = auto
-        assert [serve_clients_of(c.to_dict()) for c in cells[:2]] == [1, 2]
+        assert [c.to_dict()["serve"]["n_clients"] for c in cells[:2]] == [1, 2]
 
     def test_cells_are_distinct_and_stable(self):
         cells = clients_matrix(n_neurons=6, n_queries=3)

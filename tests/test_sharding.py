@@ -1,10 +1,9 @@
-"""Sharded stores, shard merging and the async writer.
+"""Sharded stores and shard merging.
 
 The contract under test: spec-hash sharding partitions any cell grid
 into disjoint slices whose union is the whole grid, independent shard
 sweeps followed by ``merge_stores`` reproduce a single-process run's
-per-cell payloads exactly, merging is idempotent, and the async writer
-persists everything the synchronous path would.  ``TestSliceOf``
+per-cell payloads exactly, and merging is idempotent.  ``TestSliceOf``
 additionally pins that both keyed-stream splitters in the repo -- the
 result store's ``shard_of`` and the sharded cache's ``hash``
 partitioner -- are the one documented rule :func:`repro.util.slice_of`.
@@ -82,7 +81,7 @@ class TestShardAssignment:
 
     def test_sharded_store_refuses_foreign_cells(self, tmp_path):
         cells = MATRIX.cells()
-        store = ShardedResultStore(tmp_path / "s.jsonl", 0, 2, async_writes=False)
+        store = ShardedResultStore(tmp_path / "s.jsonl", 0, 2)
         foreign = next(c for c in cells if not store.owns(c.key()))
         with pytest.raises(ValueError, match="belongs to shard"):
             store.append(run_cell(foreign))
@@ -134,9 +133,9 @@ class TestShardedSweepMerge:
         base = tmp_path / "sweep.jsonl"
         shard_paths = []
         for i in range(n_shards):
-            with ShardedResultStore(base, i, n_shards, async_writes=True) as store:
-                cells = store.owned_cells(MATRIX.cells())
-                ParallelRunner(jobs=1, store=store).run(cells)
+            store = ShardedResultStore(base, i, n_shards)
+            cells = [cell for cell in MATRIX.cells() if store.owns(cell.key())]
+            ParallelRunner(jobs=1, store=store).run(cells)
             shard_paths.append(store.path)
         return base, shard_paths
 
@@ -149,7 +148,8 @@ class TestShardedSweepMerge:
         full = ResultStore(tmp_path / "full.jsonl")
         ParallelRunner(jobs=1, store=full).run(MATRIX)
         merged = ResultStore(base).load()
-        assert set(merged) == set(full.load())
+        assert set(merged) == set(full.load()) == {c.key() for c in MATRIX.cells()}
+        assert all(result.ok for result in merged.values())
         for key, result in full.load().items():
             assert merged[key].metrics == result.metrics
             assert merged[key].status == result.status
@@ -218,50 +218,3 @@ class TestShardedSweepMerge:
         assert report.n_cells == 1
         assert report.missing_inputs == [tmp_path / "shard1.jsonl"]
 
-
-class TestAsyncWriter:
-    def test_async_appends_all_land_on_disk(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        cells = MATRIX.cells()[:4]
-        with ResultStore(path, async_writes=True) as store:
-            for spec in cells:
-                store.append(run_cell(spec))
-            store.flush()
-            assert len(path.read_text().splitlines()) == len(cells)
-        reloaded = ResultStore(path).load()
-        assert set(reloaded) == {c.key() for c in cells}
-
-    def test_async_matches_sync_records(self, tmp_path):
-        spec = MATRIX.cells()[0]
-        result = run_cell(spec)
-        with ResultStore(tmp_path / "async.jsonl", async_writes=True) as async_store:
-            async_store.append(result)
-        sync_store = ResultStore(tmp_path / "sync.jsonl")
-        sync_store.append(result)
-        async_record = json.loads((tmp_path / "async.jsonl").read_text())
-        sync_record = json.loads((tmp_path / "sync.jsonl").read_text())
-        assert async_record == sync_record
-
-    def test_load_waits_for_queued_writes(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        spec = MATRIX.cells()[0]
-        with ResultStore(path, async_writes=True) as store:
-            store.append(run_cell(spec))
-            # A second store object sees the record only because load()
-            # flushes the writer queue first.
-            store.load(reload=True)
-            assert spec.key() in ResultStore(path).load()
-
-    def test_closed_writer_rejects_appends(self, tmp_path):
-        store = ResultStore(tmp_path / "store.jsonl", async_writes=True)
-        store.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            store.append(run_cell(MATRIX.cells()[0]))
-
-    def test_runner_flushes_async_store(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        cells = MATRIX.cells()[:3]
-        with ResultStore(path, async_writes=True) as store:
-            ParallelRunner(jobs=1, store=store).run(cells)
-            # run() flushed: records are durable before the report returns.
-            assert len(path.read_text().splitlines()) == len(cells)

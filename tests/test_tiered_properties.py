@@ -282,3 +282,9 @@ def test_tier_counters_attribute_across_clients():
     pooled = report.to_aggregate()
     assert pooled.tier_hits == report.tier_hits
     assert pooled.miss_path_hits == report.miss_path_hits
+
+    # With no mechanism below the tier, the tier alone absorbs reads.
+    config = SimulationConfig(storage=StorageSpec(miss_path="none", tier_pages=8))
+    bare_tier = ServingSimulator(index, config).run(clients, fleet()).to_aggregate()
+    assert bare_tier.tier_hits is not None and bare_tier.tier_fills > 0
+    assert bare_tier.miss_path_hits == 0
