@@ -28,11 +28,12 @@ one shared cache and disk to model concurrent users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
-from repro.index.base import SpatialIndex
+from repro.index.base import SpatialIndex, region_corners
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import PrefetchCache
 from repro.storage.disk import DiskModel, DiskParameters
@@ -79,9 +80,7 @@ class _SharedProbeStream:
     def get(self, position: int):
         """The page ids of the region at ``position``, or ``None`` past the end."""
         while position >= len(self._resolved) and len(self._resolved) < len(self._regions):
-            start = len(self._resolved)
-            batch = self._regions[start : start + self._chunk]
-            self._resolved.extend(self._index.pages_for_regions(batch))
+            resolve_ahead(self._index, [self])
         if position < len(self._resolved):
             return self._resolved[position]
         return None
@@ -105,14 +104,36 @@ class _ProbeCursor:
         return item
 
 
+def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> None:
+    """Resolve the next chunk of every stream in ONE ``pages_for_regions`` pass.
+
+    ``get`` is the one-stream call; the lockstep tick hands in every
+    stream of the tick.  Chunks concatenate as packed corners and the
+    answers split back: each stream holds what it would have alone.
+    """
+    chunks = [s._regions[len(s._resolved) : len(s._resolved) + s._chunk] for s in streams]
+    pending = [(stream, chunk) for stream, chunk in zip(streams, chunks) if len(chunk)]
+    if not pending:
+        return
+    if len(pending) == 1:
+        regions = pending[0][1]
+    else:
+        los, his = zip(*(region_corners(chunk) for _, chunk in pending))
+        regions = np.stack((np.concatenate(los), np.concatenate(his)), axis=1)
+    answers = iter(index.pages_for_regions(regions))
+    for stream, chunk in pending:
+        stream._resolved.extend(islice(answers, len(chunk)))
+
+
 @dataclass
 class _QueryBundle:
     """The pure (cache- and disk-independent) work of one query.
 
     :meth:`QuerySession.step_query` computes each field the first time
-    a step needs it and reads it afterwards, so whoever steps the query
-    first fills the record and later members of a plan-sharing group
-    (:meth:`QuerySession.step_query_replay`) read it.  Everything here
+    a step needs it and reads it afterwards, so whoever comes first --
+    the lockstep tick's :meth:`QuerySession.fill_ahead`, or the step
+    itself -- fills the record and later members of a plan-sharing
+    group (:meth:`QuerySession.step_query_replay`) read it.  Everything here
     is a pure function of the shared sequence and the
     (bitwise-identical) prefetcher state, so reading it is exactly the
     computation the follower would have done itself; all cache touches,
@@ -511,18 +532,54 @@ class QuerySession:
             self.step_query()
         return self.metrics
 
-    def step_query_capture(self, result=None) -> "_QueryBundle | None":
-        """Advance one query; returns the record of its pure work.
+    def _fill_served(self, work: "_QueryBundle", result=None) -> None:
+        """The index result, its page array and its cold read time."""
+        bounds = self.sequence.queries[work.cursor].bounds
+        work.result = self.engine.index.query(bounds) if result is None else result
+        work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel()
+        work.cold = self.disk.cost_if_cold(work.pages)
 
-        Called on a plan-sharing group's *leader*, whose step fills the
-        record (index result, cold cost, prediction costs, plan targets
-        with shared probe streams) for the group's followers to read via
-        :meth:`step_query_replay`.
+    def _fill_prediction(self, work: "_QueryBundle") -> None:
+        """Observe the query; prediction / build cost and the gap list."""
+        prefetcher, bounds = self.prefetcher, self.sequence.queries[work.cursor].bounds
+        prefetcher.observe(ObservedQuery(work.cursor, bounds, work.result.object_ids))
+        work.prediction_cost = prefetcher.prediction_cost_seconds()
+        work.build_cost = prefetcher.graph_build_cost_seconds()
+        # The scheduler only shares plans for gap-free prefetchers, so a
+        # group's members all see the same (empty) gap list.
+        work.gap_pages = prefetcher.gap_io_pages()
+
+    def _fill_plan(self, work: "_QueryBundle") -> None:
+        """The plan's targets, one probe stream each."""
+        work.targets = self.prefetcher.plan()
+        query = self.sequence.queries[work.cursor]
+        work.streams = self.engine._probe_streams(work.targets, query)
+
+    def fill_ahead(self, result) -> "_QueryBundle":
+        """The next query's pure work, as far as its step is certain to go.
+
+        The lockstep tick's hoist (DESIGN.md §6.1): the served part
+        always; the observation when the breaker is absent or closed
+        (only this session's own step changes it); the plan when no gap
+        I/O precedes it and the window outlasts the prediction cost.
         """
+        work = _QueryBundle(cursor=self._cursor)
+        self._fill_served(work, result)
+        if self._breaker is None or self._breaker.state == CircuitBreaker.CLOSED:
+            self._fill_prediction(work)
+            window = self.sequence.window_ratio * work.cold
+            if not work.gap_pages and window - work.prediction_cost > 0:
+                self._fill_plan(work)
+        return work
+
+    def step_query_capture(self) -> "_QueryBundle | None":
+        """Advance one query alone; returns the record of its pure work,
+        which the daemon's plan tapes keep for later sessions on the walk
+        to read via :meth:`step_query_replay`."""
         if self.done:
             return None
         work = _QueryBundle(cursor=self._cursor)
-        self.step_query(result, work)
+        self.step_query(None, work)
         return work
 
     def step_query_replay(self, work: "_QueryBundle") -> QueryRecord | None:
@@ -542,12 +599,12 @@ class QuerySession:
         """Advance one whole query; its record, or ``None`` when done.
 
         ``result`` is the query's index result when the caller already
-        resolved it (the lockstep scheduler answers every active
-        session's query in one batched ``query_many`` pass, element-wise
-        identical to per-query calls -- this changes where the lookup
-        happens, never what it returns).  ``work`` is the query's
-        pure-work record when a plan-sharing group shares one; a query
-        stepped alone fills a private record through the same code.
+        resolved it (element-wise identical to the per-query call).
+        ``work`` is the query's pure-work record when the lockstep tick
+        filled one ahead or a plan-sharing group shares one: the step
+        reads what is filled and computes the rest through the same
+        ``_fill_*`` definitions, so a query stepped alone is the case
+        of a record nobody has filled.
         """
         if self.done:
             return None
@@ -562,8 +619,7 @@ class QuerySession:
 
         # -- serve ------------------------------------------------------------------
         if work.result is None:
-            work.result = engine.index.query(query.bounds) if result is None else result
-            work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel()
+            self._fill_served(work, result)
         result, pages = work.result, work.pages
 
         # Pages in the prefetch cache are hits; the rest is residual
@@ -620,8 +676,6 @@ class QuerySession:
             objects_hit = int(work.objects_on_page[hit_mask].sum())
 
         # -- window -----------------------------------------------------------------
-        if work.cold is None:
-            work.cold = disk.cost_if_cold(pages)
         window = self.sequence.window_ratio * work.cold
 
         # -- predict, then prefetch ---------------------------------------------------
@@ -639,19 +693,7 @@ class QuerySession:
             mine.degraded_ticks += 1
         else:
             if work.prediction_cost is None:
-                self.prefetcher.observe(
-                    ObservedQuery(
-                        index=self._cursor,
-                        bounds=query.bounds,
-                        result_object_ids=result.object_ids,
-                    )
-                )
-                work.prediction_cost = self.prefetcher.prediction_cost_seconds()
-                work.build_cost = self.prefetcher.graph_build_cost_seconds()
-                # The scheduler only shares plans for gap-free
-                # prefetchers, so a group's members all see the same
-                # (empty) gap list.
-                work.gap_pages = self.prefetcher.gap_io_pages()
+                self._fill_prediction(work)
             prediction_cost, build_cost = work.prediction_cost, work.build_cost
             budget = window - prediction_cost
 
@@ -678,8 +720,7 @@ class QuerySession:
                 # consuming its own prefix of the shared probe streams.
                 if budget > 0:
                     if work.streams is None:
-                        work.targets = self.prefetcher.plan()
-                        work.streams = engine._probe_streams(work.targets, query)
+                        self._fill_plan(work)
                     plan_pages, plan_seconds = engine._execute_plan(
                         work.targets, query, cache, disk, budget, self.client_id, work.streams
                     )

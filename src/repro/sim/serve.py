@@ -24,15 +24,17 @@ Two schedulers produce **bit-identical reports** (pinned by
     the reference loop above -- one client's full query at a time; the
     oracle the tests compare against;
 ``lockstep``
-    the vectorized plane sweeps run on.  Each tick resolves every
-    active client's query in one batched ``query_many`` pass and --
-    when every client runs the same position-only prefetcher -- lets
-    clients that share a hot sequence read their group leader's pure
-    work (index result, prediction, plan with memoized probe streams)
-    instead of recomputing it.  Only *pure* work is ever hoisted or
-    shared; every cache touch, disk read and budget decision still
-    executes in exact client order, which is why the reports match bit
-    for bit.
+    the vectorized plane sweeps run on.  Each tick batches the pure
+    work before anyone steps: one ``query_many`` pass resolves the
+    queries, each plan owner fills its record as far as its step is
+    certain to go (:meth:`~repro.sim.engine.QuerySession.fill_ahead`),
+    one ``pages_for_regions`` pass resolves the first chunk of every
+    probe stream of the tick, and -- when every client runs the same
+    position-only prefetcher -- clients that share a hot sequence read
+    their group leader's record instead of recomputing it.  Only *pure*
+    work is ever hoisted or shared; every cache touch, disk read and
+    budget decision still executes in exact client order, which is why
+    the reports match bit for bit.
 
 With one client the shared cache and disk degenerate to private ones,
 so ``ServingSimulator`` over a single session is bit-identical to
@@ -46,7 +48,7 @@ from typing import Sequence
 
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
 from repro.index.base import SpatialIndex
-from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
+from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, resolve_ahead
 from repro.sim.metrics import ServeReport
 from repro.storage.faults import FaultPlan
 from repro.workload.multiclient import ClientWorkload
@@ -201,31 +203,28 @@ class ServingSimulator:
     def _run_lockstep(self, clients, sessions, prefetchers) -> int:
         """The vectorized plane: batch the tick's pure work, then step.
 
-        Per tick: (1) resolve every active session's current query in
-        one batched ``query_many`` pass; (2) step every active session's
-        full query *in client order*, handing it its result -- all cache
-        and disk mutations happen here, exactly as round-robin
-        interleaves them.  Plan-sharing groups (clients on the same
-        sequence object with the same start tick, eligible prefetchers)
-        additionally skip recomputing the leader's pure work: every
-        active group member advances exactly one query per tick, so
-        members stay bitwise-identical in their pure computations for
-        the whole run and the record the leader's step fills *is* the
-        follower's own computation.
+        Per tick: (1) resolve every plan owner's query in one batched
+        ``query_many`` pass; (2) every owner fills its query's pure work
+        ahead of its step (``fill_ahead``) and ONE ``pages_for_regions``
+        pass resolves the first chunk of every probe stream of the
+        tick; (3) step every active session's full query *in client
+        order* -- all cache and disk mutations happen here, exactly as
+        round-robin interleaves them.  A plan owner is a client on its
+        own record or the leader of a plan-sharing group (same sequence
+        object, same start tick, eligible prefetchers); followers read
+        the leader's record: every active member advances exactly one
+        query per tick, so members stay bitwise-identical in their pure
+        computations for the whole run and the record the leader filled
+        *is* the follower's own computation.
         """
-        sharing = plans_shareable(prefetchers, self.config.faults)
-
         # Static sharing groups: same sequence object + same start tick
         # (hotspot workloads share sequence objects across followers).
-        leader_of: dict[int, int] = {}
-        group_size: dict[int, int] = {}
-        if sharing:
+        leader_of = list(range(len(clients)))
+        if plans_shareable(prefetchers, self.config.faults):
             first_with_key: dict[tuple[int, int], int] = {}
             for i, client in enumerate(clients):
                 key = (id(client.sequence), client.start_tick)
-                leader = first_with_key.setdefault(key, i)
-                leader_of[i] = leader
-                group_size[leader] = group_size.get(leader, 0) + 1
+                leader_of[i] = first_with_key.setdefault(key, i)
 
         tick = 0
         while True:
@@ -241,25 +240,22 @@ class ServingSimulator:
             if not active and not waiting:
                 break
 
-            # One batched index pass per tick over the distinct queries
-            # (a follower's query is its leader's query).
-            owners = [i for i in active if leader_of.get(i, i) == i]
-            results: dict[int, object] = {}
-            if owners:
-                bounds = [
-                    sessions[i].sequence.queries[sessions[i].query_index].bounds
-                    for i in owners
-                ]
-                results = dict(zip(owners, self.index.query_many(bounds)))
+            # The tick's pure work, batched over the distinct queries (a
+            # follower's query is its leader's query).
+            owners = [i for i in active if leader_of[i] == i]
+            owned = [sessions[i] for i in owners]
+            bounds = [s.sequence.queries[s.query_index].bounds for s in owned]
+            bundles = {
+                i: session.fill_ahead(result)
+                for i, session, result in zip(owners, owned, self.index.query_many(bounds))
+            }
+            streams = [s for work in bundles.values() for s in work.streams or ()]
+            resolve_ahead(self.index, streams)
 
-            bundles: dict[int, object] = {}
             for i in active:
-                leader = leader_of.get(i, i)
-                if leader != i:
-                    sessions[i].step_query_replay(bundles[leader])
-                elif group_size.get(i, 1) > 1:
-                    bundles[i] = sessions[i].step_query_capture(results[i])
+                if leader_of[i] == i:
+                    sessions[i].step_query(None, bundles[i])
                 else:
-                    sessions[i].step_query(results[i])
+                    sessions[i].step_query_replay(bundles[leader_of[i]])
             tick += 1
         return tick

@@ -20,9 +20,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.storage.stats import IOStats
 
 __all__ = ["DiskModel", "DiskParameters"]
+
+
+def _canonical(page_ids: Sequence[int] | Iterable[int]) -> list[int]:
+    """The batch as sorted, duplicate-free plain ints.
+
+    A list (or an array's ``tolist``) one pass proves already so -- what
+    each disk layer hands the next -- is returned as is, never mutated.
+    """
+    pages = page_ids.tolist() if isinstance(page_ids, np.ndarray) else page_ids
+    if type(pages) is list:
+        previous = None
+        for page in pages:
+            if type(page) is not int or (previous is not None and page <= previous):
+                break
+            previous = page
+        else:
+            return pages
+    return sorted(set(int(p) for p in page_ids))
 
 
 @dataclass(frozen=True)
@@ -95,7 +115,7 @@ class DiskModel:
         would); each run of consecutive page ids pays one positioning
         cost (amortized across stripe ways) plus per-page transfer.
         """
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         if not pages:
             return 0.0
 
@@ -132,7 +152,7 @@ class DiskModel:
         read.  Does not charge time or move the head; call
         :meth:`read_pages` on the result to do that.
         """
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         params = self.params
         kept: list[int] = []
         cost = 0.0
@@ -155,7 +175,7 @@ class DiskModel:
         Used to size prefetch windows: the paper defines the window as
         ``ratio * d`` with ``d`` the cold retrieval time of the query.
         """
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         if not pages:
             return 0.0
         params = self.params

@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.storage.disk import DiskModel, DiskParameters
+from repro.storage.disk import DiskModel, DiskParameters, _canonical
 from repro.storage.stats import IOStats
 
 __all__ = [
@@ -261,7 +261,7 @@ class FaultyDiskModel:
         :meth:`verify_delivery`.  Every guard checks its rate first, so
         disabled fault kinds consume no randomness.
         """
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         if not pages:
             return 0.0
         plan = self.plan
@@ -324,8 +324,7 @@ class FaultyDiskModel:
         if not self._corrupt_last:
             return 0.0
         tainted, self._corrupt_last = self._corrupt_last, set()
-        pages = [int(p) for p in sorted(set(int(q) for q in page_ids))]
-        suspects = [p for p in pages if p in tainted]
+        suspects = [p for p in _canonical(page_ids) if p in tainted]
         if not suspects:
             return 0.0
         expected = page_table.checksums_of(suspects)
@@ -347,7 +346,7 @@ class FaultyDiskModel:
         a recovered device), charged at full cost and counted under
         ``reread_pages``.
         """
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         if not pages:
             return 0.0
         self._inner.stats.reread_pages += len(pages)

@@ -18,20 +18,23 @@ picklable :class:`ShardSpec`:
   from the page table (each page's object-centroid mean, quantized to a
   ``2**hilbert_bits`` grid over the dataset bounds, Skilling-encoded).
   ``K - 1`` split keys cut the sorted key sequence into equal page
-  counts; routing a batch is ONE ``np.searchsorted`` over the split
-  keys (:meth:`ShardedCache.route_many`), so the lockstep scheduler
-  keeps its single-pass shape.
+  counts and compile into a page -> owning shard table (rebuilt after
+  each split move); routing a batch is ONE gather from it
+  (:meth:`ShardedCache.route_many`), so the lockstep scheduler keeps
+  its single-pass shape.
 * ``hash`` -- :func:`repro.util.slice_of` over raw page ids, the same
   documented "key -> slice i of n" rule the sharded result store uses.
 
 Every lookup/insert routes to its owning shard and lands in that
 shard's own counters, so the per-shard counters *exactly partition* the
 request stream: ``requests == sum(shard.hits + shard.misses)`` holds by
-construction and is hypothesis-checked in the test-suite.
+construction and is hypothesis-checked in the test-suite.  Batch ops
+are list-native like the shards' own (DESIGN.md §10): one ``tolist``,
+one routing pass, answers written back by input position.
 
 **Hot-shard rebalancing** (``rebalance=True``, range partitioning
 only): the detector keeps an EWMA of per-shard demand load, fed once
-per :meth:`~ShardedCache.touch_many` batch (the serve path).  When one
+per :meth:`~ShardedCache.touch_many` batch of a rebalancing cache.  When one
 shard's EWMA exceeds ``rebalance_threshold`` times the mean, the
 rebalancer deterministically moves the split point: the hot shard's
 owned key range is cut at the median of its owned page keys and the
@@ -60,12 +63,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_encode
-from repro.storage.cache import PrefetchCache
+from repro.storage.cache import PrefetchCache, _as_ints
 from repro.util import slice_of
 
 __all__ = [
@@ -271,6 +274,7 @@ class ShardedCache:
                 raise ValueError(
                     f"need {self._k - 1} split keys, got {self._splits.size}"
                 )
+            self._assign_owners()
         else:
             self._page_keys = None
             self._splits = None
@@ -298,20 +302,22 @@ class ShardedCache:
         """Current range-partition split keys (``None`` for hash/K=1)."""
         return None if self._splits is None else self._splits.copy()
 
+    def _assign_owners(self) -> None:
+        """(Re)build the page -> owning shard table from the split keys."""
+        self._owners = np.searchsorted(self._splits, self._page_keys, side="right")
+
     def route(self, page_id: int) -> int:
         """Owning shard of one page under the current partition."""
         if self._splits is None:
             return int(slice_of(int(page_id), self._k))
-        return int(
-            np.searchsorted(self._splits, self._page_keys[int(page_id)], side="right")
-        )
+        return int(self._owners[int(page_id)])
 
     def route_many(self, page_ids) -> np.ndarray:
-        """Owning shard of each page: ONE ``searchsorted`` per batch."""
+        """Owning shard of each page: ONE gather from the owner table."""
         pages = np.asarray(page_ids, dtype=np.int64).ravel()
         if self._splits is None:
             return slice_of(pages, self._k)
-        return np.searchsorted(self._splits, self._page_keys[pages], side="right")
+        return self._owners[pages]
 
     # -- inspection -----------------------------------------------------------
 
@@ -388,7 +394,7 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        self._fan_out("insert_many", page_ids, None, owner)
+        self._fan_out("insert_many", *self._by_shard(page_ids), None, owner)
 
     def discard(self, page_id: int) -> bool:
         return self._shards[self.route(int(page_id))].discard(page_id)
@@ -411,85 +417,80 @@ class ShardedCache:
     def touch_many(self, page_ids) -> np.ndarray:
         """Touch every page on its owning shard; boolean hit mask.
 
-        The demand path: this is where hop latency accrues (one hop per
-        extra shard the batch fans out to) and where the hot-shard
-        EWMA is fed.  Per-shard sub-batches preserve input order, so
-        each shard sees exactly the touches it would have seen had
-        every element been routed individually.
+        The demand path: hop latency accrues here (one hop per extra
+        shard contacted) and a rebalancing cache feeds its hot-shard
+        EWMA.  Sub-batches preserve input order, so each shard sees the
+        touches it would have seen had every page been routed alone.
         """
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if pages.size == 0:
-            return np.zeros(0, dtype=bool)
-        routed = self.route_many(pages)
-        counts = np.bincount(routed, minlength=self._k)
-        contacted = np.flatnonzero(counts)
-        if contacted.size == 1:
-            # The common case under Hilbert locality: a query's pages
-            # land on one shard, so the whole batch delegates intact.
-            hit = self._shards[int(contacted[0])].touch_many(pages)
-        else:
-            hit = np.zeros(pages.size, dtype=bool)
-            for shard_id in contacted:
-                mask = routed == shard_id
-                hit[mask] = self._shards[shard_id].touch_many(pages[mask])
-        extra = int(contacted.size) - 1
-        if extra > 0:
-            self.hops += extra
-            self.hop_seconds += extra * self.spec.hop_latency_s
-        lam = self.spec.rebalance_lambda
-        self._ewma = (1.0 - lam) * self._ewma + lam * counts
-        self._batches += 1
-        if self.spec.rebalance and self._batches % self.spec.rebalance_interval == 0:
-            self._maybe_rebalance()
+        pages, groups = self._by_shard(page_ids)
+        if not pages:
+            return _NO_FLAGS
+        hit = self._fan_out("touch_many", pages, groups, _NO_FLAGS)
+        extra = len(groups) - 1
+        self.hops += extra
+        self.hop_seconds += extra * self.spec.hop_latency_s
+        if self.spec.rebalance:
+            counts = np.zeros(self._k)
+            for shard_id, positions in groups.items():
+                counts[shard_id] = len(positions)
+            lam = self.spec.rebalance_lambda
+            self._ewma = (1.0 - lam) * self._ewma + lam * counts
+            self._batches += 1
+            if self._batches % self.spec.rebalance_interval == 0:
+                self._maybe_rebalance()
         return hit
 
-    def _fan_out(self, op: str, page_ids, empty, *args, straddling=None):
-        """Run cache method ``op`` over a batch on the shards that own it.
+    def _by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
+        """The batch as plain ints and its input positions by owning shard:
+        one ``tolist``, one routing pass.  A shard that owns the whole batch
+        (the common case under Hilbert locality) needs no position list."""
+        pages = _as_ints(page_ids)
+        if not pages:
+            return pages, {}
+        routed = self.route_many(pages).tolist()
+        if routed.count(routed[0]) == len(routed):
+            return pages, {routed[0]: range(len(pages))}
+        groups: dict[int, list[int]] = {}
+        for position, shard_id in enumerate(routed):
+            groups.setdefault(shard_id, []).append(position)
+        return pages, groups
 
-        Routes once.  A batch one shard owns whole -- the common case
-        under Hilbert locality -- delegates intact and that shard's
-        answer is returned as is.  Otherwise every owning shard gets its
-        pages in input order and the answers scatter back into input
-        order, into an array of ``empty``'s dtype (``empty`` is also the
-        answer for no pages; ``None``: the op answers nothing).
-        ``straddling(pages)`` replaces the scatter for an op whose
-        answer is not one value per page.
+    def _fan_out(self, op: str, pages: list[int], groups, empty, *args):
+        """Run cache method ``op`` on the shards that own the batch.
+
+        A whole-batch owner delegates intact; otherwise each shard gets its
+        pages in input order and the answers are written back by position
+        (``empty``: the answer to no pages and the dtype; ``None``: no answer).
         """
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if pages.size == 0:
+        if not groups:
             return empty
-        routed = self.route_many(pages)
-        first = int(routed[0])
-        if np.all(routed == first):
-            return getattr(self._shards[first], op)(pages, *args)
-        if straddling is not None:
-            return straddling(pages)
-        out = None if empty is None else np.empty(pages.size, dtype=empty.dtype)
-        for shard_id in np.unique(routed):
-            mask = routed == shard_id
-            answer = getattr(self._shards[shard_id], op)(pages[mask], *args)
+        if len(groups) == 1:
+            (shard_id,) = groups
+            return getattr(self._shards[shard_id], op)(pages, *args)
+        out = None if empty is None else np.empty(len(pages), dtype=empty.dtype)
+        for shard_id, positions in groups.items():
+            answer = getattr(self._shards[shard_id], op)([pages[i] for i in positions], *args)
             if out is not None:
-                out[mask] = answer
+                out[positions] = answer
         return out
 
     def contains_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("contains_many", page_ids, _NO_FLAGS)
+        return self._fan_out("contains_many", *self._by_shard(page_ids), _NO_FLAGS)
 
     def missing_many(self, page_ids) -> list[int]:
+        pages, groups = self._by_shard(page_ids)
+        if len(groups) < 2:
+            return self._fan_out("missing_many", pages, groups, [])
         # An order-preserving filter, not a value per page: a straddling
-        # batch asks where its pages are instead of scattering.
-        return self._fan_out(
-            "missing_many", page_ids, [], straddling=self._missing_across_shards
-        )
-
-    def _missing_across_shards(self, pages: np.ndarray) -> list[int]:
-        return [int(p) for p in pages[~self.contains_many(pages)]]
+        # batch asks where its pages are, on the routing it already has.
+        cached = self._fan_out("contains_many", pages, groups, _NO_FLAGS).tolist()
+        return [p for p, there in zip(pages, cached) if not there]
 
     def owners_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("owners_many", page_ids, _NO_OWNERS)
+        return self._fan_out("owners_many", *self._by_shard(page_ids), _NO_OWNERS)
 
     def evicted_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("evicted_many", page_ids, _NO_FLAGS)
+        return self._fan_out("evicted_many", *self._by_shard(page_ids), _NO_FLAGS)
 
     # -- rebalancing ----------------------------------------------------------
 
@@ -510,8 +511,7 @@ class ShardedCache:
         hot = int(np.argmax(self._ewma))
         if float(self._ewma[hot]) <= self.spec.rebalance_threshold * mean:
             return
-        owners = np.searchsorted(self._splits, self._page_keys, side="right")
-        hot_keys = np.sort(self._page_keys[owners == hot])
+        hot_keys = np.sort(self._page_keys[self._owners == hot])
         if hot_keys.size < 2:
             return
         median = int(hot_keys[hot_keys.size // 2])
@@ -536,6 +536,7 @@ class ShardedCache:
         else:
             destination = hot + 1
             self._splits[hot] = median
+        self._assign_owners()
         source_cache = self._shards[hot]
         moved = [
             page

@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.storage.disk import DiskModel, DiskParameters
+from repro.storage.disk import DiskModel, DiskParameters, _canonical
 from repro.storage.faults import FaultyDiskModel, ReadFailure
 from repro.storage.pagefile import PageFile, TornPageError
 from repro.storage.stats import IOStats
@@ -188,7 +188,9 @@ class TierStats:
         )
 
     def snapshot(self) -> "TierStats":
-        return TierStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        copy = TierStats()
+        copy.__dict__.update(self.__dict__)
+        return copy
 
     @property
     def mechanism_hits(self) -> int:
@@ -289,7 +291,7 @@ class TieredStore:
         simulated time is bit-identical to the inner model's.
         """
         # Materialized once: ``page_ids`` may be a one-shot iterable.
-        pages = sorted(set(int(p) for p in page_ids))
+        pages = _canonical(page_ids)
         if not self._tiering:
             elapsed = self._inner.read_pages(pages)
             if self._pagefile is not None:

@@ -20,15 +20,22 @@ only).
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.baselines import EWMAPrefetcher, StraightLinePrefetcher
-from repro.core import ScoutPrefetcher
+from repro.baselines.base import PrefetchTarget
+from repro.core import ScoutOptPrefetcher, ScoutPrefetcher
+from repro.geometry.aabb import AABB
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
+from repro.sim.engine import QuerySession, resolve_ahead
 from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.storage.cache import PrefetchCache
+from repro.storage.faults import FaultPlan
+from repro.storage.sharded import ShardSpec
+from repro.storage.tiered import StorageSpec
 from repro.workload import multiclient_sessions
 
 
@@ -180,6 +187,113 @@ class TestLockstepEquivalence:
         reference = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
                           hot_pool=2, lockstep=False)
         assert report_state(shared) == report_state(reference)
+
+
+def chaos_config(**faults) -> SimulationConfig:
+    """Shards + tiers + faults composed, as on the e2e ``fleet_thrash``."""
+    return SimulationConfig(
+        cache_capacity_pages=24,
+        shards=ShardSpec(n_shards=4, shard_cache_pages=8, rebalance=True, rebalance_interval=4),
+        storage=StorageSpec(miss_path="combined", tier_pages=6),
+        faults=FaultPlan(seed=11, **faults),
+    )
+
+
+class TestFillAhead:
+    """The tick fills pure work ahead of the steps; the steps must not notice."""
+
+    @pytest.mark.parametrize("kind", ["ewma", "scout", "scout-opt"])
+    def test_identical_while_breakers_open_within_a_tick(
+        self, monkeypatch, tissue, tissue_flat, kind
+    ):
+        """``retry_limit=0`` makes every transient error a failed read, so
+        breakers trip: in one tick some sessions are filled through the
+        plan and some (open / half-open) only through the result."""
+        n_clients, n_queries = 6, 10
+        clients = multiclient_sessions(
+            tissue, n_clients=n_clients, seed=5, n_queries=n_queries, volume=30_000.0,
+            gap=25.0 if kind == "scout-opt" else 0.0,
+        )
+        config = chaos_config(
+            transient_rate=0.35, retry_limit=0, breaker_threshold=1, breaker_cooldown=2
+        )
+
+        def fleet():
+            if kind == "scout-opt":
+                return [ScoutOptPrefetcher(tissue, tissue_flat) for _ in clients]
+            return [make_prefetcher(kind, tissue) for _ in clients]
+
+        reference = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=False)
+
+        filled = []  # per record, as it left fill_ahead: (predicted, gapped, planned)
+        fill_ahead = QuerySession.fill_ahead
+
+        def spy(session, result):
+            work = fill_ahead(session, result)
+            assert work.result is result and work.cold is not None
+            filled.append(
+                (work.prediction_cost is not None, bool(work.gap_pages), work.streams is not None)
+            )
+            return work
+
+        monkeypatch.setattr(QuerySession, "fill_ahead", spy)
+        vectorized = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=True)
+        assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
+        assert vectorized.breaker_opens > 0 and vectorized.degraded_ticks > 0
+
+        # Faults rule out plan sharing and nobody is staggered: every
+        # tick fills one record per client, in client order.
+        assert len(filled) == n_clients * n_queries
+        ticks = [filled[t : t + n_clients] for t in range(0, len(filled), n_clients)]
+        assert any({predicted for predicted, _, _ in tick} == {True, False} for tick in ticks)
+        assert any(planned for _, _, planned in filled)
+        assert all(predicted for predicted, _, planned in filled if planned)
+        # A non-empty gap list spends budget on cache-dependent reads
+        # first, so such a query is never planned ahead.
+        assert not any(planned for _, gapped, planned in filled if gapped)
+        assert any(gapped for _, gapped, _ in filled) == (kind == "scout-opt")
+
+    def test_batched_resolve_equals_per_stream_get(self, tissue_flat):
+        engine = SimulationEngine(tissue_flat)
+        center = tissue_flat.dataset.bounds.center
+        boxes = tuple(AABB.from_center_extent(center, side) for side in (20.0, 35.0, 50.0))
+        explicit = PrefetchTarget(anchor=center, direction=np.zeros(3), regions=boxes)
+        incremental = PrefetchTarget(anchor=center, direction=np.array([1.0, 0.5, 0.0]))
+        query = AABB.from_center_extent(center, 40.0)
+
+        def streams():
+            return engine._probe_streams(
+                [explicit, incremental, explicit], SimpleNamespace(bounds=query)
+            )
+
+        alone, batched = streams(), streams()
+        assert isinstance(batched[0]._regions, tuple) and batched[1]._regions.ndim == 3
+        n_steps = engine.config.incremental_max_steps
+        assert n_steps > 2 * batched[1]._chunk  # a third chunk stays for get()
+
+        resolve_ahead(tissue_flat, [])  # an empty plan: nothing to resolve, no probe
+        resolve_ahead(tissue_flat, batched)
+        assert [len(stream._resolved) for stream in batched] == [3, 8, 3]
+        resolve_ahead(tissue_flat, batched)  # second chunk; the explicit ones are done
+        assert [len(stream._resolved) for stream in batched] == [3, 16, 3]
+        for lone, ahead in zip(alone, batched):
+            for position in range(n_steps + 1):
+                want, got = lone.get(position), ahead.get(position)
+                assert (want is None and got is None) or np.array_equal(want, got)
+                assert want is None or want.dtype == got.dtype
+        assert len(batched[1]._resolved) == n_steps
+
+    def test_filled_bundle_at_the_wrong_cursor_raises(self, tissue, tissue_flat):
+        clients = multiclient_sessions(tissue, n_clients=1, seed=5, n_queries=3, volume=30_000.0)
+        sequence = clients[0].sequence
+        engine = SimulationEngine(tissue_flat)
+        session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        work = session.fill_ahead(tissue_flat.query(sequence.queries[0].bounds))
+        assert work.prediction_cost is not None
+        session.step_query(None, work)
+        with pytest.raises(ValueError, match="bundle for query 0 replayed at cursor 1"):
+            session.step_query(None, work)
+        assert session.query_index == 1 and len(session.metrics.records) == 1
 
 
 class TestPlanSharing:

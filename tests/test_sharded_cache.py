@@ -312,6 +312,181 @@ class TestRebalancer:
             assert np.all(np.diff(splits) >= 0)
 
 
+# -- owner table and list-native fan-out -----------------------------------------------
+
+
+class _ScalarRouted:
+    """The batch ops as the scalar-routed loop: one page, one shard, at a time."""
+
+    def __init__(self, cache: ShardedCache) -> None:
+        self.cache = cache  # routing only; the shards below are this model's own
+        self.shards = [PrefetchCache(shard.capacity_pages) for shard in cache.shards]
+        self.hops = 0
+
+    def _shard(self, page):
+        return self.shards[self.cache.route(int(page))]
+
+    def touch_many(self, pages):
+        pages = [int(p) for p in pages]
+        self.hops += max(0, len({self.cache.route(p) for p in pages}) - 1)
+        return [self._shard(p).touch(p) for p in pages]
+
+    def insert_many(self, pages, owner=None):
+        for page in pages:
+            self._shard(page).insert(int(page), owner)
+
+    def contains_many(self, pages):
+        return [int(p) in self._shard(p) for p in pages]
+
+    def missing_many(self, pages):
+        return [int(p) for p in pages if int(p) not in self._shard(p)]
+
+    def owners_many(self, pages):
+        owners = [self._shard(p).owner_of(int(p)) for p in pages]
+        return [-1 if owner is None else owner for owner in owners]
+
+    def evicted_many(self, pages):
+        return [self._shard(p).was_evicted(int(p)) for p in pages]
+
+    def state(self):
+        counters = [(s.hits, s.misses, s.evictions, s.insertions) for s in self.shards]
+        return counters, [s.cached_pages() for s in self.shards], self.hops
+
+
+def _sharded_state(cache: ShardedCache):
+    counters = [(s.hits, s.misses, s.evictions, s.insertions) for s in cache.shards]
+    return counters, [s.cached_pages() for s in cache.shards], cache.hops
+
+
+#: How a caller may hand a batch in; each must read like the plain list.
+BATCH_FORMS = {
+    "list": list,
+    "generator": lambda pages: (p for p in pages),
+    "int32": lambda pages: np.array(pages, dtype=np.int32),
+    "int64": lambda pages: np.array(pages, dtype=np.int64),
+    "range": lambda pages: range(pages[0], pages[0] + len(pages)) if pages else range(0),
+}
+
+BATCH_OPS = st.tuples(
+    st.sampled_from(
+        ["touch_many", "insert_many", "contains_many", "missing_many", "owners_many",
+         "evicted_many"]
+    ),
+    st.lists(st.integers(0, 63), max_size=10),  # duplicates and unsorted included
+    st.sampled_from(sorted(BATCH_FORMS)),
+    st.sampled_from([None, 0, 3]),
+)
+
+
+class TestOwnerTableAndFanOut:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 50), n_batches=st.integers(0, 120), k=st.sampled_from([2, 4, 8]))
+    def test_owner_table_tracks_the_split_keys(self, tissue_flat, seed, n_batches, k):
+        cache = hilbert_cache(
+            tissue_flat, k, pages_per_shard=8, rebalance=True, rebalance_interval=4
+        )
+        keys = page_hilbert_keys(tissue_flat, bits=6)
+        for batch in skewed_batches(tissue_flat, n_batches=n_batches, seed=seed):
+            cache.insert_many(batch)
+            cache.touch_many(batch)
+        expected = np.searchsorted(cache.split_keys, keys, side="right")
+        pages = np.arange(keys.size)
+        assert np.array_equal(cache.route_many(pages), expected)
+        for page in pages.tolist():
+            assert cache.route(page) == expected[page] == cache.route_many([page])[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(partition=st.sampled_from(PARTITIONS), ops=st.lists(BATCH_OPS, max_size=30))
+    def test_every_batch_op_equals_the_scalar_routed_loop(self, tissue_flat, partition, ops):
+        if partition == "hash":
+            cache = hash_cache(4, pages_per_shard=3)
+        else:
+            cache = hilbert_cache(tissue_flat, 4, pages_per_shard=3)
+        model = _ScalarRouted(cache)
+        for name, pages, form, owner in ops:
+            if form == "range" and pages:
+                pages = list(BATCH_FORMS["range"](pages))
+            args = (owner,) if name == "insert_many" else ()
+            got = getattr(cache, name)(BATCH_FORMS[form](pages), *args)
+            want = getattr(model, name)(pages, *args)
+            if name == "insert_many":
+                assert got is None
+            else:
+                assert (got if name == "missing_many" else got.tolist()) == want, (name, pages)
+            assert _sharded_state(cache) == model.state(), (name, pages, form)
+
+    def test_non_rebalancing_cache_keeps_no_load_history(self, tissue_flat):
+        """Nothing reads the EWMA or the batch count with rebalancing off,
+        so the demand path does not feed them -- and nothing a consumer
+        can observe depends on it."""
+        cache = hilbert_cache(tissue_flat, 4, pages_per_shard=8)
+        model = _ScalarRouted(cache)
+        for batch in skewed_batches(tissue_flat):
+            cache.insert_many(batch, 1)
+            model.insert_many(batch, 1)
+            assert cache.touch_many(batch).tolist() == model.touch_many(batch)
+        assert _sharded_state(cache) == model.state()
+        assert cache.per_shard_stats() == [
+            {
+                "hits": shard.hits,
+                "misses": shard.misses,
+                "evictions": shard.evictions,
+                "insertions": shard.insertions,
+                "occupancy": len(shard),
+                "capacity_pages": shard.capacity_pages,
+            }
+            for shard in model.shards
+        ]
+        assert cache.cached_pages() == [p for s in model.shards for p in s.cached_pages()]
+        assert cache.rebalance_events == 0 and cache.pages_moved == 0
+        assert cache._batches == 0 and not cache._ewma.any()
+
+    def test_rebalance_trajectory_on_the_thrash_fleet_is_pinned(self, monkeypatch):
+        """The e2e benchmark's ``fleet_thrash`` inputs at seed 7: every
+        split move, in order, is the one the per-batch ``bincount``
+        rebalancer made (digest recorded at PR 22)."""
+        import hashlib
+
+        from repro.storage.faults import FaultPlan
+        from repro.storage.tiered import StorageSpec
+
+        dataset = make_neuron_tissue(n_neurons=40, seed=7)
+        index = FlatIndex(dataset, fanout=16)
+        clients = multiclient_sessions(
+            dataset, n_clients=64, seed=21, n_queries=16, volume=240_000.0,
+            mode="independent", stagger=1,
+        )
+        config = SimulationConfig(
+            cache_capacity_pages=64,
+            shards=ShardSpec(n_shards=8, shard_cache_pages=64, rebalance=True),
+            storage=StorageSpec(miss_path="combined", tier_pages=32),
+            faults=FaultPlan(transient_rate=0.01, corrupt_rate=0.005, seed=7),
+        )
+        trajectory = []
+        touch_many = ShardedCache.touch_many
+
+        def spy(cache, pages):
+            before = cache.rebalance_events
+            hit = touch_many(cache, pages)
+            if cache.rebalance_events != before:
+                trajectory.append(
+                    (cache.rebalance_events, cache.pages_moved, cache.split_keys.tolist())
+                )
+            return hit
+
+        monkeypatch.setattr(ShardedCache, "touch_many", spy)
+        prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
+        report = ServingSimulator(index, config).run(clients, prefetchers, lockstep=True)
+        assert (report.shard_rebalances, report.shard_pages_moved) == (30, 948)
+        assert trajectory[-1] == (
+            30, 948, [57076, 96058, 159945, 161733, 167692, 238061, 238812]
+        )
+        assert hashlib.sha256(repr(trajectory).encode()).hexdigest() == (
+            "29e325643afec8814e77b87d4d08f0f7d26c860e93f49867539e3de062e01d9f"
+        )
+        assert report.to_aggregate().cache_hit_rate == 0.35404869472780426
+
+
 # -- serving invariance -------------------------------------------------------------
 
 

@@ -73,6 +73,40 @@ class TestDiskModel:
         assert disk.stats.pages_read == 1
         assert t == pytest.approx(DiskModel().read_pages([3]))
 
+    @given(
+        pages=st.lists(st.integers(0, 40), max_size=12),
+        form=st.sampled_from(["list", "sorted", "generator", "int32", "int64", "tuple", "float"]),
+    )
+    def test_canonical_batch_is_the_sorted_set_of_ints(self, pages, form):
+        """The disk stack's one canonicaliser equals the expression it replaced."""
+        from repro.storage.disk import _canonical
+
+        if form == "sorted":
+            pages = sorted(set(pages))
+
+        def batch():
+            if form == "generator":
+                return (p for p in pages)
+            if form in ("int32", "int64", "float"):
+                return np.array(pages, dtype={"float": np.float64}.get(form, form))
+            return tuple(pages) if form == "tuple" else list(pages)
+
+        got = _canonical(batch())
+        assert got == sorted(set(int(p) for p in batch()))
+        assert all(type(p) is int for p in got)
+        # The layers below read the same batch the same way.
+        assert DiskModel().read_pages(batch()) == DiskModel().read_pages(got)
+        assert DiskModel().trim_to_budget(batch(), 0.01) == DiskModel().trim_to_budget(got, 0.01)
+        assert DiskModel().cost_if_cold(batch()) == DiskModel().cost_if_cold(got)
+
+    def test_canonical_batch_does_not_trust_bools_or_numpy_scalars(self):
+        from repro.storage.disk import _canonical
+
+        for batch in ([True, 2], [np.int64(1), np.int64(3)], [1, 1], [2, 1]):
+            got = _canonical(batch)
+            assert got == sorted(set(int(p) for p in batch))
+            assert all(type(p) is int for p in got)
+
     def test_cost_if_cold_does_not_charge(self):
         disk = DiskModel()
         cost = disk.cost_if_cold([1, 2, 3])

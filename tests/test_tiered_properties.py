@@ -19,6 +19,9 @@ sequence hypothesis can produce.
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from repro.storage.disk import DiskModel
 from repro.storage.tiered import (
     MISS_PATHS,
     StorageSpec,
+    TierStats,
     TieredStore,
     make_storage,
 )
@@ -71,6 +75,86 @@ def _apply(disk, op, arg):
     if op == "reset_head":
         return disk.reset_head()
     return disk.reset_stats()
+
+
+class _PerPageModel:
+    """The tiered read path one page at a time, over plain lists.
+
+    The reference the store's batch loop is held to: LRU structures are
+    lists (least recent first), every counter is bumped where the event
+    happens, nothing is hoisted.
+    """
+
+    def __init__(self, spec: StorageSpec, n_pages: int | None) -> None:
+        self.spec = spec
+        self.n_pages = n_pages
+        self.tier: list[int] = []
+        self.victim: list[int] = []
+        self.stream: list[int] = []
+        self.miss: list[int] = []
+        self.stats = dataclasses.asdict(TierStats())
+
+    @staticmethod
+    def _refresh(lru: list[int], page: int, capacity: int) -> int | None:
+        """Make ``page`` the most recent entry; the entry pushed out, if any."""
+        if page in lru:
+            lru.remove(page)
+        lru.append(page)
+        return lru.pop(0) if len(lru) > capacity else None
+
+    def _fill(self, page: int) -> None:
+        spec = self.spec
+        if spec.tier_pages <= 0:
+            return
+        evicted = self._refresh(self.tier, page, spec.tier_pages)
+        if evicted is not None:
+            self.stats["tier_evictions"] += 1
+            if spec.miss_path in ("victim", "combined"):
+                self.stats["writebacks"] += 1
+                self._refresh(self.victim, evicted, spec.victim_entries)
+
+    def read(self, batch) -> None:
+        spec, stats = self.spec, self.stats
+        if not spec.tiering_active:
+            return
+        misses = []
+        for page in sorted(set(batch)):
+            stats["requests"] += 1
+            if page in self.tier:
+                self._refresh(self.tier, page, spec.tier_pages)
+                stats["tier_hits"] += 1
+            elif spec.miss_path in ("victim", "combined") and page in self.victim:
+                self.victim.remove(page)
+                stats["victim_hits"] += 1
+                self._fill(page)
+            elif spec.miss_path in ("stream", "combined") and page in self.stream:
+                self.stream.remove(page)
+                stats["stream_hits"] += 1
+                self._fill(page)
+            elif spec.miss_path in ("miss", "combined") and page in self.miss:
+                self._refresh(self.miss, page, spec.miss_entries)
+                stats["miss_hits"] += 1
+                self._fill(page)
+            else:
+                misses.append(page)
+        if not misses:
+            return
+        stats["backing_pages"] += len(misses)
+        stats["backing_calls"] += 1
+        if spec.miss_path in ("miss", "combined"):
+            for page in misses:
+                self._refresh(self.miss, page, spec.miss_entries)
+        if spec.miss_path in ("stream", "combined"):
+            for page in misses:
+                if page + 1 in misses:
+                    continue  # not a run tail
+                for ahead in range(page + 1, page + 1 + spec.stream_depth):
+                    if self.n_pages is not None and ahead >= self.n_pages:
+                        break
+                    self._refresh(self.stream, ahead, len(self.stream) + 1)
+            del self.stream[: max(0, len(self.stream) - spec.stream_depth * 4)]
+        for page in misses:
+            self._fill(page)
 
 
 class TestDisabledStoreIsTheBareDisk:
@@ -146,6 +230,29 @@ class TestLayerPartitionInvariant:
         assert store.stats == pristine.stats
         assert not store._tier and not store._victim
         assert not store._stream and not store._miss_tags
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        spec=active_specs,
+        reads=st.lists(batches, max_size=25),
+        n_pages=st.sampled_from([None, 20]),
+    )
+    def test_read_loop_equals_the_per_page_reference_model(self, spec, reads, n_pages):
+        """Key *order* of all four structures and every counter, after every batch."""
+        store = TieredStore(DiskModel(), spec)
+        model = _PerPageModel(spec, n_pages)
+        if n_pages is not None:
+            store.bind_page_table(SimpleNamespace(n_pages=n_pages))
+        for batch in reads:
+            store.read_pages(batch)
+            model.read(batch)
+            assert list(store._tier) == model.tier
+            assert list(store._victim) == model.victim
+            assert list(store._stream) == model.stream
+            assert list(store._miss_tags) == model.miss
+            assert dataclasses.asdict(store.tier_stats) == model.stats
+            mark = store.tier_stats.snapshot()
+            assert mark == store.tier_stats and mark is not store.tier_stats
 
     def test_mechanisms_absorb_backing_reads(self):
         # A deterministic re-read: the second pass over the same pages
