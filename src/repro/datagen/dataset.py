@@ -42,14 +42,26 @@ class Polyline:
 
     def point_at(self, arc: float) -> np.ndarray:
         """The point at arc-length ``arc`` (clamped to the polyline)."""
-        arc = float(np.clip(arc, 0.0, self.length))
-        idx = int(np.searchsorted(self._cumulative, arc, side="right") - 1)
-        idx = min(idx, len(self.points) - 2)
-        seg_len = self._cumulative[idx + 1] - self._cumulative[idx]
-        if seg_len <= 0:
-            return self.points[idx].copy()
-        t = (arc - self._cumulative[idx]) / seg_len
-        return self.points[idx] + t * (self.points[idx + 1] - self.points[idx])
+        return self.points_at([arc])[0]
+
+    def points_at(self, arcs) -> np.ndarray:
+        """The point at each arc-length in ``arcs``, as an ``(n, 3)`` array.
+
+        Element by element: each row is computed from its own arc alone
+        (clamp, segment lookup, then ``p0 + t * (p1 - p0)``), so row ``i``
+        is bit-identical however many arcs share the call.  A zero-length
+        segment yields its start point.
+        """
+        arcs = np.clip(np.asarray(arcs, dtype=np.float64), 0.0, self.length)
+        idx = np.searchsorted(self._cumulative, arcs, side="right") - 1
+        idx = np.minimum(idx, len(self.points) - 2)
+        start = self._cumulative[idx]
+        seg_len = self._cumulative[idx + 1] - start
+        moving = seg_len > 0
+        t = np.divide(arcs - start, seg_len, out=np.zeros_like(arcs), where=moving)
+        p0 = self.points[idx]
+        along = p0 + t[:, None] * (self.points[idx + 1] - p0)
+        return np.where(moving[:, None], along, p0)
 
     def tangent_at(self, arc: float) -> np.ndarray:
         """Unit tangent at arc-length ``arc``."""

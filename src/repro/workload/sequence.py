@@ -14,13 +14,14 @@ result contents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.datagen.dataset import Dataset, Polyline
 from repro.geometry.aabb import AABB
 from repro.geometry.frustum import Frustum
+from repro.util import row_norms
 
 __all__ = ["Query", "QuerySequence", "generate_sequence", "generate_sequences"]
 
@@ -86,6 +87,55 @@ def _make_query(
     raise ValueError(f"unknown aspect {aspect!r} (expected 'cube' or 'frustum')")
 
 
+#: Arc steps resolved per array pass.  At gap 0 consecutive centers lie
+#: 50 or more steps apart (the spacing is one side, a step 2 % of it),
+#: so a window holds a few of them, each center's distance pass stays
+#: short, and memory stays flat in the path length.
+_WINDOW_STEPS = 256
+
+
+def _walk_centers(
+    path: Polyline, side: float, spacing: float, n_centers: int
+) -> list[tuple[float, np.ndarray]]:
+    """Arc and point of up to ``n_centers`` query centers along ``path``.
+
+    The first center sits at arc ``side / 2``.  The arc then advances in
+    steps of 2 % of the side, and the next center is the first arc before
+    the path's end whose point is ``spacing`` or more from the previous
+    center in a straight line.  Fewer centers come back when the path
+    runs out first.
+
+    The arcs are the running sum ``side / 2 + step + step + ...``, one
+    window at a time: ``np.add.accumulate`` adds left to right, so each
+    arc has the bits of the scalar ``arc += step`` it stands for, and a
+    window resumes the sum from the previous window's last arc.  Points
+    come from ``Polyline.points_at`` (row-wise equal to the one-point
+    lookup) and distances from ``row_norms`` (equal to the 1-D norm);
+    DESIGN.md §12.
+    """
+    steps = np.full(_WINDOW_STEPS, max(side * 0.02, 1e-9))
+    steps[0] = side / 2.0
+    arcs = np.add.accumulate(steps)
+    points = path.points_at(arcs)
+    centers = [(arcs[0], points[0])]
+    candidate = 1
+    while len(centers) < n_centers:
+        live = int(np.searchsorted(arcs, path.length))  # arcs before the end
+        far = ~(row_norms(points[candidate:live] - centers[-1][1]) < spacing)
+        if far.any():
+            candidate += int(far.argmax())
+            centers.append((arcs[candidate], points[candidate]))
+            candidate += 1
+        elif live < len(arcs):
+            break  # the path ends before the next center
+        else:
+            steps[0] = arcs[-1]
+            arcs = np.add.accumulate(steps)
+            points = path.points_at(arcs)
+            candidate = 1
+    return centers
+
+
 def generate_sequence(
     dataset: Dataset,
     rng: np.random.Generator,
@@ -116,23 +166,10 @@ def generate_sequence(
     walk_length = spacing * n_queries * 6.0 + side
     path = dataset.nav.random_walk(rng, walk_length)
 
-    queries = []
-    arc = side / 2.0
-    arc_step = max(side * 0.02, 1e-9)
-    center = path.point_at(arc)
-    direction = path.tangent_at(arc)
-    queries.append(_make_query(dataset, center, direction, volume, side, aspect))
-    while len(queries) < n_queries and arc < path.length:
-        # Advance along the path until the next center is `spacing` away
-        # from the previous one in a straight line.
-        previous = queries[-1].center
-        while arc < path.length and float(np.linalg.norm(path.point_at(arc) - previous)) < spacing:
-            arc += arc_step
-        if arc >= path.length:
-            break
-        center = path.point_at(arc)
-        direction = path.tangent_at(arc)
-        queries.append(_make_query(dataset, center, direction, volume, side, aspect))
+    queries = [
+        _make_query(dataset, center, path.tangent_at(arc), volume, side, aspect)
+        for arc, center in _walk_centers(path, side, spacing, n_queries)
+    ]
     while len(queries) < n_queries:
         # Degenerate navigation graphs (or walks that fold back onto
         # themselves for their entire length) can exhaust the path; the
