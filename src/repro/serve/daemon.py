@@ -62,6 +62,9 @@ __all__ = ["DaemonConfig", "STOP_SIGNALS", "ServeDaemon"]
 #: back as it found them.
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
+#: Query volume of every walk in the session pool.
+QUERY_VOLUME = 30_000.0
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -81,7 +84,6 @@ class DaemonConfig:
     session_pool: int = 8
     #: Queries per session; an exhausted session is renewed in place.
     queries_per_session: int = 20
-    query_volume: float = 30_000.0
     mode: str = "hotspot"
     #: Shared cache capacity in pages (``None``: the engine's sizing rule).
     cache_pages: int | None = None
@@ -197,7 +199,7 @@ class ServeDaemon:
             n_clients=config.session_pool,
             seed=config.seed,
             n_queries=config.queries_per_session,
-            volume=config.query_volume,
+            volume=QUERY_VOLUME,
             mode=config.mode,
         )
         self._make_prefetcher = functools.partial(

@@ -27,7 +27,7 @@ one shared cache and disk to model concurrent users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -36,13 +36,16 @@ from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
 from repro.index.base import SpatialIndex, region_corners
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import PrefetchCache
-from repro.storage.disk import DiskModel, DiskParameters
+from repro.storage.disk import DiskModel
 from repro.storage.faults import CircuitBreaker, FaultPlan, FaultyDiskModel, ReadFailure
 from repro.storage.sharded import ShardedCache, ShardSpec, make_sharded_cache
-from repro.storage.tiered import StorageSpec, TieredStore, make_storage
+from repro.storage.tiered import StorageSpec, TieredStore
 from repro.workload.sequence import QuerySequence
 
 __all__ = ["QuerySession", "SimulationConfig", "SimulationEngine"]
+
+#: Regions a probe stream resolves per ``pages_for_regions`` pass.
+PROBE_CHUNK = 8
 
 
 class _SharedProbeStream:
@@ -51,7 +54,8 @@ class _SharedProbeStream:
     Plan execution consumes one incremental region at a time (budget
     spending decides when to stop), but the regions themselves do not
     depend on probe results -- so the stream resolves them a chunk
-    ahead, answering all of the chunk's page lookups in one vectorized
+    (:data:`PROBE_CHUNK` regions) ahead, answering all of the chunk's
+    page lookups in one vectorized
     :meth:`~repro.index.base.SpatialIndex.pages_for_regions` pass.
     ``regions`` is anything that method takes and that slices: a
     target's explicit ``AABB`` tuple, or the packed ``(n, 2, 3)``
@@ -71,10 +75,9 @@ class _SharedProbeStream:
     the same schedule.
     """
 
-    def __init__(self, index, regions, chunk: int = 8) -> None:
+    def __init__(self, index, regions) -> None:
         self._index = index
         self._regions = regions
-        self._chunk = max(1, int(chunk))
         self._resolved: list = []
 
     def get(self, position: int):
@@ -111,7 +114,7 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
     stream of the tick.  Chunks concatenate as packed corners and the
     answers split back: each stream holds what it would have alone.
     """
-    chunks = [s._regions[len(s._resolved) : len(s._resolved) + s._chunk] for s in streams]
+    chunks = [s._regions[len(s._resolved) : len(s._resolved) + PROBE_CHUNK] for s in streams]
     pending = [(stream, chunk) for stream, chunk in zip(streams, chunks) if len(chunk)]
     if not pending:
         return
@@ -163,8 +166,6 @@ class SimulationConfig:
     #: of cache to dataset size (4 GB / 33 GB ≈ 12 % of the pages).
     cache_capacity_pages: int | None = None
 
-    disk: DiskParameters = field(default_factory=DiskParameters)
-
     #: First incremental prefetch region side, as a fraction of the
     #: query side (§5.1: start small near the exit location E).
     incremental_start_fraction: float = 0.55
@@ -213,13 +214,13 @@ class SimulationConfig:
         """The disk this config prescribes: bare, fault-wrapped, tiered."""
         faults, storage = self.faults, self.storage
         if faults is None or not faults.active:
-            disk: DiskModel | FaultyDiskModel = DiskModel(self.disk)
+            disk: DiskModel | FaultyDiskModel = DiskModel()
         else:
-            disk = FaultyDiskModel(self.disk, faults)
+            disk = FaultyDiskModel(faults)
         # An mmap store serves real bytes even with tiering off.
         if storage is None or (not storage.tiering_active and storage.backend == "ram"):
             return disk
-        return make_storage(disk, storage)
+        return TieredStore(disk, storage)
 
     def build_cache(self, index: SpatialIndex) -> PrefetchCache | ShardedCache:
         """The prefetch cache this config prescribes: plain or sharded."""

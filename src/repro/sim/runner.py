@@ -50,7 +50,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -82,7 +82,6 @@ from repro.sim.results import (
     canonical_json,
     cell_key,
 )
-from repro.storage.disk import DiskParameters
 from repro.storage.faults import FAULT_PREFETCHER_BUILDERS, FaultPlan
 from repro.storage.sharded import ShardSpec
 from repro.storage.tiered import StorageSpec
@@ -238,16 +237,15 @@ class CellSpec:
     ``seed`` feeds :func:`generate_sequences`, which derives one child
     RNG per sequence -- per-cell seeding is therefore deterministic and
     independent of which worker runs the cell or in what order.
-    ``sim`` holds :class:`SimulationConfig` overrides (with an optional
-    nested ``"disk"`` dict of :class:`DiskParameters` fields).
+    ``sim`` holds :class:`SimulationConfig` overrides.
 
     ``serve`` turns the cell into a *multi-client serving* cell: when
     non-empty, the cell runs N concurrent client sessions over one
     shared cache and disk (:class:`~repro.sim.serve.ServingSimulator`)
     instead of one prefetcher over independent sequences.  Recognized
     keys: ``n_clients`` (required), ``mode``
-    (``independent``/``hotspot``), ``stagger``, ``hot_pool``,
-    ``zipf_s`` -- see :func:`repro.workload.multiclient.multiclient_sessions`.
+    (``independent``/``hotspot``), ``stagger``, ``hot_pool`` -- see
+    :func:`repro.workload.multiclient.multiclient_sessions`.
     Serialization omits an empty ``serve``, so every pre-existing cell
     keeps its content hash (and its stored results).
 
@@ -443,19 +441,27 @@ def _memoized(memo: OrderedDict, key: str, build: Callable[[], Any]):
     return value
 
 
+#: Each layer mapping of a :class:`CellSpec` and the spec class it fills.
+_LAYER_SPECS = {"faults": FaultPlan, "storage": StorageSpec, "shards": ShardSpec}
+
+
+def _layer_spec(name: str, data: Mapping[str, Any]):
+    """A stored cell's layer mapping as its spec class; unknown keys raise."""
+    cls = _LAYER_SPECS[name]
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(f"unknown {name} key(s) {sorted(unknown)}; known: {sorted(known)}")
+    return cls(**data)
+
+
 def _sim_config(spec: CellSpec) -> SimulationConfig | None:
     if not (spec.sim or spec.faults or spec.storage or spec.shards):
         return None
     kwargs = dict(spec.sim)
-    disk = kwargs.pop("disk", None)
-    if disk is not None:
-        kwargs["disk"] = DiskParameters(**disk)
-    if spec.faults:
-        kwargs["faults"] = FaultPlan.from_dict(spec.faults)
-    if spec.storage:
-        kwargs["storage"] = StorageSpec.from_dict(spec.storage)
-    if spec.shards:
-        kwargs["shards"] = ShardSpec.from_dict(spec.shards)
+    for name in _LAYER_SPECS:
+        if getattr(spec, name):
+            kwargs[name] = _layer_spec(name, getattr(spec, name))
     return SimulationConfig(**kwargs)
 
 
@@ -520,7 +526,7 @@ def prepare_serving_cell(spec: CellSpec):
         n_clients = int(serve.pop("n_clients"))
     except KeyError:
         raise ValueError("serving cells require serve['n_clients']") from None
-    known = {"mode", "stagger", "hot_pool", "zipf_s"}
+    known = {"mode", "stagger", "hot_pool"}
     unknown = set(serve) - known
     if unknown:
         raise ValueError(f"unknown serve key(s) {sorted(unknown)}; known: {sorted(known)}")

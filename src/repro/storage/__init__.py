@@ -9,7 +9,7 @@ the synthetic datasets.
 """
 
 from repro.storage.page import PageTable
-from repro.storage.disk import DiskModel, DiskParameters
+from repro.storage.disk import DiskModel
 from repro.storage.cache import PrefetchCache
 from repro.storage.faults import CircuitBreaker, FaultPlan, FaultyDiskModel, ReadFailure
 from repro.storage.pagefile import PageFile, PageFileError, TornPageError
@@ -26,7 +26,6 @@ from repro.storage.tiered import (
     StorageSpec,
     TieredStore,
     TierStats,
-    make_storage,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "STORAGE_BACKENDS",
     "CircuitBreaker",
     "DiskModel",
-    "DiskParameters",
     "FaultPlan",
     "FaultyDiskModel",
     "IOStats",
@@ -51,5 +49,4 @@ __all__ = [
     "TieredStore",
     "TornPageError",
     "make_sharded_cache",
-    "make_storage",
 ]

@@ -17,14 +17,28 @@ the model never sleeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.storage.stats import IOStats
 
-__all__ = ["DiskModel", "DiskParameters"]
+__all__ = ["DiskModel"]
+
+#: The simulated array: a 15k RPM SAS drive's ~5 ms average seek and
+#: 2 ms average rotational delay, ~150 MB/s streaming transfer, 4 KB
+#: pages, striped 4 ways -- the paper's testbed (§7.1), which no
+#: experiment varies.
+SEEK_S = 0.005
+ROTATIONAL_S = 0.002
+TRANSFER_MB_PER_S = 150.0
+PAGE_BYTES = 4096
+STRIPE_WAYS = 4
+
+#: Seek + rotational cost of one random access.
+POSITIONING_S = SEEK_S + ROTATIONAL_S
+#: Transfer time of one page.
+TRANSFER_S_PER_PAGE = PAGE_BYTES / (TRANSFER_MB_PER_S * 1024.0 * 1024.0)
 
 
 def _canonical(page_ids: Sequence[int] | Iterable[int]) -> list[int]:
@@ -45,50 +59,16 @@ def _canonical(page_ids: Sequence[int] | Iterable[int]) -> list[int]:
     return sorted(set(int(p) for p in page_ids))
 
 
-@dataclass(frozen=True)
-class DiskParameters:
-    """Tunable characteristics of the simulated disk array.
-
-    Defaults approximate a 15k RPM SAS drive: ~5 ms average seek, 2 ms
-    average rotational delay, ~150 MB/s streaming transfer, 4 KB pages,
-    4-way striping (as in the paper's testbed).
-    """
-
-    seek_s: float = 0.005
-    rotational_s: float = 0.002
-    transfer_mb_per_s: float = 150.0
-    page_bytes: int = 4096
-    stripe_ways: int = 4
-
-    def __post_init__(self) -> None:
-        if self.seek_s < 0 or self.rotational_s < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.transfer_mb_per_s <= 0:
-            raise ValueError("transfer rate must be positive")
-        if self.page_bytes <= 0 or self.stripe_ways <= 0:
-            raise ValueError("page size and stripe ways must be positive")
-
-    @property
-    def positioning_s(self) -> float:
-        """Seek + rotational cost of one random access."""
-        return self.seek_s + self.rotational_s
-
-    @property
-    def transfer_s_per_page(self) -> float:
-        return self.page_bytes / (self.transfer_mb_per_s * 1024.0 * 1024.0)
-
-
 class DiskModel:
     """Charges simulated time for page reads and tracks statistics.
 
-    Every page pays one striped positioning (``positioning_s /
-    stripe_ways``) plus its transfer, whatever was read before it: the
+    Every page pays one striped positioning (``POSITIONING_S /
+    STRIPE_WAYS``) plus its transfer, whatever was read before it: the
     model keeps no head position, so a cost is a function of the batch
     alone.
     """
 
-    def __init__(self, params: DiskParameters | None = None) -> None:
-        self.params = params or DiskParameters()
+    def __init__(self) -> None:
         self.stats = IOStats()
 
     def reset_stats(self) -> None:
@@ -107,9 +87,8 @@ class DiskModel:
         if not pages:
             return 0.0
 
-        params = self.params
-        positioning = len(pages) * params.positioning_s / params.stripe_ways
-        transfer = len(pages) * params.transfer_s_per_page
+        positioning = len(pages) * POSITIONING_S / STRIPE_WAYS
+        transfer = len(pages) * TRANSFER_S_PER_PAGE
         elapsed = positioning + transfer
 
         self.stats.pages_read += len(pages)
@@ -129,8 +108,7 @@ class DiskModel:
         result to do that.
         """
         pages = _canonical(page_ids)
-        params = self.params
-        step = params.positioning_s / params.stripe_ways + params.transfer_s_per_page
+        step = POSITIONING_S / STRIPE_WAYS + TRANSFER_S_PER_PAGE
         kept: list[int] = []
         cost = 0.0
         for page in pages:
@@ -149,11 +127,7 @@ class DiskModel:
         pages = _canonical(page_ids)
         if not pages:
             return 0.0
-        params = self.params
-        return (
-            len(pages) * params.positioning_s / params.stripe_ways
-            + len(pages) * params.transfer_s_per_page
-        )
+        return len(pages) * POSITIONING_S / STRIPE_WAYS + len(pages) * TRANSFER_S_PER_PAGE
 
     # -- recovery surface (trivial on a disk that never fails) ----------------
 

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.storage.disk import DiskModel, DiskParameters, _canonical
+from repro.storage.disk import DiskModel, _canonical
 from repro.storage.stats import IOStats
 
 __all__ = [
@@ -60,6 +60,14 @@ __all__ = [
     "FaultyDiskModel",
     "ReadFailure",
 ]
+
+
+#: Elapsed-time multiplier of a latency spike.
+SPIKE_FACTOR = 4.0
+#: First retry's backoff, in simulated seconds; doubles per retry.
+BACKOFF_BASE_S = 0.002
+#: Ceiling on a single retry's (pre-jitter) backoff.
+BACKOFF_CAP_S = 0.05
 
 
 class ReadFailure(Exception):
@@ -96,10 +104,9 @@ class FaultPlan:
     #: Probability that a read attempt fails transiently (retried with
     #: capped exponential backoff; see ``retry_limit``).
     transient_rate: float = 0.0
-    #: Probability that a successful read suffers a latency spike.
+    #: Probability that a successful read suffers a latency spike
+    #: (costing :data:`SPIKE_FACTOR` times its analytic time).
     latency_rate: float = 0.0
-    #: Elapsed-time multiplier of a latency spike.
-    latency_factor: float = 4.0
     #: Per-page probability that a delivered payload is torn/corrupt
     #: (detected by checksum at cache insert and repaired by re-read).
     corrupt_rate: float = 0.0
@@ -109,10 +116,6 @@ class FaultPlan:
     #: Retries granted to a transiently failing read before it raises
     #: :class:`ReadFailure`.
     retry_limit: int = 3
-    #: First retry's backoff, in simulated seconds; doubles per retry.
-    backoff_base_s: float = 0.002
-    #: Ceiling on a single retry's (pre-jitter) backoff.
-    backoff_cap_s: float = 0.05
     #: Whether sessions arm the per-client circuit breaker.
     breaker: bool = True
     #: Consecutive prefetch-path failures that trip the breaker.
@@ -125,10 +128,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        if self.latency_factor < 1.0:
-            raise ValueError(f"latency_factor must be >= 1, got {self.latency_factor}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("fault durations must be non-negative")
         if self.retry_limit < 0:
             raise ValueError(f"retry_limit must be >= 0, got {self.retry_limit}")
         if self.breaker_threshold < 1 or self.breaker_cooldown < 1:
@@ -138,27 +137,6 @@ class FaultPlan:
     def active(self) -> bool:
         """Whether any fault kind can actually fire."""
         return bool(self.transient_rate or self.latency_rate or self.corrupt_rate)
-
-    @property
-    def max_backoff_s(self) -> float:
-        """Upper bound on one read's total jittered backoff time."""
-        total = 0.0
-        for attempt in range(self.retry_limit):
-            total += min(self.backoff_cap_s, self.backoff_base_s * 2.0**attempt)
-        return 1.5 * total
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault plan key(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**dict(data))
 
 
 #: XOR mask a torn payload applies to a page's true checksum -- any
@@ -172,7 +150,7 @@ _STREAM_TRANSIENT, _STREAM_LATENCY, _STREAM_CORRUPT = range(3)
 class FaultyDiskModel:
     """A :class:`DiskModel` wrapper that injects the plan's faults.
 
-    Interface-identical to the bare model (``params`` / ``stats`` /
+    Interface-identical to the bare model (``stats`` /
     ``read_pages`` / ``trim_to_budget`` / ``cost_if_cold`` /
     ``reset_stats``), plus the recovery surface: :meth:`verify_delivery`
     (checksum read-repair at cache insert) and :meth:`recover_read`
@@ -181,10 +159,8 @@ class FaultyDiskModel:
     model, as a deployment would size them from nominal device specs.
     """
 
-    def __init__(
-        self, params: DiskParameters | None = None, plan: FaultPlan | None = None
-    ) -> None:
-        self._inner = DiskModel(params)
+    def __init__(self, plan: FaultPlan | None = None) -> None:
+        self._inner = DiskModel()
         self.plan = plan or FaultPlan()
         seed = int(self.plan.seed)
         self._transient_rng = np.random.default_rng([seed, _STREAM_TRANSIENT])
@@ -195,10 +171,6 @@ class FaultyDiskModel:
         self._corrupt_last: set[int] = set()
 
     # -- delegated surface --------------------------------------------------
-
-    @property
-    def params(self) -> DiskParameters:
-        return self._inner.params
 
     @property
     def stats(self) -> IOStats:
@@ -222,10 +194,9 @@ class FaultyDiskModel:
 
         Capped exponential, scaled by a uniform jitter in [0.5, 1.5)
         drawn from the transient stream -- deterministic given the plan
-        seed, bounded by ``1.5 * backoff_cap_s`` per retry.
+        seed, bounded by ``1.5 * BACKOFF_CAP_S`` per retry.
         """
-        plan = self.plan
-        base = min(plan.backoff_cap_s, plan.backoff_base_s * 2.0**retry_index)
+        base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2.0**retry_index)
         return base * (0.5 + float(self._transient_rng.random()))
 
     def read_pages(self, page_ids: Sequence[int] | Iterable[int]) -> float:
@@ -265,7 +236,7 @@ class FaultyDiskModel:
 
         extra = 0.0
         if plan.latency_rate and float(self._latency_rng.random()) < plan.latency_rate:
-            extra += elapsed * (plan.latency_factor - 1.0)
+            extra += elapsed * (SPIKE_FACTOR - 1.0)
             stats.latency_spikes += 1
 
         if plan.corrupt_rate:
@@ -343,7 +314,7 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, threshold: int = 3, cooldown: int = 4) -> None:
+    def __init__(self, threshold: int, cooldown: int) -> None:
         if threshold < 1 or cooldown < 1:
             raise ValueError("breaker threshold and cooldown must be >= 1")
         self.threshold = int(threshold)

@@ -16,7 +16,7 @@ picklable :class:`ShardSpec`:
 
 * ``hilbert`` -- range partitioning over per-page Hilbert keys derived
   from the page table (each page's object-centroid mean, quantized to a
-  ``2**hilbert_bits`` grid over the dataset bounds, Skilling-encoded).
+  ``2**HILBERT_BITS`` grid over the dataset bounds, Skilling-encoded).
   ``K - 1`` split keys cut the sorted key sequence into equal page
   counts and compile into a page -> owning shard table (rebuilt after
   each split move); routing a batch is ONE gather from it
@@ -35,7 +35,7 @@ one routing pass, answers written back by input position.
 **Hot-shard rebalancing** (``rebalance=True``, range partitioning
 only): the detector keeps an EWMA of per-shard demand load, fed once
 per :meth:`~ShardedCache.touch_many` batch of a rebalancing cache.  When one
-shard's EWMA exceeds ``rebalance_threshold`` times the mean, the
+shard's EWMA exceeds :data:`REBALANCE_THRESHOLD` times the mean, the
 rebalancer deterministically moves the split point: the hot shard's
 owned key range is cut at the median of its owned page keys and the
 released half is donated to the colder adjacent shard; cached pages
@@ -62,8 +62,8 @@ stays op-by-op identical to the unsharded cache.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,6 +81,14 @@ __all__ = [
 
 #: Registered partitioning schemes.
 PARTITIONS = ("hilbert", "hash")
+
+#: Hilbert grid resolution: page centroids quantize to a
+#: ``2**HILBERT_BITS`` grid per axis before encoding.
+HILBERT_BITS = 6
+#: EWMA smoothing factor for per-shard demand load.
+REBALANCE_LAMBDA = 0.25
+#: A shard is hot when its EWMA exceeds ``REBALANCE_THRESHOLD * mean``.
+REBALANCE_THRESHOLD = 2.0
 
 #: Answers to an empty batch (zero-size, so sharing them is safe); their
 #: dtypes are the dtypes of the per-page answers.
@@ -110,15 +118,8 @@ class ShardSpec:
     #: Enable the hot-shard detector + split-point rebalancer
     #: (range/``hilbert`` partitioning only).
     rebalance: bool = False
-    #: EWMA smoothing factor for per-shard demand load.
-    rebalance_lambda: float = 0.25
-    #: A shard is hot when its EWMA exceeds ``threshold * mean``.
-    rebalance_threshold: float = 2.0
     #: Demand batches between hot-shard checks.
     rebalance_interval: int = 32
-    #: Hilbert grid resolution: page centroids quantize to a
-    #: ``2**hilbert_bits`` grid per axis before encoding.
-    hilbert_bits: int = 6
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -135,45 +136,22 @@ class ShardSpec:
             raise ValueError(f"hop_latency_s must be >= 0, got {self.hop_latency_s}")
         if self.rebalance and self.partition != "hilbert":
             raise ValueError("rebalance requires range (hilbert) partitioning")
-        if not 0.0 < self.rebalance_lambda <= 1.0:
-            raise ValueError(
-                f"rebalance_lambda must be in (0, 1], got {self.rebalance_lambda}"
-            )
-        if self.rebalance_threshold <= 1.0:
-            raise ValueError(
-                f"rebalance_threshold must be > 1, got {self.rebalance_threshold}"
-            )
         if self.rebalance_interval < 1:
             raise ValueError(
                 f"rebalance_interval must be >= 1, got {self.rebalance_interval}"
             )
-        if not 1 <= self.hilbert_bits <= 16:
-            raise ValueError(f"hilbert_bits must be in [1, 16], got {self.hilbert_bits}")
 
     @property
     def sharding_active(self) -> bool:
         """Whether routing can differ from a single shared cache."""
         return self.n_shards > 1
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown shard spec key(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-
-def page_hilbert_keys(index, bits: int) -> np.ndarray:
+def page_hilbert_keys(index) -> np.ndarray:
     """Hilbert key of every page in ``index``'s page table.
 
     A page's key is the Hilbert encoding of its object-centroid mean,
-    quantized to a ``2**bits`` grid over the (slightly inflated)
+    quantized to a ``2**HILBERT_BITS`` grid over the (slightly inflated)
     dataset bounds -- the same quantization the Hilbert-Prefetch
     baseline uses for query centers, so page order and query order live
     on the same curve.  Empty pages key to the bounds center.
@@ -184,7 +162,7 @@ def page_hilbert_keys(index, bits: int) -> np.ndarray:
     lo = np.asarray(bounds.lo, dtype=np.float64)
     extent = np.asarray(bounds.hi, dtype=np.float64) - lo
     extent = np.where(extent > 0, extent, 1.0)
-    cells = 1 << bits
+    cells = 1 << HILBERT_BITS
     centroids = dataset.centroids
     dims = dataset.dims
     keys = np.empty(table.n_pages, dtype=np.int64)
@@ -196,27 +174,26 @@ def page_hilbert_keys(index, bits: int) -> np.ndarray:
             center = lo + extent / 2.0
         frac = np.clip((center - lo) / extent, 0.0, 1.0)
         coord = np.minimum((frac * cells).astype(np.int64), cells - 1)
-        keys[page] = hilbert_encode([int(c) for c in coord[:dims]], bits)
+        keys[page] = hilbert_encode([int(c) for c in coord[:dims]], HILBERT_BITS)
     return keys
 
 
-#: index -> {bits: keys}.  Page tables are immutable once built, so the
-#: derivation is a pure function of (index, bits); memoizing it keeps
+#: index -> keys.  Page tables are immutable once built, so the
+#: derivation is a pure function of the index; memoizing it keeps
 #: repeated ``make_sharded_cache`` calls (one per timed serving run, one
 #: per sweep cell) off the per-page encoding loop.
 _PAGE_KEY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _cached_page_keys(index, bits: int) -> np.ndarray:
+def _cached_page_keys(index) -> np.ndarray:
     try:
-        per_index = _PAGE_KEY_CACHE.setdefault(index, {})
+        keys = _PAGE_KEY_CACHE.get(index)
     except TypeError:  # index type refuses weak references
-        return page_hilbert_keys(index, bits)
-    keys = per_index.get(bits)
+        return page_hilbert_keys(index)
     if keys is None:
-        keys = page_hilbert_keys(index, bits)
+        keys = page_hilbert_keys(index)
         keys.flags.writeable = False  # shared across caches; splits copy it
-        per_index[bits] = keys
+        _PAGE_KEY_CACHE[index] = keys
     return keys
 
 
@@ -252,7 +229,6 @@ class ShardedCache:
         spec: ShardSpec,
         shards: Iterable[PrefetchCache],
         page_keys: np.ndarray | None = None,
-        splits: np.ndarray | None = None,
     ) -> None:
         self.spec = spec
         self._shards = list(shards)
@@ -265,15 +241,7 @@ class ShardedCache:
             if page_keys is None:
                 raise ValueError("hilbert partitioning needs per-page keys")
             self._page_keys = np.asarray(page_keys, dtype=np.int64)
-            self._splits = (
-                np.asarray(splits, dtype=np.int64)
-                if splits is not None
-                else _split_keys(self._page_keys, self._k)
-            )
-            if self._splits.size != self._k - 1:
-                raise ValueError(
-                    f"need {self._k - 1} split keys, got {self._splits.size}"
-                )
+            self._splits = _split_keys(self._page_keys, self._k)
             self._assign_owners()
         else:
             self._page_keys = None
@@ -433,8 +401,7 @@ class ShardedCache:
             counts = np.zeros(self._k)
             for shard_id, positions in groups.items():
                 counts[shard_id] = len(positions)
-            lam = self.spec.rebalance_lambda
-            self._ewma = (1.0 - lam) * self._ewma + lam * counts
+            self._ewma = (1.0 - REBALANCE_LAMBDA) * self._ewma + REBALANCE_LAMBDA * counts
             self._batches += 1
             if self._batches % self.spec.rebalance_interval == 0:
                 self._maybe_rebalance()
@@ -509,7 +476,7 @@ class ShardedCache:
         if mean <= 0.0:
             return
         hot = int(np.argmax(self._ewma))
-        if float(self._ewma[hot]) <= self.spec.rebalance_threshold * mean:
+        if float(self._ewma[hot]) <= REBALANCE_THRESHOLD * mean:
             return
         hot_keys = np.sort(self._page_keys[self._owners == hot])
         if hot_keys.size < 2:
@@ -579,5 +546,5 @@ def make_sharded_cache(spec: ShardSpec, capacity_pages: int, index=None) -> Shar
     if spec.partition == "hilbert" and spec.n_shards > 1:
         if index is None:
             raise ValueError("hilbert partitioning needs the spatial index")
-        page_keys = _cached_page_keys(index, spec.hilbert_bits)
+        page_keys = _cached_page_keys(index)
     return ShardedCache(spec, shards, page_keys=page_keys)

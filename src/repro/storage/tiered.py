@@ -17,7 +17,7 @@ The miss path follows the SimpleScalar memory-hierarchy taxonomy
   recently evicted from the tier; a hit swaps the page back without
   touching the backing store;
 * a **stream buffer** -- sequential-run readahead: each backing read
-  prefills the next ``stream_depth`` page ids after every contiguous
+  prefills the next :data:`STREAM_DEPTH` page ids after every contiguous
   run, so sequential sweeps (exactly what prefetch plans emit) hit
   without re-positioning;
 * a **miss cache** -- an LRU of recently *missed* page tags; a tag hit
@@ -51,11 +51,10 @@ import os
 import tempfile
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
 
-from repro.storage.disk import DiskModel, DiskParameters, _canonical
+from repro.storage.disk import DiskModel, _canonical
 from repro.storage.faults import FaultyDiskModel, ReadFailure
 from repro.storage.pagefile import PageFile, TornPageError
 from repro.storage.stats import IOStats
@@ -66,7 +65,6 @@ __all__ = [
     "StorageSpec",
     "TierStats",
     "TieredStore",
-    "make_storage",
 ]
 
 #: Miss-path mechanism names, per the SimpleScalar taxonomy.
@@ -74,6 +72,14 @@ MISS_PATHS = ("none", "victim", "miss", "stream", "combined")
 
 #: Page-store backend names :class:`StorageSpec` accepts.
 STORAGE_BACKENDS = ("ram", "mmap")
+
+#: Entries in the fully-associative victim buffer.
+VICTIM_ENTRIES = 8
+#: Entries in the miss-cache tag store.
+MISS_ENTRIES = 16
+#: Pages of sequential readahead per contiguous run; the stream buffer
+#: holds four runs' worth.
+STREAM_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,6 @@ class StorageSpec:
     miss_path: str = "none"
     #: Capacity of the storage-side tier cache, in pages; 0 disables it.
     tier_pages: int = 0
-    #: Entries in the fully-associative victim buffer.
-    victim_entries: int = 8
-    #: Entries in the miss-cache tag store.
-    miss_entries: int = 16
-    #: Pages of sequential readahead per contiguous run.
-    stream_depth: int = 4
     #: Simulated stall charged per backing fill call, in seconds --
     #: the tier's analogue of the fault plane's latency surcharges.
     fill_stall_s: float = 0.0
@@ -118,8 +118,6 @@ class StorageSpec:
             )
         if self.tier_pages < 0:
             raise ValueError(f"tier_pages must be >= 0, got {self.tier_pages}")
-        if self.victim_entries < 1 or self.miss_entries < 1 or self.stream_depth < 1:
-            raise ValueError("mechanism capacities must be >= 1")
         if self.fill_stall_s < 0:
             raise ValueError(f"fill_stall_s must be >= 0, got {self.fill_stall_s}")
 
@@ -127,19 +125,6 @@ class StorageSpec:
     def tiering_active(self) -> bool:
         """Whether any tier structure can change the backing read set."""
         return self.tier_pages > 0 or self.miss_path != "none"
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StorageSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown storage spec key(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**dict(data))
 
 
 @dataclass
@@ -193,7 +178,7 @@ class TieredStore:
 
     Wraps a :class:`~repro.storage.disk.DiskModel` or
     :class:`~repro.storage.faults.FaultyDiskModel` and exposes the exact
-    same surface (``params`` / ``stats`` / ``read_pages`` /
+    same surface (``stats`` / ``read_pages`` /
     ``trim_to_budget`` / ``cost_if_cold`` / ``reset_stats`` and the
     recovery surface ``verify_delivery`` / ``recover_read``).  Planning
     calls (``trim_to_budget``, ``cost_if_cold``) delegate to the inner
@@ -226,10 +211,6 @@ class TieredStore:
             self.bind_page_table(page_table)
 
     # -- delegated surface --------------------------------------------------
-
-    @property
-    def params(self) -> DiskParameters:
-        return self._inner.params
 
     @property
     def stats(self) -> IOStats:
@@ -324,7 +305,7 @@ class TieredStore:
             for page in misses:
                 self._miss_tags[page] = None
                 self._miss_tags.move_to_end(page)
-                if len(self._miss_tags) > self.spec.miss_entries:
+                if len(self._miss_tags) > MISS_ENTRIES:
                     self._miss_tags.popitem(last=False)
         if self._use_stream:
             self._stream_fill(misses)
@@ -352,23 +333,21 @@ class TieredStore:
                 self.tier_stats.writebacks += 1
                 self._victim[evicted] = None
                 self._victim.move_to_end(evicted)
-                if len(self._victim) > self.spec.victim_entries:
+                if len(self._victim) > VICTIM_ENTRIES:
                     self._victim.popitem(last=False)
 
     def _stream_fill(self, misses: Sequence[int]) -> None:
         """Prefill the successors of every contiguous run of the batch."""
-        depth = self.spec.stream_depth
-        capacity = depth * 4
         limit = None if self._page_table is None else self._page_table.n_pages
         for i, page in enumerate(misses):
             if i + 1 < len(misses) and misses[i + 1] == page + 1:
                 continue  # not a run tail
-            for ahead in range(page + 1, page + 1 + depth):
+            for ahead in range(page + 1, page + 1 + STREAM_DEPTH):
                 if limit is not None and ahead >= limit:
                     break
                 self._stream[ahead] = None
                 self._stream.move_to_end(ahead)
-        while len(self._stream) > capacity:
+        while len(self._stream) > STREAM_DEPTH * 4:
             self._stream.popitem(last=False)
 
     # -- byte service (mmap backend) ----------------------------------------
@@ -439,18 +418,3 @@ class TieredStore:
                 os.unlink(path)
             except OSError:
                 pass
-
-
-def make_storage(
-    inner: DiskModel | FaultyDiskModel,
-    spec: StorageSpec,
-    page_table=None,
-) -> TieredStore:
-    """Build the configured storage stack around an inner disk model.
-
-    ``spec.backend`` selects the byte service (``ram`` serves from the
-    page table, ``mmap`` from a checksummed page file; validated by
-    :class:`StorageSpec`); the tier cache and miss-path mechanism ride
-    on top in either case.
-    """
-    return TieredStore(inner, spec, page_table=page_table)

@@ -33,6 +33,9 @@ from repro.workload.sequence import QuerySequence, generate_sequences
 
 __all__ = ["ClientWorkload", "multiclient_sessions", "zipf_weights"]
 
+#: Zipf exponent of hot-walk popularity in ``hotspot`` mode.
+HOTSPOT_ZIPF_S = 1.2
+
 
 @dataclass(frozen=True)
 class ClientWorkload:
@@ -70,7 +73,6 @@ def multiclient_sessions(
     mode: str = "independent",
     stagger: int = 0,
     hot_pool: int = 4,
-    zipf_s: float = 1.2,
 ) -> list[ClientWorkload]:
     """Generate ``n_clients`` staggered navigation sessions.
 
@@ -79,9 +81,10 @@ def multiclient_sessions(
     single-client experiment (one deterministic child RNG per client),
     so a one-client serving run reproduces the classic engine
     bit-for-bit.  ``hotspot`` mode instead builds a pool of ``hot_pool``
-    walks and assigns each client one of them with Zipf(``zipf_s``)
-    popularity -- clients sharing a walk navigate the same hot region.
-    Client ``i`` joins at tick ``i * stagger``.
+    walks and assigns each client one of them with
+    Zipf(:data:`HOTSPOT_ZIPF_S`) popularity -- clients sharing a walk
+    navigate the same hot region.  Client ``i`` joins at tick
+    ``i * stagger``.
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
@@ -111,7 +114,8 @@ def multiclient_sessions(
         # Popularity assignment draws from its own deterministic stream
         # (offset seed) so it can never perturb sequence generation.
         assign_rng = np.random.default_rng([seed, len(pool), n_clients])
-        ranks = assign_rng.choice(len(pool), size=n_clients, p=zipf_weights(len(pool), zipf_s))
+        weights = zipf_weights(len(pool), HOTSPOT_ZIPF_S)
+        ranks = assign_rng.choice(len(pool), size=n_clients, p=weights)
         assigned = [pool[int(rank)] for rank in ranks]
 
     return [

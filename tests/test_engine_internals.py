@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import NoPrefetcher, ObservedQuery, Prefetcher, PrefetchTarget
 from repro.geometry import AABB
 from repro.sim import SimulationConfig, SimulationEngine
+from repro.storage.disk import POSITIONING_S, STRIPE_WAYS, TRANSFER_S_PER_PAGE
 from repro.workload import generate_sequence
 
 
@@ -163,10 +164,8 @@ class TestBudgetAccounting:
         ]
 
 
-def one_page_seconds(engine) -> float:
-    """Worst-case cost of a single page read under the engine's disk."""
-    params = engine.config.disk
-    return params.positioning_s / params.stripe_ways + params.transfer_s_per_page
+#: Worst-case cost of a single page read.
+ONE_PAGE_S = POSITIONING_S / STRIPE_WAYS + TRANSFER_S_PER_PAGE
 
 
 class TestEngineInvariants:
@@ -194,7 +193,7 @@ class TestEngineInvariants:
         sequence = generate_sequence(
             tissue, rng, n_queries=8, volume=30_000.0, window_ratio=window_ratio
         )
-        slack = one_page_seconds(engine) + 1e-9
+        slack = ONE_PAGE_S + 1e-9
         for prefetcher in self.prefetchers(tissue, tissue_flat):
             metrics = engine.run(sequence, prefetcher)
             for r in metrics.records:
@@ -211,7 +210,7 @@ class TestEngineInvariants:
     def test_gap_io_counts_toward_the_same_window(self, engine, sequence, tissue_flat):
         pages = list(range(min(200, tissue_flat.n_pages)))
         prefetcher = FixedPlanPrefetcher([], gap_pages=pages)
-        slack = one_page_seconds(engine) + 1e-9
+        slack = ONE_PAGE_S + 1e-9
         metrics = engine.run(sequence, prefetcher)
         for r in metrics.records:
             assert r.prefetch_seconds <= r.window_seconds + slack
@@ -234,7 +233,7 @@ class TestCarryRedistribution:
         sequence = generate_sequence(tissue, rng, n_queries=2, volume=40_000.0)
         query = sequence.queries[0]
         cache = PrefetchCache(engine.config.cache_capacity_for(tissue_flat))
-        disk = DiskModel(engine.config.disk)
+        disk = DiskModel()
         return query, cache, disk
 
     def live_target(self, query, share=1.0):
@@ -251,13 +250,13 @@ class TestCarryRedistribution:
             regions=(AABB(far, far + 1.0),),
         )
 
-    def budget_for(self, engine, n_pages=10):
-        return n_pages * one_page_seconds(engine)
+    def budget_for(self, n_pages=10):
+        return n_pages * ONE_PAGE_S
 
     def test_live_target_inherits_dead_targets_share(
         self, engine, tissue, tissue_flat, rng
     ):
-        budget = self.budget_for(engine)
+        budget = self.budget_for()
 
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
         live = self.live_target(query, share=0.5)
@@ -279,17 +278,17 @@ class TestCarryRedistribution:
     def test_spending_never_exceeds_budget_plus_one_page(
         self, engine, tissue, tissue_flat, rng
     ):
-        budget = self.budget_for(engine)
+        budget = self.budget_for()
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
         targets = [
             self.live_target(query, share=0.7),
             PrefetchTarget(anchor=query.center, direction=np.zeros(3), share=0.3),
         ]
         _, seconds = engine._execute_plan(targets, query, cache, disk, budget)
-        assert seconds <= budget + one_page_seconds(engine) + 1e-9
+        assert seconds <= budget + ONE_PAGE_S + 1e-9
 
     def test_all_dead_targets_spend_nothing(self, engine, tissue, tissue_flat, rng):
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
         targets = [self.dead_target(tissue, share=0.5), self.dead_target(tissue, share=0.5)]
-        pages, seconds = engine._execute_plan(targets, query, cache, disk, self.budget_for(engine))
+        pages, seconds = engine._execute_plan(targets, query, cache, disk, self.budget_for())
         assert pages == 0 and seconds == 0.0

@@ -36,12 +36,22 @@ from repro.sim.runner import (
     IndexSpec,
     PrefetcherSpec,
     WorkloadSpec,
+    _layer_spec,
     prepare_serving_cell,
     run_serving_cell,
 )
 from repro.sim.serve import ServingSimulator
 from repro.storage import CircuitBreaker, DiskModel, FaultPlan, FaultyDiskModel, ReadFailure
+from repro.storage.faults import BACKOFF_BASE_S, BACKOFF_CAP_S
 from repro.workload import generate_sequences
+
+
+def max_backoff_s(plan: FaultPlan) -> float:
+    """Upper bound on one read's total jittered backoff time."""
+    total = 0.0
+    for attempt in range(plan.retry_limit):
+        total += min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2.0**attempt)
+    return 1.5 * total
 
 
 # -- FaultPlan spec ----------------------------------------------------------------
@@ -50,28 +60,25 @@ from repro.workload import generate_sequences
 class TestFaultPlan:
     def test_round_trip(self):
         plan = FaultPlan(transient_rate=0.2, corrupt_rate=0.1, seed=9, breaker=False)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert _layer_spec("faults", asdict(plan)) == plan
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown fault plan key"):
-            FaultPlan.from_dict({"transient_rate": 0.1, "flaky_rate": 0.5})
+        with pytest.raises(ValueError, match="unknown faults key"):
+            _layer_spec("faults", {"transient_rate": 0.1, "flaky_rate": 0.5})
 
     @pytest.mark.parametrize("key", ["stuck_rate", "stuck_reads", "stuck_extra_s"])
     def test_stuck_disk_kind_is_gone(self, key):
-        with pytest.raises(ValueError, match=rf"unknown fault plan key\(s\) \['{key}'\]"):
-            FaultPlan.from_dict({key: 1})
+        with pytest.raises(ValueError, match=rf"unknown faults key\(s\) \['{key}'\]"):
+            _layer_spec("faults", {key: 1})
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"transient_rate": 1.5},
             {"corrupt_rate": -0.1},
-            {"latency_factor": 0.5},
             {"retry_limit": -1},
             {"breaker_threshold": 0},
-            {"backoff_base_s": -1.0},
             {"latency_rate": 1.01},
-            {"backoff_cap_s": -0.5},
             {"breaker_cooldown": 0},
         ],
     )
@@ -85,9 +92,15 @@ class TestFaultPlan:
         assert FaultPlan(latency_rate=0.01).active
 
     def test_max_backoff_caps_the_exponential(self):
-        plan = FaultPlan(backoff_base_s=0.01, backoff_cap_s=0.02, retry_limit=4)
-        # 0.01 + 0.02 + 0.02 + 0.02, with the 1.5x jitter ceiling.
-        assert plan.max_backoff_s == pytest.approx(1.5 * 0.07)
+        disk = FaultyDiskModel(plan=FaultPlan(transient_rate=1.0, retry_limit=8))
+        # Uncapped, retry 7's shortest jittered delay (0.5x) would exceed
+        # the longest capped one (just under 1.5x the cap).
+        assert 0.5 * BACKOFF_BASE_S * 2.0**7 > 1.5 * BACKOFF_CAP_S
+        for retry in range(8):
+            assert disk._backoff_delay(retry) < 1.5 * BACKOFF_CAP_S
+        with pytest.raises(ReadFailure) as caught:
+            disk.read_pages([1])
+        assert 0.0 < caught.value.seconds <= max_backoff_s(disk.plan)
 
 
 # -- no-op transparency ------------------------------------------------------------
@@ -160,7 +173,7 @@ class TestRetryBackoff:
         # Every read's total backoff obeys the plan's analytic bound.
         stats = runs[0][1]
         n_reads = 5
-        assert stats["backoff_seconds"] <= n_reads * plan.max_backoff_s + 1e-12
+        assert stats["backoff_seconds"] <= n_reads * max_backoff_s(plan) + 1e-12
 
     def test_exhausted_retries_raise_and_charge(self):
         plan = FaultPlan(transient_rate=1.0, retry_limit=2, seed=0)
@@ -169,7 +182,7 @@ class TestRetryBackoff:
             disk.read_pages([1, 2])
         failure = caught.value
         assert failure.pages == [1, 2]
-        assert 0.0 < failure.seconds <= plan.max_backoff_s
+        assert 0.0 < failure.seconds <= max_backoff_s(plan)
         assert disk.stats.retries_exhausted == 1
         assert disk.stats.retries == plan.retry_limit
         assert disk.stats.seconds_busy == pytest.approx(failure.seconds)

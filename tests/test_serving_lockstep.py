@@ -30,7 +30,7 @@ from repro.baselines.base import PrefetchTarget
 from repro.core import ScoutOptPrefetcher, ScoutPrefetcher
 from repro.geometry.aabb import AABB
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
-from repro.sim.engine import QuerySession, resolve_ahead
+from repro.sim.engine import PROBE_CHUNK, QuerySession, resolve_ahead
 from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.storage.cache import PrefetchCache
 from repro.storage.faults import FaultPlan
@@ -269,7 +269,7 @@ class TestFillAhead:
         alone, batched = streams(), streams()
         assert isinstance(batched[0]._regions, tuple) and batched[1]._regions.ndim == 3
         n_steps = engine.config.incremental_max_steps
-        assert n_steps > 2 * batched[1]._chunk  # a third chunk stays for get()
+        assert n_steps > 2 * PROBE_CHUNK  # a third chunk stays for get()
 
         resolve_ahead(tissue_flat, [])  # an empty plan: nothing to resolve, no probe
         resolve_ahead(tissue_flat, batched)

@@ -38,6 +38,7 @@ from repro.datagen import make_neuron_tissue
 from repro.index import FlatIndex
 from repro.sim import ServingSimulator, SimulationConfig
 from repro.sim.results import metrics_from_dict, metrics_to_dict
+from repro.sim.runner import _layer_spec
 from repro.storage.cache import ArrayCache, PrefetchCache
 from repro.storage.sharded import (
     PARTITIONS,
@@ -214,7 +215,7 @@ class TestPartitionLaws:
         from ``n / K`` by at most the heaviest key's multiplicity on
         each boundary.
         """
-        keys = page_hilbert_keys(tissue_flat, bits=6)
+        keys = page_hilbert_keys(tissue_flat)
         cache = hilbert_cache(tissue_flat, 4)
         routed = cache.route_many(np.arange(keys.size))
         counts = np.bincount(routed, minlength=4)
@@ -232,11 +233,7 @@ class TestSpecValidation:
             (dict(shard_cache_pages=-1), "shard_cache_pages"),
             (dict(hop_latency_s=-0.1), "hop_latency_s"),
             (dict(n_shards=2, partition="hash", rebalance=True), "rebalance requires"),
-            (dict(rebalance_lambda=0.0), "rebalance_lambda"),
-            (dict(rebalance_threshold=1.0), "rebalance_threshold"),
             (dict(rebalance_interval=0), "rebalance_interval"),
-            (dict(hilbert_bits=0), "hilbert_bits"),
-            (dict(hilbert_bits=17), "hilbert_bits"),
         ],
     )
     def test_bad_specs_rejected(self, kwargs, match):
@@ -244,10 +241,10 @@ class TestSpecValidation:
             ShardSpec(**kwargs)
 
     def test_spec_round_trips_through_dict(self):
-        spec = ShardSpec(n_shards=4, partition="hilbert", rebalance=True, hilbert_bits=5)
-        assert ShardSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ValueError, match="unknown shard spec key"):
-            ShardSpec.from_dict({"n_shards": 2, "replicas": 3})
+        spec = ShardSpec(n_shards=4, partition="hilbert", rebalance=True, rebalance_interval=5)
+        assert _layer_spec("shards", dataclasses.asdict(spec)) == spec
+        with pytest.raises(ValueError, match="unknown shards key"):
+            _layer_spec("shards", {"n_shards": 2, "replicas": 3})
 
     def test_wrapper_rejects_mismatched_shard_lists(self):
         with pytest.raises(ValueError, match="names 2 shards"):
@@ -266,7 +263,7 @@ class TestSpecValidation:
 def skewed_batches(index, *, n_batches: int = 200, seed: int = 3):
     """Touch batches hammering the pages of one shard-0-heavy key range."""
     rng = np.random.default_rng(seed)
-    keys = page_hilbert_keys(index, bits=6)
+    keys = page_hilbert_keys(index)
     hot = np.argsort(keys)[: max(4, keys.size // 8)]
     return [rng.choice(hot, size=6) for _ in range(n_batches)]
 
@@ -385,7 +382,7 @@ class TestOwnerTableAndFanOut:
         cache = hilbert_cache(
             tissue_flat, k, pages_per_shard=8, rebalance=True, rebalance_interval=4
         )
-        keys = page_hilbert_keys(tissue_flat, bits=6)
+        keys = page_hilbert_keys(tissue_flat)
         for batch in skewed_batches(tissue_flat, n_batches=n_batches, seed=seed):
             cache.insert_many(batch)
             cache.touch_many(batch)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.storage import (
     DiskModel,
-    DiskParameters,
     FaultPlan,
     FaultyDiskModel,
     PageTable,
@@ -16,6 +15,10 @@ from repro.storage import (
     StorageSpec,
     TieredStore,
 )
+from repro.storage.disk import POSITIONING_S, STRIPE_WAYS, TRANSFER_S_PER_PAGE
+
+#: One page's read: its striped positioning plus its transfer.
+PAGE_STEP = POSITIONING_S / STRIPE_WAYS + TRANSFER_S_PER_PAGE
 
 
 class TestPageTable:
@@ -60,22 +63,19 @@ class TestDiskModel:
         assert disk.read_pages([]) == 0.0
 
     def test_each_page_pays_positioning_by_default(self):
-        params = DiskParameters()
-        disk = DiskModel(params)
+        disk = DiskModel()
         t1 = disk.read_pages([0])
-        t3 = DiskModel(params).read_pages([10, 11, 12])
+        t3 = DiskModel().read_pages([10, 11, 12])
         assert t3 == pytest.approx(3 * t1)
 
     def test_contiguous_run_pays_striped_positioning_per_page(self):
-        params = DiskParameters()
-        per_page = params.positioning_s / params.stripe_ways + params.transfer_s_per_page
         for n in (1, 4, 9):
-            disk = DiskModel(params)
+            disk = DiskModel()
             disk.read_pages([0])
             # Page 1 follows the one just read; a head would have made it cheap.
-            expected = pytest.approx(n * per_page, rel=1e-12)
+            expected = pytest.approx(n * PAGE_STEP, rel=1e-12)
             assert disk.read_pages(range(1, 1 + n)) == expected
-            assert DiskModel(params).cost_if_cold(range(1, 1 + n)) == expected
+            assert DiskModel().cost_if_cold(range(1, 1 + n)) == expected
 
     def test_trim_does_not_depend_on_what_was_read_before(self):
         pages = list(range(10, 30))
@@ -85,10 +85,6 @@ class TestDiskModel:
             disk = DiskModel()
             disk.read_pages(earlier)
             assert disk.trim_to_budget(pages, 0.01) == fresh
-
-    def test_sequential_discount_is_gone(self):
-        with pytest.raises(TypeError):
-            DiskParameters(sequential_discount=True)
 
     def test_duplicates_read_once(self):
         disk = DiskModel()
@@ -137,24 +133,15 @@ class TestDiskModel:
         assert disk.stats.pages_read == 0
 
     def test_cost_if_cold_matches_actual_cold_read(self):
-        params = DiskParameters()
         pages = [4, 9, 17]
-        assert DiskModel(params).cost_if_cold(pages) == pytest.approx(
-            DiskModel(params).read_pages(pages)
-        )
+        assert DiskModel().cost_if_cold(pages) == pytest.approx(DiskModel().read_pages(pages))
 
     def test_striping_divides_positioning(self):
-        slow = DiskModel(DiskParameters(stripe_ways=1)).read_pages([1, 5, 9])
-        fast = DiskModel(DiskParameters(stripe_ways=4)).read_pages([1, 5, 9])
-        assert slow > fast
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            DiskParameters(seek_s=-1.0)
-        with pytest.raises(ValueError):
-            DiskParameters(transfer_mb_per_s=0.0)
-        with pytest.raises(ValueError):
-            DiskParameters(stripe_ways=0)
+        # Exact, in the model's own grouping: positioning is summed, then
+        # divided across the stripe ways.
+        expected = 3 * POSITIONING_S / STRIPE_WAYS + 3 * TRANSFER_S_PER_PAGE
+        assert DiskModel().read_pages([1, 5, 9]) == expected
+        assert DiskModel().cost_if_cold([1, 5, 9]) == expected
 
     def test_stats_accumulate(self):
         disk = DiskModel()
@@ -190,11 +177,6 @@ class TestDiskStack:
         return _STACKS[request.param]
 
     @staticmethod
-    def step() -> float:
-        params = DiskParameters()
-        return params.positioning_s / params.stripe_ways + params.transfer_s_per_page
-
-    @staticmethod
     def after(make_disk, history):
         disk = make_disk()
         if history:
@@ -206,7 +188,7 @@ class TestDiskStack:
             disk = self.after(make_disk, history)
             for n in (1, 4, 9):
                 cost = disk.cost_if_cold(range(10, 10 + n))
-                assert cost == pytest.approx(n * self.step(), rel=1e-12)
+                assert cost == pytest.approx(n * PAGE_STEP, rel=1e-12)
 
     def test_trim_is_the_same_prefix_whatever_was_read_before(self, make_disk):
         pages = list(range(10, 30))
@@ -222,7 +204,7 @@ class TestDiskStack:
         assert disk.trim_to_budget([], 1.0) == []
         assert disk.trim_to_budget(pages, 0.0) == ordered[:1]
         for k in range(len(ordered) + 2):
-            kept = disk.trim_to_budget(pages, (k + 0.5) * self.step())
+            kept = disk.trim_to_budget(pages, (k + 0.5) * PAGE_STEP)
             assert kept == ordered[: k + 1]
 
     def test_planning_charges_nothing_and_perturbs_no_read(self, make_disk):
@@ -250,7 +232,7 @@ class TestDiskStack:
             # 10 follows the page [9] left under a head; the long sweep
             # leaves 59 in the tier.  Both are re-read all the same.
             cost = disk.recover_read([10, 11, 59, 60])
-            assert cost == pytest.approx(4 * self.step(), rel=1e-12)
+            assert cost == pytest.approx(4 * PAGE_STEP, rel=1e-12)
             assert disk.stats.pages_read == read_before + 4
             assert disk.recover_read([]) == 0.0
 

@@ -26,13 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.runner import _layer_spec
 from repro.storage.disk import DiskModel
 from repro.storage.tiered import (
+    MISS_ENTRIES,
     MISS_PATHS,
+    STREAM_DEPTH,
+    VICTIM_ENTRIES,
     StorageSpec,
     TierStats,
     TieredStore,
-    make_storage,
 )
 
 #: Small page universe so read batches collide (tier hits, victim
@@ -55,9 +58,6 @@ active_specs = st.builds(
     StorageSpec,
     miss_path=st.sampled_from(MISS_PATHS),
     tier_pages=st.integers(min_value=0, max_value=6),
-    victim_entries=st.integers(min_value=1, max_value=4),
-    miss_entries=st.integers(min_value=1, max_value=6),
-    stream_depth=st.integers(min_value=1, max_value=3),
 )
 
 
@@ -105,7 +105,7 @@ class _PerPageModel:
             self.stats["tier_evictions"] += 1
             if spec.miss_path in ("victim", "combined"):
                 self.stats["writebacks"] += 1
-                self._refresh(self.victim, evicted, spec.victim_entries)
+                self._refresh(self.victim, evicted, VICTIM_ENTRIES)
 
     def read(self, batch) -> None:
         spec, stats = self.spec, self.stats
@@ -126,7 +126,7 @@ class _PerPageModel:
                 stats["stream_hits"] += 1
                 self._fill(page)
             elif spec.miss_path in ("miss", "combined") and page in self.miss:
-                self._refresh(self.miss, page, spec.miss_entries)
+                self._refresh(self.miss, page, MISS_ENTRIES)
                 stats["miss_hits"] += 1
                 self._fill(page)
             else:
@@ -137,16 +137,16 @@ class _PerPageModel:
         stats["backing_calls"] += 1
         if spec.miss_path in ("miss", "combined"):
             for page in misses:
-                self._refresh(self.miss, page, spec.miss_entries)
+                self._refresh(self.miss, page, MISS_ENTRIES)
         if spec.miss_path in ("stream", "combined"):
             for page in misses:
                 if page + 1 in misses:
                     continue  # not a run tail
-                for ahead in range(page + 1, page + 1 + spec.stream_depth):
+                for ahead in range(page + 1, page + 1 + STREAM_DEPTH):
                     if self.n_pages is not None and ahead >= self.n_pages:
                         break
                     self._refresh(self.stream, ahead, len(self.stream) + 1)
-            del self.stream[: max(0, len(self.stream) - spec.stream_depth * 4)]
+            del self.stream[: max(0, len(self.stream) - STREAM_DEPTH * 4)]
         for page in misses:
             self._fill(page)
 
@@ -167,7 +167,6 @@ class TestDisabledStoreIsTheBareDisk:
             # verbatim, so even the float arithmetic is the same.
             assert actual == expected, f"{op}({arg}) diverged"
             assert tiered.stats == bare.stats
-            assert tiered.params == bare.params
 
     @settings(deadline=None, max_examples=60)
     @given(ops=operations)
@@ -208,9 +207,9 @@ class TestLayerPartitionInvariant:
         for batch in reads:
             store.read_pages(batch)
             assert len(store._tier) <= spec.tier_pages
-            assert len(store._victim) <= spec.victim_entries
-            assert len(store._miss_tags) <= spec.miss_entries
-            assert len(store._stream) <= spec.stream_depth * 4
+            assert len(store._victim) <= VICTIM_ENTRIES
+            assert len(store._miss_tags) <= MISS_ENTRIES
+            assert len(store._stream) <= STREAM_DEPTH * 4
 
     @settings(deadline=None, max_examples=60)
     @given(spec=active_specs, reads=st.lists(batches, max_size=15))
@@ -268,12 +267,57 @@ class TestLayerPartitionInvariant:
         assert store.tier_stats.victim_hits == 1
 
     def test_stream_buffer_prefills_sequential_successors(self):
-        store = TieredStore(DiskModel(), StorageSpec(miss_path="stream", stream_depth=2))
+        store = TieredStore(DiskModel(), StorageSpec(miss_path="stream"))
         store.read_pages([4])
         store.read_pages([5])  # run successor: stream-buffer hit, no I/O
         ts = store.tier_stats
         assert ts.stream_hits == 1
         assert ts.backing_pages == 1
+
+    @staticmethod
+    def _against_the_model(spec, reads):
+        """Run ``reads`` through a store and the per-page model in step."""
+        store, model = TieredStore(DiskModel(), spec), _PerPageModel(spec, None)
+        for batch in reads:
+            store.read_pages(batch)
+            model.read(batch)
+            assert list(store._victim) == model.victim
+            assert list(store._stream) == model.stream
+            assert list(store._miss_tags) == model.miss
+            assert dataclasses.asdict(store.tier_stats) == model.stats
+        return store
+
+    def test_victim_buffer_overflow_drops_the_oldest_victim(self):
+        # A one-page tier evicts every page the next read fills, so
+        # pages 0..10 become victims: three more than the buffer holds.
+        spec = StorageSpec(miss_path="victim", tier_pages=1)
+        reads = [[page] for page in range(VICTIM_ENTRIES + 4)]
+        store = self._against_the_model(spec, reads)
+        assert store.tier_stats.writebacks == VICTIM_ENTRIES + 3
+        assert list(store._victim) == list(range(3, VICTIM_ENTRIES + 3))
+        # The oldest survivor swaps back; a popped victim is read again.
+        store = self._against_the_model(spec, reads + [[3], [2]])
+        assert store.tier_stats.victim_hits == 1
+        assert store.tier_stats.backing_pages == VICTIM_ENTRIES + 5
+
+    def test_miss_cache_overflow_drops_the_oldest_tag(self):
+        reads = [list(range(MISS_ENTRIES + 4)), [0], [MISS_ENTRIES + 3]]
+        store = self._against_the_model(StorageSpec(miss_path="miss"), reads)
+        # Tags 0..3 were popped, so page 0 missed again; the newest tag hit.
+        assert store.tier_stats.backing_pages == MISS_ENTRIES + 5
+        assert store.tier_stats.miss_hits == 1
+        assert len(store._miss_tags) == MISS_ENTRIES
+
+    def test_stream_buffer_overflow_drops_the_oldest_run(self):
+        # Five scattered run tails prefill five runs; the buffer keeps four.
+        spec = StorageSpec(miss_path="stream")
+        tails = [10 * run for run in range(5)]
+        store = self._against_the_model(spec, [tails])
+        assert list(store._stream) == [p + k for p in tails[1:] for k in range(1, STREAM_DEPTH + 1)]
+        # Page 1's prefill was popped; the newest run's successor still hits.
+        store = self._against_the_model(spec, [tails, [1], [tails[-1] + 1]])
+        assert store.tier_stats.backing_pages == len(tails) + 1
+        assert store.tier_stats.stream_hits == 1
 
     def test_fill_stall_charges_simulated_time(self):
         spec = StorageSpec(tier_pages=4, fill_stall_s=0.25)
@@ -288,11 +332,11 @@ class TestLayerPartitionInvariant:
 class TestStorageSpec:
     def test_roundtrips_through_dict(self):
         spec = StorageSpec(miss_path="combined", tier_pages=5, fill_stall_s=0.1)
-        assert StorageSpec.from_dict(spec.to_dict()) == spec
+        assert _layer_spec("storage", dataclasses.asdict(spec)) == spec
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown storage spec key"):
-            StorageSpec.from_dict({"tier_pages": 2, "victim_size": 3})
+        with pytest.raises(ValueError, match="unknown storage key"):
+            _layer_spec("storage", {"tier_pages": 2, "victim_size": 3})
 
     def test_rejects_unknown_miss_path(self):
         with pytest.raises(ValueError, match="unknown miss path"):
@@ -301,11 +345,6 @@ class TestStorageSpec:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
             StorageSpec(backend="nvme")
-
-    def test_make_storage_builds_both_backends(self):
-        for backend in ("ram", "mmap"):
-            store = make_storage(DiskModel(), StorageSpec(backend=backend))
-            assert isinstance(store, TieredStore)
 
     def test_disabled_spec_is_not_active(self):
         assert not StorageSpec().tiering_active
