@@ -100,6 +100,8 @@ class NavigationGraph:
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise ValueError("nodes must be an (n, 3) array")
         self.edges = list(edges)
+        # Each edge's polyline walked v -> u, built on first use.
+        self._backward: list[Polyline | None] = [None] * len(self.edges)
         self._adjacency: dict[int, list[int]] = {}
         for edge_id, edge in enumerate(self.edges):
             for node in (edge.u, edge.v):
@@ -133,16 +135,17 @@ class NavigationGraph:
         edge_id = int(start_edge) if start_edge is not None else int(rng.integers(len(self.edges)))
         edge = self.edges[edge_id]
         forward = bool(rng.integers(2))
-        points: list[np.ndarray] = []
+        pieces: list[np.ndarray] = []
         walked = 0.0
         current_node = edge.u if forward else edge.v
         visited_edges: set[int] = set()
 
         for _ in range(10_000):  # hard stop against degenerate graphs
-            poly = edge.polyline if current_node == edge.u else edge.polyline.reversed()
-            start_index = 0 if not points else 1  # avoid duplicating junction points
-            for point in poly.points[start_index:]:
-                points.append(point)
+            poly = edge.polyline if current_node == edge.u else self._walked_backward(edge_id)
+            # Later pieces skip their first point: it is the junction just left.
+            pieces.append(poly.points[1:] if pieces else poly.points)
+            # A backward polyline's own length: its cumsum runs the other
+            # way and can differ from the forward one in the last bit.
             walked += poly.length
             visited_edges.add(edge_id)
             current_node = edge.v if current_node == edge.u else edge.u
@@ -159,9 +162,16 @@ class NavigationGraph:
                 options = [edge_id]  # dead end: turn around
             edge_id = int(options[int(rng.integers(len(options)))])
             edge = self.edges[edge_id]
+        points = np.concatenate(pieces)
         if len(points) < 2:
             raise ValueError("random walk produced a degenerate path")
-        return Polyline(np.array(points))
+        return Polyline(points)
+
+    def _walked_backward(self, edge_id: int) -> Polyline:
+        backward = self._backward[edge_id]
+        if backward is None:
+            backward = self._backward[edge_id] = self.edges[edge_id].polyline.reversed()
+        return backward
 
 
 @dataclass

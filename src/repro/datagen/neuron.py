@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datagen.branching import BranchingConfig, grow_tree
-from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph
+from repro.datagen.branching import BranchingConfig, grow_forest
+from repro.datagen.dataset import Dataset, NavigationGraph
 
 __all__ = ["make_neuron_tissue", "NEURON_TISSUE_DENSITY"]
 
@@ -74,37 +74,17 @@ def make_neuron_tissue(
         expected_objects = n_neurons * expected_branches * expected_steps
         extent = (expected_objects / target_density) ** (1.0 / 3.0)
 
-    p0_parts, p1_parts, radius_parts = [], [], []
-    structure_parts, branch_parts = [], []
-    nav_nodes_parts: list[np.ndarray] = []
-    nav_edges: list[NavEdge] = []
-    node_offset = 0
-    branch_offset = 0
-
-    for neuron_id in range(n_neurons):
+    def place_soma(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         soma = rng.uniform(0.0, extent, size=3)
-        initial_direction = rng.normal(size=3)
-        tree = grow_tree(rng, soma, initial_direction, config, branch_id_offset=branch_offset)
+        return soma, rng.normal(size=3)
 
-        p0_parts.append(tree.p0)
-        p1_parts.append(tree.p1)
-        radius_parts.append(tree.radius)
-        structure_parts.append(np.full(len(tree.p0), neuron_id, dtype=np.int64))
-        branch_parts.append(tree.branch_of_object)
-        if len(tree.branch_of_object):
-            branch_offset = int(tree.branch_of_object.max()) + 1
-
-        nav_nodes_parts.append(tree.nav_nodes)
-        for edge in tree.nav_edges:
-            nav_edges.append(NavEdge(edge.u + node_offset, edge.v + node_offset, edge.polyline))
-        node_offset += len(tree.nav_nodes)
-
+    tissue, neuron_of_object = grow_forest(rng, n_neurons, place_soma, config)
     return Dataset(
         name="neuron-tissue",
-        p0=np.concatenate(p0_parts),
-        p1=np.concatenate(p1_parts),
-        radius=np.concatenate(radius_parts),
-        structure_id=np.concatenate(structure_parts),
-        branch_id=np.concatenate(branch_parts),
-        nav=NavigationGraph(np.concatenate(nav_nodes_parts), nav_edges),
+        p0=tissue.p0,
+        p1=tissue.p1,
+        radius=tissue.radius,
+        structure_id=neuron_of_object,
+        branch_id=tissue.branch_of_object,
+        nav=NavigationGraph(tissue.nav_nodes, tissue.nav_edges),
     )

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.datagen.branching import BranchingConfig, grow_tree
-from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph
+from repro.datagen.branching import BranchingConfig, grow_forest
+from repro.datagen.dataset import Dataset, NavigationGraph
 
 __all__ = ["make_arterial_tree", "ARTERIAL_CONFIG"]
 
@@ -53,35 +53,17 @@ def make_arterial_tree(
         config = replace(config, max_depth=int(max_depth))
     rng = np.random.default_rng(seed)
 
-    p0_parts, p1_parts, radius_parts = [], [], []
-    structure_parts, branch_parts = [], []
-    nav_nodes_parts, nav_edges = [], []
-    node_offset = 0
-    branch_offset = 0
-
-    for tree_id in range(n_trees):
+    def place_root(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         root = rng.uniform(0.0, extent, size=3) if n_trees > 1 else np.full(3, extent / 2.0)
-        direction = rng.normal(size=3)
-        tree = grow_tree(rng, root, direction, config, branch_id_offset=branch_offset)
+        return root, rng.normal(size=3)
 
-        p0_parts.append(tree.p0)
-        p1_parts.append(tree.p1)
-        radius_parts.append(tree.radius)
-        structure_parts.append(np.full(len(tree.p0), tree_id, dtype=np.int64))
-        branch_parts.append(tree.branch_of_object)
-        branch_offset = int(tree.branch_of_object.max()) + 1
-
-        nav_nodes_parts.append(tree.nav_nodes)
-        for edge in tree.nav_edges:
-            nav_edges.append(NavEdge(edge.u + node_offset, edge.v + node_offset, edge.polyline))
-        node_offset += len(tree.nav_nodes)
-
+    trees, tree_of_object = grow_forest(rng, n_trees, place_root, config)
     return Dataset(
         name="arterial-tree",
-        p0=np.concatenate(p0_parts),
-        p1=np.concatenate(p1_parts),
-        radius=np.concatenate(radius_parts),
-        structure_id=np.concatenate(structure_parts),
-        branch_id=np.concatenate(branch_parts),
-        nav=NavigationGraph(np.concatenate(nav_nodes_parts), nav_edges),
+        p0=trees.p0,
+        p1=trees.p1,
+        radius=trees.radius,
+        structure_id=tree_of_object,
+        branch_id=trees.branch_of_object,
+        nav=NavigationGraph(trees.nav_nodes, trees.nav_edges),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csr_expand", "row_dots", "row_norms", "slice_of"]
+__all__ = ["csr_expand", "pair_dots", "row_dots", "row_norms", "slice_of"]
 
 
 def slice_of(key, n_slices: int):
@@ -51,7 +51,7 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
     per platform: on a BLAS where the kernels round differently they
     fail loudly rather than letting the paths drift apart silently.
     """
-    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
+    return np.sqrt(pair_dots(vectors, vectors))
 
 
 def row_dots(vectors: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -62,6 +62,18 @@ def row_dots(vectors: np.ndarray, vector: np.ndarray) -> np.ndarray:
     bit); ``tests/test_prediction_path_equivalence.py`` pins it.
     """
     return np.matmul(vectors[..., None, :], vector[:, None])[..., 0, 0]
+
+
+def pair_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left[i] @ right[i]`` per row, bit-identical to the 1-D ``@``.
+
+    Each row pair is one stacked vector-vector matmul, which numpy
+    hands to the BLAS dot kernel -- the kernel the 1-D ``@`` and
+    ``np.linalg.norm`` use -- whereas ``(left * right).sum(-1)`` or
+    ``einsum`` add the products in their own order and can differ in
+    the last bit.  ``tests/test_tree_generation.py`` pins it.
+    """
+    return np.matmul(left[..., None, :], right[..., :, None])[..., 0, 0]
 
 
 def csr_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

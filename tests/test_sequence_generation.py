@@ -6,7 +6,9 @@ points and ``row_norms`` for the distances (DESIGN.md §12).  The scalar
 loop -- advance the arc 2 % of the side, look up one point, take one
 ``np.linalg.norm``, compare -- lives on here as the oracle, together
 with the scalar one-point lookup it called, and every generated query
-must equal it byte for byte.
+must equal it byte for byte.  So does the random walk the sequence
+follows: ``NavigationGraph.random_walk`` against the walk that rebuilt
+a reversed polyline per backward edge and appended points one by one.
 """
 
 from __future__ import annotations
@@ -184,6 +186,92 @@ class TestWalkBoundaries:
         # (index 255), so the search for the next resumes in a new window.
         arcs = self._assert_walk(1_024.0, 5.0, 200)
         assert arcs == [25.0 + 5.0 * i for i in range(200)]
+
+
+def _appending_walk(nav, rng, min_length, start_edge=None):
+    """The replaced ``NavigationGraph.random_walk``: a fresh reversed
+    polyline per backward edge, and points appended one at a time."""
+    if not nav.edges:
+        raise ValueError("navigation graph has no edges")
+    edge_id = int(start_edge) if start_edge is not None else int(rng.integers(len(nav.edges)))
+    edge = nav.edges[edge_id]
+    forward = bool(rng.integers(2))
+    points: list[np.ndarray] = []
+    walked = 0.0
+    current_node = edge.u if forward else edge.v
+    visited_edges: set[int] = set()
+
+    for _ in range(10_000):  # hard stop against degenerate graphs
+        poly = edge.polyline if current_node == edge.u else edge.polyline.reversed()
+        start_index = 0 if not points else 1  # avoid duplicating junction points
+        for point in poly.points[start_index:]:
+            points.append(point)
+        walked += poly.length
+        visited_edges.add(edge_id)
+        current_node = edge.v if current_node == edge.u else edge.u
+        if walked >= min_length:
+            break
+        options = [e for e in nav.edges_at(current_node) if e != edge_id]
+        fresh = [e for e in options if e not in visited_edges]
+        if fresh:
+            options = fresh
+        elif not options:
+            options = [edge_id]  # dead end: turn around
+        edge_id = int(options[int(rng.integers(len(options)))])
+        edge = nav.edges[edge_id]
+    if len(points) < 2:
+        raise ValueError("random walk produced a degenerate path")
+    return Polyline(np.array(points))
+
+
+class TestRandomWalkMatchesAppendingWalk:
+    """``random_walk`` keeps one reversed polyline per edge and joins the
+    pieces with one ``np.concatenate``; the walk it replaced must agree
+    on every point and on the rng draws, repeated walks included (the
+    second one reuses the reversed polylines the first built)."""
+
+    @staticmethod
+    def _assert_walks_match(dataset, lengths, start_edge=None, seeds=(3, 17, 29)):
+        for seed in seeds:
+            for length in lengths:
+                walk_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = _appending_walk(dataset.nav, walk_rng, length, start_edge)
+                walk = dataset.nav.random_walk(rng, length, start_edge)
+                assert walk.points.tobytes() == expected.points.tobytes()
+                assert walk._cumulative.tobytes() == expected._cumulative.tobytes()
+                assert rng.bit_generator.state == walk_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["tissue", "roads", "lung", "arterial"])
+    def test_every_dataset_kind(self, request, name):
+        dataset = request.getfixturevalue(name)
+        self._assert_walks_match(dataset, [1.0, 300.0, 5_000.0])
+        self._assert_walks_match(dataset, [800.0], start_edge=dataset.nav.n_edges - 1)
+
+    def test_dead_ends_and_the_edge_cap(self):
+        # One edge: the walk turns around at every end.  2,000 tiny
+        # edges: the 10,000-edge cap stops it short of the length.
+        self._assert_walks_match(_line_dataset(n_edges=1, edge_length=5.0), [1.0, 120.0])
+        self._assert_walks_match(_line_dataset(n_edges=2_000, edge_length=0.01), [500.0])
+
+    def test_a_backward_edge_adds_its_own_length(self):
+        # Backwards this polyline sums 2^-53 + 2^-53 + 1 = 1 + 2^-52;
+        # forwards 1 + 2^-53 + 2^-53 rounds to 1.  A walk that asks for
+        # 1 + 2^-52 stops after one backward edge but not a forward one.
+        # Seed 1 starts backwards, seed 3 forwards.
+        tiny = 2.0**-53
+        points = np.array([[0, 0, 0], [1, 0, 0], [1, tiny, 0], [1, tiny, tiny]], dtype=float)
+        polyline = Polyline(points)
+        assert (polyline.length, polyline.reversed().length) == (1.0, 1.0 + 2 * tiny)
+        dataset = Dataset(
+            name="rounding",
+            p0=points[:-1],
+            p1=points[1:],
+            radius=np.full(3, 0.5),
+            structure_id=np.zeros(3),
+            branch_id=np.zeros(3),
+            nav=NavigationGraph(points[[0, -1]], [NavEdge(0, 1, polyline)]),
+        )
+        self._assert_walks_match(dataset, [1.0 + 2 * tiny, 3.0], start_edge=0, seeds=(1, 3))
 
 
 def _polylines():
