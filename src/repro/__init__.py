@@ -13,8 +13,8 @@ This package contains a complete, self-contained reproduction:
 
 - :mod:`repro.geometry` -- AABB/segment/frustum/Hilbert primitives.
 - :mod:`repro.storage` -- simulated page-based disk and LRU prefetch cache.
-- :mod:`repro.index` -- STR bulk-loaded R-tree and a FLAT-style
-  neighborhood index with ordered retrieval.
+- :mod:`repro.index` -- STR bulk-loaded R-tree, and FLAT as SCOUT-OPT
+  pairs with it (its STR page layout).
 - :mod:`repro.graph` -- grid-hashing proximity-graph construction and
   region-restricted traversal.
 - :mod:`repro.datagen` -- synthetic neuron tissue, arterial tree, lung
@@ -22,8 +22,8 @@ This package contains a complete, self-contained reproduction:
 - :mod:`repro.workload` -- guided query sequence generation and the
   paper's microbenchmark registry (Figure 10).
 - :mod:`repro.core` -- the SCOUT and SCOUT-OPT prefetchers.
-- :mod:`repro.baselines` -- Straight Line, Polynomial, EWMA, Velocity,
-  Hilbert and Layered prefetching baselines.
+- :mod:`repro.baselines` -- Straight Line, Polynomial, EWMA, Velocity
+  and Hilbert prefetching baselines.
 - :mod:`repro.sim` -- the execution simulator implementing the paper's
   Figure-2 timeline, plus metrics and experiment helpers.
 

@@ -97,14 +97,6 @@ class ResultTable:
         print()
         print(self.render())
 
-    def cell(self, row_label: str, column: str):
-        """Look up one value by row label and column header."""
-        column_index = self.columns.index(column)
-        for label, values in self.rows:
-            if label == row_label:
-                return values[column_index]
-        raise KeyError(f"no row {row_label!r} in table {self.title!r}")
-
     def row_values(self, row_label: str) -> list:
         """All cells of one row, in column order."""
         for label, values in self.rows:

@@ -15,13 +15,11 @@ from repro.baselines.extrapolation import (
     VelocityPrefetcher,
 )
 from repro.baselines.hilbert_prefetch import HilbertPrefetcher
-from repro.baselines.layered import LayeredPrefetcher
 from repro.baselines.simple import NoPrefetcher, OraclePrefetcher
 
 __all__ = [
     "EWMAPrefetcher",
     "HilbertPrefetcher",
-    "LayeredPrefetcher",
     "NoPrefetcher",
     "ObservedQuery",
     "OraclePrefetcher",

@@ -52,8 +52,8 @@ class PrefetchTarget:
     prefetch queries advance; ``share`` the fraction of the window
     budget allotted (shares are normalized by the simulator).  When
     ``regions`` is set, the target prefetches those explicit regions in
-    order instead of expanding incrementally (used by grid-cell-based
-    baselines like Hilbert and Layered).
+    order instead of expanding incrementally (Hilbert's grid cells, the
+    position-only baselines' concentric boxes, the oracle's next query).
     """
 
     anchor: np.ndarray

@@ -28,6 +28,9 @@ __all__ = [
     "VelocityPrefetcher",
 ]
 
+#: Recent movements the Velocity baseline averages.
+VELOCITY_WINDOW = 3
+
 
 class StraightLinePrefetcher(PositionOnlyPrefetcher):
     """Linear extrapolation of the last two query centers."""
@@ -79,17 +82,12 @@ class PolynomialPrefetcher(PositionOnlyPrefetcher):
 class VelocityPrefetcher(PositionOnlyPrefetcher):
     """Straight-line extrapolation with a velocity averaged over a window."""
 
-    def __init__(self, window: int = 3) -> None:
-        super().__init__()
-        if window < 1:
-            raise ValueError("velocity window must be >= 1")
-        self.window = window
-        self.name = f"velocity-{window}"
+    name = f"velocity-{VELOCITY_WINDOW}"
 
     def plan(self) -> list[PrefetchTarget]:
         if len(self._centers) < 2:
             return []
-        recent = np.array(self._centers[-(self.window + 1):])
+        recent = np.array(self._centers[-(VELOCITY_WINDOW + 1):])
         velocity = np.diff(recent, axis=0).mean(axis=0)
         if np.linalg.norm(velocity) == 0:
             return []

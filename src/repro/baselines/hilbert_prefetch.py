@@ -21,25 +21,21 @@ from repro.geometry.hilbert import hilbert_encode
 
 __all__ = ["HilbertPrefetcher"]
 
+#: Application-level grid cells per axis (rounded up to a power of two).
+CELLS_PER_AXIS = 16
+
+#: Grid cells prefetched per plan, nearest Hilbert values first.
+N_PREFETCH_CELLS = 8
+
 
 class HilbertPrefetcher(Prefetcher):
     """Prefetch grid cells by Hilbert-value proximity to the current cell."""
 
     name = "hilbert"
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        cells_per_axis: int = 16,
-        n_prefetch_cells: int = 8,
-    ) -> None:
-        if cells_per_axis < 2:
-            raise ValueError("cells_per_axis must be >= 2")
-        if n_prefetch_cells < 1:
-            raise ValueError("n_prefetch_cells must be >= 1")
+    def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
-        self.n_prefetch_cells = n_prefetch_cells
-        self._bits = max(1, int(np.ceil(np.log2(cells_per_axis))))
+        self._bits = max(1, int(np.ceil(np.log2(CELLS_PER_AXIS))))
         k = 1 << self._bits
         bounds = dataset.bounds.inflate(1e-6)
         shape = (k, k, 1) if dataset.dims == 2 else (k, k, k)
@@ -79,12 +75,12 @@ class HilbertPrefetcher(Prefetcher):
         # Expand outward in Hilbert-value order: v±1, v±2, ...
         regions: list[AABB] = []
         offset = 1
-        while len(regions) < self.n_prefetch_cells and offset <= 4 * self.n_prefetch_cells:
+        while len(regions) < N_PREFETCH_CELLS and offset <= 4 * N_PREFETCH_CELLS:
             for value in (current_value + offset, current_value - offset):
                 coords = self._coords_from_value(value)
                 if coords is not None:
                     regions.append(self.grid.cell_bounds(coords))
-                if len(regions) >= self.n_prefetch_cells:
+                if len(regions) >= N_PREFETCH_CELLS:
                     break
             offset += 1
         if not regions:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import ScoutConfig
 from repro.core.exits import split_entries_exits_grouped
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
@@ -28,6 +27,11 @@ from repro.graph.traversal import (
 )
 
 __all__ = ["CandidateTrack", "CandidateTracker"]
+
+#: Candidate matching distance, as a fraction of the query side: a
+#: component continues a track when its entry crossing lies within this
+#: distance of the track's extrapolated exit.
+MATCH_DISTANCE_FACTOR = 0.6
 
 
 @dataclass
@@ -47,8 +51,7 @@ class CandidateTrack:
 class CandidateTracker:
     """Maintains the candidate set across a guided query sequence."""
 
-    def __init__(self, config: ScoutConfig | None = None) -> None:
-        self.config = config or ScoutConfig()
+    def __init__(self) -> None:
         self.tracks: list[CandidateTrack] = []
         self.resets = 0
         self.last_traversal_work = 0
@@ -112,7 +115,7 @@ class CandidateTracker:
         (``None`` for the first query).  Returns the new tracks.
         """
         side = float(np.cbrt(max(region.volume, 1e-30)))
-        tolerance = self.config.match_distance_factor * side
+        tolerance = MATCH_DISTANCE_FACTOR * side
 
         components = graph.connected_components()
         traversal_work = 0
@@ -156,7 +159,7 @@ class CandidateTracker:
             else:
                 unmatched.append((track, object_ids))
 
-        if self.tracks and not new_tracks and self.config.reset_on_no_match:
+        if self.tracks and not new_tracks:
             # The user abandoned the structure: the candidate set again
             # contains all structures of the last range query result.
             self.resets += 1

@@ -1,10 +1,13 @@
 """SCOUT configuration knobs.
 
-Defaults follow the paper's described configuration: fine grid
-resolution (§4.2's "use a fine resolution and work with sparser
-approximate graph representation"), broad prefetching (§5.2.2's
-defensive default), k-means-limited prefetch locations, and a gap I/O
-budget of 10 % of the last query's pages (§7.4.6).
+The two settings a sweep varies: the grid resolution (Fig 13e; the
+default follows §4.2's "use a fine resolution and work with sparser
+approximate graph representation") and the deep-vs-broad strategy
+(§5.2; broad is the defensive default).  Everything else SCOUT reads
+is a constant of the module that reads it: the prefetch-location limit
+(``core/strategies.py``), the matching distance (``core/candidates.py``),
+the gap I/O budget (``core/scout_opt.py``) and the rng seed
+(``core/scout.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ SIM_SECONDS_PER_TRAVERSAL_UNIT = 2.0e-6
 
 @dataclass(frozen=True)
 class ScoutConfig:
-    """Tunable parameters of the SCOUT prefetcher."""
+    """The SCOUT parameters a sweep varies."""
 
     #: Total grid cells per query region for grid hashing (Fig 13e).
     grid_resolution: int = 4096
@@ -33,37 +36,8 @@ class ScoutConfig:
     #: ``"broad"`` (§5.2.2, default) or ``"deep"`` (§5.2.1).
     strategy: str = "broad"
 
-    #: Maximum prefetch locations ``d``; more exits are clustered with
-    #: k-means and one exit is picked per cluster (§5.2.2).
-    max_prefetch_locations: int = 4
-
-    #: Candidate matching distance, as a fraction of the query side:
-    #: a component continues a track when its entry crossing lies within
-    #: this distance of the track's extrapolated exit.
-    match_distance_factor: float = 0.6
-
-    #: On losing every candidate, re-seed with all structures of the
-    #: latest result (§4.3's reset behaviour).
-    reset_on_no_match: bool = True
-
-    #: Charge the simulated prediction cost against the prefetch window.
-    charge_prediction_cost: bool = True
-
-    #: Gap traversal I/O budget as a fraction of the last query's pages
-    #: (SCOUT-OPT only; §7.4.6 uses 10 %).
-    gap_io_budget_fraction: float = 0.10
-
-    #: Seed of the internal RNG (deep strategy picks, k-means seeding).
-    rng_seed: int = 0
-
     def __post_init__(self) -> None:
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
         if self.strategy not in ("broad", "deep"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_prefetch_locations < 1:
-            raise ValueError("max_prefetch_locations must be >= 1")
-        if self.match_distance_factor <= 0:
-            raise ValueError("match_distance_factor must be positive")
-        if not 0.0 <= self.gap_io_budget_fraction <= 1.0:
-            raise ValueError("gap_io_budget_fraction must be in [0, 1]")

@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["kmeans"]
 
+#: Lloyd iterations before giving up on convergence.
+MAX_ITERATIONS = 50
+
 
 def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ initial centers."""
@@ -38,7 +41,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iterations: int = 50,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster ``points`` into ``k`` groups.
 
@@ -57,7 +59,7 @@ def kmeans(
 
     centers = _kmeans_pp_seeds(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         distances = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
         new_labels = np.argmin(distances, axis=1)
         for cluster in range(k):

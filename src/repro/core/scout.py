@@ -33,6 +33,9 @@ from repro.graph.builder import build_graph
 
 __all__ = ["ScoutPrefetcher"]
 
+#: Seed of the internal RNG (deep strategy picks, k-means seeding).
+RNG_SEED = 0
+
 
 class ScoutPrefetcher(Prefetcher):
     """Structure-aware prefetching from past query *content*."""
@@ -42,16 +45,14 @@ class ScoutPrefetcher(Prefetcher):
     def __init__(self, dataset: Dataset, config: ScoutConfig | None = None) -> None:
         self.dataset = dataset
         self.config = config or ScoutConfig()
-        self.tracker = CandidateTracker(self.config)
-        self._rng = np.random.default_rng(self.config.rng_seed)
+        self.tracker = CandidateTracker()
+        self._rng = np.random.default_rng(RNG_SEED)
         self._centers: list[np.ndarray] = []
         self._last_side: float = 1.0
         self._last_prediction_cost = 0.0
         self._last_build_cost = 0.0
-        # Accounting the analysis section (§8) reports on:
+        # The last graph build, for the memory accounting of §8.2.
         self.last_build_report = None
-        self.total_build_wall_seconds = 0.0
-        self.total_build_work_units = 0
 
     # -- Prefetcher API -------------------------------------------------------
 
@@ -77,8 +78,6 @@ class ScoutPrefetcher(Prefetcher):
             resolution=self.config.grid_resolution,
         )
         self.last_build_report = report
-        self.total_build_wall_seconds += report.wall_seconds
-        self.total_build_work_units += report.work_units
 
         self.tracker.update(self.dataset, report.graph, region, movement)
 
@@ -93,8 +92,6 @@ class ScoutPrefetcher(Prefetcher):
         return plan_targets(self.tracker, self.config, self._rng, self._last_side, gap)
 
     def prediction_cost_seconds(self) -> float:
-        if not self.config.charge_prediction_cost:
-            return 0.0
         return self._last_prediction_cost
 
     def graph_build_cost_seconds(self) -> float:
@@ -115,6 +112,3 @@ class ScoutPrefetcher(Prefetcher):
     @property
     def n_candidates(self) -> int:
         return len(self.tracker.tracks)
-
-    def estimated_gap(self) -> float:
-        return estimate_gap(self._centers, self._last_side)

@@ -43,6 +43,10 @@ __all__ = ["ScoutOptPrefetcher"]
 
 _EPS = 1e-9
 
+#: Gap traversal I/O budget as a fraction of the last query's pages
+#: (§7.4.6 uses 10 %).
+GAP_IO_BUDGET_FRACTION = 0.10
+
 
 class ScoutOptPrefetcher(ScoutPrefetcher):
     """SCOUT plus sparse construction and gap traversal over FLAT."""
@@ -103,9 +107,7 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
     def _prepare_gap_traversal(self, observed: ObservedQuery, gap: float) -> None:
         """Walk each candidate exit through the gap, probing ahead."""
         pages_of_last_query = self.index.pages_for_region(observed.bounds)
-        budget_pages = max(
-            1, int(self.config.gap_io_budget_fraction * len(pages_of_last_query))
-        )
+        budget_pages = max(1, int(GAP_IO_BUDGET_FRACTION * len(pages_of_last_query)))
 
         used_pages: list[int] = []
         targets: list[PrefetchTarget] = []

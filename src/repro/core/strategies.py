@@ -27,6 +27,10 @@ from repro.graph.traversal import Crossing
 
 __all__ = ["plan_targets"]
 
+#: Maximum prefetch locations ``d`` of the broad strategy; more exits
+#: are clustered with k-means and one exit is picked per cluster (§5.2.2).
+MAX_PREFETCH_LOCATIONS = 4
+
 
 def _merge_close_targets(
     targets: list[PrefetchTarget], merge_distance: float
@@ -78,12 +82,12 @@ def plan_targets(
         return [_target_from_exit(chosen, gap, 1.0)]
 
     # Broad strategy: every exit gets an equal slice, clustered down to
-    # at most ``max_prefetch_locations`` locations.
-    if len(crossings) > config.max_prefetch_locations:
+    # at most ``MAX_PREFETCH_LOCATIONS`` locations.
+    if len(crossings) > MAX_PREFETCH_LOCATIONS:
         points = np.array([c.point for c in crossings])
-        _, labels = kmeans(points, config.max_prefetch_locations, rng)
+        _, labels = kmeans(points, MAX_PREFETCH_LOCATIONS, rng)
         selected: list[Crossing] = []
-        for cluster in range(config.max_prefetch_locations):
+        for cluster in range(MAX_PREFETCH_LOCATIONS):
             members = [c for c, label in zip(crossings, labels) if label == cluster]
             if members:
                 selected.append(members[int(rng.integers(len(members)))])

@@ -92,20 +92,16 @@ def _face_adjacency(
     return pairs
 
 
-def make_lung_airways(
-    seed: int = 0,
-    config: BranchingConfig = LUNG_CONFIG,
-    max_depth: int | None = None,
-) -> Dataset:
+def make_lung_airways(seed: int = 0, max_depth: int | None = None) -> Dataset:
     """Generate a bifurcating airway surface mesh with explicit adjacency.
 
     Each object is a triangle face; its representative segment is its
     longest edge (used only for spatial extent and exit directions --
     the proximity graph comes from the explicit adjacency).
-    ``max_depth`` overrides the config's bifurcation depth -- a scalar
-    knob, so declarative sweep specs can size the mesh without carrying
-    a :class:`BranchingConfig`.
+    ``max_depth`` overrides :data:`LUNG_CONFIG`'s bifurcation depth -- a
+    scalar knob, so declarative sweep specs can size the mesh.
     """
+    config = LUNG_CONFIG
     if max_depth is not None:
         config = replace(config, max_depth=int(max_depth))
     rng = np.random.default_rng(seed)

@@ -51,28 +51,27 @@ def make_neuron_tissue(
     n_neurons: int = 60,
     seed: int = 0,
     extent: float | None = None,
-    config: BranchingConfig = NEURON_CONFIG,
-    target_density: float = NEURON_TISSUE_DENSITY,
 ) -> Dataset:
     """Generate a tissue box of ``n_neurons`` synthetic neurons.
 
     Somata are placed uniformly in a cube; each neuron is an independent
-    branching tree contributing ~800 cylinders with the default config.
+    branching tree contributing ~800 cylinders (:data:`NEURON_CONFIG`).
     When ``extent`` is ``None`` the soma box is sized so the resulting
-    tissue has approximately ``target_density`` objects per µm³, making
-    the paper's absolute query volumes (e.g. 80,000 µm³) directly
-    meaningful.  Pass an explicit ``extent`` to vary density at fixed
-    volume instead (the Fig 13b sweep).
+    tissue has approximately :data:`NEURON_TISSUE_DENSITY` objects per
+    µm³, making the paper's absolute query volumes (e.g. 80,000 µm³)
+    directly meaningful.  Pass an explicit ``extent`` to vary density at
+    fixed volume instead (the Fig 13b sweep).
     """
     if n_neurons < 1:
         raise ValueError("n_neurons must be >= 1")
     rng = np.random.default_rng(seed)
 
+    config = NEURON_CONFIG
     if extent is None:
         expected_branches = config.n_stems * (2 ** (config.max_depth + 1) - 1)
         expected_steps = sum(config.steps_per_branch) / 2.0
         expected_objects = n_neurons * expected_branches * expected_steps
-        extent = (expected_objects / target_density) ** (1.0 / 3.0)
+        extent = (expected_objects / NEURON_TISSUE_DENSITY) ** (1.0 / 3.0)
 
     def place_soma(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         soma = rng.uniform(0.0, extent, size=3)

@@ -15,37 +15,41 @@ from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 
 __all__ = ["make_road_network"]
 
+#: Lattice spacing between intersections.
+ROAD_SPACING = 30.0
 
-def make_road_network(
-    grid_size: int = 18,
-    spacing: float = 30.0,
-    seed: int = 0,
-    drop_probability: float = 0.12,
-    n_highways: int = 3,
-    segments_per_road: int = 3,
-) -> Dataset:
+#: Fraction of lattice roads dropped.
+DROP_PROBABILITY = 0.12
+
+#: Diagonal highways crossing the map.
+N_HIGHWAYS = 3
+
+#: Segments per road between two lattice nodes.
+SEGMENTS_PER_ROAD = 3
+
+
+def make_road_network(grid_size: int = 18, seed: int = 0) -> Dataset:
     """Generate a planar road network.
 
     Nodes form a jittered ``grid_size x grid_size`` lattice; lattice
     neighbors are connected by gently-curved roads of
-    ``segments_per_road`` segments each, with a fraction of roads
-    dropped; ``n_highways`` diagonal highways cross the map.  Each road
-    (and each highway leg between lattice crossings) is one structure.
+    :data:`SEGMENTS_PER_ROAD` segments each, with a fraction of roads
+    dropped; :data:`N_HIGHWAYS` diagonal highways cross the map.  Each
+    road (and each highway leg between lattice crossings) is one
+    structure.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if not 0.0 <= drop_probability < 1.0:
-        raise ValueError("drop_probability must be in [0, 1)")
     rng = np.random.default_rng(seed)
 
     # Jittered lattice of intersections.
-    jitter = spacing * 0.18
+    jitter = ROAD_SPACING * 0.18
     nodes = np.zeros((grid_size * grid_size, 3))
     for i in range(grid_size):
         for j in range(grid_size):
             nodes[i * grid_size + j] = (
-                i * spacing + rng.uniform(-jitter, jitter),
-                j * spacing + rng.uniform(-jitter, jitter),
+                i * ROAD_SPACING + rng.uniform(-jitter, jitter),
+                j * ROAD_SPACING + rng.uniform(-jitter, jitter),
                 0.0,
             )
 
@@ -57,8 +61,8 @@ def make_road_network(
         """A gently-curved polyline road between two lattice nodes."""
         a, b = nodes[u], nodes[v]
         waypoints = [a]
-        for k in range(1, segments_per_road):
-            t = k / segments_per_road
+        for k in range(1, SEGMENTS_PER_ROAD):
+            t = k / SEGMENTS_PER_ROAD
             midpoint = a + t * (b - a)
             lateral = rng.uniform(-jitter, jitter, size=2)
             waypoints.append(midpoint + np.array([lateral[0], lateral[1], 0.0]))
@@ -75,15 +79,15 @@ def make_road_network(
     for i in range(grid_size):
         for j in range(grid_size):
             here = i * grid_size + j
-            if i + 1 < grid_size and rng.random() >= drop_probability:
+            if i + 1 < grid_size and rng.random() >= DROP_PROBABILITY:
                 add_road(here, (i + 1) * grid_size + j, road_id)
                 road_id += 1
-            if j + 1 < grid_size and rng.random() >= drop_probability:
+            if j + 1 < grid_size and rng.random() >= DROP_PROBABILITY:
                 add_road(here, i * grid_size + (j + 1), road_id)
                 road_id += 1
 
     # Highways: diagonal chains of lattice nodes, connected leg by leg.
-    for _ in range(n_highways):
+    for _ in range(N_HIGHWAYS):
         i = int(rng.integers(grid_size))
         j = int(rng.integers(grid_size))
         direction = (1, 1) if rng.random() < 0.5 else (1, -1)

@@ -18,6 +18,9 @@ from repro.datagen.dataset import Dataset, NavigationGraph
 
 __all__ = ["make_arterial_tree", "ARTERIAL_CONFIG"]
 
+#: Side (µm) of the box the tree's root sits at the center of.
+ARTERIAL_EXTENT = 400.0
+
 #: Smooth, gently-curving branches: one main stem, deep bifurcation
 #: cascade, tiny per-step jitter.
 ARTERIAL_CONFIG = BranchingConfig(
@@ -32,32 +35,23 @@ ARTERIAL_CONFIG = BranchingConfig(
 )
 
 
-def make_arterial_tree(
-    seed: int = 0,
-    config: BranchingConfig = ARTERIAL_CONFIG,
-    n_trees: int = 1,
-    extent: float = 400.0,
-    max_depth: int | None = None,
-) -> Dataset:
-    """Generate one (or a few) smooth arterial trees.
+def make_arterial_tree(seed: int = 0, max_depth: int | None = None) -> Dataset:
+    """Generate one smooth arterial tree.
 
-    Each tree is one ground-truth *structure*; the branches within it are
-    the candidate guiding structures SCOUT must disambiguate.
-    ``max_depth`` overrides the config's bifurcation depth -- a scalar
-    knob, so declarative sweep specs can size the tree without carrying
-    a :class:`BranchingConfig`.
+    The tree is the one ground-truth *structure*; its branches are the
+    candidate guiding structures SCOUT must disambiguate.  ``max_depth``
+    overrides :data:`ARTERIAL_CONFIG`'s bifurcation depth -- a scalar
+    knob, so declarative sweep specs can size the tree.
     """
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    config = ARTERIAL_CONFIG
     if max_depth is not None:
         config = replace(config, max_depth=int(max_depth))
     rng = np.random.default_rng(seed)
 
     def place_root(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        root = rng.uniform(0.0, extent, size=3) if n_trees > 1 else np.full(3, extent / 2.0)
-        return root, rng.normal(size=3)
+        return np.full(3, ARTERIAL_EXTENT / 2.0), rng.normal(size=3)
 
-    trees, tree_of_object = grow_forest(rng, n_trees, place_root, config)
+    trees, tree_of_object = grow_forest(rng, 1, place_root, config)
     return Dataset(
         name="arterial-tree",
         p0=trees.p0,

@@ -134,11 +134,6 @@ class AABB:
         """The closest point of the box to ``point``."""
         return np.clip(_as_point(point), self.lo, self.hi)
 
-    def distance_to_point(self, point) -> float:
-        """Euclidean distance from the box to a point (0 when inside)."""
-        delta = _as_point(point) - self.clamp_point(point)
-        return float(np.linalg.norm(delta))
-
     def corners(self) -> np.ndarray:
         """All 8 corner points as an ``(8, 3)`` array."""
         xs, ys, zs = zip(self.lo, self.hi)

@@ -23,6 +23,9 @@ __all__ = ["Frustum"]
 
 _EPS = 1e-12
 
+#: Near/far side-length ratio of :meth:`Frustum.from_volume` frusta.
+TAPER = 0.5
+
 
 def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A right-handed basis whose third vector is ``axis`` (normalized)."""
@@ -71,28 +74,26 @@ class Frustum:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_volume(cls, center, direction, volume: float, taper: float = 0.5) -> "Frustum":
+    def from_volume(cls, center, direction, volume: float) -> "Frustum":
         """A frustum of the requested volume centered on ``center``.
 
-        ``taper`` is the ratio near/far side length.  The frustum depth
-        equals its far side length, which keeps the shape cube-like and
-        comparable to the paper's cube queries of the same volume.  The
-        exact frustum volume is ``depth/3 * (A_near + A_far +
+        :data:`TAPER` is the ratio near/far side length.  The frustum
+        depth equals its far side length, which keeps the shape cube-like
+        and comparable to the paper's cube queries of the same volume.
+        The exact frustum volume is ``depth/3 * (A_near + A_far +
         sqrt(A_near*A_far))`` and we solve for the far side.
         """
-        if not 0.0 < taper <= 1.0:
-            raise ValueError(f"taper must be in (0, 1], got {taper}")
         if volume <= 0:
             raise ValueError("frustum volume must be positive")
         # With s = far side, near side = taper*s, depth = s:
         # V = s/3 * (s^2*taper^2 + s^2 + s^2*taper) = s^3/3 * (1 + taper + taper^2)
-        shape_factor = (1.0 + taper + taper * taper) / 3.0
+        shape_factor = (1.0 + TAPER + TAPER * TAPER) / 3.0
         far_side = (float(volume) / shape_factor) ** (1.0 / 3.0)
         depth = far_side
         center = np.asarray(center, dtype=np.float64)
         _, _, w = _orthonormal_basis(direction)
         near_center = center - w * (depth / 2.0)
-        return cls(near_center, w, depth, taper * far_side / 2.0, far_side / 2.0)
+        return cls(near_center, w, depth, TAPER * far_side / 2.0, far_side / 2.0)
 
     # -- measures ---------------------------------------------------------
 

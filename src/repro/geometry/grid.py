@@ -2,10 +2,9 @@
 
 A :class:`UniformGrid` partitions an AABB into ``nx * ny * nz``
 equi-volume cells.  It converts between points, integer cell coordinates
-and flat cell ids, rasterizes segments into the cells they cross (3D
-DDA), and enumerates cell neighborhoods -- the workhorses behind the
-paper's grid-hashing graph construction (§4.2), the Layered baseline and
-the Hilbert-Prefetch baseline.
+and flat cell ids and rasterizes segments into the cells they cross (3D
+DDA) -- the workhorses behind the paper's grid-hashing graph
+construction (§4.2) and the Hilbert-Prefetch baseline.
 """
 
 from __future__ import annotations
@@ -96,9 +95,6 @@ class UniformGrid:
         lo = self.bounds.lo + np.asarray(coords, dtype=np.float64) * ext
         return AABB(lo, lo + ext)
 
-    def cell_center(self, coords) -> np.ndarray:
-        return self.cell_bounds(coords).center
-
     # -- rasterization ------------------------------------------------------
 
     def cells_of_segment(self, a, b) -> list[tuple[int, int, int]]:
@@ -160,20 +156,3 @@ class UniformGrid:
         if end not in cells:
             cells.append(end)
         return cells
-
-    def neighbors(self, coords, include_diagonal: bool = True) -> list[tuple[int, int, int]]:
-        """Adjacent cells (26-connected by default, 6-connected otherwise)."""
-        cx, cy, cz = coords
-        nx, ny, nz = self.shape
-        result = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    if not include_diagonal and abs(dx) + abs(dy) + abs(dz) > 1:
-                        continue
-                    nxt = (cx + dx, cy + dy, cz + dz)
-                    if 0 <= nxt[0] < nx and 0 <= nxt[1] < ny and 0 <= nxt[2] < nz:
-                        result.append(nxt)
-        return result

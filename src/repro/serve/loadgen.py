@@ -31,6 +31,13 @@ from repro.serve.protocol import read_frame, write_frame
 
 __all__ = ["bursty_arrivals", "poisson_arrivals", "run_loadgen"]
 
+#: Mean lengths (s) of the bursty process's ON (storm) and OFF phases.
+ON_MEAN_S = 0.2
+OFF_MEAN_S = 0.6
+
+#: How long (s) to keep retrying a connection while the daemon boots.
+CONNECT_TIMEOUT_S = 10.0
+
 
 def poisson_arrivals(
     rate: float,
@@ -65,8 +72,6 @@ def bursty_arrivals(
     duration: float | None = None,
     seed: int = 0,
     burst: float = 8.0,
-    on_mean_s: float = 0.2,
-    off_mean_s: float = 0.6,
 ) -> np.ndarray:
     """On/off Markov-modulated Poisson arrivals.
 
@@ -77,15 +82,13 @@ def bursty_arrivals(
     _check_schedule_args(rate, n_requests, duration)
     if burst < 1.0:
         raise ValueError(f"burst factor must be >= 1, got {burst}")
-    if on_mean_s <= 0 or off_mean_s <= 0:
-        raise ValueError("phase means must be positive")
     rng = np.random.default_rng([seed, 0xB5257])
     arrivals: list[float] = []
     t = 0.0
     on = False
     while True:
         phase_rate = rate * burst if on else rate
-        phase_end = t + rng.exponential(on_mean_s if on else off_mean_s)
+        phase_end = t + rng.exponential(ON_MEAN_S if on else OFF_MEAN_S)
         next_arrival = t + rng.exponential(1.0 / phase_rate)
         while next_arrival < phase_end:
             if duration is not None and next_arrival > duration:
@@ -114,9 +117,9 @@ def _check_schedule_args(rate: float, n_requests: int | None, duration: float | 
 ARRIVAL_PROCESSES = {"poisson": poisson_arrivals, "bursty": bursty_arrivals}
 
 
-async def _connect_with_retry(host: str, port: int, timeout: float):
+async def _connect_with_retry(host: str, port: int):
     """Open a connection, retrying while the daemon is still booting."""
-    deadline = time.perf_counter() + timeout
+    deadline = time.perf_counter() + CONNECT_TIMEOUT_S
     while True:
         try:
             return await asyncio.open_connection(host, port)
@@ -183,7 +186,6 @@ async def run_loadgen(
     seed: int = 0,
     burst: float = 8.0,
     shutdown: bool = False,
-    connect_timeout: float = 10.0,
 ) -> dict:
     """Drive a seeded open-loop load against a running daemon.
 
@@ -208,7 +210,7 @@ async def run_loadgen(
     streams = []
     try:
         for _ in range(connections):
-            streams.append(await _connect_with_retry(host, port, connect_timeout))
+            streams.append(await _connect_with_retry(host, port))
         client_ids = []
         for reader, writer in streams:
             await write_frame(writer, {"op": "hello"})

@@ -313,12 +313,11 @@ class SimulationEngine:
     def _execute_plan(
         self,
         targets: list[PrefetchTarget],
-        query,
+        streams: list[_SharedProbeStream],
         cache: PrefetchCache,
         disk: DiskModel,
         budget: float,
         owner: int | None = None,
-        streams: list[_SharedProbeStream] | None = None,
     ) -> tuple[int, float]:
         """Spend the window on the plan; returns (pages read, seconds).
 
@@ -342,14 +341,12 @@ class SimulationEngine:
         the window is overshot by at most one page read.
 
         ``streams`` is one (possibly shared) :class:`_SharedProbeStream`
-        per target, consumed through a private cursor; a caller with no
-        streams of its own gets fresh ones.
+        per target (:meth:`_probe_streams`), consumed through a private
+        cursor.
         """
         if not targets:
             return 0, 0.0
         page_table = self.index.page_table
-        if streams is None:
-            streams = self._probe_streams(targets, query)
         states = [
             {"share": t.share, "probes": stream.view(), "done": False}
             for t, stream in zip(targets, streams)
@@ -580,7 +577,7 @@ class QuerySession:
         if self.done:
             return None
         work = _QueryBundle(cursor=self._cursor)
-        self.step_query(None, work)
+        self.step_query(work)
         return work
 
     def step_query_replay(self, work: "_QueryBundle") -> QueryRecord | None:
@@ -594,13 +591,11 @@ class QuerySession:
         consulted again.  Cache touches, disk reads and budget spending
         all still happen here, per-client, in scheduler order.
         """
-        return self.step_query(None, work)
+        return self.step_query(work)
 
-    def step_query(self, result=None, work: "_QueryBundle | None" = None) -> QueryRecord | None:
+    def step_query(self, work: "_QueryBundle | None" = None) -> QueryRecord | None:
         """Advance one whole query; its record, or ``None`` when done.
 
-        ``result`` is the query's index result when the caller already
-        resolved it (element-wise identical to the per-query call).
         ``work`` is the query's pure-work record when the lockstep tick
         filled one ahead or a plan-sharing group shares one: the step
         reads what is filled and computes the rest through the same
@@ -616,11 +611,10 @@ class QuerySession:
         engine, cache, disk = self.engine, self.cache, self.disk
         mine = self.client_metrics
         page_table = engine.index.page_table
-        query = self.sequence.queries[self._cursor]
 
         # -- serve ------------------------------------------------------------------
         if work.result is None:
-            self._fill_served(work, result)
+            self._fill_served(work)
         result, pages = work.result, work.pages
 
         # Pages in the prefetch cache are hits; the rest is residual
@@ -723,7 +717,7 @@ class QuerySession:
                     if work.streams is None:
                         self._fill_plan(work)
                     plan_pages, plan_seconds = engine._execute_plan(
-                        work.targets, query, cache, disk, budget, self.client_id, work.streams
+                        work.targets, work.streams, cache, disk, budget, self.client_id
                     )
                     prefetch_pages += plan_pages
                     prefetch_seconds += plan_seconds

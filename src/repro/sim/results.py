@@ -476,7 +476,6 @@ class ShardedResultStore(ResultStore):
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if not 0 <= shard_index < n_shards:
             raise ValueError(f"shard index must be in [0, {n_shards}), got {shard_index}")
-        self.base_path = Path(path)
         self.shard_index = int(shard_index)
         self.n_shards = int(n_shards)
         super().__init__(shard_store_path(path, shard_index, n_shards))

@@ -57,7 +57,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from repro.baselines import (
     EWMAPrefetcher,
     HilbertPrefetcher,
-    LayeredPrefetcher,
     NoPrefetcher,
     OraclePrefetcher,
     PolynomialPrefetcher,
@@ -129,7 +128,6 @@ _PREFETCHER_BUILDERS: dict[str, Callable[..., Any]] = {
     "velocity": lambda ds, ix, p: VelocityPrefetcher(**p),
     "polynomial": lambda ds, ix, p: PolynomialPrefetcher(**p),
     "hilbert": lambda ds, ix, p: HilbertPrefetcher(ds, **p),
-    "layered": lambda ds, ix, p: LayeredPrefetcher(ds, **p),
     "none": lambda ds, ix, p: NoPrefetcher(),
     "oracle": lambda ds, ix, p: OraclePrefetcher(),
     # Fault-injection kinds (``_sleep`` / ``_fail`` / ``_exit``) for the

@@ -254,7 +254,7 @@ class ServingSimulator:
 
             for i in active:
                 if leader_of[i] == i:
-                    sessions[i].step_query(None, bundles[i])
+                    sessions[i].step_query(bundles[i])
                 else:
                     sessions[i].step_query_replay(bundles[leader_of[i]])
             tick += 1

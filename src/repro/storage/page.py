@@ -125,10 +125,6 @@ class PageTable:
             raise KeyError(f"object {object_id} is not assigned to any page")
         return page
 
-    def pages_of_objects(self, object_ids: Iterable[int] | np.ndarray) -> np.ndarray:
-        """Distinct page ids covering the given objects (sorted)."""
-        return np.unique(self.page_ids_of_objects(object_ids))
-
     def page_ids_of_objects(self, object_ids: Iterable[int] | np.ndarray) -> np.ndarray:
         """Per-object page id array (same order and length as the input)."""
         object_ids = np.asarray(

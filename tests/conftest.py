@@ -32,20 +32,7 @@ def arterial():
 
 @pytest.fixture(scope="session")
 def lung():
-    from repro.datagen.branching import BranchingConfig
-    from repro.datagen.lung import LUNG_CONFIG
-
-    small = BranchingConfig(
-        n_stems=1,
-        max_depth=3,
-        steps_per_branch=LUNG_CONFIG.steps_per_branch,
-        step_length=LUNG_CONFIG.step_length,
-        direction_jitter=LUNG_CONFIG.direction_jitter,
-        bifurcation_angle=LUNG_CONFIG.bifurcation_angle,
-        radius_root=LUNG_CONFIG.radius_root,
-        radius_decay=LUNG_CONFIG.radius_decay,
-    )
-    return make_lung_airways(seed=5, config=small)
+    return make_lung_airways(seed=5, max_depth=3)
 
 
 @pytest.fixture(scope="session")

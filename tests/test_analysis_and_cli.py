@@ -25,13 +25,6 @@ class TestResultTable:
         with pytest.raises(ValueError):
             table.add_row("bad", [1.0])
 
-    def test_cell_lookup(self):
-        table = ResultTable("demo", ["x"])
-        table.add_row("r", [3.25])
-        assert table.cell("r", "x") == 3.25
-        with pytest.raises(KeyError):
-            table.cell("missing", "x")
-
     def test_format_row_handles_none_and_strings(self):
         row = format_row("label", [None, "n/a", 1.5])
         assert "n/a" in row and "1.5" in row

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import (
     EWMAPrefetcher,
     HilbertPrefetcher,
-    LayeredPrefetcher,
     NoPrefetcher,
     ObservedQuery,
     OraclePrefetcher,
@@ -14,6 +13,7 @@ from repro.baselines import (
     StraightLinePrefetcher,
     VelocityPrefetcher,
 )
+from repro.baselines.hilbert_prefetch import N_PREFETCH_CELLS
 from repro.geometry import AABB
 
 
@@ -76,14 +76,14 @@ class TestPolynomial:
 
 class TestVelocity:
     def test_averages_recent_velocity(self):
-        p = VelocityPrefetcher(window=2)
-        observe_path(p, [[0, 0, 0], [2, 0, 0], [6, 0, 0]])
-        # velocities 2 and 4 -> mean 3; prediction 6 + 3 = 9.
-        assert np.allclose(predicted_center(p), [9, 0, 0])
+        p = VelocityPrefetcher()
+        observe_path(p, [[0, 0, 0], [1, 0, 0], [3, 0, 0], [6, 0, 0], [10, 0, 0]])
+        # The window holds the last three velocities, 2, 3 and 4 -> mean 3;
+        # prediction 10 + 3 = 13.
+        assert np.allclose(predicted_center(p), [13, 0, 0])
 
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            VelocityPrefetcher(window=0)
+    def test_name_includes_window(self):
+        assert VelocityPrefetcher().name == "velocity-3"
 
 
 class TestEWMA:
@@ -125,11 +125,11 @@ class TestEWMA:
 
 class TestHilbert:
     def test_plans_cells_near_current(self, tissue):
-        p = HilbertPrefetcher(tissue, cells_per_axis=8, n_prefetch_cells=6)
+        p = HilbertPrefetcher(tissue)
         observe_path(p, [tissue.bounds.center])
         (target,) = p.plan()
         assert target.regions is not None
-        assert 1 <= len(target.regions) <= 6
+        assert 1 <= len(target.regions) <= N_PREFETCH_CELLS
         for region in target.regions:
             assert tissue.bounds.inflate(1.0).intersects(region)
 
@@ -139,41 +139,12 @@ class TestHilbert:
         assert p.plan() == []
 
     def test_2d_dataset_uses_2d_curve(self, roads):
-        p = HilbertPrefetcher(roads, cells_per_axis=8)
+        p = HilbertPrefetcher(roads)
         observe_path(p, [roads.bounds.center])
         (target,) = p.plan()
         # All prefetched cells span the full z-extent (one z layer).
         for region in target.regions:
             assert region.extent[2] >= roads.bounds.extent[2] * 0.99
-
-    def test_rejects_bad_parameters(self, tissue):
-        with pytest.raises(ValueError):
-            HilbertPrefetcher(tissue, cells_per_axis=1)
-        with pytest.raises(ValueError):
-            HilbertPrefetcher(tissue, n_prefetch_cells=0)
-
-
-class TestLayered:
-    def test_prefetches_surrounding_cells(self, tissue):
-        p = LayeredPrefetcher(tissue, cells_per_axis=8)
-        observe_path(p, [tissue.bounds.center])
-        (target,) = p.plan()
-        assert target.regions is not None
-        assert len(target.regions) == 26  # interior cell in 3D
-
-    def test_corner_cell_has_fewer_neighbors(self, tissue):
-        p = LayeredPrefetcher(tissue, cells_per_axis=8)
-        observe_path(p, [tissue.bounds.lo + 1e-6])
-        (target,) = p.plan()
-        assert len(target.regions) == 7
-
-    def test_nearest_cells_first(self, tissue):
-        p = LayeredPrefetcher(tissue, cells_per_axis=8)
-        center = tissue.bounds.center
-        observe_path(p, [center])
-        (target,) = p.plan()
-        distances = [np.linalg.norm(r.center - center) for r in target.regions]
-        assert distances == sorted(distances)
 
 
 class TestTrivial:

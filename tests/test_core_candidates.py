@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CandidateTracker, ScoutConfig
+from repro.core import CandidateTracker
 from repro.core.exits import estimate_gap, split_entries_exits
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
@@ -184,7 +184,7 @@ class TestPruning:
         """With a gap (no shared objects) matching works via extrapolation."""
         chain = line_chain(5.0, -4, 60)
         ds = multi_chain_dataset([chain])
-        tracker = CandidateTracker(ScoutConfig(match_distance_factor=0.6))
+        tracker = CandidateTracker()
         region1 = self.region(0.0)
         in1 = np.flatnonzero(
             np.all((ds.obj_lo <= region1.hi) & (ds.obj_hi >= region1.lo), axis=1)

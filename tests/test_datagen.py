@@ -158,10 +158,6 @@ class TestRoads:
         with pytest.raises(ValueError):
             make_road_network(grid_size=1)
 
-    def test_rejects_bad_drop_probability(self):
-        with pytest.raises(ValueError):
-            make_road_network(drop_probability=1.0)
-
 
 #: The Fig-17 cross-domain generators at unit-test size, by name.
 #: (The neuron tissue already has its own determinism tests above.)

@@ -253,6 +253,10 @@ class TestCarryRedistribution:
     def budget_for(self, n_pages=10):
         return n_pages * ONE_PAGE_S
 
+    def execute(self, engine, targets, query, cache, disk, budget):
+        streams = engine._probe_streams(targets, query)
+        return engine._execute_plan(targets, streams, cache, disk, budget)
+
     def test_live_target_inherits_dead_targets_share(
         self, engine, tissue, tissue_flat, rng
     ):
@@ -261,11 +265,11 @@ class TestCarryRedistribution:
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
         live = self.live_target(query, share=0.5)
         dead = self.dead_target(tissue, share=0.5)
-        _, seconds_mixed = engine._execute_plan([live, dead], query, cache, disk, budget)
+        _, seconds_mixed = self.execute(engine, [live, dead], query, cache, disk, budget)
 
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
-        _, seconds_alone = engine._execute_plan(
-            [self.live_target(query)], query, cache, disk, budget
+        _, seconds_alone = self.execute(
+            engine, [self.live_target(query)], query, cache, disk, budget
         )
 
         # The live target alone can consume (almost) the whole window...
@@ -284,11 +288,11 @@ class TestCarryRedistribution:
             self.live_target(query, share=0.7),
             PrefetchTarget(anchor=query.center, direction=np.zeros(3), share=0.3),
         ]
-        _, seconds = engine._execute_plan(targets, query, cache, disk, budget)
+        _, seconds = self.execute(engine, targets, query, cache, disk, budget)
         assert seconds <= budget + ONE_PAGE_S + 1e-9
 
     def test_all_dead_targets_spend_nothing(self, engine, tissue, tissue_flat, rng):
         query, cache, disk = self.make_context(engine, tissue, tissue_flat, rng)
         targets = [self.dead_target(tissue, share=0.5), self.dead_target(tissue, share=0.5)]
-        pages, seconds = engine._execute_plan(targets, query, cache, disk, self.budget_for())
+        pages, seconds = self.execute(engine, targets, query, cache, disk, self.budget_for())
         assert pages == 0 and seconds == 0.0

@@ -104,11 +104,6 @@ class TestCombinators:
         assert np.allclose(box.lo, box.hi)
         assert np.allclose(box.lo, 0.5)
 
-    def test_distance_to_point(self):
-        box = AABB([0, 0, 0], [1, 1, 1])
-        assert box.distance_to_point([0.5, 0.5, 0.5]) == 0.0
-        assert box.distance_to_point([2.0, 0.5, 0.5]) == pytest.approx(1.0)
-
     def test_corners_count_and_membership(self):
         box = AABB([0, 0, 0], [1, 2, 3])
         corners = box.corners()

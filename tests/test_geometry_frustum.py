@@ -33,10 +33,6 @@ class TestFromVolume:
         f = Frustum.from_volume([5, 6, 7], [0, 1, 0], 1000.0)
         assert np.allclose(f.center, [5, 6, 7])
 
-    def test_rejects_bad_taper(self):
-        with pytest.raises(ValueError):
-            Frustum.from_volume([0, 0, 0], [1, 0, 0], 100.0, taper=0.0)
-
     def test_rejects_bad_volume(self):
         with pytest.raises(ValueError):
             Frustum.from_volume([0, 0, 0], [1, 0, 0], -5.0)

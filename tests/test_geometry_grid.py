@@ -91,17 +91,3 @@ class TestSegmentRasterization:
                 box = GRID.cell_bounds(cell).inflate(1e-6)
                 clipped = clip_segment_to_aabb(a, b, box.inflate(2.1))
                 assert clipped is not None
-
-
-class TestNeighbors:
-    def test_interior_has_26(self):
-        assert len(GRID.neighbors((2, 2, 2))) == 26
-
-    def test_corner_has_7(self):
-        assert len(GRID.neighbors((0, 0, 0))) == 7
-
-    def test_face_connectivity(self):
-        assert len(GRID.neighbors((2, 2, 2), include_diagonal=False)) == 6
-
-    def test_neighbors_exclude_self(self):
-        assert (2, 2, 2) not in GRID.neighbors((2, 2, 2))

@@ -1,4 +1,5 @@
-"""Package layout: one timing harness, and oracles that nothing calls.
+"""Package layout: one timing harness, oracles that nothing calls, and
+no setting that only tests set.
 
 ``benchmarks/e2e`` is the only code that times this package; the
 ``repro.perf`` harness and the pytest-benchmark fixture are retired and
@@ -6,15 +7,31 @@ must not come back through an import.  The scalar reference
 implementations exist so tests can compare the vectorized paths against
 them -- production code never reaches for one.  ``ArrayCache`` is the
 same kind of thing for the dict cache every driver builds: the second
-implementation the differential suites compare it with.
+implementation the differential suites compare it with.  A keyword that
+no sweep, CLI flag, example, benchmark or daemon path passes is a
+constant of the module that reads it (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.baselines import HilbertPrefetcher, VelocityPrefetcher
+from repro.core import CandidateTracker, ScoutConfig, kmeans
+from repro.datagen import (
+    make_arterial_tree,
+    make_lung_airways,
+    make_neuron_tissue,
+    make_road_network,
+)
+from repro.geometry import Frustum
+from repro.serve.loadgen import bursty_arrivals, run_loadgen
+from repro.sim.engine import QuerySession
 
 RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
 _SCALAR_HOMES = {"index/scalar_ref.py", "index/__init__.py", "graph/traversal.py"}
@@ -60,3 +77,41 @@ def test_package_imports_no_retired_harness_and_names_no_oracle():
     assert not retired, retired
     assert "index/__init__.py" in naming_oracles  # the walk does see names
     assert not strays, strays
+
+
+#: Keywords only tests ever passed, by the callable that took them.
+REMOVED_KEYWORDS = {
+    ScoutConfig: (
+        "max_prefetch_locations",
+        "match_distance_factor",
+        "reset_on_no_match",
+        "charge_prediction_cost",
+        "gap_io_budget_fraction",
+        "rng_seed",
+    ),
+    CandidateTracker: ("config",),
+    make_neuron_tissue: ("config", "target_density"),
+    make_arterial_tree: ("config", "n_trees", "extent"),
+    make_lung_airways: ("config",),
+    make_road_network: ("spacing", "drop_probability", "n_highways", "segments_per_road"),
+    HilbertPrefetcher: ("cells_per_axis", "n_prefetch_cells"),
+    VelocityPrefetcher: ("window",),
+    kmeans: ("max_iterations",),
+    Frustum.from_volume: ("taper",),
+    bursty_arrivals: ("on_mean_s", "off_mean_s"),
+    run_loadgen: ("connect_timeout",),
+    QuerySession.step_query: ("result",),
+}
+
+
+@pytest.mark.parametrize(
+    "target, keyword",
+    [
+        pytest.param(target, keyword, id=f"{target.__qualname__}-{keyword}")
+        for target, keywords in REMOVED_KEYWORDS.items()
+        for keyword in keywords
+    ],
+)
+def test_setting_only_tests_set_is_gone(target, keyword):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        inspect.signature(target).bind_partial(**{keyword: None})

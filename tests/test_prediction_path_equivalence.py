@@ -10,11 +10,10 @@ draws of the planner (DESIGN.md §11).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CandidateTracker, ScoutConfig
-from repro.core.candidates import CandidateTrack
+from repro.core import CandidateTracker
+from repro.core.candidates import MATCH_DISTANCE_FACTOR, CandidateTrack
 from repro.core.exits import split_entries_exits, split_entries_exits_grouped
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
@@ -142,7 +141,7 @@ class EagerTracker(CandidateTracker):
 
     def update(self, dataset, graph, region, movement):
         side = float(np.cbrt(max(region.volume, 1e-30)))
-        tolerance = self.config.match_distance_factor * side
+        tolerance = MATCH_DISTANCE_FACTOR * side
         components = graph.connected_components()
         traversal_work = 0
         component_ids = [np.fromiter(c, dtype=np.int64) for c in components]
@@ -176,7 +175,7 @@ class EagerTracker(CandidateTracker):
             else:
                 unmatched.append(track)
 
-        if self.tracks and not new_tracks and self.config.reset_on_no_match:
+        if self.tracks and not new_tracks:
             self.resets += 1
             new_tracks = [t for t in unmatched if t.has_exits]
             traversal_work += sum(len(t.objects) for t in new_tracks)
@@ -202,9 +201,9 @@ def track_bits(track):
     )
 
 
-def assert_trackers_agree(dataset, index, queries, config=None):
+def assert_trackers_agree(dataset, index, queries):
     """Feed both trackers the same walk; tracks must match after every update."""
-    deferred, eager = CandidateTracker(config), EagerTracker(config)
+    deferred, eager = CandidateTracker(), EagerTracker()
     previous = None
     for query in queries:
         ids = index.query(query.bounds).object_ids
@@ -236,18 +235,15 @@ class TestDeferredRefinement:
         tracker = assert_trackers_agree(tissue, tissue_flat, sequence.queries)
         assert tracker.tracks and all(t.has_exits for t in tracker.tracks)
 
-    @pytest.mark.parametrize("reset_on_no_match", [True, False])
-    def test_walk_that_abandons_its_structure(self, tissue, tissue_flat, reset_on_no_match):
+    def test_walk_that_abandons_its_structure(self, tissue, tissue_flat):
         # Two unrelated walks back to back: at the seam no structure of
         # the second walk continues one of the first.
         rng = np.random.default_rng(5)
         walks = [generate_sequence(tissue, rng, n_queries=6, volume=30_000.0) for _ in range(6)]
         first = walks[0].queries
         far = max(walks[1:], key=lambda w: np.linalg.norm(w.queries[0].center - first[-1].center))
-        config = ScoutConfig(reset_on_no_match=reset_on_no_match)
-        tracker = assert_trackers_agree(tissue, tissue_flat, first + far.queries, config)
-        if reset_on_no_match:
-            assert tracker.resets >= 1
+        tracker = assert_trackers_agree(tissue, tissue_flat, first + far.queries)
+        assert tracker.resets >= 1
 
 
 # -- oracle 2b: one scalar score per crossing ---------------------------------------------

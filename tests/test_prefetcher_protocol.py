@@ -13,7 +13,6 @@ import pytest
 from repro.baselines import (
     EWMAPrefetcher,
     HilbertPrefetcher,
-    LayeredPrefetcher,
     NoPrefetcher,
     ObservedQuery,
     PolynomialPrefetcher,
@@ -34,7 +33,6 @@ def all_prefetchers(tissue, tissue_flat):
         VelocityPrefetcher(),
         EWMAPrefetcher(0.3),
         HilbertPrefetcher(tissue),
-        LayeredPrefetcher(tissue),
         ScoutPrefetcher(tissue),
         ScoutOptPrefetcher(tissue, tissue_flat),
     ]

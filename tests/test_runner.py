@@ -83,6 +83,10 @@ class TestSpecs:
         with pytest.raises(ValueError, match="unknown index kind 'grid'; known: flat, rtree"):
             IndexSpec("grid")
 
+    def test_layered_prefetcher_kind_is_gone(self):
+        with pytest.raises(ValueError, match="unknown prefetcher kind 'layered'"):
+            PrefetcherSpec("layered")
+
     def test_spec_round_trips_with_stable_key(self):
         cell = tiny_matrix().cells()[0]
         clone = CellSpec.from_dict(cell.to_dict())

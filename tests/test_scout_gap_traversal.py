@@ -6,7 +6,7 @@ that the traversal follows the bend where linear extrapolation cannot.
 
 import numpy as np
 
-from repro.core import ScoutConfig, ScoutOptPrefetcher
+from repro.core import ScoutOptPrefetcher
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.index import FlatIndex
 
@@ -58,10 +58,9 @@ def bent_chain(bend_at: float, angle: float, length: float = 120.0, step: float 
 
 
 class TestGapTraversal:
-    def make_opt(self, dataset, budget=0.5):
+    def make_opt(self, dataset):
         index = FlatIndex(dataset, fanout=8)
-        config = ScoutConfig(gap_io_budget_fraction=budget)
-        return ScoutOptPrefetcher(dataset, index, config), index
+        return ScoutOptPrefetcher(dataset, index), index
 
     def test_follows_a_bend_better_than_linear(self):
         # Chain bends 50 degrees at x=30; gap region spans x in [20, 45].

@@ -143,7 +143,7 @@ class TestQuerySession:
         monkeypatch.setattr(tissue_flat, "query", no_query)
         session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
         for result in results:
-            session.step_query(result)
+            session.step_query(session.fill_ahead(result))
         assert session.done
         assert session.metrics.records == reference.records
 

@@ -290,9 +290,9 @@ class TestFillAhead:
         session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
         work = session.fill_ahead(tissue_flat.query(sequence.queries[0].bounds))
         assert work.prediction_cost is not None
-        session.step_query(None, work)
+        session.step_query(work)
         with pytest.raises(ValueError, match="bundle for query 0 replayed at cursor 1"):
-            session.step_query(None, work)
+            session.step_query(work)
         assert session.query_index == 1 and len(session.metrics.records) == 1
 
 

@@ -36,16 +36,12 @@ class TestPageTable:
         assert table.page_of_object(4) == 1
         assert list(table.objects_of_page(1)) == [3, 4]
 
-    def test_pages_of_objects_deduplicates(self):
-        table = self.table()
-        assert list(table.pages_of_objects([0, 1, 5])) == [0, 2]
-
     def test_page_ids_of_objects_preserves_order(self):
         table = self.table()
         assert list(table.page_ids_of_objects([5, 0, 3])) == [2, 0, 1]
 
     def test_empty_lookup(self):
-        assert len(self.table().pages_of_objects([])) == 0
+        assert len(self.table().page_ids_of_objects([])) == 0
 
     def test_rejects_duplicate_assignment(self):
         with pytest.raises(ValueError):

@@ -195,18 +195,18 @@ def _walked_neuron_tissue(n_neurons, seed, extent=None, config=NEURON_CONFIG):
     return _walked_dataset("neuron-tissue", rng, n_neurons, place, config)
 
 
-def _walked_arterial_tree(seed, n_trees=1, extent=400.0, max_depth=None):
+def _walked_arterial_tree(seed, max_depth=None):
     config = ARTERIAL_CONFIG
     if max_depth is not None:
         config = replace(config, max_depth=int(max_depth))
     rng = np.random.default_rng(seed)
 
     def place(rng):
-        root = rng.uniform(0.0, extent, size=3) if n_trees > 1 else np.full(3, extent / 2.0)
+        root = np.full(3, 400.0 / 2.0)
         direction = rng.normal(size=3)
         return root, direction
 
-    return _walked_dataset("arterial-tree", rng, n_trees, place, config)
+    return _walked_dataset("arterial-tree", rng, 1, place, config)
 
 
 # -- byte views ----------------------------------------------------------------
@@ -308,10 +308,10 @@ class TestMatchesTheWalk:
         expected = _walked_neuron_tissue(5, 3, extent=100.0)
         assert _dataset_bytes(tissue) == _dataset_bytes(expected)
 
-    @pytest.mark.parametrize("n_trees", [1, 3])
-    def test_arterial_tree(self, n_trees):
-        trees = make_arterial_tree(seed=5, n_trees=n_trees)
-        assert _dataset_bytes(trees) == _dataset_bytes(_walked_arterial_tree(5, n_trees=n_trees))
+    @pytest.mark.parametrize("max_depth", [None, 3], ids=["config-depth", "depth-3"])
+    def test_arterial_tree(self, max_depth):
+        trees = make_arterial_tree(seed=5, max_depth=max_depth)
+        assert _dataset_bytes(trees) == _dataset_bytes(_walked_arterial_tree(5, max_depth))
 
     def test_lung_airways(self, monkeypatch):
         airways = make_lung_airways(seed=5, max_depth=3)
