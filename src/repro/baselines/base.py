@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.util import norm
 
 __all__ = ["ObservedQuery", "Prefetcher", "PrefetchTarget"]
 
@@ -64,9 +65,9 @@ class PrefetchTarget:
     def __post_init__(self) -> None:
         anchor = np.asarray(self.anchor, dtype=np.float64)
         direction = np.asarray(self.direction, dtype=np.float64)
-        norm = np.linalg.norm(direction)
-        if norm > 0:
-            direction = direction / norm
+        length = norm(direction)
+        if length > 0:
+            direction = direction / length
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "direction", direction)
         if self.share < 0:
@@ -142,12 +143,10 @@ class PositionOnlyPrefetcher(Prefetcher):
         expansion along the structure is SCOUT's own §5.1 technique and
         is deliberately not granted to the baselines.)
         """
-        from repro.geometry.aabb import AABB
-
         direction = np.asarray(direction, dtype=np.float64)
-        norm = np.linalg.norm(direction)
-        if norm > 0:
-            direction = direction / norm
+        length = norm(direction)
+        if length > 0:
+            direction = direction / length
         side = self.last_side
         regions = tuple(
             AABB.from_center_extent(predicted_center, side * factor)

@@ -17,9 +17,12 @@ queries make the trace jagged, and higher-degree polynomials oscillate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.baselines.base import PositionOnlyPrefetcher, PrefetchTarget
+from repro.util import norm
 
 __all__ = [
     "EWMAPrefetcher",
@@ -41,7 +44,7 @@ class StraightLinePrefetcher(PositionOnlyPrefetcher):
         if len(self._centers) < 2:
             return []
         delta = self._centers[-1] - self._centers[-2]
-        if np.linalg.norm(delta) == 0:
+        if norm(delta) == 0:
             return []
         predicted = self._centers[-1] + delta
         return [self._target_at(predicted, delta)]
@@ -53,7 +56,8 @@ class PolynomialPrefetcher(PositionOnlyPrefetcher):
     Fits each coordinate as a polynomial in the step index over the last
     ``degree + 1`` centers (the paper uses "as many recent query
     locations ... as their degree plus one") and evaluates one step
-    ahead.
+    ahead.  The fit through ``degree + 1`` points is exact, so the next
+    point is the one whose ``degree + 1``-th difference is zero.
     """
 
     def __init__(self, degree: int = 2) -> None:
@@ -67,14 +71,13 @@ class PolynomialPrefetcher(PositionOnlyPrefetcher):
         needed = self.degree + 1
         if len(self._centers) < needed:
             return []
-        recent = np.array(self._centers[-needed:])
-        ts = np.arange(needed, dtype=np.float64)
-        predicted = np.empty(3)
-        for axis in range(3):
-            coeffs = np.polyfit(ts, recent[:, axis], self.degree)
-            predicted[axis] = np.polyval(coeffs, float(needed))
+        recent = self._centers[-needed:]
+        predicted = sum(
+            (-1) ** (self.degree - k) * math.comb(needed, k) * center
+            for k, center in enumerate(recent)
+        )
         direction = predicted - self._centers[-1]
-        if np.linalg.norm(direction) == 0:
+        if norm(direction) == 0:
             return []
         return [self._target_at(predicted, direction)]
 
@@ -89,7 +92,7 @@ class VelocityPrefetcher(PositionOnlyPrefetcher):
             return []
         recent = np.array(self._centers[-(VELOCITY_WINDOW + 1):])
         velocity = np.diff(recent, axis=0).mean(axis=0)
-        if np.linalg.norm(velocity) == 0:
+        if norm(velocity) == 0:
             return []
         predicted = self._centers[-1] + velocity
         return [self._target_at(predicted, velocity)]
@@ -119,7 +122,7 @@ class EWMAPrefetcher(PositionOnlyPrefetcher):
         weights = self.lam * (1.0 - self.lam) ** np.arange(n)
         weights /= weights.sum()
         velocity = (weights[::-1, None] * movements).sum(axis=0)
-        if np.linalg.norm(velocity) == 0:
+        if norm(velocity) == 0:
             return []
         predicted = self._centers[-1] + velocity
         return [self._target_at(predicted, velocity)]

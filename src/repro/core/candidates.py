@@ -25,6 +25,7 @@ from repro.graph.traversal import (
     refine_crossing_direction,
     region_crossings_grouped,
 )
+from repro.util import dot, norm
 
 __all__ = ["CandidateTrack", "CandidateTracker"]
 
@@ -92,11 +93,11 @@ class CandidateTracker:
             direction = exit_crossing.direction
             for entry in entries:
                 rel = entry.point - origin
-                along = float(rel @ direction)
+                along = dot(rel, direction)
                 if along < -tolerance:
                     continue
                 lateral = rel - along * direction
-                if float(np.linalg.norm(lateral)) <= tolerance:
+                if norm(lateral) <= tolerance:
                     return True
         return False
 

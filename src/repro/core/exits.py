@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.traversal import Crossing
-from repro.util import row_dots, row_norms
+from repro.util import dot, norm
 
 __all__ = ["split_entries_exits", "split_entries_exits_grouped", "estimate_gap"]
 
@@ -43,19 +43,18 @@ def split_entries_exits_grouped(
     """:func:`split_entries_exits` of every group, scored in one array pass.
 
     The tracker classifies the crossings of all of a result's components
-    at once; the dot products go through :func:`repro.util.row_dots` /
-    :func:`repro.util.row_norms`, so every score carries the bits of the
-    per-crossing scalar expression.
+    at once; :func:`repro.util.dot` / :func:`repro.util.norm` give each
+    row the bits of the per-crossing scalar expression.
     """
     flat = [crossing for group in groups for crossing in group]
-    speed = 0.0 if movement is None else np.linalg.norm(movement)
+    speed = 0.0 if movement is None else norm(movement)
     if speed < _EPS or not flat:
         return [([], list(group)) for group in groups]
     forward = movement / speed
     rel = np.array([crossing.point for crossing in flat]) - region_center
-    heading = row_dots(np.array([crossing.direction for crossing in flat]), forward)
+    heading = dot(np.array([crossing.direction for crossing in flat]), forward)
     # Positional test dominates; the heading breaks near-plane ties.
-    score = row_dots(rel, forward) + 0.25 * heading * row_norms(rel)
+    score = dot(rel, forward) + 0.25 * heading * norm(rel)
     is_exit = iter((score > 0).tolist())
     split = []
     for group in groups:
@@ -77,5 +76,5 @@ def estimate_gap(centers: list[np.ndarray], side: float) -> float:
     """
     if len(centers) < 2:
         return 0.0
-    spacing = float(np.linalg.norm(centers[-1] - centers[-2]))
+    spacing = norm(centers[-1] - centers[-2])
     return max(0.0, spacing - side)

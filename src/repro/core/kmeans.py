@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util import norm
+
 __all__ = ["kmeans"]
 
 #: Lloyd iterations before giving up on convergence.
@@ -60,7 +62,7 @@ def kmeans(
     centers = _kmeans_pp_seeds(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(MAX_ITERATIONS):
-        distances = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+        distances = norm(points[:, None, :] - centers[None, :, :])
         new_labels = np.argmin(distances, axis=1)
         for cluster in range(k):
             members = points[new_labels == cluster]

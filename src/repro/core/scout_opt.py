@@ -38,6 +38,7 @@ from repro.core.strategies import plan_targets
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.index.flat import FlatIndex
+from repro.util import dot, norm
 
 __all__ = ["ScoutOptPrefetcher"]
 
@@ -153,12 +154,12 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
         for start, direction in zip(starts, directions):
             point = np.asarray(start, dtype=np.float64).copy()
             heading = np.asarray(direction, dtype=np.float64).copy()
-            norm = np.linalg.norm(heading)
-            degenerate = bool(norm < _EPS)
+            length = norm(heading)
+            degenerate = length < _EPS
             walks.append(
                 {
                     "point": point,
-                    "heading": heading if degenerate else heading / norm,
+                    "heading": heading if degenerate else heading / length,
                     "pages": [],
                     "travelled": 0.0,
                     "degenerate": degenerate,
@@ -212,22 +213,22 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
         p0 = self.dataset.p0[object_ids]
         p1 = self.dataset.p1[object_ids]
         deltas = p1 - p0
-        norms = np.linalg.norm(deltas, axis=1)
+        norms = norm(deltas)
         valid = norms > _EPS
         if not np.any(valid):
             return None
         directions = deltas[valid] / norms[valid, None]
-        alignment = directions @ heading
+        alignment = dot(directions, heading)
         # Orient every segment with the travel direction.
         directions = directions * np.sign(alignment)[:, None]
         aligned = np.abs(alignment) > 0.2
         if not np.any(aligned):
             return None
         mean_direction = directions[aligned].mean(axis=0)
-        norm = np.linalg.norm(mean_direction)
-        if norm < _EPS:
+        length = norm(mean_direction)
+        if length < _EPS:
             return None
-        return mean_direction / norm
+        return mean_direction / length
 
     # -- Prefetcher API ------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.core.candidates import CandidateTracker
 from repro.core.config import ScoutConfig
 from repro.core.kmeans import kmeans
 from repro.graph.traversal import Crossing
+from repro.util import norm
 
 __all__ = ["plan_targets"]
 
@@ -39,7 +40,7 @@ def _merge_close_targets(
     merged: list[PrefetchTarget] = []
     for target in targets:
         for i, existing in enumerate(merged):
-            if float(np.linalg.norm(existing.anchor - target.anchor)) <= merge_distance:
+            if norm(existing.anchor - target.anchor) <= merge_distance:
                 combined_direction = (
                     existing.direction * existing.share + target.direction * target.share
                 )

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.datagen.dataset import NavEdge, Polyline
-from repro.util import pair_dots, row_norms
+from repro.util import dot, norm
 
 __all__ = ["BranchingConfig", "TreeGeometry", "grow_forest", "grow_tree"]
 
@@ -189,15 +189,9 @@ def _draw(
     )
 
 
-# The geometry pass reproduces the walk's floats bit for bit under three
+# The geometry pass reproduces the walk's floats bit for bit under two
 # rules (DESIGN.md §13):
 #
-# - Norms and dots go through the BLAS dot kernel.  The walk's 1-D
-#   ``np.linalg.norm`` is ``sqrt(v.dot(v))`` through ``ddot``, which may
-#   use FMA; ``row_norms`` / ``pair_dots`` route each row through the
-#   same kernel, while ``x*x + y*y + z*z``, ``(v * v).sum(1)`` and
-#   ``einsum`` differ from it in the last bit for one vector in five to
-#   ten.
 # - Constants are computed once, the way the walk computes them:
 #   ``np.cos(kink_angle)``, ``np.sin(...)``, ``bifurcation_angle / 2.0``;
 #   ``sign * axis`` stays its own multiply, and a zero vector still
@@ -208,7 +202,7 @@ def _draw(
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = row_norms(vectors)[:, None]
+    norms = norm(vectors)[:, None]
     return np.where(norms == 0, _UP, vectors / norms)
 
 
@@ -217,8 +211,8 @@ def _perpendicular(directions: np.ndarray, candidates: np.ndarray):
 
     Also returns which rows the walk would have redrawn.
     """
-    perp = candidates - pair_dots(candidates, directions)[:, None] * directions
-    norms = row_norms(perp)
+    perp = candidates - dot(candidates, directions)[:, None] * directions
+    norms = norm(perp)
     return perp / norms[:, None], ~(norms > _MIN_PERPENDICULAR)
 
 

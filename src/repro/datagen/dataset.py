@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.util import norm
 
 __all__ = ["Dataset", "NavEdge", "NavigationGraph", "Polyline"]
 
@@ -33,7 +34,7 @@ class Polyline:
         if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
             raise ValueError(f"polyline needs an (n>=2, 3) array, got {points.shape}")
         self.points = points
-        deltas = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        deltas = norm(np.diff(points, axis=0))
         self._cumulative = np.concatenate([[0.0], np.cumsum(deltas)])
 
     @property
@@ -69,10 +70,10 @@ class Polyline:
         idx = int(np.searchsorted(self._cumulative, arc, side="right") - 1)
         idx = min(max(idx, 0), len(self.points) - 2)
         delta = self.points[idx + 1] - self.points[idx]
-        norm = np.linalg.norm(delta)
-        if norm == 0:
+        length = norm(delta)
+        if length == 0:
             return np.array([1.0, 0.0, 0.0])
-        return delta / norm
+        return delta / length
 
     def reversed(self) -> "Polyline":
         return Polyline(self.points[::-1].copy())

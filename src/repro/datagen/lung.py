@@ -20,6 +20,8 @@ import numpy as np
 
 from repro.datagen.branching import BranchingConfig, grow_tree
 from repro.datagen.dataset import Dataset, NavigationGraph
+from repro.geometry.primitives import perpendicular_frame
+from repro.util import norm
 
 __all__ = ["make_lung_airways", "LUNG_CONFIG"]
 
@@ -39,17 +41,6 @@ LUNG_CONFIG = BranchingConfig(
 RING_VERTICES = 6
 
 
-def _ring_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors spanning the plane perpendicular to ``direction``."""
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(direction @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    u = np.cross(direction, helper)
-    u /= np.linalg.norm(u)
-    v = np.cross(direction, u)
-    return u, v
-
-
 def _tube_faces(
     centers: np.ndarray,
     directions: np.ndarray,
@@ -61,7 +52,7 @@ def _tube_faces(
     faces: list[tuple[int, int, int]] = []
     ring_start = []
     for center, direction, radius in zip(centers, directions, radii):
-        u, v = _ring_frame(direction)
+        u, v = perpendicular_frame(direction)
         ring_start.append(len(vertices))
         for angle in angles:
             vertices.append(center + radius * (np.cos(angle) * u + np.sin(angle) * v))
@@ -120,7 +111,7 @@ def make_lung_airways(seed: int = 0, max_depth: int | None = None) -> Dataset:
     for branch_id, nav_edge in enumerate(tree.nav_edges):
         points = nav_edge.polyline.points
         deltas = np.diff(points, axis=0)
-        directions = deltas / np.maximum(np.linalg.norm(deltas, axis=1)[:, None], 1e-12)
+        directions = deltas / np.maximum(norm(deltas)[:, None], 1e-12)
         directions = np.vstack([directions, directions[-1]])
         radii = np.full(len(points), 2.0)  # constant tube radius keeps the mesh well-formed
         vertices, faces = _tube_faces(points, directions, radii)
@@ -129,7 +120,7 @@ def make_lung_airways(seed: int = 0, max_depth: int | None = None) -> Dataset:
             va, vb, vc = vertices[a], vertices[b], vertices[c]
             # Longest edge of the triangle is the representative segment.
             edges = [(va, vb), (vb, vc), (vc, va)]
-            lengths = [np.linalg.norm(q - p) for p, q in edges]
+            lengths = [norm(q - p) for p, q in edges]
             p, q = edges[int(np.argmax(lengths))]
             p0_parts.append(p)
             p1_parts.append(q)

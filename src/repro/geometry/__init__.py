@@ -13,7 +13,6 @@ from repro.geometry.primitives import (
     clip_segment_to_aabb,
     point_segment_distance,
     segment_aabb_intersects,
-    segment_lengths,
     segment_segment_distance,
     segments_aabb_mask,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "hilbert_encode",
     "point_segment_distance",
     "segment_aabb_intersects",
-    "segment_lengths",
     "segment_segment_distance",
     "segments_aabb_mask",
     "union_all",

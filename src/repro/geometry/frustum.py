@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.geometry.primitives import perpendicular_frame
+from repro.util import dot, norm
 
 __all__ = ["Frustum"]
 
@@ -27,20 +29,12 @@ _EPS = 1e-12
 TAPER = 0.5
 
 
-def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A right-handed basis whose third vector is ``axis`` (normalized)."""
+def _unit_axis(axis) -> np.ndarray:
     w = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(w)
-    if norm < _EPS:
+    length = norm(w)
+    if length < _EPS:
         raise ValueError("frustum axis must be non-zero")
-    w = w / norm
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(w @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    u = np.cross(w, helper)
-    u /= np.linalg.norm(u)
-    v = np.cross(w, u)
-    return u, v, w
+    return w / length
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,8 @@ class Frustum:
 
     def __post_init__(self) -> None:
         near_center = np.asarray(self.near_center, dtype=np.float64)
-        u, v, w = _orthonormal_basis(self.axis)
+        w = _unit_axis(self.axis)
+        u, v = perpendicular_frame(w)
         if self.depth <= 0:
             raise ValueError("frustum depth must be positive")
         if self.near_half < 0 or self.far_half < self.near_half:
@@ -91,7 +86,7 @@ class Frustum:
         far_side = (float(volume) / shape_factor) ** (1.0 / 3.0)
         depth = far_side
         center = np.asarray(center, dtype=np.float64)
-        _, _, w = _orthonormal_basis(direction)
+        w = _unit_axis(direction)
         near_center = center - w * (depth / 2.0)
         return cls(near_center, w, depth, TAPER * far_side / 2.0, far_side / 2.0)
 
@@ -121,12 +116,12 @@ class Frustum:
         """Exact containment mask for an ``(n, 3)`` point array."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         rel = points - self.near_center
-        along = rel @ self.axis
+        along = dot(rel, self.axis)
         t = along / self.depth
         inside_axis = (t >= 0.0) & (t <= 1.0)
         half = self._half_at(np.clip(t, 0.0, 1.0))
-        u_coord = np.abs(rel @ self._u)
-        v_coord = np.abs(rel @ self._v)
+        u_coord = np.abs(dot(rel, self._u))
+        v_coord = np.abs(dot(rel, self._v))
         return inside_axis & (u_coord <= half) & (v_coord <= half)
 
     def contains_point(self, point) -> bool:

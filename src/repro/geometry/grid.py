@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import clip_segment_to_aabb
+from repro.util import norm
 
 __all__ = ["UniformGrid"]
 
@@ -115,7 +116,7 @@ class UniformGrid:
 
         cells = [start]
         delta = p1 - p0
-        length = np.linalg.norm(delta)
+        length = norm(delta)
         if length < _EPS:
             return cells
         direction = delta / length

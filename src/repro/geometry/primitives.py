@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.util import dot, norm
 
 __all__ = [
     "Segment",
     "clip_segment_to_aabb",
+    "perpendicular_frame",
     "point_segment_distance",
     "segment_aabb_intersects",
-    "segment_lengths",
     "segment_segment_distance",
     "segments_aabb_mask",
     "segments_clip_intervals",
@@ -49,7 +50,7 @@ class Segment:
 
     @property
     def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
+        return norm(self.b - self.a)
 
     @property
     def midpoint(self) -> np.ndarray:
@@ -59,10 +60,10 @@ class Segment:
     def direction(self) -> np.ndarray:
         """Unit direction from ``a`` to ``b`` (zero vector if degenerate)."""
         delta = self.b - self.a
-        norm = np.linalg.norm(delta)
-        if norm < _EPS:
+        length = norm(delta)
+        if length < _EPS:
             return np.zeros(3)
-        return delta / norm
+        return delta / length
 
     def aabb(self) -> AABB:
         lo = np.minimum(self.a, self.b) - self.radius
@@ -74,9 +75,15 @@ class Segment:
         return self.a + float(t) * (self.b - self.a)
 
 
-def segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lengths of ``n`` segments given ``(n, 3)`` endpoint arrays."""
-    return np.linalg.norm(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64), axis=1)
+def perpendicular_frame(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit ``u``, ``v`` with ``(u, v, w)`` right-handed, for a unit ``w``.
+
+    ``u`` is ``w`` crossed with the x axis, or the y axis if ``|w_x| > 0.9``.
+    """
+    helper = np.array([0.0, 1.0, 0.0] if abs(w[0]) > 0.9 else [1.0, 0.0, 0.0])
+    u = np.cross(w, helper)
+    u /= norm(u)
+    return u, np.cross(w, u)
 
 
 def point_segment_distance(point, a, b) -> float:
@@ -85,12 +92,12 @@ def point_segment_distance(point, a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     ab = b - a
-    denom = float(ab @ ab)
+    denom = dot(ab, ab)
     if denom < _EPS:
-        return float(np.linalg.norm(point - a))
-    t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
+        return norm(point - a)
+    t = float(np.clip(dot(point - a, ab) / denom, 0.0, 1.0))
     closest = a + t * ab
-    return float(np.linalg.norm(point - closest))
+    return norm(point - closest)
 
 
 def segment_segment_distance(a0, a1, b0, b1) -> float:
@@ -108,22 +115,22 @@ def segment_segment_distance(a0, a1, b0, b1) -> float:
     d1 = a1 - a0
     d2 = b1 - b0
     r = a0 - b0
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
+    a = dot(d1, d1)
+    e = dot(d2, d2)
+    f = dot(d2, r)
 
     if a < _EPS and e < _EPS:
-        return float(np.linalg.norm(r))
+        return norm(r)
     if a < _EPS:
         t = np.clip(f / e, 0.0, 1.0)
         s = 0.0
     else:
-        c = float(d1 @ r)
+        c = dot(d1, r)
         if e < _EPS:
             t = 0.0
             s = np.clip(-c / a, 0.0, 1.0)
         else:
-            b = float(d1 @ d2)
+            b = dot(d1, d2)
             denom = a * e - b * b
             if denom > _EPS:
                 s = np.clip((b * f - c * e) / denom, 0.0, 1.0)
@@ -138,7 +145,7 @@ def segment_segment_distance(a0, a1, b0, b1) -> float:
                 s = np.clip((b - c) / a, 0.0, 1.0)
     closest1 = a0 + s * d1
     closest2 = b0 + t * d2
-    return float(np.linalg.norm(closest1 - closest2))
+    return norm(closest1 - closest2)
 
 
 def _slab_clip(a: np.ndarray, delta: np.ndarray, box: AABB) -> tuple[float, float] | None:

@@ -30,6 +30,7 @@ from repro.geometry.aabb import AABB
 from repro.geometry.grid import UniformGrid
 from repro.geometry.primitives import segment_segment_distance
 from repro.graph.spatial_graph import SpatialGraph
+from repro.util import norm
 
 __all__ = [
     "GraphBuildReport",
@@ -83,7 +84,7 @@ def _sample_segment_cells(
     cell id, deduplicated and sorted by ``(owner, cell)`` -- the *pair
     order* that fixes the edge insertion order downstream.
     """
-    lengths = np.linalg.norm(p1 - p0, axis=1)
+    lengths = norm(p1 - p0)
     min_cell_edge = float(grid.cell_extent.min())
     spacing = max(min_cell_edge * 0.45, 1e-9)
     n_samples = np.minimum(np.ceil(lengths / spacing).astype(int) + 1, 64)

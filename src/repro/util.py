@@ -1,5 +1,10 @@
 """Small shared array utilities.
 
+:func:`dot` and :func:`norm` are the package's one definition of a
+vector dot product and norm: products summed left to right over the
+last axis, each operation rounded on its own, so a result's bits never
+depend on the CPU's BLAS kernel (DESIGN.md §14).
+
 CSR (compressed sparse row) layouts -- a concatenated value array plus
 an offsets array -- are the packed structure-of-arrays representation
 used by the page table and the R-tree levels.  :func:`csr_expand` is
@@ -9,9 +14,11 @@ into the value array, without a Python loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["csr_expand", "pair_dots", "row_dots", "row_norms", "slice_of"]
+__all__ = ["csr_expand", "dot", "norm", "slice_of"]
 
 
 def slice_of(key, n_slices: int):
@@ -36,44 +43,38 @@ def slice_of(key, n_slices: int):
     return key % n_slices
 
 
-def row_norms(vectors: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norms, bit-identical to ``np.linalg.norm(row)``.
+def dot(a: np.ndarray, b: np.ndarray):
+    """``a0*b0 + a1*b1 + ...`` over the last axis, summed left to right.
 
-    The scalar 1-D ``np.linalg.norm`` computes ``sqrt(dot(x, x))``
-    through the BLAS dot kernel; a batched matmul routes through the
-    same kernel, while ``np.linalg.norm(..., axis=-1)`` (a square-sum
-    reduction) can differ in the last bit.  Vectorized rewrites of
-    scalar per-vector norms use this so their float results stay
-    bit-identical to the loops they replaced.
-
-    The matmul==ddot equality is a BLAS implementation detail, so the
-    equivalence tests (``tests/test_vectorized_equivalence.py``) pin it
-    per platform: on a BLAS where the kernels round differently they
-    fail loudly rather than letting the paths drift apart silently.
+    The one definition of a vector dot product in the package (DESIGN.md
+    §14).  Two 1-D 3-vectors give a Python float; anything else
+    broadcasts as numpy arrays (``dot(rows, vector)``, ``dot(rows,
+    rows)``).  Every multiply and add rounds on its own -- Python floats
+    and numpy ufuncs are correctly rounded and never fused -- so both
+    forms give the same bits, on every CPU.  A BLAS ``ddot`` / ``gemv``
+    (the 1-D ``@``, ``np.dot``, ``np.linalg.norm`` of one vector) picks
+    its accumulation order and FMA use per CPU kernel instead.
     """
-    return np.sqrt(pair_dots(vectors, vectors))
+    if a.ndim == 1 and b.ndim == 1:
+        a0, a1, a2 = a.tolist()
+        b0, b1, b2 = b.tolist()
+        return a0 * b0 + a1 * b1 + a2 * b2
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total += a[..., i] * b[..., i]
+    return total
 
 
-def row_dots(vectors: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``row @ vector`` per row, bit-identical to the 1-D ``@`` of each row.
+def norm(v: np.ndarray):
+    """``sqrt(dot(v, v))``, the Euclidean norm over the last axis.
 
-    Same batched-matmul routing as :func:`row_norms` (a plain
-    ``vectors @ vector`` goes through gemv and can differ in the last
-    bit); ``tests/test_prediction_path_equivalence.py`` pins it.
+    A 1-D 3-vector gives a Python float (``math.sqrt``), an array the
+    per-row norms; the square root is correctly rounded either way.
     """
-    return np.matmul(vectors[..., None, :], vector[:, None])[..., 0, 0]
-
-
-def pair_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left[i] @ right[i]`` per row, bit-identical to the 1-D ``@``.
-
-    Each row pair is one stacked vector-vector matmul, which numpy
-    hands to the BLAS dot kernel -- the kernel the 1-D ``@`` and
-    ``np.linalg.norm`` use -- whereas ``(left * right).sum(-1)`` or
-    ``einsum`` add the products in their own order and can differ in
-    the last bit.  ``tests/test_tree_generation.py`` pins it.
-    """
-    return np.matmul(left[..., None, :], right[..., :, None])[..., 0, 0]
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        return math.sqrt(x * x + y * y + z * z)
+    return np.sqrt(dot(v, v))
 
 
 def csr_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.datagen.dataset import Dataset, Polyline
 from repro.geometry.aabb import AABB
 from repro.geometry.frustum import Frustum
-from repro.util import row_norms
+from repro.util import norm
 
 __all__ = ["Query", "QuerySequence", "generate_sequence", "generate_sequences"]
 
@@ -110,8 +110,8 @@ def _walk_centers(
     arc has the bits of the scalar ``arc += step`` it stands for, and a
     window resumes the sum from the previous window's last arc.  Points
     come from ``Polyline.points_at`` (row-wise equal to the one-point
-    lookup) and distances from ``row_norms`` (equal to the 1-D norm);
-    DESIGN.md §12.
+    lookup) and distances from ``repro.util.norm``, whose rows equal its
+    1-D form; DESIGN.md §12.
     """
     steps = np.full(_WINDOW_STEPS, max(side * 0.02, 1e-9))
     steps[0] = side / 2.0
@@ -121,7 +121,7 @@ def _walk_centers(
     candidate = 1
     while len(centers) < n_centers:
         live = int(np.searchsorted(arcs, path.length))  # arcs before the end
-        far = ~(row_norms(points[candidate:live] - centers[-1][1]) < spacing)
+        far = ~(norm(points[candidate:live] - centers[-1][1]) < spacing)
         if far.any():
             candidate += int(far.argmax())
             centers.append((arcs[candidate], points[candidate]))

@@ -14,10 +14,11 @@ Intentional changes regenerate the fixtures::
 
 then commit the diff (it documents the behavior change for review).
 
-The exact float comparison makes fixtures sensitive to the numpy/BLAS
-build: regenerate them on the CI platform (linux x86-64) -- a fixture
-produced on a different architecture can differ in the last ulp of a
-reduction and fail CI with no code change.
+The exact float comparison is portable across CPUs: no BLAS kernel
+computes a dataset byte, a query or a prediction the fixtures depend on
+(DESIGN.md §14), and CI reruns this module under the Haswell and
+generic OpenBLAS kernels.  It still assumes IEEE-754 doubles and
+numpy's own reductions, so regenerate fixtures on linux x86-64.
 """
 
 from __future__ import annotations

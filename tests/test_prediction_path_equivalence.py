@@ -27,6 +27,7 @@ from repro.graph.traversal import (
     region_crossings_grouped,
 )
 from repro.index import FlatIndex, STRTree, ScalarSTRTree
+from repro.util import dot, norm
 from repro.workload import generate_sequence
 
 
@@ -251,14 +252,14 @@ class TestDeferredRefinement:
 
 def scalar_split(crossings, region_center, movement):
     """The replaced classifier: two 1-D dots and a norm per crossing."""
-    if movement is None or np.linalg.norm(movement) < 1e-12:
+    if movement is None or norm(movement) < 1e-12:
         return [], list(crossings)
-    forward = movement / np.linalg.norm(movement)
+    forward = movement / norm(movement)
     entries, exits = [], []
     for crossing in crossings:
-        offset = float((crossing.point - region_center) @ forward)
-        heading = float(crossing.direction @ forward)
-        score = offset + 0.25 * heading * np.linalg.norm(crossing.point - region_center)
+        offset = dot(crossing.point - region_center, forward)
+        heading = dot(crossing.direction, forward)
+        score = offset + 0.25 * heading * norm(crossing.point - region_center)
         (exits if score > 0 else entries).append(crossing)
     return entries, exits
 

@@ -2,13 +2,14 @@
 
 ``generate_sequence`` resolves the arc walk in array passes: a windowed
 ``np.add.accumulate`` of the arc steps, ``Polyline.points_at`` for the
-points and ``row_norms`` for the distances (DESIGN.md §12).  The scalar
-loop -- advance the arc 2 % of the side, look up one point, take one
-``np.linalg.norm``, compare -- lives on here as the oracle, together
-with the scalar one-point lookup it called, and every generated query
-must equal it byte for byte.  So does the random walk the sequence
-follows: ``NavigationGraph.random_walk`` against the walk that rebuilt
-a reversed polyline per backward edge and appended points one by one.
+points and the row form of ``repro.util.norm`` for the distances
+(DESIGN.md §12, §14).  The scalar loop -- advance the arc 2 % of the
+side, look up one point, take one 1-D ``norm``, compare -- lives on here
+as the oracle, together with the scalar one-point lookup it called, and
+every generated query must equal it byte for byte.  So does the random
+walk the sequence follows: ``NavigationGraph.random_walk`` against the
+walk that rebuilt a reversed polyline per backward edge and appended
+points one by one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
+from repro.util import norm
 from repro.workload.sequence import (
     _make_query,
     _query_side,
@@ -49,7 +51,7 @@ def _stepping_centers(path, side, spacing, n_centers):
         previous = centers[-1][1]
         while (
             arc < path.length
-            and float(np.linalg.norm(_scalar_point_at(path, arc) - previous)) < spacing
+            and norm(_scalar_point_at(path, arc) - previous) < spacing
         ):
             arc += arc_step
         if arc >= path.length:

@@ -3,19 +3,26 @@
 ``grow_forest`` grows trees in two passes (DESIGN.md §13): a draw pass
 that makes every generator call in the walk's order, then a geometry
 pass that advances every branch of a depth level as arrays.  The walk
--- one ``_perturb`` / ``np.linalg.norm`` per step, branches popped off a
+-- one ``_perturb`` / 1-D ``norm`` per step, branches popped off a
 LIFO queue -- lives on here as the oracle, with its four helpers and the
 per-tree assembly loops of the neuron and arterial builders, and every
 generated array must equal it byte for byte, with the same draws
 consumed.
 
 The pinned digests at the end hold the generators' absolute content,
-so the oracle and the production path cannot drift together.
+so the oracle and the production path cannot drift together, and a
+child process forced onto other BLAS kernels must build the same bytes
+(DESIGN.md §14).
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.datagen.lung as lung_module
 from repro.datagen import (
     BranchingConfig,
@@ -38,16 +46,16 @@ from repro.datagen import (
 from repro.datagen.branching import TreeGeometry
 from repro.datagen.neuron import NEURON_CONFIG, NEURON_TISSUE_DENSITY
 from repro.datagen.vascular import ARTERIAL_CONFIG
-from repro.util import pair_dots, row_norms
+from repro.util import dot, norm
 
 # -- the per-step walk (the oracle) ------------------------------------------
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vector)
-    if norm == 0:
+    length = norm(vector)
+    if length == 0:
         return np.array([0.0, 0.0, 1.0])
-    return vector / norm
+    return vector / length
 
 
 def _perturb(direction: np.ndarray, jitter: float, rng: np.random.Generator) -> np.ndarray:
@@ -59,10 +67,10 @@ def _random_perpendicular(direction: np.ndarray, rng: np.random.Generator) -> np
     """A uniformly random unit vector perpendicular to ``direction``."""
     while True:
         candidate = rng.normal(size=3)
-        perp = candidate - (candidate @ direction) * direction
-        norm = np.linalg.norm(perp)
-        if norm > 1e-8:
-            return perp / norm
+        perp = candidate - dot(candidate, direction) * direction
+        length = norm(perp)
+        if length > 1e-8:
+            return perp / length
 
 
 def _rotate_towards(direction: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -421,19 +429,29 @@ class TestRedraw:
         self._assert_same_redraws(config, script, normals=38)
 
 
-# -- the BLAS dot kernel -------------------------------------------------------------
+# -- one dot, one norm ----------------------------------------------------------------
+
+#: Coordinates that stress rounding: zeros of both signs, subnormals,
+#: and magnitudes from 1e-150 to 1e150 mixed within one vector (small
+#: enough that no product overflows).
+_edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-150, 1e150]
+_coordinates = st.floats(-1e150, 1e150, allow_subnormal=True) | st.sampled_from(_edges)
+_rows = st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=1, max_size=8)
 
 
-def test_row_helpers_match_the_one_dimensional_dot():
-    """``pair_dots`` / ``row_norms`` equal the 1-D ``@`` / ``np.linalg.norm``
-    the walk took, bit for bit (both go through the BLAS dot kernel)."""
-    rng = np.random.default_rng(0)
-    left = rng.normal(size=(5_000, 3)) * rng.uniform(0.01, 100.0, size=(5_000, 1))
-    right = rng.normal(size=(5_000, 3))
-    dots = np.array([a @ b for a, b in zip(left, right)])
-    norms = np.array([np.linalg.norm(a) for a in left])
-    assert pair_dots(left, right).tobytes() == dots.tobytes()
-    assert row_norms(left).tobytes() == norms.tobytes()
+@settings(max_examples=200, deadline=None)
+@given(left=_rows, right=_rows)
+def test_row_forms_of_dot_and_norm_equal_the_one_dimensional_forms(left, right):
+    """``dot`` / ``norm`` of an array equal the 1-D call on each row, byte for byte.
+
+    The 1-D form computes in Python floats and the row form in numpy
+    ufuncs; both round each product and sum on its own, left to right.
+    """
+    n = min(len(left), len(right))
+    a, b = np.array(left[:n]), np.array(right[:n])
+    assert dot(a, b).tobytes() == np.array([dot(x, y) for x, y in zip(a, b)]).tobytes()
+    assert dot(a, b[0]).tobytes() == np.array([dot(x, b[0]) for x in a]).tobytes()
+    assert norm(a).tobytes() == np.array([norm(x) for x in a]).tobytes()
 
 
 # -- pinned content ------------------------------------------------------------------
@@ -457,12 +475,12 @@ def _dataset_digest(dataset: Dataset) -> str:
 
 
 PINNED_DIGESTS = {
-    "neuron n=40 seed 7": (lambda: make_neuron_tissue(n_neurons=40, seed=7), "18357ca50f0bff39"),
-    "neuron n=16 seed 7": (lambda: make_neuron_tissue(n_neurons=16, seed=7), "8d1dd4cb8be04ff3"),
-    "neuron n=8 seed 7": (lambda: make_neuron_tissue(n_neurons=8, seed=7), "0cdbc86b649a80f5"),
-    "tissue fixture": (lambda: make_neuron_tissue(n_neurons=12, seed=11), "f4c0ad92267a1554"),
-    "arterial": (lambda: make_arterial_tree(seed=3, max_depth=3), "5d1e0cb07a56827f"),
-    "lung": (lambda: make_lung_airways(seed=3, max_depth=3), "d2d6ac3c09b09754"),
+    "neuron n=40 seed 7": (lambda: make_neuron_tissue(n_neurons=40, seed=7), "abb579eb391b1796"),
+    "neuron n=16 seed 7": (lambda: make_neuron_tissue(n_neurons=16, seed=7), "37d84201de3e1a96"),
+    "neuron n=8 seed 7": (lambda: make_neuron_tissue(n_neurons=8, seed=7), "bc14d0b83a41e11d"),
+    "tissue fixture": (lambda: make_neuron_tissue(n_neurons=12, seed=11), "9331dacd7b5cbf46"),
+    "arterial": (lambda: make_arterial_tree(seed=3, max_depth=3), "697d6e53fec73e4d"),
+    "lung": (lambda: make_lung_airways(seed=3, max_depth=3), "13f9cdc05431c6dc"),
 }
 
 
@@ -471,10 +489,57 @@ def test_generated_content_is_pinned(name):
     """SHA-256 (first 16 hex digits) of every generated array and polyline.
 
     These are the datasets the benchmark, the daemon and the test
-    fixtures build.  Like ``row_norms``, the digests depend on the BLAS
-    dot kernel: on a BLAS whose ``ddot`` rounds differently (FMA or not)
-    the generated floats -- and so the digests -- change, and this test
-    says so instead of the figures drifting silently.
+    fixtures build.  No BLAS kernel computes any of their floats
+    (DESIGN.md §14), so the digests are the same on every CPU;
+    :func:`test_content_is_the_same_under_other_blas_kernels` checks it.
     """
     build, expected = PINNED_DIGESTS[name]
     assert _dataset_digest(build()) == expected
+
+
+# -- the same bits under other BLAS kernels ------------------------------------------
+
+#: Kernels to force through ``OPENBLAS_CORETYPE``, with the names OpenBLAS
+#: reports when it honours the request (a ``DYNAMIC_ARCH`` build runs
+#: Prescott on its Katmai kernel).
+_FORCED_KERNELS = {"Haswell": {"Haswell"}, "Prescott": {"Prescott", "Katmai"}}
+
+_CHILD_DATASET = "neuron n=8 seed 7"
+
+
+def _blas_core() -> str | None:
+    """The OpenBLAS kernel numpy's bundled library runs, or ``None`` if unknown."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+@pytest.mark.parametrize("kernel", sorted(_FORCED_KERNELS))
+def test_content_is_the_same_under_other_blas_kernels(kernel):
+    """A child process forced onto another BLAS kernel builds the same tissue."""
+    if _blas_core() is None:
+        pytest.skip("numpy's BLAS does not report its kernel")
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE=kernel,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    core, digest = child.stdout.split()
+    if core not in _FORCED_KERNELS[kernel]:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} not honoured: the child ran {core}")
+    build, pinned = PINNED_DIGESTS[_CHILD_DATASET]
+    assert digest == _dataset_digest(build()) == pinned
+
+
+if __name__ == "__main__":
+    # The child of the test above: its kernel and its digest.
+    print(_blas_core(), _dataset_digest(PINNED_DIGESTS[_CHILD_DATASET][0]()))
