@@ -15,19 +15,31 @@ per pool walk and later sessions on that walk read it
 (``step_query_replay``) instead of recomputing it; cache touches, disk
 reads and budget spending still execute per request, in FIFO order.
 
-Admission control is a bounded accept queue: a ``query`` arriving while
+Admission is a bounded deque of jobs: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
 ``shed: true`` reply instead of queueing without bound -- overload
 degrades into fast rejections and honest shed counts, not into a
 latency collapse.  Request latency is measured from *enqueue* to
-response-ready, so queueing delay is part of every percentile.
+reply-ready, so queueing delay is part of every percentile.
+
+Replies leave in request order through each connection's deque of
+reply slots: every reply but a query's fills its slot at once, the
+worker fills a query's, and a flush writes all the leading filled
+slots as one ``write``.  The worker flushes the connections it touched
+when the admission deque runs dry, or after ``WORKER_BATCH`` jobs, when
+it also yields to the loop -- so a drain burst costs one write per
+connection per pass, not one per reply, and under light load each reply
+still leaves the moment it is computed.  The connection handler reads
+whole chunks and cuts the frames out with
+:class:`~repro.serve.protocol.FrameSplitter`.
 
 Graceful shutdown (``shutdown`` op, SIGINT or SIGTERM) stops accepting
-connections, drains every queued request to a real response, then
-writes the final latency report.  ``run_async`` borrows both signals
-from before its ``ready`` line until the drain is done and then hands
-back the caller's handlers; ``scout-repro serve`` ignores them from
-there on, so signals that keep arriving still leave an exit status 0.
+connections, drains every queued request to a real response (a sentinel
+job queues behind them all), then writes the final latency report.
+``run_async`` borrows both signals from before its ``ready`` line until
+the drain is done and then hands back the caller's handlers;
+``scout-repro serve`` ignores them from there on, so signals that keep
+arriving still leave an exit status 0.
 """
 
 from __future__ import annotations
@@ -40,13 +52,14 @@ import signal
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.quickstart import default_prefetcher
 from repro.serve.latency import LatencyRecorder
-from repro.serve.protocol import ProtocolError, read_frame, write_frame
+from repro.serve.protocol import FrameSplitter, ProtocolError, encode_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.metrics import LatencyReport
 from repro.sim.serve import plans_shareable
@@ -64,6 +77,13 @@ STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 #: Query volume of every walk in the session pool.
 QUERY_VOLUME = 30_000.0
+
+#: Most jobs the worker runs before it flushes and lets the loop run
+#: (reads, ``stats``, new connections, signals) during a long drain.
+WORKER_BATCH = 256
+
+#: Bytes the connection handler asks the socket for at a time.
+READ_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -115,15 +135,56 @@ class DaemonConfig:
     partition: str = "hilbert"
 
 
-class _Job:
-    """One admitted query request: its session slot and completion future."""
+class _Slot:
+    """One reply a connection owes: its encoded frame, ``None`` until ready."""
 
-    __slots__ = ("state", "future", "enqueued_at")
+    __slots__ = ("frame",)
 
-    def __init__(self, state: "_ConnectionState", future: asyncio.Future, enqueued_at: float):
+    def __init__(self, frame: bytes):
+        self.frame = frame
+
+
+class _Job(_Slot):
+    """One admitted query: the reply slot the worker fills."""
+
+    __slots__ = ("state", "outbox", "enqueued_at")
+
+    def __init__(self, state: "_ConnectionState", outbox: "_Outbox", enqueued_at: float):
+        self.frame = None
         self.state = state
-        self.future = future
+        self.outbox = outbox
         self.enqueued_at = enqueued_at
+
+
+class _Outbox:
+    """One connection's reply slots, in request order, and their writer.
+
+    ``settled`` is set by a closing handler that waits for the slots it
+    still owes; the flush that empties them resolves it.
+    """
+
+    __slots__ = ("writer", "slots", "settled")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.slots: deque[_Slot] = deque()
+        self.settled: asyncio.Future | None = None
+
+    def reply(self, message: dict) -> None:
+        """Queue a reply that is ready now (it still waits its turn)."""
+        self.slots.append(_Slot(encode_frame(message)))
+
+    def flush(self) -> None:
+        """Write every leading filled slot in one ``write``."""
+        slots = self.slots
+        frames = []
+        while slots and slots[0].frame is not None:
+            frames.append(slots.popleft().frame)
+        # A peer that is gone has nothing left to receive.
+        if frames and not self.writer.is_closing():
+            self.writer.write(b"".join(frames))
+        if not slots and self.settled is not None and not self.settled.done():
+            self.settled.set_result(None)
 
 
 class _ConnectionState:
@@ -225,7 +286,10 @@ class ServeDaemon:
         self._interval_depth_max = 0
 
         self._next_client_id = 0
-        self._queue: asyncio.Queue[_Job | None] = asyncio.Queue(maxsize=config.max_queue)
+        #: Admitted jobs in FIFO order; ``None`` is the shutdown sentinel.
+        self._jobs: deque[_Job | None] = deque()
+        #: What the idle worker sleeps on (set only while it sleeps).
+        self._wakeup: asyncio.Future | None = None
         self._server: asyncio.AbstractServer | None = None
         self._worker_task: asyncio.Task | None = None
         self._reporter_task: asyncio.Task | None = None
@@ -341,15 +405,12 @@ class ServeDaemon:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        # Every already-admitted request still gets a real response.
-        await self._queue.join()
-        await self._queue.put(None)
+        # Every already-admitted request still gets a real response: the
+        # sentinel queues behind them all, and the worker flushes every
+        # reply slot it fills before it returns.
+        self._enqueue(None)
         if self._worker_task is not None:
             await self._worker_task
-        # Give per-connection responders a chance to flush the drained
-        # replies before their sockets are closed under them.
-        for _ in range(4):
-            await asyncio.sleep(0)
         for writer in list(self._writers):
             with contextlib.suppress(ConnectionError):
                 writer.close()
@@ -425,23 +486,45 @@ class ServeDaemon:
     # -- background tasks --------------------------------------------------------
 
     async def _worker(self) -> None:
-        """Drain the admission queue, one query step at a time, in order."""
+        """Run the admitted jobs in FIFO order, flushing the replies in batches."""
+        jobs = self._jobs
+        loop = asyncio.get_running_loop()
         while True:
-            job = await self._queue.get()
-            if job is None:
-                self._queue.task_done()
-                return
-            try:
-                reply = self._execute(job.state)
-                latency = time.perf_counter() - job.enqueued_at
-                self.recorder.observe(latency)
-                reply["latency_ms"] = 1e3 * latency
-            except Exception as error:  # defensive: a session bug must not kill the loop
-                self.recorder.count_error()
-                reply = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-            if not job.future.done():
-                job.future.set_result(reply)
-            self._queue.task_done()
+            touched = set()
+            for _ in range(min(len(jobs), WORKER_BATCH)):
+                job = jobs.popleft()
+                if job is None:
+                    for outbox in touched:
+                        outbox.flush()
+                    return
+                job.frame = encode_frame(self._answer(job))
+                touched.add(job.outbox)
+            for outbox in touched:
+                outbox.flush()
+            if jobs:
+                await asyncio.sleep(0)
+            else:
+                self._wakeup = loop.create_future()
+                await self._wakeup
+
+    def _answer(self, job: _Job) -> dict:
+        """Execute one job into its reply; a failed step is an error reply."""
+        try:
+            reply = self._execute(job.state)
+        except Exception as error:  # defensive: a session bug must not kill the loop
+            self.recorder.count_error()
+            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
+        latency = time.perf_counter() - job.enqueued_at
+        self.recorder.observe(latency)
+        reply["latency_ms"] = 1e3 * latency
+        return reply
+
+    def _enqueue(self, job: _Job | None) -> None:
+        """Append to the admission deque and wake the worker if it sleeps."""
+        self._jobs.append(job)
+        if self._wakeup is not None:
+            self._wakeup.set_result(None)
+            self._wakeup = None
 
     def _begin_lifetime(self, state: _ConnectionState) -> None:
         """Choose how ``state``'s fresh session steps, once for its whole life.
@@ -508,7 +591,7 @@ class ServeDaemon:
         return {
             "type": "interval",
             "interval": len(self.intervals) - 1,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._jobs),
             "queue_depth_max": depth_max,
             "connections": len(self._writers),
             "plans_replayed": replayed,
@@ -521,56 +604,73 @@ class ServeDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
-        responses: asyncio.Queue = asyncio.Queue()
-        responder = asyncio.create_task(self._respond_loop(responses, writer))
-        state: _ConnectionState | None = None
-        shutdown_requested = False
+        outbox = _Outbox(writer)
+        closing = None
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                op = frame.get("op")
-                if op == "hello":
-                    state = self._open_session()
-                    await responses.put(
-                        _done(
-                            {
-                                "ok": True,
-                                "client_id": state.client_id,
-                                "n_queries": len(state.session.sequence),
-                                "prefetcher": self.config.prefetcher,
-                            }
-                        )
-                    )
-                elif op == "query":
-                    await responses.put(self._admit(state))
-                elif op == "stats":
-                    await responses.put(_done(self._stats_reply()))
-                elif op == "shutdown":
-                    await responses.put(_done({"ok": True, "draining": True}))
-                    shutdown_requested = True
-                    break
-                elif op == "bye":
-                    await responses.put(_done({"ok": True, "bye": True}))
-                    break
-                else:
-                    await responses.put(_done({"ok": False, "error": f"unknown op {op!r}"}))
-        except ProtocolError as error:
-            await responses.put(_done({"ok": False, "error": str(error)}))
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+            try:
+                closing = await self._read_requests(reader, outbox)
+            except ProtocolError as error:
+                outbox.reply({"ok": False, "error": str(error)})
+            except ConnectionError:
+                pass
+            outbox.flush()
+            if outbox.slots:
+                # The worker still owes replies here; close only after them.
+                outbox.settled = asyncio.get_running_loop().create_future()
+                await outbox.settled
+        except asyncio.CancelledError:
+            # Only the loop's own teardown cancels a handler, and a
+            # connection task that ends cancelled is reported there as an
+            # unhandled error (Python 3.11).
+            return
         finally:
-            await responses.put(None)
-            with contextlib.suppress(ConnectionError):
-                await responder
             self._writers.discard(writer)
-            with contextlib.suppress(ConnectionError):
-                writer.close()
-            if shutdown_requested:
-                # Trigger the drain only after the responder has flushed
-                # the shutdown acknowledgement to the requester.
-                await self.shutdown()
+            writer.close()
+        if closing == "shutdown":
+            # Trigger the drain only after the shutdown acknowledgement
+            # has been written to the requester.
+            await self.shutdown()
+
+    async def _read_requests(self, reader: asyncio.StreamReader, outbox: _Outbox) -> str | None:
+        """Answer or admit each request until EOF, ``bye`` or ``shutdown``.
+
+        Returns the op that ended the connection (``None`` at EOF).
+        ``drain`` once per chunk stops reading a peer that stops reading
+        once its replies pass the transport's high-water mark.
+        """
+        frames = FrameSplitter()
+        state: _ConnectionState | None = None
+        while True:
+            chunk = await reader.read(READ_CHUNK_BYTES)
+            if not chunk:
+                frames.eof()
+                return None
+            for message in frames.feed(chunk):
+                op = message.get("op")
+                if op == "query":
+                    self._admit(state, outbox)
+                elif op == "hello":
+                    state = self._open_session()
+                    outbox.reply(
+                        {
+                            "ok": True,
+                            "client_id": state.client_id,
+                            "n_queries": len(state.session.sequence),
+                            "prefetcher": self.config.prefetcher,
+                        }
+                    )
+                elif op == "stats":
+                    outbox.reply(self._stats_reply())
+                elif op == "shutdown":
+                    outbox.reply({"ok": True, "draining": True})
+                    return op
+                elif op == "bye":
+                    outbox.reply({"ok": True, "bye": True})
+                    return op
+                else:
+                    outbox.reply({"ok": False, "error": f"unknown op {op!r}"})
+            outbox.flush()
+            await outbox.writer.drain()
 
     def _open_session(self) -> _ConnectionState:
         client_id = self._next_client_id
@@ -588,25 +688,24 @@ class ServeDaemon:
         self._begin_lifetime(state)
         return state
 
-    def _admit(self, state: _ConnectionState | None) -> asyncio.Future:
-        """Admission control: enqueue the query, or shed it immediately."""
+    def _admit(self, state: _ConnectionState | None, outbox: _Outbox) -> None:
+        """Admission control: queue the query, or answer it now (shed or error)."""
         if state is None:
-            return _done({"ok": False, "error": "query before hello"})
-        if self._draining:
-            return _done({"ok": False, "shed": True, "error": "draining"})
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        job = _Job(state, future, time.perf_counter())
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+            outbox.reply({"ok": False, "error": "query before hello"})
+        elif self._draining:
+            outbox.reply({"ok": False, "shed": True, "error": "draining"})
+        elif len(self._jobs) >= self.config.max_queue:
             self.requests_shed += 1
             self.recorder.count_shed()
-            return _done({"ok": False, "shed": True})
-        self.requests_admitted += 1
-        depth = self._queue.qsize()
-        self.queue_depth_max = max(self.queue_depth_max, depth)
-        self._interval_depth_max = max(self._interval_depth_max, depth)
-        return future
+            outbox.reply({"ok": False, "shed": True})
+        else:
+            job = _Job(state, outbox, time.perf_counter())
+            outbox.slots.append(job)
+            self._enqueue(job)
+            self.requests_admitted += 1
+            depth = len(self._jobs)
+            self.queue_depth_max = max(self.queue_depth_max, depth)
+            self._interval_depth_max = max(self._interval_depth_max, depth)
 
     def _stats_reply(self) -> dict:
         return {
@@ -615,29 +714,11 @@ class ServeDaemon:
             "plans_replayed": self.plans_replayed,
             "requests_shed": self.requests_shed,
             "sessions_completed": self.sessions_completed,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._jobs),
             "queue_depth_max": self.queue_depth_max,
             "connections": len(self._writers),
             "latency": self.recorder.total().summary(),
         }
-
-    async def _respond_loop(
-        self, responses: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        """Write replies strictly in request order (futures resolve FIFO)."""
-        while True:
-            item = await responses.get()
-            if item is None:
-                return
-            message = await item
-            await write_frame(writer, message)
-
-
-def _done(message: dict) -> asyncio.Future:
-    """An already-resolved reply, so every response rides the same FIFO."""
-    future: asyncio.Future = asyncio.get_running_loop().create_future()
-    future.set_result(message)
-    return future
 
 
 def _print_line(line: str) -> None:

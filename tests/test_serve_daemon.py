@@ -519,6 +519,41 @@ class TestPlanTapes:
         assert final["sessions_completed"] >= 3
         assert final["plans_replayed"] == 0
 
+    def test_mixed_ops_pipelined_on_two_connections_keep_request_order(self):
+        k = 8
+        config = daemon_config(session_pool=2, queries_per_session=6)
+        wire = HELLO + QUERY * k + STATS + QUERY * k + BYE
+
+        async def scenario(daemon):
+            streams = [await _connect(daemon.port) for _ in range(2)]
+            for _, writer in streams:
+                writer.write(wire)
+            replies = []
+            for reader, writer in streams:
+                replies.append([await read_frame(reader) for _ in range(2 * k + 3)])
+                assert await read_frame(reader) is None  # bye closed it
+                writer.close()
+            return replies, daemon.final_report()
+
+        per_connection, final = asyncio.run(_with_daemon(config, scenario))
+        # The daemon takes each small write as one chunk and admits a
+        # chunk whole, so whichever connection said hello first (client
+        # 0) had all of its queries admitted before the other's.
+        per_connection.sort(key=lambda replies: replies[0]["client_id"])
+        expected, cache, _ = _reference_run(config, 2, [(0, 2 * k), (1, 2 * k)])
+        for c, replies in enumerate(per_connection):
+            hello, stats, bye = replies[0], replies[k + 1], replies[-1]
+            queries = replies[1 : k + 1] + replies[k + 2 : -1]
+            assert hello["ok"] and hello["client_id"] == c and "n_queries" in hello
+            # Client 0's own first k, or client 0's 2k and then its own k.
+            assert stats["requests_admitted"] == (2 * c + 1) * k
+            assert bye == {"ok": True, "bye": True}
+            for reply in queries:
+                assert reply.pop("latency_ms") >= 0
+            assert queries == expected[2 * k * c : 2 * k * (c + 1)]
+        assert final["requests_admitted"] == 4 * k
+        assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
+
     def test_dropped_connection_publishes_nothing(self):
         queries = 6
 
@@ -616,6 +651,8 @@ HOSTILE_WIRES = {
 
 HELLO = encode_frame({"op": "hello"})
 QUERY = encode_frame({"op": "query"})
+STATS = encode_frame({"op": "stats"})
+BYE = encode_frame({"op": "bye"})
 
 
 def _run_silently(config: DaemonConfig, scenario):
@@ -648,6 +685,12 @@ async def _until(predicate) -> None:
     """Let the loop (and so the daemon) run until ``predicate`` holds."""
     while not predicate():
         await asyncio.sleep(0.002)
+
+
+async def _admission_drained(daemon: ServeDaemon) -> None:
+    """Wait until the admission deque is empty: a popped job finishes
+    executing before the worker next yields, so every admitted job ran."""
+    await _until(lambda: not daemon._jobs)
 
 
 async def _connect(port: int):
@@ -700,6 +743,46 @@ class TestHostileWire:
 
         _run_silently(daemon_config(), scenario)
 
+    @pytest.mark.parametrize("wire", HOSTILE_WIRES.values(), ids=HOSTILE_WIRES.keys())
+    def test_good_frames_ahead_of_a_hostile_one_in_the_same_write_are_answered_first(self, wire):
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            writer.write(HELLO + QUERY + QUERY + wire)
+            writer.write_eof()
+            hello, q0, q1, error = [await read_frame(reader) for _ in range(4)]
+            assert "n_queries" in hello
+            assert [q0["query_index"], q1["query_index"]] == [0, 1]
+            assert set(error) == {"ok", "error"} and error["ok"] is False
+            assert await read_frame(reader) is None  # ... and then EOF
+            writer.close()
+            await _until(lambda: not daemon._writers)
+            return daemon.final_report()
+
+        final = _run_silently(daemon_config(), scenario)
+        assert final["requests_admitted"] == final["latency"]["count"] == 2
+
+    def test_stats_is_answered_while_a_long_drain_runs(self):
+        """The worker yields every ``WORKER_BATCH`` jobs (ROADMAP 4(b))."""
+        n_queries = 3000
+
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            other = await _connect(daemon.port)
+            writer.write(HELLO + QUERY * n_queries)
+            assert "n_queries" in await read_frame(reader)
+            replies = [await read_frame(reader)]  # the drain is under way
+            stats = await _ask(other, "stats")
+            replies += [await read_frame(reader) for _ in range(n_queries - 1)]
+            writer.close()
+            other[1].close()
+            return stats, replies
+
+        stats, replies = _run_silently(daemon_config(max_queue=4096), scenario)
+        # Answered before the last query had even run, let alone replied.
+        assert stats["ok"] and stats["latency"]["count"] < n_queries
+        per_session = daemon_config().queries_per_session
+        assert [r["query_index"] for r in replies] == [i % per_session for i in range(n_queries)]
+
     def test_pipelined_queries_of_an_aborted_client_are_executed_and_booked(self):
         n_queries = 30
 
@@ -708,7 +791,7 @@ class TestHostileWire:
             writer.write(HELLO + QUERY * n_queries)
             writer.transport.abort()  # never reads a byte
             await _until(lambda: daemon.requests_admitted == n_queries)
-            await daemon._queue.join()
+            await _admission_drained(daemon)
             final = daemon.final_report()
             assert final["latency"]["count"] + final["latency"]["errors"] == n_queries
             await _until(lambda: not daemon._writers)
@@ -735,7 +818,7 @@ class TestHostileWire:
             await _until(
                 lambda: not daemon._writers and len(asyncio.all_tasks()) == tasks_before
             )
-            await daemon._queue.join()
+            await _admission_drained(daemon)
             final = daemon.final_report()
             assert final["requests_admitted"] == (
                 final["latency"]["count"] + final["latency"]["errors"]

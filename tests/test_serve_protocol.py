@@ -5,12 +5,15 @@ later request on the connection, so the contract is pinned tightly:
 exact roundtrips under pipelining, hard rejection of oversized and
 malformed frames, and a clean ``None`` only at a true frame boundary --
 an EOF mid-header or mid-payload is a :class:`ProtocolError`, never a
-silent truncation.
+silent truncation.  The daemon's :class:`FrameSplitter` cuts the same
+frames out of arbitrary chunks and must agree with :func:`read_frame`
+byte for byte, error text for error text.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    FrameSplitter,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -72,6 +76,7 @@ class TestEncodeDecode:
     def test_roundtrip_arbitrary_messages(self, message):
         wire = encode_frame(message)
         assert decode_frame(wire[4:]) == message
+        assert wire[4:] == json.dumps(message, separators=(",", ":"), sort_keys=True).encode()
 
     @given(
         st.binary(max_size=200)
@@ -145,3 +150,57 @@ class TestReadFrame:
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError, match="announced"):
             _read_all(header)
+
+
+def _read_error(data: bytes) -> str:
+    """The :class:`ProtocolError` text ``read_frame`` raises on ``data``."""
+    with pytest.raises(ProtocolError) as raised:
+        _read_all(data)
+    return str(raised.value)
+
+
+def _split_all(chunks) -> list[dict]:
+    """Feed ``chunks`` through one splitter, then end the stream."""
+    splitter = FrameSplitter()
+    frames = [message for chunk in chunks for message in splitter.feed(chunk)]
+    splitter.eof()
+    return frames
+
+
+class TestFrameSplitter:
+    @given(st.lists(messages, max_size=8), st.lists(st.integers(0, 2000), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_chunking_yields_what_read_frame_yields(self, batch, cuts):
+        wire = b"".join(encode_frame(message) for message in batch)
+        offsets = sorted({0, len(wire), *(cut % (len(wire) + 1) for cut in cuts)})
+        chunks = [wire[a:b] for a, b in zip(offsets, offsets[1:])]
+        assert _split_all(chunks) == _read_all(wire) == batch
+
+    @pytest.mark.parametrize(
+        "cut, where",
+        [(b"\x00\x00", "mid-header"), (encode_frame({"op": "hello"})[:-1], "mid-frame")],
+    )
+    def test_eof_inside_a_frame_raises_read_frames_error(self, cut, where):
+        good = encode_frame({"op": "query"})
+        splitter = FrameSplitter()
+        assert list(splitter.feed(good + cut)) == [{"op": "query"}]
+        with pytest.raises(ProtocolError, match=where) as raised:
+            splitter.eof()
+        assert str(raised.value) == _read_error(good + cut)
+
+    def test_oversized_announcement_raises_on_the_header_alone(self):
+        header = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        splitter = FrameSplitter()
+        assert list(splitter.feed(header[:3])) == []
+        with pytest.raises(ProtocolError, match="announced") as raised:
+            next(splitter.feed(header[3:]))
+        assert str(raised.value) == _read_error(header)
+
+    def test_good_frames_ahead_of_a_bad_one_come_out_first(self):
+        good = [{"op": "hello"}, {"op": "query"}]
+        wire = b"".join(map(encode_frame, good)) + struct.pack(">I", 3) + b"[1]"
+        frames = []
+        with pytest.raises(ProtocolError, match="JSON object"):
+            for message in FrameSplitter().feed(wire):
+                frames.append(message)
+        assert frames == good
