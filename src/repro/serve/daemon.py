@@ -10,10 +10,12 @@ synchronous, sub-millisecond step, so the daemon executes steps inline
 on the loop and concurrency lives in the *queueing*, not in threads
 (which also keeps the shared cache single-writer by construction).
 A step's *pure* work -- index result, prediction, plan -- depends only
-on the walk and the position in it, so the daemon keeps one plan tape
-per pool walk and later sessions on that walk read it
-(``step_query_replay``) instead of recomputing it; cache touches, disk
-reads and budget spending still execute per request, in FIFO order.
+on the walk and the position in it, so when plans are shareable the
+daemon tapes each pool walk once, on the walk's first query
+(:meth:`~repro.sim.engine.QuerySession.plan_tape`), and every session
+on that walk reads the tape (``step_query_replay``) instead of
+recomputing it; cache touches, disk reads and budget spending still
+execute per request, in FIFO order.
 
 Admission is a bounded deque of jobs: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
@@ -61,7 +63,6 @@ from repro.quickstart import default_prefetcher
 from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import FrameSplitter, ProtocolError, encode_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
-from repro.sim.metrics import LatencyReport
 from repro.sim.serve import plans_shareable
 from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
@@ -190,20 +191,18 @@ class _Outbox:
 class _ConnectionState:
     """One connection's session slot (renewed in place when exhausted).
 
-    ``tape`` and ``recording`` are how the current session steps, fixed
-    for its whole lifetime by :meth:`ServeDaemon._begin_lifetime`: a
-    session with a ``tape`` replays it, one with a ``recording`` list
-    captures into it, one with neither steps plainly.
+    ``walk_tape`` is the walk's plan tape, the one list every connection
+    on the walk shares: empty until the walk's first query fills it,
+    and for good when plans are not shareable or that build raised.
     """
 
-    __slots__ = ("client_id", "walk", "session", "tape", "recording", "sessions_completed")
+    __slots__ = ("client_id", "walk", "walk_tape", "session", "sessions_completed")
 
-    def __init__(self, client_id: int, walk: int, session: QuerySession):
+    def __init__(self, client_id: int, walk: int, walk_tape: list, session: QuerySession):
         self.client_id = client_id
         self.walk = walk
+        self.walk_tape = walk_tape
         self.session = session
-        self.tape: list | None = None
-        self.recording: list | None = None
         self.sessions_completed = 0
 
 
@@ -266,16 +265,17 @@ class ServeDaemon:
         self._make_prefetcher = functools.partial(
             default_prefetcher(config.prefetcher).build, self.dataset, self.index
         )
-        # One plan tape per pool walk (DESIGN.md §8): the pure work of
-        # each of its queries, published by the first session that
-        # finishes recording the walk and replayed by every session
-        # opened on it afterwards.  Every session runs the configured
-        # prefetcher, so one instance decides eligibility for all.
-        self._sharing = plans_shareable([self._make_prefetcher()], faults)
-        self._tapes: list[list | None] = [None] * len(self.pool)
+        # One plan tape per pool walk (DESIGN.md §8), filled on the
+        # walk's first query; ``_untaped`` holds the walks still to try.
+        # Every session runs the configured prefetcher, so one instance
+        # decides eligibility for all.
+        self._tapes: list[list] = [[] for _ in self.pool]
+        shareable = plans_shareable([self._make_prefetcher()], faults)
+        self._untaped = set(range(len(self.pool))) if shareable else set()
 
         self.recorder = LatencyRecorder()
-        self.intervals: list[LatencyReport] = []
+        #: Each interval report's latency summary, in order.
+        self.intervals: list[dict] = []
         self.requests_admitted = 0
         self.requests_shed = 0
         #: Requests served from a plan tape instead of observe/plan work.
@@ -434,7 +434,7 @@ class ServeDaemon:
             "sessions_completed": self.sessions_completed,
             "queue_depth_max": self.queue_depth_max,
             "latency": total.summary(),
-            "intervals": [r.summary() for r in self.intervals],
+            "intervals": self.intervals,
             "cache": {
                 "capacity_pages": self.cache.capacity_pages,
                 "hits": self.cache.hits,
@@ -526,18 +526,6 @@ class ServeDaemon:
             self._wakeup.set_result(None)
             self._wakeup = None
 
-    def _begin_lifetime(self, state: _ConnectionState) -> None:
-        """Choose how ``state``'s fresh session steps, once for its whole life.
-
-        A walk with a published tape is replayed; otherwise, when
-        sharing is sound, the session records one.  Never re-deciding
-        mid-session is what makes replay safe: a replaying session's
-        prefetcher goes stale at its first step and is never consulted,
-        because the tape it was given already covers its whole sequence.
-        """
-        state.tape = self._tapes[state.walk]
-        state.recording = [] if self._sharing and state.tape is None else None
-
     def _execute(self, state: _ConnectionState) -> dict:
         """Advance one session step (renewing an exhausted session in place)."""
         session = state.session
@@ -546,21 +534,17 @@ class ServeDaemon:
             state.session = session
             state.sessions_completed += 1
             self.sessions_completed += 1
-            self._begin_lifetime(state)
-        if state.tape is not None:
-            record = session.step_query_replay(state.tape[session.query_index])
+        # Tapes are only ever added, so "is my walk taped?" is a safe
+        # per-step test.  A walk is taped once, on its first query, with
+        # a fresh prefetcher: a build that raises consumes no session's,
+        # gets the guard's error reply and leaves the walk untaped.
+        tape = state.walk_tape
+        if not tape and state.walk in self._untaped:
+            self._untaped.discard(state.walk)
+            tape.extend(session.renew(self._make_prefetcher()).plan_tape())
+        if tape:
+            record = session.step_query_replay(tape[session.query_index])
             self.plans_replayed += 1
-        elif state.recording is not None:
-            try:
-                state.recording.append(session.step_query_capture())
-            except Exception:
-                # The prefetcher saw a failed step: what this session
-                # computes from here on is not the walk's pure work.
-                state.recording = None
-                raise
-            record = session.metrics.records[-1]
-            if session.done and self._tapes[state.walk] is None:
-                self._tapes[state.walk] = state.recording
         else:
             record = session.step_query()
         return {
@@ -582,8 +566,8 @@ class ServeDaemon:
 
     def interval_report(self) -> dict:
         """Snapshot the open interval into a JSON report."""
-        report = self.recorder.snapshot()
-        self.intervals.append(report)
+        summary = self.recorder.snapshot().summary()
+        self.intervals.append(summary)
         depth_max = self._interval_depth_max
         self._interval_depth_max = 0
         replayed = self.plans_replayed - self._interval_replayed_mark
@@ -595,7 +579,7 @@ class ServeDaemon:
             "queue_depth_max": depth_max,
             "connections": len(self._writers),
             "plans_replayed": replayed,
-            **report.summary(),
+            **summary,
         }
 
     # -- connection handling -----------------------------------------------------
@@ -684,9 +668,7 @@ class ServeDaemon:
             disk=self.disk,
             client_id=client_id,
         )
-        state = _ConnectionState(client_id, walk, session)
-        self._begin_lifetime(state)
-        return state
+        return _ConnectionState(client_id, walk, self._tapes[walk], session)
 
     def _admit(self, state: _ConnectionState | None, outbox: _Outbox) -> None:
         """Admission control: queue the query, or answer it now (shed or error)."""

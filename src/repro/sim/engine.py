@@ -64,15 +64,15 @@ class _SharedProbeStream:
     partially consumed chunk merely wasted some (cheap, vectorized)
     lookahead.
 
-    Plan-sharing groups (see :mod:`repro.sim.serve`) execute the *same*
-    plan against different per-client budgets and cache states: each
-    member consumes a prefix of the target's probe sequence through its
-    own :meth:`view`, the prefix length depending on its own spending.
-    Resolved chunks are memoized, so the group pays for each index
-    lookup once while every member sees the identical per-region page
-    sets it would have computed alone (probe resolution is pure: region
-    in, pages out).  A query stepped alone is the one-consumer case of
-    the same schedule.
+    Sessions replaying one plan tape (see :mod:`repro.sim.serve`)
+    execute the *same* plan against different per-client budgets and
+    cache states: each consumes a prefix of the target's probe sequence
+    through its own :meth:`view`, the prefix length depending on its
+    own spending.  Resolved chunks are memoized, so the walk pays for
+    each index lookup once while every session sees the identical
+    per-region page sets it would have computed alone (probe resolution
+    is pure: region in, pages out).  A query stepped alone is the
+    one-consumer case of the same schedule.
     """
 
     def __init__(self, index, regions) -> None:
@@ -110,9 +110,10 @@ class _ProbeCursor:
 def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> None:
     """Resolve the next chunk of every stream in ONE ``pages_for_regions`` pass.
 
-    ``get`` is the one-stream call; the lockstep tick hands in every
-    stream of the tick.  Chunks concatenate as packed corners and the
-    answers split back: each stream holds what it would have alone.
+    ``get`` is the one-stream call; a plan tape hands in every stream
+    of its walk, the lockstep tick every stream of the tick.  Chunks
+    concatenate as packed corners and the answers split back: each
+    stream holds what it would have alone.
     """
     chunks = [s._regions[len(s._resolved) : len(s._resolved) + PROBE_CHUNK] for s in streams]
     pending = [(stream, chunk) for stream, chunk in zip(streams, chunks) if len(chunk)]
@@ -134,14 +135,15 @@ class _QueryBundle:
 
     :meth:`QuerySession.step_query` computes each field the first time
     a step needs it and reads it afterwards, so whoever comes first --
-    the lockstep tick's :meth:`QuerySession.fill_ahead`, or the step
-    itself -- fills the record and later members of a plan-sharing
-    group (:meth:`QuerySession.step_query_replay`) read it.  Everything here
-    is a pure function of the shared sequence and the
-    (bitwise-identical) prefetcher state, so reading it is exactly the
-    computation the follower would have done itself; all cache touches,
-    disk reads and budget spending stay per-client.  ``None`` marks a
-    field nobody has computed yet.
+    the walk's plan tape (:meth:`QuerySession.plan_tape`), the lockstep
+    tick's :meth:`QuerySession.fill_ahead`, or the step itself -- fills
+    the record, and every session that replays a tape
+    (:meth:`QuerySession.step_query_replay`) reads it.  Everything here
+    is a pure function of the walk and the cursor when plans are
+    shareable, so reading it is exactly the computation the replaying
+    session would have done itself; all cache touches, disk reads and
+    budget spending stay per-client.  ``None`` marks a field nobody has
+    computed yet.
     """
 
     cursor: int
@@ -543,8 +545,8 @@ class QuerySession:
         prefetcher.observe(ObservedQuery(work.cursor, bounds, work.result.object_ids))
         work.prediction_cost = prefetcher.prediction_cost_seconds()
         work.build_cost = prefetcher.graph_build_cost_seconds()
-        # The scheduler only shares plans for gap-free prefetchers, so a
-        # group's members all see the same (empty) gap list.
+        # Plans are only taped for gap-free prefetchers, so every
+        # session replaying a tape sees the same (empty) gap list.
         work.gap_pages = prefetcher.gap_io_pages()
 
     def _fill_plan(self, work: "_QueryBundle") -> None:
@@ -554,14 +556,15 @@ class QuerySession:
         work.streams = self.engine._probe_streams(work.targets, query)
 
     def fill_ahead(self, result) -> "_QueryBundle":
-        """The next query's pure work, as far as its step is certain to go.
+        """The next query's pure work, filled ahead of its step (DESIGN.md §6.1)."""
+        return self._fill(self._cursor, result)
 
-        The lockstep tick's hoist (DESIGN.md §6.1): the served part
-        always; the observation when the breaker is absent or closed
-        (only this session's own step changes it); the plan when no gap
-        I/O precedes it and the window outlasts the prediction cost.
-        """
-        work = _QueryBundle(cursor=self._cursor)
+    def _fill(self, cursor: int, result) -> "_QueryBundle":
+        """Query ``cursor``'s pure work, as far as its step is certain to go:
+        the served part always; the observation when the breaker is absent
+        or closed (only this session's own step changes it); the plan when
+        no gap I/O precedes it and the window outlasts the prediction cost."""
+        work = _QueryBundle(cursor=cursor)
         self._fill_served(work, result)
         if self._breaker is None or self._breaker.state == CircuitBreaker.CLOSED:
             self._fill_prediction(work)
@@ -570,10 +573,31 @@ class QuerySession:
                 self._fill_plan(work)
         return work
 
+    def plan_tape(self) -> list["_QueryBundle"]:
+        """Every query's pure work in walk order: the walk's plan tape.
+
+        The one plan-sharing mechanism (DESIGN.md §6.1, §8): when
+        :func:`~repro.sim.serve.plans_shareable` holds, every session on
+        the walk, this one included, steps through
+        ``step_query_replay(tape[cursor])``.  Built before the session
+        steps: one ``query_many`` over the walk, each query filled as by
+        :meth:`fill_ahead` plus its candidate count, then one
+        ``pages_for_regions`` pass over every probe stream's first chunk.
+        Touches no cache and charges no disk time.
+        """
+        index = self.engine.index
+        tape = []
+        results = index.query_many([query.bounds for query in self.sequence.queries])
+        for cursor, result in enumerate(results):
+            work = self._fill(cursor, result)
+            work.n_candidates = getattr(self.prefetcher, "n_candidates", 0)
+            tape.append(work)
+        resolve_ahead(index, [stream for work in tape for stream in work.streams or ()])
+        return tape
+
     def step_query_capture(self) -> "_QueryBundle | None":
-        """Advance one query alone; returns the record of its pure work,
-        which the daemon's plan tapes keep for later sessions on the walk
-        to read via :meth:`step_query_replay`."""
+        """Advance one query alone; returns the record of its pure work.
+        No production caller: kept for the tests and the tracer's spans."""
         if self.done:
             return None
         work = _QueryBundle(cursor=self._cursor)
@@ -581,15 +605,12 @@ class QuerySession:
         return work
 
     def step_query_replay(self, work: "_QueryBundle") -> QueryRecord | None:
-        """Advance one query, reading a leader's pure work.
+        """Advance one query, reading a plan tape's entry (:meth:`plan_tape`).
 
-        Only valid when this session is bitwise-identical to the
-        leader in its pure computations (same sequence object, same
-        start tick, same prefetcher kind -- the scheduler's grouping
-        invariant): observing and planning are skipped entirely, so
-        this session's prefetcher state goes stale and must never be
-        consulted again.  Cache touches, disk reads and budget spending
-        all still happen here, per-client, in scheduler order.
+        Observing and planning are skipped entirely, so this session's
+        prefetcher goes stale and must never be consulted again; cache
+        touches, disk reads and budget spending all still happen here,
+        per-client, in scheduler order.
         """
         return self.step_query(work)
 
@@ -597,7 +618,7 @@ class QuerySession:
         """Advance one whole query; its record, or ``None`` when done.
 
         ``work`` is the query's pure-work record when the lockstep tick
-        filled one ahead or a plan-sharing group shares one: the step
+        filled one ahead or a plan tape holds one: the step
         reads what is filled and computes the rest through the same
         ``_fill_*`` definitions, so a query stepped alone is the case
         of a record nobody has filled.
@@ -707,10 +728,10 @@ class QuerySession:
                     prefetch_seconds += cost
                     cache.insert(page, self.client_id)
 
-                # Execute the plan within the remaining window.  Group
-                # members enter with identical budgets (pure inputs), so
-                # the leader's planned/not-planned decision is every
-                # member's decision; each member still spends its own
+                # Execute the plan within the remaining window.  Sessions
+                # replaying one tape enter with identical budgets (pure
+                # inputs), so the tape's planned/not-planned decision is
+                # every session's decision; each still spends its own
                 # budget against its own view of the shared cache,
                 # consuming its own prefix of the shared probe streams.
                 if budget > 0:

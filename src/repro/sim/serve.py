@@ -24,17 +24,15 @@ Two schedulers produce **bit-identical reports** (pinned by
     the reference loop above -- one client's full query at a time; the
     oracle the tests compare against;
 ``lockstep``
-    the vectorized plane sweeps run on.  Each tick batches the pure
-    work before anyone steps: one ``query_many`` pass resolves the
-    queries, each plan owner fills its record as far as its step is
-    certain to go (:meth:`~repro.sim.engine.QuerySession.fill_ahead`),
-    one ``pages_for_regions`` pass resolves the first chunk of every
-    probe stream of the tick, and -- when every client runs the same
-    position-only prefetcher -- clients that share a hot sequence read
-    their group leader's record instead of recomputing it.  Only *pure*
-    work is ever hoisted or shared; every cache touch, disk read and
-    budget decision still executes in exact client order, which is why
-    the reports match bit for bit.
+    the vectorized plane sweeps run on.  When :func:`plans_shareable`
+    holds, each walk's pure work is taped once before anything steps
+    (:meth:`~repro.sim.engine.QuerySession.plan_tape`) and every tick
+    replays it for every active client; otherwise each tick batches the
+    pure work ahead of its steps (one ``query_many`` pass, ``fill_ahead``,
+    one ``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
+    shared; every cache touch, disk read and budget decision still
+    executes in exact client order, which is why the reports match bit
+    for bit.
 
 With one client the shared cache and disk degenerate to private ones,
 so ``ServingSimulator`` over a single session is bit-identical to
@@ -59,11 +57,11 @@ __all__ = ["ServingSimulator", "plans_shareable"]
 def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None) -> bool:
     """Whether sessions may read one another's pure observe/plan work.
 
-    The one eligibility rule of plan sharing, called by the lockstep
-    scheduler (leader/follower groups within a tick) and by the serving
-    daemon (per-walk plan tapes across time, DESIGN.md §8).  Sharing
-    replays another session's observe/plan work, so it is only sound
-    when that work is a pure function of the observed sequence:
+    The one rule of plan sharing, for the lockstep scheduler and the
+    serving daemon alike: when it holds, every session replays its
+    walk's plan tape (DESIGN.md §6.1, §8); otherwise nothing is taped.
+    That is only sound when the observe/plan work is a pure function of
+    the observed sequence:
 
     * every session runs a position-only prefetcher (plans derive from
       observed centers alone, and no gap I/O whose pulls could depend
@@ -111,9 +109,9 @@ class ServingSimulator:
         ``lockstep`` selects the vectorized scheduler (sweeps always
         do, see :func:`repro.sim.runner.run_serving_cell`); both
         schedulers serve from the same cache and the report is
-        bit-identical either way.  Lockstep shares leader/follower
-        plans whenever that is sound: every client on the same
-        position-only prefetcher and no fault that can fire.
+        bit-identical either way.  Lockstep replays per-walk plan tapes
+        whenever that is sound: every client on the same position-only
+        prefetcher and no fault that can fire.
         """
         clients = list(clients)
         if not clients:
@@ -201,30 +199,24 @@ class ServingSimulator:
         return tick
 
     def _run_lockstep(self, clients, sessions, prefetchers) -> int:
-        """The vectorized plane: batch the tick's pure work, then step.
+        """The vectorized plane: share or batch the pure work, then step.
 
-        Per tick: (1) resolve every plan owner's query in one batched
-        ``query_many`` pass; (2) every owner fills its query's pure work
-        ahead of its step (``fill_ahead``) and ONE ``pages_for_regions``
-        pass resolves the first chunk of every probe stream of the
-        tick; (3) step every active session's full query *in client
-        order* -- all cache and disk mutations happen here, exactly as
-        round-robin interleaves them.  A plan owner is a client on its
-        own record or the leader of a plan-sharing group (same sequence
-        object, same start tick, eligible prefetchers); followers read
-        the leader's record: every active member advances exactly one
-        query per tick, so members stay bitwise-identical in their pure
-        computations for the whole run and the record the leader filled
-        *is* the follower's own computation.
+        With shareable plans, one tape per distinct sequence object is
+        built up front from that walk's first session, and each tick
+        replays it at every active session's own cursor.  Otherwise each
+        tick resolves every active query in one ``query_many`` pass and
+        fills its pure work ahead (``fill_ahead``), with ONE
+        ``pages_for_regions`` pass over the tick's probe streams.  Either
+        way every active session then steps *in client order* -- all
+        cache and disk mutations happen there, as in round-robin.
         """
-        # Static sharing groups: same sequence object + same start tick
-        # (hotspot workloads share sequence objects across followers).
-        leader_of = list(range(len(clients)))
+        tapes = None
         if plans_shareable(prefetchers, self.config.faults):
-            first_with_key: dict[tuple[int, int], int] = {}
-            for i, client in enumerate(clients):
-                key = (id(client.sequence), client.start_tick)
-                leader_of[i] = first_with_key.setdefault(key, i)
+            by_walk: dict[int, list] = {}
+            for session in sessions:
+                if id(session.sequence) not in by_walk:
+                    by_walk[id(session.sequence)] = session.plan_tape()
+            tapes = [by_walk[id(session.sequence)] for session in sessions]
 
         tick = 0
         while True:
@@ -240,22 +232,19 @@ class ServingSimulator:
             if not active and not waiting:
                 break
 
-            # The tick's pure work, batched over the distinct queries (a
-            # follower's query is its leader's query).
-            owners = [i for i in active if leader_of[i] == i]
-            owned = [sessions[i] for i in owners]
-            bounds = [s.sequence.queries[s.query_index].bounds for s in owned]
-            bundles = {
-                i: session.fill_ahead(result)
-                for i, session, result in zip(owners, owned, self.index.query_many(bounds))
-            }
-            streams = [s for work in bundles.values() for s in work.streams or ()]
-            resolve_ahead(self.index, streams)
-
-            for i in active:
-                if leader_of[i] == i:
-                    sessions[i].step_query(bundles[i])
-                else:
-                    sessions[i].step_query_replay(bundles[leader_of[i]])
+            if tapes is not None:
+                for i in active:
+                    session = sessions[i]
+                    session.step_query_replay(tapes[i][session.query_index])
+            else:
+                batch = [sessions[i] for i in active]
+                bounds = [s.sequence.queries[s.query_index].bounds for s in batch]
+                bundles = [
+                    session.fill_ahead(result)
+                    for session, result in zip(batch, self.index.query_many(bounds))
+                ]
+                resolve_ahead(self.index, [s for work in bundles for s in work.streams or ()])
+                for session, work in zip(batch, bundles):
+                    session.step_query(work)
             tick += 1
         return tick

@@ -196,6 +196,31 @@ class TestProtocolOps:
 
         asyncio.run(_with_daemon(daemon_config(), scenario))
 
+    def test_final_report_keeps_the_summaries_the_interval_lines_carried(self):
+        async def scenario(daemon):
+            stream = await _connect(daemon.port)
+            try:
+                await _ask(stream, "hello")
+                lines = []
+                for n in (3, 2):
+                    for _ in range(n):
+                        assert (await _ask(stream, "query"))["ok"]
+                    lines.append(daemon.interval_report())
+                return lines, daemon.final_report(), daemon.intervals
+            finally:
+                stream[1].close()
+
+        lines, final, kept = asyncio.run(_with_daemon(daemon_config(), scenario))
+        own = ("type", "interval", "queue_depth", "queue_depth_max", "connections",
+               "plans_replayed")
+        carried = [{key: value for key, value in line.items() if key not in own} for line in lines]
+        assert final["intervals"] == carried
+        # Only the summaries stay: the samples live once, in the total.
+        assert kept == carried
+        assert [summary["count"] for summary in carried] == [3, 2]
+        assert [line["plans_replayed"] for line in lines] == [3, 2]
+        assert final["latency"]["count"] == 5
+
 
 class TestLoadgenEndToEnd:
     def test_deterministic_request_count_and_latency_report(self):
@@ -491,23 +516,22 @@ class TestPlanTapes:
     """Tapes move pure work from compute to read and nothing else."""
 
     def test_replies_equal_plain_stepping_in_request_order(self):
-        # More connections than walks: late joiners replay a tape that
-        # another connection recorded, two connections record the same
-        # walk at once, and every session renews several times.
+        # More connections than walks: connections share a walk's tape
+        # at different cursors, and every session renews several times.
         config = daemon_config(session_pool=2, queries_per_session=6)
         bursts = _seeded_bursts(seed=5, n_connections=5, n_bursts=60, max_size=7)
         final = _assert_equals_reference(config, 5, bursts)
         assert final["sessions_completed"] >= 10
-        assert 0 < final["plans_replayed"] < final["requests_admitted"]
+        assert final["plans_replayed"] == final["requests_admitted"]
 
-    def test_replayed_count_is_everything_after_the_first_lifetime(self):
-        # Distinct walks: each connection records its own first
-        # lifetime (Q requests) and replays from then on.
+    def test_every_request_replays_its_walks_tape(self):
+        # Distinct walks: each walk is taped on its first query, so
+        # every request, first lifetime included, replays.
         connections, per_connection, queries = 3, 13, 5
         config = daemon_config(session_pool=4, queries_per_session=queries)
         bursts = [(c, per_connection) for c in range(connections)]
         final = _assert_equals_reference(config, connections, bursts)
-        assert final["plans_replayed"] == connections * (per_connection - queries)
+        assert final["plans_replayed"] == final["requests_admitted"]
 
     @pytest.mark.parametrize(
         "overrides", [dict(prefetcher="scout"), dict(fault_rate=0.05)], ids=["scout", "faults"]
@@ -554,80 +578,48 @@ class TestPlanTapes:
         assert final["requests_admitted"] == 4 * k
         assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
 
-    def test_dropped_connection_publishes_nothing(self):
+    def test_walk_whose_tape_build_raises_steps_plainly_for_good(self, monkeypatch):
         queries = 6
+        builds = []
+
+        def build_raising(session):
+            builds.append(session)
+            raise RuntimeError("tape build blew up")
+
+        monkeypatch.setattr(QuerySession, "plan_tape", build_raising)
 
         async def scenario(daemon):
-            # One walk: a connection that leaves mid-session ...
-            await _drive_bursts(daemon, 1, [(0, queries - 2)])
-            # ... leaves no tape, so the next session on the walk
-            # records its whole first lifetime before anything replays.
-            _, recorded = await _drive_bursts(daemon, 1, [(0, queries)])
-            _, replayed = await _drive_bursts(daemon, 1, [(0, 3)])
-            return recorded, replayed, daemon.interval_report()
-
-        recorded, replayed, interval = asyncio.run(
-            _with_daemon(daemon_config(session_pool=1, queries_per_session=queries), scenario)
-        )
-        assert recorded["plans_replayed"] == 0
-        assert replayed["plans_replayed"] == 3
-        assert interval["plans_replayed"] == 3
-
-    def test_recording_session_whose_step_raises_never_publishes(self, monkeypatch):
-        queries = 6
-
-        async def scenario(daemon):
-            build = daemon._make_prefetcher
-
-            def build_flaky():
-                prefetcher = build()
-                observe, calls = prefetcher.observe, []
-
-                def observe_failing_third(query):
-                    calls.append(query)
-                    if len(calls) == 3:
-                        raise RuntimeError("observe blew up")
-                    return observe(query)
-
-                prefetcher.observe = observe_failing_third
-                return prefetcher
-
-            monkeypatch.setattr(daemon, "_make_prefetcher", build_flaky)
-            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+            streams = [await _connect(daemon.port) for _ in range(2)]
             try:
-                await write_frame(writer, {"op": "hello"})
-                await read_frame(reader)
-                monkeypatch.undo()  # renewed sessions get healthy prefetchers
-
-                async def ask(n):
-                    out = []
-                    for _ in range(n):
-                        await write_frame(writer, {"op": "query"})
-                        out.append(await read_frame(reader))
-                    return out
-
-                # The third step raises; the worker's guard answers it
-                # and the session carries on from the same query.
-                first = await ask(queries + 1)
-                assert [r["ok"] for r in first] == [True, True, False] + [True] * (queries - 2)
-                assert "observe blew up" in first[2]["error"]
-                assert first[-1]["session_done"]
-                # Had the failed lifetime published, this one would replay.
-                second = await ask(queries)
-                await write_frame(writer, {"op": "stats"})
-                after_second = await read_frame(reader)
-                # The healthy lifetime did publish: the third replays.
-                third = await ask(2)
-                assert all(r["ok"] for r in second + third)
-                return after_second, daemon.final_report()
+                for stream in streams:
+                    assert (await _ask(stream, "hello"))["ok"]
+                # The walk's first query builds its tape; the build raises
+                # and the worker's guard answers that query alone.
+                failed = await _ask(streams[0], "query")
+                # Neither a renewal nor a second connection on the walk
+                # tries again: from here on every session steps plainly.
+                replies = [await _ask(streams[0], "query") for _ in range(2 * queries + 1)]
+                replies += [await _ask(streams[1], "query") for _ in range(3)]
+                return failed, replies, daemon.final_report()
             finally:
-                writer.close()
+                for _, writer in streams:
+                    writer.close()
 
-        after_second, final = asyncio.run(
-            _with_daemon(daemon_config(session_pool=1, queries_per_session=queries), scenario)
+        config = daemon_config(session_pool=1, queries_per_session=queries)
+        failed, replies, final = asyncio.run(_with_daemon(config, scenario))
+        assert failed["ok"] is False and "tape build blew up" in failed["error"]
+        assert len(builds) == 1
+        # The failed build consumed no session's prefetcher, so the reply
+        # stream equals plain stepping without the failed request.
+        expected, cache, sessions_completed = _reference_run(
+            config, 2, [(0, 2 * queries + 1), (1, 3)]
         )
-        assert after_second["plans_replayed"] == 0
-        assert final["plans_replayed"] == 2
+        for reply in replies:
+            assert reply.pop("latency_ms") >= 0
+        assert replies == expected
+        assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
+        assert final["sessions_completed"] == sessions_completed
+        assert final["plans_replayed"] == 0
         assert final["latency"]["errors"] == 1
 
 

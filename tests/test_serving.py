@@ -76,12 +76,22 @@ class _NeverConsulted(Prefetcher):
     gap_io_pages = _refuse
 
 
-def lead_and_follow(engine, sequence, make):
-    """Leader captures every query, follower replays it; private caches."""
+def lead_and_follow(engine, sequence, make, mode):
+    """The follower replays the leader's pure work; private caches.
+
+    ``capture``: the leader captures each query as it steps it.
+    ``tape``: the leader builds the walk's plan tape before stepping,
+    then replays it like the follower does.
+    """
     leader = QuerySession(engine, sequence, make())
     follower = QuerySession(engine, sequence, _NeverConsulted())
+    tape = leader.plan_tape() if mode == "tape" else None
     while not leader.done:
-        work = leader.step_query_capture()
+        if tape is None:
+            work = leader.step_query_capture()
+        else:
+            work = tape[leader.query_index]
+            leader.step_query_replay(work)
         assert work.cursor == follower.query_index
         assert follower.step_query_replay(work) is follower.metrics.records[-1]
     return leader, follower
@@ -100,27 +110,31 @@ class TestQuerySession:
         assert session.step_query_capture() is None
         assert session.metrics.records == records
 
+    @pytest.mark.parametrize("mode", ["capture", "tape"])
     @pytest.mark.parametrize(
         "make", [partial(EWMAPrefetcher, lam=0.3), NoPrefetcher], ids=["ewma", "planless"]
     )
-    def test_capture_then_replay_equals_independent_steps(self, tissue, tissue_flat, make):
+    def test_capture_then_replay_equals_independent_steps(
+        self, tissue, tissue_flat, make, mode
+    ):
         """The shared-work record: leader fills it, follower only reads it."""
         sequence = generate_sequences(tissue, 1, 7, n_queries=6, volume=30_000.0)[0]
         engine = SimulationEngine(tissue_flat)
-        leader, follower = lead_and_follow(engine, sequence, make)
+        leader, follower = lead_and_follow(engine, sequence, make, mode)
         reference = engine.run(sequence, make())
         assert leader.metrics.records == reference.records
         assert follower.metrics.records == reference.records
         assert follower.done
 
-    def test_replay_across_a_window_that_closes_mid_plan(self, tissue, tissue_flat):
+    @pytest.mark.parametrize("mode", ["capture", "tape"])
+    def test_replay_across_a_window_that_closes_mid_plan(self, tissue, tissue_flat, mode):
         """Each member consumes its own prefix of the shared probe streams."""
         sequence = generate_sequences(
             tissue, 1, 7, n_queries=6, volume=30_000.0, window_ratio=0.1
         )[0]
         engine = SimulationEngine(tissue_flat)
         make = partial(EWMAPrefetcher, lam=0.3)
-        leader, follower = lead_and_follow(engine, sequence, make)
+        leader, follower = lead_and_follow(engine, sequence, make, mode)
         reference = engine.run(sequence, make())
         # The window ran out while the plan still had regions to read.
         cut_short = [

@@ -297,22 +297,28 @@ class TestFillAhead:
 
 
 class TestPlanSharing:
-    def test_followers_actually_replay_the_leader(self, tissue, tissue_flat):
+    @pytest.mark.parametrize("stagger", [0, 1])
+    def test_followers_actually_replay_the_leader(self, tissue, tissue_flat, stagger):
         """Plan sharing must engage (else the equivalence tests are vacuous).
 
-        Followers of a shared hot sequence skip ``observe()`` entirely,
-        so their prefetcher history stays empty -- observable proof the
-        leader's bundle, not a recomputation, served them.
+        Only the session that tapes the shared hot walk observes; the
+        others replay the tape and skip ``observe()`` entirely, so their
+        prefetcher history stays empty -- observable proof the tape, not
+        a recomputation, served them, whatever their start ticks.
         """
         clients = multiclient_sessions(
             tissue, n_clients=4, seed=5, n_queries=4, volume=30_000.0,
-            mode="hotspot", hot_pool=1,
+            mode="hotspot", hot_pool=1, stagger=stagger,
         )
         prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
-        ServingSimulator(tissue_flat).run(clients, prefetchers, lockstep=True)
+        vectorized = ServingSimulator(tissue_flat).run(clients, prefetchers, lockstep=True)
         histories = [len(p._centers) for p in prefetchers]
-        assert histories[0] == 4  # the leader observed every query
-        assert histories[1:] == [0, 0, 0]  # followers replayed, never observed
+        assert histories[0] == 4  # the taping session observed every query
+        assert histories[1:] == [0, 0, 0]  # the others replayed, never observed
+        reference = ServingSimulator(tissue_flat).run(
+            clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=False
+        )
+        assert report_state(vectorized) == report_state(reference)
 
     def test_heterogeneous_fleet_disables_sharing(self, tissue, tissue_flat):
         """Mixed prefetcher configs must not share plans -- and stay exact."""
