@@ -33,7 +33,8 @@ it also yields to the loop -- so a drain burst costs one write per
 connection per pass, not one per reply, and under light load each reply
 still leaves the moment it is computed.  The connection handler reads
 whole chunks and cuts the frames out with
-:class:`~repro.serve.protocol.FrameSplitter`.
+:class:`~repro.serve.protocol.FrameSplitter`; a frame left half-sent for
+:data:`FRAME_STALL_S` costs its connection one error reply and the close.
 
 Graceful shutdown (``shutdown`` op, SIGINT or SIGTERM) stops accepting
 connections, drains every queued request to a real response (a sentinel
@@ -85,6 +86,11 @@ WORKER_BATCH = 256
 
 #: Bytes the connection handler asks the socket for at a time.
 READ_CHUNK_BYTES = 64 * 1024
+
+#: Seconds a begun frame has to complete.  A peer that stalls or trickles
+#: mid-frame longer (slow-loris headers) gets one error reply and is
+#: closed; between frames a connection may idle for as long as it likes.
+FRAME_STALL_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -620,16 +626,31 @@ class ServeDaemon:
 
         Returns the op that ended the connection (``None`` at EOF).
         ``drain`` once per chunk stops reading a peer that stops reading
-        once its replies pass the transport's high-water mark.
+        once its replies pass the transport's high-water mark.  A read
+        has a deadline only while a partial frame waits for its rest: the
+        frame's start plus :data:`FRAME_STALL_S`, reset whenever a frame
+        completes, so whole-frame traffic pays nothing and a pipelined
+        stream cut mid-frame by every chunk is never timed out.
         """
         frames = FrameSplitter()
         state: _ConnectionState | None = None
+        stall_at = None  # loop time by which the begun frame must complete
         while True:
-            chunk = await reader.read(READ_CHUNK_BYTES)
+            if frames.partial:
+                if stall_at is None:
+                    stall_at = asyncio.get_running_loop().time() + FRAME_STALL_S
+                try:
+                    async with asyncio.timeout_at(stall_at):
+                        chunk = await reader.read(READ_CHUNK_BYTES)
+                except TimeoutError:
+                    raise ProtocolError(f"frame stalled for {FRAME_STALL_S} s") from None
+            else:
+                chunk = await reader.read(READ_CHUNK_BYTES)
             if not chunk:
                 frames.eof()
                 return None
             for message in frames.feed(chunk):
+                stall_at = None
                 op = message.get("op")
                 if op == "query":
                     self._admit(state, outbox)

@@ -125,6 +125,11 @@ class FrameSplitter:
     def __init__(self) -> None:
         self._pending = b""
 
+    @property
+    def partial(self) -> bool:
+        """Whether a frame has begun and not yet completed."""
+        return bool(self._pending)
+
     def feed(self, chunk: bytes) -> Iterator[dict]:
         """Yield each message completed by ``chunk``; raise at the first bad frame.
 

@@ -28,7 +28,8 @@ one shared cache and disk to model concurrent users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
+from operator import not_
 
 import numpy as np
 
@@ -66,45 +67,28 @@ class _SharedProbeStream:
 
     Sessions replaying one plan tape (see :mod:`repro.sim.serve`)
     execute the *same* plan against different per-client budgets and
-    cache states: each consumes a prefix of the target's probe sequence
-    through its own :meth:`view`, the prefix length depending on its
-    own spending.  Resolved chunks are memoized, so the walk pays for
-    each index lookup once while every session sees the identical
-    per-region page sets it would have computed alone (probe resolution
-    is pure: region in, pages out).  A query stepped alone is the
-    one-consumer case of the same schedule.
+    cache states: each reads a prefix of the target's probe sequence
+    by position (:meth:`get`), the prefix length depending on its own
+    spending.  Resolved chunks are memoized as lists of plain ints, so
+    the walk pays for each index lookup and each conversion once while
+    every session sees the identical per-region page sets it would have
+    computed alone (probe resolution is pure: region in, pages out).  A
+    query stepped alone is the one-consumer case of the same schedule.
     """
 
     def __init__(self, index, regions) -> None:
         self._index = index
         self._regions = regions
-        self._resolved: list = []
+        self._resolved: list[list[int]] = []
 
-    def get(self, position: int):
+    def get(self, position: int) -> list[int] | None:
         """The page ids of the region at ``position``, or ``None`` past the end."""
-        while position >= len(self._resolved) and len(self._resolved) < len(self._regions):
+        resolved = self._resolved
+        while position >= len(resolved):
+            if len(resolved) == len(self._regions):
+                return None
             resolve_ahead(self._index, [self])
-        if position < len(self._resolved):
-            return self._resolved[position]
-        return None
-
-    def view(self) -> "_ProbeCursor":
-        """An independent cursor over the shared stream."""
-        return _ProbeCursor(self)
-
-
-class _ProbeCursor:
-    """One consumer's position in a :class:`_SharedProbeStream`."""
-
-    def __init__(self, stream: _SharedProbeStream) -> None:
-        self._stream = stream
-        self._position = 0
-
-    def next(self):
-        item = self._stream.get(self._position)
-        if item is not None:
-            self._position += 1
-        return item
+        return resolved[position]
 
 
 def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> None:
@@ -113,7 +97,7 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
     ``get`` is the one-stream call; a plan tape hands in every stream
     of its walk, the lockstep tick every stream of the tick.  Chunks
     concatenate as packed corners and the answers split back: each
-    stream holds what it would have alone.
+    stream holds what it would have alone, each region's pages listed.
     """
     chunks = [s._regions[len(s._resolved) : len(s._resolved) + PROBE_CHUNK] for s in streams]
     pending = [(stream, chunk) for stream, chunk in zip(streams, chunks) if len(chunk)]
@@ -126,7 +110,7 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
         regions = np.stack((np.concatenate(los), np.concatenate(his)), axis=1)
     answers = iter(index.pages_for_regions(regions))
     for stream, chunk in pending:
-        stream._resolved.extend(islice(answers, len(chunk)))
+        stream._resolved.extend(pages.tolist() for pages in islice(answers, len(chunk)))
 
 
 @dataclass
@@ -148,9 +132,10 @@ class _QueryBundle:
 
     cursor: int
     result: object = None
-    pages: np.ndarray | None = None
+    #: The result's pages as plain ints, listed once for every replay.
+    pages: list[int] | None = None
     #: Result objects stored on each page of ``pages`` (aligned with it).
-    objects_on_page: np.ndarray | None = None
+    objects_on_page: list[int] | None = None
     cold: float | None = None
     prediction_cost: float | None = None
     build_cost: float | None = None
@@ -343,38 +328,39 @@ class SimulationEngine:
         the window is overshot by at most one page read.
 
         ``streams`` is one (possibly shared) :class:`_SharedProbeStream`
-        per target (:meth:`_probe_streams`), consumed through a private
-        cursor.
+        per target (:meth:`_probe_streams`), read at this call's own
+        position in each.
         """
         if not targets:
             return 0, 0.0
         page_table = self.index.page_table
-        states = [
-            {"share": t.share, "probes": stream.view(), "done": False}
-            for t, stream in zip(targets, streams)
-        ]
+        # Per target: [share, stream, next position, done].
+        states = [[t.share, stream, 0, False] for t, stream in zip(targets, streams)]
 
         pages_read = 0
         seconds = 0.0
         remaining = budget
         while remaining > 1e-12:
-            active = [s for s in states if not s["done"]]
+            active = [s for s in states if not s[3]]
             if not active:
                 break
-            total_share = sum(s["share"] for s in active) or 1.0
+            total_share = sum(s[0] for s in active) or 1.0
             pass_budget = remaining
             advanced = False
             carry = 0.0
             for state in active:
                 if remaining <= 0:
                     break
-                allotment = pass_budget * (state["share"] / total_share) + carry
+                share, stream, position, _ = state
+                allotment = pass_budget * (share / total_share) + carry
                 spent = 0.0
                 while spent < allotment and remaining > 0:
-                    probe_pages = state["probes"].next()
+                    probe_pages = stream.get(position)
                     if probe_pages is None:
-                        state["done"] = True
+                        state[3] = True
                         break
+                    position += 1
+                    state[2] = position
                     advanced = True
                     batch = cache.missing_many(probe_pages)
                     if not batch:
@@ -533,10 +519,10 @@ class QuerySession:
         return self.metrics
 
     def _fill_served(self, work: "_QueryBundle", result=None) -> None:
-        """The index result, its page array and its cold read time."""
+        """The index result, its page list and its cold read time."""
         bounds = self.sequence.queries[work.cursor].bounds
         work.result = self.engine.index.query(bounds) if result is None else result
-        work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel()
+        work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel().tolist()
         work.cold = self.disk.cost_if_cold(work.pages)
 
     def _fill_prediction(self, work: "_QueryBundle") -> None:
@@ -643,14 +629,14 @@ class QuerySession:
         # cache holds prefetched data only ("percentage of data read
         # from the prefetch cache rather than from disk", §3.3).
         # touch never inserts, so membership is invariant across the
-        # batch and the hit mask's complement is exactly the miss set.
+        # batch and the hit flags' complement is exactly the miss set.
         shard_cache = self._shard_cache
         hop_mark = 0.0 if shard_cache is None else shard_cache.hop_seconds
         hit_mask = cache.touch_many(pages)
         hop_seconds = 0.0 if shard_cache is None else shard_cache.hop_seconds - hop_mark
         mine.shard_hop_seconds += hop_seconds
-        hit_pages = pages[hit_mask]
-        miss_pages = pages[~hit_mask]
+        n_hits = hit_mask.count(True)
+        miss_pages = list(compress(pages, map(not_, hit_mask))) if n_hits else pages
         tier_mark = self._tier_mark()
         try:
             residual = disk.read_pages(miss_pages)
@@ -661,21 +647,21 @@ class QuerySession:
             # pages are failed reads, not ordinary misses: hits + misses
             # + failed_reads partitions the cache's touch counts.
             residual = failure.seconds + disk.recover_read(miss_pages)
-            mine.failed_reads += int(miss_pages.size)
+            mine.failed_reads += len(miss_pages)
         else:
-            mine.shared_misses += int(miss_pages.size)
+            mine.shared_misses += len(miss_pages)
         self._tier_collect(tier_mark)
         if hop_seconds:
             # Cross-shard fan-out on the demand path is user-visible
             # latency: charge it to residual time like a tier stall.
             residual += hop_seconds
 
-        n_hits = int(hit_pages.size)
         mine.shared_hits += n_hits
         if self.client_id is not None:
-            owners = cache.owners_many(hit_pages)
-            mine.cross_client_hits += int(np.count_nonzero(owners != self.client_id))
-            mine.evicted_misses += int(np.count_nonzero(cache.evicted_many(miss_pages)))
+            # NO_OWNER never equals a client id: every other tag is a cross-client hit.
+            owners = cache.owners_many(compress(pages, hit_mask))
+            mine.cross_client_hits += n_hits - owners.count(self.client_id)
+            mine.evicted_misses += cache.evicted_many(miss_pages).count(True)
 
         # Data-level hit accounting (§3.3): an object is served from
         # the cache when its page was prefetched.  Every object page is
@@ -687,9 +673,9 @@ class QuerySession:
             if work.objects_on_page is None:
                 object_pages = page_table.page_ids_of_objects(result.object_ids)
                 work.objects_on_page = np.bincount(
-                    np.searchsorted(pages, object_pages), minlength=pages.size
-                )
-            objects_hit = int(work.objects_on_page[hit_mask].sum())
+                    np.searchsorted(pages, object_pages), minlength=len(pages)
+                ).tolist()
+            objects_hit = sum(compress(work.objects_on_page, hit_mask))
 
         # -- window -----------------------------------------------------------------
         window = self.sequence.window_ratio * work.cold

@@ -33,8 +33,10 @@ Two implementations share one observable contract, and one is built:
 
 Both expose the same scalar methods plus the batch API
 (:meth:`touch_many`, :meth:`contains_many`, :meth:`missing_many`,
-:meth:`owners_many`, :meth:`evicted_many`); the property suite runs
-random operation sequences against both and requires identical
+:meth:`owners_many`, :meth:`evicted_many`) under one contract: any
+iterable of ints in, a ``list`` of plain ``bool`` / ``int`` out, equal
+element-wise to the scalar loop (DESIGN.md §6.1).  The property suite
+runs random operation sequences against both and requires identical
 observable state after every step.
 """
 
@@ -56,11 +58,21 @@ NO_OWNER = -1
 _MISSING = object()
 
 
-def _as_ints(page_ids: Iterable[int]) -> list[int]:
-    """A batch as plain ``int``s: one ``tolist`` for an array, else one pass."""
+def _keys(page_ids: Iterable[int]) -> list:
+    """A batch to look up, never to store: an array's ``tolist``, a list as
+    is, anything else listed.  A numpy integer hashes and compares equal
+    to its ``int``, so it finds the same key; only ids an answer hands
+    back need ``int``."""
     if isinstance(page_ids, np.ndarray):
         return page_ids.tolist()
-    return [int(p) for p in page_ids]
+    return page_ids if type(page_ids) is list else list(page_ids)
+
+
+def _as_array(page_ids: Iterable[int]) -> np.ndarray:
+    """A batch as a flat ``int64`` array; a one-shot iterable is read once."""
+    if not isinstance(page_ids, np.ndarray):
+        page_ids = _keys(page_ids)
+    return np.asarray(page_ids, dtype=np.int64).ravel()
 
 
 class PrefetchCache:
@@ -185,14 +197,15 @@ class PrefetchCache:
 
     # -- batch operations -----------------------------------------------------
     #
-    # Each batch call is defined to be element-wise identical to the
-    # scalar loop over any iterable of ints.  The batches this repo
-    # serves are 3-25 pages, where one ``tolist`` and a comprehension
-    # over plain ints beat per-call numpy dispatch (DESIGN.md §6.1).
+    # Each batch call takes any iterable of ints and answers a list,
+    # element-wise identical to the scalar loop.  The batches this repo
+    # serves are 3-25 pages, where a comprehension over plain ints beats
+    # per-call numpy dispatch on the way in and on the way out
+    # (DESIGN.md §6.1).  The input is only looked up, never kept.
 
-    def touch_many(self, page_ids: Iterable[int]) -> np.ndarray:
-        """Touch every page in order; boolean hit mask (counts as touches)."""
-        pages = _as_ints(page_ids)
+    def touch_many(self, page_ids: Iterable[int]) -> list[bool]:
+        """Touch every page in order; the hit flags (counts as touches)."""
+        pages = _keys(page_ids)
         cached = self._pages
         # touch never inserts, so membership holds across the batch.
         hit = [p in cached for p in pages]
@@ -202,30 +215,27 @@ class PrefetchCache:
         n_hits = hit.count(True)
         self.hits += n_hits
         self.misses += len(hit) - n_hits
-        return np.array(hit, dtype=bool)
+        return hit
 
-    def contains_many(self, page_ids: Iterable[int]) -> np.ndarray:
-        """Boolean membership mask; no counters, no recency changes."""
+    def contains_many(self, page_ids: Iterable[int]) -> list[bool]:
+        """Membership flags; no counters, no recency changes."""
         cached = self._pages
-        return np.array([p in cached for p in _as_ints(page_ids)], dtype=bool)
+        return [p in cached for p in _keys(page_ids)]
 
     def missing_many(self, page_ids: Iterable[int]) -> list[int]:
         """The pages *not* cached, in input order (no counters)."""
         cached = self._pages
-        return [p for p in _as_ints(page_ids) if p not in cached]
+        return [int(p) for p in _keys(page_ids) if p not in cached]
 
-    def owners_many(self, page_ids: Iterable[int]) -> np.ndarray:
+    def owners_many(self, page_ids: Iterable[int]) -> list[int]:
         """Owner tags (``NO_OWNER`` for untagged or absent pages)."""
         owner_of = self._pages.get
-        return np.array(
-            [NO_OWNER if (owner := owner_of(p)) is None else owner for p in _as_ints(page_ids)],
-            dtype=np.int64,
-        )
+        return [NO_OWNER if (owner := owner_of(p)) is None else owner for p in _keys(page_ids)]
 
-    def evicted_many(self, page_ids: Iterable[int]) -> np.ndarray:
-        """Boolean was-evicted mask (see :meth:`was_evicted`)."""
+    def evicted_many(self, page_ids: Iterable[int]) -> list[bool]:
+        """Was-evicted flags (see :meth:`was_evicted`)."""
         evicted = self._evicted
-        return np.array([p in evicted for p in _as_ints(page_ids)], dtype=bool)
+        return [p in evicted for p in _keys(page_ids)]
 
 
 class ArrayCache:
@@ -381,7 +391,7 @@ class ArrayCache:
     def insert_many(self, page_ids, owner: int | None = None) -> None:
         if self.capacity_pages == 0:
             return
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+        pages = _as_array(page_ids)
         if pages.size == 0:
             return
         if int(pages.min()) < 0:
@@ -460,12 +470,15 @@ class ArrayCache:
         return self.hits / total
 
     # -- batch operations (vectorized) ---------------------------------------
+    #
+    # Vectorized inside, the shared contract at the boundary: each answer
+    # leaves as a list of plain ``bool`` / ``int`` (``tolist``).
 
-    def touch_many(self, page_ids) -> np.ndarray:
-        """Touch every page in order; boolean hit mask (counts as touches)."""
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+    def touch_many(self, page_ids) -> list[bool]:
+        """Touch every page in order; the hit flags (counts as touches)."""
+        pages = _as_array(page_ids)
         if pages.size == 0:
-            return np.zeros(0, dtype=bool)
+            return []
         slots = self._lookup(pages)
         hit = slots >= 0
         n_hits = int(np.count_nonzero(hit))
@@ -477,32 +490,31 @@ class ArrayCache:
             self._clock += n_hits
         self.hits += n_hits
         self.misses += pages.size - n_hits
-        return hit
+        return hit.tolist()
 
-    def contains_many(self, page_ids) -> np.ndarray:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        return self._lookup(pages) >= 0
+    def contains_many(self, page_ids) -> list[bool]:
+        return (self._lookup(_as_array(page_ids)) >= 0).tolist()
 
     def missing_many(self, page_ids) -> list[int]:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+        pages = _as_array(page_ids)
         if pages.size == 0:
             return []
         return [int(p) for p in pages[self._lookup(pages) < 0]]
 
-    def owners_many(self, page_ids) -> np.ndarray:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+    def owners_many(self, page_ids) -> list[int]:
+        pages = _as_array(page_ids)
         slots = self._lookup(pages)
         owners = np.full(pages.shape, NO_OWNER, dtype=np.int64)
         present = slots >= 0
         owners[present] = self._slot_owner[slots[present]]
-        return owners
+        return owners.tolist()
 
-    def evicted_many(self, page_ids) -> np.ndarray:
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+    def evicted_many(self, page_ids) -> list[bool]:
+        pages = _as_array(page_ids)
         marks = self._evicted_mark
         if marks.size == 0 or pages.size == 0:
-            return np.zeros(pages.shape, dtype=bool)
+            return [False] * pages.size
         if int(pages.min()) >= 0 and int(pages.max()) < marks.size:
-            return marks[pages]
+            return marks[pages].tolist()
         valid = (pages >= 0) & (pages < marks.size)
-        return np.where(valid, marks[np.where(valid, pages, 0)], False)
+        return np.where(valid, marks[np.where(valid, pages, 0)], False).tolist()

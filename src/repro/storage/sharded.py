@@ -30,7 +30,7 @@ shard's own counters, so the per-shard counters *exactly partition* the
 request stream: ``requests == sum(shard.hits + shard.misses)`` holds by
 construction and is hypothesis-checked in the test-suite.  Batch ops
 are list-native like the shards' own (DESIGN.md §10): one ``tolist``,
-one routing pass, answers written back by input position.
+one routing pass, answers written into a list by input position.
 
 **Hot-shard rebalancing** (``rebalance=True``, range partitioning
 only): the detector keeps an EWMA of per-shard demand load, fed once
@@ -68,7 +68,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_encode
-from repro.storage.cache import PrefetchCache, _as_ints
+from repro.storage.cache import PrefetchCache, _keys
 from repro.util import slice_of
 
 __all__ = [
@@ -89,11 +89,6 @@ HILBERT_BITS = 6
 REBALANCE_LAMBDA = 0.25
 #: A shard is hot when its EWMA exceeds ``REBALANCE_THRESHOLD * mean``.
 REBALANCE_THRESHOLD = 2.0
-
-#: Answers to an empty batch (zero-size, so sharing them is safe); their
-#: dtypes are the dtypes of the per-page answers.
-_NO_FLAGS = np.zeros(0, dtype=bool)
-_NO_OWNERS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,7 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        self._fan_out("insert_many", *self._by_shard(page_ids), None, owner)
+        self._fan_out("insert_many", *self._by_shard(page_ids), owner)
 
     def discard(self, page_id: int) -> bool:
         return self._shards[self.route(int(page_id))].discard(page_id)
@@ -382,8 +377,8 @@ class ShardedCache:
 
     # -- batch operations -----------------------------------------------------
 
-    def touch_many(self, page_ids) -> np.ndarray:
-        """Touch every page on its owning shard; boolean hit mask.
+    def touch_many(self, page_ids) -> list[bool]:
+        """Touch every page on its owning shard; the hit flags.
 
         The demand path: hop latency accrues here (one hop per extra
         shard contacted) and a rebalancing cache feeds its hot-shard
@@ -392,8 +387,8 @@ class ShardedCache:
         """
         pages, groups = self._by_shard(page_ids)
         if not pages:
-            return _NO_FLAGS
-        hit = self._fan_out("touch_many", pages, groups, _NO_FLAGS)
+            return []
+        hit = self._fan_out("touch_many", pages, groups)
         extra = len(groups) - 1
         self.hops += extra
         self.hop_seconds += extra * self.spec.hop_latency_s
@@ -408,10 +403,10 @@ class ShardedCache:
         return hit
 
     def _by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
-        """The batch as plain ints and its input positions by owning shard:
+        """The batch as a list and its input positions by owning shard:
         one ``tolist``, one routing pass.  A shard that owns the whole batch
         (the common case under Hilbert locality) needs no position list."""
-        pages = _as_ints(page_ids)
+        pages = _keys(page_ids)
         if not pages:
             return pages, {}
         routed = self.route_many(pages).tolist()
@@ -422,42 +417,40 @@ class ShardedCache:
             groups.setdefault(shard_id, []).append(position)
         return pages, groups
 
-    def _fan_out(self, op: str, pages: list[int], groups, empty, *args):
+    def _fan_out(self, op: str, pages: list[int], groups, *args):
         """Run cache method ``op`` on the shards that own the batch.
 
         A whole-batch owner delegates intact; otherwise each shard gets its
-        pages in input order and the answers are written back by position
-        (``empty``: the answer to no pages and the dtype; ``None``: no answer).
+        pages in input order and its answers are written into one list by
+        input position.  No pages: a fresh empty list.
         """
-        if not groups:
-            return empty
         if len(groups) == 1:
             (shard_id,) = groups
             return getattr(self._shards[shard_id], op)(pages, *args)
-        out = None if empty is None else np.empty(len(pages), dtype=empty.dtype)
+        out = [None] * len(pages)
         for shard_id, positions in groups.items():
             answer = getattr(self._shards[shard_id], op)([pages[i] for i in positions], *args)
-            if out is not None:
-                out[positions] = answer
+            for position, value in zip(positions, answer or ()):
+                out[position] = value
         return out
 
-    def contains_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("contains_many", *self._by_shard(page_ids), _NO_FLAGS)
+    def contains_many(self, page_ids) -> list[bool]:
+        return self._fan_out("contains_many", *self._by_shard(page_ids))
 
     def missing_many(self, page_ids) -> list[int]:
         pages, groups = self._by_shard(page_ids)
         if len(groups) < 2:
-            return self._fan_out("missing_many", pages, groups, [])
+            return self._fan_out("missing_many", pages, groups)
         # An order-preserving filter, not a value per page: a straddling
         # batch asks where its pages are, on the routing it already has.
-        cached = self._fan_out("contains_many", pages, groups, _NO_FLAGS).tolist()
-        return [p for p, there in zip(pages, cached) if not there]
+        cached = self._fan_out("contains_many", pages, groups)
+        return [int(p) for p, there in zip(pages, cached) if not there]
 
-    def owners_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("owners_many", *self._by_shard(page_ids), _NO_OWNERS)
+    def owners_many(self, page_ids) -> list[int]:
+        return self._fan_out("owners_many", *self._by_shard(page_ids))
 
-    def evicted_many(self, page_ids) -> np.ndarray:
-        return self._fan_out("evicted_many", *self._by_shard(page_ids), _NO_FLAGS)
+    def evicted_many(self, page_ids) -> list[bool]:
+        return self._fan_out("evicted_many", *self._by_shard(page_ids))
 
     # -- rebalancing ----------------------------------------------------------
 

@@ -11,7 +11,9 @@ Every model-based property runs against **both** classes (the dict
 :class:`ArrayCache` kept as a reference), and the differential suite
 drives the two with identical random operation sequences — owner tags,
 eviction memory and batch calls included — and requires identical
-observable state after every single step.
+observable state after every single step.  The batch contract itself
+(any iterable of ints in, a list of plain ``bool`` / ``int`` out) is
+held for both backends and a rebalancing sharded cache.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.cache import NO_OWNER, ArrayCache, PrefetchCache
+from repro.storage.sharded import ShardSpec, make_sharded_cache
 
 #: Constructed directly: production builds only the dict cache.
 CACHES = {"dict": PrefetchCache, "array": ArrayCache}
@@ -163,9 +166,9 @@ def observable_state(cache) -> dict:
         "owners": [cache.owner_of(p) for p in universe],
         "evicted": [cache.was_evicted(p) for p in universe],
         "contains": [p in cache for p in universe],
-        "owners_many": cache.owners_many(universe).tolist(),
-        "evicted_many": cache.evicted_many(universe).tolist(),
-        "contains_many": cache.contains_many(universe).tolist(),
+        "owners_many": cache.owners_many(universe),
+        "evicted_many": cache.evicted_many(universe),
+        "contains_many": cache.contains_many(universe),
         "missing_many": cache.missing_many(universe),
     }
 
@@ -191,10 +194,7 @@ def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
             dict_cache.insert_many(arg, owner)
             array_cache.insert_many(arg, owner)
         elif kind == "touch_many":
-            assert (
-                dict_cache.touch_many(arg).tolist()
-                == array_cache.touch_many(arg).tolist()
-            )
+            assert dict_cache.touch_many(arg) == array_cache.touch_many(arg)
         else:
             dict_cache.clear()
             array_cache.clear()
@@ -211,19 +211,19 @@ def test_batch_ops_match_scalar_loops(backend, capacity, prefix, probe):
     for op in prefix:
         apply(cache, model, op)
 
-    assert cache.contains_many(probe).tolist() == [p in cache for p in probe]
+    assert cache.contains_many(probe) == [p in cache for p in probe]
     assert cache.missing_many(probe) == [p for p in probe if p not in cache]
-    assert cache.owners_many(probe).tolist() == [
+    assert cache.owners_many(probe) == [
         -1 if cache.owner_of(p) is None else cache.owner_of(p) for p in probe
     ]
-    assert cache.evicted_many(probe).tolist() == [cache.was_evicted(p) for p in probe]
+    assert cache.evicted_many(probe) == [cache.was_evicted(p) for p in probe]
 
     # touch_many mutates; compare against a fresh replica touched scalar-wise.
     replica = CACHES[backend](capacity)
     replica_model = ModelLRU(capacity)
     for op in prefix:
         apply(replica, replica_model, op)
-    batch_mask = cache.touch_many(probe).tolist()
+    batch_mask = cache.touch_many(probe)
     scalar_mask = [replica.touch(p) for p in probe]
     assert batch_mask == scalar_mask
     assert cache.cached_pages() == replica.cached_pages()
@@ -262,23 +262,23 @@ def test_dict_batch_ops_equal_the_scalar_loop_on_any_iterable(form, capacity, wa
     assert batch.evictions >= 2
 
     contains = batch.contains_many(as_batch(probe))
-    assert contains.dtype == bool
-    assert contains.tolist() == [p in scalar for p in probe]
+    assert all(type(flag) is bool for flag in contains)
+    assert contains == [p in scalar for p in probe]
     missing = batch.missing_many(as_batch(probe))
     assert missing == [p for p in probe if p not in scalar]
     assert all(type(p) is int for p in missing)
     owned = batch.owners_many(as_batch(probe))
-    assert owned.dtype == np.int64
-    assert owned.tolist() == [
+    assert all(type(owner) is int for owner in owned)
+    assert owned == [
         NO_OWNER if scalar.owner_of(p) is None else scalar.owner_of(p) for p in probe
     ]
     marks = batch.evicted_many(as_batch(probe))
-    assert marks.dtype == bool
-    assert marks.tolist() == [scalar.was_evicted(p) for p in probe]
+    assert all(type(flag) is bool for flag in marks)
+    assert marks == [scalar.was_evicted(p) for p in probe]
 
     hit = batch.touch_many(as_batch(probe))
-    assert hit.dtype == bool
-    assert hit.tolist() == [scalar.touch(p) for p in probe]
+    assert all(type(flag) is bool for flag in hit)
+    assert hit == [scalar.touch(p) for p in probe]
     assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
     assert batch.cached_pages() == scalar.cached_pages()  # recency order
 
@@ -302,8 +302,86 @@ def test_array_cache_rejects_negative_page_ids():
     # Read-side probes of negative ids are harmless (absent, not wrapped).
     assert -1 not in cache
     assert cache.touch(-5) is False
-    assert cache.contains_many([-1, -7]).tolist() == [False, False]
-    assert cache.evicted_many([-1]).tolist() == [False]
+    assert cache.contains_many([-1, -7]) == [False, False]
+    assert cache.evicted_many([-1]) == [False]
+
+
+# -- one batch contract: any iterable of ints in, a list out ------------------
+
+
+def contract_cache(kind: str, index):
+    """A fresh cache of each class the contract binds: the two backends and
+    a rebalancing Hilbert-sharded cache (K = 3, checked after every batch)."""
+    if kind == "sharded":
+        spec = ShardSpec(
+            n_shards=3, shard_cache_pages=2, rebalance=True, rebalance_interval=1
+        )
+        return make_sharded_cache(spec, 0, index=index)
+    return CACHES[kind](6)
+
+
+#: Every form a batch arrives in; ``probe`` may also be empty.
+CONTRACT_FORMS = {
+    "list": list,
+    "int64_elements": lambda pages: [np.int64(p) for p in pages],
+    "ndarray": lambda pages: np.asarray(pages, dtype=np.int64),
+    "generator": lambda pages: (p for p in pages),
+}
+
+#: Batch op -> (type of each answer, the scalar call of one page).
+CONTRACT_OPS = {
+    "contains_many": (bool, lambda cache, page: page in cache),
+    "owners_many": (
+        int,
+        lambda cache, page: NO_OWNER if cache.owner_of(page) is None else cache.owner_of(page),
+    ),
+    "evicted_many": (bool, lambda cache, page: cache.was_evicted(page)),
+    # Last: it mutates recency and counters (and feeds the rebalancer).
+    "touch_many": (bool, lambda cache, page: cache.touch(page)),
+}
+
+contract_warmup = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_many"), st.lists(page_ids, max_size=6), owners),
+        st.tuples(st.just("touch_many"), st.lists(page_ids, max_size=6)),
+    ),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("form", CONTRACT_FORMS)
+@pytest.mark.parametrize("kind", ["dict", "array", "sharded"])
+@settings(deadline=None)
+@given(warm=contract_warmup, probe=st.lists(page_ids, max_size=8))
+def test_every_batch_op_answers_a_list_of_plain_values(tissue_flat, kind, form, warm, probe):
+    """Any input form in, a ``list`` of plain ``bool`` / ``int`` out, equal
+    to the scalar loop -- on every cache class a session can be handed."""
+    batch, scalar = contract_cache(kind, tissue_flat), contract_cache(kind, tissue_flat)
+    for cache in (batch, scalar):  # same calls, same (deterministic) state
+        for name, *operands in warm:
+            getattr(cache, name)(*operands)
+    as_batch = CONTRACT_FORMS[form]
+
+    missing = batch.missing_many(as_batch(probe))
+    assert type(missing) is list and all(type(page) is int for page in missing)
+    assert missing == [page for page in probe if page not in scalar]
+    for name, (answer_type, one) in CONTRACT_OPS.items():
+        got = getattr(batch, name)(as_batch(probe))
+        assert type(got) is list and all(type(value) is answer_type for value in got), name
+        assert got == [one(scalar, page) for page in probe], name
+    assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
+
+
+@pytest.mark.parametrize("kind", ["dict", "array", "sharded"])
+def test_an_empty_batch_answer_is_a_fresh_list(tissue_flat, kind):
+    """Mutating one empty-batch answer cannot leak into the next one."""
+    cache = contract_cache(kind, tissue_flat)
+    for name in ["missing_many", *CONTRACT_OPS]:
+        for empty in ([], np.zeros(0, dtype=np.int64), iter(())):
+            first = getattr(cache, name)(empty)
+            assert type(first) is list and first == [], name
+            first.append(1)
+            assert getattr(cache, name)([]) == [], name
 
 
 # -- partition invariant under lockstep serving ------------------------------

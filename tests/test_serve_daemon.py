@@ -45,6 +45,7 @@ from repro.serve import (
     poisson_arrivals,
     run_loadgen,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve.daemon import STOP_SIGNALS
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 from repro.sim.engine import QuerySession
@@ -752,6 +753,92 @@ class TestHostileWire:
 
         final = _run_silently(daemon_config(), scenario)
         assert final["requests_admitted"] == final["latency"]["count"] == 2
+
+    def test_stalled_partial_frame_is_dropped(self, monkeypatch):
+        """Slow-loris headers (ROADMAP 4(b)): a frame that stops arriving
+        half-way costs one error reply and the connection, not a handler
+        held open forever; connections idle between frames are left alone."""
+        monkeypatch.setattr(daemon_module, "FRAME_STALL_S", 0.2, raising=False)
+
+        async def scenario(daemon):
+            bystander = await _connect(daemon.port)
+            assert (await _ask(bystander, "hello"))["ok"]
+            assert (await _ask(bystander, "query"))["query_index"] == 0
+            idle = await _connect(daemon.port)  # connected, silent past the deadline
+            before = _books(daemon)
+
+            reader, writer = await _connect(daemon.port)
+            writer.write(HELLO[:1])  # one header byte, then nothing
+            async with asyncio.timeout(10):
+                reply = await read_frame(reader)
+                assert set(reply) == {"ok", "error"}
+                assert reply["ok"] is False and "stalled" in reply["error"]
+                assert await read_frame(reader) is None  # ... and then EOF
+            writer.close()
+            await _until(lambda: len(daemon._writers) == 2)
+            assert _books(daemon) == before
+
+            assert (await _ask(bystander, "query"))["query_index"] == 1
+            assert (await _ask(idle, "hello"))["ok"]
+            for stream in (bystander, idle):
+                assert (await _ask(stream, "bye"))["bye"]
+                stream[1].close()
+            await _until(lambda: not daemon._writers)
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_trickled_frame_is_dropped(self, monkeypatch):
+        """Progress is a completed frame, not a byte: a frame that keeps
+        trickling in, each byte well inside the deadline, still runs out."""
+        monkeypatch.setattr(daemon_module, "FRAME_STALL_S", 0.2, raising=False)
+        frame = _framed(b'{"op": "hello", "pad": "' + b"x" * 200 + b'"}')
+
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+
+            async def trickle():  # ~4 s for the whole frame
+                for byte in frame:
+                    writer.write(bytes([byte]))
+                    await asyncio.sleep(0.02)
+
+            trickler = asyncio.create_task(trickle())
+            try:
+                async with asyncio.timeout(10):
+                    reply = await read_frame(reader)
+                assert not trickler.done(), "the frame completed before any deadline"
+                assert reply["ok"] is False and "stalled" in reply["error"]
+            finally:
+                trickler.cancel()
+            writer.close()
+            await _until(lambda: not daemon._writers)
+
+        _run_silently(daemon_config(), scenario)
+
+    def test_frames_cut_by_every_write_are_not_a_stall(self, monkeypatch):
+        """Every chunk ending mid-frame is a live stream, not a stalled one:
+        each completed frame restarts the clock."""
+        monkeypatch.setattr(daemon_module, "FRAME_STALL_S", 0.2, raising=False)
+        n_queries = 12
+
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            wire = HELLO + QUERY * n_queries
+            # Each write ends two bytes short of a frame boundary, and the
+            # whole stream takes longer than the deadline to arrive.
+            offsets = [0, *range(len(HELLO) - 2, len(wire), len(QUERY)), len(wire)]
+            for start, stop in zip(offsets, offsets[1:]):
+                writer.write(wire[start:stop])
+                await asyncio.sleep(0.05)
+            assert "n_queries" in await read_frame(reader)
+            replies = [await read_frame(reader) for _ in range(n_queries)]
+            per_session = daemon.config.queries_per_session
+            assert [r["query_index"] for r in replies] == [
+                i % per_session for i in range(n_queries)
+            ]
+            writer.close()
+            await _until(lambda: not daemon._writers)
+
+        _run_silently(daemon_config(), scenario)
 
     def test_stats_is_answered_while_a_long_drain_runs(self):
         """The worker yields every ``WORKER_BATCH`` jobs (ROADMAP 4(b))."""

@@ -188,6 +188,17 @@ class TestFrameSplitter:
             splitter.eof()
         assert str(raised.value) == _read_error(good + cut)
 
+    def test_partial_holds_exactly_while_a_frame_is_begun(self):
+        """What the daemon's stall deadline keys on."""
+        wire = encode_frame({"op": "hello"})
+        splitter = FrameSplitter()
+        assert not splitter.partial
+        for cut in (1, 3, len(wire) - 1):
+            assert list(splitter.feed(wire[:cut])) == []
+            assert splitter.partial
+            assert list(splitter.feed(wire[cut:])) == [{"op": "hello"}]
+            assert not splitter.partial
+
     def test_oversized_announcement_raises_on_the_header_alone(self):
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
         splitter = FrameSplitter()
