@@ -87,6 +87,11 @@ WORKER_BATCH = 256
 #: Bytes the connection handler asks the socket for at a time.
 READ_CHUNK_BYTES = 64 * 1024
 
+#: Seconds the drain waits for closed connections to flush what they
+#: are owed; a peer that is not reading by then has its transport
+#: aborted, or its unsent replies would hold the shutdown forever.
+CLOSE_GRACE_S = 2.0
+
 #: Seconds a begun frame has to complete.  A peer that stalls or trickles
 #: mid-frame longer (slow-loris headers) gets one error reply and is
 #: closed; between frames a connection may idle for as long as it likes.
@@ -417,9 +422,7 @@ class ServeDaemon:
         self._enqueue(None)
         if self._worker_task is not None:
             await self._worker_task
-        for writer in list(self._writers):
-            with contextlib.suppress(ConnectionError):
-                writer.close()
+        await self._close_connections()
         if self._server is not None:
             # Only now: from Python 3.12.1 this waits for every connection
             # to close, so ahead of the drain one idle peer would hold it.
@@ -427,6 +430,27 @@ class ServeDaemon:
         if isinstance(self.disk, TieredStore):
             self.disk.close()
         self._stopped.set()
+
+    async def _close_connections(self) -> None:
+        """Close every connection; abort one still open after :data:`CLOSE_GRACE_S`.
+
+        ``close`` waits for the send buffer to empty, so a peer that never
+        reads keeps its connection -- and with it the handler parked in
+        ``drain`` -- open for as long as it stays connected.
+        """
+        writers = list(self._writers)
+        for writer in writers:
+            with contextlib.suppress(ConnectionError):
+                writer.close()
+        closes = [asyncio.ensure_future(writer.wait_closed()) for writer in writers]
+        if not closes:
+            return
+        await asyncio.wait(closes, timeout=CLOSE_GRACE_S)
+        for writer, closed in zip(writers, closes):
+            if not closed.done():
+                writer.transport.abort()
+        # Also collects a reset peer's error, which nobody else awaits.
+        await asyncio.gather(*closes, return_exceptions=True)
 
     def final_report(self) -> dict:
         """The end-of-run JSON report (also written to ``report_path``)."""
@@ -695,12 +719,15 @@ class ServeDaemon:
         """Admission control: queue the query, or answer it now (shed or error)."""
         if state is None:
             outbox.reply({"ok": False, "error": "query before hello"})
-        elif self._draining:
-            outbox.reply({"ok": False, "shed": True, "error": "draining"})
-        elif len(self._jobs) >= self.config.max_queue:
+        elif self._draining or len(self._jobs) >= self.config.max_queue:
+            # A query refused during the drain is shed like one refused
+            # at the bound, so the books still partition what was offered.
             self.requests_shed += 1
             self.recorder.count_shed()
-            outbox.reply({"ok": False, "shed": True})
+            if self._draining:
+                outbox.reply({"ok": False, "shed": True, "error": "draining"})
+            else:
+                outbox.reply({"ok": False, "shed": True})
         else:
             job = _Job(state, outbox, time.perf_counter())
             outbox.slots.append(job)

@@ -434,21 +434,16 @@ class QuerySession:
         self.disk = config.build_disk() if disk is None else disk
         self.client_id = client_id
         self.metrics = SequenceMetrics()
-        #: This client's per-sequence records plus its shared-cache,
-        #: fault, tier and shard attribution (DESIGN.md §6/§7/§9/§10);
-        #: the serving report takes it as is.
+        #: This client's per-sequence records plus its shared-cache and
+        #: fault attribution (DESIGN.md §6/§7); the serving report takes
+        #: it as is.  Tier and shard totals stay on their layers.
         self.client_metrics = ClientMetrics(client_id=client_id, metrics=self.metrics)
         self._cursor = 0
-        # Tier counters and the sharded cache's hop clock are shared by
-        # every session on the store / cache; each session attributes
-        # its own share by snapshotting around its own (synchronous)
-        # disk reads and demand touches (DESIGN.md §9/§10).
+        # The demand touch's cross-shard hops are residual time for this
+        # query, read off the sharded cache's hop clock (DESIGN.md §10).
         self._shard_cache = self.cache if isinstance(self.cache, ShardedCache) else None
-        self._tier_store: TieredStore | None = None
         if isinstance(self.disk, TieredStore):
             self.disk.bind_page_table(engine.index.page_table)
-            if self.disk.tiering_active:
-                self._tier_store = self.disk
         # Armed from the config's plan: every driver builds the disk it
         # passes in from this same config (``build_disk``).
         self._breaker: CircuitBreaker | None = None
@@ -456,29 +451,6 @@ class QuerySession:
         if plan is not None and plan.breaker:
             self._breaker = CircuitBreaker(plan.breaker_threshold, plan.breaker_cooldown)
         prefetcher.begin_sequence()
-
-    # -- tiered-storage attribution ---------------------------------------------------
-
-    def _tier_mark(self):
-        """Snapshot the shared store's counters before this session's I/O.
-
-        Disk operations within one step are synchronous -- no other
-        session runs between the mark and the matching collect under
-        any scheduler -- so the counter delta is exactly this session's
-        share of the store's per-layer activity.
-        """
-        store = self._tier_store
-        return None if store is None else store.tier_stats.snapshot()
-
-    def _tier_collect(self, mark) -> None:
-        if mark is None:
-            return
-        now = self._tier_store.tier_stats
-        mine = self.client_metrics
-        mine.tier_hits += now.tier_hits - mark.tier_hits
-        mine.miss_path_hits += now.mechanism_hits - mark.mechanism_hits
-        mine.tier_fills += now.backing_pages - mark.backing_pages
-        mine.tier_stall_seconds += now.stall_seconds - mark.stall_seconds
 
     # -- state ----------------------------------------------------------------------
 
@@ -634,10 +606,8 @@ class QuerySession:
         hop_mark = 0.0 if shard_cache is None else shard_cache.hop_seconds
         hit_mask = cache.touch_many(pages)
         hop_seconds = 0.0 if shard_cache is None else shard_cache.hop_seconds - hop_mark
-        mine.shard_hop_seconds += hop_seconds
         n_hits = hit_mask.count(True)
         miss_pages = list(compress(pages, map(not_, hit_mask))) if n_hits else pages
-        tier_mark = self._tier_mark()
         try:
             residual = disk.read_pages(miss_pages)
         except ReadFailure as failure:
@@ -650,7 +620,6 @@ class QuerySession:
             mine.failed_reads += len(miss_pages)
         else:
             mine.shared_misses += len(miss_pages)
-        self._tier_collect(tier_mark)
         if hop_seconds:
             # Cross-shard fan-out on the demand path is user-visible
             # latency: charge it to residual time like a tier stall.
@@ -699,7 +668,6 @@ class QuerySession:
             prediction_cost, build_cost = work.prediction_cost, work.build_cost
             budget = window - prediction_cost
 
-            tier_mark = self._tier_mark()
             try:
                 # Prediction I/O first (SCOUT-OPT gap traversal, §6.3).
                 for page in work.gap_pages:
@@ -739,7 +707,6 @@ class QuerySession:
                 # Left to right, so the float sum the goldens pin holds.
                 prefetch_seconds = prefetch_seconds + failure.prior_seconds + failure.seconds
                 prefetch_failed = True
-            self._tier_collect(tier_mark)
             if breaker is not None:
                 if prefetch_failed:
                     breaker.record_failure()

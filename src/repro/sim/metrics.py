@@ -14,7 +14,8 @@ The serving layer adds two multi-client views (DESIGN.md §6):
 :class:`ClientMetrics` wraps one client's per-sequence accounting with
 its shared-cache contention counters, and :class:`ServeReport` pools a
 whole :class:`~repro.sim.serve.ServingSimulator` run -- per-client and
-aggregate hit rates plus the cache-level contention statistics.
+aggregate hit rates plus the counters the cache, the tiered store and
+the sharded cache keep for themselves.
 """
 
 from __future__ import annotations
@@ -225,6 +226,8 @@ class ClientMetrics:
 
     Every :class:`~repro.sim.engine.QuerySession` owns one and accrues
     into it as it steps; the serving report takes them as they are.
+    Only what is per-client by nature lives here: a layer's own totals
+    (tier and shard counters) are read off the layer (DESIGN.md §6).
     ``client_id`` is ``None`` for a session run outside the serving
     layer (private cache, nothing to attribute).
     """
@@ -243,19 +246,6 @@ class ClientMetrics:
     failed_reads: int = 0
     degraded_ticks: int = 0
     breaker_opens: int = 0
-    #: Tiered-storage accounting (zero without an active storage tier):
-    #: this client's requests absorbed by the storage-side tier cache,
-    #: by the miss-path mechanisms below it, the pages it pulled from
-    #: the backing store, and its share of the simulated fill stalls
-    #: (DESIGN.md §9).
-    tier_hits: int = 0
-    miss_path_hits: int = 0
-    tier_fills: int = 0
-    tier_stall_seconds: float = 0.0
-    #: Sharded-cache accounting (zero without an active shard layout):
-    #: this client's share of cross-shard hop time on the demand path
-    #: (DESIGN.md §10).
-    shard_hop_seconds: float = 0.0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -270,7 +260,9 @@ class ClientMetrics:
 class ServeReport:
     """What one :class:`~repro.sim.serve.ServingSimulator` run measured.
 
-    Pools the per-client metrics with the shared cache's own counters.
+    Pools the per-client metrics with the counters the shared cache,
+    the tiered store and the sharded cache keep themselves, read off
+    the layers the run built.
     ``n_ticks`` is how many round-robin scheduler passes the run took
     (staggered clients idle through their first ticks).
     """
@@ -289,6 +281,14 @@ class ServeReport:
     #: Whether the run's disk carried an active storage tier; gates the
     #: tier counters' persistence the same way (DESIGN.md §9).
     tiers_active: bool = False
+    #: The store's own tier counters (zero without a tiered store):
+    #: requests absorbed by the storage-side tier cache and by the
+    #: miss-path mechanisms below it, pages pulled from the backing
+    #: store, and the simulated fill-stall seconds charged.
+    tier_hits: int = 0
+    miss_path_hits: int = 0
+    tier_fills: int = 0
+    tier_stall_seconds: float = 0.0
     #: Whether the run's cache was sharded (``K > 1``); gates the shard
     #: counters' persistence the same way (DESIGN.md §10).
     shards_active: bool = False
@@ -300,6 +300,9 @@ class ServeReport:
     #: Rebalancer activity over the run (``None`` when unsharded).
     shard_rebalances: int | None = None
     shard_pages_moved: int | None = None
+    #: Simulated cross-shard hop seconds the sharded cache charged on
+    #: the demand path (zero when unsharded).
+    shard_hop_seconds: float = 0.0
 
     @property
     def n_clients(self) -> int:
@@ -347,31 +350,6 @@ class ServeReport:
     def breaker_opens(self) -> int:
         """Circuit-breaker trips across the fleet."""
         return sum(client.breaker_opens for client in self.clients)
-
-    @property
-    def tier_hits(self) -> int:
-        """Requests absorbed by the storage-side tier cache, fleet-wide."""
-        return sum(client.tier_hits for client in self.clients)
-
-    @property
-    def miss_path_hits(self) -> int:
-        """Requests absorbed by the miss-path mechanisms, fleet-wide."""
-        return sum(client.miss_path_hits for client in self.clients)
-
-    @property
-    def tier_fills(self) -> int:
-        """Pages pulled from the backing store into the tier, fleet-wide."""
-        return sum(client.tier_fills for client in self.clients)
-
-    @property
-    def tier_stall_seconds(self) -> float:
-        """Simulated fill-stall seconds charged, fleet-wide."""
-        return sum(client.tier_stall_seconds for client in self.clients)
-
-    @property
-    def shard_hop_seconds(self) -> float:
-        """Simulated cross-shard hop seconds charged, fleet-wide."""
-        return sum(client.shard_hop_seconds for client in self.clients)
 
     def to_aggregate(self) -> AggregateMetrics:
         """Pool the clients exactly like sequences of one experiment cell.

@@ -49,6 +49,7 @@ from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, resolve_ahead
 from repro.sim.metrics import ServeReport
 from repro.storage.faults import FaultPlan
+from repro.storage.tiered import TierStats
 from repro.workload.multiclient import ClientWorkload
 
 __all__ = ["ServingSimulator", "plans_shareable"]
@@ -154,6 +155,10 @@ class ServingSimulator:
         else:
             n_ticks = self._run_round_robin(clients, sessions)
 
+        # Each layer counter has one owner: the tier and hop totals are
+        # read off the store and cache this run built, like the cache's
+        # hits (an inactive layer's counters are zero).
+        tier_stats = disk.tier_stats if tiered else TierStats()
         return ServeReport(
             clients=[session.client_metrics for session in sessions],
             capacity_pages=cache.capacity_pages,
@@ -175,6 +180,11 @@ class ServingSimulator:
             ),
             shard_rebalances=cache.rebalance_events if sharded else None,
             shard_pages_moved=cache.pages_moved if sharded else None,
+            tier_hits=tier_stats.tier_hits,
+            miss_path_hits=tier_stats.mechanism_hits,
+            tier_fills=tier_stats.backing_pages,
+            tier_stall_seconds=tier_stats.stall_seconds,
+            shard_hop_seconds=cache.hop_seconds if sharded else 0.0,
         )
 
     # -- schedulers -----------------------------------------------------------

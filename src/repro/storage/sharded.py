@@ -50,7 +50,8 @@ batch sequences -- rebalance identically.
 distinct shards charges ``(S - 1) * hop_latency_s`` of *simulated* time
 into :attr:`ShardedCache.hop_seconds` -- the coordinator pays one hop
 per extra shard contacted on the demand path.  ``QuerySession``
-attributes the delta per client, exactly like tier stalls.
+charges its demand touch's delta to that query's residual time; the
+serving report reads the total off the cache.
 
 ``SimulationConfig.build_cache`` builds a :class:`ShardedCache` only
 for ``K > 1``; one shard *is* the plain cache.  Constructed directly

@@ -131,8 +131,8 @@ class StorageSpec:
 class TierStats:
     """Per-layer counters of the tiered store (hits, fills, writebacks).
 
-    One instance per store; each session snapshots it around its own
-    disk reads to attribute deltas per client.
+    One instance per store, the only copy of these counts: the serving
+    report and the daemon's final report read it as is.
     """
 
     #: Pages requested through the tiered read path.
@@ -161,11 +161,6 @@ class TierStats:
     torn_detected: int = 0
     #: Torn slots repaired from the page table (and cleanly re-read).
     torn_repaired: int = 0
-
-    def snapshot(self) -> "TierStats":
-        copy = TierStats()
-        copy.__dict__.update(self.__dict__)
-        return copy
 
     @property
     def mechanism_hits(self) -> int:

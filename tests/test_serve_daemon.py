@@ -30,6 +30,7 @@ import gc
 import json
 import os
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -704,6 +705,17 @@ def _books(daemon: ServeDaemon) -> dict:
     return report
 
 
+def _hold_the_drain_for_every_connection(daemon: ServeDaemon) -> None:
+    """Make ``Server.wait_closed`` wait for every connection, as it does
+    from Python 3.12.1 on, whatever interpreter runs the test."""
+    if sys.version_info < (3, 12, 1):
+
+        async def wait_closed():
+            await _until(lambda: not daemon._writers)
+
+        daemon._server.wait_closed = wait_closed
+
+
 class TestHostileWire:
     """ROADMAP item 4(b), first slice: the daemon never dies, hangs or
     miscounts, whatever one peer does."""
@@ -990,6 +1002,110 @@ class TestHostileWire:
             assert done, "shutdown() waited for an idle peer to leave"
 
         _run_silently(daemon_config(), scenario)
+
+    def test_peer_that_never_reads_does_not_hold_the_drain(self, monkeypatch):
+        """A closed transport first flushes what it is owed, so a peer that
+        never reads held its connection -- and from Python 3.12.1 the
+        drain's ``wait_closed`` -- forever; past ``CLOSE_GRACE_S`` the
+        daemon now aborts it."""
+        monkeypatch.setattr(daemon_module, "CLOSE_GRACE_S", 0.2, raising=False)
+        n_queries = 20_000
+
+        async def scenario(daemon):
+            _hold_the_drain_for_every_connection(daemon)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", daemon.port))
+            _, writer = await asyncio.open_connection(sock=sock)
+            writer.write(HELLO + QUERY * n_queries)  # ... and reads nothing
+            # Owed more than its transport will buffer before it stops
+            # reading the peer: nothing the daemon can do will flush it.
+            await _until(
+                lambda: any(
+                    w.transport.get_write_buffer_size() > w.transport.get_write_buffer_limits()[1]
+                    for w in daemon._writers
+                )
+            )
+            stopping = asyncio.ensure_future(daemon.shutdown())
+            done, _ = await asyncio.wait({stopping}, timeout=10)
+            writer.transport.abort()  # releases a drain that was waiting for us
+            await stopping
+            assert done, "shutdown() waited for a peer that never reads"
+            assert not daemon._writers
+
+        _run_silently(daemon_config(max_queue=n_queries), scenario)
+
+    def test_queries_arriving_during_the_drain_are_booked_as_shed(self):
+        """DESIGN.md §8's partition holds through the drain: a query the
+        draining daemon refuses is shed on both sides of the wire."""
+        n_queries, n_late = 2000, 50
+
+        async def scenario(daemon):
+            reader, writer = await _connect(daemon.port)
+            writer.write(HELLO + QUERY * n_queries)
+            await _until(lambda: daemon.requests_admitted == n_queries)
+            # The drain starts before the daemon can read the late queries,
+            # and its worker yields every WORKER_BATCH jobs, so they arrive
+            # while the admitted ones are still being answered.
+            stopping = asyncio.ensure_future(daemon.shutdown())
+            writer.write(QUERY * n_late)
+            replies = [await read_frame(reader) for _ in range(1 + n_queries + n_late)]
+            assert await read_frame(reader) is None
+            writer.close()
+            await stopping
+            return replies[1:], _books(daemon)
+
+        replies, books = _run_silently(daemon_config(max_queue=n_queries), scenario)
+        ok = sum(1 for r in replies if r["ok"])
+        shed = sum(1 for r in replies if r.get("shed"))
+        assert (ok, shed) == (n_queries, n_late)
+        assert books["requests_admitted"] == books["latency"]["count"] == ok
+        assert books["requests_shed"] == books["latency"]["shed"] == shed
+
+    def test_shed_storm_across_session_renewals_keeps_the_books(self):
+        """ROADMAP 4(b): bursts past the queue bound on every connection,
+        through many session renewals.  A shed neither advances a cursor
+        nor renews a session, and both sides count every request once."""
+        n_connections, n_bursts, burst = 4, 30, 7
+        per_session = 3
+
+        async def client(port):
+            stream = await _connect(port)
+            hello = await _ask(stream, "hello")
+            reader, writer = stream
+            replies = []
+            for _ in range(n_bursts):
+                writer.write(QUERY * burst)
+                replies += [await read_frame(reader) for _ in range(burst)]
+            writer.close()
+            return hello["client_id"], replies
+
+        async def scenario(daemon):
+            runs = await asyncio.gather(*(client(daemon.port) for _ in range(n_connections)))
+            await _admission_drained(daemon)
+            return runs, _books(daemon)
+
+        runs, books = _run_silently(
+            daemon_config(max_queue=4, queries_per_session=per_session), scenario
+        )
+        every = [reply for _, replies in runs for reply in replies]
+        ok = sum(1 for r in every if r["ok"])
+        shed = sum(1 for r in every if r.get("shed"))
+        errors = sum(1 for r in every if not r["ok"] and not r.get("shed"))
+        assert ok + shed + errors == n_connections * n_bursts * burst
+        assert shed > 0 and errors == 0
+        assert books["requests_admitted"] == books["latency"]["count"] == ok
+        assert books["requests_shed"] == books["latency"]["shed"] == shed
+        for client_id, replies in runs:
+            served = [r for r in replies if r["ok"]]
+            assert all(r["client_id"] == client_id for r in served)
+            assert [r["query_index"] for r in served] == [
+                k % per_session for k in range(len(served))
+            ]
+            assert [r["sessions_completed"] for r in served] == [
+                k // per_session for k in range(len(served))
+            ]
 
     def test_sigterm_twice_still_answers_every_queued_request(self):
         """Across processes: the real ``serve`` command under two signals."""

@@ -244,8 +244,6 @@ class TestLayerPartitionInvariant:
             assert list(store._stream) == model.stream
             assert list(store._miss_tags) == model.miss
             assert dataclasses.asdict(store.tier_stats) == model.stats
-            mark = store.tier_stats.snapshot()
-            assert mark == store.tier_stats and mark is not store.tier_stats
 
     def test_mechanisms_absorb_backing_reads(self):
         # A deterministic re-read: the second pass over the same pages
@@ -410,18 +408,41 @@ def test_round_robin_and_lockstep_agree_over_a_tiered_store(miss_path):
     assert rr["tiers_active"]
 
 
-def test_tier_counters_attribute_across_clients():
+def test_serving_report_reads_the_layers_counters(monkeypatch):
+    """The tier and hop totals have one owner, the layer: the report
+    carries the counters of the store and cache its run built."""
     from repro.sim import ServingSimulator, SimulationConfig
+    from repro.storage.sharded import ShardSpec
+
+    built = {}
+    for name in ("build_disk", "build_cache"):
+
+        def capture(self, *args, _name=name, _build=getattr(SimulationConfig, name)):
+            built[_name] = _build(self, *args)
+            return built[_name]
+
+        monkeypatch.setattr(SimulationConfig, name, capture)
 
     index, clients, fleet = _serving_fixture()
-    config = SimulationConfig(storage=StorageSpec(miss_path="combined", tier_pages=8))
-    report = ServingSimulator(index, config).run(clients, fleet())
-    assert report.tiers_active
-    assert report.tier_hits == sum(c.tier_hits for c in report.clients) > 0
-    assert report.tier_fills == sum(c.tier_fills for c in report.clients) > 0
-    pooled = report.to_aggregate()
-    assert pooled.tier_hits == report.tier_hits
-    assert pooled.miss_path_hits == report.miss_path_hits
+    config = SimulationConfig(
+        storage=StorageSpec(miss_path="combined", tier_pages=8, fill_stall_s=1e-3),
+        shards=ShardSpec(n_shards=4, partition="hash", hop_latency_s=1e-4),
+    )
+    for lockstep in (False, True):
+        report = ServingSimulator(index, config).run(clients, fleet(), lockstep=lockstep)
+        ts, cache = built["build_disk"].tier_stats, built["build_cache"]
+        layers = dict(
+            tier_hits=ts.tier_hits,
+            miss_path_hits=ts.mechanism_hits,
+            tier_fills=ts.backing_pages,
+            tier_stall_seconds=ts.stall_seconds,
+            shard_hop_seconds=cache.hop_seconds,
+        )
+        assert report.tiers_active and report.shards_active
+        assert {name: getattr(report, name) for name in layers} == layers
+        assert all(value > 0 for value in layers.values()), layers
+        pooled = report.to_aggregate()
+        assert {name: getattr(pooled, name) for name in layers} == layers
 
     # With no mechanism below the tier, the tier alone absorbs reads.
     config = SimulationConfig(storage=StorageSpec(miss_path="none", tier_pages=8))
