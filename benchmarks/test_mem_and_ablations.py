@@ -25,9 +25,10 @@ from repro.baselines import ObservedQuery
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.datagen.dataset import OBJECT_BYTES
 from repro.geometry import AABB
-from repro.graph import build_graph_brute_force, build_graph_grid_hash
+from repro.graph import build_graph_grid_hash
 from repro.sim import SimulationConfig, run_experiment
 from repro.workload import generate_sequences
+from tests.oracles.graph import build_graph_brute_force
 
 N_SEQUENCES = 6  # per ablation arm; the paper runs 30-50
 

@@ -15,14 +15,13 @@ from repro.baselines.extrapolation import (
     VelocityPrefetcher,
 )
 from repro.baselines.hilbert_prefetch import HilbertPrefetcher
-from repro.baselines.simple import NoPrefetcher, OraclePrefetcher
+from repro.baselines.simple import NoPrefetcher
 
 __all__ = [
     "EWMAPrefetcher",
     "HilbertPrefetcher",
     "NoPrefetcher",
     "ObservedQuery",
-    "OraclePrefetcher",
     "PolynomialPrefetcher",
     "Prefetcher",
     "PrefetchTarget",

@@ -16,6 +16,7 @@ The simulator drives prefetchers through three calls per sequence step
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class ObservedQuery:
     @property
     def side(self) -> float:
         """Characteristic edge length of the query region."""
-        return float(np.cbrt(max(self.bounds.volume, 1e-30)))
+        return math.cbrt(max(self.bounds.volume, 1e-30))
 
 
 @dataclass(frozen=True)

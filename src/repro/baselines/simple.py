@@ -1,20 +1,16 @@
-"""Trivial prefetchers used as reference points.
+"""The prefetcher that never prefetches: the speedup denominator.
 
-``NoPrefetcher`` is the paper's speedup denominator ("compared to no
-prefetching at all").  ``OraclePrefetcher`` knows the actual sequence
-and prefetches the true next query region -- an upper bound no online
-method can beat, handy for sanity tests and for calibrating the
-simulator's window accounting.
+``NoPrefetcher`` is the paper's reference point ("compared to no
+prefetching at all").  The upper bound at the other end, a prefetcher
+that reads the true next query, is a test oracle
+(``tests/oracles/baselines.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
-from repro.workload.sequence import QuerySequence
 
-__all__ = ["NoPrefetcher", "OraclePrefetcher"]
+__all__ = ["NoPrefetcher"]
 
 
 class NoPrefetcher(Prefetcher):
@@ -27,39 +23,3 @@ class NoPrefetcher(Prefetcher):
 
     def plan(self) -> list[PrefetchTarget]:
         return []
-
-
-class OraclePrefetcher(Prefetcher):
-    """Prefetches the true next query region (requires the sequence)."""
-
-    name = "oracle"
-
-    def __init__(self, sequence: QuerySequence | None = None) -> None:
-        self.sequence = sequence
-        self._last_index = -1
-
-    def bind_sequence(self, sequence: QuerySequence) -> None:
-        """Attach the sequence the oracle will be run against."""
-        self.sequence = sequence
-
-    def begin_sequence(self) -> None:
-        self._last_index = -1
-
-    def observe(self, observed: ObservedQuery) -> None:
-        self._last_index = observed.index
-
-    def plan(self) -> list[PrefetchTarget]:
-        if self.sequence is None:
-            raise RuntimeError("OraclePrefetcher needs bind_sequence() before use")
-        next_index = self._last_index + 1
-        if next_index >= len(self.sequence.queries):
-            return []
-        upcoming = self.sequence.queries[next_index]
-        return [
-            PrefetchTarget(
-                anchor=upcoming.center,
-                direction=np.zeros(3),
-                share=1.0,
-                regions=(upcoming.bounds,),
-            )
-        ]

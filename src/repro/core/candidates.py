@@ -12,6 +12,7 @@ structure -- the tracker resets to all structures of the latest result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,7 @@ class CandidateTracker:
         ``movement`` is the displacement from the previous query center
         (``None`` for the first query).  Returns the new tracks.
         """
-        side = float(np.cbrt(max(region.volume, 1e-30)))
+        side = math.cbrt(max(region.volume, 1e-30))
         tolerance = MATCH_DISTANCE_FACTOR * side
 
         components = graph.connected_components()

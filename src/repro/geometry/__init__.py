@@ -8,14 +8,7 @@ objects per step without Python-level loops.
 """
 
 from repro.geometry.aabb import AABB, aabbs_intersect_arrays, union_all
-from repro.geometry.primitives import (
-    Segment,
-    clip_segment_to_aabb,
-    point_segment_distance,
-    segment_aabb_intersects,
-    segment_segment_distance,
-    segments_aabb_mask,
-)
+from repro.geometry.primitives import segments_aabb_mask
 from repro.geometry.frustum import Frustum
 from repro.geometry.hilbert import hilbert_decode, hilbert_encode
 from repro.geometry.grid import UniformGrid
@@ -23,15 +16,10 @@ from repro.geometry.grid import UniformGrid
 __all__ = [
     "AABB",
     "Frustum",
-    "Segment",
     "UniformGrid",
     "aabbs_intersect_arrays",
-    "clip_segment_to_aabb",
     "hilbert_decode",
     "hilbert_encode",
-    "point_segment_distance",
-    "segment_aabb_intersects",
-    "segment_segment_distance",
     "segments_aabb_mask",
     "union_all",
 ]

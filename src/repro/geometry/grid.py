@@ -2,9 +2,10 @@
 
 A :class:`UniformGrid` partitions an AABB into ``nx * ny * nz``
 equi-volume cells.  It converts between points, integer cell coordinates
-and flat cell ids and rasterizes segments into the cells they cross (3D
-DDA) -- the workhorses behind the paper's grid-hashing graph
-construction (§4.2) and the Hilbert-Prefetch baseline.
+and flat cell ids -- the workhorses behind the paper's grid-hashing
+graph construction (§4.2) and the Hilbert-Prefetch baseline.  (The
+exact segment DDA that grid hashing's sampling approximates is a test
+oracle, ``tests/oracles/geometry.py``.)
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.primitives import clip_segment_to_aabb
-from repro.util import norm
 
 __all__ = ["UniformGrid"]
 
@@ -78,15 +77,8 @@ class UniformGrid:
         rel = (points - self.bounds.lo) / np.maximum(self.cell_extent, _EPS)
         return np.clip(np.floor(rel).astype(int), 0, np.asarray(self.shape) - 1)
 
-    def flat_id(self, coords) -> int:
-        cx, cy, cz = coords
-        nx, ny, nz = self.shape
-        if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
-            raise IndexError(f"cell {coords} outside grid of shape {self.shape}")
-        return (cx * ny + cy) * nz + cz
-
     def flat_ids(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`flat_id` for an ``(n, 3)`` int array."""
+        """Row-major ids ``(x * ny + y) * nz + z`` of an ``(n, 3)`` int array."""
         coords = np.asarray(coords)
         _, ny, nz = self.shape
         return (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
@@ -95,65 +87,3 @@ class UniformGrid:
         ext = self.cell_extent
         lo = self.bounds.lo + np.asarray(coords, dtype=np.float64) * ext
         return AABB(lo, lo + ext)
-
-    # -- rasterization ------------------------------------------------------
-
-    def cells_of_segment(self, a, b) -> list[tuple[int, int, int]]:
-        """All cells crossed by segment ``[a, b]`` (clipped to the grid).
-
-        Uses a conservative 3D DDA: steps through cell boundaries along
-        the segment, which visits every crossed cell exactly once.
-        Returns an empty list for segments entirely outside the grid.
-        """
-        clipped = clip_segment_to_aabb(a, b, self.bounds)
-        if clipped is None:
-            return []
-        p0, p1 = clipped
-        start = self.cell_of_point(p0)
-        end = self.cell_of_point(p1)
-        if start == end:
-            return [start]
-
-        cells = [start]
-        delta = p1 - p0
-        length = norm(delta)
-        if length < _EPS:
-            return cells
-        direction = delta / length
-        ext = self.cell_extent
-
-        current = np.array(start, dtype=int)
-        position = p0.copy()
-        travelled = 0.0
-        # Walk boundary-to-boundary; bounded by the number of cells a
-        # segment can cross (sum of grid shape) as a safety net.
-        max_steps = int(sum(self.shape)) + 3
-        for _ in range(max_steps):
-            # Distance to the next cell boundary along each axis.
-            t_next = np.full(3, np.inf)
-            for axis in range(3):
-                d = direction[axis]
-                if abs(d) < _EPS:
-                    continue
-                if d > 0:
-                    boundary = self.bounds.lo[axis] + (current[axis] + 1) * ext[axis]
-                else:
-                    boundary = self.bounds.lo[axis] + current[axis] * ext[axis]
-                t_next[axis] = (boundary - position[axis]) / d
-            axis = int(np.argmin(t_next))
-            step = t_next[axis]
-            if not np.isfinite(step):
-                break
-            travelled += step
-            if travelled >= length - _EPS:
-                break
-            position = position + direction * (step + _EPS)
-            current[axis] += 1 if direction[axis] > 0 else -1
-            if np.any(current < 0) or np.any(current >= np.asarray(self.shape)):
-                break
-            cells.append(tuple(int(c) for c in current))
-            if tuple(current) == end:
-                break
-        if end not in cells:
-            cells.append(end)
-        return cells

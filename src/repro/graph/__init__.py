@@ -12,7 +12,6 @@ from repro.graph.spatial_graph import SpatialGraph
 from repro.graph.builder import (
     GraphBuildReport,
     build_graph,
-    build_graph_brute_force,
     build_graph_explicit,
     build_graph_grid_hash,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "GraphBuildReport",
     "SpatialGraph",
     "build_graph",
-    "build_graph_brute_force",
     "build_graph_explicit",
     "build_graph_grid_hash",
     "region_crossings",

@@ -1,20 +1,20 @@
 """Proximity-graph construction (paper §4.2).
 
-Three builders, matching the paper:
+Two builders, matching the paper:
 
 - :func:`build_graph_grid_hash` -- the production path: partition the
   query region into equi-volume grid cells, map each object's simplified
   geometry (a line segment for cylinders, both paper §7.1 and here) into
   the cells it crosses, and connect objects sharing a cell.  Resolution
   is the precision knob studied in Fig 13e.
-- :func:`build_graph_brute_force` -- the O(n²) reference the paper
-  compares grid hashing against; connects objects whose segments pass
-  within a distance threshold.
 - :func:`build_graph_explicit` -- for datasets with an underlying graph
   (polygon meshes): restrict the dataset's explicit adjacency to the
   result set, no geometry needed.
 
-:func:`build_graph` picks the right builder for a dataset.
+:func:`build_graph` picks the right builder for a dataset.  The O(n²)
+brute-force builder the paper compares grid hashing against, and the
+exact segment DDA the sampled rasterization approximates, are test
+oracles (``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ import numpy as np
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import UniformGrid
-from repro.geometry.primitives import segment_segment_distance
 from repro.graph.spatial_graph import SpatialGraph
 from repro.util import norm
 
 __all__ = [
     "GraphBuildReport",
     "build_graph",
-    "build_graph_brute_force",
     "build_graph_explicit",
     "build_graph_grid_hash",
     "DEFAULT_GRID_RESOLUTION",
@@ -75,10 +73,10 @@ def _sample_segment_cells(
     smallest cell edge, endpoints included) and every sample is hashed
     to its cell.  A segment gets at most 64 samples, so one that is long
     against a fine grid can step over cells: the rasterization is an
-    approximation, with the exact DDA
-    (:meth:`UniformGrid.cells_of_segment`) as the test oracle.  There is
-    one array pass per distinct sample count (segments of a result are
-    of similar length, so usually one or two), none per object.
+    approximation of the exact DDA (``cells_of_segment`` in
+    ``tests/oracles/geometry.py``).  There is one array pass per
+    distinct sample count (segments of a result are of similar length,
+    so usually one or two), none per object.
 
     Returns ``(owners, cells)``: parallel arrays of object id and flat
     cell id, deduplicated and sorted by ``(owner, cell)`` -- the *pair
@@ -150,34 +148,6 @@ def build_graph_grid_hash(
         work_units=work,
         wall_seconds=time.perf_counter() - started,
         resolution=int(resolution),
-    )
-
-
-def build_graph_brute_force(
-    dataset: Dataset,
-    object_ids: np.ndarray,
-    distance_threshold: float,
-) -> GraphBuildReport:
-    """O(n²) reference builder: connect segments within a distance."""
-    started = time.perf_counter()
-    object_ids = np.asarray(object_ids, dtype=np.int64)
-    graph = SpatialGraph(object_ids)
-    n = len(object_ids)
-    work = n * (n - 1) // 2
-    for i in range(n):
-        oi = int(object_ids[i])
-        for j in range(i + 1, n):
-            oj = int(object_ids[j])
-            distance = segment_segment_distance(
-                dataset.p0[oi], dataset.p1[oi], dataset.p0[oj], dataset.p1[oj]
-            )
-            if distance <= distance_threshold:
-                graph.add_edge(oi, oj)
-    return GraphBuildReport(
-        graph=graph,
-        work_units=work,
-        wall_seconds=time.perf_counter() - started,
-        resolution=0,
     )
 
 

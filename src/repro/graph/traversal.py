@@ -16,14 +16,13 @@ import numpy as np
 
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
-from repro.geometry.primitives import clip_segment_to_aabb, segments_clip_intervals
+from repro.geometry.primitives import segments_clip_intervals
 from repro.util import dot, norm
 
 __all__ = [
     "Crossing",
     "region_crossings",
     "region_crossings_grouped",
-    "region_crossings_reference",
 ]
 
 _EPS = 1e-9
@@ -42,43 +41,15 @@ class Crossing:
         return self.point + self.direction * float(distance)
 
 
-def _object_crossings(dataset: Dataset, object_id: int, region: AABB) -> list[Crossing]:
-    """Crossings contributed by one object's representative segment."""
-    a = dataset.p0[object_id]
-    b = dataset.p1[object_id]
-    clipped = clip_segment_to_aabb(a, b, region)
-    if clipped is None:
-        # The object's box intersects the region but its segment does
-        # not (thick object near a corner): treat as no crossing.
-        return []
-    inside_a, inside_b = clipped
-    direction = b - a
-    length = norm(direction)
-    if length < _EPS:
-        return []
-    direction = direction / length
-
-    crossings = []
-    a_clipped = norm(inside_a - a) > _EPS
-    b_clipped = norm(inside_b - b) > _EPS
-    if a_clipped:
-        # The segment enters the region at inside_a; travelling from the
-        # region outward through that point means going against the
-        # segment direction.
-        crossings.append(Crossing(int(object_id), inside_a.copy(), -direction))
-    if b_clipped:
-        crossings.append(Crossing(int(object_id), inside_b.copy(), direction.copy()))
-    return crossings
-
-
 def _crossing_arrays(dataset: Dataset, object_ids: np.ndarray, region: AABB):
     """Vectorized clip of every object's segment against the region.
 
     Returns ``(entry_mask, exit_mask, entry_points, exit_points,
     directions)`` over the input objects.  The arithmetic mirrors the
-    scalar :func:`_object_crossings` path operation for operation
-    (Liang-Barsky slab clip, then endpoint-displacement tests), so the
-    resulting points and directions are bit-identical to the reference.
+    per-object oracle (``tests/oracles/graph.py``) operation for
+    operation (Liang-Barsky slab clip, then endpoint-displacement
+    tests), so the resulting points and directions are bit-identical to
+    it.
     """
     a = dataset.p0[object_ids]
     b = dataset.p1[object_ids]
@@ -173,22 +144,6 @@ def region_crossings_grouped(
         out.append(_crossings_from_arrays(all_ids, *arrays, rows))
         offset += size
     return out
-
-
-def region_crossings_reference(
-    dataset: Dataset,
-    object_ids,
-    region: AABB,
-) -> list[Crossing]:
-    """Scalar per-object reference implementation of :func:`region_crossings`.
-
-    Kept as the equivalence oracle: the vectorized path must match it
-    bit for bit.
-    """
-    crossings: list[Crossing] = []
-    for object_id in np.asarray(object_ids, dtype=np.int64):
-        crossings.extend(_object_crossings(dataset, int(object_id), region))
-    return crossings
 
 
 def refine_crossing_direction(

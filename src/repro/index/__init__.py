@@ -12,13 +12,10 @@ simulated page layer.
 from repro.index.base import QueryResult, SpatialIndex
 from repro.index.rtree import STRTree
 from repro.index.flat import FlatIndex
-from repro.index.scalar_ref import ScalarFlatIndex, ScalarSTRTree
 
 __all__ = [
     "FlatIndex",
     "QueryResult",
     "STRTree",
-    "ScalarFlatIndex",
-    "ScalarSTRTree",
     "SpatialIndex",
 ]

@@ -27,6 +27,7 @@ one shared cache and disk to model concurrent users.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import not_
@@ -291,7 +292,7 @@ class SimulationEngine:
             regions = target.regions
             if regions is None:
                 if schedule is None:
-                    side = float(np.cbrt(max(query.bounds.volume, 1e-30)))
+                    side = math.cbrt(max(query.bounds.volume, 1e-30))
                     schedule = self._step_schedule(side)
                 regions = self._incremental_boxes(target, *schedule)
             streams.append(_SharedProbeStream(self.index, regions))

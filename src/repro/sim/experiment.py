@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.base import Prefetcher
-from repro.baselines.simple import OraclePrefetcher
 from repro.index.base import SpatialIndex
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.metrics import AggregateMetrics, SequenceMetrics, aggregate
@@ -58,11 +57,7 @@ def run_experiment(
     if not sequences:
         raise ValueError("run_experiment() needs at least one sequence")
     engine = SimulationEngine(index, config)
-    per_sequence = []
-    for sequence in sequences:
-        if isinstance(prefetcher, OraclePrefetcher):
-            prefetcher.bind_sequence(sequence)
-        per_sequence.append(engine.run(sequence, prefetcher))
+    per_sequence = [engine.run(sequence, prefetcher) for sequence in sequences]
     return ExperimentResult(
         prefetcher_name=prefetcher.name,
         metrics=aggregate(per_sequence),

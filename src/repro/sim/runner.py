@@ -58,7 +58,6 @@ from repro.baselines import (
     EWMAPrefetcher,
     HilbertPrefetcher,
     NoPrefetcher,
-    OraclePrefetcher,
     PolynomialPrefetcher,
     StraightLinePrefetcher,
     VelocityPrefetcher,
@@ -129,7 +128,6 @@ _PREFETCHER_BUILDERS: dict[str, Callable[..., Any]] = {
     "polynomial": lambda ds, ix, p: PolynomialPrefetcher(**p),
     "hilbert": lambda ds, ix, p: HilbertPrefetcher(ds, **p),
     "none": lambda ds, ix, p: NoPrefetcher(),
-    "oracle": lambda ds, ix, p: OraclePrefetcher(),
     # Fault-injection kinds (``_sleep`` / ``_fail`` / ``_exit``) for the
     # orchestrator's own test surface, consolidated in the faults module
     # under their historical names.

@@ -182,12 +182,6 @@ class PrefetchCache:
         self._pages.clear()
         self._evicted.clear()
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -455,12 +449,6 @@ class ArrayCache:
         self._slot_of.fill(-1)
         self._evicted_mark.fill(False)
         self._n = 0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
 
     @property
     def hit_rate(self) -> float:

@@ -71,9 +71,6 @@ class DiskModel:
     def __init__(self) -> None:
         self.stats = IOStats()
 
-    def reset_stats(self) -> None:
-        self.stats = IOStats()
-
     # -- cost accounting ----------------------------------------------------
 
     def read_pages(self, page_ids: Sequence[int] | Iterable[int]) -> float:

@@ -150,11 +150,11 @@ _STREAM_TRANSIENT, _STREAM_LATENCY, _STREAM_CORRUPT = range(3)
 class FaultyDiskModel:
     """A :class:`DiskModel` wrapper that injects the plan's faults.
 
-    Interface-identical to the bare model (``stats`` /
-    ``read_pages`` / ``trim_to_budget`` / ``cost_if_cold`` /
-    ``reset_stats``), plus the recovery surface: :meth:`verify_delivery`
-    (checksum read-repair at cache insert) and :meth:`recover_read`
-    (clean demand re-read after a :class:`ReadFailure`).  Cost
+    Interface-identical to the bare model (``stats`` / ``read_pages`` /
+    ``trim_to_budget`` / ``cost_if_cold``), plus the recovery surface:
+    :meth:`verify_delivery` (checksum read-repair at cache insert) and
+    :meth:`recover_read` (clean demand re-read after a
+    :class:`ReadFailure`).  Cost
     estimation never injects -- windows are sized from the healthy
     model, as a deployment would size them from nominal device specs.
     """
@@ -175,9 +175,6 @@ class FaultyDiskModel:
     @property
     def stats(self) -> IOStats:
         return self._inner.stats
-
-    def reset_stats(self) -> None:
-        self._inner.reset_stats()
 
     def trim_to_budget(
         self, page_ids: Sequence[int] | Iterable[int], budget_s: float

@@ -368,14 +368,6 @@ class ShardedCache:
         for shard in self._shards:
             shard.clear()
 
-    def reset_stats(self) -> None:
-        for shard in self._shards:
-            shard.reset_stats()
-        self.hops = 0
-        self.hop_seconds = 0.0
-        self.rebalance_events = 0
-        self.pages_moved = 0
-
     # -- batch operations -----------------------------------------------------
 
     def touch_many(self, page_ids) -> list[bool]:

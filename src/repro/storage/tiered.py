@@ -173,9 +173,9 @@ class TieredStore:
 
     Wraps a :class:`~repro.storage.disk.DiskModel` or
     :class:`~repro.storage.faults.FaultyDiskModel` and exposes the exact
-    same surface (``stats`` / ``read_pages`` /
-    ``trim_to_budget`` / ``cost_if_cold`` / ``reset_stats`` and the
-    recovery surface ``verify_delivery`` / ``recover_read``).  Planning
+    same surface (``stats`` / ``read_pages`` / ``trim_to_budget`` /
+    ``cost_if_cold`` and the recovery surface ``verify_delivery`` /
+    ``recover_read``).  Planning
     calls (``trim_to_budget``, ``cost_if_cold``) delegate to the inner
     model unconditionally: windows are sized from nominal device cost,
     conservatively ignoring tier hits, exactly as the fault layer sizes
@@ -214,14 +214,6 @@ class TieredStore:
     @property
     def tiering_active(self) -> bool:
         return self._tiering
-
-    def reset_stats(self) -> None:
-        self._inner.reset_stats()
-        self.tier_stats = TierStats()
-        self._tier.clear()
-        self._victim.clear()
-        self._stream.clear()
-        self._miss_tags.clear()
 
     def trim_to_budget(
         self, page_ids: Sequence[int] | Iterable[int], budget_s: float

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.datagen.dataset import Dataset
 from repro.workload.sequence import QuerySequence, generate_sequences
 

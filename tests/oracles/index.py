@@ -1,28 +1,18 @@
-"""Scalar (pre-vectorization) reference index paths.
+"""The one-node-at-a-time R-tree walk, over the packed levels.
 
-The packed R-tree answers region probes with level-synchronous array
-passes; this module preserves the original one-node-at-a-time traversal
--- a Python stack with a pair of tiny ``np.any``/``np.all`` reductions
-per node -- over the *same* packed levels.  It exists as the
-equivalence oracle: the test suite proves the vectorized traversal
-returns bit-identical page sets, and that full simulations over a
-scalar-path index produce bit-identical metrics and records
-(``tests/test_vectorized_equivalence.py``).
-
-Nothing in the production system calls these classes
-(``tests/test_layout.py`` checks that).
+The packed R-tree answers probes with level-synchronous array passes;
+:func:`pages_for_region_scalar` is the original traversal (a Python
+stack, tiny ``np.any`` / ``np.all`` tests per node) over the *same*
+levels, and the two index classes are forced onto it and onto one probe
+per region, so whole simulations can be compared bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
-from repro.index.base import SpatialIndex
-from repro.index.flat import FlatIndex
-from repro.index.rtree import STRTree
-
-__all__ = ["ScalarFlatIndex", "ScalarSTRTree", "pages_for_region_scalar"]
+from repro.geometry import AABB
+from repro.index import FlatIndex, SpatialIndex, STRTree
 
 
 def pages_for_region_scalar(tree: STRTree, region: AABB) -> np.ndarray:

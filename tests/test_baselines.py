@@ -8,13 +8,13 @@ from repro.baselines import (
     HilbertPrefetcher,
     NoPrefetcher,
     ObservedQuery,
-    OraclePrefetcher,
     PolynomialPrefetcher,
     StraightLinePrefetcher,
     VelocityPrefetcher,
 )
 from repro.baselines.hilbert_prefetch import N_PREFETCH_CELLS
 from repro.geometry import AABB
+from tests.oracles.baselines import OraclePrefetcher
 
 
 def observe_path(prefetcher, centers, side=10.0):
@@ -157,7 +157,7 @@ class TestTrivial:
         from repro.workload import generate_sequence
 
         seq = generate_sequence(tissue, rng, n_queries=4, volume=40_000.0)
-        p = OraclePrefetcher(seq)
+        p = OraclePrefetcher([seq])
         p.begin_sequence()
         p.observe(ObservedQuery(0, seq.queries[0].bounds, np.empty(0, dtype=np.int64)))
         (target,) = p.plan()
@@ -167,18 +167,19 @@ class TestTrivial:
         from repro.workload import generate_sequence
 
         seq = generate_sequence(tissue, rng, n_queries=2, volume=40_000.0)
-        p = OraclePrefetcher(seq)
+        p = OraclePrefetcher([seq])
         p.begin_sequence()
         for i in range(2):
             p.observe(ObservedQuery(i, seq.queries[i].bounds, np.empty(0, dtype=np.int64)))
         assert p.plan() == []
 
-    def test_oracle_requires_sequence(self):
-        p = OraclePrefetcher()
+    def test_oracle_requires_sequence(self, tissue, rng):
+        from repro.workload import generate_sequence
+
+        p = OraclePrefetcher([generate_sequence(tissue, rng, n_queries=2, volume=40_000.0)])
         p.begin_sequence()
-        p.observe(ObservedQuery(0, AABB([0, 0, 0], [1, 1, 1]), np.empty(0, dtype=np.int64)))
         with pytest.raises(RuntimeError):
-            p.plan()
+            p.begin_sequence()
 
 
 class TestPrefetchTarget:

@@ -8,7 +8,7 @@ from repro.core.exits import estimate_gap, split_entries_exits
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.graph import SpatialGraph
-from repro.graph.traversal import Crossing, region_crossings
+from repro.graph.traversal import Crossing
 
 
 def multi_chain_dataset(chains: list[np.ndarray]) -> Dataset:

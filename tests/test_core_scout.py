@@ -9,7 +9,6 @@ from repro.baselines import ObservedQuery
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.core.scout_opt import GAP_IO_BUDGET_FRACTION
 from repro.core.strategies import MAX_PREFETCH_LOCATIONS, plan_targets
-from repro.geometry import AABB
 from repro.workload import generate_sequence
 
 

@@ -1,13 +1,23 @@
 """Engine internals: incremental region generation and budget accounting."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import NoPrefetcher, ObservedQuery, Prefetcher, PrefetchTarget
+from repro.core import ScoutPrefetcher
+from repro.datagen import make_neuron_tissue
 from repro.geometry import AABB
-from repro.sim import SimulationConfig, SimulationEngine
+from repro.index import STRTree
+from repro.index.base import region_corners
+from repro.sim import SimulationEngine
 from repro.storage.disk import POSITIONING_S, STRIPE_WAYS, TRANSFER_S_PER_PAGE
-from repro.workload import generate_sequence
+from repro.workload import generate_sequence, generate_sequences
 
 
 class FixedPlanPrefetcher(Prefetcher):
@@ -296,3 +306,54 @@ class TestCarryRedistribution:
         targets = [self.dead_target(tissue, share=0.5), self.dead_target(tissue, share=0.5)]
         pages, seconds = self.execute(engine, targets, query, cache, disk, self.budget_for())
         assert pages == 0 and seconds == 0.0
+
+
+# -- probe boxes no SIMD dispatch decides -------------------------------------------
+
+#: numpy features to switch off in the child: its AVX-512 ``cbrt`` kernel
+#: rounds some cube roots differently from the AVX2 and baseline ones
+#: (``np.cbrt(27000.0)`` is 30.0 on one, 29.999999999999996 on the others).
+#: A name the host lacks is ignored, so the child runs on any x86-64 CPU.
+_DISABLED_CPU_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _probe_corner_digest() -> str:
+    """SHA-256 (first 16 hex digits) of every probe box one SCOUT run packs.
+
+    The boxes are the incremental prefetch regions, sized from the cube
+    root of each query's volume (DESIGN.md §14).
+    """
+    tissue = make_neuron_tissue(n_neurons=8, seed=7)
+    engine = SimulationEngine(STRTree(tissue, fanout=16))
+    (sequence,) = generate_sequences(tissue, 1, seed=3, n_queries=20, volume=27_000.0)
+    digest = hashlib.sha256()
+    probe_streams = engine._probe_streams
+
+    def recording(targets, query):
+        streams = probe_streams(targets, query)
+        for stream in streams:
+            for corners in region_corners(stream._regions):
+                digest.update(np.ascontiguousarray(corners).tobytes())
+        return streams
+
+    engine._probe_streams = recording
+    engine.run(sequence, ScoutPrefetcher(tissue))
+    return digest.hexdigest()[:16]
+
+
+def test_probe_boxes_are_the_same_without_avx512():
+    """A child with numpy's AVX-512 kernels switched off packs the same boxes."""
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=_DISABLED_CPU_FEATURES,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    assert child.stdout.strip() == _probe_corner_digest()
+
+
+if __name__ == "__main__":
+    # The child of the test above.
+    print(_probe_corner_digest())

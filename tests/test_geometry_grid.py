@@ -1,9 +1,10 @@
-"""Uniform-grid math: conversions, rasterization, neighborhoods."""
+"""Uniform-grid math: conversions, and the exact segment DDA oracle."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import AABB, UniformGrid
-from repro.geometry.primitives import clip_segment_to_aabb
+from tests.oracles.geometry import cells_of_segment, clip_segment_to_aabb
 
 BOUNDS = AABB([0, 0, 0], [10, 10, 10])
 GRID = UniformGrid(BOUNDS, (5, 5, 5))
@@ -13,6 +14,14 @@ class TestConstruction:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             UniformGrid(BOUNDS, (0, 5, 5))
+
+    def test_rejects_two_axis_shape(self):
+        with pytest.raises(ValueError):
+            UniformGrid(BOUNDS, (5, 5))
+
+    def test_with_cell_count_rejects_zero(self):
+        with pytest.raises(ValueError):
+            UniformGrid.with_cell_count(BOUNDS, 0)
 
     def test_with_cell_count_hits_target_roughly(self):
         grid = UniformGrid.with_cell_count(BOUNDS, 4096)
@@ -38,17 +47,13 @@ class TestConversions:
         assert GRID.cell_of_point([-1, 50, 5]) == (0, 4, 2)
 
     def test_flat_id_is_row_major(self):
-        assert [GRID.flat_id(c) for c in [(0, 0, 0), (4, 4, 4), (1, 2, 3)]] == [0, 124, 38]
-
-    def test_flat_id_rejects_outside(self):
-        with pytest.raises(IndexError):
-            GRID.flat_id((5, 0, 0))
+        assert GRID.flat_ids(np.array([(0, 0, 0), (4, 4, 4), (1, 2, 3)])).tolist() == [0, 124, 38]
 
     def test_flat_ids_vectorized_matches_scalar(self, rng):
         coords = rng.integers(0, 5, size=(40, 3))
         flat = GRID.flat_ids(coords)
-        for i in range(40):
-            assert flat[i] == GRID.flat_id(tuple(coords[i]))
+        for i, (x, y, z) in enumerate(coords.tolist()):
+            assert flat[i] == (x * 5 + y) * 5 + z
 
     def test_cells_of_points_matches_scalar(self, rng):
         pts = rng.uniform(0, 10, size=(40, 3))
@@ -64,21 +69,21 @@ class TestConversions:
 
 class TestSegmentRasterization:
     def test_single_cell(self):
-        cells = GRID.cells_of_segment([0.5, 0.5, 0.5], [1.0, 1.0, 1.0])
+        cells = cells_of_segment(GRID, [0.5, 0.5, 0.5], [1.0, 1.0, 1.0])
         assert cells == [(0, 0, 0)]
 
     def test_axis_aligned_run(self):
-        cells = GRID.cells_of_segment([0.5, 0.5, 0.5], [9.5, 0.5, 0.5])
+        cells = cells_of_segment(GRID, [0.5, 0.5, 0.5], [9.5, 0.5, 0.5])
         assert cells == [(i, 0, 0) for i in range(5)]
 
     def test_outside_segment_empty(self):
-        assert GRID.cells_of_segment([20, 20, 20], [30, 30, 30]) == []
+        assert cells_of_segment(GRID, [20, 20, 20], [30, 30, 30]) == []
 
     def test_endpoints_always_included(self, rng):
         for _ in range(25):
             a = rng.uniform(0, 10, size=3)
             b = rng.uniform(0, 10, size=3)
-            cells = GRID.cells_of_segment(a, b)
+            cells = cells_of_segment(GRID, a, b)
             assert GRID.cell_of_point(a) in cells
             assert GRID.cell_of_point(b) in cells
 
@@ -87,7 +92,7 @@ class TestSegmentRasterization:
         for _ in range(25):
             a = rng.uniform(0, 10, size=3)
             b = rng.uniform(0, 10, size=3)
-            for cell in GRID.cells_of_segment(a, b):
+            for cell in cells_of_segment(GRID, a, b):
                 box = GRID.cell_bounds(cell).inflate(1e-6)
                 clipped = clip_segment_to_aabb(a, b, box.inflate(2.1))
                 assert clipped is not None

@@ -1,19 +1,18 @@
-"""Unit and property tests for segment primitives."""
+"""Segment primitives: the batched mask against its one-segment oracle,
+and the oracles themselves (``tests/oracles/geometry.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import (
-    AABB,
-    Segment,
+from repro.geometry import AABB, segments_aabb_mask
+from repro.geometry.primitives import perpendicular_frame, segments_clip_intervals
+from repro.util import norm
+from tests.oracles.geometry import (
     clip_segment_to_aabb,
-    point_segment_distance,
     segment_aabb_intersects,
     segment_segment_distance,
-    segments_aabb_mask,
 )
-from repro.util import norm
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords, coords).map(np.array)
@@ -21,44 +20,20 @@ points = st.tuples(coords, coords, coords).map(np.array)
 UNIT = AABB([0, 0, 0], [1, 1, 1])
 
 
-class TestSegment:
-    def test_length_and_midpoint(self):
-        seg = Segment([0, 0, 0], [3, 4, 0])
-        assert seg.length == pytest.approx(5.0)
-        assert np.allclose(seg.midpoint, [1.5, 2, 0])
+class TestPerpendicularFrame:
+    @given(points.filter(lambda p: norm(p) > 1e-3))
+    def test_orthonormal_and_right_handed(self, p):
+        w = p / norm(p)
+        u, v = perpendicular_frame(w)
+        frame = np.array([u, v, w])
+        assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-9)
+        assert np.allclose(np.cross(u, v), w, atol=1e-9)
 
-    def test_direction_unit(self):
-        seg = Segment([0, 0, 0], [0, 0, 2])
-        assert np.allclose(seg.direction, [0, 0, 1])
-
-    def test_degenerate_direction_is_zero(self):
-        seg = Segment([1, 1, 1], [1, 1, 1])
-        assert np.allclose(seg.direction, 0.0)
-
-    def test_aabb_includes_radius(self):
-        seg = Segment([0, 0, 0], [1, 0, 0], radius=0.5)
-        box = seg.aabb()
-        assert np.allclose(box.lo, [-0.5, -0.5, -0.5])
-        assert np.allclose(box.hi, [1.5, 0.5, 0.5])
-
-    def test_point_at(self):
-        seg = Segment([0, 0, 0], [2, 0, 0])
-        assert np.allclose(seg.point_at(0.25), [0.5, 0, 0])
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            Segment([0, 0], [1, 1])
-
-
-class TestPointSegmentDistance:
-    def test_closest_interior(self):
-        assert point_segment_distance([0.5, 1, 0], [0, 0, 0], [1, 0, 0]) == pytest.approx(1.0)
-
-    def test_closest_endpoint(self):
-        assert point_segment_distance([2, 0, 0], [0, 0, 0], [1, 0, 0]) == pytest.approx(1.0)
-
-    def test_degenerate_segment(self):
-        assert point_segment_distance([1, 1, 0], [0, 0, 0], [0, 0, 0]) == pytest.approx(np.sqrt(2))
+    def test_helper_axis_switches_near_x(self):
+        u, _ = perpendicular_frame(np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(u, [0, 0, 1])  # x crossed with the y axis
+        u, _ = perpendicular_frame(np.array([0.0, 0.0, 1.0]))
+        assert np.allclose(u, [0, 1, 0])  # z crossed with the x axis
 
 
 class TestSegmentSegmentDistance:
@@ -132,6 +107,21 @@ class TestClipping:
                 assert np.all(p <= box.hi + tolerance)
 
 
+class TestClipIntervals:
+    def test_through_and_through_interval(self):
+        a = np.array([[-1.0, 0.5, 0.5], [0.2, 0.2, 0.2]])
+        b = np.array([[2.0, 0.5, 0.5], [0.8, 0.8, 0.8]])
+        ok, t0, t1 = segments_clip_intervals(a, b, UNIT)
+        assert ok.tolist() == [True, True]
+        assert t0 == pytest.approx([1 / 3, 0.0]) and t1 == pytest.approx([2 / 3, 1.0])
+
+    def test_parallel_outside_slab_misses(self):
+        a = np.array([[2.0, 0, 0], [0.5, 0.5, 2.0]])
+        b = np.array([[2.0, 1, 0], [0.5, 0.5, 3.0]])
+        ok, _, _ = segments_clip_intervals(a, b, UNIT)
+        assert ok.tolist() == [False, False]
+
+
 class TestVectorizedMask:
     def test_matches_scalar(self, rng):
         a = rng.uniform(-2, 3, size=(100, 3))
@@ -139,6 +129,9 @@ class TestVectorizedMask:
         mask = segments_aabb_mask(a, b, UNIT)
         for i in range(100):
             assert mask[i] == segment_aabb_intersects(a[i], b[i], UNIT), i
+
+    def test_empty_batch(self):
+        assert segments_aabb_mask(np.empty((0, 3)), np.empty((0, 3)), UNIT).shape == (0,)
 
     def test_lengths(self):
         a = np.zeros((2, 3))

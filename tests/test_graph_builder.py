@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.geometry import AABB
-from repro.graph import (
-    build_graph,
-    build_graph_brute_force,
-    build_graph_explicit,
-    build_graph_grid_hash,
-)
+from repro.graph import build_graph, build_graph_explicit, build_graph_grid_hash
+from tests.oracles.graph import build_graph_brute_force
 
 
 @pytest.fixture(scope="module")

@@ -107,7 +107,7 @@ class TestLayoutOnEveryDataset:
             assert np.array_equal(many.page_ids, one.page_ids)
 
     def test_vectorized_descent_matches_the_scalar_oracle(self, laid_out):
-        from repro.index.scalar_ref import pages_for_region_scalar
+        from tests.oracles.index import pages_for_region_scalar
 
         dataset, index = laid_out
         for region in probes(dataset, seed=3):

@@ -5,7 +5,6 @@ and assert the *qualitative* results the paper reports, with generous
 margins: small fixtures are noisy, but the ordering claims must hold.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines import EWMAPrefetcher, NoPrefetcher, StraightLinePrefetcher

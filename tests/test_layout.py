@@ -1,15 +1,15 @@
-"""Package layout: one timing harness, oracles that nothing calls, and
+"""Package layout: one timing harness, no oracle in the package, and
 no setting that only tests set.
 
 ``benchmarks/e2e`` is the only code that times this package; the
 ``repro.perf`` harness and the pytest-benchmark fixture are retired and
-must not come back through an import.  The scalar reference
-implementations exist so tests can compare the vectorized paths against
-them -- production code never reaches for one.  ``ArrayCache`` is the
-same kind of thing for the dict cache every driver builds: the second
-implementation the differential suites compare it with.  A keyword that
-no sweep, CLI flag, example, benchmark or daemon path passes is a
-constant of the module that reads it (DESIGN.md §2).
+must not come back through an import.  The scalar references the array
+paths are proven against live in ``tests/oracles/``, and API that only
+tests called is gone: no ``src/repro`` module defines, imports or
+mentions any of those names.  ``ArrayCache`` is the one oracle left in
+the package (see :data:`KEPT_ORACLES`).  A keyword that no sweep, CLI
+flag, example, benchmark or daemon path passes is a constant of the
+module that reads it (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -34,24 +34,33 @@ from repro.serve.loadgen import bursty_arrivals, run_loadgen
 from repro.sim.engine import QuerySession
 
 RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
-_SCALAR_HOMES = {"index/scalar_ref.py", "index/__init__.py", "graph/traversal.py"}
-#: Oracle -> the modules that define it or re-export it for the tests.
-ORACLES = {
-    "scalar_ref": _SCALAR_HOMES,
-    "ScalarFlatIndex": _SCALAR_HOMES,
-    "ScalarSTRTree": _SCALAR_HOMES,
-    "region_crossings_reference": _SCALAR_HOMES,
-    "ArrayCache": {"storage/cache.py"},
-}
+
+#: Every name that left the package: the scalar oracles, now in
+#: ``tests/oracles/`` (``slab_clip`` and ``object_crossings`` under a
+#: public name there), and the API only tests called.  No ``src/repro``
+#: module may define one (function, class or method) or name one.
+_GONE = """
+    oracles scalar_ref ScalarSTRTree ScalarFlatIndex pages_for_region_scalar
+    region_crossings_reference _object_crossings object_crossings build_graph_brute_force
+    segment_segment_distance cells_of_segment clip_segment_to_aabb _slab_clip slab_clip
+    segment_aabb_intersects OraclePrefetcher bind_sequence
+    Segment point_segment_distance flat_id reset_stats
+"""
+GONE_FROM_PACKAGE = tuple(_GONE.split())
+#: The one oracle left in the package, by its home: the e2e tracer
+#: (``benchmarks/e2e/e2e_trace.py``) patches it by name.
+KEPT_ORACLES = {"ArrayCache": "storage/cache.py"}
 
 
 def _names(node: ast.AST) -> list[str]:
-    """The dotted names a node imports or mentions (strings do not count)."""
+    """The dotted names a node defines, imports or mentions (strings do not count)."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
         return [f"{module}.{alias.name}" for alias in node.names]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
     if isinstance(node, ast.Name):
         return [node.id]
     if isinstance(node, ast.Attribute):
@@ -59,24 +68,48 @@ def _names(node: ast.AST) -> list[str]:
     return []
 
 
+def _oracle_names(tree: ast.AST, rel: str) -> list[str]:
+    """``rel:line names X`` for every gone or misplaced oracle name in a module."""
+    banned = set(GONE_FROM_PACKAGE) | {name for name, home in KEPT_ORACLES.items() if home != rel}
+    return [
+        f"{rel}:{node.lineno} names {oracle}"
+        for node in ast.walk(tree)
+        for name in _names(node)
+        for oracle in sorted(banned & set(name.split(".")))
+    ]
+
+
 def test_package_imports_no_retired_harness_and_names_no_oracle():
     root = Path(repro.__file__).parent
-    retired, strays, naming_oracles = [], [], set()
+    retired, oracles = [], []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        oracles += _oracle_names(tree, rel)
+        for node in ast.walk(tree):
             for name in _names(node):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
                     name == module or name.startswith(module + ".") for module in RETIRED_MODULES
                 ):
                     retired.append(f"{rel}:{node.lineno} imports {name}")
-                for oracle in ORACLES.keys() & name.split("."):
-                    naming_oracles.add(rel)
-                    if rel not in ORACLES[oracle]:
-                        strays.append(f"{rel}:{node.lineno} names {oracle}")
     assert not retired, retired
-    assert "index/__init__.py" in naming_oracles  # the walk does see names
-    assert not strays, strays
+    assert not oracles, oracles
+
+
+#: A minimal module per way of naming an oracle, by the name the rule must flag.
+COUNTEREXAMPLES = {
+    "region_crossings_reference": "def region_crossings_reference(dataset, ids, region): ...",
+    "reset_stats": "class Tree:\n    def reset_stats(self): ...",
+    "ScalarSTRTree": "from repro.index.scalar_ref import ScalarSTRTree",
+    "flat_id": "grid.flat_id((0, 0, 0))",
+    "ArrayCache": "from repro.storage.cache import ArrayCache",
+}
+
+
+@pytest.mark.parametrize("flagged", sorted(COUNTEREXAMPLES))
+def test_the_oracle_rule_fires(flagged):
+    found = _oracle_names(ast.parse(COUNTEREXAMPLES[flagged]), "sim/engine.py")
+    assert any(entry.endswith(f" names {flagged}") for entry in found), found
 
 
 #: Keywords only tests ever passed, by the callable that took them.

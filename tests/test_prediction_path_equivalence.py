@@ -18,7 +18,7 @@ from repro.core.exits import split_entries_exits, split_entries_exits_grouped
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.geometry.grid import UniformGrid
-from repro.geometry.primitives import _slab_clip, segments_clip_intervals
+from repro.geometry.primitives import segments_clip_intervals
 from repro.graph import SpatialGraph, build_graph, build_graph_grid_hash
 from repro.graph.builder import _sample_segment_cells
 from repro.graph.traversal import (
@@ -26,9 +26,11 @@ from repro.graph.traversal import (
     refine_crossing_direction,
     region_crossings_grouped,
 )
-from repro.index import FlatIndex, STRTree, ScalarSTRTree
+from repro.index import FlatIndex, STRTree
 from repro.util import dot, norm
 from repro.workload import generate_sequence
+from tests.oracles.geometry import slab_clip
+from tests.oracles.index import ScalarSTRTree
 
 
 def segment_dataset(p0: np.ndarray, p1: np.ndarray) -> Dataset:
@@ -126,11 +128,13 @@ class TestGroupedBuilder:
         owners, cells = _sample_segment_cells(grid, ids, p0, p1)
 
         spacing = max(float(grid.cell_extent.min()) * 0.45, 1e-9)
+        _, ny, nz = grid.shape
         expected = set()
         for owner, a, b in zip(ids.tolist(), p0, p1):
             count = min(int(np.ceil(np.linalg.norm(b - a) / spacing)) + 1, 64)
             for t in np.linspace(0.0, 1.0, count):
-                expected.add((owner, grid.flat_id(grid.cell_of_point(a + t * (b - a)))))
+                x, y, z = grid.cell_of_point(a + t * (b - a))
+                expected.add((owner, (x * ny + y) * nz + z))
         assert list(zip(owners.tolist(), cells.tolist())) == sorted(expected)
 
 
@@ -308,7 +312,7 @@ class TestSlabClip:
         a[on_face, 0] = box.lo[0]
         ok, t0, t1 = segments_clip_intervals(a, b, box)
         for i in range(n):
-            interval = _slab_clip(a[i], b[i] - a[i], box)
+            interval = slab_clip(a[i], b[i] - a[i], box)
             assert bool(ok[i]) == (interval is not None), i
             if interval is not None:
                 assert (t0[i], t1[i]) == interval, i

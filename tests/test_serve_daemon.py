@@ -895,25 +895,48 @@ class TestHostileWire:
         _run_silently(daemon_config(), scenario)
 
     def test_connection_churn_leaks_no_writer_and_no_task(self):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        async def churn(daemon, cycles: int, widths: tuple[int, ...]) -> None:
+            """``cycles`` connections in waves of ``widths[i % len(widths)]``
+            open at once: each writes one of three shapes (bare connect;
+            hello; hello + an unread query), then is aborted or closed."""
+            cycle = wave = 0
+            while cycle < cycles:
+                width = min(widths[wave % len(widths)], cycles - cycle)
+                streams = [await _connect(daemon.port) for _ in range(width)]
+                for offset, (_, writer) in enumerate(streams):
+                    writer.write((b"", HELLO, HELLO + QUERY)[(cycle + offset) % 3])
+                for offset, (_, writer) in enumerate(streams):
+                    if (cycle + offset) % 2:
+                        writer.transport.abort()
+                    else:
+                        writer.close()
+                        await writer.wait_closed()
+                cycle += width
+                wave += 1
+
         async def scenario(daemon):
             tasks_before = len(asyncio.all_tasks())
-            for cycle in range(200):
-                reader, writer = await _connect(daemon.port)
-                # Three shapes: bare connect; hello; hello + an unread query.
-                writer.write((b"", HELLO, HELLO + QUERY)[cycle % 3])
-                if cycle % 2:
-                    writer.transport.abort()
-                else:
-                    writer.close()
-                    await writer.wait_closed()
-            await _until(
-                lambda: not daemon._writers and len(asyncio.all_tasks()) == tasks_before
-            )
-            await _admission_drained(daemon)
-            final = daemon.final_report()
-            assert final["requests_admitted"] == (
-                final["latency"]["count"] + final["latency"]["errors"]
-            )
+            fds_before = open_fds()
+            # One at a time, then 2,000 in waves of up to 300 open at once.
+            for cycles, widths in ((200, (1,)), (2000, (1, 300, 3, 64))):
+                await churn(daemon, cycles, widths)
+                await _until(
+                    lambda: not daemon._writers and len(asyncio.all_tasks()) == tasks_before
+                )
+                await _admission_drained(daemon)
+                # Every socket of both ends is closed within a few loop turns.
+                for _ in range(200):
+                    if open_fds() == fds_before:
+                        break
+                    await asyncio.sleep(0.01)
+                assert open_fds() == fds_before
+                final = daemon.final_report()
+                assert final["requests_admitted"] == (
+                    final["latency"]["count"] + final["latency"]["errors"]
+                )
 
         _run_silently(daemon_config(), scenario)
 

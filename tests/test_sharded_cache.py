@@ -121,9 +121,6 @@ class TestPassThroughEquivalence:
         sharded.clear()
         bare.clear()
         assert observable_state(sharded) == observable_state(bare)
-        sharded.reset_stats()
-        bare.reset_stats()
-        assert observable_state(sharded) == observable_state(bare)
 
 
 # -- partition laws -----------------------------------------------------------------

@@ -44,7 +44,7 @@ MATRIX = ExperimentMatrix(
         PrefetcherSpec("ewma", {"lam": 0.3}),
         PrefetcherSpec("straight-line"),
         PrefetcherSpec("velocity"),
-        PrefetcherSpec("oracle"),
+        PrefetcherSpec("polynomial"),
     ),
     seeds=(3, 4),
 )

@@ -1,9 +1,8 @@
 """Simulator: Figure-2 timeline semantics, metrics, experiment helpers."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import NoPrefetcher, OraclePrefetcher, StraightLinePrefetcher
+from repro.baselines import NoPrefetcher, StraightLinePrefetcher
 from repro.core import ScoutPrefetcher
 from repro.sim import (
     SimulationConfig,
@@ -13,6 +12,7 @@ from repro.sim import (
 )
 from repro.sim.metrics import QueryRecord, SequenceMetrics
 from repro.workload import generate_sequence, generate_sequences
+from tests.oracles.baselines import OraclePrefetcher
 
 
 def record(index=0, needed=10, hit=5, objects=100, objects_hit=50, residual=1.0, cold=2.0):
@@ -97,7 +97,7 @@ class TestEngineSemantics:
     def test_oracle_hits_nearly_everything(self, tissue, tissue_flat, rng):
         seq = generate_sequence(tissue, rng, n_queries=8, volume=40_000.0)
         engine = SimulationEngine(tissue_flat)
-        oracle = OraclePrefetcher(seq)
+        oracle = OraclePrefetcher([seq])
         metrics = engine.run(seq, oracle)
         assert metrics.cache_hit_rate > 0.8
         assert metrics.speedup > 3.0
@@ -105,7 +105,7 @@ class TestEngineSemantics:
     def test_first_query_never_hits(self, tissue, tissue_flat, rng):
         seq = generate_sequence(tissue, rng, n_queries=4, volume=40_000.0)
         engine = SimulationEngine(tissue_flat)
-        metrics = engine.run(seq, OraclePrefetcher(seq))
+        metrics = engine.run(seq, OraclePrefetcher([seq]))
         assert metrics.records[0].pages_hit == 0
 
     def test_window_scales_with_ratio(self, tissue, tissue_flat, rng):
@@ -118,7 +118,7 @@ class TestEngineSemantics:
     def test_zero_window_prevents_prefetching(self, tissue, tissue_flat, rng):
         seq = generate_sequence(tissue, rng, n_queries=5, volume=40_000.0, window_ratio=0.0)
         engine = SimulationEngine(tissue_flat)
-        metrics = engine.run(seq, OraclePrefetcher(seq))
+        metrics = engine.run(seq, OraclePrefetcher([seq]))
         assert metrics.total_prefetch_pages == 0
         assert metrics.cache_hit_rate == 0.0
 
@@ -167,7 +167,7 @@ class TestRunExperiment:
 
     def test_oracle_rebinds_per_sequence(self, tissue, tissue_flat):
         seqs = generate_sequences(tissue, 2, seed=2, n_queries=4, volume=40_000.0)
-        result = run_experiment(tissue_flat, seqs, OraclePrefetcher())
+        result = run_experiment(tissue_flat, seqs, OraclePrefetcher(seqs))
         assert result.cache_hit_rate > 0.5
 
     def test_rejects_empty_sequences(self, tissue_flat):
@@ -177,6 +177,6 @@ class TestRunExperiment:
     def test_caches_cold_per_sequence(self, tissue, tissue_flat):
         """§7.1: the prefetch cache is cleared between sequences."""
         seqs = generate_sequences(tissue, 2, seed=3, n_queries=4, volume=40_000.0)
-        result = run_experiment(tissue_flat, seqs, OraclePrefetcher())
+        result = run_experiment(tissue_flat, seqs, OraclePrefetcher(seqs))
         for seq_metrics in result.sequences:
             assert seq_metrics.records[0].pages_hit == 0

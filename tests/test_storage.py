@@ -145,8 +145,6 @@ class TestDiskModel:
         disk.read_pages([7])
         assert disk.stats.pages_read == 3
         assert disk.stats.seconds_busy > 0
-        disk.reset_stats()
-        assert disk.stats.pages_read == 0
 
 
 _SPIKY = FaultPlan(latency_rate=0.5, corrupt_rate=0.3, seed=3)

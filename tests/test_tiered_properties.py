@@ -49,7 +49,6 @@ operations = st.lists(
         st.tuples(st.just("read"), batches),
         st.tuples(st.just("trim"), batches),
         st.tuples(st.just("cost"), batches),
-        st.tuples(st.just("reset_stats"), st.none()),
     ),
     max_size=30,
 )
@@ -66,9 +65,7 @@ def _apply(disk, op, arg):
         return disk.read_pages(arg)
     if op == "trim":
         return disk.trim_to_budget(arg, 0.005)
-    if op == "cost":
-        return disk.cost_if_cold(arg)
-    return disk.reset_stats()
+    return disk.cost_if_cold(arg)
 
 
 class _PerPageModel:
@@ -210,19 +207,6 @@ class TestLayerPartitionInvariant:
             assert len(store._victim) <= VICTIM_ENTRIES
             assert len(store._miss_tags) <= MISS_ENTRIES
             assert len(store._stream) <= STREAM_DEPTH * 4
-
-    @settings(deadline=None, max_examples=60)
-    @given(spec=active_specs, reads=st.lists(batches, max_size=15))
-    def test_reset_stats_restores_the_pristine_store(self, spec, reads):
-        store = TieredStore(DiskModel(), spec)
-        for batch in reads:
-            store.read_pages(batch)
-        store.reset_stats()
-        pristine = TieredStore(DiskModel(), spec)
-        assert store.tier_stats == pristine.tier_stats
-        assert store.stats == pristine.stats
-        assert not store._tier and not store._victim
-        assert not store._stream and not store._miss_tags
 
     @settings(deadline=None, max_examples=120)
     @given(

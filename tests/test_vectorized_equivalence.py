@@ -4,8 +4,9 @@ The vectorized hot path (packed R-tree levels, batched region probes,
 array-clipped crossings, lockstep gap traversal) must be a pure
 performance change: every observable -- page sets, crossing points and
 directions, simulation metrics -- is required to be *bit-identical* to
-the scalar reference paths kept in ``repro.index.scalar_ref`` and
-``repro.graph.traversal.region_crossings_reference``.
+the scalar reference paths in ``tests/oracles/index.py`` (the
+one-node-at-a-time R-tree walk and the indexes forced onto it) and
+``tests/oracles/graph.py`` (per-object region crossings).
 """
 
 from dataclasses import asdict
@@ -16,16 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.geometry import AABB
-from repro.graph.traversal import (
-    region_crossings,
-    region_crossings_grouped,
-    region_crossings_reference,
-)
-from repro.index import FlatIndex, STRTree, ScalarFlatIndex, ScalarSTRTree
-from repro.index.scalar_ref import pages_for_region_scalar
+from repro.graph.traversal import region_crossings, region_crossings_grouped
+from repro.index import FlatIndex, STRTree
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.sim import run_experiment
 from repro.workload.sequence import generate_sequences
+from tests.oracles.graph import region_crossings_reference
+from tests.oracles.index import ScalarFlatIndex, ScalarSTRTree, pages_for_region_scalar
 
 
 def toy_dataset(points: np.ndarray) -> Dataset:
