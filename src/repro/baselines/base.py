@@ -24,7 +24,11 @@ import numpy as np
 from repro.geometry.aabb import AABB
 from repro.util import norm
 
-__all__ = ["ObservedQuery", "Prefetcher", "PrefetchTarget"]
+__all__ = ["ObservedQuery", "Prefetcher", "PrefetchTarget", "concentric_corners"]
+
+#: Edge lengths of the position-only baselines' concentric regions, as
+#: fractions of the last query's side, innermost first.
+CONCENTRIC_FACTORS = np.array([0.6, 0.85, 1.1])
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,18 @@ class PrefetchTarget:
     prefetch queries advance; ``share`` the fraction of the window
     budget allotted (shares are normalized by the simulator).  When
     ``regions`` is set, the target prefetches those explicit regions in
-    order instead of expanding incrementally (Hilbert's grid cells, the
-    position-only baselines' concentric boxes, the oracle's next query).
+    order instead of expanding incrementally.  They are an ``AABB``
+    tuple (Hilbert's grid cells, the oracle's next query) or packed
+    ``(n, 2, 3)`` corners, region ``i``'s ``lo`` at ``[i, 0]`` and
+    ``hi`` at ``[i, 1]`` (the position-only baselines' concentric boxes,
+    :func:`concentric_corners`): either form is what
+    :meth:`~repro.index.base.SpatialIndex.pages_for_regions` takes.
     """
 
     anchor: np.ndarray
     direction: np.ndarray
     share: float = 1.0
-    regions: tuple[AABB, ...] | None = None
+    regions: tuple[AABB, ...] | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         anchor = np.asarray(self.anchor, dtype=np.float64)
@@ -73,6 +81,19 @@ class PrefetchTarget:
         object.__setattr__(self, "direction", direction)
         if self.share < 0:
             raise ValueError("share must be non-negative")
+
+
+def concentric_corners(center: np.ndarray, side: float) -> np.ndarray:
+    """Packed ``(3, 2, 3)`` corners of the concentric regions around ``center``.
+
+    Row ``k`` holds the ``lo`` / ``hi`` that ``AABB.from_center_extent(
+    center, side * CONCENTRIC_FACTORS[k])`` builds, by the same
+    floating-point operations (``extent = side * f``, ``half = extent /
+    2.0``, ``center -/+ half``) and without validating three boxes.
+    """
+    center = np.asarray(center, dtype=np.float64)
+    half = (side * CONCENTRIC_FACTORS / 2.0)[:, None]
+    return np.stack((center - half, center + half), axis=1)
 
 
 class Prefetcher(abc.ABC):
@@ -148,11 +169,7 @@ class PositionOnlyPrefetcher(Prefetcher):
         length = norm(direction)
         if length > 0:
             direction = direction / length
-        side = self.last_side
-        regions = tuple(
-            AABB.from_center_extent(predicted_center, side * factor)
-            for factor in (0.6, 0.85, 1.1)
-        )
+        regions = concentric_corners(predicted_center, self.last_side)
         return PrefetchTarget(
             anchor=predicted_center, direction=direction, share=1.0, regions=regions
         )

@@ -7,7 +7,7 @@ vectorized so the simulator can process query results with thousands of
 objects per step without Python-level loops.
 """
 
-from repro.geometry.aabb import AABB, aabbs_intersect_arrays, union_all
+from repro.geometry.aabb import AABB, boxes_overlap, union_all
 from repro.geometry.primitives import segments_aabb_mask
 from repro.geometry.frustum import Frustum
 from repro.geometry.hilbert import hilbert_decode, hilbert_encode
@@ -17,7 +17,7 @@ __all__ = [
     "AABB",
     "Frustum",
     "UniformGrid",
-    "aabbs_intersect_arrays",
+    "boxes_overlap",
     "hilbert_decode",
     "hilbert_encode",
     "segments_aabb_mask",

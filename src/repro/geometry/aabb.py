@@ -4,7 +4,8 @@ The range queries in a guided spatial query sequence are axis-aligned
 boxes (the paper uses cubes and view frusta; frusta are handled by
 :mod:`repro.geometry.frustum` and conservatively enclosed in an AABB for
 index lookups).  This module provides a small immutable ``AABB`` value
-type plus vectorized helpers over ``(n, 3)`` corner arrays.
+type plus :func:`boxes_overlap`, the one box-vs-boxes test every
+vectorized path runs over ``(n, 3)`` corner arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AABB", "aabbs_intersect_arrays", "union_all"]
+__all__ = ["AABB", "boxes_overlap", "union_all"]
 
 
 def _as_point(value) -> np.ndarray:
@@ -98,7 +99,8 @@ class AABB:
     def contains_points(self, points) -> np.ndarray:
         """Vectorized containment test for an ``(n, 3)`` array."""
         points = np.asarray(points, dtype=np.float64)
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
+        inside = (points >= self.lo) & (points <= self.hi)
+        return inside[:, 0] & inside[:, 1] & inside[:, 2]
 
     def contains_box(self, other: "AABB") -> bool:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
@@ -146,15 +148,19 @@ class AABB:
         return f"AABB(lo={lo}, hi={hi})"
 
 
-def aabbs_intersect_arrays(lo: np.ndarray, hi: np.ndarray, box: AABB) -> np.ndarray:
-    """Vectorized box-vs-boxes overlap test.
+def boxes_overlap(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
+    """Which of ``n`` boxes overlap their query box: the one box-vs-boxes test.
 
-    ``lo`` and ``hi`` are ``(n, 3)`` corner arrays of ``n`` boxes; the
-    result is a boolean mask of which of them intersect ``box``.
+    ``lo`` and ``hi`` are ``(n, 3)`` corner arrays; ``qlo`` and ``qhi``
+    are one query box's ``(3,)`` corners (broadcast) or ``(n, 3)``
+    per-row query corners.  Boxes that only share a face overlap, and
+    a NaN corner overlaps nothing.  The three per-axis columns are
+    and-ed directly: ``.all(axis=1)`` over an ``(n, 3)`` bool takes a
+    reduction path about ten times slower, for the same booleans
+    (DESIGN.md §11, "Row gathers and box tests").
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    return np.all((lo <= box.hi) & (hi >= box.lo), axis=1)
+    ok = (lo <= qhi) & (hi >= qlo)
+    return ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
 def union_all(boxes) -> AABB:

@@ -61,7 +61,8 @@ def segments_clip_intervals(
     hi = box.hi - a
     parallel = np.abs(delta) < _EPS
     # Parallel segments must start inside the slab.
-    ok = ~(parallel & ((lo > 0.0) | (hi < 0.0))).any(axis=1)
+    outside = parallel & ((lo > 0.0) | (hi < 0.0))
+    ok = ~(outside[:, 0] | outside[:, 1] | outside[:, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = np.where(parallel, -np.inf, lo / delta)
         tb = np.where(parallel, np.inf, hi / delta)

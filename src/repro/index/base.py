@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datagen.dataset import Dataset
-from repro.geometry.aabb import AABB
+from repro.geometry.aabb import AABB, boxes_overlap
 from repro.storage.page import PageTable
 
 __all__ = ["QueryResult", "SpatialIndex", "PAGE_FANOUT", "region_corners"]
@@ -122,9 +122,9 @@ class SpatialIndex(abc.ABC):
         if len(pages) == 0:
             return QueryResult(np.empty(0, dtype=np.int64), pages)
         candidates = self.page_table.objects_of_pages(pages)
-        lo = self.dataset.obj_lo[candidates]
-        hi = self.dataset.obj_hi[candidates]
-        mask = np.all((lo <= region.hi) & (hi >= region.lo), axis=1)
+        lo = self.dataset.obj_lo.take(candidates, axis=0)
+        hi = self.dataset.obj_hi.take(candidates, axis=0)
+        mask = boxes_overlap(lo, hi, region.lo, region.hi)
         return QueryResult(np.sort(candidates[mask]), pages)
 
     @property

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from repro.datagen.dataset import Dataset
-from repro.geometry.aabb import AABB
+from repro.geometry.aabb import AABB, boxes_overlap
 from repro.index.base import PAGE_FANOUT, SpatialIndex, region_corners
 from repro.storage.page import PageTable
 from repro.util import csr_expand
@@ -135,9 +135,7 @@ class STRTree(SpatialIndex):
         qlo, qhi = region.lo, region.hi
         if not self._levels:
             # 0 or 1 leaves: no internal structure to traverse.
-            if len(self._leaf_lo) and bool(
-                np.all(self._leaf_lo[0] <= qhi) and np.all(self._leaf_hi[0] >= qlo)
-            ):
+            if len(self._leaf_lo) and boxes_overlap(self._leaf_lo, self._leaf_hi, qlo, qhi)[0]:
                 return np.array([0], dtype=np.int64)
             return np.empty(0, dtype=np.int64)
 
@@ -145,7 +143,9 @@ class STRTree(SpatialIndex):
         # test of its own: the descent starts at its children.
         frontier = self._levels[0].children
         for level in self._levels[1:]:
-            hit = ((level.lo[frontier] <= qhi) & (level.hi[frontier] >= qlo)).all(axis=1)
+            hit = boxes_overlap(
+                level.lo.take(frontier, axis=0), level.hi.take(frontier, axis=0), qlo, qhi
+            )
             survivors = frontier[hit]
             if not len(survivors):
                 return np.empty(0, dtype=np.int64)
@@ -153,7 +153,9 @@ class STRTree(SpatialIndex):
             counts = level.child_start[survivors + 1] - starts
             frontier = level.children[csr_expand(starts, counts)]
 
-        hit = ((self._leaf_lo[frontier] <= qhi) & (self._leaf_hi[frontier] >= qlo)).all(axis=1)
+        hit = boxes_overlap(
+            self._leaf_lo.take(frontier, axis=0), self._leaf_hi.take(frontier, axis=0), qlo, qhi
+        )
         return np.sort(frontier[hit])
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
@@ -176,7 +178,7 @@ class STRTree(SpatialIndex):
         if not self._levels:
             if not len(self._leaf_lo):
                 return [empty] * n_regions
-            hits = np.all((qlo <= self._leaf_hi[0]) & (qhi >= self._leaf_lo[0]), axis=1)
+            hits = boxes_overlap(qlo, qhi, self._leaf_lo[0], self._leaf_hi[0])
             one = np.array([0], dtype=np.int64)
             return [one.copy() if h else empty for h in hits]
 
@@ -185,7 +187,12 @@ class STRTree(SpatialIndex):
         node = np.tile(top, n_regions)
         region = np.repeat(np.arange(n_regions, dtype=np.int64), len(top))
         for level in self._levels[1:]:
-            hit = ((level.lo[node] <= qhi[region]) & (level.hi[node] >= qlo[region])).all(axis=1)
+            hit = boxes_overlap(
+                level.lo.take(node, axis=0),
+                level.hi.take(node, axis=0),
+                qlo.take(region, axis=0),
+                qhi.take(region, axis=0),
+            )
             node, region = node[hit], region[hit]
             if not len(node):
                 return [empty] * n_regions
@@ -194,8 +201,11 @@ class STRTree(SpatialIndex):
             node = level.children[csr_expand(starts, counts)]
             region = np.repeat(region, counts)
 
-        hit = ((self._leaf_lo[node] <= qhi[region]) & (self._leaf_hi[node] >= qlo[region])).all(
-            axis=1
+        hit = boxes_overlap(
+            self._leaf_lo.take(node, axis=0),
+            self._leaf_hi.take(node, axis=0),
+            qlo.take(region, axis=0),
+            qhi.take(region, axis=0),
         )
         node, region = node[hit], region[hit]
         cuts = np.searchsorted(region, np.arange(n_regions + 1))

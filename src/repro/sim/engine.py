@@ -59,10 +59,11 @@ class _SharedProbeStream:
     (:data:`PROBE_CHUNK` regions) ahead, answering all of the chunk's
     page lookups in one vectorized
     :meth:`~repro.index.base.SpatialIndex.pages_for_regions` pass.
-    ``regions`` is anything that method takes and that slices: a
-    target's explicit ``AABB`` tuple, or the packed ``(n, 2, 3)``
-    corners of an incremental schedule (no ``AABB`` is ever built for
-    those).  Per-region results are identical to one-at-a-time calls; a
+    ``regions`` is anything that method takes and that slices: packed
+    ``(n, 2, 3)`` corners -- an incremental schedule's, or the
+    position-only baselines' concentric boxes (no ``AABB`` is ever
+    built for either) -- or an explicit ``AABB`` tuple (Hilbert's grid
+    cells).  Per-region results are identical to one-at-a-time calls; a
     partially consumed chunk merely wasted some (cheap, vectorized)
     lookahead.
 

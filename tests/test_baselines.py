@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.baselines import (
     EWMAPrefetcher,
@@ -12,8 +13,10 @@ from repro.baselines import (
     StraightLinePrefetcher,
     VelocityPrefetcher,
 )
+from repro.baselines.base import CONCENTRIC_FACTORS, concentric_corners
 from repro.baselines.hilbert_prefetch import N_PREFETCH_CELLS
-from repro.geometry import AABB
+from repro.geometry import AABB, boxes_overlap
+from repro.index.base import region_corners
 from tests.oracles.baselines import OraclePrefetcher
 
 
@@ -26,9 +29,52 @@ def observe_path(prefetcher, centers, side=10.0):
 
 
 def predicted_center(prefetcher):
+    """The center of the innermost of a position-only plan's packed regions."""
     (target,) = prefetcher.plan()
-    assert target.regions is not None
-    return target.regions[0].center
+    regions = target.regions
+    assert isinstance(regions, np.ndarray) and regions.shape == (3, 2, 3)
+    lo, hi = regions[0]
+    return (lo + hi) / 2.0
+
+
+def _centers():
+    coordinate = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    return st.lists(coordinate, min_size=3, max_size=3).map(np.array)
+
+
+class TestConcentricCorners:
+    @given(
+        center=_centers(),
+        side=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 1e300, 5e-324]),
+            st.floats(min_value=0.0, max_value=1e308),
+        ),
+    )
+    def test_packed_corners_are_the_boxes_bytes(self, center, side):
+        # Near 1e308 both forms overflow to the same infinities.
+        with np.errstate(over="ignore"):
+            corners = concentric_corners(center, side)
+            boxes = [AABB.from_center_extent(center, side * f) for f in (0.6, 0.85, 1.1)]
+        assert corners.shape == (len(CONCENTRIC_FACTORS), 2, 3)
+        assert corners.dtype == np.float64
+        for (lo, hi), box in zip(corners, boxes):
+            assert np.array_equal(lo, box.lo) and lo.tobytes() == box.lo.tobytes()
+            assert np.array_equal(hi, box.hi) and hi.tobytes() == box.hi.tobytes()
+
+    def test_every_position_only_baseline_plans_them(self):
+        for prefetcher in (
+            StraightLinePrefetcher(),
+            PolynomialPrefetcher(degree=2),
+            VelocityPrefetcher(),
+            EWMAPrefetcher(),
+        ):
+            observe_path(prefetcher, [[0, 0, 0], [3, 1, 0], [6, 2, 1], [9, 4, 1]], side=7.0)
+            (target,) = prefetcher.plan()
+            expected = concentric_corners(target.anchor, prefetcher.last_side)
+            assert np.array_equal(target.regions, expected)
 
 
 class TestStraightLine:
@@ -130,8 +176,9 @@ class TestHilbert:
         (target,) = p.plan()
         assert target.regions is not None
         assert 1 <= len(target.regions) <= N_PREFETCH_CELLS
-        for region in target.regions:
-            assert tissue.bounds.inflate(1.0).intersects(region)
+        lo, hi = region_corners(target.regions)
+        near = tissue.bounds.inflate(1.0)
+        assert boxes_overlap(lo, hi, near.lo, near.hi).all()
 
     def test_no_plan_before_observation(self, tissue):
         p = HilbertPrefetcher(tissue)
@@ -143,8 +190,8 @@ class TestHilbert:
         observe_path(p, [roads.bounds.center])
         (target,) = p.plan()
         # All prefetched cells span the full z-extent (one z layer).
-        for region in target.regions:
-            assert region.extent[2] >= roads.bounds.extent[2] * 0.99
+        lo, hi = region_corners(target.regions)
+        assert ((hi - lo)[:, 2] >= roads.bounds.extent[2] * 0.99).all()
 
 
 class TestTrivial:

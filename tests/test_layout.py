@@ -1,5 +1,5 @@
-"""Package layout: one timing harness, no oracle in the package, and
-no setting that only tests set.
+"""Package layout: one timing harness, no oracle in the package, no
+setting that only tests set, and no boolean row reduction.
 
 ``benchmarks/e2e`` is the only code that times this package; the
 ``repro.perf`` harness and the pytest-benchmark fixture are retired and
@@ -9,7 +9,10 @@ tests called is gone: no ``src/repro`` module defines, imports or
 mentions any of those names.  ``ArrayCache`` is the one oracle left in
 the package (see :data:`KEPT_ORACLES`).  A keyword that no sweep, CLI
 flag, example, benchmark or daemon path passes is a constant of the
-module that reads it (DESIGN.md §2).
+module that reads it (DESIGN.md §2).  A box test and-s the three
+per-axis columns of an ``(n, 3)`` bool instead of reducing it with
+``all`` / ``any`` over axis 1, numpy's slow path (DESIGN.md §11, "Row
+gathers and box tests").
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ _GONE = """
     region_crossings_reference _object_crossings object_crossings build_graph_brute_force
     segment_segment_distance cells_of_segment clip_segment_to_aabb _slab_clip slab_clip
     segment_aabb_intersects OraclePrefetcher bind_sequence
-    Segment point_segment_distance flat_id reset_stats
+    Segment point_segment_distance flat_id reset_stats aabbs_intersect_arrays
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer
@@ -148,3 +151,72 @@ REMOVED_KEYWORDS = {
 def test_setting_only_tests_set_is_gone(target, keyword):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         inspect.signature(target).bind_partial(**{keyword: None})
+
+
+def _row_reductions(tree: ast.AST, rel: str) -> list[str]:
+    """``rel:line reduces rows`` for every ``all`` / ``any`` over axis 1 (or -1).
+
+    The axis counts as a keyword, or positionally: first argument of a
+    method (``ok.all(1)``), second of a function (``np.any(ok, 1)``).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        ):
+            name, position = func.attr, 0
+        else:
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            position = 1
+        if name not in ("all", "any"):
+            continue
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        axes += node.args[position : position + 1]
+        for axis in axes:
+            try:
+                value = ast.literal_eval(axis)
+            except ValueError:
+                continue
+            if value in (1, -1):
+                found.append(f"{rel}:{node.lineno} reduces rows with {name}")
+    return found
+
+
+def test_package_has_no_boolean_row_reduction():
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        found += _row_reductions(ast.parse(path.read_text()), path.relative_to(root).as_posix())
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "mask = np.all((lo <= qhi) & (hi >= qlo), axis=1)",
+        "ok = ~bad.any(axis=1)",
+        "hit = ((lo <= qhi) & (hi >= qlo)).all(axis=-1)",
+        "ok = np.any(bad, 1)",
+        "ok = bad.all(1)",
+        "from numpy import all\nok = all(bad, axis=1)",
+    ],
+)
+def test_the_row_reduction_rule_fires(source):
+    assert _row_reductions(ast.parse(source), "index/rtree.py")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = bad.all()",
+        "ok = np.all(bad, axis=0)",
+        "ok = all(x > 0 for x in xs)",
+        "ok = any([a, b])",
+        "t0 = spans.max(axis=1)",
+    ],
+)
+def test_the_row_reduction_rule_spares_other_reductions(source):
+    assert not _row_reductions(ast.parse(source), "index/rtree.py")

@@ -74,8 +74,14 @@ class TestProtocol:
                     assert np.isfinite(target.anchor).all()
                     assert np.isfinite(target.direction).all()
                     assert target.share >= 0
-                    if target.regions is not None:
-                        assert all(isinstance(r, AABB) for r in target.regions)
+                    regions = target.regions
+                    if isinstance(regions, np.ndarray):
+                        # Packed corners: (n, 2, 3) float64, lo <= hi.
+                        assert regions.dtype == np.float64
+                        assert regions.ndim == 3 and regions.shape[1:] == (2, 3)
+                        assert (regions[:, 0] <= regions[:, 1]).all()
+                    elif regions is not None:
+                        assert all(isinstance(r, AABB) for r in regions)
                 assert prefetcher.prediction_cost_seconds() >= 0.0
                 assert prefetcher.graph_build_cost_seconds() >= 0.0
                 assert isinstance(prefetcher.gap_io_pages(), list)
