@@ -602,6 +602,12 @@ def _serve_command(argv: list[str]) -> int:
         parser.error(f"--max-queue must be >= 1, got {args.max_queue}")
     if args.pool < 1:
         parser.error(f"--pool must be >= 1, got {args.pool}")
+    if args.queries_per_session < 1:
+        parser.error(f"--queries-per-session must be >= 1, got {args.queries_per_session}")
+    if args.neurons < 1:
+        parser.error(f"--neurons must be >= 1, got {args.neurons}")
+    if not args.report_interval > 0:
+        parser.error(f"--report-interval must be > 0, got {args.report_interval}")
     if not 0.0 <= args.fault_rate <= 1.0:
         parser.error(f"--fault-rate must be within [0, 1], got {args.fault_rate}")
     if args.tier_pages < 0:

@@ -230,6 +230,8 @@ class ServeDaemon:
             raise ValueError(f"max_queue must be >= 1, got {config.max_queue}")
         if config.session_pool < 1:
             raise ValueError(f"session_pool must be >= 1, got {config.session_pool}")
+        if not config.report_interval > 0:
+            raise ValueError(f"report_interval must be > 0, got {config.report_interval}")
 
         self.dataset = make_neuron_tissue(n_neurons=config.n_neurons, seed=config.seed)
         self.index = FlatIndex(self.dataset, fanout=16)

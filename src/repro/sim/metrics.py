@@ -499,21 +499,6 @@ class LatencyReport:
             "mean_ms": 1e3 * self.mean,
         }
 
-    def to_dict(self) -> dict:
-        """Exact serialization (summary plus the raw samples, in ms)."""
-        record = self.summary()
-        record["samples_ms"] = [1e3 * s for s in self.samples]
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "LatencyReport":
-        return cls(
-            samples=tuple(s / 1e3 for s in record["samples_ms"]),
-            shed=int(record.get("shed", 0)),
-            errors=int(record.get("errors", 0)),
-            duration_seconds=float(record.get("duration_seconds", 0.0)),
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.count} samples: p50 {1e3 * self.p50:.2f}ms "

@@ -134,16 +134,6 @@ class TestMerge:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        report = LatencyReport.from_values(
-            [0.001, 0.004, 0.002], shed=2, errors=1, duration_seconds=0.5
-        )
-        clone = LatencyReport.from_dict(report.to_dict())
-        assert clone.shed == report.shed
-        assert clone.errors == report.errors
-        assert clone.duration_seconds == report.duration_seconds
-        assert clone.samples == pytest.approx(report.samples)
-
     def test_summary_units_are_milliseconds(self):
         report = LatencyReport.from_values([0.002, 0.010], duration_seconds=1.0)
         summary = report.summary()

@@ -1,24 +1,21 @@
-"""Package layout: one timing harness, no oracle in the package, no
-setting that only tests set, and no boolean row reduction.
+"""Package layout: one table of "No X back" rules, one checker.
 
-``benchmarks/e2e`` is the only code that times this package; the
-``repro.perf`` harness and the pytest-benchmark fixture are retired and
-must not come back through an import.  The scalar references the array
-paths are proven against live in ``tests/oracles/``, and API that only
-tests called is gone: no ``src/repro`` module defines, imports or
-mentions any of those names.  ``ArrayCache`` is the one oracle left in
-the package (see :data:`KEPT_ORACLES`).  A keyword that no sweep, CLI
-flag, example, benchmark or daemon path passes is a constant of the
-module that reads it (DESIGN.md §2).  A box test and-s the three
-per-axis columns of an ``(n, 3)`` bool instead of reducing it with
-``all`` / ``any`` over axis 1, numpy's slow path (DESIGN.md §11, "Row
-gathers and box tests").
+Each row of :data:`RULES` keeps one retired path out of ``src/repro``:
+its DESIGN.md section, the paths it scans, one finder (a line regex with
+``grep -E`` semantics on every line, comments included, or an AST
+finder), the lines it allows, the counterexamples it must flag and the
+near misses it must spare.  The tree obeys every row, and every row is
+proven to fire.  :data:`REMOVED_KEYWORDS` binds each keyword only tests
+set against its callable's signature (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import re
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -35,6 +32,8 @@ from repro.datagen import (
 from repro.geometry import Frustum
 from repro.serve.loadgen import bursty_arrivals, run_loadgen
 from repro.sim.engine import QuerySession
+
+PACKAGE = Path(repro.__file__).parent
 
 RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
 
@@ -71,6 +70,17 @@ def _names(node: ast.AST) -> list[str]:
     return []
 
 
+def _retired_imports(tree: ast.AST, rel: str) -> list[str]:
+    """``rel:line imports X`` for every import of a retired module or its members."""
+    return [
+        f"{rel}:{node.lineno} imports {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _names(node)
+        if any(name == module or name.startswith(module + ".") for module in RETIRED_MODULES)
+    ]
+
+
 def _oracle_names(tree: ast.AST, rel: str) -> list[str]:
     """``rel:line names X`` for every gone or misplaced oracle name in a module."""
     banned = set(GONE_FROM_PACKAGE) | {name for name, home in KEPT_ORACLES.items() if home != rel}
@@ -82,37 +92,261 @@ def _oracle_names(tree: ast.AST, rel: str) -> list[str]:
     ]
 
 
-def test_package_imports_no_retired_harness_and_names_no_oracle():
-    root = Path(repro.__file__).parent
-    retired, oracles = [], []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text())
-        oracles += _oracle_names(tree, rel)
-        for node in ast.walk(tree):
-            for name in _names(node):
-                if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                    name == module or name.startswith(module + ".") for module in RETIRED_MODULES
-                ):
-                    retired.append(f"{rel}:{node.lineno} imports {name}")
-    assert not retired, retired
-    assert not oracles, oracles
+def _row_reductions(tree: ast.AST, rel: str) -> list[str]:
+    """``rel:line reduces rows`` for every ``all`` / ``any`` over axis 1 (or -1).
+
+    The axis counts as a keyword, or positionally: first argument of a
+    method (``ok.all(1)``), second of a function (``np.any(ok, 1)``).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        ):
+            name, position = func.attr, 0
+        else:
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            position = 1
+        if name not in ("all", "any"):
+            continue
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        axes += node.args[position : position + 1]
+        for axis in axes:
+            try:
+                value = ast.literal_eval(axis)
+            except ValueError:
+                continue
+            if value in (1, -1):
+                found.append(f"{rel}:{node.lineno} reduces rows with {name}")
+    return found
 
 
-#: A minimal module per way of naming an oracle, by the name the rule must flag.
-COUNTEREXAMPLES = {
-    "region_crossings_reference": "def region_crossings_reference(dataset, ids, region): ...",
-    "reset_stats": "class Tree:\n    def reset_stats(self): ...",
-    "ScalarSTRTree": "from repro.index.scalar_ref import ScalarSTRTree",
-    "flat_id": "grid.flat_id((0, 0, 0))",
-    "ArrayCache": "from repro.storage.cache import ArrayCache",
+@dataclass(frozen=True)
+class Rule:
+    """One "No X back" rule: where it looks, how it finds, what proves it fires."""
+
+    design: str
+    #: A line regex (``grep -E`` on every line of every file), or an AST
+    #: finder ``(tree, rel) -> ["rel:line ..."]`` over the ``.py`` files.
+    finds: str | Callable[[ast.AST, str], list[str]]
+    #: Space-separated files or directories under ``src/repro`` (none: all).
+    paths: str = ""
+    #: Source planted at the first path (else ``planted.py``), or ``(path, source)``.
+    flags: tuple[str | tuple[str, str], ...] = ()
+    spares: tuple[str | tuple[str, str], ...] = ()
+    #: File names skipped wherever they are (``grep --exclude``).
+    exclude: tuple[str, ...] = ()
+    #: Lines the regex may match, compared with surrounding blanks stripped.
+    allowed: tuple[str, ...] = ()
+
+    def check(self, files: list[tuple[str, str]]) -> list[str]:
+        """Every hit of this rule in the ``(path under src/repro, text)`` files."""
+        homes, found = self.paths.split() or [""], []
+        for rel, text in files:
+            if Path(rel).name in self.exclude or not any(
+                not home or rel == home or rel.startswith(home + "/") for home in homes
+            ):
+                continue
+            if callable(self.finds):
+                found += self.finds(ast.parse(text), rel) if rel.endswith(".py") else []
+                continue
+            found += [
+                f"{rel}:{number}: {line.strip()}"
+                for number, line in enumerate(text.split("\n"), 1)
+                if re.search(self.finds, line) and line.strip() not in self.allowed
+            ]
+        return found
+
+    def plant(self, planted: str | tuple[str, str]) -> list[tuple[str, str]]:
+        home = self.paths.split()[0] if self.paths else "planted.py"
+        return [planted if isinstance(planted, tuple) else (home, planted)]
+
+
+#: Rule name (DESIGN.md cites it) -> its row.
+RULES = {
+    "No second way to advance a query": Rule(
+        "§6",
+        r"_bundle_in|_bundle_out|_injected_result|prime_result|\b_ctx\b|PHASES|_phase_"
+        r"|_BatchedProbes|fault_surface|cache_backend|_STORAGE_BACKENDS|make_cache"
+        r'|\b_BACKENDS\b|"array" if lockstep',
+        flags=("self._ctx = ctx", 'cache = make_cache("array" if lockstep else "dict")'),
+        spares=("ctx = self._ctx_pool.pop()", "backends = _BACKENDS_SEEN"),
+    ),
+    "No per-query loop back on the prediction path": Rule(
+        "§11",
+        r"buckets\.setdefault|_build_graph\(|def _memory_bytes|_incremental_regions",
+        flags=("buckets.setdefault(key, []).append(i)", "graph = self._build_graph(region)"),
+    ),
+    "No built-but-disabled layer, no gate to prove it free": Rule(
+        "§6.3",
+        r"share_plans|_k == 1|fault_layer_overhead|storage_tiers_overhead"
+        r"|sharded_routing_overhead|bench_fault_overhead",
+        flags=("def run(self, share_plans=True):", "if self._k == 1:"),
+    ),
+    "No second write path, schema or panel table in the sweep plane": Rule(
+        "§6.2",
+        r"async_writes|_AsyncWriter|_LOADABLE_SCHEMAS|def fig13_axes|progress=",
+        flags=("self._writer = _AsyncWriter(path)", "runner.run(cells, progress=print)"),
+    ),
+    "No writer thread or queue in the result store": Rule(
+        "§6.2",
+        r"^(import|from) (threading|queue)\b",
+        "sim/results.py",
+        flags=("import threading", "from queue import SimpleQueue"),
+        spares=("import queue_tools",),
+    ),
+    "No per-batch numpy routing in the sharded cache": Rule(
+        "§10",
+        r"np\.unique\(routed\)|np\.all\(routed"
+        r"|np\.searchsorted\(self\._splits, self\._page_keys\[pages\]",
+        "storage/sharded.py",
+        flags=("owners = np.unique(routed)", "ok = np.all(routed == owner)"),
+    ),
+    "No third lockstep branch": Rule(
+        "§6.1", "group_size", "sim/serve.py", flags=("for group_size in sizes:",)
+    ),
+    "No numpy on the replay step": Rule(
+        "§6.1",
+        r"np\.count_nonzero\(|pages\[~hit_mask\]|_ProbeCursor",
+        "sim/engine.py",
+        flags=("hits = np.count_nonzero(hit_mask)", "misses = pages[~hit_mask]"),
+    ),
+    "No array scatter in the sharded fan-out": Rule(
+        "§10", r"np\.empty\(len\(pages\)", "storage/sharded.py", flags=("np.empty(len(pages))",)
+    ),
+    "No per-client mirror of a layer counter": Rule(
+        "§6, §9, §10",
+        r"_tier_mark|_tier_collect|def snapshot|mine\.tier_|mine\.shard_hop_seconds",
+        "sim/engine.py storage/tiered.py",
+        flags=("mine.tier_hits += 1", ("storage/tiered.py", "    def snapshot(self):")),
+    ),
+    "No second plan-sharing mechanism": Rule(
+        "§6.1, §8",
+        r"_begin_lifetime|leader_of|\.recording\b",
+        flags=("if session.recording:", "leader = leader_of[key]"),
+        spares=("tapes = session.recordings",),
+    ),
+    "No unreached index, file format or disk-model fork": Rule(
+        "§1, §2, §7",
+        r"_build_adjacency|crawl_pages|ordered_pages|seed_page|leaf_page_for_point|GridIndex"
+        r"|gridindex|save_dataset|load_dataset|stuck_rate|sequential_discount|_last_page"
+        r"|estimate_read_time|merged_with",
+        flags=("index = GridIndex(dataset)", "save_dataset(dataset, path)"),
+    ),
+    "No per-step scalar walk in sequence generation": Rule(
+        "§12",
+        r"point_at\(",
+        "workload/sequence.py",
+        flags=("center = line.point_at(s)",),
+        spares=("centers = line.points_at(s)",),
+    ),
+    "No per-step loop back in the tree generator": Rule(
+        "§13",
+        r"def _perturb|def _unit\(|def _rotate_towards|def _random_perpendicular",
+        "datagen/branching.py",
+        flags=("def _perturb(direction, rng):", "def _unit(v):"),
+        spares=("def _unit_rows(v):",),
+    ),
+    "No BLAS on a content path": Rule(
+        "§14",
+        r"np\.linalg\.|np\.dot\(|np\.matmul\(|einsum\(|polyfit| @ ",
+        flags=("n = np.linalg.norm(v)", "d = a @ b", "coeffs = np.polyfit(t, x, 2)"),
+        spares=("_, _, vt = np.linalg.svd(centered, full_matrices=False)", ("util.py", "a @ b")),
+        exclude=("util.py",),
+        allowed=("_, _, vt = np.linalg.svd(centered, full_matrices=False)",),
+    ),
+    "No setting only tests turn": Rule(
+        "§2, §7, §9, §10",
+        r"\b(?:DiskParameters|latency_factor|backoff_base_s|backoff_cap_s|victim_entries"
+        r"|miss_entries|stream_depth|rebalance_lambda|rebalance_threshold|hilbert_bits"
+        r"|zipf_s|query_volume|make_storage|max_backoff_s|rng_seed|reset_on_no_match"
+        r"|charge_prediction_cost|match_distance_factor|max_prefetch_locations"
+        r"|gap_io_budget_fraction|target_density|n_highways|segments_per_road"
+        r"|drop_probability|cells_per_axis|n_prefetch_cells|max_iterations|on_mean_s"
+        r"|off_mean_s|connect_timeout|include_diagonal|LayeredPrefetcher)\b",
+        flags=("latency_factor = 2.0", "class LayeredPrefetcher(Prefetcher):"),
+        spares=("fig17_query_volume = 24",),
+    ),
+    "No retired timing harness": Rule(
+        "§4",
+        _retired_imports,
+        flags=("import repro.perf", "from pytest_benchmark.fixture import BenchmarkFixture"),
+        spares=("from time import perf_counter",),
+    ),
+    "No oracle in the package": Rule(
+        "§1, §6",
+        _oracle_names,
+        flags=(
+            "def region_crossings_reference(dataset, ids, region): ...",
+            "class Tree:\n    def reset_stats(self): ...",
+            "from repro.index.scalar_ref import ScalarSTRTree",
+            "grid.flat_id((0, 0, 0))",
+            "from repro.storage.cache import ArrayCache",
+        ),
+        spares=(("storage/cache.py", "class ArrayCache: ..."), "name = 'flat_id'"),
+    ),
+    "No boolean row reduction": Rule(
+        "§11",
+        _row_reductions,
+        flags=(
+            "mask = np.all((lo <= qhi) & (hi >= qlo), axis=1)",
+            "ok = ~bad.any(axis=1)",
+            "hit = ((lo <= qhi) & (hi >= qlo)).all(axis=-1)",
+            "ok = np.any(bad, 1)",
+            "ok = bad.all(1)",
+            "from numpy import all\nok = all(bad, axis=1)",
+        ),
+        spares=(
+            "ok = bad.all()",
+            "ok = np.all(bad, axis=0)",
+            "ok = all(x > 0 for x in xs)",
+            "ok = any([a, b])",
+            "t0 = spans.max(axis=1)",
+        ),
+    ),
 }
 
 
-@pytest.mark.parametrize("flagged", sorted(COUNTEREXAMPLES))
-def test_the_oracle_rule_fires(flagged):
-    found = _oracle_names(ast.parse(COUNTEREXAMPLES[flagged]), "sim/engine.py")
-    assert any(entry.endswith(f" names {flagged}") for entry in found), found
+def _package_files() -> list[tuple[str, str]]:
+    return [
+        (path.relative_to(PACKAGE).as_posix(), path.read_text(errors="replace"))
+        for path in sorted(PACKAGE.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    ]
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_the_tree_obeys_every_rule(name):
+    rule = RULES[name]
+    assert rule.flags, "a rule with no counterexample is not proven to fire"
+    assert not rule.check(_package_files()), f"see DESIGN.md {rule.design}"
+
+
+@pytest.mark.parametrize(
+    "name, planted, flagged",
+    [
+        pytest.param(name, planted, flagged, id=f"{name}-{verb}-{i}")
+        for name, rule in RULES.items()
+        for verb, flagged, cases in (("flags", True, rule.flags), ("spares", False, rule.spares))
+        for i, planted in enumerate(cases)
+    ],
+)
+def test_every_rule_flags_its_counterexamples_and_spares_its_near_misses(name, planted, flagged):
+    rule = RULES[name]
+    assert bool(rule.check(rule.plant(planted))) is flagged
+
+
+def test_ci_greps_no_source():
+    ci = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    greps = [
+        f"ci.yml:{number}: {line.strip()}"
+        for number, line in enumerate(ci.read_text().split("\n"), 1)
+        if "grep" in line and "src/" in line
+    ]
+    assert not greps, f"a source check belongs in RULES: {greps}"
 
 
 #: Keywords only tests ever passed, by the callable that took them.
@@ -151,72 +385,3 @@ REMOVED_KEYWORDS = {
 def test_setting_only_tests_set_is_gone(target, keyword):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         inspect.signature(target).bind_partial(**{keyword: None})
-
-
-def _row_reductions(tree: ast.AST, rel: str) -> list[str]:
-    """``rel:line reduces rows`` for every ``all`` / ``any`` over axis 1 (or -1).
-
-    The axis counts as a keyword, or positionally: first argument of a
-    method (``ok.all(1)``), second of a function (``np.any(ok, 1)``).
-    """
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and not (
-            isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
-        ):
-            name, position = func.attr, 0
-        else:
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            position = 1
-        if name not in ("all", "any"):
-            continue
-        axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
-        axes += node.args[position : position + 1]
-        for axis in axes:
-            try:
-                value = ast.literal_eval(axis)
-            except ValueError:
-                continue
-            if value in (1, -1):
-                found.append(f"{rel}:{node.lineno} reduces rows with {name}")
-    return found
-
-
-def test_package_has_no_boolean_row_reduction():
-    root = Path(repro.__file__).parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        found += _row_reductions(ast.parse(path.read_text()), path.relative_to(root).as_posix())
-    assert not found, found
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "mask = np.all((lo <= qhi) & (hi >= qlo), axis=1)",
-        "ok = ~bad.any(axis=1)",
-        "hit = ((lo <= qhi) & (hi >= qlo)).all(axis=-1)",
-        "ok = np.any(bad, 1)",
-        "ok = bad.all(1)",
-        "from numpy import all\nok = all(bad, axis=1)",
-    ],
-)
-def test_the_row_reduction_rule_fires(source):
-    assert _row_reductions(ast.parse(source), "index/rtree.py")
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "ok = bad.all()",
-        "ok = np.all(bad, axis=0)",
-        "ok = all(x > 0 for x in xs)",
-        "ok = any([a, b])",
-        "t0 = spans.max(axis=1)",
-    ],
-)
-def test_the_row_reduction_rule_spares_other_reductions(source):
-    assert not _row_reductions(ast.parse(source), "index/rtree.py")

@@ -39,6 +39,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.serve import (
     DaemonConfig,
     ServeDaemon,
@@ -1237,6 +1238,18 @@ class TestDaemonConfigValidation:
             ServeDaemon(daemon_config(max_queue=0))
         with pytest.raises(ValueError):
             ServeDaemon(daemon_config(session_pool=0))
+        # A zero or negative interval would spin the reporter on sleep(0).
+        with pytest.raises(ValueError, match="report_interval"):
+            ServeDaemon(daemon_config(report_interval=0.0))
+        with pytest.raises(ValueError, match="report_interval"):
+            ServeDaemon(daemon_config(report_interval=-1.0))
+
+    @pytest.mark.parametrize("flag", ["--queries-per-session", "--neurons", "--report-interval"])
+    def test_serve_command_rejects_bad_bounds(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["serve", "--port", "0", flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
     def test_unknown_prefetcher_rejected(self):
         with pytest.raises(ValueError, match="unknown prefetcher"):
