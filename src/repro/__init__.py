@@ -29,7 +29,7 @@ This package contains a complete, self-contained reproduction:
 
 Quickstart::
 
-    from repro import quick_experiment
+    from repro.quickstart import quick_experiment
 
     result = quick_experiment(prefetcher="scout", seed=7)
     print(result.cache_hit_rate, result.speedup)
@@ -37,15 +37,4 @@ Quickstart::
 
 from repro.version import __version__
 
-__all__ = ["__version__", "quick_experiment"]
-
-
-def quick_experiment(*args, **kwargs):
-    """Run a small end-to-end experiment; see :func:`repro.quickstart.quick_experiment`.
-
-    Imported lazily so that ``import repro`` stays cheap for users who
-    only need a sub-package.
-    """
-    from repro.quickstart import quick_experiment as _quick_experiment
-
-    return _quick_experiment(*args, **kwargs)
+__all__ = ["__version__"]

@@ -79,6 +79,29 @@ from repro.workload import MICROBENCHMARKS
 __all__ = ["main"]
 
 
+def _bounded(low: float, high: float | None = None, *, above: bool = False):
+    """An argparse action answering a value outside ``[low, high]`` with ``parser.error``.
+
+    ``low`` is exclusive when ``above``; without ``high`` there is no
+    upper bound.  The bound is checked where the flag is declared, for
+    the value given on the command line (defaults are in range).
+    """
+    rule = f"within [{low}, {high}]" if high is not None else f"{'>' if above else '>='} {low}"
+
+    class Bounded(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            ok = value > low if above else value >= low
+            if not (ok and (high is None or value <= high)):
+                parser.error(f"{option_string} must be {rule}, got {value}")
+            setattr(namespace, self.dest, value)
+
+    return Bounded
+
+
+#: A TCP port, 0 for an ephemeral one.
+_PORT = _bounded(0, 65535)
+
+
 def _build_run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scout-repro",
@@ -91,8 +114,12 @@ def _build_run_parser() -> argparse.ArgumentParser:
         default="adhoc_stat",
         help="Figure-10 microbenchmark to run",
     )
-    parser.add_argument("--neurons", type=int, default=40, help="tissue size in neurons")
-    parser.add_argument("--sequences", type=int, default=5, help="query sequences to run")
+    parser.add_argument(
+        "--neurons", type=int, default=40, action=_bounded(1), help="tissue size in neurons"
+    )
+    parser.add_argument(
+        "--sequences", type=int, default=5, action=_bounded(1), help="query sequences to run"
+    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--list", action="store_true", help="list benchmarks and exit")
     return parser
@@ -230,7 +257,7 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         help="serving workload regime: independent walks per client, or "
         "Zipf-skewed hot-region sharing (--figure clients only)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1, action=_bounded(1), help="worker processes")
     parser.add_argument(
         "--out",
         default=None,
@@ -250,6 +277,7 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
+        action=_bounded(0, above=True),
         metavar="SECONDS",
         help="wall-clock budget per cell attempt; an exceeded cell is "
         "retried, then recorded as status=timeout",
@@ -258,6 +286,7 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=1,
+        action=_bounded(0),
         help="extra attempts granted to a crashing or timed-out cell "
         "before recording a failure envelope (default: 1)",
     )
@@ -270,9 +299,12 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         "--neurons",
         type=int,
         default=None,
+        action=_bounded(1),
         help="tissue size in neurons (panel b rescales its density axis around this)",
     )
-    parser.add_argument("--sequences", type=int, default=None, help="sequences per cell")
+    parser.add_argument(
+        "--sequences", type=int, default=None, action=_bounded(1), help="sequences per cell"
+    )
     parser.add_argument(
         "--seed",
         type=int,
@@ -285,6 +317,7 @@ def _build_sweep_parser(figures) -> argparse.ArgumentParser:
         "--points",
         type=int,
         default=None,
+        action=_bounded(1),
         help="truncate each panel axis to its first N tick values",
     )
     parser.add_argument(
@@ -308,12 +341,6 @@ def _sweep_command(argv: list[str]) -> int:
 
     parser = _build_sweep_parser(FIGURES)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error(f"--timeout must be positive, got {args.timeout}")
     figure = FIGURES[args.figure]
     # Refuse mixed-figure flags loudly: running the wrong (possibly
     # much larger) grid is worse than an argparse error.
@@ -486,20 +513,24 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=8641, help="TCP port (0 picks an ephemeral port)"
+        "--port", type=int, default=8641, action=_PORT, help="TCP port (0 picks an ephemeral port)"
     )
-    parser.add_argument("--neurons", type=int, default=16, help="tissue size in neurons")
+    parser.add_argument(
+        "--neurons", type=int, default=16, action=_bounded(1), help="tissue size in neurons"
+    )
     parser.add_argument("--prefetcher", choices=PREFETCHER_NAMES, default="ewma")
     parser.add_argument(
         "--pool",
         type=int,
         default=8,
+        action=_bounded(1),
         help="distinct navigation walks; connection i replays walk i mod pool",
     )
     parser.add_argument(
         "--queries-per-session",
         type=int,
         default=20,
+        action=_bounded(1),
         help="queries per session (an exhausted session renews in place)",
     )
     parser.add_argument(
@@ -512,18 +543,21 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--cache-pages",
         type=int,
         default=None,
+        action=_bounded(1),
         help="shared cache capacity in pages (default: the engine's sizing rule)",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
+        action=_bounded(1),
         help="admission bound: queries queued beyond this are shed",
     )
     parser.add_argument(
         "--report-interval",
         type=float,
         default=5.0,
+        action=_bounded(0, above=True),
         help="seconds between interval latency reports on stdout",
     )
     parser.add_argument(
@@ -537,6 +571,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--fault-rate",
         type=float,
         default=0.0,
+        action=_bounded(0, 1),
         help="transient-read fault rate; > 0 serves through a seeded "
         "FaultyDiskModel with per-client circuit breakers",
     )
@@ -559,6 +594,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--tier-pages",
         type=int,
         default=0,
+        action=_bounded(0),
         help="second-tier cache capacity in pages (0 disables the tier)",
     )
     parser.add_argument(
@@ -572,6 +608,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
+        action=_bounded(0),
         help="cache shard count: 0 or 1 keeps the single unsharded cache, "
         "K > 1 routes every touch through a partitioned cache of K "
         "shards (DESIGN.md §10)",
@@ -595,27 +632,12 @@ def _serve_command(argv: list[str]) -> int:
 
     from repro.serve import DaemonConfig, ServeDaemon
     from repro.serve.daemon import STOP_SIGNALS
+    from repro.storage.pagefile import PageFileError
 
     parser = _build_serve_parser()
     args = parser.parse_args(argv)
-    if args.max_queue < 1:
-        parser.error(f"--max-queue must be >= 1, got {args.max_queue}")
-    if args.pool < 1:
-        parser.error(f"--pool must be >= 1, got {args.pool}")
-    if args.queries_per_session < 1:
-        parser.error(f"--queries-per-session must be >= 1, got {args.queries_per_session}")
-    if args.neurons < 1:
-        parser.error(f"--neurons must be >= 1, got {args.neurons}")
-    if not args.report_interval > 0:
-        parser.error(f"--report-interval must be > 0, got {args.report_interval}")
-    if not 0.0 <= args.fault_rate <= 1.0:
-        parser.error(f"--fault-rate must be within [0, 1], got {args.fault_rate}")
-    if args.tier_pages < 0:
-        parser.error(f"--tier-pages must be >= 0, got {args.tier_pages}")
     if args.pagefile is not None and args.storage != "mmap":
         parser.error("--pagefile applies to --storage mmap only")
-    if args.shards < 0:
-        parser.error(f"--shards must be >= 0, got {args.shards}")
     config = DaemonConfig(
         host=args.host,
         port=args.port,
@@ -637,7 +659,10 @@ def _serve_command(argv: list[str]) -> int:
         shards=args.shards,
         partition=args.partition,
     )
-    daemon = ServeDaemon(config)
+    try:
+        daemon = ServeDaemon(config)
+    except PageFileError as error:
+        parser.error(str(error))
     # Around run_async a stop signal is only held: one held when the
     # daemon is ready is raised again for it to drain on.  After the
     # drain the signals are ignored outright, because interpreter
@@ -665,27 +690,42 @@ def _build_loadgen_parser() -> argparse.ArgumentParser:
         "arrivals and report client-observed latency percentiles.",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8641)
-    parser.add_argument("--connections", type=int, default=4)
+    parser.add_argument("--port", type=int, default=8641, action=_PORT)
+    parser.add_argument("--connections", type=int, default=4, action=_bounded(1))
     parser.add_argument(
         "--process",
         choices=["poisson", "bursty"],
         default="poisson",
         help="arrival process (bursty = on/off Markov-modulated Poisson)",
     )
-    parser.add_argument("--rate", type=float, default=200.0, help="arrivals per second")
     parser.add_argument(
-        "--requests", type=int, default=None, help="total requests (fixed count)"
+        "--rate",
+        type=float,
+        default=200.0,
+        action=_bounded(0, above=True),
+        help="arrivals per second",
+    )
+    parser.add_argument(
+        "--requests",
+        type=int,
+        default=None,
+        action=_bounded(1),
+        help="total requests (fixed count)",
     )
     parser.add_argument(
         "--duration",
         type=float,
         default=None,
+        action=_bounded(0, above=True),
         help="schedule horizon in seconds (count then derives from the seed)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--burst", type=float, default=8.0, help="ON-phase rate multiplier (bursty only)"
+        "--burst",
+        type=float,
+        default=8.0,
+        action=_bounded(1),
+        help="ON-phase rate multiplier (bursty only)",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH", help="write the JSON report here"
@@ -706,12 +746,8 @@ def _loadgen_command(argv: list[str]) -> int:
 
     parser = _build_loadgen_parser()
     args = parser.parse_args(argv)
-    if args.connections < 1:
-        parser.error(f"--connections must be >= 1, got {args.connections}")
     if (args.requests is None) == (args.duration is None):
         parser.error("give exactly one of --requests and --duration")
-    if args.rate <= 0:
-        parser.error(f"--rate must be positive, got {args.rate}")
     try:
         report = asyncio.run(
             run_loadgen(

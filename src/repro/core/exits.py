@@ -14,25 +14,9 @@ import numpy as np
 from repro.graph.traversal import Crossing
 from repro.util import dot, norm
 
-__all__ = ["split_entries_exits", "split_entries_exits_grouped", "estimate_gap"]
+__all__ = ["split_entries_exits_grouped", "estimate_gap"]
 
 _EPS = 1e-12
-
-
-def split_entries_exits(
-    crossings: list[Crossing],
-    region_center: np.ndarray,
-    movement: np.ndarray | None,
-) -> tuple[list[Crossing], list[Crossing]]:
-    """Partition crossings into ``(entries, exits)``.
-
-    A crossing is an exit when it lies on the leading half of the query
-    region relative to the movement direction, or -- for crossings near
-    the dividing plane -- when the structure's outward direction points
-    with the movement.  Without movement information everything is an
-    exit (first query of a sequence: the user may go anywhere).
-    """
-    return split_entries_exits_grouped([crossings], region_center, movement)[0]
 
 
 def split_entries_exits_grouped(
@@ -40,7 +24,13 @@ def split_entries_exits_grouped(
     region_center: np.ndarray,
     movement: np.ndarray | None,
 ) -> list[tuple[list[Crossing], list[Crossing]]]:
-    """:func:`split_entries_exits` of every group, scored in one array pass.
+    """Partition each group's crossings into ``(entries, exits)``, in one array pass.
+
+    A crossing is an exit when it lies on the leading half of the query
+    region relative to the movement direction, or -- for crossings near
+    the dividing plane -- when the structure's outward direction points
+    with the movement.  Without movement information everything is an
+    exit (first query of a sequence: the user may go anywhere).
 
     The tracker classifies the crossings of all of a result's components
     at once; :func:`repro.util.dot` / :func:`repro.util.norm` give each

@@ -41,10 +41,6 @@ class Polyline:
     def length(self) -> float:
         return float(self._cumulative[-1])
 
-    def point_at(self, arc: float) -> np.ndarray:
-        """The point at arc-length ``arc`` (clamped to the polyline)."""
-        return self.points_at([arc])[0]
-
     def points_at(self, arcs) -> np.ndarray:
         """The point at each arc-length in ``arcs``, as an ``(n, 3)`` array.
 
@@ -110,10 +106,6 @@ class NavigationGraph:
                     raise ValueError(f"edge references unknown node {node}")
             self._adjacency.setdefault(edge.u, []).append(edge_id)
             self._adjacency.setdefault(edge.v, []).append(edge_id)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     def edges_at(self, node: int) -> list[int]:
         return self._adjacency.get(node, [])

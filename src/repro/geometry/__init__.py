@@ -7,8 +7,7 @@ vectorized so the simulator can process query results with thousands of
 objects per step without Python-level loops.
 """
 
-from repro.geometry.aabb import AABB, boxes_overlap, union_all
-from repro.geometry.primitives import segments_aabb_mask
+from repro.geometry.aabb import AABB, boxes_overlap
 from repro.geometry.frustum import Frustum
 from repro.geometry.hilbert import hilbert_decode, hilbert_encode
 from repro.geometry.grid import UniformGrid
@@ -20,6 +19,4 @@ __all__ = [
     "boxes_overlap",
     "hilbert_decode",
     "hilbert_encode",
-    "segments_aabb_mask",
-    "union_all",
 ]

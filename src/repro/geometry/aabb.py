@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AABB", "boxes_overlap", "union_all"]
+__all__ = ["AABB", "boxes_overlap"]
 
 
 def _as_point(value) -> np.ndarray:
@@ -90,36 +90,7 @@ class AABB:
     def volume(self) -> float:
         return float(np.prod(self.extent))
 
-    # -- predicates --------------------------------------------------------
-
-    def contains_point(self, point) -> bool:
-        point = _as_point(point)
-        return bool(np.all(point >= self.lo) and np.all(point <= self.hi))
-
-    def contains_points(self, points) -> np.ndarray:
-        """Vectorized containment test for an ``(n, 3)`` array."""
-        points = np.asarray(points, dtype=np.float64)
-        inside = (points >= self.lo) & (points <= self.hi)
-        return inside[:, 0] & inside[:, 1] & inside[:, 2]
-
-    def contains_box(self, other: "AABB") -> bool:
-        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
-
-    def intersects(self, other: "AABB") -> bool:
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
     # -- combinators --------------------------------------------------------
-
-    def union(self, other: "AABB") -> "AABB":
-        return AABB(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def intersection(self, other: "AABB") -> "AABB | None":
-        """The overlap box, or ``None`` when the boxes are disjoint."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return AABB(lo, hi)
 
     def inflate(self, margin: float) -> "AABB":
         """Grow (or, for negative margins, shrink) the box on every side."""
@@ -131,16 +102,6 @@ class AABB:
             center = self.center
             return AABB(center, center)
         return AABB(lo, hi)
-
-    def clamp_point(self, point) -> np.ndarray:
-        """The closest point of the box to ``point``."""
-        return np.clip(_as_point(point), self.lo, self.hi)
-
-    def corners(self) -> np.ndarray:
-        """All 8 corner points as an ``(8, 3)`` array."""
-        xs, ys, zs = zip(self.lo, self.hi)
-        grid = np.array(np.meshgrid(xs, ys, zs, indexing="ij"), dtype=np.float64)
-        return grid.reshape(3, 8).T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lo = np.array2string(self.lo, precision=2)
@@ -161,13 +122,3 @@ def boxes_overlap(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarr
     """
     ok = (lo <= qhi) & (hi >= qlo)
     return ok[:, 0] & ok[:, 1] & ok[:, 2]
-
-
-def union_all(boxes) -> AABB:
-    """The tightest AABB enclosing every box of a non-empty iterable."""
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("union_all() needs at least one box")
-    lo = np.min([b.lo for b in boxes], axis=0)
-    hi = np.max([b.hi for b in boxes], axis=0)
-    return AABB(lo, hi)

@@ -8,7 +8,7 @@ rectangle, a center, an axis, and a depth; the defining property is that
 it narrows toward the viewer.
 
 Spatial indexes only understand AABBs, so a frustum exposes its enclosing
-AABB for page lookups plus exact point/AABB tests for refinement.
+AABB for page lookups.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import perpendicular_frame
-from repro.util import dot, norm
+from repro.util import norm
 
 __all__ = ["Frustum"]
 
@@ -95,37 +95,6 @@ class Frustum:
     @property
     def far_center(self) -> np.ndarray:
         return self.near_center + self.axis * self.depth
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.near_center + self.axis * (self.depth / 2.0)
-
-    @property
-    def volume(self) -> float:
-        area_near = (2.0 * self.near_half) ** 2
-        area_far = (2.0 * self.far_half) ** 2
-        return self.depth / 3.0 * (area_near + area_far + np.sqrt(area_near * area_far))
-
-    def _half_at(self, t: np.ndarray) -> np.ndarray:
-        """Half side length of the cross-section at axial parameter ``t``."""
-        return self.near_half + (self.far_half - self.near_half) * t
-
-    # -- predicates -------------------------------------------------------
-
-    def contains_points(self, points) -> np.ndarray:
-        """Exact containment mask for an ``(n, 3)`` point array."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        rel = points - self.near_center
-        along = dot(rel, self.axis)
-        t = along / self.depth
-        inside_axis = (t >= 0.0) & (t <= 1.0)
-        half = self._half_at(np.clip(t, 0.0, 1.0))
-        u_coord = np.abs(dot(rel, self._u))
-        v_coord = np.abs(dot(rel, self._v))
-        return inside_axis & (u_coord <= half) & (v_coord <= half)
-
-    def contains_point(self, point) -> bool:
-        return bool(self.contains_points(np.asarray(point)[None, :])[0])
 
     def corners(self) -> np.ndarray:
         """The 8 corner points (4 near + 4 far) as an ``(8, 3)`` array."""

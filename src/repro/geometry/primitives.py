@@ -20,7 +20,6 @@ from repro.util import norm
 
 __all__ = [
     "perpendicular_frame",
-    "segments_aabb_mask",
     "segments_clip_intervals",
 ]
 
@@ -71,13 +70,3 @@ def segments_clip_intervals(
     t1 = np.minimum(1.0, np.where(swap, ta, tb).min(axis=1))
     ok &= t0 <= t1
     return ok, t0, t1
-
-
-def segments_aabb_mask(a: np.ndarray, b: np.ndarray, box: AABB) -> np.ndarray:
-    """Vectorized exact segment-vs-box test for ``(n, 3)`` endpoint arrays.
-
-    Implements the slab test across all segments at once; used by indexes
-    to refine candidate sets returned from page-level lookups.
-    """
-    ok, _, _ = segments_clip_intervals(a, b, box)
-    return ok

@@ -29,11 +29,6 @@ class SpatialGraph:
         self._adjacency.setdefault(u, set()).add(v)
         self._adjacency.setdefault(v, set()).add(u)
 
-    def merge(self, other: "SpatialGraph") -> None:
-        """Union this graph with another in place."""
-        for vertex, neighbors in other._adjacency.items():
-            self._adjacency.setdefault(vertex, set()).update(neighbors)
-
     # -- inspection ---------------------------------------------------------------
 
     @property
@@ -46,33 +41,9 @@ class SpatialGraph:
         """Number of undirected edges."""
         return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
 
-    def __contains__(self, vertex: int) -> bool:
-        return int(vertex) in self._adjacency
-
     def vertices(self) -> list[int]:
         """All vertex ids (insertion order)."""
         return list(self._adjacency.keys())
-
-    def neighbors(self, vertex: int) -> set[int]:
-        """The adjacency set of ``vertex`` (a live reference)."""
-        return self._adjacency[int(vertex)]
-
-    def degree(self, vertex: int) -> int:
-        """Number of neighbors of ``vertex``."""
-        return len(self._adjacency[int(vertex)])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge (u, v) exists."""
-        return int(v) in self._adjacency.get(int(u), set())
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges with ``u < v``, sorted for reproducibility."""
-        result = []
-        for u, neighbors in self._adjacency.items():
-            for v in neighbors:
-                if u < v:
-                    result.append((u, v))
-        return sorted(result)
 
     # -- algorithms ---------------------------------------------------------------
 

@@ -51,11 +51,6 @@ class QueryResult:
     def n_objects(self) -> int:
         return len(self.object_ids)
 
-    @property
-    def n_pages(self) -> int:
-        return len(self.page_ids)
-
-
 def region_corners(regions: Sequence[AABB] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)`` corner arrays, each ``(n, 3)``, of a probe batch.
 
@@ -82,25 +77,7 @@ class SpatialIndex(abc.ABC):
     def pages_for_region(self, region: AABB) -> np.ndarray:
         """Sorted page ids whose bounds intersect ``region``."""
 
-    @abc.abstractmethod
-    def page_bounds(self, page_id: int) -> AABB:
-        """The AABB of a page's contents."""
-
     # -- batched probes ------------------------------------------------------
-
-    def pages_for_regions(self, regions: Sequence[AABB] | np.ndarray) -> list[np.ndarray]:
-        """Per-region sorted page ids for a batch of probe boxes.
-
-        ``regions`` is a sequence of boxes or their packed corners, an
-        ``(n, 2, 3)`` array holding box ``i``'s ``lo`` at ``[i, 0]`` and
-        ``hi`` at ``[i, 1]``.  Element ``i`` of the answer equals
-        ``pages_for_region`` of box ``i``.  The base implementation is
-        the naive per-region loop; array-backed indexes override it with
-        a single vectorized pass over :func:`region_corners`.
-        """
-        if isinstance(regions, np.ndarray):
-            regions = [AABB(lo, hi) for lo, hi in regions]
-        return [self.pages_for_region(region) for region in regions]
 
     def query_many(self, regions: Sequence[AABB]) -> list[QueryResult]:
         """Batched exact range queries (element-wise equal to :meth:`query`)."""

@@ -211,12 +211,4 @@ class STRTree(SpatialIndex):
         cuts = np.searchsorted(region, np.arange(n_regions + 1))
         return [np.sort(node[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    def page_bounds(self, page_id: int) -> AABB:
-        return AABB(self._leaf_lo[page_id], self._leaf_hi[page_id])
-
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        """Number of levels above the leaves (0 for a single-leaf tree)."""
-        return len(self._levels)

@@ -319,10 +319,6 @@ class ServeDaemon:
             raise RuntimeError("daemon is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def start(self) -> None:
         """Bind the listener and start the worker (no reporter yet)."""
         self._server = await asyncio.start_server(
@@ -330,15 +326,13 @@ class ServeDaemon:
         )
         self._worker_task = asyncio.create_task(self._worker())
 
-    async def run_async(self, announce=None) -> dict:
+    async def run_async(self, announce: Callable[[str], None]) -> dict:
         """Serve until drained; returns (and optionally writes) the final report.
 
         ``announce`` receives one JSON line per event (``ready``, each
         interval report, the final report) -- the daemon's stdout
         contract that the CI smoke job and the load generator parse.
         """
-        if announce is None:
-            announce = _print_line
         if self._server is None:
             await self.start()
         # The handlers go in before ``ready``: a supervisor may signal the
@@ -751,11 +745,6 @@ class ServeDaemon:
             "connections": len(self._writers),
             "latency": self.recorder.total().summary(),
         }
-
-
-def _print_line(line: str) -> None:
-    print(line, flush=True)
-
 
 
 def _wakeup_fd_only(signum, frame) -> None:

@@ -44,11 +44,6 @@ class LatencyRecorder:
         """Record one request that failed outright."""
         self._errors += 1
 
-    @property
-    def interval_count(self) -> int:
-        """Samples accumulated since the last snapshot."""
-        return len(self._samples)
-
     def snapshot(self) -> LatencyReport:
         """Emit the current interval's report and start a new interval.
 

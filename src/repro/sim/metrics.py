@@ -57,12 +57,6 @@ class QueryRecord:
     n_result_objects: int
     n_candidates: int
 
-    @property
-    def pages_missed(self) -> int:
-        """Pages that had to be read from disk."""
-        return self.pages_needed - self.pages_hit
-
-
 @dataclass
 class SequenceMetrics:
     """Accounting of one full sequence run."""
@@ -88,14 +82,6 @@ class SequenceMetrics:
         if needed == 0:
             return 0.0
         return sum(r.objects_hit for r in self.eligible) / needed
-
-    @property
-    def page_hit_rate(self) -> float:
-        """Page-granular hit rate (I/O view of the same quantity)."""
-        needed = sum(r.pages_needed for r in self.eligible)
-        if needed == 0:
-            return 0.0
-        return sum(r.pages_hit for r in self.eligible) / needed
 
     @property
     def response_seconds(self) -> float:
@@ -126,12 +112,6 @@ class SequenceMetrics:
     def prediction_seconds(self) -> float:
         """Total simulated prediction time, graph build included."""
         return sum(r.prediction_seconds for r in self.records)
-
-    @property
-    def total_prefetch_pages(self) -> int:
-        """Pages brought into the cache by prefetching."""
-        return sum(r.prefetch_pages for r in self.records)
-
 
 def _ints(values) -> list[int]:
     return [int(v) for v in values]
@@ -247,15 +227,6 @@ class ClientMetrics:
     degraded_ticks: int = 0
     breaker_opens: int = 0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.metrics.cache_hit_rate
-
-    @property
-    def page_hit_rate(self) -> float:
-        return self.metrics.page_hit_rate
-
-
 @dataclass
 class ServeReport:
     """What one :class:`~repro.sim.serve.ServingSimulator` run measured.
@@ -305,15 +276,6 @@ class ServeReport:
     shard_hop_seconds: float = 0.0
 
     @property
-    def n_clients(self) -> int:
-        return len(self.clients)
-
-    @property
-    def per_client_hit_rates(self) -> list[float]:
-        """Object-weighted hit rate of each client, in client order."""
-        return [client.cache_hit_rate for client in self.clients]
-
-    @property
     def aggregate_hit_rate(self) -> float:
         """Object-weighted hit rate pooled over every client."""
         return self.to_aggregate().cache_hit_rate
@@ -327,14 +289,6 @@ class ServeReport:
     def evicted_misses(self) -> int:
         """Misses on pages prefetched but evicted before use."""
         return sum(client.evicted_misses for client in self.clients)
-
-    @property
-    def cross_client_hit_rate(self) -> float:
-        """Fraction of all shared-cache hits served across clients."""
-        hits = sum(client.shared_hits for client in self.clients)
-        if hits == 0:
-            return 0.0
-        return self.cross_client_hits / hits
 
     @property
     def failed_reads(self) -> int:
@@ -374,7 +328,7 @@ class ServeReport:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{self.n_clients} clients: hit-rate {100 * self.aggregate_hit_rate:.1f}% "
+            f"{len(self.clients)} clients: hit-rate {100 * self.aggregate_hit_rate:.1f}% "
             f"cross-client {self.cross_client_hits} evicted-misses {self.evicted_misses}"
         )
 

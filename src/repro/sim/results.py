@@ -233,10 +233,6 @@ class CompactReport:
     bytes_after: int
 
     @property
-    def n_dropped(self) -> int:
-        return self.n_corrupt + self.n_stale + self.n_superseded
-
-    @property
     def reclaimed_bytes(self) -> int:
         return self.bytes_before - self.bytes_after
 
@@ -375,24 +371,6 @@ class ResultStore:
                     self._results[result.key] = result
         self._loaded = True
         return self._results
-
-    @property
-    def n_dropped(self) -> int:
-        """Total lines the last :meth:`load` refused (corrupt + stale)."""
-        return self.n_corrupt + self.n_stale
-
-    def __len__(self) -> int:
-        return len(self.load())
-
-    def get(self, key: str) -> CellResult | None:
-        return self.load().get(key)
-
-    def results(self) -> list[CellResult]:
-        return list(self.load().values())
-
-    def ok_results(self) -> list[CellResult]:
-        """Only the successful cells -- what table rendering consumes."""
-        return [result for result in self.load().values() if result.ok]
 
     # -- writing ------------------------------------------------------------
 

@@ -341,19 +341,6 @@ class ExperimentMatrix:
                             )
         return grid
 
-    def __iter__(self) -> Iterator[CellSpec]:
-        return iter(self.cells())
-
-    def __len__(self) -> int:
-        return (
-            len(self.datasets)
-            * len(self.indexes)
-            * len(self.workloads)
-            * len(self.prefetchers)
-            * len(self.seeds)
-        )
-
-
 # -- wall-clock limits --------------------------------------------------------------
 
 
@@ -686,11 +673,6 @@ class RunReport:
     @property
     def n_failed(self) -> int:
         return len(self.failed_keys)
-
-    @property
-    def ok_results(self) -> list[CellResult]:
-        return [result for result in self.results if result.ok]
-
 
 class ParallelRunner:
     """Fans experiment cells out over a process pool.

@@ -136,7 +136,3 @@ class DiskModel:
         is where this does work.
         """
         return 0.0
-
-    def recover_read(self, page_ids: Sequence[int] | Iterable[int]) -> float:
-        """A clean demand re-read of a failed batch: an ordinary read here."""
-        return self.read_pages(page_ids)

@@ -172,10 +172,6 @@ class FaultyDiskModel:
 
     # -- delegated surface --------------------------------------------------
 
-    @property
-    def stats(self) -> IOStats:
-        return self._inner.stats
-
     def trim_to_budget(
         self, page_ids: Sequence[int] | Iterable[int], budget_s: float
     ) -> list[int]:

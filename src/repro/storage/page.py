@@ -43,7 +43,6 @@ class PageTable:
         self._objects = (
             np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
         ).astype(np.int64, copy=False)
-        self._n_objects = int(self._offsets[-1])
 
         max_id = int(self._objects.max()) if len(self._objects) else -1
         self._page_of_object = np.full(max_id + 1, -1, dtype=np.int64)
@@ -64,10 +63,6 @@ class PageTable:
     @property
     def n_pages(self) -> int:
         return len(self._offsets) - 1
-
-    @property
-    def n_objects(self) -> int:
-        return self._n_objects
 
     def page_size(self, page_id: int) -> int:
         return int(self._offsets[page_id + 1] - self._offsets[page_id])
@@ -118,12 +113,6 @@ class PageTable:
     def checksums_of(self, page_ids: Iterable[int] | np.ndarray) -> list[int]:
         """Per-page checksums, in input order."""
         return [self.checksum_of(int(p)) for p in page_ids]
-
-    def page_of_object(self, object_id: int) -> int:
-        page = int(self._page_of_object[object_id])
-        if page < 0:
-            raise KeyError(f"object {object_id} is not assigned to any page")
-        return page
 
     def page_ids_of_objects(self, object_ids: Iterable[int] | np.ndarray) -> np.ndarray:
         """Per-object page id array (same order and length as the input)."""

@@ -175,6 +175,23 @@ class PageFile:
             return False
         return True
 
+    def check_table(self, page_table: PageTable) -> None:
+        """Raise :class:`PageFileError` unless the file holds ``page_table``'s pages.
+
+        A reused file must have the table's page count, and every slot
+        that verifies must carry the table's checksum for its page.  A
+        torn slot passes: the read path repairs it.
+        """
+        if self.n_pages != page_table.n_pages:
+            raise PageFileError(
+                f"page file {self.path} has {self.n_pages} pages, "
+                f"the dataset {page_table.n_pages}"
+            )
+        for page_id in range(self.n_pages):
+            crc = _SLOT_PREFIX.unpack_from(self._mmap, self._slot_offset(page_id))[0]
+            if self.verify_page(page_id) and crc != page_table.checksum_of(page_id):
+                raise PageFileError(f"page file {self.path} holds another dataset (page {page_id})")
+
     def scan_torn(self) -> list[int]:
         """Page ids of every slot that fails verification (reopen sweep)."""
         return [p for p in range(self.n_pages) if not self.verify_page(p)]

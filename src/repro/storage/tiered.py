@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.storage.disk import DiskModel, _canonical
 from repro.storage.faults import FaultyDiskModel, ReadFailure
-from repro.storage.pagefile import PageFile, TornPageError
+from repro.storage.pagefile import PageFile, PageFileError, TornPageError
 from repro.storage.stats import IOStats
 
 __all__ = [
@@ -207,14 +207,6 @@ class TieredStore:
 
     # -- delegated surface --------------------------------------------------
 
-    @property
-    def stats(self) -> IOStats:
-        return self._inner.stats
-
-    @property
-    def tiering_active(self) -> bool:
-        return self._tiering
-
     def trim_to_budget(
         self, page_ids: Sequence[int] | Iterable[int], budget_s: float
     ) -> list[int]:
@@ -357,7 +349,13 @@ class TieredStore:
         if self.spec.path is not None:
             path = Path(self.spec.path)
             if path.exists():
-                self._pagefile = PageFile(path)
+                pagefile = PageFile(path)
+                try:
+                    pagefile.check_table(page_table)
+                except PageFileError:
+                    pagefile.close()
+                    raise
+                self._pagefile = pagefile
                 self._owns_pagefile = False
                 return
         else:
@@ -378,8 +376,6 @@ class TieredStore:
         """
         repair = 0.0
         for page in pages:
-            if page >= self._pagefile.n_pages:
-                continue
             try:
                 self._pagefile.read_page(page)
             except TornPageError:
@@ -388,10 +384,6 @@ class TieredStore:
                 self.tier_stats.torn_repaired += 1
                 repair += self._inner.read_pages([page])
         return repair
-
-    @property
-    def pagefile(self) -> PageFile | None:
-        return self._pagefile
 
     def close(self) -> None:
         """Flush and close the page file; remove it if it was private."""

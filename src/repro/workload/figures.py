@@ -283,7 +283,7 @@ def _fig13_grids(args) -> list[tuple[str, list]]:
     for panel in _chosen_panels(args, sweeps.FIG13_PANELS, 13):
         axis = list(sweeps.FIG13_PANELS[panel][2])
         if args.points is not None:
-            axis = axis[: max(1, args.points)]
+            axis = axis[: args.points]
         if panel == "b" and args.neurons is not None:
             # Panel b's axis IS the neuron count; rescale it around the
             # requested size so --neurons shrinks this panel too instead

@@ -50,11 +50,6 @@ class QuerySequence:
     def __len__(self) -> int:
         return len(self.queries)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([q.center for q in self.queries])
-
-
 def _query_side(dataset: Dataset, volume: float) -> float:
     """Edge length of a query of the given volume (area for 2D data)."""
     if volume <= 0:

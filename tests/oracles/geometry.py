@@ -17,6 +17,18 @@ _EPS = 1e-12  # the batched clip's
 _GRID_EPS = 1e-9  # UniformGrid's
 
 
+def box_contains(box: AABB, points) -> np.ndarray:
+    """Whether each point of ``points`` (or the one point) lies in the closed box."""
+    points = np.asarray(points, dtype=np.float64)
+    return np.all((points >= box.lo) & (points <= box.hi), axis=-1)
+
+
+def frustum_volume(f) -> float:
+    """A frustum's volume: ``depth / 3 * (A_near + A_far + sqrt(A_near * A_far))``."""
+    near, far = (2.0 * f.near_half) ** 2, (2.0 * f.far_half) ** 2
+    return f.depth / 3.0 * (near + far + np.sqrt(near * far))
+
+
 def slab_clip(a: np.ndarray, delta: np.ndarray, box: AABB) -> tuple[float, float] | None:
     """Liang-Barsky style slab clipping of the parametric line ``a + t*delta``.
 

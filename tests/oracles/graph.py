@@ -22,6 +22,11 @@ from tests.oracles.geometry import clip_segment_to_aabb, segment_segment_distanc
 _EPS = 1e-9  # repro.graph.traversal's
 
 
+def edges_of(graph: SpatialGraph) -> set[tuple[int, int]]:
+    """Every undirected edge of a graph, as ``(u, v)`` with ``u < v``."""
+    return {(u, v) for u, neighbors in graph._adjacency.items() for v in neighbors if u < v}
+
+
 def object_crossings(dataset: Dataset, object_id: int, region: AABB) -> list[Crossing]:
     """Crossings contributed by one object's representative segment."""
     a = dataset.p0[object_id]

@@ -15,6 +15,18 @@ from repro.geometry import AABB
 from repro.index import FlatIndex, SpatialIndex, STRTree
 
 
+def page_bounds(index: STRTree, page_id: int) -> AABB:
+    """The box of one leaf page, as the packed leaf level stores it."""
+    return AABB(index._leaf_lo[page_id], index._leaf_hi[page_id])
+
+
+def pages_for_regions_loop(index: SpatialIndex, regions) -> list[np.ndarray]:
+    """One ``pages_for_region`` probe per box (packed ``(n, 2, 3)`` corners too)."""
+    if isinstance(regions, np.ndarray):
+        regions = [AABB(lo, hi) for lo, hi in regions]
+    return [index.pages_for_region(region) for region in regions]
+
+
 def pages_for_region_scalar(tree: STRTree, region: AABB) -> np.ndarray:
     """Reference depth-first traversal, one node (and box test) at a time."""
     if not tree._levels:
@@ -51,7 +63,7 @@ class ScalarSTRTree(STRTree):
         return pages_for_region_scalar(self, region)
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
-        return SpatialIndex.pages_for_regions(self, regions)
+        return pages_for_regions_loop(self, regions)
 
 
 class ScalarFlatIndex(FlatIndex):
@@ -65,4 +77,4 @@ class ScalarFlatIndex(FlatIndex):
         return pages_for_region_scalar(self, region)
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
-        return SpatialIndex.pages_for_regions(self, regions)
+        return pages_for_regions_loop(self, regions)

@@ -87,18 +87,18 @@ class TestFig13Matrix:
     def test_every_panel_has_axis_sized_grid(self):
         for panel in "abcde":
             matrix = fig13_matrix(panel, n_neurons=6, n_sequences=2)
-            assert len(matrix) == len(FIG13_PANELS[panel][2]), panel
+            assert len(matrix.cells()) == len(FIG13_PANELS[panel][2]), panel
 
     def test_gap_panel_pairs_scout_with_scout_opt(self):
         matrix = fig13_matrix("f", n_neurons=6, n_sequences=2)
-        kinds = {cell.prefetcher.kind for cell in matrix}
+        kinds = {cell.prefetcher.kind for cell in matrix.cells()}
         assert kinds == {"scout", "scout-opt"}
-        assert len(matrix) == 2 * len(FIG13_PANELS["f"][2])
+        assert len(matrix.cells()) == 2 * len(FIG13_PANELS["f"][2])
 
     def test_axis_values_recoverable_from_specs(self):
         axis = [0.5, 1.5]
         matrix = fig13_matrix("d", n_neurons=6, n_sequences=2, axis=axis)
-        values = [fig13_axis_value("d", cell.to_dict()) for cell in matrix]
+        values = [fig13_axis_value("d", cell.to_dict()) for cell in matrix.cells()]
         assert values == axis
 
     def test_unknown_panel_rejected(self):
@@ -124,6 +124,28 @@ class TestCli:
             main(["bench"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: bench" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--neurons", "0"], "--neurons"),
+            (["run", "--sequences", "0"], "--sequences"),
+            (["sweep", "--figure", "3", "--neurons", "8", "--sequences", "0"], "--sequences"),
+            (["sweep", "--figure", "3", "--neurons", "0", "--list-cells"], "--neurons"),
+            (["sweep", "--figure", "13", "--points", "0", "--list-cells"], "--points"),
+            (["sweep", "--figure", "3", "--timeout", "nan", "--list-cells"], "--timeout"),
+            (["loadgen", "--process", "bursty", "--burst", "0", "--requests", "5"], "--burst"),
+            (["loadgen", "--duration", "-1"], "--duration"),
+            (["loadgen", "--rate", "nan", "--requests", "5"], "--rate"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_out_of_range_value_is_a_parser_error(self, capsys, argv, flag):
+        """The bound is declared at the flag: ``parser.error`` names it, exit 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
     def test_run_small_experiment(self, capsys):
         code = main(

@@ -419,6 +419,6 @@ def test_lockstep_serving_partitions_cache_totals(
     for client in report.clients:
         records = client.metrics.records
         assert client.shared_hits == sum(r.pages_hit for r in records)
-        assert client.shared_misses == sum(r.pages_missed for r in records)
+        assert client.shared_misses == sum(r.pages_needed - r.pages_hit for r in records)
         assert 0 <= client.cross_client_hits <= client.shared_hits
         assert 0 <= client.evicted_misses <= client.shared_misses

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CandidateTracker
-from repro.core.exits import estimate_gap, split_entries_exits
+from repro.core.exits import estimate_gap, split_entries_exits_grouped
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.graph import SpatialGraph
@@ -51,7 +51,7 @@ def line_chain(y: float, x0: float, x1: float, step: float = 2.0) -> np.ndarray:
 class TestSplitEntriesExits:
     def test_without_movement_everything_is_exit(self):
         crossings = [Crossing(0, np.array([0.0, 0, 0]), np.array([1.0, 0, 0]))]
-        entries, exits = split_entries_exits(crossings, np.zeros(3), None)
+        entries, exits = split_entries_exits_grouped([crossings], np.zeros(3), None)[0]
         assert entries == [] and len(exits) == 1
 
     def test_front_back_classification(self):
@@ -59,7 +59,7 @@ class TestSplitEntriesExits:
         movement = np.array([1.0, 0, 0])
         front = Crossing(0, np.array([10.0, 5, 5]), np.array([1.0, 0, 0]))
         back = Crossing(1, np.array([0.0, 5, 5]), np.array([-1.0, 0, 0]))
-        entries, exits = split_entries_exits([front, back], center, movement)
+        entries, exits = split_entries_exits_grouped([[front, back]], center, movement)[0]
         assert exits == [front] and entries == [back]
 
 

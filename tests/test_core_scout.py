@@ -50,7 +50,7 @@ class TestScoutBehaviour:
         side = 40_000.0 ** (1 / 3)
         for target in scout.plan():
             # Exit anchors sit on (or just beyond) the query boundary.
-            outside = target.anchor - last_bounds.clamp_point(target.anchor)
+            outside = target.anchor - np.clip(target.anchor, last_bounds.lo, last_bounds.hi)
             assert np.linalg.norm(outside) < side
 
     def test_candidates_shrink_along_sequence(self, tissue, tissue_flat, rng):

@@ -255,14 +255,14 @@ class TestPolyline:
         poly = Polyline(np.array([[0, 0, 0], [3, 4, 0], [3, 4, 5]], dtype=float))
         assert poly.length == pytest.approx(10.0)
 
-    def test_point_at_interpolates(self):
+    def test_points_at_interpolates(self):
         poly = Polyline(np.array([[0, 0, 0], [10, 0, 0]], dtype=float))
-        assert np.allclose(poly.point_at(2.5), [2.5, 0, 0])
+        assert np.allclose(poly.points_at([2.5])[0], [2.5, 0, 0])
 
-    def test_point_at_clamps(self):
+    def test_points_at_clamps(self):
         poly = Polyline(np.array([[0, 0, 0], [10, 0, 0]], dtype=float))
-        assert np.allclose(poly.point_at(-5), [0, 0, 0])
-        assert np.allclose(poly.point_at(50), [10, 0, 0])
+        assert np.allclose(poly.points_at([-5])[0], [0, 0, 0])
+        assert np.allclose(poly.points_at([50])[0], [10, 0, 0])
 
     def test_tangent_unit(self):
         poly = Polyline(np.array([[0, 0, 0], [0, 2, 0], [0, 2, 2]], dtype=float))

@@ -101,7 +101,7 @@ class TestIncrementalRegions:
     def test_first_region_touches_anchor(self, engine):
         target = self.make_target(anchor=(4.0, 5.0, 6.0))
         boxes = self.boxes(engine, target)
-        assert AABB(boxes[0, 0], boxes[0, 1]).contains_point(target.anchor)
+        assert np.all((boxes[0, 0] <= target.anchor) & (target.anchor <= boxes[0, 1]))
 
     def test_zero_direction_expands_in_place(self, engine):
         target = PrefetchTarget(anchor=np.ones(3), direction=np.zeros(3))
@@ -140,7 +140,7 @@ class TestBudgetAccounting:
         target = PrefetchTarget(anchor=sequence.queries[0].center, direction=np.zeros(3))
         greedy = FixedPlanPrefetcher([target], cost=1e9)
         metrics = engine.run(sequence, greedy)
-        assert metrics.total_prefetch_pages == 0
+        assert sum(r.prefetch_pages for r in metrics.records) == 0
 
     def test_gap_pages_charged_within_window(self, engine, sequence, tissue_flat):
         all_pages = list(range(min(50, tissue_flat.n_pages)))
@@ -159,11 +159,11 @@ class TestBudgetAccounting:
         # A zero-share plan is normalized to a full share (total_share
         # fallback), so it still prefetches: the engine must not divide
         # by zero.
-        assert metrics.total_prefetch_pages >= 0
+        assert sum(r.prefetch_pages for r in metrics.records) >= 0
 
     def test_empty_plan_is_noop(self, engine, sequence):
         metrics = engine.run(sequence, FixedPlanPrefetcher([]))
-        assert metrics.total_prefetch_pages == 0
+        assert sum(r.prefetch_pages for r in metrics.records) == 0
         assert metrics.cache_hit_rate == 0.0
 
     def test_engine_matches_no_prefetcher_for_empty_plans(self, engine, sequence):

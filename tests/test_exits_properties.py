@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.exits import estimate_gap, split_entries_exits
+from repro.core.exits import estimate_gap, split_entries_exits_grouped
 from repro.graph.traversal import Crossing
 
 unit_coords = st.floats(-1.0, 1.0, allow_nan=False)
@@ -31,7 +31,7 @@ class TestSplitProperties:
         crossings = [crossing(p, d) for p, d in raw]
         center = np.zeros(3)
         movement = np.array([1.0, 0.5, -0.25])
-        entries, exits = split_entries_exits(crossings, center, movement)
+        entries, exits = split_entries_exits_grouped([crossings], center, movement)[0]
         assert len(entries) + len(exits) == len(crossings)
         for c in crossings:
             in_entries = any(e is c for e in entries)
@@ -43,14 +43,14 @@ class TestSplitProperties:
         movement = movement_raw + 1e-3  # avoid the zero vector
         center = np.zeros(3)
         c_front = crossing(movement * 2.0, movement)
-        entries, exits = split_entries_exits([c_front], center, movement)
+        entries, exits = split_entries_exits_grouped([[c_front]], center, movement)[0]
         assert exits == [c_front]
-        entries2, exits2 = split_entries_exits([c_front], center, -movement)
+        entries2, exits2 = split_entries_exits_grouped([[c_front]], center, -movement)[0]
         assert entries2 == [c_front]
 
     def test_zero_movement_treated_as_unknown(self):
         c = crossing([5.0, 0, 0], [1.0, 0, 0])
-        entries, exits = split_entries_exits([c], np.zeros(3), np.zeros(3))
+        entries, exits = split_entries_exits_grouped([[c]], np.zeros(3), np.zeros(3))[0]
         assert exits == [c] and entries == []
 
 

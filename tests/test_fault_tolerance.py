@@ -55,7 +55,6 @@ class TestFailureEnvelope:
         assert ok.ok and ok.metrics is not None
         assert report.n_failed == 1 and report.n_computed == 1
         assert report.failed_keys == [RAISING_CELL.key()]
-        assert report.ok_results == [ok]
 
     def test_retries_counted_in_envelope(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
@@ -256,7 +255,6 @@ class TestSchemaCompatibility:
         store = ResultStore(path)
         assert store.load() == {}
         assert store.n_stale == 1 and store.n_corrupt == 0
-        assert store.n_dropped == 1
 
         # The stale cell is recomputed, not rendered from the old row.
         report = ParallelRunner(jobs=1, store=store).run([OK_CELL])
@@ -278,13 +276,6 @@ class TestSchemaCompatibility:
         store = ResultStore(path)
         store.load()
         assert store.n_corrupt == 1 and store.n_stale == 0
-
-    def test_ok_results_excludes_failures(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(path)
-        ParallelRunner(jobs=1, store=store, retries=0).run([RAISING_CELL, OK_CELL])
-        assert {r.key for r in store.ok_results()} == {OK_CELL.key()}
-        assert len(store.results()) == 2
 
     def test_compact_drops_schema1_records_as_stale(self, tmp_path):
         path = self._stored(tmp_path)

@@ -113,7 +113,7 @@ class TestNoOpTransparency:
         bare, faulty = DiskModel(), FaultyDiskModel(plan=FaultPlan())
         for batch in batches:
             assert faulty.read_pages(batch) == bare.read_pages(batch)
-        assert asdict(faulty.stats) == asdict(bare.stats)
+        assert asdict(faulty._inner.stats) == asdict(bare.stats)
 
     def test_noop_plan_experiment_matches_plain_config(self, tissue, tissue_flat):
         sequences = generate_sequences(
@@ -147,8 +147,8 @@ class TestNoOpTransparency:
                 continue
             mixed_cost = mixed.read_pages(batch)
             assert mixed_cost >= lone_cost
-        assert lone.stats.transient_errors == mixed.stats.transient_errors
-        assert lone.stats.backoff_seconds == mixed.stats.backoff_seconds
+        assert lone._inner.stats.transient_errors == mixed._inner.stats.transient_errors
+        assert lone._inner.stats.backoff_seconds == mixed._inner.stats.backoff_seconds
 
 
 # -- retry/backoff -----------------------------------------------------------------
@@ -168,7 +168,7 @@ class TestRetryBackoff:
                     costs.append(disk.read_pages(batch))
                 except ReadFailure as failure:
                     costs.append(("fail", failure.seconds))
-            runs.append((costs, asdict(disk.stats)))
+            runs.append((costs, asdict(disk._inner.stats)))
         assert runs[0] == runs[1]
         # Every read's total backoff obeys the plan's analytic bound.
         stats = runs[0][1]
@@ -183,11 +183,11 @@ class TestRetryBackoff:
         failure = caught.value
         assert failure.pages == [1, 2]
         assert 0.0 < failure.seconds <= max_backoff_s(plan)
-        assert disk.stats.retries_exhausted == 1
-        assert disk.stats.retries == plan.retry_limit
-        assert disk.stats.seconds_busy == pytest.approx(failure.seconds)
+        assert disk._inner.stats.retries_exhausted == 1
+        assert disk._inner.stats.retries == plan.retry_limit
+        assert disk._inner.stats.seconds_busy == pytest.approx(failure.seconds)
         # No pages were actually read.
-        assert disk.stats.pages_read == 0
+        assert disk._inner.stats.pages_read == 0
 
     def test_recovered_retries_count_and_charge_backoff(self):
         plan = FaultPlan(transient_rate=0.6, seed=1)
@@ -198,10 +198,10 @@ class TestRetryBackoff:
                 disk.read_pages(batch)
             except ReadFailure:
                 pass
-        recovered = disk.stats.retries_recovered
+        recovered = disk._inner.stats.retries_recovered
         assert recovered > 0
-        assert disk.stats.backoff_seconds > 0.0
-        assert disk.stats.transient_errors >= disk.stats.retries
+        assert disk._inner.stats.backoff_seconds > 0.0
+        assert disk._inner.stats.transient_errors >= disk._inner.stats.retries
 
     def test_recover_read_is_clean_and_counted(self):
         disk = FaultyDiskModel(plan=FaultPlan(transient_rate=1.0, retry_limit=0))
@@ -209,8 +209,8 @@ class TestRetryBackoff:
             disk.read_pages([3, 4])
         cost = disk.recover_read([3, 4])
         assert cost > 0.0
-        assert disk.stats.reread_pages == 2
-        assert disk.stats.pages_read == 2
+        assert disk._inner.stats.reread_pages == 2
+        assert disk._inner.stats.pages_read == 2
 
 
 # -- read-repair -------------------------------------------------------------------
@@ -224,8 +224,8 @@ class TestReadRepair:
         disk.read_pages(pages)
         repair_cost = disk.verify_delivery(pages, page_table)
         assert repair_cost > 0.0
-        assert disk.stats.corrupt_detected == len(pages)
-        assert disk.stats.reread_pages == len(pages)
+        assert disk._inner.stats.corrupt_detected == len(pages)
+        assert disk._inner.stats.reread_pages == len(pages)
         # The taint set is consumed: verifying again is free.
         assert disk.verify_delivery(pages, page_table) == 0.0
 
@@ -233,7 +233,7 @@ class TestReadRepair:
         disk = FaultyDiskModel(plan=FaultPlan(corrupt_rate=0.0))
         disk.read_pages([0, 1])
         assert disk.verify_delivery([0, 1], tissue_flat.page_table) == 0.0
-        assert disk.stats.corrupt_detected == 0
+        assert disk._inner.stats.corrupt_detected == 0
 
 
 # -- circuit breaker ---------------------------------------------------------------

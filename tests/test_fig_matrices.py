@@ -80,34 +80,34 @@ def tiny(builder, **overrides):
 class TestGridShapes:
     def test_fig10_covers_the_whole_registry(self):
         matrix = tiny(fig10_matrix)
-        assert len(matrix) == len(MICROBENCHMARKS)
-        assert {cell.prefetcher.kind for cell in matrix} == {"scout"}
+        assert len(matrix.cells()) == len(MICROBENCHMARKS)
+        assert {cell.prefetcher.kind for cell in matrix.cells()} == {"scout"}
 
     def test_fig11_is_no_gap_benches_by_fig11_prefetchers(self):
         matrix = tiny(fig11_matrix)
         no_gap = microbenchmark_names(with_gaps=False)
-        assert len(matrix) == len(no_gap) * len(FIG11_PREFETCHERS)
-        benches = {microbenchmark_of(cell.to_dict()) for cell in matrix}
+        assert len(matrix.cells()) == len(no_gap) * len(FIG11_PREFETCHERS)
+        benches = {microbenchmark_of(cell.to_dict()) for cell in matrix.cells()}
         assert benches == set(no_gap)
 
     def test_fig12_adds_scout_opt_on_gap_benches(self):
         matrix = tiny(fig12_matrix)
         with_gaps = microbenchmark_names(with_gaps=True)
-        assert len(matrix) == len(with_gaps) * len(FIG12_PREFETCHERS)
-        kinds = {cell.prefetcher.kind for cell in matrix}
+        assert len(matrix.cells()) == len(with_gaps) * len(FIG12_PREFETCHERS)
+        kinds = {cell.prefetcher.kind for cell in matrix.cells()}
         assert "scout-opt" in kinds
-        assert all(cell.workload.gap > 0 for cell in matrix)
+        assert all(cell.workload.gap > 0 for cell in matrix.cells())
 
     def test_benches_subset_and_validation(self):
         matrix = tiny(fig10_matrix, benches=["adhoc_stat", "model_building"])
-        assert len(matrix) == 2
+        assert len(matrix.cells()) == 2
         with pytest.raises(ValueError, match="unknown microbenchmark"):
             tiny(fig10_matrix, benches=["warp_drive"])
         with pytest.raises(ValueError, match="at least one"):
             tiny(fig10_matrix, benches=[])
 
     def test_cells_label_back_to_their_benchmark(self):
-        for cell in tiny(fig11_matrix):
+        for cell in tiny(fig11_matrix).cells():
             name = microbenchmark_of(cell.to_dict())
             bench = MICROBENCHMARKS[name]
             assert cell.workload.n_queries == bench.n_queries
@@ -207,7 +207,7 @@ class TestDeterminismVsDirectHarness:
             "hilbert": HilbertPrefetcher(tissue),
             "scout": ScoutPrefetcher(tissue, ScoutConfig()),
         }
-        for cell in matrix:
+        for cell in matrix.cells():
             expected = self._direct(
                 tissue, tissue_index, bench, direct[cell.prefetcher.kind], seed=11
             )
@@ -229,12 +229,10 @@ class TestDeterminismVsDirectHarness:
     def test_fig10_scout_matches_fig11_scout_cell(self):
         # Same bench, same seeds: the fig10 and fig11 grids must share
         # content-identical scout cells (resume dedupes across figures).
-        fig10_cell = next(
-            c for c in tiny(fig10_matrix, benches=["adhoc_stat"]) if c.prefetcher.kind == "scout"
-        )
-        fig11_cell = next(
-            c for c in tiny(fig11_matrix, benches=["adhoc_stat"]) if c.prefetcher.kind == "scout"
-        )
+        fig10_cells = tiny(fig10_matrix, benches=["adhoc_stat"]).cells()
+        fig11_cells = tiny(fig11_matrix, benches=["adhoc_stat"]).cells()
+        fig10_cell = next(c for c in fig10_cells if c.prefetcher.kind == "scout")
+        fig11_cell = next(c for c in fig11_cells if c.prefetcher.kind == "scout")
         assert fig10_cell.key() == fig11_cell.key()
 
 

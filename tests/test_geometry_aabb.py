@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import AABB, boxes_overlap, union_all
+from repro.geometry import AABB, boxes_overlap
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -55,45 +55,7 @@ class TestConstruction:
             box.lo[0] = 5.0
 
 
-class TestPredicates:
-    def test_contains_point_boundary(self):
-        box = AABB([0, 0, 0], [1, 1, 1])
-        assert box.contains_point([0, 0, 0])
-        assert box.contains_point([1, 1, 1])
-        assert not box.contains_point([1.0001, 0.5, 0.5])
-
-    def test_contains_points_vectorized(self):
-        box = AABB([0, 0, 0], [1, 1, 1])
-        pts = np.array([[0.5, 0.5, 0.5], [2, 0, 0], [1, 1, 1]], dtype=float)
-        assert list(box.contains_points(pts)) == [True, False, True]
-
-    def test_intersects_touching_faces(self):
-        a = AABB([0, 0, 0], [1, 1, 1])
-        b = AABB([1, 0, 0], [2, 1, 1])
-        assert a.intersects(b)
-        assert b.intersects(a)
-
-    def test_disjoint(self):
-        a = AABB([0, 0, 0], [1, 1, 1])
-        b = AABB([1.1, 0, 0], [2, 1, 1])
-        assert not a.intersects(b)
-        assert a.intersection(b) is None
-
-    def test_contains_box(self):
-        outer = AABB([0, 0, 0], [10, 10, 10])
-        inner = AABB([1, 1, 1], [2, 2, 2])
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
-
-
 class TestCombinators:
-    def test_intersection_volume(self):
-        a = AABB([0, 0, 0], [2, 2, 2])
-        b = AABB([1, 1, 1], [3, 3, 3])
-        overlap = a.intersection(b)
-        assert overlap is not None
-        assert overlap.volume == pytest.approx(1.0)
-
     def test_inflate_grows_every_side(self):
         box = AABB([0, 0, 0], [1, 1, 1]).inflate(0.5)
         assert np.allclose(box.lo, -0.5)
@@ -104,26 +66,15 @@ class TestCombinators:
         assert np.allclose(box.lo, box.hi)
         assert np.allclose(box.lo, 0.5)
 
-    def test_corners_count_and_membership(self):
-        box = AABB([0, 0, 0], [1, 2, 3])
-        corners = box.corners()
-        assert corners.shape == (8, 3)
-        assert all(box.contains_point(c) for c in corners)
-
-    def test_union_all(self):
-        boxes = [AABB([0, 0, 0], [1, 1, 1]), AABB([2, -1, 0], [3, 0, 5])]
-        union = union_all(boxes)
-        assert np.allclose(union.lo, [0, -1, 0])
-        assert np.allclose(union.hi, [3, 1, 5])
-
-    def test_union_all_rejects_empty(self):
-        with pytest.raises(ValueError):
-            union_all([])
-
 
 def reduced_overlap(lo, hi, qlo, qhi):
     """The ``np.all(..., axis=1)`` form ``boxes_overlap`` replaced."""
     return np.all((lo <= qhi) & (hi >= qlo), axis=1)
+
+
+def boxes_intersect(a: AABB, b: AABB) -> bool:
+    """One pair of boxes, scalar: they overlap (or share a face) on every axis."""
+    return bool(np.all(a.lo <= b.hi) and np.all(b.lo <= a.hi))
 
 
 class TestVectorizedIntersection:
@@ -133,7 +84,7 @@ class TestVectorizedIntersection:
         hi = lo + rng.uniform(0, 1, size=(50, 3))
         mask = boxes_overlap(lo, hi, box.lo, box.hi)
         for i in range(50):
-            assert mask[i] == AABB(lo[i], hi[i]).intersects(box)
+            assert mask[i] == boxes_intersect(AABB(lo[i], hi[i]), box)
 
     def test_per_row_query_boxes(self, rng):
         lo = rng.uniform(-2, 2, size=(200, 3))
@@ -144,7 +95,7 @@ class TestVectorizedIntersection:
         assert mask.dtype == bool and mask.shape == (200,)
         assert np.array_equal(mask, reduced_overlap(lo, hi, qlo, qhi))
         for i in range(200):
-            assert mask[i] == AABB(lo[i], hi[i]).intersects(AABB(qlo[i], qhi[i]))
+            assert mask[i] == boxes_intersect(AABB(lo[i], hi[i]), AABB(qlo[i], qhi[i]))
 
     def test_shared_faces_overlap(self):
         # Each box touches the unit cube on one face, edge or corner only.
@@ -185,34 +136,6 @@ class TestVectorizedIntersection:
 
 
 class TestProperties:
-    @given(boxes(), boxes())
-    def test_union_contains_both(self, a, b):
-        union = a.union(b)
-        assert union.contains_box(a)
-        assert union.contains_box(b)
-
-    @given(boxes(), boxes())
-    def test_intersection_commutative(self, a, b):
-        ab = a.intersection(b)
-        ba = b.intersection(a)
-        if ab is None:
-            assert ba is None
-        else:
-            assert np.allclose(ab.lo, ba.lo) and np.allclose(ab.hi, ba.hi)
-
-    @given(boxes(), boxes())
-    def test_intersection_inside_both(self, a, b):
-        overlap = a.intersection(b)
-        if overlap is not None:
-            assert a.contains_box(overlap)
-            assert b.contains_box(overlap)
-
     @given(boxes())
     def test_volume_non_negative(self, box):
         assert box.volume >= 0.0
-
-    @given(boxes())
-    def test_clamp_point_inside(self, box):
-        point = np.array([1e7, -1e7, 0.0])
-        clamped = box.clamp_point(point)
-        assert box.contains_point(clamped)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import AABB, segments_aabb_mask
+from repro.geometry import AABB
 from repro.geometry.primitives import perpendicular_frame, segments_clip_intervals
 from repro.util import norm
 from tests.oracles.geometry import (
@@ -126,12 +126,12 @@ class TestVectorizedMask:
     def test_matches_scalar(self, rng):
         a = rng.uniform(-2, 3, size=(100, 3))
         b = rng.uniform(-2, 3, size=(100, 3))
-        mask = segments_aabb_mask(a, b, UNIT)
+        mask, _, _ = segments_clip_intervals(a, b, UNIT)
         for i in range(100):
             assert mask[i] == segment_aabb_intersects(a[i], b[i], UNIT), i
 
     def test_empty_batch(self):
-        assert segments_aabb_mask(np.empty((0, 3)), np.empty((0, 3)), UNIT).shape == (0,)
+        assert segments_clip_intervals(np.empty((0, 3)), np.empty((0, 3)), UNIT)[0].shape == (0,)
 
     def test_lengths(self):
         a = np.zeros((2, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.geometry import AABB
 from repro.index import FlatIndex, STRTree
+from tests.oracles.index import page_bounds
 
 
 class TestLayout:
@@ -76,14 +77,14 @@ class TestLayoutOnEveryDataset:
         dataset, index = laid_out
         for page in range(index.n_pages):
             objects = index.page_table.objects_of_page(page)
-            box = index.page_bounds(page)
+            box = page_bounds(index, page)
             assert np.array_equal(box.lo, dataset.obj_lo[objects].min(axis=0))
             assert np.array_equal(box.hi, dataset.obj_hi[objects].max(axis=0))
 
     def test_query_matches_brute_force(self, laid_out):
         dataset, index = laid_out
-        leaf_lo = np.array([index.page_bounds(p).lo for p in range(index.n_pages)])
-        leaf_hi = np.array([index.page_bounds(p).hi for p in range(index.n_pages)])
+        leaf_lo = np.array([page_bounds(index, p).lo for p in range(index.n_pages)])
+        leaf_hi = np.array([page_bounds(index, p).hi for p in range(index.n_pages)])
         for region in probes(dataset, seed=1):
             result = index.query(region)
             objects = np.all((dataset.obj_lo <= region.hi) & (dataset.obj_hi >= region.lo), axis=1)
@@ -119,7 +120,7 @@ class TestLayoutOnEveryDataset:
         dataset, index = laid_out
         everything = index.query(dataset.bounds)
         assert everything.n_objects == dataset.n_objects
-        assert everything.n_pages == index.n_pages
+        assert len(everything.page_ids) == index.n_pages
         far = dataset.bounds.hi + 10.0 * (dataset.bounds.extent + 1.0)
         nothing = index.query(AABB(far, far + 1.0))
-        assert nothing.n_objects == 0 and nothing.n_pages == 0
+        assert nothing.n_objects == 0 and len(nothing.page_ids) == 0

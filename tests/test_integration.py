@@ -124,7 +124,7 @@ class TestMicrobenchmarkPlumbing:
 
 class TestQuickstart:
     def test_quick_experiment_runs(self):
-        from repro import quick_experiment
+        from repro.quickstart import quick_experiment
 
         result = quick_experiment(
             prefetcher="scout", n_neurons=8, n_sequences=2, seed=3
@@ -132,7 +132,7 @@ class TestQuickstart:
         assert 0.0 <= result.cache_hit_rate <= 1.0
 
     def test_quick_experiment_rejects_unknown(self):
-        from repro import quick_experiment
+        from repro.quickstart import quick_experiment
 
         with pytest.raises(ValueError):
             quick_experiment(prefetcher="telepathy")

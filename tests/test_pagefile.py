@@ -166,12 +166,11 @@ class TestCrashRecovery:
             # and detects nothing.
             store.read_pages([1])
             assert store.tier_stats.torn_detected == 1
-            np.testing.assert_array_equal(
-                store.pagefile.read_page(1), table.objects_of_page(1)
-            )
         finally:
             store.close()
         assert path.exists(), "an explicit-path page file must survive close()"
+        with PageFile(path) as pf:
+            np.testing.assert_array_equal(pf.read_page(1), table.objects_of_page(1))
 
     @pytest.mark.parametrize("one_shot", [list, iter], ids=["list", "iterator"])
     def test_every_requested_slot_is_verified_once(self, tmp_path, monkeypatch, one_shot):
@@ -194,6 +193,42 @@ class TestCrashRecovery:
         assert served == [0, 1, 2]
 
 
+class TestReusedFileBelongsToTheDataset:
+    """A reused ``--pagefile`` must hold the bound table's pages."""
+
+    def test_page_count_mismatch_is_rejected(self, tmp_path):
+        from repro.storage.disk import DiskModel
+
+        path = tmp_path / "pages.pf"
+        PageFile.create(path, small_table()).close()
+        other = PageTable([np.array([0, 1, 2]), np.array([3, 4])])
+        store = TieredStore(DiskModel(), StorageSpec(backend="mmap", path=str(path)))
+        with pytest.raises(PageFileError, match="has 4 pages, the dataset 2"):
+            store.bind_page_table(other)
+
+    def test_slot_of_another_dataset_is_rejected(self, tmp_path):
+        from repro.storage.disk import DiskModel
+
+        path = tmp_path / "pages.pf"
+        PageFile.create(path, small_table()).close()
+        moved = [np.array([0, 1, 2]), np.array([3, 4]), np.array([5, 6, 7, 9]), np.array([8])]
+        other = PageTable(moved)
+        store = TieredStore(DiskModel(), StorageSpec(backend="mmap", path=str(path)))
+        with pytest.raises(PageFileError, match=r"another dataset \(page 2\)"):
+            store.bind_page_table(other)
+
+    def test_serve_refuses_a_foreign_page_file_at_boot(self, tmp_path, capsys):
+        from repro import cli
+
+        path = tmp_path / "pages.pf"
+        PageFile.create(path, small_table()).close()
+        argv = ["serve", "--port", "0", "--neurons", "6", "--storage", "mmap"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--pagefile", str(path)])
+        assert excinfo.value.code == 2
+        assert "error: page file" in capsys.readouterr().err
+
+
 def test_ram_and_mmap_backends_are_metric_identical(tmp_path):
     """storage=ram golden fixtures stay valid for the mmap backend.
 
@@ -210,12 +245,13 @@ def test_ram_and_mmap_backends_are_metric_identical(tmp_path):
         backend="mmap", miss_path="combined", tier_pages=2,
         path=str(tmp_path / "pages.pf"),
     )
-    ram = TieredStore(DiskModel(), spec_ram, page_table=table)
-    mm = TieredStore(DiskModel(), spec_mmap, page_table=table)
+    ram_disk, mm_disk = DiskModel(), DiskModel()
+    ram = TieredStore(ram_disk, spec_ram, page_table=table)
+    mm = TieredStore(mm_disk, spec_mmap, page_table=table)
     try:
         for batch in ([0, 1], [1, 2], [3], [0, 1, 2, 3], []):
             assert mm.read_pages(batch) == ram.read_pages(batch)
-        assert mm.stats == ram.stats
+        assert mm_disk.stats == ram_disk.stats
         assert mm.tier_stats == ram.tier_stats
     finally:
         mm.close()

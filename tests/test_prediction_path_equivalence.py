@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CandidateTracker
 from repro.core.candidates import MATCH_DISTANCE_FACTOR, CandidateTrack
-from repro.core.exits import split_entries_exits, split_entries_exits_grouped
+from repro.core.exits import split_entries_exits_grouped
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.geometry.grid import UniformGrid
@@ -30,6 +30,7 @@ from repro.index import FlatIndex, STRTree
 from repro.util import dot, norm
 from repro.workload import generate_sequence
 from tests.oracles.geometry import slab_clip
+from tests.oracles.graph import edges_of
 from tests.oracles.index import ScalarSTRTree
 
 
@@ -77,8 +78,8 @@ def bucket_loop_build(dataset, object_ids, region, resolution):
 def ordered(graph: SpatialGraph):
     """Everything downstream iterates: vertex, neighbour and component order."""
     return (
-        graph.edges(),
-        [(v, list(graph.neighbors(v))) for v in graph.vertices()],
+        sorted(edges_of(graph)),
+        [(v, list(graph._adjacency[v])) for v in graph.vertices()],
         [list(component) for component in graph.connected_components()],
     )
 
@@ -154,7 +155,7 @@ class EagerTracker(CandidateTracker):
 
         new_tracks, unmatched = [], []
         for component, object_ids, crossings in zip(components, component_ids, all_crossings):
-            entries, exits = split_entries_exits(crossings, region.center, movement)
+            entries, exits = split_entries_exits_grouped([crossings], region.center, movement)[0]
             exits = [
                 refine_crossing_direction(dataset, object_ids, e, radius=side * 0.3)
                 for e in exits
@@ -291,7 +292,7 @@ class TestGroupedSplit:
             want_entries, want_exits = scalar_split(group, center, movement)
             assert [id(c) for c in entries] == [id(c) for c in want_entries]
             assert [id(c) for c in exits] == [id(c) for c in want_exits]
-            single = split_entries_exits(group, center, movement)
+            single = split_entries_exits_grouped([group], center, movement)[0]
             assert [id(c) for c in single[1]] == [id(c) for c in want_exits]
 
 

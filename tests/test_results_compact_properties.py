@@ -166,6 +166,6 @@ def test_compact_byte_accounting_is_honest(tmp_path, lines):
     assert report.bytes_before == bytes_before
     assert report.bytes_after == path.stat().st_size
     assert report.reclaimed_bytes == bytes_before - report.bytes_after >= 0
-    assert report.n_kept + report.n_dropped == len(lines)
+    assert report.n_kept + report.n_corrupt + report.n_stale + report.n_superseded == len(lines)
     kept_lines = [line for line in path.read_text().splitlines() if line]
     assert len(kept_lines) == report.n_kept

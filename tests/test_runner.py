@@ -61,7 +61,7 @@ class TestSpecs:
             seeds=(1, 2),
         )
         cells = matrix.cells()
-        assert len(matrix) == len(cells) == 8
+        assert len(matrix.cells()) == len(cells) == 8
         assert len({cell.key() for cell in cells}) == 8
 
     def test_empty_axis_rejected(self):
@@ -128,8 +128,8 @@ class TestSpecs:
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
         matrix = tiny_matrix()
-        serial = ParallelRunner(jobs=1).run(matrix)
-        parallel = ParallelRunner(jobs=2).run(matrix)
+        serial = ParallelRunner(jobs=1).run(matrix.cells())
+        parallel = ParallelRunner(jobs=2).run(matrix.cells())
         assert [r.key for r in serial.results] == [r.key for r in parallel.results]
         assert [r.metrics for r in serial.results] == [r.metrics for r in parallel.results]
 
@@ -164,11 +164,11 @@ class TestResume:
     def test_resume_skips_completed_cells(self, tmp_path):
         matrix = tiny_matrix()
         path = tmp_path / "store.jsonl"
-        first = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix)
-        assert first.n_computed == len(matrix) and first.n_skipped == 0
+        first = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix.cells())
+        assert first.n_computed == len(matrix.cells()) and first.n_skipped == 0
 
-        second = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix)
-        assert second.n_computed == 0 and second.n_skipped == len(matrix)
+        second = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix.cells())
+        assert second.n_computed == 0 and second.n_skipped == len(matrix.cells())
         assert [r.metrics for r in second.results] == [r.metrics for r in first.results]
 
     def test_partial_store_computes_only_the_rest(self, tmp_path):
@@ -183,9 +183,9 @@ class TestResume:
     def test_no_resume_recomputes_everything(self, tmp_path):
         matrix = tiny_matrix()
         path = tmp_path / "store.jsonl"
-        ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix)
-        report = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix, resume=False)
-        assert report.n_computed == len(matrix) and report.n_skipped == 0
+        ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix.cells())
+        report = ParallelRunner(jobs=1, store=ResultStore(path)).run(matrix.cells(), resume=False)
+        assert report.n_computed == len(matrix.cells()) and report.n_skipped == 0
 
 
 class TestCorruptStore:
@@ -221,7 +221,7 @@ class TestCorruptStore:
         assert store.n_corrupt == 0  # lazy: counted on load
         store.load()
         assert store.n_corrupt == 1
-        assert len(store) == len(cells) - 1
+        assert len(store.load()) == len(cells) - 1
 
     def test_wrong_schema_version_is_recomputed(self, tmp_path):
         cells, path = self._seed_store(tmp_path)
@@ -244,7 +244,7 @@ class TestCorruptStore:
         assert report.n_corrupt == 1 and report.reclaimed_bytes > 0
         fresh = ResultStore(path)
         fresh.load()
-        assert fresh.n_corrupt == 0 and len(fresh) == len(cells)
+        assert fresh.n_corrupt == 0 and len(fresh.load()) == len(cells)
 
     def test_append_after_crash_truncated_tail(self, tmp_path):
         """A recomputed record must not glue onto a partial final line."""
@@ -263,7 +263,7 @@ class TestCorruptStore:
     def test_duplicate_keys_last_record_wins(self, tmp_path):
         cells, path = self._seed_store(tmp_path)
         store = ResultStore(path)
-        original = store.get(cells[0].key())
+        original = store.load()[cells[0].key()]
         doctored = CellResult(
             key=original.key,
             spec=original.spec,

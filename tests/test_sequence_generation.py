@@ -145,7 +145,7 @@ class TestMatchesSteppingLoop:
         # no second center is ever far enough, and the path runs out.
         dataset = _line_dataset(n_edges=1, edge_length=5.0)
         sequence = _assert_matches_stepping_loop(dataset, 0, 6, 1_000.0)
-        steps = np.diff(sequence.centers, axis=0)
+        steps = np.diff([query.center for query in sequence.queries], axis=0)
         assert np.allclose(np.abs(steps).sum(axis=1), 10.0)
 
     def test_walk_cut_short_places_some_centers_then_falls_back(self):
@@ -247,7 +247,7 @@ class TestRandomWalkMatchesAppendingWalk:
     def test_every_dataset_kind(self, request, name):
         dataset = request.getfixturevalue(name)
         self._assert_walks_match(dataset, [1.0, 300.0, 5_000.0])
-        self._assert_walks_match(dataset, [800.0], start_edge=dataset.nav.n_edges - 1)
+        self._assert_walks_match(dataset, [800.0], start_edge=len(dataset.nav.edges) - 1)
 
     def test_dead_ends_and_the_edge_cap(self):
         # One edge: the walk turns around at every end.  2,000 tiny
@@ -296,7 +296,7 @@ class TestPointsAt:
         points = poly.points_at(arcs)
         assert points.shape == (len(arcs), 3)
         for row, value in zip(points, arcs):
-            assert row.tobytes() == poly.point_at(value).tobytes()
+            assert row.tobytes() == poly.points_at([value])[0].tobytes()
             assert row.tobytes() == _scalar_point_at(poly, value).tobytes()
 
     def test_zero_length_segment_yields_its_start_point(self):

@@ -1244,10 +1244,14 @@ class TestDaemonConfigValidation:
         with pytest.raises(ValueError, match="report_interval"):
             ServeDaemon(daemon_config(report_interval=-1.0))
 
-    @pytest.mark.parametrize("flag", ["--queries-per-session", "--neurons", "--report-interval"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--queries-per-session", "--neurons", "--report-interval", "--cache-pages", "--port"],
+    )
     def test_serve_command_rejects_bad_bounds(self, capsys, flag):
+        value = {"--cache-pages": "-5", "--port": "70000"}.get(flag, "0")
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["serve", "--port", "0", flag, "0"])
+            cli.main(["serve", "--port", "0", flag, value])
         assert excinfo.value.code == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
 

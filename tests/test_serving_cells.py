@@ -98,7 +98,7 @@ class TestServeCellExecution:
     def test_run_serving_cell_returns_contention_report(self):
         result, report = run_serving_cell(serving_spec())
         assert result.metrics == report.to_aggregate()
-        assert report.n_clients == 2
+        assert len(report.clients) == 2
         assert report.cache_hits >= 0
 
     def test_sim_overrides_shrink_the_shared_cache(self):

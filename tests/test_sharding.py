@@ -142,11 +142,11 @@ class TestShardedSweepMerge:
     def test_merged_shards_match_single_process_run(self, tmp_path):
         base, shard_paths = self._run_sharded(tmp_path)
         report = merge_stores(shard_paths, base)
-        assert report.n_cells == len(MATRIX)
+        assert report.n_cells == len(MATRIX.cells())
         assert report.conflict_keys == []
 
         full = ResultStore(tmp_path / "full.jsonl")
-        ParallelRunner(jobs=1, store=full).run(MATRIX)
+        ParallelRunner(jobs=1, store=full).run(MATRIX.cells())
         merged = ResultStore(base).load()
         assert set(merged) == set(full.load()) == {c.key() for c in MATRIX.cells()}
         assert all(result.ok for result in merged.values())
@@ -168,9 +168,9 @@ class TestShardedSweepMerge:
     def test_merged_store_resumes_the_full_grid(self, tmp_path):
         base, shard_paths = self._run_sharded(tmp_path)
         merge_stores(shard_paths, base)
-        report = ParallelRunner(jobs=1, store=ResultStore(base)).run(MATRIX)
+        report = ParallelRunner(jobs=1, store=ResultStore(base)).run(MATRIX.cells())
         assert report.n_computed == 0
-        assert report.n_skipped == len(MATRIX)
+        assert report.n_skipped == len(MATRIX.cells())
 
     def test_merge_prefers_ok_over_failure_records(self, tmp_path):
         ok = run_cell(MATRIX.cells()[0])

@@ -52,10 +52,6 @@ class TestMetrics:
         )
         assert metrics.cache_hit_rate == pytest.approx(325 / 400)
 
-    def test_page_hit_rate(self):
-        metrics = SequenceMetrics(records=[record(0), record(1, needed=10, hit=4)])
-        assert metrics.page_hit_rate == pytest.approx(0.4)
-
     def test_speedup_is_cold_over_response(self):
         metrics = SequenceMetrics(records=[record(residual=1.0, cold=4.0)] * 3)
         assert metrics.speedup == pytest.approx(4.0)
@@ -83,7 +79,7 @@ class TestMetrics:
         metrics = SequenceMetrics(records=[record()] * 4)
         assert metrics.graph_build_seconds == pytest.approx(0.02)
         assert metrics.prediction_seconds == pytest.approx(0.04)
-        assert metrics.total_prefetch_pages == 12
+        assert sum(r.prefetch_pages for r in metrics.records) == 12
 
 
 class TestEngineSemantics:
@@ -119,7 +115,7 @@ class TestEngineSemantics:
         seq = generate_sequence(tissue, rng, n_queries=5, volume=40_000.0, window_ratio=0.0)
         engine = SimulationEngine(tissue_flat)
         metrics = engine.run(seq, OraclePrefetcher([seq]))
-        assert metrics.total_prefetch_pages == 0
+        assert sum(r.prefetch_pages for r in metrics.records) == 0
         assert metrics.cache_hit_rate == 0.0
 
     def test_prefetch_seconds_never_exceed_window(self, tissue, tissue_flat, rng):

@@ -28,12 +28,11 @@ class TestPageTable:
     def test_sizes(self):
         table = self.table()
         assert table.n_pages == 3
-        assert table.n_objects == 6
         assert table.page_size(0) == 3 and table.page_size(2) == 1
 
     def test_lookups_both_directions(self):
         table = self.table()
-        assert table.page_of_object(4) == 1
+        assert table.page_ids_of_objects([4])[0] == 1
         assert list(table.objects_of_page(1)) == [3, 4]
 
     def test_page_ids_of_objects_preserves_order(self):
@@ -50,7 +49,7 @@ class TestPageTable:
     def test_unassigned_object_raises(self):
         table = PageTable([np.array([0, 2])])
         with pytest.raises(KeyError):
-            table.page_of_object(1)
+            table.page_ids_of_objects([1])
 
 
 class TestDiskModel:
@@ -163,6 +162,11 @@ _STACKS = {
 _HISTORIES = ([], [0], [9], list(range(60)), [5, 17, 33, 41])
 
 
+def io_stats(disk):
+    """The I/O counters of the ``DiskModel`` at the bottom of a stack."""
+    return disk.stats if type(disk) is DiskModel else io_stats(disk._inner)
+
+
 class TestDiskStack:
     """Laws every disk class keeps now that no model holds a head position."""
 
@@ -204,30 +208,32 @@ class TestDiskStack:
     def test_planning_charges_nothing_and_perturbs_no_read(self, make_disk):
         plain, planned = make_disk(), make_disk()
         for batch in ([3, 4, 5], [4, 5, 6, 20], [3], list(range(30)), [6, 7]):
-            before = copy.deepcopy(planned.stats)
+            before = copy.deepcopy(io_stats(planned))
             planned.cost_if_cold(batch)
             planned.trim_to_budget(batch, 0.004)
-            assert planned.stats == before
+            assert io_stats(planned) == before
             assert planned.read_pages(batch) == plain.read_pages(batch)
-            assert planned.stats == plain.stats
+            assert io_stats(planned) == io_stats(plain)
             assert getattr(planned, "tier_stats", None) == getattr(plain, "tier_stats", None)
 
     def test_batch_order_and_duplicates_do_not_change_a_read(self, make_disk):
         tidy, messy = make_disk(), make_disk()
         for batch in ([8, 2, 5, 2], [5, 6, 7, 7, 6], [30, 1], [2, 2, 2]):
             assert messy.read_pages(batch) == tidy.read_pages(sorted(set(batch)))
-            assert messy.stats == tidy.stats
+            assert io_stats(messy) == io_stats(tidy)
             assert getattr(messy, "tier_stats", None) == getattr(tidy, "tier_stats", None)
 
-    def test_recover_read_is_a_clean_full_cost_read(self, make_disk):
+    @pytest.mark.parametrize("stack", ["faulty", "tiered_faulty"])
+    def test_recover_read_is_a_clean_full_cost_read(self, stack):
+        """Only a faulty disk raises a read failure, so only it recovers one."""
         for history in _HISTORIES:
-            disk = self.after(make_disk, history)
-            read_before = disk.stats.pages_read
+            disk = self.after(_STACKS[stack], history)
+            read_before = io_stats(disk).pages_read
             # 10 follows the page [9] left under a head; the long sweep
             # leaves 59 in the tier.  Both are re-read all the same.
             cost = disk.recover_read([10, 11, 59, 60])
             assert cost == pytest.approx(4 * PAGE_STEP, rel=1e-12)
-            assert disk.stats.pages_read == read_before + 4
+            assert io_stats(disk).pages_read == read_before + 4
             assert disk.recover_read([]) == 0.0
 
 

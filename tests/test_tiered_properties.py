@@ -154,16 +154,16 @@ class TestDisabledStoreIsTheBareDisk:
     @settings(deadline=None, max_examples=60)
     @given(ops=operations)
     def test_every_operation_matches_bit_for_bit(self, ops):
-        bare = DiskModel()
-        tiered = TieredStore(DiskModel(), StorageSpec())
-        assert not tiered.tiering_active
+        bare, inner = DiskModel(), DiskModel()
+        tiered = TieredStore(inner, StorageSpec())
+        assert not tiered.spec.tiering_active
         for op, arg in ops:
             expected = _apply(bare, op, arg)
             actual = _apply(tiered, op, arg)
             # Exact equality, not approx: the disabled path delegates
             # verbatim, so even the float arithmetic is the same.
             assert actual == expected, f"{op}({arg}) diverged"
-            assert tiered.stats == bare.stats
+            assert inner.stats == bare.stats
 
     @settings(deadline=None, max_examples=60)
     @given(ops=operations)
@@ -189,7 +189,7 @@ class TestLayerPartitionInvariant:
             store.read_pages(batch)
             n_requested += len(set(batch))
             ts = store.tier_stats
-            assert ts.requests == (0 if not store.tiering_active else n_requested)
+            assert ts.requests == (0 if not store.spec.tiering_active else n_requested)
             assert ts.requests == (
                 ts.tier_hits + ts.victim_hits + ts.stream_hits + ts.miss_hits
                 + ts.backing_pages + ts.failed_fills
@@ -303,12 +303,13 @@ class TestLayerPartitionInvariant:
 
     def test_fill_stall_charges_simulated_time(self):
         spec = StorageSpec(tier_pages=4, fill_stall_s=0.25)
-        store = TieredStore(DiskModel(), spec)
+        inner = DiskModel()
+        store = TieredStore(inner, spec)
         elapsed = store.read_pages([7])
         bare = DiskModel().read_pages([7])
         assert elapsed == pytest.approx(bare + 0.25)
         assert store.tier_stats.stall_seconds == pytest.approx(0.25)
-        assert store.stats.seconds_busy == pytest.approx(bare + 0.25)
+        assert inner.stats.seconds_busy == pytest.approx(bare + 0.25)
 
 
 class TestStorageSpec:

@@ -23,7 +23,12 @@ from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.sim import run_experiment
 from repro.workload.sequence import generate_sequences
 from tests.oracles.graph import region_crossings_reference
-from tests.oracles.index import ScalarFlatIndex, ScalarSTRTree, pages_for_region_scalar
+from tests.oracles.index import (
+    ScalarFlatIndex,
+    ScalarSTRTree,
+    page_bounds,
+    pages_for_region_scalar,
+)
 
 
 def toy_dataset(points: np.ndarray) -> Dataset:
@@ -185,7 +190,8 @@ class TestBatchedRegionProperty:
                 brute = [
                     p
                     for p in range(index.n_pages)
-                    if index.page_bounds(p).intersects(region)
+                    if np.all(page_bounds(index, p).lo <= region.hi)
+                    and np.all(region.lo <= page_bounds(index, p).hi)
                 ]
                 assert pages.tolist() == brute
 
@@ -227,6 +233,6 @@ class TestRegressions:
         # The pre-change table accepted an id repeated within one page;
         # only cross-page double assignment is an error.
         table = PageTable([np.array([3, 3]), np.array([1])])
-        assert table.page_of_object(3) == 0
+        assert table.page_ids_of_objects([3])[0] == 0
         with pytest.raises(ValueError):
             PageTable([np.array([3]), np.array([3])])

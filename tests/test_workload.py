@@ -10,6 +10,11 @@ from repro.workload import (
     microbenchmark,
     microbenchmark_names,
 )
+from tests.oracles.geometry import box_contains, frustum_volume
+
+
+def centers(sequence) -> np.ndarray:
+    return np.array([query.center for query in sequence.queries])
 
 
 class TestGenerateSequence:
@@ -25,7 +30,7 @@ class TestGenerateSequence:
     def test_adjacent_spacing(self, tissue, rng):
         seq = generate_sequence(tissue, rng, n_queries=8, volume=40_000.0, gap=0.0)
         side = 40_000.0 ** (1 / 3)
-        gaps = np.linalg.norm(np.diff(seq.centers, axis=0), axis=1)
+        gaps = np.linalg.norm(np.diff(centers(seq), axis=0), axis=1)
         # Euclidean spacing equals one side (within the arc-step tolerance).
         assert np.all(gaps >= side * 0.95)
         assert np.all(gaps <= side * 1.2)
@@ -34,13 +39,13 @@ class TestGenerateSequence:
         gap = 15.0
         seq = generate_sequence(tissue, rng, n_queries=8, volume=40_000.0, gap=gap)
         side = 40_000.0 ** (1 / 3)
-        gaps = np.linalg.norm(np.diff(seq.centers, axis=0), axis=1)
+        gaps = np.linalg.norm(np.diff(centers(seq), axis=0), axis=1)
         assert np.all(gaps >= (side + gap) * 0.95)
 
     def test_queries_follow_the_guiding_path(self, tissue, rng):
         seq = generate_sequence(tissue, rng, n_queries=8, volume=40_000.0)
         for query in seq.queries:
-            assert query.bounds.contains_point(query.center)
+            assert box_contains(query.bounds, query.center)
             # The center lies on the guiding path by construction, hence
             # near some dataset structure.
             distances = np.linalg.norm(tissue.centroids - query.center, axis=1)
@@ -57,8 +62,9 @@ class TestGenerateSequence:
         seq = generate_sequence(tissue, rng, n_queries=4, volume=30_000.0, aspect="frustum")
         for query in seq.queries:
             assert query.frustum is not None
-            assert query.frustum.volume == pytest.approx(30_000.0, rel=1e-6)
-            assert query.bounds.contains_box(query.frustum.bounding_aabb())
+            assert frustum_volume(query.frustum) == pytest.approx(30_000.0, rel=1e-6)
+            enclosing = query.frustum.bounding_aabb()
+            assert box_contains(query.bounds, [enclosing.lo, enclosing.hi]).all()
 
     def test_rejects_unknown_aspect(self, tissue, rng):
         with pytest.raises(ValueError):
@@ -85,11 +91,11 @@ class TestGenerateSequences:
         a = generate_sequences(tissue, 3, seed=9, n_queries=5, volume=40_000.0)
         b = generate_sequences(tissue, 3, seed=9, n_queries=5, volume=40_000.0)
         for sa, sb in zip(a, b):
-            assert np.allclose(sa.centers, sb.centers)
+            assert np.allclose(centers(sa), centers(sb))
 
     def test_sequences_differ_from_each_other(self, tissue):
         seqs = generate_sequences(tissue, 3, seed=9, n_queries=5, volume=40_000.0)
-        assert not np.allclose(seqs[0].centers, seqs[1].centers)
+        assert not np.allclose(centers(seqs[0]), centers(seqs[1]))
 
 
 class TestMicrobenchmarkRegistry:
