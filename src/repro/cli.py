@@ -638,6 +638,8 @@ def _serve_command(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pagefile is not None and args.storage != "mmap":
         parser.error("--pagefile applies to --storage mmap only")
+    if args.shards < 2 and args.partition != parser.get_default("partition"):
+        parser.error("--partition applies to --shards >= 2 only")
     config = DaemonConfig(
         host=args.host,
         port=args.port,
@@ -766,15 +768,20 @@ def _loadgen_command(argv: list[str]) -> int:
     except (ConnectionError, OSError) as error:
         print(f"loadgen failed: {error}")
         return 2
-    latency = report["latency"]
+    # An empty report (nothing served) carries null percentiles.
+    latency = {
+        key: "-" if value is None else f"{value:.2f}ms"
+        for key, value in report["latency"].items()
+        if key.endswith("_ms")
+    }
     print(
         f"loadgen: {report['requests']} requests ({report['process']}, "
         f"rate {report['offered_rate']:g}/s, seed {report['seed']})  "
         f"ok {report['ok']}  shed {report['shed']}  errors {report['errors']}"
     )
     print(
-        f"latency: p50 {latency['p50_ms']:.2f}ms  p99 {latency['p99_ms']:.2f}ms  "
-        f"p999 {latency['p999_ms']:.2f}ms  max {latency['max_ms']:.2f}ms  "
+        f"latency: p50 {latency['p50_ms']}  p99 {latency['p99_ms']}  "
+        f"p999 {latency['p999_ms']}  max {latency['max_ms']}  "
         f"achieved {report['achieved_qps']:,.0f} q/s"
     )
     if report["drained"] is not None:

@@ -331,7 +331,7 @@ class ServeDaemon:
 
         ``announce`` receives one JSON line per event (``ready``, each
         interval report, the final report) -- the daemon's stdout
-        contract that the CI smoke job and the load generator parse.
+        contract that the reach driver and the load generator parse.
         """
         if self._server is None:
             await self.start()

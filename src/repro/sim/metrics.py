@@ -439,18 +439,25 @@ class LatencyReport:
         )
 
     def summary(self) -> dict:
-        """The percentile summary serialized into latency JSON reports."""
+        """The percentile summary serialized into latency JSON reports.
+
+        An empty report's percentiles, max and mean are ``None`` (JSON
+        ``null``): ``json.dumps`` would write NaN as the bare token
+        ``NaN``, which is not JSON (RFC 8259) and which strict parsers
+        such as jq and ``JSON.parse`` reject.
+        """
+        served = bool(self.samples)
         return {
             "count": self.count,
             "shed": self.shed,
             "errors": self.errors,
             "duration_seconds": self.duration_seconds,
             "throughput_qps": self.throughput_qps,
-            "p50_ms": 1e3 * self.p50,
-            "p99_ms": 1e3 * self.p99,
-            "p999_ms": 1e3 * self.p999,
-            "max_ms": 1e3 * self.max,
-            "mean_ms": 1e3 * self.mean,
+            "p50_ms": 1e3 * self.p50 if served else None,
+            "p99_ms": 1e3 * self.p99 if served else None,
+            "p999_ms": 1e3 * self.p999 if served else None,
+            "max_ms": 1e3 * self.max if served else None,
+            "mean_ms": 1e3 * self.mean if served else None,
         }
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -15,14 +15,22 @@ it (and every process it forks or starts) enters into
 - ``serve`` + ``loadgen`` legs: the plain plane with a ``stats`` op and
   short interval reports, a fresh then reused mmap page file (and one
   built for another dataset, which ``serve`` refuses), a sharded cache,
-  bursty arrivals over a faulty disk, and a SIGTERM mid-load;
+  bursty arrivals on a healthy and on a faulty disk, and a SIGTERM
+  mid-load;
 - the eight ``examples/*.py``;
-- the four e2e workloads (``benchmarks/e2e/e2e_bench.py``), traced and
-  untraced;
+- the four e2e workloads (``benchmarks/e2e/e2e_bench.py``), untraced
+  for 1 s and traced for 4 s (it exits non-zero on a failed pin or law);
 - the three direct ``benchmarks/`` tests (Figs 15/16 and the §8.2
   memory and ablation checks, DESIGN.md §4).
 
-Any entry point that exits other than expected fails the run; then
+Any entry point that exits other than expected, or whose output or
+report file says it did not do its job, fails the run: a sweep with a
+failed cell (save the deliberate timeout leg), a paper figure missing a
+``shape:`` line, a serving grid missing a table heading, a resume that
+recomputed, a ``merge`` or ``compact`` that lost a cell, a ``loadgen``
+report with an error, a short count or an undrained daemon, or a daemon
+report whose admitted and shed requests do not add up to the load.  The
+outputs, stores and reports stay in ``results/reach/``.  Then
 ``check.py`` reports every def nothing entered (exit 1 on any outside
 its allowlist).
 """
@@ -52,19 +60,34 @@ PY = sys.executable
 CLI = [PY, "-m", "repro.cli"]
 TIMEOUT_S = 900
 
+#: A pooled sweep arms its per-cell alarm inside the pool workers.
+POOLED = ["--jobs", "2", "--timeout", "300"]
+
 #: ``--figure`` -> the smoke-scale flags its sweep runs with.
 FIGURES = {
     "3": ["--neurons", "8", "--sequences", "2"],
     "10": ["--benches", "adhoc_stat,model_building", "--neurons", "8", "--sequences", "2"],
-    "11": ["--neurons", "8", "--sequences", "2", "--jobs", "2", "--profile"],
-    "12": ["--neurons", "8", "--sequences", "2", "--jobs", "2"],
-    "13": ["--points", "2", "--neurons", "8", "--sequences", "2", "--jobs", "2"],
+    "11": ["--neurons", "8", "--sequences", "2", *POOLED, "--profile"],
+    "12": ["--neurons", "8", "--sequences", "2", *POOLED],
+    "13": ["--points", "2", "--neurons", "8", "--sequences", "2", *POOLED],
     "14": ["--sequences", "2"],
-    "17": ["--sequences", "2", "--jobs", "2"],
-    "clients": ["--neurons", "8", "--clients", "1,2", "--cache-pages", "auto,64"],
-    "chaos": ["--neurons", "8", "--jobs", "2"],
-    "tiers": ["--neurons", "8", "--jobs", "2"],
-    "shards": ["--neurons", "8", "--jobs", "2"],
+    "17": ["--sequences", "2", *POOLED],
+    "clients": ["--neurons", "8", "--clients", "1,2,64", "--cache-pages", "auto,64", *POOLED],
+    "chaos": ["--neurons", "8", *POOLED],
+    "tiers": ["--neurons", "8", *POOLED],
+    "shards": ["--neurons", "8", *POOLED],
+}
+
+#: The paper figures: each rendered group ends in a ``shape:`` line (DESIGN.md §4).
+SHAPED = ("3", "11", "12", "13", "14", "17")
+
+#: ``--figure`` -> table headings its run must print.
+HEADINGS = {
+    "17": ("Fig 17a", "Fig 17b"),
+    "clients": ("Serving sweep -- shared cache auto",),
+    "chaos": ("Chaos sweep -- breaker on",),
+    "tiers": ("Tiers sweep --",),
+    "shards": ("Shards sweep -- partition hilbert", "Shards sweep -- partition hash"),
 }
 
 EXAMPLES = sorted(str(path) for path in (REPO / "examples").glob("*.py"))
@@ -74,6 +97,63 @@ DIRECT_BENCHMARKS = (
     "benchmarks/test_fig16_prediction_cost.py",
     "benchmarks/test_mem_and_ablations.py",
 )
+
+
+def unmet(found: dict, **wanted) -> list[str]:
+    """Each ``name=value`` that ``found`` does not hold, said as a problem."""
+    return [
+        f"{name} {found.get(name)!r}, expected {value!r}"
+        for name, value in wanted.items()
+        if found.get(name) != value
+    ]
+
+
+def missing(stdout: str, *texts: str) -> list[str]:
+    """Each of ``texts`` that ``stdout`` does not print, said as a problem."""
+    return [f"no {text!r}" for text in texts if text not in stdout]
+
+
+def sweep_problems(stdout: str, shapes: int, headings=(), **counts: int) -> list[str]:
+    """What a sweep's stdout gets wrong: a summary counter (``failed 0``
+    unless ``counts`` says otherwise), the number of ``shape:`` lines, a
+    missing heading."""
+    lines = stdout.splitlines()
+    summary = next((line.split() for line in lines if line.startswith("cells ")), [])
+    found = {key: int(value) for key, value in zip(summary[::2], summary[1::2]) if value.isdigit()}
+    printed = {"shapes": sum(line.startswith("shape: ") for line in lines)}
+    return [
+        *unmet(found, **{"failed": 0, **counts}),
+        *unmet(printed, shapes=shapes),
+        *missing(stdout, *headings),
+    ]
+
+
+def load_problems(report: dict, requests: int) -> list[str]:
+    """A ``loadgen --out`` report short of its load: the offered count
+    answered without error, and the daemon drained."""
+    return unmet(report, requests=requests, errors=0, drained=True)
+
+
+def books_problems(final: dict, requests: int | None, replays: bool = False) -> list[str]:
+    """A daemon ``--report`` that did not drain, whose admitted and shed
+    requests do not partition the ``requests`` offered (when known), or
+    that replayed no plan tape although it should have."""
+    found = {
+        **final,
+        "offered": final.get("requests_admitted", 0) + final.get("requests_shed", 0),
+        "replays": final.get("plans_replayed", 0) > 0,
+    }
+    wanted = {"drained": True}
+    if requests is not None:
+        wanted["offered"] = requests
+    if replays:
+        wanted["replays"] = True
+    return unmet(found, **wanted)
+
+
+def require(what: str, problems: list[str]) -> None:
+    if problems:
+        raise SystemExit(f"reach: {what}: {'; '.join(problems)}")
 
 
 def run(argv: list[str], expect: int = 0) -> str:
@@ -91,24 +171,36 @@ def run(argv: list[str], expect: int = 0) -> str:
 
 
 def sweeps() -> None:
+    shapes, n_cells = {}, {}
     for figure, flags in FIGURES.items():
-        run([*CLI, "sweep", "--figure", figure, *flags, "--list-cells"])
-    for figure, flags in FIGURES.items():
+        listing = run([*CLI, "sweep", "--figure", figure, *flags, "--list-cells"]).splitlines()
+        groups = {line.split("  ")[0] for line in listing[:-1]}
+        shapes[figure] = len(groups) if figure in SHAPED else 0
+        n_cells[figure] = int(listing[-1].split()[0])
+
+    def sweep(figure: str, *argv: str, **counts: int) -> None:
+        out = run([*CLI, "sweep", "--figure", figure, *FIGURES[figure], *argv])
+        problems = sweep_problems(out, shapes[figure], HEADINGS.get(figure, ()), **counts)
+        require(f"sweep --figure {figure} {' '.join(argv)}", problems)
+
+    for figure in FIGURES:
         if figure != "10":
-            run([*CLI, "sweep", "--figure", figure, *flags, "--out", f"{OUT}/fig{figure}.jsonl"])
-    fig10 = [*CLI, "sweep", "--figure", "10", *FIGURES["10"]]
+            sweep(figure, "--out", f"{OUT}/fig{figure}.jsonl")
     for shard in ("0/2", "1/2"):
-        run([*fig10, "--shard", shard, "--out", f"{OUT}/fig10.jsonl"])
+        sweep("10", "--shard", shard, "--out", f"{OUT}/fig10.jsonl")
     shards = [f"{OUT}/fig10.shard{i}of2.jsonl" for i in (0, 1)]
-    run([*CLI, "merge", "--out", f"{OUT}/fig10.jsonl", *shards])
-    resumed = run([*CLI, "sweep", "--figure", "3", *FIGURES["3"], "--out", f"{OUT}/fig3.jsonl"])
-    assert "computed 0" in resumed, resumed
-    run([*CLI, "compact", f"{OUT}/fig3.jsonl", f"{OUT}/fig10.jsonl"])
+    merged = run([*CLI, "merge", "--out", f"{OUT}/fig10.jsonl", *shards])
+    require("merge", missing(merged, f"merged {n_cells['10']} cells "))
+    sweep("3", "--out", f"{OUT}/fig3.jsonl", computed=0, resumed=n_cells["3"])
+    stores = {f"{OUT}/fig{figure}.jsonl": n_cells[figure] for figure in ("3", "10", "17")}
+    compacted = run([*CLI, "compact", *stores])
+    clean = "cells  dropped corrupt 0 stale 0 superseded 0 "
+    kept = [f"{path}: kept {n} {clean}" for path, n in stores.items()]
+    require("compact", missing(compacted, *kept))
     # Every cell runs out of time, then a resume recomputes it.
-    timed = [*CLI, "sweep", "--figure", "3", *FIGURES["3"], "--out", f"{OUT}/timeout.jsonl"]
-    out = run([*timed, "--timeout", "0.001", "--retries", "0"])
-    assert "computed 0  failed 16" in out, out
-    assert "computed 16" in run(timed)
+    timed = ("--out", f"{OUT}/timeout.jsonl")
+    sweep("3", *timed, "--timeout", "0.001", "--retries", "0", computed=0, failed=n_cells["3"])
+    sweep("3", *timed, computed=n_cells["3"])
 
 
 def cells() -> None:
@@ -121,6 +213,7 @@ class Daemon:
 
     def __init__(self, name: str, flags: list[str]) -> None:
         self.name = name
+        self.requests: int | None = None
         self.stdout = open(OUT / f"serve-{name}.log", "w")
         argv = [*CLI, "serve", "--port", "0", "--neurons", "8", "--pool", "4"]
         argv += ["--queries-per-session", "12", "--report-interval", "0.2", *flags]
@@ -137,9 +230,13 @@ class Daemon:
             time.sleep(0.1)
         raise SystemExit(f"reach: serve {name} did not get ready")
 
-    def loadgen(self, flags: list[str]) -> None:
-        argv = [*CLI, "loadgen", "--port", str(self.port), "--connections", "4", *flags]
-        run([*argv, "--seed", "42", "--out", str(OUT / f"latency-{self.name}.json")])
+    def loadgen(self, requests: int, flags: list[str]) -> None:
+        """Offer ``requests`` and drain the daemon; the report must say so."""
+        self.requests = requests
+        out = OUT / f"latency-{self.name}.json"
+        argv = [*CLI, "loadgen", "--port", str(self.port), "--connections", "4", "--seed", "42"]
+        run([*argv, "--requests", str(requests), *flags, "--shutdown", "--out", str(out)])
+        require(f"loadgen {self.name}", load_problems(json.loads(out.read_text()), requests))
 
     def stats(self) -> dict:
         """The daemon's ``stats`` op, over the wire format of ``serve.protocol``."""
@@ -150,39 +247,48 @@ class Daemon:
             reply = conn.recv(int.from_bytes(header, "big"), socket.MSG_WAITALL)
         return json.loads(reply)
 
-    def wait(self) -> None:
+    def wait(self, replays: bool = False) -> None:
+        """Exit 0 with a drained report whose books partition the load."""
         code = self.process.wait(timeout=120)
         self.stdout.close()
         print(f"          exit {code}  serve {self.name}", flush=True)
         if code != 0:
             raise SystemExit(f"reach: serve {self.name} exited {code}")
+        final = json.loads((OUT / f"serve-{self.name}.json").read_text())
+        require(f"serve {self.name}", books_problems(final, self.requests, replays))
 
 
 def daemons() -> None:
-    poisson = ["--requests", "200", "--rate", "400", "--process", "poisson", "--shutdown"]
+    poisson = ["--rate", "400", "--process", "poisson"]
     plain = Daemon("plain", [])
     assert plain.stats()["ok"] is True
-    plain.loadgen(poisson)
+    plain.loadgen(200, poisson)
     plain.wait()
 
     pagefile = OUT / "pages.pf"
     mmap = ["--storage", "mmap", "--miss-path", "combined", "--tier-pages", "64"]
     for name in ("mmap", "mmap-reuse"):
         daemon = Daemon(name, [*mmap, "--pagefile", str(pagefile)])
-        daemon.loadgen(poisson)
+        require(f"serve {name}", [] if pagefile.stat().st_size else [f"empty {pagefile}"])
+        daemon.loadgen(200, poisson)
         daemon.wait()
     # A page file built for another dataset is refused at boot.
     foreign = [*CLI, "serve", "--port", "0", "--neurons", "6", *mmap]
     run([*foreign, "--pagefile", str(pagefile)], expect=2)
 
     sharded = Daemon("shards", ["--shards", "4", "--partition", "hilbert"])
-    sharded.loadgen(poisson)
+    sharded.loadgen(200, poisson)
     sharded.wait()
 
-    bursty = Daemon("bursty", ["--max-queue", "16", "--fault-rate", "0.05"])
-    storm = ["--requests", "1000", "--rate", "2000", "--burst", "8", "--process", "bursty"]
-    bursty.loadgen([*storm, "--shutdown"])
-    bursty.wait()
+    # Bursts into a small admission bound: batched flushes and shedding.
+    # Plan tapes replay on the healthy disk; faults make sessions step plainly.
+    storm = ["--rate", "2000", "--burst", "8", "--process", "bursty"]
+    bursty = Daemon("bursty", ["--max-queue", "16"])
+    bursty.loadgen(1000, storm)
+    bursty.wait(replays=True)
+    faulty = Daemon("bursty-faulty", ["--max-queue", "16", "--fault-rate", "0.05"])
+    faulty.loadgen(1000, storm)
+    faulty.wait()
 
     # SIGTERM while a duration-bound load is still arriving: the daemon
     # drains and exits 0; the cut-off load generator may fail.
@@ -210,7 +316,9 @@ def e2e() -> None:
     bench = str(REPO / "benchmarks" / "e2e" / "e2e_bench.py")
     for workload in E2E_WORKLOADS:
         for trace in ("0", "1"):
-            flags = ["--workload", workload, "--seed", "7", "--seconds", "1", "--trace", trace]
+            # The traced leg runs long enough for its output checks.
+            seconds = "4" if trace == "1" else "1"
+            flags = ["--workload", workload, "--seed", "7", "--seconds", seconds, "--trace", trace]
             run([PY, bench, *flags])
 
 

@@ -10,8 +10,8 @@ here:
   any grouping and always equal one report over the union of samples,
   so per-interval and final summaries can never disagree;
 * **percentile monotonicity** -- p50 <= p99 <= p999 <= max under
-  arbitrary latency streams (hypothesis-generated), which the CI
-  serve-smoke job asserts on real daemon output.
+  arbitrary latency streams (hypothesis-generated), which
+  ``tests/test_serve_daemon.py`` asserts on real daemon output.
 """
 
 from __future__ import annotations

@@ -349,6 +349,19 @@ def test_ci_greps_no_source():
     assert not greps, f"a source check belongs in RULES: {greps}"
 
 
+def test_ci_starts_entry_points_only_through_the_reach_driver():
+    """One run of each entry point, checked in ``tests/reach/drive.py``
+    (``nightly-bench.yml``, the benchmark's trajectory, is not CI)."""
+    ci = Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    starts = [
+        f"ci.yml:{number}: {line.strip()}"
+        for number, line in enumerate(ci.read_text().split("\n"), 1)
+        if "repro.cli" in line or "e2e_bench.py" in line
+    ]
+    assert not starts, f"an entry point run belongs in tests/reach/drive.py: {starts}"
+    assert "python -m tests.reach.drive" in ci.read_text()
+
+
 #: Keywords only tests ever passed, by the callable that took them.
 REMOVED_KEYWORDS = {
     ScoutConfig: (

@@ -144,6 +144,73 @@ def test_the_driver_runs_every_direct_benchmark():
     assert set(drive.DIRECT_BENCHMARKS) == direct - {"benchmarks/test_figures.py"}
 
 
+#: A sweep's stdout as the driver reads it: one group, its shape, the summary.
+SWEEP_OUT = """Fig 3 -- hit rate
+shape: holds
+
+cells 16  computed 16  failed 0  resumed 0  corrupt-dropped 0  stale-dropped 0  \
+pool-crashes 0  jobs 2  elapsed 1.2s
+store: results/fig3.jsonl
+"""
+
+
+def test_a_sweep_with_a_failed_cell_is_flagged():
+    assert drive.sweep_problems(SWEEP_OUT, shapes=1) == []
+    failed = SWEEP_OUT.replace("failed 0", "failed 1")
+    assert drive.sweep_problems(failed, shapes=1) == ["failed 1, expected 0"]
+    assert drive.sweep_problems(failed, shapes=1, failed=1) == []
+    assert drive.sweep_problems("", shapes=0) == ["failed None, expected 0"]
+
+
+def test_a_resume_that_recomputed_is_flagged():
+    assert drive.sweep_problems(SWEEP_OUT, shapes=1, computed=0) == ["computed 16, expected 0"]
+
+
+def test_a_missing_shape_line_or_heading_is_flagged():
+    unshaped = SWEEP_OUT.replace("shape: holds\n", "")
+    assert drive.sweep_problems(unshaped, shapes=1) == ["shapes 0, expected 1"]
+    assert drive.sweep_problems(SWEEP_OUT, shapes=1, headings=["Fig 3 --"]) == []
+    assert drive.sweep_problems(SWEEP_OUT, shapes=1, headings=["Fig 4"]) == ["no 'Fig 4'"]
+
+
+LOAD = {"requests": 200, "ok": 190, "shed": 10, "errors": 0, "drained": True}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"errors": 1}, {"drained": False}, {"drained": None}, {"requests": 199}],
+    ids=["errors", "undrained", "no-shutdown", "short-count"],
+)
+def test_a_loadgen_report_short_of_its_load_is_flagged(bad):
+    assert drive.load_problems(LOAD, 200) == []
+    ((name, value),) = bad.items()
+    assert drive.load_problems({**LOAD, **bad}, 200) == [
+        f"{name} {value!r}, expected {LOAD[name]!r}"
+    ]
+
+
+FINAL = {"drained": True, "requests_admitted": 190, "requests_shed": 10, "plans_replayed": 3}
+
+
+def test_a_daemon_report_whose_books_do_not_partition_is_flagged():
+    assert drive.books_problems(FINAL, 200, replays=True) == []
+    lost = {**FINAL, "requests_shed": 9}
+    assert drive.books_problems(lost, 200) == ["offered 199, expected 200"]
+    # Cut-off load (``requests`` unknown): the drain is still checked.
+    assert drive.books_problems(lost, None) == []
+    assert drive.books_problems({**FINAL, "drained": False}, None) == [
+        "drained False, expected True"
+    ]
+    assert drive.books_problems({**FINAL, "plans_replayed": 0}, 200, replays=True) == [
+        "replays False, expected True"
+    ]
+
+
+def test_the_driver_checks_the_shape_of_every_paper_figure():
+    shaped = [str(figure) for figure, entry in FIGURES.items() if entry.shape is not None]
+    assert list(drive.SHAPED) == shaped
+
+
 def test_the_recorder_is_inert_without_a_log():
     env = {**os.environ, "PYTHONPATH": str(REACH)}
     env.pop("REPRO_REACH_LOG", None)
@@ -154,13 +221,26 @@ def test_the_recorder_is_inert_without_a_log():
     assert out == [str(REACH / "sitecustomize.py"), "None"]
 
 
+def _recorded(tmp_path: Path, script: str) -> set[str]:
+    """Run ``script`` under the recorder over ``tmp_path/pkg``; the lines it logged."""
+    log = tmp_path / "entered.log"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(REACH), str(tmp_path)]),
+        "REPRO_REACH_LOG": str(log),
+        "REPRO_REACH_ROOT": str(tmp_path / "pkg"),
+    }
+    script = textwrap.dedent(script)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+    return set(log.read_text().splitlines())
+
+
 def test_the_recorder_logs_what_a_process_and_its_fork_enter(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     planted = _plant(package)
     (package / "__init__.py").write_text("")
-    script = textwrap.dedent(
-        """
+    script = """
         import os
         from pkg import mod
 
@@ -170,15 +250,46 @@ def test_the_recorder_logs_what_a_process_and_its_fork_enter(tmp_path):
             os._exit(0)
         os.wait()
         """
-    )
-    log = tmp_path / "entered.log"
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(REACH), str(tmp_path)]),
-        "REPRO_REACH_LOG": str(log),
-        "REPRO_REACH_ROOT": str(package),
-    }
-    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
-    entered = set(log.read_text().splitlines())
-    unlisted, _, _ = check(planted, entered, {})
+    unlisted, _, _ = check(planted, _recorded(tmp_path, script), {})
     assert sorted(d.qualname for d in unlisted) == ["outer", "outer.nested", "plain"]
+
+
+def test_the_recorder_outlives_a_signal_handler_raising_inside_it(tmp_path):
+    """A pending signal's handler often runs on the hook's first
+    instruction, and CPython unsets a hook that raises: the runner's cell
+    alarm would end the log of the process it fires in."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        textwrap.dedent(
+            """
+            def on_alarm(signum, frame):
+                raise TimeoutError
+
+
+            def spin():
+                return 1
+
+
+            def after():
+                return 2
+            """
+        )
+    )
+    script = """
+        import signal
+        from pkg import mod
+
+        signal.signal(signal.SIGALRM, mod.on_alarm)
+        for _ in range(100):
+            signal.setitimer(signal.ITIMER_REAL, 1e-4)
+            try:
+                while True:
+                    mod.spin()
+            except TimeoutError:
+                pass
+        mod.after()
+        """
+    names = {line.rsplit(":", 1)[1] for line in _recorded(tmp_path, script)}
+    assert names == {"<module>", "on_alarm", "spin", "after"}

@@ -2,8 +2,9 @@
 
 Everything runs in-process over real sockets on an ephemeral port
 (``port=0``), with ``asyncio.run`` driving one event loop per test --
-what CI's serve-smoke job does across processes, pinned here where the
-daemon's internal counters are also visible:
+what the reach driver's serve legs (``tests/reach/drive.py``) do across
+processes, pinned here where the daemon's internal counters are also
+visible:
 
 * the seeded load generator issues a *deterministic request count* for
   a given ``(process, rate, requests, seed)``, and the daemon's
@@ -51,6 +52,7 @@ from repro.serve import daemon as daemon_module
 from repro.serve.daemon import STOP_SIGNALS
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 from repro.sim.engine import QuerySession
+from repro.sim.metrics import LatencyReport
 
 
 def daemon_config(**overrides) -> DaemonConfig:
@@ -66,6 +68,10 @@ def daemon_config(**overrides) -> DaemonConfig:
     )
     defaults.update(overrides)
     return DaemonConfig(**defaults)
+
+
+def _not_json(token: str):
+    raise ValueError(f"{token} is not JSON")
 
 
 async def _with_daemon(config: DaemonConfig, scenario):
@@ -148,6 +154,54 @@ class TestProtocolOps:
                 writer.close()
 
         asyncio.run(_with_daemon(daemon_config(), scenario))
+
+    def test_reports_before_any_traffic_are_strict_json(self, tmp_path):
+        """An empty summary's percentiles are null: a NaN token is not JSON
+        (RFC 8259), and jq or ``JSON.parse`` would reject the line."""
+        path = tmp_path / "report.json"
+
+        async def scenario():
+            daemon = ServeDaemon(daemon_config(report_interval=0.01, report_path=str(path)))
+            lines: list[str] = []
+            run = asyncio.create_task(daemon.run_async(lines.append))
+            await _until(lambda: any('"interval"' in line for line in lines))
+            reader, writer = await _connect(daemon.port)
+            writer.write(STATS)
+            stats = await reader.readexactly(int.from_bytes(await reader.readexactly(4), "big"))
+            writer.close()
+            await daemon.shutdown()
+            await run
+            return lines, stats
+
+        lines, stats = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        idle = next(line for line in lines if '"interval"' in line)
+        summaries = [json.loads(idle, parse_constant=_not_json)]
+        for text in (lines[-1], path.read_text(), stats.decode()):
+            summaries.append(json.loads(text, parse_constant=_not_json)["latency"])
+        assert [(s["count"], s["p50_ms"], s["mean_ms"]) for s in summaries] == [(0, None, None)] * 4
+
+    def test_loadgen_prints_and_writes_a_report_with_nothing_served(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        async def all_shed(host, port, **options):
+            return {
+                "requests": 3,
+                "process": "poisson",
+                "offered_rate": 200.0,
+                "seed": 0,
+                "ok": 0,
+                "shed": 3,
+                "errors": 0,
+                "achieved_qps": 0.0,
+                "drained": None,
+                "latency": LatencyReport(samples=(), shed=3).summary(),
+            }
+
+        monkeypatch.setattr("repro.serve.run_loadgen", all_shed)
+        out = tmp_path / "latency.json"
+        assert cli.main(["loadgen", "--requests", "3", "--out", str(out)]) == 0
+        assert "latency: p50 -  p99 -  p999 -  max -" in capsys.readouterr().out
+        assert json.loads(out.read_text(), parse_constant=_not_json)["latency"]["max_ms"] is None
 
     def test_query_before_hello_is_an_error(self):
         async def scenario(daemon):
@@ -364,7 +418,7 @@ class TestLoadgenEndToEnd:
         ids=["mmap-combined-tier64", "hilbert-4-shards"],
     )
     def test_final_report_accounts_for_the_layer(self, tmp_path, layer):
-        """What CI's serve-smoke legs boot, with the books read here."""
+        """What the reach driver's mmap and shards legs boot, with the books read here."""
         if "storage" in layer:
             layer = dict(layer, pagefile=str(tmp_path / "pages.pf"))
 
@@ -1232,6 +1286,19 @@ def _serve_process() -> subprocess.Popen:
     )
 
 
+#: ``serve`` flag -> (a value it refuses on its own, the error after the flag):
+#: out of bounds, or a layer flag whose layer the command line left off.
+SERVE_REFUSES = {
+    "--queries-per-session": ("0", "must be"),
+    "--neurons": ("0", "must be"),
+    "--report-interval": ("0", "must be"),
+    "--cache-pages": ("-5", "must be"),
+    "--port": ("70000", "must be"),
+    "--pagefile": ("pages.pf", "applies to --storage mmap only"),
+    "--partition": ("hash", "applies to --shards >= 2 only"),
+}
+
+
 class TestDaemonConfigValidation:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -1244,16 +1311,17 @@ class TestDaemonConfigValidation:
         with pytest.raises(ValueError, match="report_interval"):
             ServeDaemon(daemon_config(report_interval=-1.0))
 
-    @pytest.mark.parametrize(
-        "flag",
-        ["--queries-per-session", "--neurons", "--report-interval", "--cache-pages", "--port"],
-    )
-    def test_serve_command_rejects_bad_bounds(self, capsys, flag):
-        value = {"--cache-pages": "-5", "--port": "70000"}.get(flag, "0")
+    @pytest.mark.parametrize("flag", SERVE_REFUSES)
+    def test_serve_command_rejects_bad_bounds(self, capsys, monkeypatch, flag):
+        def booted(config):
+            raise AssertionError(f"serve booted a daemon despite {flag}")
+
+        monkeypatch.setattr("repro.serve.ServeDaemon", booted)
+        value, error = SERVE_REFUSES[flag]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["serve", "--port", "0", flag, value])
         assert excinfo.value.code == 2
-        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert f"error: {flag} {error}" in capsys.readouterr().err
 
     def test_unknown_prefetcher_rejected(self):
         with pytest.raises(ValueError, match="unknown prefetcher"):
