@@ -133,7 +133,7 @@ class Prefetcher(abc.ABC):
         """
         return []
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
 
 

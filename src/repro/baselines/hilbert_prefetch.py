@@ -83,8 +83,7 @@ class HilbertPrefetcher(Prefetcher):
                 if len(regions) >= N_PREFETCH_CELLS:
                     break
             offset += 1
-        if not regions:
-            return []
+        # The grid's 16**dims cells always hold N_PREFETCH_CELLS neighbours.
         return [
             PrefetchTarget(
                 anchor=self._last_center,

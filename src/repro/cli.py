@@ -813,5 +813,5 @@ def main(argv: list[str] | None = None) -> int:
     return _run_command(argv)
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via entry point
+if __name__ == "__main__":
     sys.exit(main())

@@ -224,11 +224,10 @@ class ScoutOptPrefetcher(ScoutPrefetcher):
         aligned = np.abs(alignment) > 0.2
         if not np.any(aligned):
             return None
+        # Each aligned direction has a dot product > 0.2 with the unit
+        # heading, so their mean cannot vanish.
         mean_direction = directions[aligned].mean(axis=0)
-        length = norm(mean_direction)
-        if length < _EPS:
-            return None
-        return mean_direction / length
+        return mean_direction / norm(mean_direction)
 
     # -- Prefetcher API ------------------------------------------------------------
 

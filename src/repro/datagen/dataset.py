@@ -156,8 +156,6 @@ class NavigationGraph:
             edge_id = int(options[int(rng.integers(len(options)))])
             edge = self.edges[edge_id]
         points = np.concatenate(pieces)
-        if len(points) < 2:
-            raise ValueError("random walk produced a degenerate path")
         return Polyline(points)
 
     def _walked_backward(self, edge_id: int) -> Polyline:

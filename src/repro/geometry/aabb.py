@@ -103,7 +103,7 @@ class AABB:
             return AABB(center, center)
         return AABB(lo, hi)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         lo = np.array2string(self.lo, precision=2)
         hi = np.array2string(self.hi, precision=2)
         return f"AABB(lo={lo}, hi={hi})"

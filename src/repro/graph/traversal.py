@@ -126,11 +126,7 @@ def region_crossings_grouped(
     if not groups:
         return []
     sizes = [len(g) for g in groups]
-    all_ids = (
-        np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
-        if sum(sizes)
-        else np.empty(0, dtype=np.int64)
-    )
+    all_ids = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
     if len(all_ids) == 0:
         return [[] for _ in groups]
     arrays = _crossing_arrays(dataset, all_ids, region)

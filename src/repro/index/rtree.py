@@ -106,14 +106,9 @@ class STRTree(SpatialIndex):
 
     def _build(self) -> PageTable:
         dataset = self.dataset
+        # A dataset holds at least one object, so there is at least one tile.
         tiles = str_partition(dataset.centroids, self.fanout)
-
-        if tiles:
-            lo, hi, _, _ = _group_bounds(tiles, dataset.obj_lo, dataset.obj_hi)
-            self._leaf_lo, self._leaf_hi = lo, hi
-        else:
-            self._leaf_lo = np.empty((0, 3))
-            self._leaf_hi = np.empty((0, 3))
+        self._leaf_lo, self._leaf_hi, _, _ = _group_bounds(tiles, dataset.obj_lo, dataset.obj_hi)
 
         # Build internal levels bottom-up by re-applying STR to box
         # centers, then store them root-first for top-down traversal.
@@ -173,8 +168,6 @@ class STRTree(SpatialIndex):
         """
         n_regions = len(qlo)
         empty = np.empty(0, dtype=np.int64)
-        if n_regions == 0:
-            return []
         if not self._levels:
             if not len(self._leaf_lo):
                 return [empty] * n_regions

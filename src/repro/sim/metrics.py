@@ -184,7 +184,7 @@ class AggregateMetrics:
     shard_pages_moved: int | None = None
     shard_hop_seconds: float | None = None
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"hit-rate {100 * self.cache_hit_rate:.1f}% "
             f"(±{100 * self.hit_rate_std:.1f}) speedup {self.speedup:.2f}x"
@@ -326,7 +326,7 @@ class ServeReport:
             },
         )
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"{len(self.clients)} clients: hit-rate {100 * self.aggregate_hit_rate:.1f}% "
             f"cross-client {self.cross_client_hits} evicted-misses {self.evicted_misses}"
@@ -460,7 +460,7 @@ class LatencyReport:
             "mean_ms": 1e3 * self.mean if served else None,
         }
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"{self.count} samples: p50 {1e3 * self.p50:.2f}ms "
             f"p99 {1e3 * self.p99:.2f}ms p999 {1e3 * self.p999:.2f}ms "

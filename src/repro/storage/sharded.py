@@ -150,7 +150,7 @@ def page_hilbert_keys(index) -> np.ndarray:
     quantized to a ``2**HILBERT_BITS`` grid over the (slightly inflated)
     dataset bounds -- the same quantization the Hilbert-Prefetch
     baseline uses for query centers, so page order and query order live
-    on the same curve.  Empty pages key to the bounds center.
+    on the same curve.  An index's pages are never empty.
     """
     dataset = index.dataset
     table = index.page_table
@@ -163,11 +163,7 @@ def page_hilbert_keys(index) -> np.ndarray:
     dims = dataset.dims
     keys = np.empty(table.n_pages, dtype=np.int64)
     for page in range(table.n_pages):
-        objects = table.objects_of_page(page)
-        if len(objects):
-            center = centroids[objects].mean(axis=0)
-        else:
-            center = lo + extent / 2.0
+        center = centroids[table.objects_of_page(page)].mean(axis=0)
         frac = np.clip((center - lo) / extent, 0.0, 1.0)
         coord = np.minimum((frac * cells).astype(np.int64), cells - 1)
         keys[page] = hilbert_encode([int(c) for c in coord[:dims]], HILBERT_BITS)
@@ -182,10 +178,7 @@ _PAGE_KEY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _cached_page_keys(index) -> np.ndarray:
-    try:
-        keys = _PAGE_KEY_CACHE.get(index)
-    except TypeError:  # index type refuses weak references
-        return page_hilbert_keys(index)
+    keys = _PAGE_KEY_CACHE.get(index)
     if keys is None:
         keys = page_hilbert_keys(index)
         keys.flags.writeable = False  # shared across caches; splits copy it
@@ -459,8 +452,6 @@ class ShardedCache:
         source; migrations do count as insertions at the destination).
         """
         mean = float(self._ewma.mean())
-        if mean <= 0.0:
-            return
         hot = int(np.argmax(self._ewma))
         if float(self._ewma[hot]) <= REBALANCE_THRESHOLD * mean:
             return

@@ -344,8 +344,7 @@ class TieredStore:
         self._page_table = page_table
         if self.spec.backend != "mmap" or page_table is None:
             return
-        if self._pagefile is not None:
-            self._pagefile.close()
+        self.close()
         if self.spec.path is not None:
             path = Path(self.spec.path)
             if path.exists():

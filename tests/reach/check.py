@@ -1,33 +1,49 @@
-"""Production reach check: every ``src/repro`` def some entry point enters.
+"""Reach checks: every ``src/repro`` def some entry point enters, every
+line something runs.
 
-:func:`defs` lists each ``def`` of a package tree (plain functions,
-methods, properties, nested and decorated functions) by the key the
-recorder in ``sitecustomize.py`` writes, ``path:first-line:name``.  A
-def no entry point entered must be named by :data:`ALLOWLIST`, whose
-entries are of four kinds only (:data:`KINDS`); an entry naming a class
-covers its methods.  An entry that names no def is stale.  ``__repr__``
-and ``__str__`` are exempt.
+The def check: :func:`defs` lists each ``def`` of a package tree (plain
+functions, methods, properties, nested and decorated functions) by the
+key the recorder in ``sitecustomize.py`` writes, ``path:first-line:name``.
+A def no entry point entered (``entered.log``) must be named by
+:data:`ALLOWLIST`, whose entries are of four kinds only (:data:`KINDS`);
+an entry naming a class covers its methods.  An entry that names no def
+is stale.  ``__repr__`` and ``__str__`` are exempt.
 
-Run after ``drive.py`` has recorded a log (``drive.py`` runs this too)::
+The line check: every executable line of the package (a line holding
+an instruction other than ``RESUME`` or ``NOP``) must be run by an entry
+point or by tier 1 (``entered.log`` or ``tier1.log``).  A line is exempt
+if its def is exempt or is an allowlisted def no entry point entered,
+or if it sits in a block whose header line carries
+``# reach: <kind> <reason>`` with a kind of :data:`KINDS`.  A marker
+whose block has no unreached line is stale.
+
+Run after ``drive.py`` has recorded both logs (``drive.py`` runs this too)::
 
     python -m tests.reach.check
 
-It prints the never-entered report, writes it to
-``results/reach/never_entered.txt`` and exits 1 on any unlisted
-never-entered def or stale allowlist entry.
+It prints the report, writes it to ``results/reach/never_entered.txt``
+and exits 1 on any unlisted never-entered def, stale allowlist entry,
+unmarked unreached line or stale marker.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
 import sys
-from dataclasses import dataclass
+import tokenize
+import types
+from dataclasses import dataclass, field
 from pathlib import Path
+
+from tests.reach.sitecustomize import executable_lines
 
 REPO = Path(__file__).resolve().parents[2]
 PACKAGE = REPO / "src" / "repro"
 OUT = REPO / "results" / "reach"
 LOG = OUT / "entered.log"
+TIER1_LOG = OUT / "tier1.log"
 REPORT = OUT / "never_entered.txt"
 
 EXEMPT = frozenset({"__repr__", "__str__"})
@@ -79,12 +95,13 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
 
 @dataclass(frozen=True)
 class Def:
-    """One ``def`` of the package: where it starts, and its dotted name."""
+    """One ``def`` of the package: where it starts and ends, and its dotted name."""
 
     path: str
     line: int
     name: str
     qualname: str
+    end: int
 
     @property
     def key(self) -> str:
@@ -103,7 +120,7 @@ def _defs_of(tree: ast.AST, path: str) -> list[Def]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # A decorated function's code starts at its first decorator.
                 line = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found.append(Def(path, line, child.name, prefix + child.name))
+                found.append(Def(path, line, child.name, prefix + child.name, child.end_lineno))
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
@@ -114,12 +131,16 @@ def _defs_of(tree: ast.AST, path: str) -> list[Def]:
     return found
 
 
+def _files(root: Path):
+    """``(path under root, source, tree)`` of each ``.py`` file under ``root``."""
+    for file in sorted(root.rglob("*.py")):
+        source = file.read_text()
+        yield file.relative_to(root).as_posix(), source, ast.parse(source, filename=str(file))
+
+
 def defs(root: Path = PACKAGE) -> list[Def]:
     """Every non-exempt def of the ``.py`` files under ``root``."""
-    found = []
-    for file in sorted(root.rglob("*.py")):
-        path = file.relative_to(root).as_posix()
-        found += _defs_of(ast.parse(file.read_text(), filename=str(file)), path)
+    found = [d for path, _, tree in _files(root) for d in _defs_of(tree, path)]
     return [d for d in found if d.name not in EXEMPT]
 
 
@@ -140,28 +161,152 @@ def check(
     return unlisted, allowed, stale
 
 
-def report(all_defs: list[Def], entered: set[str]) -> tuple[str, bool]:
-    """The never-entered report over :data:`ALLOWLIST`, and whether it passes."""
+MARKER = re.compile(r"#\s*reach:\s*(\S*)\s*(.*)")
+
+
+@dataclass(frozen=True)
+class Marker:
+    """One ``# reach: <kind> <reason>`` comment and the lines of the block it heads."""
+
+    path: str
+    line: int
+    kind: str
+    reason: str
+    block: range
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}  [{self.kind}] {self.reason}"
+
+
+def _blocks(tree: ast.AST) -> list[tuple[range, range]]:
+    """``(header lines, block lines)`` of each block a marker may head: a
+    compound statement's body (a def or class whole), an ``except``
+    clause, an ``else:`` or a ``finally:``."""
+    found = []
+
+    def add(header: int, body: list[ast.stmt], first: int) -> None:
+        headed = range(header, max(header, body[0].lineno - 1) + 1)
+        found.append((headed, range(first, body[-1].end_lineno + 1)))
+
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if not isinstance(body, list) or not hasattr(node, "lineno"):
+            continue
+        decorators = getattr(node, "decorator_list", [])
+        add(node.lineno, body, min([node.lineno] + [d.lineno for d in decorators]))
+        before = max(stmt.end_lineno for stmt in body + getattr(node, "handlers", []))
+        for name in ("orelse", "finalbody"):
+            block = getattr(node, name, [])
+            # An ``elif`` heads a block of its own: there is no line between.
+            if block and block[0].lineno > before + 1:
+                add(before + 1, block, before + 1)
+                before = block[-1].end_lineno
+    return found
+
+
+def _markers_of(source: str, tree: ast.AST, path: str) -> list[Marker]:
+    blocks = _blocks(tree)
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = MARKER.match(token.string) if token.type == tokenize.COMMENT else None
+        if match:
+            line = token.start[0]
+            headed = [block for header, block in blocks if line in header]
+            block = min(headed, key=len, default=range(0))
+            found.append(Marker(path, line, match[1], match[2].strip(), block))
+    return found
+
+
+def markers(root: Path = PACKAGE) -> list[Marker]:
+    """Every ``# reach:`` marker of the ``.py`` files under ``root``."""
+    return [m for path, source, tree in _files(root) for m in _markers_of(source, tree, path)]
+
+
+def _code_lines(code: types.CodeType) -> set[int]:
+    lines = executable_lines(code)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= _code_lines(const)
+    return lines
+
+
+@dataclass
+class Lines:
+    """The line check's findings over one package tree."""
+
+    executable: int = 0
+    exempt: int = 0
+    #: ``path:line  source`` of each unreached line neither exempt nor marked.
+    unreached: list[str] = field(default_factory=list)
+    #: Each marker that spares some unreached line -> how many it spares.
+    marked: dict[Marker, int] = field(default_factory=dict)
+    #: Markers that spare no line: no unreached line in the block they
+    #: head, no block headed, or a kind not in :data:`KINDS` or no reason.
+    stale: list[Marker] = field(default_factory=list)
+
+
+def line_check(
+    root: Path, reached: set[str], entered: set[str], allowlist: dict[str, tuple[str, str]]
+) -> Lines:
+    """Every executable line under ``root`` that no ``path:line`` of ``reached`` names."""
+    found = Lines()
+    for path, source, tree in _files(root):
+        executable = _code_lines(compile(source, f"{root}/{path}", "exec"))
+        spared = [
+            d
+            for d in _defs_of(tree, path)
+            if d.name in EXEMPT or (d.key not in entered and any(_covers(e, d) for e in allowlist))
+        ]
+        exempt = {line for line in executable if any(d.line <= line <= d.end for d in spared)}
+        missed = {line for line in executable if f"{path}:{line}" not in reached} - exempt
+        # An inner block's marker takes its lines before an outer one's.
+        for marker in sorted(_markers_of(source, tree, path), key=lambda m: len(m.block)):
+            lines = missed.intersection(marker.block) if marker.kind in KINDS else set()
+            if lines and marker.reason:
+                found.marked[marker] = len(lines)
+                missed -= lines
+            else:
+                found.stale.append(marker)
+        text = source.splitlines()
+        found.executable += len(executable)
+        found.exempt += len(exempt)
+        found.unreached += [f"{path}:{line}  {text[line - 1].strip()}" for line in sorted(missed)]
+    return found
+
+
+def report(entered: set[str], reached: set[str]) -> tuple[str, bool]:
+    """The def and line report over :data:`ALLOWLIST`, and whether it passes."""
+    all_defs = defs()
     unlisted, allowed, stale = check(all_defs, entered, ALLOWLIST)
-    lines = [
+    lines = line_check(PACKAGE, reached, entered, ALLOWLIST)
+    n_marked = sum(lines.marked.values())
+    n_reached = lines.executable - lines.exempt - n_marked - len(lines.unreached)
+    text = [
         f"defs {len(all_defs)}  entered {len(all_defs) - len(unlisted) - len(allowed)}  "
         f"never entered {len(unlisted) + len(allowed)} "
-        f"(allowlisted {len(allowed)}, unlisted {len(unlisted)})  stale entries {len(stale)}"
+        f"(allowlisted {len(allowed)}, unlisted {len(unlisted)})  stale entries {len(stale)}",
+        f"lines {lines.executable}  reached {n_reached}  exempt {lines.exempt}  "
+        f"marked {n_marked} (markers {len(lines.marked)})  unreached {len(lines.unreached)}  "
+        f"stale markers {len(lines.stale)}",
     ]
-    lines += [f"NEVER ENTERED  {d}" for d in unlisted]
-    lines += [f"STALE ENTRY    {entry}" for entry in stale]
-    lines += [
+    text += [f"NEVER ENTERED  {d}" for d in unlisted]
+    text += [f"STALE ENTRY    {entry}" for entry in stale]
+    text += [f"UNREACHED      {line}" for line in lines.unreached]
+    text += [f"STALE MARKER   {marker}" for marker in lines.stale]
+    text += [
         f"allowed        {d}  [{kind}] {reason}"
         for entry, (kind, reason) in ALLOWLIST.items()
         for d in allowed
         if _covers(entry, d)
     ]
-    return "\n".join(lines) + "\n", not unlisted and not stale
+    text += [f"marked         {marker}  ({n} lines)" for marker, n in lines.marked.items()]
+    ok = not unlisted and not stale and not lines.unreached and not lines.stale
+    return "\n".join(text) + "\n", ok
 
 
 def main() -> int:
     entered = set(LOG.read_text().splitlines())
-    text, ok = report(defs(), entered)
+    text, ok = report(entered, entered | set(TIER1_LOG.read_text().splitlines()))
     REPORT.write_text(text)
     sys.stdout.write(text)
     print(f"reach: {'PASS' if ok else 'FAIL'} (report: {REPORT.relative_to(REPO)})")

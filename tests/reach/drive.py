@@ -1,10 +1,10 @@
-"""Run every shipped entry point under the reach recorder, then check.
+"""Run every shipped entry point, then tier 1, under the reach recorder; check.
 
     python -m tests.reach.drive
 
 Each entry point runs as a child process with ``tests/reach`` first on
-``PYTHONPATH``, so ``sitecustomize.py`` records the ``src/repro`` code
-it (and every process it forks or starts) enters into
+``PYTHONPATH``, so ``sitecustomize.py`` records the ``src/repro`` defs
+and lines it (and every process it forks or starts) runs into
 ``results/reach/entered.log``.  The entry points:
 
 - every ``sweep --figure`` grid with ``--list-cells``, then run at smoke
@@ -30,9 +30,12 @@ failed cell (save the deliberate timeout leg), a paper figure missing a
 recomputed, a ``merge`` or ``compact`` that lost a cell, a ``loadgen``
 report with an error, a short count or an undrained daemon, or a daemon
 report whose admitted and shed requests do not add up to the load.  The
-outputs, stores and reports stay in ``results/reach/``.  Then
-``check.py`` reports every def nothing entered (exit 1 on any outside
-its allowlist).
+outputs, stores and reports stay in ``results/reach/``.  Then the
+tier-1 command runs under the same recorder into
+``results/reach/tier1.log`` (``tests/test_reach.py`` deselected: it
+starts recorders of its own), and ``check.py`` reports every def no
+entry point entered and every line neither log reached (exit 1 on any
+not allowlisted, exempt or marked).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import subprocess
 import sys
 import time
 
-from tests.reach.check import LOG, OUT, PACKAGE, REPO
+from tests.reach.check import LOG, OUT, PACKAGE, REPO, TIER1_LOG
 from tests.reach.check import main as check
 
 REACH = os.path.dirname(os.path.abspath(__file__))
@@ -156,11 +159,11 @@ def require(what: str, problems: list[str]) -> None:
         raise SystemExit(f"reach: {what}: {'; '.join(problems)}")
 
 
-def run(argv: list[str], expect: int = 0) -> str:
+def run(argv: list[str], expect: int = 0, env: dict = ENV) -> str:
     """Run one entry point to completion; its stdout, or a failure."""
     started = time.perf_counter()
     done = subprocess.run(
-        argv, cwd=REPO, env=ENV, capture_output=True, text=True, timeout=TIMEOUT_S
+        argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
     )
     shown = " ".join(os.path.relpath(a, REPO) if a.startswith(str(REPO)) else a for a in argv)
     print(f"{time.perf_counter() - started:6.1f}s  exit {done.returncode}  {shown}", flush=True)
@@ -326,6 +329,13 @@ def direct_benchmarks() -> None:
     run([PY, "-m", "pytest", "-q", "-p", "no:cacheprovider", *DIRECT_BENCHMARKS])
 
 
+def tier1() -> None:
+    """The tier-1 command, into its own log; ``test_reach.py`` starts recorders of its own."""
+    deselect = ["--deselect", "tests/test_reach.py"]
+    argv = [PY, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *deselect]
+    run(argv, env={**ENV, "REPRO_REACH_LOG": str(TIER1_LOG)})
+
+
 def main() -> int:
     shutil.rmtree(OUT, ignore_errors=True)
     OUT.mkdir(parents=True)
@@ -333,6 +343,8 @@ def main() -> int:
     for step in (sweeps, cells, daemons, examples, e2e, direct_benchmarks):
         step()
     print(f"reach: entry points done in {time.perf_counter() - started:.0f}s", flush=True)
+    tier1()
+    print(f"reach: entry points and tier 1 done in {time.perf_counter() - started:.0f}s")
     return check()
 
 

@@ -101,6 +101,10 @@ class TestFig13Matrix:
         values = [fig13_axis_value("d", cell.to_dict()) for cell in matrix.cells()]
         assert values == axis
 
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            fig13_matrix("c", axis=[])
+
     def test_unknown_panel_rejected(self):
         with pytest.raises(ValueError, match="panel"):
             fig13_matrix("z")
@@ -146,6 +150,32 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["sweep", "--figure", "bogus", "--list-cells"], "figure must be"),
+            (["sweep", "--figure", "13", "--panels", ",", "--list-cells"], "--panels must name"),
+            (
+                ["sweep", "--figure", "clients", "--cache-pages", ",", "--list-cells"],
+                "--cache-pages must name",
+            ),
+            (["loadgen", "--port", "1"], "exactly one of --requests and --duration"),
+            (["loadgen", "--requests", "5", "--duration", "1"], "exactly one of --requests"),
+        ],
+        ids=["figure", "panels", "cache-pages", "no-load", "two-loads"],
+    )
+    def test_malformed_value_is_a_parser_error(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert text in capsys.readouterr().err
+
+    def test_merge_of_no_existing_store_fails(self, capsys, tmp_path):
+        out = tmp_path / "merged.jsonl"
+        assert main(["merge", "--out", str(out), str(tmp_path / "missing.jsonl")]) == 2
+        assert "merge failed: no input store exists" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_run_small_experiment(self, capsys):
         code = main(

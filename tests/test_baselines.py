@@ -107,6 +107,11 @@ class TestPolynomial:
         observe_path(p, centers)
         assert np.allclose(predicted_center(p), [16, 8, 0], atol=1e-6)
 
+    def test_no_plan_when_stationary(self):
+        p = PolynomialPrefetcher(degree=2)
+        observe_path(p, [[1, 1, 1]] * 3)
+        assert p.plan() == []
+
     def test_needs_degree_plus_one(self):
         p = PolynomialPrefetcher(degree=3)
         observe_path(p, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -137,6 +142,11 @@ class TestEWMA:
         p = EWMAPrefetcher(lam=0.3)
         observe_path(p, [[0, 0, 0], [5, 0, 0], [10, 0, 0]])
         assert np.allclose(predicted_center(p), [15, 0, 0])
+
+    def test_no_plan_when_stationary(self):
+        p = EWMAPrefetcher(lam=0.3)
+        observe_path(p, [[1, 1, 1]] * 3)
+        assert p.plan() == []
 
     def test_recent_movement_dominates(self):
         p = EWMAPrefetcher(lam=0.8)

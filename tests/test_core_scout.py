@@ -9,6 +9,8 @@ from repro.baselines import ObservedQuery
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.core.scout_opt import GAP_IO_BUDGET_FRACTION
 from repro.core.strategies import MAX_PREFETCH_LOCATIONS, plan_targets
+from repro.datagen.dataset import Dataset, NavigationGraph
+from repro.index import FlatIndex
 from repro.workload import generate_sequence
 
 
@@ -133,6 +135,24 @@ class TestScoutOpt:
         seq = generate_sequence(tissue, rng, n_queries=6, volume=40_000.0, gap=15.0)
         opt = drive(ScoutOptPrefetcher(tissue, tissue_flat), tissue_flat, seq)
         assert opt.total_gap_pages > 0
+
+    def test_graph_memory_before_any_build_is_zero(self, tissue, tissue_flat):
+        assert ScoutOptPrefetcher(tissue, tissue_flat).last_graph_memory_bytes == 0
+
+    def test_zero_length_objects_give_no_local_direction(self):
+        point = np.zeros((1, 3))
+        nav = NavigationGraph(np.array([[0.0, 0, 0], [1, 0, 0]]), [])
+        ds = Dataset(
+            name="dot",
+            p0=point,
+            p1=point,
+            radius=np.zeros(1),
+            structure_id=np.zeros(1, dtype=np.int64),
+            branch_id=np.zeros(1, dtype=np.int64),
+            nav=nav,
+        )
+        opt = ScoutOptPrefetcher(ds, FlatIndex(ds))
+        assert opt._local_direction(np.array([0]), np.array([1.0, 0.0, 0.0])) is None
 
     def test_gap_io_respects_budget(self, tissue, tissue_flat, rng):
         seq = generate_sequence(tissue, rng, n_queries=6, volume=40_000.0, gap=15.0)

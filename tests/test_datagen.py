@@ -1,5 +1,6 @@
 """Data generators: morphology, ground truth, navigation graph."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.datagen import (
     make_neuron_tissue,
     make_road_network,
 )
-from repro.datagen.dataset import Polyline
+from repro.datagen.dataset import NavEdge, NavigationGraph, Polyline
 from repro.index import FlatIndex
 
 
@@ -22,6 +23,11 @@ class TestBranchingConfig:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             BranchingConfig(steps_per_branch=(5, 2))
+
+    def test_rejects_bad_counts_and_lengths(self):
+        for bad in ({"n_stems": 0}, {"max_depth": -1}, {"step_length": 0.0}, {"radius_root": 0.0}):
+            with pytest.raises(ValueError):
+                BranchingConfig(**bad)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -225,6 +231,18 @@ class TestDatasetContainer:
         assert np.all(tissue.obj_lo >= tissue.bounds.lo - 1e-9)
         assert np.all(tissue.obj_hi <= tissue.bounds.hi + 1e-9)
 
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            ({"p0": np.zeros((0, 3))}, "non-empty and consistently shaped"),
+            ({"dims": 4}, "dims must be 2 or 3"),
+            ({"explicit_edges": np.zeros(3)}, r"\(m, 2\)"),
+        ],
+    )
+    def test_rejects_bad_fields(self, tissue, bad, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(tissue, **bad)
+
     def test_density_positive(self, tissue, roads):
         assert tissue.density() > 0
         assert roads.density() > 0
@@ -243,6 +261,15 @@ class TestNavigationGraph:
         for point in sample:
             distances = np.linalg.norm(tissue.centroids - point, axis=1)
             assert distances.min() < 20.0
+
+    def test_rejects_bad_nodes_and_edges(self):
+        line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            NavigationGraph(np.zeros((2, 2)), [])
+        with pytest.raises(ValueError, match="unknown node 2"):
+            NavigationGraph(line, [NavEdge(0, 2, Polyline(line))])
+        with pytest.raises(ValueError, match="no edges"):
+            NavigationGraph(line, []).random_walk(np.random.default_rng(0), 5.0)
 
     def test_walk_deterministic_given_rng(self, tissue):
         w1 = tissue.nav.random_walk(np.random.default_rng(5), 200.0)
@@ -263,6 +290,10 @@ class TestPolyline:
         poly = Polyline(np.array([[0, 0, 0], [10, 0, 0]], dtype=float))
         assert np.allclose(poly.points_at([-5])[0], [0, 0, 0])
         assert np.allclose(poly.points_at([50])[0], [10, 0, 0])
+
+    def test_tangent_of_a_zero_length_segment_is_plus_x(self):
+        poly = Polyline(np.array([[1, 1, 1], [1, 1, 1]], dtype=float))
+        assert np.array_equal(poly.tangent_at(0.0), [1, 0, 0])
 
     def test_tangent_unit(self):
         poly = Polyline(np.array([[0, 0, 0], [0, 2, 0], [0, 2, 2]], dtype=float))

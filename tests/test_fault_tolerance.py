@@ -15,9 +15,12 @@ sweep.
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.sim import runner
 from repro.sim import (
     CellResult,
     CellSpec,
@@ -142,6 +145,8 @@ class TestTimeouts:
         assert generous.metrics == unlimited.metrics
 
     def test_runner_rejects_bad_knobs(self):
+        with pytest.raises(ValueError, match="jobs"):
+            ParallelRunner(jobs=0)
         with pytest.raises(ValueError, match="timeout"):
             ParallelRunner(timeout=0)
         with pytest.raises(ValueError, match="retries"):
@@ -221,6 +226,69 @@ class TestPoolCrashes:
         assert report.pool_crashes == 1
 
 
+class _ScriptedPool:
+    """``ProcessPoolExecutor`` in-process, each submit's outcome scripted.
+
+    One step per ``submit`` (shared by every pool of a run; ``"run"``
+    once spent): ``"run"`` resolves the cell in-process, ``"refuse"``
+    makes ``submit`` raise ``BrokenProcessPool`` (the pool broke before
+    the runner saw it), ``"crash"`` fails the future with
+    ``BrokenProcessPool``, ``"garbled"`` with another error (a result
+    that cannot unpickle).
+    """
+
+    def __init__(self, steps: list[str]) -> None:
+        self.steps = steps
+
+    def submit(self, fn, *args):
+        step = self.steps.pop(0) if self.steps else "run"
+        if step == "refuse":
+            raise BrokenProcessPool("scripted")
+        future = Future()
+        if step == "run":
+            future.set_result(fn(*args))
+        elif step == "crash":
+            future.set_exception(BrokenProcessPool("scripted"))
+        else:
+            future.set_exception(RuntimeError("garbled"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
+
+
+THREE_CELLS = [OK_CELL, cell(PrefetcherSpec("straight-line")), cell(PrefetcherSpec("ewma"))]
+
+
+class TestPoolRaces:
+    """What a real pool does only by timing, made deterministic."""
+
+    def _script(self, monkeypatch, steps: list[str]) -> None:
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda max_workers: _ScriptedPool(steps))
+
+    def test_a_pool_broken_before_a_submit_carries_the_cell_over(self, monkeypatch):
+        self._script(monkeypatch, ["run", "refuse"])
+        report = ParallelRunner(jobs=2, retries=0).run(THREE_CELLS)
+        assert report.pool_crashes == 1
+        assert [(r.ok, r.attempts) for r in report.results] == [(True, 1)] * 3
+
+    def test_the_drain_keeps_what_settled_after_the_crash_was_seen(self, monkeypatch):
+        """``wait`` may return on the first settled future before the
+        others are seen settled: the drain finds one result, one crash."""
+        self._script(monkeypatch, ["crash", "run", "crash"])
+        first_only = lambda pending, return_when: ({next(iter(pending))}, set())  # noqa: E731
+        monkeypatch.setattr(runner, "wait", first_only)
+        report = ParallelRunner(jobs=2, retries=1).run(THREE_CELLS)
+        assert report.pool_crashes == 1
+        assert [(r.ok, r.attempts) for r in report.results] == [(True, 2), (True, 1), (True, 2)]
+
+    def test_a_result_that_cannot_be_read_is_a_failed_attempt(self, monkeypatch):
+        self._script(monkeypatch, ["garbled"])
+        (result,) = ParallelRunner(jobs=2, retries=0).run([OK_CELL]).results
+        assert (result.status, result.attempts) == ("failed", 1)
+        assert result.error == "RuntimeError: garbled"
+
+
 class TestSchemaCompatibility:
     def _stored(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -269,6 +337,34 @@ class TestSchemaCompatibility:
         store = ResultStore(path)
         store.load()
         assert store.n_stale == 1 and store.n_corrupt == 0
+
+    @pytest.mark.parametrize(
+        ("damage", "corrupt", "stale"),
+        [
+            pytest.param(lambda record: [record], 1, 0, id="not-a-dict"),
+            pytest.param(lambda record: {**record, "key": 7}, 1, 0, id="key-not-a-string"),
+            pytest.param(lambda record: {**record, "status": "exploded"}, 0, 1, id="bad-status"),
+            pytest.param(lambda record: {**record, "attempts": "1"}, 0, 1, id="bad-attempts"),
+            pytest.param(lambda record: {**record, "metrics": None}, 0, 1, id="ok-no-metrics"),
+            pytest.param(
+                lambda record: {**record, "elapsed_seconds": "fast"}, 1, 0, id="from-record-fails"
+            ),
+        ],
+    )
+    def test_each_damaged_record_is_counted_once(self, tmp_path, damage, corrupt, stale):
+        path = self._stored(tmp_path)
+        damaged = damage(json.loads(path.read_text()))
+        path.write_text(json.dumps(damaged) + "\n")
+        store = ResultStore(path)
+        assert store.load() == {}
+        assert (store.n_corrupt, store.n_stale, store.n_lines) == (corrupt, stale, 1)
+
+    def test_blank_lines_are_not_records(self, tmp_path):
+        path = self._stored(tmp_path)
+        path.write_text("\n  \n" + path.read_text() + "\n")
+        store = ResultStore(path)
+        assert list(store.load()) == [OK_CELL.key()]
+        assert (store.n_corrupt, store.n_stale, store.n_lines) == (0, 0, 1)
 
     def test_garbled_line_is_corrupt_not_stale(self, tmp_path):
         path = self._stored(tmp_path)

@@ -240,6 +240,11 @@ class TestReadRepair:
 
 
 class TestCircuitBreaker:
+    def test_rejects_zero_threshold_or_cooldown(self):
+        for threshold, cooldown in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="threshold and cooldown"):
+                CircuitBreaker(threshold=threshold, cooldown=cooldown)
+
     def test_closed_open_half_open_closed(self):
         breaker = CircuitBreaker(threshold=2, cooldown=3)
         assert breaker.state == CircuitBreaker.CLOSED

@@ -119,6 +119,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             hilbert_decode(512, dims=3, bits=3)
 
+    def test_decode_rejects_zero_dims_or_bits(self):
+        with pytest.raises(ValueError, match="dims and bits"):
+            hilbert_decode(0, dims=0, bits=4)
+        with pytest.raises(ValueError, match="dims and bits"):
+            hilbert_decode(0, dims=3, bits=0)
+
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
             hilbert_encode((0, 0), bits=0)

@@ -6,7 +6,7 @@ import pytest
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.graph import region_crossings
-from repro.graph.traversal import refine_crossing_direction
+from repro.graph.traversal import Crossing, refine_crossing_direction, region_crossings_grouped
 from tests.oracles.geometry import box_contains
 
 
@@ -58,6 +58,11 @@ class TestRegionCrossings:
         ds = chain_dataset(points)
         assert region_crossings(ds, np.arange(ds.n_objects), REGION) == []
 
+    def test_groups_without_objects_have_no_crossings(self):
+        points = np.array([[-5, 5, 5], [5, 5, 5]], dtype=float)
+        ds = chain_dataset(points)
+        assert region_crossings_grouped(ds, [[], np.array([], dtype=int)], REGION) == [[], []]
+
     def test_extrapolate(self):
         points = np.array([[5, 5, 5], [15, 5, 5]], dtype=float)
         ds = chain_dataset(points)
@@ -86,3 +91,19 @@ class TestDirectionRefinement:
         (crossing,) = region_crossings(ds, np.array([0]), REGION)
         refined = refine_crossing_direction(ds, np.array([0]), crossing, radius=1e-6)
         assert np.allclose(refined.direction, crossing.direction)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[5, 5, 5], [5, 5, 5]],
+            # Two segments across the crossing direction, one each way:
+            # sign-aligned, their directions cancel.
+            [[5, 4, 5], [5, 6, 5], [5, 4, 5]],
+        ],
+        ids=["zero-length", "cancelling"],
+    )
+    def test_no_direction_from_two_neighbours_keeps_original(self, points):
+        ds = chain_dataset(np.array(points, dtype=float))
+        crossing = Crossing(0, np.array([5.0, 5.0, 5.0]), np.array([1.0, 0.0, 0.0]))
+        ids = np.arange(ds.n_objects)
+        assert refine_crossing_direction(ds, ids, crossing, radius=5.0) is crossing

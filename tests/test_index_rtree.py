@@ -54,6 +54,8 @@ class TestTreeStructure:
         assert len(tree.pages_for_region(ds.bounds)) == 1
         far = AABB([100, 100, 100], [101, 101, 101])
         assert len(tree.pages_for_region(far)) == 0
+        near, none = tree.pages_for_regions([ds.bounds, far])
+        assert list(near) == [0] and len(none) == 0
 
     def test_pages_partition_objects(self, rng):
         ds = toy_dataset(rng.uniform(0, 10, size=(200, 3)))

@@ -17,6 +17,7 @@ storage=ram metric identity that keeps the golden fixtures honest.
 
 from __future__ import annotations
 
+import struct
 import subprocess
 import sys
 
@@ -68,6 +69,32 @@ class TestHealthyFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(PageFileError, match="bad magic"):
             PageFile(path)
+
+    @pytest.mark.parametrize(
+        ("damage", "message"),
+        [
+            (lambda raw: raw[:10], "truncated"),
+            (lambda raw: raw[:8] + struct.pack("<I", 99) + raw[12:], "version 99"),
+            (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "corrupt header"),
+        ],
+        ids=["short-header", "version", "checksum"],
+    )
+    def test_damaged_header_is_rejected(self, tmp_path, damage, message):
+        path = tmp_path / "pages.pf"
+        PageFile.create(path, small_table()).close()
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(PageFileError, match=message):
+            PageFile(path)
+
+    def test_bit_rot_in_a_slot_is_a_torn_page(self, tmp_path):
+        path = tmp_path / "pages.pf"
+        with PageFile.create(path, small_table()) as pf:
+            payload = pf._slot_offset(1) + 8  # past the slot's CRC and count
+        raw = bytearray(path.read_bytes())
+        raw[payload] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with PageFile(path) as pf, pytest.raises(TornPageError):
+            pf.read_page(1)
 
     def test_truncated_file_is_rejected(self, tmp_path):
         path = tmp_path / "pages.pf"
@@ -227,6 +254,29 @@ class TestReusedFileBelongsToTheDataset:
             cli.main([*argv, "--pagefile", str(path)])
         assert excinfo.value.code == 2
         assert "error: page file" in capsys.readouterr().err
+
+
+def test_a_private_page_file_lives_from_bind_to_close():
+    """``serve --storage mmap`` without ``--pagefile``: each bound table
+    gets a temporary page file, and the store removes the ones it made."""
+    from repro.storage.disk import DiskModel
+
+    store = TieredStore(DiskModel(), StorageSpec(backend="mmap"))
+    store.bind_page_table(small_table())
+    first = store._pagefile
+    assert first.path.name.startswith("scout-pages-") and first.n_pages == 4
+    store.bind_page_table(PageTable([np.array([0, 1]), np.array([2])]))
+    second = store._pagefile
+    assert second.n_pages == 2 and second.path != first.path
+    assert first._file is None and not first.path.exists()
+    assert store.read_pages([0, 1]) == DiskModel().read_pages([0, 1])
+    store.close()
+    assert second._file is None and not second.path.exists()
+    store.close()
+    # A temporary-file sweeper got there first: closing still succeeds.
+    store.bind_page_table(small_table())
+    store._pagefile.path.unlink()
+    store.close()
 
 
 def test_ram_and_mmap_backends_are_metric_identical(tmp_path):

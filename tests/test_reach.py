@@ -1,7 +1,7 @@
-"""The production-reach check (``tests/reach/``) on synthetic trees.
+"""The reach checks (``tests/reach/``) on synthetic trees.
 
 No entry point runs here: the checker reads planted packages, and the
-recorder runs once in a child interpreter over a two-function package.
+recorder runs in child interpreters over small planted packages.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.workload.figures import FIGURES
 from tests.reach import drive
-from tests.reach.check import ALLOWLIST, EXEMPT, KINDS, REPO, check, defs
+from tests.reach.check import ALLOWLIST, EXEMPT, KINDS, REPO, check, defs, line_check, markers
 
 REACH = Path(__file__).resolve().parent / "reach"
 
@@ -254,28 +254,37 @@ def test_the_recorder_logs_what_a_process_and_its_fork_enter(tmp_path):
     assert sorted(d.qualname for d in unlisted) == ["outer", "outer.nested", "plain"]
 
 
+def _planted_package(tmp_path: Path, source: str) -> Path:
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(textwrap.dedent(source))
+    return package
+
+
+def _lines_of(log: set[str], path: str = "mod.py") -> set[int]:
+    """The line numbers of ``path`` a recorder log holds (def records left out)."""
+    return {int(key.split(":")[1]) for key in log if key.count(":") == 1 and key.startswith(path)}
+
+
 def test_the_recorder_outlives_a_signal_handler_raising_inside_it(tmp_path):
     """A pending signal's handler often runs on the hook's first
     instruction, and CPython unsets a hook that raises: the runner's cell
     alarm would end the log of the process it fires in."""
-    package = tmp_path / "pkg"
-    package.mkdir()
-    (package / "__init__.py").write_text("")
-    (package / "mod.py").write_text(
-        textwrap.dedent(
-            """
-            def on_alarm(signum, frame):
-                raise TimeoutError
+    _planted_package(
+        tmp_path,
+        """
+        def on_alarm(signum, frame):
+            raise TimeoutError
 
 
-            def spin():
-                return 1
+        def spin():
+            return 1
 
 
-            def after():
-                return 2
-            """
-        )
+        def after():
+            return 2
+        """,
     )
     script = """
         import signal
@@ -291,5 +300,145 @@ def test_the_recorder_outlives_a_signal_handler_raising_inside_it(tmp_path):
                 pass
         mod.after()
         """
-    names = {line.rsplit(":", 1)[1] for line in _recorded(tmp_path, script)}
+    log = _recorded(tmp_path, script)
+    names = {key.split(":")[2] for key in log if key.count(":") == 2}
     assert names == {"<module>", "on_alarm", "spin", "after"}
+    assert _lines_of(log) == {2, 3, 6, 7, 10, 11}
+
+
+def test_a_handler_run_inside_the_hook_is_credited_its_lines(tmp_path):
+    """Nothing is traced inside the hook, where a pending signal's handler
+    often runs (the runner's ``_on_alarm``); its lines count as run."""
+    _planted_package(
+        tmp_path,
+        """
+        def on_signal(signum, frame):
+            return signum
+
+
+        def after():
+            return 2
+        """,
+    )
+    script = """
+        import signal
+        import sitecustomize
+        from pkg import mod
+
+        signal.signal(signal.SIGUSR1, mod.on_signal)
+        write = sitecustomize._write
+
+        def write_then_signal(record):
+            sitecustomize._write = write
+            write(record)
+            signal.raise_signal(signal.SIGUSR1)
+
+        # The next record is written inside the hook; the signal lands there.
+        sitecustomize._write = write_then_signal
+        mod.after()
+        """
+    assert _lines_of(_recorded(tmp_path, script)) == {2, 3, 6, 7}
+
+
+def test_a_handler_getsignal_returned_goes_back_unchanged(tmp_path):
+    """Handing back the handler found (as ``ServeDaemon.run_async`` does)
+    must not wrap the recorder's wrapper again."""
+    _planted_package(tmp_path, "")
+    script = """
+        import signal
+
+        signal.signal(signal.SIGUSR1, lambda signum, frame: None)
+        found = signal.getsignal(signal.SIGUSR1)
+        signal.signal(signal.SIGUSR1, found)
+        assert signal.getsignal(signal.SIGUSR1) is found
+        """
+    _recorded(tmp_path, script)
+
+
+#: An entered def whose ``if`` branch the run below never takes.
+BRANCHY = """
+def pick(x):
+    if x:{marker}
+        return 1
+    return 2
+"""
+
+
+def test_an_entered_def_with_an_unreached_branch_is_flagged(tmp_path):
+    package = _planted_package(tmp_path, BRANCHY.format(marker=""))
+    log = _recorded(tmp_path, "from pkg import mod; mod.pick(0)")
+    assert check(defs(package), log, {})[0] == []
+    found = line_check(package, log, log, {})
+    assert found.unreached == ["mod.py:4  return 1"]
+    assert found.marked == {} and found.stale == []
+
+
+def test_a_marker_spares_the_block_it_heads(tmp_path):
+    package = _planted_package(tmp_path, BRANCHY.format(marker="  # reach: error planted"))
+    log = _recorded(tmp_path, "from pkg import mod; mod.pick(0)")
+    found = line_check(package, log, log, {})
+    assert found.unreached == [] and found.stale == []
+    ((marker, n_lines),) = found.marked.items()
+    assert (marker.line, marker.kind, marker.reason, n_lines) == (3, "error", "planted", 1)
+    assert list(marker.block) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    ("marker", "arg"),
+    [("error planted", 1), ("hope planted", 0), ("error", 0)],
+    ids=["block-reached", "unknown-kind", "no-reason"],
+)
+def test_a_marker_that_spares_nothing_is_stale(tmp_path, marker, arg):
+    package = _planted_package(tmp_path, BRANCHY.format(marker=f"  # reach: {marker}"))
+    log = _recorded(tmp_path, f"from pkg import mod; mod.pick(0); mod.pick({arg})")
+    found = line_check(package, log, log, {})
+    assert found.marked == {}
+    assert [(m.line, m.kind) for m in found.stale] == [(3, marker.split()[0])]
+
+
+def test_a_marker_off_a_block_header_is_stale(tmp_path):
+    source = BRANCHY.format(marker="").replace("return 2", "return 2  # reach: error planted")
+    package = _planted_package(tmp_path, source)
+    log = _recorded(tmp_path, "from pkg import mod; mod.pick(0)")
+    found = line_check(package, log, log, {})
+    assert [m.line for m in found.stale] == [5] and len(found.stale[0].block) == 0
+    assert found.unreached == ["mod.py:4  return 1"]
+
+
+@pytest.mark.parametrize(
+    ("opener", "header"),
+    [
+        ("if x:", "else:"),
+        ("if x:", "elif x > 1:"),
+        ("try:", "except ValueError:"),
+        ("try:", "finally:"),
+    ],
+)
+def test_a_marker_heads_else_elif_except_and_finally_blocks(tmp_path, opener, header):
+    lines = [
+        "def f(x):",
+        f"    {opener}",
+        "        y = 1",
+        f"    {header}  # reach: error planted",
+        "        y = 2",
+        "    return y",
+    ]
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text("\n".join(lines) + "\n")
+    (marker,) = markers(package)
+    assert list(marker.block) == [4, 5]
+
+
+def test_exempt_and_never_entered_allowlisted_defs_need_no_lines(tmp_path):
+    package = _planted_package(tmp_path, PLANTED)
+    log = _recorded(tmp_path, "from pkg import mod; mod.plain(); mod.outer()")
+    allowlist = {"mod.py::Box": ("protocol", "planted")}
+    assert line_check(package, log, log, allowlist).unreached == ["mod.py:24  return 4"]
+
+
+def test_the_package_carries_few_markers_each_with_a_kind_and_a_reason():
+    found = markers()
+    assert len(found) <= 25
+    for marker in found:
+        assert marker.kind in KINDS and marker.reason and len(marker.block), marker

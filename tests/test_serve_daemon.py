@@ -35,6 +35,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve import daemon as daemon_module
+from repro.serve import loadgen
 from repro.serve.daemon import STOP_SIGNALS
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 from repro.sim.engine import QuerySession
@@ -114,15 +116,102 @@ class TestArrivalSchedules:
         cv = lambda gaps: np.std(gaps) / np.mean(gaps)  # noqa: E731
         assert cv(bursty) > cv(smooth)
 
-    def test_schedule_argument_validation(self):
-        with pytest.raises(ValueError):
-            poisson_arrivals(0.0, n_requests=10)
-        with pytest.raises(ValueError):
-            poisson_arrivals(100.0)  # neither count nor duration
-        with pytest.raises(ValueError):
-            poisson_arrivals(100.0, n_requests=10, duration=1.0)  # both
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("rate", [100.0, 0.5], ids=["in-a-phase", "at-a-phase-end"])
+    def test_bursty_duration_mode_stops_at_the_horizon(self, rate):
+        """The horizon falls between two arrivals of a phase, or (at a low
+        rate) past the end of a phase with no arrival left in it."""
+        for seed in range(8):
+            a = bursty_arrivals(rate, duration=1.0, seed=seed)
+            assert np.array_equal(a, bursty_arrivals(rate, duration=1.0, seed=seed))
+            assert np.all(a <= 1.0) and np.all(np.diff(a) >= 0)
+
+    @pytest.mark.parametrize("arrivals", [poisson_arrivals, bursty_arrivals])
+    @pytest.mark.parametrize(
+        ("rate", "count", "message"),
+        [
+            (0.0, {"n_requests": 10}, "arrival rate must be positive"),
+            (100.0, {}, "exactly one of"),
+            (100.0, {"n_requests": 10, "duration": 1.0}, "exactly one of"),
+            (100.0, {"n_requests": 0}, "n_requests must be >= 1"),
+            (100.0, {"duration": 0.0}, "duration must be positive"),
+        ],
+    )
+    def test_schedule_argument_validation(self, arrivals, rate, count, message):
+        with pytest.raises(ValueError, match=message):
+            arrivals(rate, **count)
+
+    def test_burst_factor_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="burst factor"):
             bursty_arrivals(100.0, n_requests=10, burst=0.5)
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestLoadgenRefusals:
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [({"connections": 0}, "connections must be >= 1"), ({"process": "uniform"}, "unknown")],
+    )
+    def test_bad_arguments_are_refused_before_connecting(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            asyncio.run(run_loadgen("127.0.0.1", _free_port(), requests=1, **bad))
+
+    @pytest.mark.parametrize("reply", [{"ok": False, "error": "no"}, None], ids=["refused", "eof"])
+    def test_a_rejected_hello_fails_the_run(self, reply):
+        async def main():
+            async def answer(reader, writer):
+                await read_frame(reader)
+                if reply is not None:
+                    await write_frame(writer, reply)
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            async with server:
+                port = server.sockets[0].getsockname()[1]
+                await run_loadgen("127.0.0.1", port, connections=2, requests=4)
+
+        with pytest.raises(ConnectionError, match="hello rejected"):
+            asyncio.run(main())
+
+    def test_an_error_reply_is_counted_not_fatal(self):
+        async def main():
+            async def answer(reader, writer):
+                while (frame := await read_frame(reader)) is not None:
+                    replies = {"hello": {"ok": True, "client_id": 0}, "query": {"ok": False}}
+                    await write_frame(writer, replies.get(frame["op"], {"ok": True}))
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            async with server:
+                port = server.sockets[0].getsockname()[1]
+                return await run_loadgen("127.0.0.1", port, connections=1, requests=5)
+
+        report = asyncio.run(main())
+        assert (report["ok"], report["errors"], report["latency"]["errors"]) == (0, 5, 5)
+
+    def test_connect_retries_until_the_daemon_listens(self):
+        async def main():
+            port = _free_port()
+            connecting = asyncio.create_task(loadgen._connect_with_retry("127.0.0.1", port))
+            await asyncio.sleep(0.2)
+            assert not connecting.done()
+            server = await asyncio.start_server(lambda reader, writer: None, "127.0.0.1", port)
+            async with server:
+                _, writer = await asyncio.wait_for(connecting, timeout=30)
+                writer.close()
+
+        asyncio.run(main())
+
+    def test_connect_gives_up_at_its_deadline(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "CONNECT_TIMEOUT_S", 0.2)
+        started = time.perf_counter()
+        with pytest.raises(OSError):
+            asyncio.run(loadgen._connect_with_retry("127.0.0.1", _free_port()))
+        assert time.perf_counter() - started >= 0.2
 
 
 class TestProtocolOps:
@@ -1247,6 +1336,63 @@ class TestHostileWire:
         assert process.returncode == 0
         assert stderr == ""
 
+    def test_run_async_off_the_main_thread_borrows_no_signal(self):
+        found = {signum: signal.getsignal(signum) for signum in STOP_SIGNALS}
+        reports = []
+
+        def serve():
+            daemon = ServeDaemon(daemon_config())
+
+            def announce(line):
+                if json.loads(line)["type"] == "ready":
+                    asyncio.ensure_future(daemon.shutdown())
+
+            reports.append(asyncio.run(daemon.run_async(announce)))
+
+        worker = threading.Thread(target=serve)
+        worker.start()
+        worker.join(timeout=60)
+        assert [report["drained"] for report in reports] == [True]
+        assert {signum: signal.getsignal(signum) for signum in STOP_SIGNALS} == found
+
+    def test_a_connection_open_at_loop_teardown_ends_quietly(self):
+        """``asyncio.run`` cancels the handler of a connection still open
+        when its loop closes; the handler must end without a complaint."""
+        complaints: list[dict] = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: complaints.append(context)
+            )
+            daemon = ServeDaemon(daemon_config())
+            await daemon.start()
+            stream = await _connect(daemon.port)
+            assert (await _ask(stream, "hello"))["ok"]
+
+        asyncio.run(main())
+        gc.collect()
+        assert complaints == []
+
+    def test_a_stop_signal_held_during_boot_is_raised_again_on_ready(self, monkeypatch, capsys):
+        """``serve`` holds a stop signal that lands before the daemon has
+        borrowed the handlers, then raises it again for the daemon."""
+        run_async = ServeDaemon.run_async
+
+        async def signalled_while_booting(daemon, announce):
+            os.kill(os.getpid(), signal.SIGTERM)
+            return await run_async(daemon, announce)
+
+        monkeypatch.setattr(ServeDaemon, "run_async", signalled_while_booting)
+        found = {signum: signal.getsignal(signum) for signum in STOP_SIGNALS}
+        try:
+            assert cli.main(["serve", "--port", "0", "--neurons", "6", "--pool", "2"]) == 0
+        finally:
+            for signum, handler in found.items():
+                signal.signal(signum, handler)
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [line["type"] for line in lines] == ["ready", "final"]
+        assert lines[-1]["drained"] is True
+
     def test_run_async_hands_the_callers_signal_handlers_back(self):
         """In-process, the daemon borrows SIGINT/SIGTERM and returns them."""
 
@@ -1300,6 +1446,10 @@ SERVE_REFUSES = {
 
 
 class TestDaemonConfigValidation:
+    def test_port_is_unknown_before_start(self):
+        with pytest.raises(RuntimeError, match="not started"):
+            ServeDaemon(daemon_config()).port
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             ServeDaemon(daemon_config(max_queue=0))

@@ -35,7 +35,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import EWMAPrefetcher
 from repro.datagen import make_neuron_tissue
-from repro.index import FlatIndex
+from repro.datagen.dataset import Dataset, NavigationGraph
+from repro.index import FlatIndex, STRTree
 from repro.sim import ServingSimulator, SimulationConfig
 from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.sim.runner import _layer_spec
@@ -237,6 +238,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             ShardSpec(**kwargs)
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_sharded_cache(ShardSpec(n_shards=2), -1)
+
     def test_spec_round_trips_through_dict(self):
         spec = ShardSpec(n_shards=4, partition="hilbert", rebalance=True, rebalance_interval=5)
         assert _layer_spec("shards", dataclasses.asdict(spec)) == spec
@@ -296,6 +301,42 @@ class TestRebalancer:
         for page in cache.cached_pages():
             assert page in cache
             assert cache.owner_of(page) == 1
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            # Four pages on three shards: the hot shard owns one page,
+            # so it has no key range to cut.
+            [50.0 * (i // 3) + i for i in range(12)],
+            # Four pages on one Hilbert key, all owned by the last shard:
+            # its median key is its lower bound, so no split can move.
+            [0.0] * 12,
+        ],
+        ids=["one-page-shard", "one-key"],
+    )
+    def test_a_hot_shard_with_nothing_to_hand_over_keeps_its_range(self, xs):
+        p0 = np.array([[x, 0.0, 0.0] for x in xs])
+        n = len(xs)
+        dataset = Dataset(
+            name="row",
+            p0=p0,
+            p1=p0 + [1.0, 0.0, 0.0],
+            radius=np.zeros(n),
+            structure_id=np.zeros(n, dtype=np.int64),
+            branch_id=np.zeros(n, dtype=np.int64),
+            nav=NavigationGraph(np.zeros((1, 3)), []),
+        )
+        index = STRTree(dataset, fanout=4)
+        cache = hilbert_cache(index, 3, rebalance=True, rebalance_interval=1)
+        splits = cache.split_keys.copy()
+        owners = np.searchsorted(splits, page_hilbert_keys(index), side="right")
+        sizes = np.bincount(owners, minlength=3)
+        # The page of a one-page shard, or any page when one shard owns all.
+        page = int(np.argmax(sizes[owners] == (1 if len(set(xs)) > 1 else 4)))
+        for _ in range(8):
+            cache.touch_many([page])
+        assert cache.rebalance_events == 0
+        assert np.array_equal(cache.split_keys, splits)
 
     def test_split_keys_stay_sorted_across_rebalances(self, tissue_flat):
         cache = self._fresh(tissue_flat)

@@ -16,6 +16,7 @@ from repro.storage import (
     TieredStore,
 )
 from repro.storage.disk import POSITIONING_S, STRIPE_WAYS, TRANSFER_S_PER_PAGE
+from repro.util import csr_expand
 
 #: One page's read: its striped positioning plus its transfer.
 PAGE_STEP = POSITIONING_S / STRIPE_WAYS + TRANSFER_S_PER_PAGE
@@ -42,9 +43,21 @@ class TestPageTable:
     def test_empty_lookup(self):
         assert len(self.table().page_ids_of_objects([])) == 0
 
+    def test_gather_of_no_pages_or_empty_runs_is_empty(self):
+        for gathered in (self.table().objects_of_pages([]), csr_expand([3, 5], [0, 0])):
+            assert gathered.dtype == np.int64 and len(gathered) == 0
+
     def test_rejects_duplicate_assignment(self):
         with pytest.raises(ValueError):
             PageTable([np.array([0, 1]), np.array([1, 2])])
+
+    def test_rejects_a_page_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="1D array"):
+            PageTable([np.zeros((2, 2))])
+
+    def test_out_of_range_page_raises(self):
+        with pytest.raises(IndexError, match="page 3 out of range"):
+            self.table().objects_of_page(3)
 
     def test_unassigned_object_raises(self):
         table = PageTable([np.array([0, 2])])

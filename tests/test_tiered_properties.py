@@ -325,6 +325,12 @@ class TestStorageSpec:
         with pytest.raises(ValueError, match="unknown miss path"):
             StorageSpec(miss_path="assoc")
 
+    def test_rejects_negative_tier_or_stall(self):
+        with pytest.raises(ValueError, match="tier_pages"):
+            StorageSpec(tier_pages=-1)
+        with pytest.raises(ValueError, match="fill_stall_s"):
+            StorageSpec(fill_stall_s=-1.0)
+
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
             StorageSpec(backend="nvme")

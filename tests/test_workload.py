@@ -70,6 +70,10 @@ class TestGenerateSequence:
         with pytest.raises(ValueError):
             generate_sequence(tissue, rng, n_queries=2, volume=100.0, aspect="sphere")
 
+    def test_rejects_a_gap_that_overlaps_consecutive_queries(self, tissue, rng):
+        with pytest.raises(ValueError, match="gap too negative"):
+            generate_sequence(tissue, rng, n_queries=2, volume=100.0, gap=-1e6)
+
     def test_rejects_zero_queries(self, tissue, rng):
         with pytest.raises(ValueError):
             generate_sequence(tissue, rng, n_queries=0, volume=100.0)
