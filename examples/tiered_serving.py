@@ -9,9 +9,9 @@ real checksummed on-disk page file serving actual bytes.
 
 The script first walks the miss-path ladder over a shared hotspot
 fleet, showing how each mechanism absorbs backing-store reads, then
-builds an mmap page file, *tears a slot the honest way* (a child
-process dies mid-write with ``os._exit``) and lets the store detect
-and repair it on the read path.
+builds an mmap page file, corrupts one slot on disk (as a torn write
+or a bad sector would) and lets the store detect and repair it on the
+read path.
 
 Run:  python examples/tiered_serving.py
 
@@ -21,8 +21,6 @@ parallel) is the sweep engine's job:
     scout-repro sweep --figure tiers --jobs 4 --out results/tiers.jsonl
 """
 
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -35,16 +33,6 @@ from repro.storage.disk import DiskModel
 
 N_CLIENTS = 4
 TIER_PAGES = 16
-
-#: A writer that really dies mid-write, leaving a torn slot behind.
-_CRASH_WRITER = """
-import sys
-import numpy as np
-from repro.storage.pagefile import PageFile
-
-pf = PageFile(sys.argv[1])
-pf.write_page(int(sys.argv[2]), np.array([1, 2, 3]), crash_after="payload")
-"""
 
 
 def main() -> None:
@@ -91,14 +79,17 @@ def main() -> None:
         PageFile.create(path, page_table).close()
         print(f"Page file: {path.stat().st_size:,} bytes for {page_table.n_pages} slots")
 
-        # A child process dies with os._exit in the middle of rewriting
-        # slot 3 -- the same crash the format is built to survive.
-        subprocess.run(
-            [sys.executable, "-c", _CRASH_WRITER, str(path), "3"],
-            capture_output=True,
-        )
+        # Flip a byte of slot 3's stored checksum on disk: the slots
+        # are the file's last n_pages * slot_bytes bytes.
         with PageFile(path) as probe:
-            print(f"After the crashed writer: torn slots = {probe.scan_torn()}")
+            slot = path.stat().st_size - (probe.n_pages - 3) * probe.slot_bytes
+        with open(path, "r+b") as fh:
+            fh.seek(slot)
+            byte = fh.read(1)[0]
+            fh.seek(slot)
+            fh.write(bytes([byte ^ 0xFF]))
+        with PageFile(path) as probe:
+            print(f"After corrupting slot 3: torn slots = {probe.scan_torn()}")
 
         store = TieredStore(
             DiskModel(), StorageSpec(backend="mmap", path=str(path)),

@@ -99,8 +99,10 @@ class STRTree(SpatialIndex):
     """STR bulk-loaded R-tree; leaves are disk pages."""
 
     def __init__(self, dataset: Dataset, fanout: int = PAGE_FANOUT) -> None:
-        if fanout < 2:
-            raise ValueError("fanout must be >= 2")
+        # Below 4, str_partition cuts some level sizes (3 or 4 nodes)
+        # into as many tiles as nodes, and the build never ends.
+        if fanout < 4:
+            raise ValueError("fanout must be >= 4")
         self.fanout = fanout
         super().__init__(dataset)
 
@@ -129,8 +131,8 @@ class STRTree(SpatialIndex):
     def pages_for_region(self, region: AABB) -> np.ndarray:
         qlo, qhi = region.lo, region.hi
         if not self._levels:
-            # 0 or 1 leaves: no internal structure to traverse.
-            if len(self._leaf_lo) and boxes_overlap(self._leaf_lo, self._leaf_hi, qlo, qhi)[0]:
+            # One leaf: no internal structure to traverse.
+            if boxes_overlap(self._leaf_lo, self._leaf_hi, qlo, qhi)[0]:
                 return np.array([0], dtype=np.int64)
             return np.empty(0, dtype=np.int64)
 
@@ -169,8 +171,6 @@ class STRTree(SpatialIndex):
         n_regions = len(qlo)
         empty = np.empty(0, dtype=np.int64)
         if not self._levels:
-            if not len(self._leaf_lo):
-                return [empty] * n_regions
             hits = boxes_overlap(qlo, qhi, self._leaf_lo[0], self._leaf_hi[0])
             one = np.array([0], dtype=np.int64)
             return [one.copy() if h else empty for h in hits]

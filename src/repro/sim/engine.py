@@ -676,7 +676,7 @@ class QuerySession:
                     if budget <= 0:
                         break
                     gap_pages_used += 1
-                    if page in cache:
+                    if cache.contains_many([page])[0]:
                         continue
                     cost = disk.read_pages([page])
                     cost += disk.verify_delivery([page], page_table)

@@ -60,7 +60,6 @@ from repro.baselines import (
     NoPrefetcher,
     PolynomialPrefetcher,
     StraightLinePrefetcher,
-    VelocityPrefetcher,
 )
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.datagen import (
@@ -124,7 +123,6 @@ _PREFETCHER_BUILDERS: dict[str, Callable[..., Any]] = {
     "scout-opt": lambda ds, ix, p: ScoutOptPrefetcher(ds, ix, ScoutConfig(**p)),
     "ewma": lambda ds, ix, p: EWMAPrefetcher(**p),
     "straight-line": lambda ds, ix, p: StraightLinePrefetcher(**p),
-    "velocity": lambda ds, ix, p: VelocityPrefetcher(**p),
     "polynomial": lambda ds, ix, p: PolynomialPrefetcher(**p),
     "hilbert": lambda ds, ix, p: HilbertPrefetcher(ds, **p),
     "none": lambda ds, ix, p: NoPrefetcher(),

@@ -31,12 +31,16 @@ Two implementations share one observable contract, and one is built:
   compare the dict cache with, defined here because the benchmark
   harness names it.
 
-Both expose the same scalar methods plus the batch API
+Both answer one contract (DESIGN.md §6.1).  Callers ask the batch API
 (:meth:`touch_many`, :meth:`contains_many`, :meth:`missing_many`,
-:meth:`owners_many`, :meth:`evicted_many`) under one contract: any
+:meth:`owners_many`, :meth:`evicted_many`, :meth:`insert_many`): any
 iterable of ints in, a ``list`` of plain ``bool`` / ``int`` out, equal
-element-wise to the scalar loop (DESIGN.md §6.1).  The property suite
-runs random operation sequences against both and requires identical
+element-wise to the scalar ``touch`` / ``insert`` loop.  Besides the
+counters, the only other ops are the ones the sharded cache's
+rebalancer moves pages with: ``len``, :meth:`cached_pages`,
+:meth:`owner_of` and :meth:`discard`.  There is no scalar membership or
+eviction query: one page is a batch of one.  The property suite runs
+random operation sequences against both and requires identical
 observable state after every step.
 """
 
@@ -68,13 +72,6 @@ def _keys(page_ids: Iterable[int]) -> list:
     return page_ids if type(page_ids) is list else list(page_ids)
 
 
-def _as_array(page_ids: Iterable[int]) -> np.ndarray:
-    """A batch as a flat ``int64`` array; a one-shot iterable is read once."""
-    if not isinstance(page_ids, np.ndarray):
-        page_ids = _keys(page_ids)
-    return np.asarray(page_ids, dtype=np.int64).ravel()
-
-
 class PrefetchCache:
     """A bounded set of cached page ids with least-recently-used eviction."""
 
@@ -96,13 +93,6 @@ class PrefetchCache:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def __contains__(self, page_id: int) -> bool:
-        return int(page_id) in self._pages
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._pages) >= self.capacity_pages
-
     def cached_pages(self) -> list[int]:
         """Page ids currently cached, least-recently-used first."""
         return list(self._pages.keys())
@@ -115,16 +105,6 @@ class PrefetchCache:
         client whose prefetch actually brought the page in.
         """
         return self._pages.get(int(page_id))
-
-    def was_evicted(self, page_id: int) -> bool:
-        """Whether the page was cached at some point and then evicted.
-
-        A miss on such a page is *eviction-induced*: the data had been
-        prefetched but was pushed out (by cache pressure, e.g. from
-        other clients sharing the cache) before it was used.  Re-inserting
-        the page clears the mark.
-        """
-        return int(page_id) in self._evicted
 
     # -- operations ----------------------------------------------------------
 
@@ -177,18 +157,6 @@ class PrefetchCache:
         """
         return self._pages.pop(int(page_id), _MISSING) is not _MISSING
 
-    def clear(self) -> None:
-        """Drop all cached pages (the paper clears caches between sequences)."""
-        self._pages.clear()
-        self._evicted.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
     # -- batch operations -----------------------------------------------------
     #
     # Each batch call takes any iterable of ints and answers a list,
@@ -227,7 +195,13 @@ class PrefetchCache:
         return [NO_OWNER if (owner := owner_of(p)) is None else owner for p in _keys(page_ids)]
 
     def evicted_many(self, page_ids: Iterable[int]) -> list[bool]:
-        """Was-evicted flags (see :meth:`was_evicted`)."""
+        """Whether each page was cached at some point and then evicted.
+
+        A miss on such a page is *eviction-induced*: the data had been
+        prefetched but was pushed out (by cache pressure, e.g. from
+        other clients sharing the cache) before it was used.  Re-inserting
+        the page clears the mark.  No counters, no recency changes.
+        """
         evicted = self._evicted
         return [p in evicted for p in _keys(page_ids)]
 
@@ -272,6 +246,13 @@ class ArrayCache:
         self.insertions = 0
 
     # -- internals ------------------------------------------------------------
+
+    @staticmethod
+    def _as_array(page_ids: Iterable[int]) -> np.ndarray:
+        """A batch as a flat ``int64`` array; a one-shot iterable is read once."""
+        if not isinstance(page_ids, np.ndarray):
+            page_ids = _keys(page_ids)
+        return np.asarray(page_ids, dtype=np.int64).ravel()
 
     def _ensure_table(self, max_page: int) -> None:
         need = max_page + 1
@@ -340,13 +321,6 @@ class ArrayCache:
     def __len__(self) -> int:
         return self._n
 
-    def __contains__(self, page_id: int) -> bool:
-        return self._slot_scalar(int(page_id)) >= 0
-
-    @property
-    def is_full(self) -> bool:
-        return self._n >= self.capacity_pages
-
     def cached_pages(self) -> list[int]:
         """Page ids currently cached, least-recently-used first."""
         order = np.argsort(self._slot_epoch[: self._n])
@@ -358,12 +332,6 @@ class ArrayCache:
             return None
         owner = int(self._slot_owner[slot])
         return None if owner == NO_OWNER else owner
-
-    def was_evicted(self, page_id: int) -> bool:
-        page_id = int(page_id)
-        if 0 <= page_id < self._evicted_mark.size:
-            return bool(self._evicted_mark[page_id])
-        return False
 
     # -- operations ----------------------------------------------------------
 
@@ -385,7 +353,7 @@ class ArrayCache:
     def insert_many(self, page_ids, owner: int | None = None) -> None:
         if self.capacity_pages == 0:
             return
-        pages = _as_array(page_ids)
+        pages = self._as_array(page_ids)
         if pages.size == 0:
             return
         if int(pages.min()) < 0:
@@ -441,22 +409,6 @@ class ArrayCache:
         self._n -= 1
         return True
 
-    def clear(self) -> None:
-        """Drop all cached pages (the paper clears caches between sequences)."""
-        self._slot_page[: self._n] = -1
-        self._slot_owner[: self._n] = NO_OWNER
-        self._slot_epoch[: self._n] = 0
-        self._slot_of.fill(-1)
-        self._evicted_mark.fill(False)
-        self._n = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
     # -- batch operations (vectorized) ---------------------------------------
     #
     # Vectorized inside, the shared contract at the boundary: each answer
@@ -464,7 +416,7 @@ class ArrayCache:
 
     def touch_many(self, page_ids) -> list[bool]:
         """Touch every page in order; the hit flags (counts as touches)."""
-        pages = _as_array(page_ids)
+        pages = self._as_array(page_ids)
         if pages.size == 0:
             return []
         slots = self._lookup(pages)
@@ -481,16 +433,16 @@ class ArrayCache:
         return hit.tolist()
 
     def contains_many(self, page_ids) -> list[bool]:
-        return (self._lookup(_as_array(page_ids)) >= 0).tolist()
+        return (self._lookup(self._as_array(page_ids)) >= 0).tolist()
 
     def missing_many(self, page_ids) -> list[int]:
-        pages = _as_array(page_ids)
+        pages = self._as_array(page_ids)
         if pages.size == 0:
             return []
         return [int(p) for p in pages[self._lookup(pages) < 0]]
 
     def owners_many(self, page_ids) -> list[int]:
-        pages = _as_array(page_ids)
+        pages = self._as_array(page_ids)
         slots = self._lookup(pages)
         owners = np.full(pages.shape, NO_OWNER, dtype=np.int64)
         present = slots >= 0
@@ -498,7 +450,7 @@ class ArrayCache:
         return owners.tolist()
 
     def evicted_many(self, page_ids) -> list[bool]:
-        pages = _as_array(page_ids)
+        pages = self._as_array(page_ids)
         marks = self._evicted_mark
         if marks.size == 0 or pages.size == 0:
             return [False] * pages.size

@@ -196,18 +196,13 @@ class PageFile:
         """Page ids of every slot that fails verification (reopen sweep)."""
         return [p for p in range(self.n_pages) if not self.verify_page(p)]
 
-    def write_page(
-        self, page_id: int, objects: np.ndarray | Iterable[int], *, crash_after: str | None = None
-    ) -> None:
+    def write_page(self, page_id: int, objects: np.ndarray | Iterable[int]) -> None:
         """Rewrite a slot's payload, torn-write-evidently.
 
         The slot is first stamped in-progress (``n_objects`` sentinel),
-        then the payload lands, then count and CRC are restored -- dying
-        at any intermediate point leaves a slot that cannot verify.
-        ``crash_after`` (``"stamp"`` or ``"payload"``) kills the process
-        with ``os._exit`` at the named point; it exists for the
-        crash-recovery tests, mirroring the ``_exit`` builder of
-        :data:`repro.storage.faults.FAULT_PREFETCHER_BUILDERS`.
+        then the payload lands, then count and CRC are restored, with a
+        flush after each step -- dying at any intermediate point leaves
+        a slot that cannot verify.
         """
         payload = np.asarray(list(objects) if not isinstance(objects, np.ndarray) else objects,
                              dtype=np.int64).tobytes()
@@ -216,13 +211,9 @@ class PageFile:
         offset = self._slot_offset(page_id)
         _SLOT_PREFIX.pack_into(self._mmap, offset, 0, _IN_PROGRESS)
         self._mmap.flush()
-        if crash_after == "stamp":
-            os._exit(1)
         start = offset + _SLOT_PREFIX.size
         self._mmap[start : start + len(payload)] = payload
         self._mmap.flush()
-        if crash_after == "payload":
-            os._exit(1)
         _SLOT_PREFIX.pack_into(self._mmap, offset, zlib.crc32(payload), len(payload) // 8)
         self._mmap.flush()
 

@@ -199,18 +199,16 @@ def _split_keys(page_keys: np.ndarray, n_shards: int) -> np.ndarray:
 
 
 class ShardedCache:
-    """K cache shards behind the single-cache observable contract.
+    """K cache shards behind the batch contract every consumer asks.
 
     Top-level counters (``hits``/``misses``/``evictions``/
-    ``insertions``, ``capacity_pages``, ``len``) are sums over the
-    shards, so they exactly partition the request stream.  Batch
-    operations route once (:meth:`route_many`), fan out per shard in
-    input order, and reassemble results into input order.
-
-    ``cached_pages()`` concatenates per-shard LRU-first listings in
-    shard order; a *global* recency order across shards does not exist
-    (each node ages independently), and with ``K = 1`` the listing is
-    exactly the unsharded one.
+    ``insertions``, ``capacity_pages``) are sums over the shards, so
+    they exactly partition the request stream.  Batch operations route
+    once (:meth:`route_many`), fan out per shard in input order, and
+    reassemble results into input order.  Per-shard state (occupancy,
+    LRU order, owner tags) is read off :attr:`shards`: a *global*
+    recency order across shards does not exist (each node ages
+    independently).
     """
 
     def __init__(
@@ -246,18 +244,9 @@ class ShardedCache:
     # -- routing --------------------------------------------------------------
 
     @property
-    def n_shards(self) -> int:
-        return self._k
-
-    @property
     def shards(self) -> list[PrefetchCache]:
         """The inner per-shard caches (read-only use intended)."""
         return self._shards
-
-    @property
-    def split_keys(self) -> np.ndarray | None:
-        """Current range-partition split keys (``None`` for hash/K=1)."""
-        return None if self._splits is None else self._splits.copy()
 
     def _assign_owners(self) -> None:
         """(Re)build the page -> owning shard table from the split keys."""
@@ -278,19 +267,9 @@ class ShardedCache:
 
     # -- inspection -----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, page_id: int) -> bool:
-        return int(page_id) in self._shards[self.route(int(page_id))]
-
     @property
     def capacity_pages(self) -> int:
         return sum(shard.capacity_pages for shard in self._shards)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self) >= self.capacity_pages
 
     @property
     def hits(self) -> int:
@@ -307,26 +286,6 @@ class ShardedCache:
     @property
     def insertions(self) -> int:
         return sum(shard.insertions for shard in self._shards)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
-    def cached_pages(self) -> list[int]:
-        """Cached pages, shard order, LRU-first within each shard."""
-        out: list[int] = []
-        for shard in self._shards:
-            out.extend(shard.cached_pages())
-        return out
-
-    def owner_of(self, page_id: int) -> int | None:
-        return self._shards[self.route(int(page_id))].owner_of(page_id)
-
-    def was_evicted(self, page_id: int) -> bool:
-        return self._shards[self.route(int(page_id))].was_evicted(page_id)
 
     def per_shard_stats(self) -> list[dict[str, int]]:
         """Per-shard counter snapshot (the report's ``shards`` rows)."""
@@ -352,14 +311,6 @@ class ShardedCache:
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
         self._fan_out("insert_many", *self._by_shard(page_ids), owner)
-
-    def discard(self, page_id: int) -> bool:
-        return self._shards[self.route(int(page_id))].discard(page_id)
-
-    def clear(self) -> None:
-        """Drop all cached pages; load history and splits persist."""
-        for shard in self._shards:
-            shard.clear()
 
     # -- batch operations -----------------------------------------------------
 

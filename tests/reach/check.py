@@ -6,8 +6,16 @@ functions, methods, properties, nested and decorated functions) by the
 key the recorder in ``sitecustomize.py`` writes, ``path:first-line:name``.
 A def no entry point entered (``entered.log``) must be named by
 :data:`ALLOWLIST`, whose entries are of four kinds only (:data:`KINDS`);
-an entry naming a class covers its methods.  An entry that names no def
-is stale.  ``__repr__`` and ``__str__`` are exempt.
+an entry naming a class covers its methods.  An entry is stale when it
+names no def, or when an entry point entered a def it covers: the
+allowlist spares only what nothing runs.  ``__repr__`` and ``__str__``
+are exempt.
+
+The tracer cross-check: an ``e2e`` entry names one def the benchmark's
+tracer (``benchmarks/e2e/e2e_trace.py``) patches (a ``SPAN_POINTS``
+method or function) or a ``CAPTURED_CLASSES`` class nothing in the
+package constructs.  A name the tracer does not pin is no reason to
+keep a def.
 
 The line check: every executable line of the package (a line holding
 an instruction other than ``RESUME`` or ``NOP``) must be run by an entry
@@ -23,12 +31,14 @@ Run after ``drive.py`` has recorded both logs (``drive.py`` runs this too)::
 
 It prints the report, writes it to ``results/reach/never_entered.txt``
 and exits 1 on any unlisted never-entered def, stale allowlist entry,
-unmarked unreached line or stale marker.
+``e2e`` entry the tracer does not pin, unmarked unreached line or stale
+marker.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import io
 import re
 import sys
@@ -50,7 +60,7 @@ EXEMPT = frozenset({"__repr__", "__str__"})
 
 #: The four reasons a def may stay unentered.
 KINDS = {
-    "e2e": "benchmarks/e2e names it (patch point or import): goes with ROADMAP item 5a",
+    "e2e": "the benchmark's tracer pins it (span point or captured class): ROADMAP item 19",
     "error": "an error path no deterministic driver reaches",
     "protocol": "an abstract protocol method: subclasses override it",
     "fault-kind": "a runner fault-injection prefetcher kind pool workers must import",
@@ -64,17 +74,11 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
         "e2e",
         f"{_E2E} patches its ops and captures its instances; nothing in src builds it",
     ),
-    "storage/cache.py::_as_array": ("e2e", "ArrayCache's input normalizer, used by it alone"),
-    "storage/cache.py::PrefetchCache": (
-        "e2e",
-        f"scalar touch / insert are {_E2E} span points; the inspection ops are the "
-        "differential suites' surface against ArrayCache",
-    ),
-    "storage/sharded.py::ShardedCache": (
-        "e2e",
-        f"scalar touch / insert / route are {_E2E} span points; the inspection ops "
-        "are the differential suites' surface against ArrayCache",
-    ),
+    "storage/cache.py::PrefetchCache.touch": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.touch": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.insert": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.route": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.contains_many": ("e2e", f"a {_E2E} span point"),
     "baselines/extrapolation.py::VelocityPrefetcher.plan": ("e2e", f"a {_E2E} span point"),
     "graph/traversal.py::region_crossings": ("e2e", f"a {_E2E} span point"),
     "sim/engine.py::QuerySession.step_query_capture": ("e2e", f"a {_E2E} span point"),
@@ -153,12 +157,57 @@ def check(
     all_defs: list[Def], entered: set[str], allowlist: dict[str, tuple[str, str]]
 ) -> tuple[list[Def], list[Def], list[str]]:
     """``(unlisted, allowed, stale)``: never-entered defs outside / inside the allowlist,
-    and allowlist entries that name no def."""
+    and allowlist entries that name no def or cover an entered one."""
     never = [d for d in all_defs if d.key not in entered]
     unlisted = [d for d in never if not any(_covers(entry, d) for entry in allowlist)]
     allowed = [d for d in never if d not in unlisted]
-    stale = [entry for entry in allowlist if not any(_covers(entry, d) for d in all_defs)]
+    stale = [entry for entry in allowlist if _stale(entry, all_defs, entered)]
     return unlisted, allowed, stale
+
+
+def _stale(entry: str, all_defs: list[Def], entered: set[str]) -> bool:
+    covered = [d for d in all_defs if _covers(entry, d)]
+    return not covered or any(d.key in entered for d in covered)
+
+
+def _tracer() -> types.ModuleType:
+    """``benchmarks/e2e/e2e_trace.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("e2e_trace", REPO / _E2E)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _entry_of(module: str, qualname: str) -> str:
+    """The allowlist entry naming ``qualname`` of package module ``module``."""
+    return f"{module.removeprefix('repro.').replace('.', '/')}.py::{qualname}"
+
+
+def _constructed(root: Path) -> set[str]:
+    """The name of every class or function the package calls, ``X(...)`` or ``m.X(...)``."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for _, _, tree in _files(root)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def untraced(allowlist: dict[str, tuple[str, str]]) -> list[str]:
+    """The ``e2e`` entries that name neither a def the tracer patches (a
+    ``SPAN_POINTS`` method or function) nor a ``CAPTURED_CLASSES`` class
+    nothing in the package constructs."""
+    tracer = _tracer()
+    pinned = {
+        _entry_of(module, f"{cls}.{attr}" if cls else attr)
+        for module, cls, attr, _ in tracer.SPAN_POINTS
+    }
+    called = _constructed(PACKAGE)
+    pinned |= {
+        _entry_of(module, cls) for module, cls in tracer.CAPTURED_CLASSES if cls not in called
+    }
+    e2e = [entry for entry, (kind, _) in allowlist.items() if kind == "e2e"]
+    return [entry for entry in e2e if entry not in pinned]
 
 
 MARKER = re.compile(r"#\s*reach:\s*(\S*)\s*(.*)")
@@ -278,19 +327,22 @@ def report(entered: set[str], reached: set[str]) -> tuple[str, bool]:
     """The def and line report over :data:`ALLOWLIST`, and whether it passes."""
     all_defs = defs()
     unlisted, allowed, stale = check(all_defs, entered, ALLOWLIST)
+    unpinned = untraced(ALLOWLIST)
     lines = line_check(PACKAGE, reached, entered, ALLOWLIST)
     n_marked = sum(lines.marked.values())
     n_reached = lines.executable - lines.exempt - n_marked - len(lines.unreached)
     text = [
         f"defs {len(all_defs)}  entered {len(all_defs) - len(unlisted) - len(allowed)}  "
         f"never entered {len(unlisted) + len(allowed)} "
-        f"(allowlisted {len(allowed)}, unlisted {len(unlisted)})  stale entries {len(stale)}",
+        f"(allowlisted {len(allowed)}, unlisted {len(unlisted)})  stale entries {len(stale)}  "
+        f"untraced entries {len(unpinned)}",
         f"lines {lines.executable}  reached {n_reached}  exempt {lines.exempt}  "
         f"marked {n_marked} (markers {len(lines.marked)})  unreached {len(lines.unreached)}  "
         f"stale markers {len(lines.stale)}",
     ]
     text += [f"NEVER ENTERED  {d}" for d in unlisted]
     text += [f"STALE ENTRY    {entry}" for entry in stale]
+    text += [f"UNTRACED ENTRY {entry}" for entry in unpinned]
     text += [f"UNREACHED      {line}" for line in lines.unreached]
     text += [f"STALE MARKER   {marker}" for marker in lines.stale]
     text += [
@@ -300,7 +352,7 @@ def report(entered: set[str], reached: set[str]) -> tuple[str, bool]:
         if _covers(entry, d)
     ]
     text += [f"marked         {marker}  ({n} lines)" for marker, n in lines.marked.items()]
-    ok = not unlisted and not stale and not lines.unreached and not lines.stale
+    ok = not (unlisted or stale or unpinned or lines.unreached or lines.stale)
     return "\n".join(text) + "\n", ok
 
 

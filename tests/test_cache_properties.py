@@ -13,7 +13,9 @@ drives the two with identical random operation sequences — owner tags,
 eviction memory and batch calls included — and requires identical
 observable state after every single step.  The batch contract itself
 (any iterable of ints in, a list of plain ``bool`` / ``int`` out) is
-held for both backends and a rebalancing sharded cache.
+held for both backends and a rebalancing sharded cache.  The caches
+answer membership, owner and eviction questions only in batches, so the
+reference for those is :class:`ModelLRU`.
 """
 
 from __future__ import annotations
@@ -51,18 +53,20 @@ tagged_operations = st.lists(
         st.tuples(st.just("touch"), page_ids, st.none()),
         st.tuples(st.just("insert_many"), st.lists(page_ids, max_size=10), owners),
         st.tuples(st.just("touch_many"), st.lists(page_ids, max_size=10), st.none()),
-        st.tuples(st.just("clear"), st.none(), st.none()),
     ),
     max_size=40,
 )
 
 
 class ModelLRU:
-    """Independent list-based reference model of LRU semantics."""
+    """Independent list-based reference model of the cache contract: LRU
+    order, first-inserter owner tags and the eviction memory."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.pages: list[int] = []  # least-recently-used first
+        self.owners: dict[int, int | None] = {}
+        self.evicted: set[int] = set()
 
     def touch(self, page: int) -> bool:
         if page in self.pages:
@@ -71,7 +75,7 @@ class ModelLRU:
             return True
         return False
 
-    def insert(self, page: int) -> None:
+    def insert(self, page: int, owner: int | None = None) -> None:
         if self.capacity == 0:
             return
         if page in self.pages:
@@ -79,8 +83,17 @@ class ModelLRU:
             self.pages.append(page)
             return
         while len(self.pages) >= self.capacity:
-            self.pages.pop(0)
+            gone = self.pages.pop(0)
+            del self.owners[gone]
+            self.evicted.add(gone)
         self.pages.append(page)
+        self.owners[page] = owner
+        self.evicted.discard(page)
+
+    def owner(self, page: int) -> int:
+        """The owner tag ``owners_many`` answers for ``page``."""
+        owner = self.owners.get(page)
+        return NO_OWNER if owner is None else owner
 
 
 def apply(cache, model: ModelLRU, op) -> None:
@@ -159,13 +172,9 @@ def observable_state(cache) -> dict:
     universe = list(range(16))
     return {
         "len": len(cache),
-        "is_full": cache.is_full,
         "cached_pages": cache.cached_pages(),
         "counters": (cache.hits, cache.misses, cache.evictions, cache.insertions),
-        "hit_rate": cache.hit_rate,
         "owners": [cache.owner_of(p) for p in universe],
-        "evicted": [cache.was_evicted(p) for p in universe],
-        "contains": [p in cache for p in universe],
         "owners_many": cache.owners_many(universe),
         "evicted_many": cache.evicted_many(universe),
         "contains_many": cache.contains_many(universe),
@@ -179,8 +188,8 @@ def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
     """Same random op sequence -> same observable state after every step.
 
     The array cache is the independent second implementation of the
-    contract: the full op vocabulary (owner tags, batch ops, clear)
-    must leave both in the same observable state.
+    contract: the full op vocabulary (owner tags, batch ops) must leave
+    both in the same observable state.
     """
     dict_cache = PrefetchCache(capacity)
     array_cache = ArrayCache(capacity)
@@ -193,11 +202,8 @@ def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
         elif kind == "insert_many":
             dict_cache.insert_many(arg, owner)
             array_cache.insert_many(arg, owner)
-        elif kind == "touch_many":
-            assert dict_cache.touch_many(arg) == array_cache.touch_many(arg)
         else:
-            dict_cache.clear()
-            array_cache.clear()
+            assert dict_cache.touch_many(arg) == array_cache.touch_many(arg)
         assert observable_state(dict_cache) == observable_state(array_cache)
 
 
@@ -205,18 +211,17 @@ def test_array_cache_is_observably_identical_to_dict_cache(capacity, ops):
 @settings(deadline=None)
 @given(capacity=capacities, prefix=operations, probe=st.lists(page_ids, max_size=12))
 def test_batch_ops_match_scalar_loops(backend, capacity, prefix, probe):
-    """Each batch call equals the scalar loop it replaces, element-wise."""
+    """Each batch call equals the model's answer page by page, and
+    ``touch_many`` the scalar ``touch`` loop."""
     cache = CACHES[backend](capacity)
     model = ModelLRU(capacity)
     for op in prefix:
         apply(cache, model, op)
 
-    assert cache.contains_many(probe) == [p in cache for p in probe]
-    assert cache.missing_many(probe) == [p for p in probe if p not in cache]
-    assert cache.owners_many(probe) == [
-        -1 if cache.owner_of(p) is None else cache.owner_of(p) for p in probe
-    ]
-    assert cache.evicted_many(probe) == [cache.was_evicted(p) for p in probe]
+    assert cache.contains_many(probe) == [p in model.pages for p in probe]
+    assert cache.missing_many(probe) == [p for p in probe if p not in model.pages]
+    assert cache.owners_many(probe) == [model.owner(p) for p in probe]
+    assert cache.evicted_many(probe) == [p in model.evicted for p in probe]
 
     # touch_many mutates; compare against a fresh replica touched scalar-wise.
     replica = CACHES[backend](capacity)
@@ -253,8 +258,8 @@ def test_dict_batch_ops_equal_the_scalar_loop_on_any_iterable(form, capacity, wa
     on a cache that has already evicted."""
     as_batch = BATCH_FORMS[form]
     probe = probe + probe[:3]  # duplicates within the batch
-    batch, scalar = PrefetchCache(capacity), PrefetchCache(capacity)
-    for cache in (batch, scalar):
+    batch, scalar, model = PrefetchCache(capacity), PrefetchCache(capacity), ModelLRU(capacity)
+    for cache in (batch, scalar, model):
         for page in range(capacity + 2):  # overflow: evictions happened
             cache.insert(page, 1)
         for page, owner in warm:
@@ -263,18 +268,16 @@ def test_dict_batch_ops_equal_the_scalar_loop_on_any_iterable(form, capacity, wa
 
     contains = batch.contains_many(as_batch(probe))
     assert all(type(flag) is bool for flag in contains)
-    assert contains == [p in scalar for p in probe]
+    assert contains == [p in model.pages for p in probe]
     missing = batch.missing_many(as_batch(probe))
-    assert missing == [p for p in probe if p not in scalar]
+    assert missing == [p for p in probe if p not in model.pages]
     assert all(type(p) is int for p in missing)
     owned = batch.owners_many(as_batch(probe))
     assert all(type(owner) is int for owner in owned)
-    assert owned == [
-        NO_OWNER if scalar.owner_of(p) is None else scalar.owner_of(p) for p in probe
-    ]
+    assert owned == [model.owner(p) for p in probe]
     marks = batch.evicted_many(as_batch(probe))
     assert all(type(flag) is bool for flag in marks)
-    assert marks == [scalar.was_evicted(p) for p in probe]
+    assert marks == [p in model.evicted for p in probe]
 
     hit = batch.touch_many(as_batch(probe))
     assert all(type(flag) is bool for flag in hit)
@@ -289,7 +292,7 @@ def test_dict_batch_ops_equal_the_scalar_loop_on_any_iterable(form, capacity, wa
     assert all(type(p) is int for p in batch.cached_pages())
     assert (batch.evictions, batch.insertions) == (scalar.evictions, scalar.insertions)
     universe = range(16)
-    assert [batch.was_evicted(p) for p in universe] == [scalar.was_evicted(p) for p in universe]
+    assert batch.evicted_many(universe) == scalar.evicted_many(universe)
     assert [batch.owner_of(p) for p in universe] == [scalar.owner_of(p) for p in universe]
 
 
@@ -300,7 +303,6 @@ def test_array_cache_rejects_negative_page_ids():
     with pytest.raises(ValueError, match="non-negative"):
         cache.insert_many([3, -2])
     # Read-side probes of negative ids are harmless (absent, not wrapped).
-    assert -1 not in cache
     assert cache.touch(-5) is False
     assert cache.contains_many([-1, -7]) == [False, False]
     assert cache.evicted_many([-1]) == [False]
@@ -328,17 +330,22 @@ CONTRACT_FORMS = {
     "generator": lambda pages: (p for p in pages),
 }
 
-#: Batch op -> (type of each answer, the scalar call of one page).
+#: Batch op -> the type of each answer.
 CONTRACT_OPS = {
-    "contains_many": (bool, lambda cache, page: page in cache),
-    "owners_many": (
-        int,
-        lambda cache, page: NO_OWNER if cache.owner_of(page) is None else cache.owner_of(page),
-    ),
-    "evicted_many": (bool, lambda cache, page: cache.was_evicted(page)),
+    "contains_many": bool,
+    "owners_many": int,
+    "evicted_many": bool,
     # Last: it mutates recency and counters (and feeds the rebalancer).
-    "touch_many": (bool, lambda cache, page: cache.touch(page)),
+    "touch_many": bool,
 }
+
+
+def one_by_one(cache, op: str, pages: list[int]) -> list:
+    """``op`` asked one page at a time: the scalar ``touch`` for
+    ``touch_many``, a batch of one for the read-only ops."""
+    if op == "touch_many":
+        return [cache.touch(page) for page in pages]
+    return [getattr(cache, op)([page])[0] for page in pages]
 
 contract_warmup = st.lists(
     st.one_of(
@@ -364,11 +371,11 @@ def test_every_batch_op_answers_a_list_of_plain_values(tissue_flat, kind, form, 
 
     missing = batch.missing_many(as_batch(probe))
     assert type(missing) is list and all(type(page) is int for page in missing)
-    assert missing == [page for page in probe if page not in scalar]
-    for name, (answer_type, one) in CONTRACT_OPS.items():
+    assert missing == [page for page in probe if scalar.missing_many([page])]
+    for name, answer_type in CONTRACT_OPS.items():
         got = getattr(batch, name)(as_batch(probe))
         assert type(got) is list and all(type(value) is answer_type for value in got), name
-        assert got == [one(scalar, page) for page in probe], name
+        assert got == one_by_one(scalar, name, probe), name
     assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
 
 

@@ -73,9 +73,19 @@ class TestTreeStructure:
             for obj in tree.page_table.objects_of_page(page):
                 assert box_contains(box, ds.p0[obj])
 
-    def test_rejects_tiny_fanout(self, rng):
-        with pytest.raises(ValueError):
-            STRTree(toy_dataset(rng.uniform(0, 1, size=(5, 3))), fanout=1)
+    @pytest.mark.parametrize("fanout", [1, 2, 3])
+    def test_rejects_tiny_fanout(self, rng, fanout):
+        with pytest.raises(ValueError, match="fanout must be >= 4"):
+            STRTree(toy_dataset(rng.uniform(0, 1, size=(5, 3))), fanout=fanout)
+
+    @pytest.mark.parametrize("fanout", range(4, 17))
+    def test_every_level_shrinks_at_every_accepted_fanout(self, rng, fanout):
+        """The build re-partitions a level until one node is left: each
+        pass must cut fewer tiles than it has nodes (the tile count
+        depends on the node count alone)."""
+        centers = rng.uniform(0, 1, size=(300, 3))
+        for n in range(2, len(centers) + 1):
+            assert len(str_partition(centers[:n], fanout)) < n, n
 
 
 class TestQueryExactness:

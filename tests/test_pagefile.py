@@ -122,37 +122,60 @@ class TestHealthyFile:
 
 
 #: Child-process script: open the page file and die mid-write.  The
-#: ``crash_after`` point is argv-selected so both tear shapes (sentinel
-#: only, payload landed but checksum not restored) get a real process
-#: death, not a simulated one.
+#: child maps the file through an ``mmap`` subclass whose ``flush``
+#: calls ``os._exit`` on the argv-selected flush: ``write_page`` flushes
+#: after the in-progress stamp (1st) and after the payload (2nd), so both
+#: tear shapes (sentinel only, payload landed but checksum not restored)
+#: get a real process death, not a simulated one.
 _CRASH_WRITER = """
+import mmap
+import os
 import sys
 import numpy as np
 from repro.storage.pagefile import PageFile
 
-path, page_id, crash_after = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+path, page_id, dies_at = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+
+
+class DyingMap(mmap.mmap):
+    flushes = 0
+
+    def flush(self, *args):
+        super().flush(*args)
+        DyingMap.flushes += 1
+        if DyingMap.flushes == dies_at:
+            os._exit(1)
+
+
 pf = PageFile(path)
-pf.write_page(page_id, np.array([7, 8, 9], dtype=np.int64), crash_after=crash_after)
+size = len(pf._mmap)
+pf._mmap.close()
+pf._mmap = DyingMap(pf._file.fileno(), size)
+pf.write_page(page_id, np.array([7, 8, 9], dtype=np.int64))
 raise SystemExit("unreachable: the writer must have died mid-write")
 """
 
+#: Tear shape -> the ``write_page`` flush the writer dies on.
+TEARS = {"stamp": 1, "payload": 2}
 
-def _crash_writer(path, page_id: int, crash_after: str) -> None:
+
+def _crash_writer(path, page_id: int, tear: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "-c", _CRASH_WRITER, str(path), str(page_id), crash_after],
+        [sys.executable, "-c", _CRASH_WRITER, str(path), str(page_id), str(TEARS[tear])],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 1, proc.stderr
+    # The unreachable line would exit 1 too, but with a message.
+    assert proc.returncode == 1 and not proc.stderr, proc.stderr
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("crash_after", ["stamp", "payload"])
-    def test_killed_writer_leaves_a_detectable_torn_slot(self, tmp_path, crash_after):
+    @pytest.mark.parametrize("tear", TEARS)
+    def test_killed_writer_leaves_a_detectable_torn_slot(self, tmp_path, tear):
         table = small_table()
         path = tmp_path / "pages.pf"
         PageFile.create(path, table).close()
-        _crash_writer(path, 2, crash_after)
+        _crash_writer(path, 2, tear)
 
         with PageFile(path) as pf:
             # The reopen sweep finds exactly the torn slot ...

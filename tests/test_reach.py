@@ -17,7 +17,17 @@ import pytest
 
 from repro.workload.figures import FIGURES
 from tests.reach import drive
-from tests.reach.check import ALLOWLIST, EXEMPT, KINDS, REPO, check, defs, line_check, markers
+from tests.reach.check import (
+    ALLOWLIST,
+    EXEMPT,
+    KINDS,
+    REPO,
+    check,
+    defs,
+    line_check,
+    markers,
+    untraced,
+)
 
 REACH = Path(__file__).resolve().parent / "reach"
 
@@ -98,15 +108,39 @@ def test_an_allowlisted_def_is_spared(tmp_path):
 
 def test_an_entry_naming_no_def_is_stale(tmp_path):
     planted = _plant(tmp_path)
-    entered = {d.key for d in planted}
     allowlist = {
         "mod.py::plain": ("error", "x"),
         "mod.py::gone": ("error", "y"),
         "other.py::plain": ("error", "z"),
         "mod.py::Box.siz": ("error", "w"),
     }
-    _, _, stale = check(planted, entered, allowlist)
+    _, _, stale = check(planted, set(), allowlist)
     assert stale == ["mod.py::gone", "other.py::plain", "mod.py::Box.siz"]
+
+
+def test_an_entry_covering_an_entered_def_is_stale(tmp_path):
+    planted = _plant(tmp_path)
+    entered = {d.key for d in planted if d.qualname in ("plain", "Box.size")}
+    reason = ("error", "planted")
+    allowlist = {"mod.py::plain": reason, "mod.py::Box": reason, "mod.py::outer.nested": reason}
+    unlisted, allowed, stale = check(planted, entered, allowlist)
+    assert stale == ["mod.py::plain", "mod.py::Box"]
+    assert [d.qualname for d in unlisted] == ["outer"]
+
+
+def test_an_entry_for_a_def_an_entry_point_entered_is_stale():
+    """The whole-class ``PrefetchCache`` entry this allowlist once held
+    fails as soon as an entry point enters any of its methods."""
+    package_defs = defs()
+    (insert,) = [d for d in package_defs if d.qualname == "PrefetchCache.insert"]
+    reason = ("e2e", "a class whole")
+    allowlist = {
+        **ALLOWLIST,
+        "storage/cache.py::PrefetchCache": reason,
+        "storage/cache.py::PrefetchCache.insert": reason,
+    }
+    stale = check(package_defs, {insert.key}, allowlist)[2]
+    assert stale == ["storage/cache.py::PrefetchCache", "storage/cache.py::PrefetchCache.insert"]
 
 
 def test_every_allowlist_entry_resolves_in_the_package():
@@ -120,8 +154,32 @@ def test_the_allowlist_is_short_and_each_entry_has_a_kind():
         assert kind in KINDS and reason, entry
         path, _, qualname = entry.partition("::")
         exact = [d for d in package_defs if d.path == path and d.qualname == qualname]
-        # Only the cache classes go in whole; every other entry names one def.
-        assert exact or qualname in ("ArrayCache", "PrefetchCache", "ShardedCache"), entry
+        # Only a captured class nothing builds goes in whole; every
+        # other entry names one def.
+        assert exact or entry == "storage/cache.py::ArrayCache", entry
+
+
+def test_every_e2e_entry_names_what_the_tracer_pins():
+    assert untraced(ALLOWLIST) == []
+
+
+def test_an_e2e_entry_the_tracer_does_not_pin_is_flagged():
+    """``PrefetchCache`` is a captured class, but the package builds it;
+    ``cached_pages`` is no span point; an ``error`` entry is not checked."""
+    reason = ("e2e", "planted")
+    entries = {
+        "storage/cache.py::PrefetchCache": reason,
+        "storage/cache.py::PrefetchCache.cached_pages": reason,
+        "storage/cache.py::PrefetchCache.touch": reason,
+        "storage/cache.py::ArrayCache": reason,
+        "graph/traversal.py::region_crossings": reason,
+        "storage/sharded.py::ShardedCache.insert": reason,
+        "serve/latency.py::LatencyRecorder.count_error": ("error", "planted"),
+    }
+    assert untraced(entries) == [
+        "storage/cache.py::PrefetchCache",
+        "storage/cache.py::PrefetchCache.cached_pages",
+    ]
 
 
 def test_the_driver_sweeps_every_registered_figure():
@@ -142,6 +200,12 @@ def test_the_driver_runs_every_direct_benchmark():
     """``test_figures.py`` runs ``sweep --figure``, which the sweeps cover."""
     direct = {p.relative_to(REPO).as_posix() for p in (REPO / "benchmarks").glob("test_*.py")}
     assert set(drive.DIRECT_BENCHMARKS) == direct - {"benchmarks/test_figures.py"}
+
+
+def test_the_recorded_tier1_leg_is_seeded_and_skips_the_direct_benchmarks():
+    assert "--hypothesis-seed=0" in drive.TIER1
+    deselected = {arg.split("=", 1)[1] for arg in drive.TIER1 if arg.startswith("--deselect=")}
+    assert deselected == {"tests/test_reach.py", *drive.DIRECT_BENCHMARKS}
 
 
 #: A sweep's stdout as the driver reads it: one group, its shape, the summary.

@@ -43,7 +43,6 @@ MATRIX = ExperimentMatrix(
         PrefetcherSpec("none"),
         PrefetcherSpec("ewma", {"lam": 0.3}),
         PrefetcherSpec("straight-line"),
-        PrefetcherSpec("velocity"),
         PrefetcherSpec("polynomial"),
     ),
     seeds=(3, 4),

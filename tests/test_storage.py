@@ -264,7 +264,8 @@ class TestPrefetchCache:
         cache.insert(2)
         cache.touch(1)  # 2 becomes least recently used
         cache.insert(3)
-        assert 1 in cache and 3 in cache and 2 not in cache
+        assert cache.contains_many([1, 2, 3]) == [True, False, True]
+        assert cache.evicted_many([1, 2, 3]) == [False, True, False]
         assert cache.evictions == 1
 
     def test_capacity_never_exceeded(self):
@@ -276,29 +277,13 @@ class TestPrefetchCache:
     def test_zero_capacity_accepts_nothing(self):
         cache = PrefetchCache(0)
         cache.insert(1)
-        assert len(cache) == 0 and 1 not in cache
+        assert len(cache) == 0 and cache.missing_many([1]) == [1]
 
     def test_reinsert_refreshes_without_growth(self):
         cache = PrefetchCache(4)
         cache.insert(1)
         cache.insert(1)
         assert len(cache) == 1
-
-    def test_clear(self):
-        cache = PrefetchCache(4)
-        cache.insert_many([1, 2, 3])
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_hit_rate(self):
-        cache = PrefetchCache(4)
-        cache.insert(1)
-        cache.touch(1)
-        cache.touch(2)
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_hit_rate_zero_without_accesses(self):
-        assert PrefetchCache(4).hit_rate == 0.0
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):

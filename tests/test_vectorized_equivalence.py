@@ -204,16 +204,6 @@ class TestBatchedRegionProperty:
 
 
 class TestRegressions:
-    def test_zero_leaf_tree_answers_every_probe_empty(self):
-        # A zero-leaf tree cannot be built from a Dataset (datasets are
-        # non-empty), but the packed state is reachable.
-        tree = STRTree.__new__(STRTree)
-        tree._leaf_lo = np.empty((0, 3))
-        tree._leaf_hi = np.empty((0, 3))
-        tree._levels = []
-        assert len(tree.pages_for_region(AABB([0, 0, 0], [1, 1, 1]))) == 0
-        assert tree.pages_for_regions([AABB([0, 0, 0], [1, 1, 1])])[0].shape == (0,)
-
     def test_pages_for_region_returns_sorted_int64(self, tissue, tissue_rtree, rng):
         for probe in probe_boxes(tissue, rng, 10):
             pages = tissue_rtree.pages_for_region(probe)
