@@ -21,11 +21,7 @@ from repro.core.exits import split_entries_exits_grouped
 from repro.datagen.dataset import Dataset
 from repro.geometry.aabb import AABB
 from repro.graph.spatial_graph import SpatialGraph
-from repro.graph.traversal import (
-    Crossing,
-    refine_crossing_direction,
-    region_crossings_grouped,
-)
+from repro.graph.traversal import Crossing, refine_exits, region_crossings_grouped
 from repro.util import dot, norm
 
 __all__ = ["CandidateTrack", "CandidateTracker"]
@@ -179,10 +175,7 @@ class CandidateTracker:
         # proximity match and the planner read them, and both see
         # survivors only: pruned components are never refined.
         for track, object_ids in new_tracks:
-            track.exits = [
-                refine_crossing_direction(dataset, object_ids, e, radius=side * 0.3)
-                for e in track.exits
-            ]
+            track.exits = refine_exits(dataset, object_ids, track.exits, radius=side * 0.3)
         new_tracks = [track for track, _ in new_tracks]
 
         self.tracks = new_tracks

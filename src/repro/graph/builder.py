@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -89,19 +88,21 @@ def _sample_segment_cells(
 
     point_chunks = []
     owner_chunks = []
-    for count in np.unique(n_samples):
+    for count in sorted(set(n_samples.tolist())):
         members = np.flatnonzero(n_samples == count)
-        ts = np.linspace(0.0, 1.0, int(count))
+        ts = np.linspace(0.0, 1.0, count)
         # (m, count, 3) sample points for all segments needing `count` samples.
         pts = p0[members][:, None, :] + ts[None, :, None] * (p1[members] - p0[members])[:, None, :]
         point_chunks.append(pts.reshape(-1, 3))
-        owner_chunks.append(np.repeat(object_ids[members], int(count)))
+        owner_chunks.append(np.repeat(object_ids[members], count))
     points = np.concatenate(point_chunks)
     owners = np.concatenate(owner_chunks)
 
     flat = grid.flat_ids(grid.cells_of_points(points))
     n_cells = np.int64(grid.n_cells)
-    pairs = np.unique(owners * n_cells + flat)
+    # Sorted keys with their repeats dropped: the distinct pairs.
+    keys = np.sort(owners * n_cells + flat)
+    pairs = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return pairs // n_cells, pairs % n_cells
 
 
@@ -139,9 +140,10 @@ def build_graph_grid_hash(
         # with it DFS, component and exit order -- depends on.
         shared = shared[np.argsort(by_cell[starts[shared]])]
         members = owners[by_cell].tolist()
-        for start, size in zip(starts[shared].tolist(), sizes[shared].tolist()):
-            for u, v in combinations(members[start : start + size], 2):
-                graph.add_edge(u, v)
+        graph.connect_runs(
+            members[start : start + size]
+            for start, size in zip(starts[shared].tolist(), sizes[shared].tolist())
+        )
 
     return GraphBuildReport(
         graph=graph,

@@ -9,6 +9,7 @@ are undirected.  SCOUT's accuracy analysis (§8.2) reports the memory of
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import combinations
 
 __all__ = ["SpatialGraph"]
 
@@ -28,6 +29,20 @@ class SpatialGraph:
             return
         self._adjacency.setdefault(u, set()).add(v)
         self._adjacency.setdefault(v, set()).add(u)
+
+    def connect_runs(self, runs: Iterable[list[int]]) -> None:
+        """Connect every pair of each run, as ``add_edge`` over ``combinations(run, 2)``.
+
+        A run is a list of distinct vertices the graph already holds
+        (the members of one shared grid cell); edges go straight into
+        their adjacency sets, in the order the ``add_edge`` loop would
+        insert them.
+        """
+        adjacency = self._adjacency
+        for run in runs:
+            for u, v in combinations(run, 2):
+                adjacency[u].add(v)
+                adjacency[v].add(u)
 
     # -- inspection ---------------------------------------------------------------
 

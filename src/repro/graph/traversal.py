@@ -21,6 +21,7 @@ from repro.util import dot, norm
 
 __all__ = [
     "Crossing",
+    "refine_exits",
     "region_crossings",
     "region_crossings_grouped",
 ]
@@ -142,25 +143,41 @@ def region_crossings_grouped(
     return out
 
 
-def refine_crossing_direction(
+def refine_exits(
     dataset: Dataset,
     component_ids: np.ndarray,
-    crossing: Crossing,
+    exits: list[Crossing],
     radius: float,
-) -> Crossing:
-    """Smooth a crossing's direction over the structure's trailing window.
+) -> list[Crossing]:
+    """Smooth each exit's direction over the structure's trailing window.
 
     A single short segment is a noisy estimate of where the structure is
     heading; averaging the (sign-aligned) directions of the component's
     objects within ``radius`` of the crossing point gives the local
     trend of the fiber, which is what §4.4's linear extrapolation of the
     *graph* should follow.
+
+    The component's endpoints, midpoints and deltas are gathered once,
+    in ``component_ids`` order, and one broadcast norm gives every
+    exit's near mask; the axis or mean is then taken per exit over its
+    near rows, in that order (DESIGN.md §11).
     """
+    if not exits:
+        return []
     component_ids = np.asarray(component_ids, dtype=np.int64)
     p0 = dataset.p0[component_ids]
     p1 = dataset.p1[component_ids]
     mid = (p0 + p1) / 2.0
-    near = norm(mid - crossing.point) <= radius
+    deltas = p1 - p0
+    points = np.array([crossing.point for crossing in exits])
+    near_masks = norm(mid[None, :, :] - points[:, None, :]) <= radius
+    return [_refined(crossing, near, mid, deltas) for crossing, near in zip(exits, near_masks)]
+
+
+def _refined(
+    crossing: Crossing, near: np.ndarray, mid: np.ndarray, deltas: np.ndarray
+) -> Crossing:
+    """One exit smoothed over the component rows its ``near`` mask selects."""
     n_near = int(near.sum())
     if n_near == 0:
         return crossing
@@ -185,12 +202,12 @@ def refine_crossing_direction(
 
     # Too few neighbors for a stable axis: average the sign-aligned
     # object directions instead.
-    deltas = p1[near] - p0[near]
-    norms = norm(deltas)
+    near_deltas = deltas[near]
+    norms = norm(near_deltas)
     ok = norms > _EPS
     if not np.any(ok):
         return crossing
-    directions = deltas[ok] / norms[ok, None]
+    directions = near_deltas[ok] / norms[ok, None]
     alignment = dot(directions, crossing.direction)
     directions = directions * np.where(alignment >= 0, 1.0, -1.0)[:, None]
     mean = directions.mean(axis=0)
@@ -198,4 +215,3 @@ def refine_crossing_direction(
     if length < _EPS:
         return crossing
     return Crossing(crossing.object_id, crossing.point, mean / length)
-

@@ -6,15 +6,14 @@ queries with both the matching object ids and the page ids that must be
 fetched to produce them.  The simulator charges I/O for the *pages*; the
 prefetchers reason about the *objects*.
 
-Alongside the single-region entry points, every index answers *batched*
+Alongside the single-region page probe, every index answers *batched*
 probes -- :meth:`SpatialIndex.pages_for_regions` and
 :meth:`SpatialIndex.query_many` -- so callers that fan one simulated
 query into dozens of small region probes (the incremental prefetch
-plan, SCOUT-OPT's gap walk, the lockstep tick's probe streams) can
-amortize the traversal over one vectorized pass.  The batched results
-are defined to be element-wise identical to the single-region calls;
-concrete indexes may override them with faster implementations but not
-different ones.
+plan, SCOUT-OPT's gap walk, the lockstep tick's probe streams, a whole
+walk's queries) can amortize the traversal over one vectorized pass.
+The batched page probe is defined to be element-wise identical to the
+single-region one; :meth:`SpatialIndex.query` is a batch of one.
 """
 
 from __future__ import annotations
@@ -77,32 +76,50 @@ class SpatialIndex(abc.ABC):
     def pages_for_region(self, region: AABB) -> np.ndarray:
         """Sorted page ids whose bounds intersect ``region``."""
 
-    # -- batched probes ------------------------------------------------------
+    # -- range queries --------------------------------------------------------
 
-    def query_many(self, regions: Sequence[AABB]) -> list[QueryResult]:
-        """Batched exact range queries (element-wise equal to :meth:`query`)."""
-        regions = list(regions)  # tolerate one-shot iterators
+    def query_many(self, regions: Sequence[AABB] | np.ndarray) -> list[QueryResult]:
+        """Exact range queries: pages touched plus objects intersecting, per region.
+
+        ``regions`` is an ``AABB`` sequence (any iterable) or packed
+        ``(n, 2, 3)`` corners.  One probe pass finds every region's
+        pages; one refinement pass then gathers all their objects (one
+        CSR expand), tests each row against its own region's corners
+        (one ``boxes_overlap``) and splits the survivors back by region
+        (one ``searchsorted``).
+        """
+        if not isinstance(regions, np.ndarray):
+            regions = list(regions)  # tolerate one-shot iterators
+        if not len(regions):
+            return []
         page_lists = self.pages_for_regions(regions)
+        qlo, qhi = region_corners(regions)
+        table = self.page_table
+        pages = np.concatenate(page_lists)
+        candidates = table.objects_of_pages(pages)
+        # Each candidate row's region: pages repeat their region's id,
+        # objects their page's.
+        n_regions = len(page_lists)
+        page_region = np.repeat(
+            np.arange(n_regions, dtype=np.int64), [len(p) for p in page_lists]
+        )
+        row_region = np.repeat(page_region, table.sizes_of_pages(pages))
+        mask = boxes_overlap(
+            self.dataset.obj_lo.take(candidates, axis=0),
+            self.dataset.obj_hi.take(candidates, axis=0),
+            qlo.take(row_region, axis=0),
+            qhi.take(row_region, axis=0),
+        )
+        hits, hit_region = candidates[mask], row_region[mask]
+        cuts = np.searchsorted(hit_region, np.arange(n_regions + 1)).tolist()
         return [
-            self._result_for_pages(region, pages)
-            for region, pages in zip(regions, page_lists)
+            QueryResult(np.sort(hits[a:b]), region_pages)
+            for a, b, region_pages in zip(cuts[:-1], cuts[1:], page_lists)
         ]
 
-    # -- shared query logic --------------------------------------------------
-
     def query(self, region: AABB) -> QueryResult:
-        """Exact range query: pages touched plus objects intersecting."""
-        return self._result_for_pages(region, self.pages_for_region(region))
-
-    def _result_for_pages(self, region: AABB, pages: np.ndarray) -> QueryResult:
-        """Refine a page-level probe into the exact object result."""
-        if len(pages) == 0:
-            return QueryResult(np.empty(0, dtype=np.int64), pages)
-        candidates = self.page_table.objects_of_pages(pages)
-        lo = self.dataset.obj_lo.take(candidates, axis=0)
-        hi = self.dataset.obj_hi.take(candidates, axis=0)
-        mask = boxes_overlap(lo, hi, region.lo, region.hi)
-        return QueryResult(np.sort(candidates[mask]), pages)
+        """One region's :meth:`query_many` answer."""
+        return self.query_many([region])[0]
 
     @property
     def n_pages(self) -> int:

@@ -97,7 +97,8 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
     """Resolve the next chunk of every stream in ONE ``pages_for_regions`` pass.
 
     ``get`` is the one-stream call; a plan tape hands in every stream
-    of its walk, the lockstep tick every stream of the tick.  Chunks
+    of its walk, the lockstep tick every stream of the tick, a step
+    that fills its own plan every stream of that plan.  Chunks
     concatenate as packed corners and the answers split back: each
     stream holds what it would have alone, each region's pages listed.
     """
@@ -441,6 +442,9 @@ class QuerySession:
         #: it as is.  Tier and shard totals stay on their layers.
         self.client_metrics = ClientMetrics(client_id=client_id, metrics=self.metrics)
         self._cursor = 0
+        #: The walk's index results, fetched by the first step that was
+        #: handed none (:meth:`_walk_results`).
+        self._results: list | None = None
         # The demand touch's cross-shard hops are residual time for this
         # query, read off the sharded cache's hop clock (DESIGN.md §10).
         self._shard_cache = self.cache if isinstance(self.cache, ShardedCache) else None
@@ -492,10 +496,16 @@ class QuerySession:
             self.step_query()
         return self.metrics
 
-    def _fill_served(self, work: "_QueryBundle", result=None) -> None:
+    def _walk_results(self) -> list:
+        """Every query's index result, from one ``query_many`` over the walk."""
+        if self._results is None:
+            bounds = [query.bounds for query in self.sequence.queries]
+            self._results = self.engine.index.query_many(bounds)
+        return self._results
+
+    def _fill_served(self, work: "_QueryBundle", result) -> None:
         """The index result, its page list and its cold read time."""
-        bounds = self.sequence.queries[work.cursor].bounds
-        work.result = self.engine.index.query(bounds) if result is None else result
+        work.result = result
         work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel().tolist()
         work.cold = self.disk.cost_if_cold(work.pages)
 
@@ -545,14 +555,14 @@ class QuerySession:
         ``pages_for_regions`` pass over every probe stream's first chunk.
         Touches no cache and charges no disk time.
         """
-        index = self.engine.index
         tape = []
-        results = index.query_many([query.bounds for query in self.sequence.queries])
-        for cursor, result in enumerate(results):
+        for cursor, result in enumerate(self._walk_results()):
             work = self._fill(cursor, result)
             work.n_candidates = getattr(self.prefetcher, "n_candidates", 0)
             tape.append(work)
-        resolve_ahead(index, [stream for work in tape for stream in work.streams or ()])
+        resolve_ahead(
+            self.engine.index, [stream for work in tape for stream in work.streams or ()]
+        )
         return tape
 
     def step_query_capture(self) -> "_QueryBundle | None":
@@ -581,7 +591,10 @@ class QuerySession:
         filled one ahead or a plan tape holds one: the step
         reads what is filled and computes the rest through the same
         ``_fill_*`` definitions, so a query stepped alone is the case
-        of a record nobody has filled.
+        of a record nobody has filled.  Each stage the step fills
+        itself is one pass: the first unfilled step fetches the whole
+        walk's index results (:meth:`_walk_results`), and a plan it
+        fills has every stream's first chunk resolved together.
         """
         if self.done:
             return None
@@ -595,7 +608,7 @@ class QuerySession:
 
         # -- serve ------------------------------------------------------------------
         if work.result is None:
-            self._fill_served(work)
+            self._fill_served(work, self._walk_results()[work.cursor])
         result, pages = work.result, work.pages
 
         # Pages in the prefetch cache are hits; the rest is residual
@@ -692,7 +705,11 @@ class QuerySession:
                 # consuming its own prefix of the shared probe streams.
                 if budget > 0:
                     if work.streams is None:
+                        # The tick and the tape resolve their streams
+                        # themselves; only a plan filled here is probed
+                        # here, all of its streams in one pass.
                         self._fill_plan(work)
+                        resolve_ahead(engine.index, work.streams)
                     plan_pages, plan_seconds = engine._execute_plan(
                         work.targets, work.streams, cache, disk, budget, self.client_id
                     )

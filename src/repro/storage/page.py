@@ -67,6 +67,10 @@ class PageTable:
     def page_size(self, page_id: int) -> int:
         return int(self._offsets[page_id + 1] - self._offsets[page_id])
 
+    def sizes_of_pages(self, page_ids: np.ndarray) -> np.ndarray:
+        """Per-page object counts of an int64 page-id array, in input order."""
+        return self._offsets[page_ids + 1] - self._offsets[page_ids]
+
     # -- lookups --------------------------------------------------------
 
     def objects_of_page(self, page_id: int) -> np.ndarray:
@@ -79,8 +83,8 @@ class PageTable:
         """Concatenated object ids of several pages, in page order.
 
         Vectorized equivalent of concatenating ``objects_of_page`` for
-        each page; this is the per-query candidate gather of
-        :meth:`repro.index.base.SpatialIndex.query`.
+        each page; this is the candidate gather of
+        :meth:`repro.index.base.SpatialIndex.query_many`.
         """
         page_ids = np.asarray(
             list(page_ids) if not isinstance(page_ids, np.ndarray) else page_ids,
@@ -88,9 +92,7 @@ class PageTable:
         )
         if len(page_ids) == 0:
             return np.empty(0, dtype=np.int64)
-        starts = self._offsets[page_ids]
-        counts = self._offsets[page_ids + 1] - starts
-        return self._objects[csr_expand(starts, counts)]
+        return self._objects[csr_expand(self._offsets[page_ids], self.sizes_of_pages(page_ids))]
 
     # -- checksums ------------------------------------------------------
 

@@ -304,7 +304,8 @@ class ShardedCache:
     # -- operations -----------------------------------------------------------
 
     def touch(self, page_id: int) -> bool:
-        return self._shards[self.route(int(page_id))].touch(page_id)
+        """A batch of one: the demand path's hop and load accounting included."""
+        return self.touch_many([page_id])[0]
 
     def insert(self, page_id: int, owner: int | None = None) -> None:
         self._shards[self.route(int(page_id))].insert(page_id, owner)

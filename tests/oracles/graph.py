@@ -1,9 +1,12 @@
-"""Per-object region crossings and the O(n²) proximity graph.
+"""Per-object region crossings, per-exit refinement and the O(n²) proximity graph.
 
 ``repro.graph.traversal.region_crossings`` clips every object in one
 array pass and must return :func:`region_crossings_reference`'s
-crossings bit for bit, in order.  :func:`build_graph_brute_force` is
-what grid hashing (paper §4.2) is compared against.
+crossings bit for bit, in order; ``repro.graph.traversal.refine_exits``
+gathers a component once per track and must return what
+:func:`refine_crossing_direction` returns for each exit.
+:func:`build_graph_brute_force` is what grid hashing (paper §4.2) is
+compared against.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.datagen.dataset import Dataset
 from repro.geometry import AABB
 from repro.graph import GraphBuildReport, SpatialGraph
 from repro.graph.traversal import Crossing
-from repro.util import norm
+from repro.util import dot, norm
 from tests.oracles.geometry import clip_segment_to_aabb, segment_segment_distance
 
 _EPS = 1e-9  # repro.graph.traversal's
@@ -62,6 +65,51 @@ def region_crossings_reference(dataset: Dataset, object_ids, region: AABB) -> li
     for object_id in np.asarray(object_ids, dtype=np.int64):
         crossings.extend(object_crossings(dataset, int(object_id), region))
     return crossings
+
+
+def refine_crossing_direction(
+    dataset: Dataset,
+    component_ids: np.ndarray,
+    crossing: Crossing,
+    radius: float,
+) -> Crossing:
+    """One exit smoothed over the component's objects near it, gathered per exit."""
+    component_ids = np.asarray(component_ids, dtype=np.int64)
+    p0 = dataset.p0[component_ids]
+    p1 = dataset.p1[component_ids]
+    mid = (p0 + p1) / 2.0
+    near = norm(mid - crossing.point) <= radius
+    n_near = int(near.sum())
+    if n_near == 0:
+        return crossing
+
+    if n_near >= 3:
+        # Principal axis of the nearby object midpoints.
+        points = mid[near]
+        centered = points - points.mean(axis=0)
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        axis = vt[0]
+        if dot(axis, crossing.direction) < 0:
+            axis = -axis
+        length = norm(axis)
+        if length > _EPS:
+            return Crossing(crossing.object_id, crossing.point, axis / length)
+
+    # Too few neighbors for a stable axis: average the sign-aligned
+    # object directions instead.
+    deltas = p1[near] - p0[near]
+    norms = norm(deltas)
+    ok = norms > _EPS
+    if not np.any(ok):
+        return crossing
+    directions = deltas[ok] / norms[ok, None]
+    alignment = dot(directions, crossing.direction)
+    directions = directions * np.where(alignment >= 0, 1.0, -1.0)[:, None]
+    mean = directions.mean(axis=0)
+    length = norm(mean)
+    if length < _EPS:
+        return crossing
+    return Crossing(crossing.object_id, crossing.point, mean / length)
 
 
 def build_graph_brute_force(

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.cache import NO_OWNER, ArrayCache, PrefetchCache
-from repro.storage.sharded import ShardSpec, make_sharded_cache
+from repro.storage.sharded import ShardedCache, ShardSpec, make_sharded_cache
 
 #: Constructed directly: production builds only the dict cache.
 CACHES = {"dict": PrefetchCache, "array": ArrayCache}
@@ -342,8 +342,16 @@ CONTRACT_OPS = {
 
 def one_by_one(cache, op: str, pages: list[int]) -> list:
     """``op`` asked one page at a time: the scalar ``touch`` for
-    ``touch_many``, a batch of one for the read-only ops."""
+    ``touch_many``, a batch of one for the read-only ops.
+
+    A sharded batch routes once and feeds its rebalancer after the
+    batch, while its scalar ``touch`` is a batch of one (a rebalance
+    may run between two of them), so the loop a sharded ``touch_many``
+    equals is its owning shards' scalar touches.
+    """
     if op == "touch_many":
+        if isinstance(cache, ShardedCache):
+            return [cache.shards[cache.route(page)].touch(page) for page in pages]
         return [cache.touch(page) for page in pages]
     return [getattr(cache, op)([page])[0] for page in pages]
 

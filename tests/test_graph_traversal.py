@@ -6,7 +6,7 @@ import pytest
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.graph import region_crossings
-from repro.graph.traversal import Crossing, refine_crossing_direction, region_crossings_grouped
+from repro.graph.traversal import Crossing, refine_exits, region_crossings_grouped
 from tests.oracles.geometry import box_contains
 
 
@@ -80,7 +80,7 @@ class TestDirectionRefinement:
         ds = chain_dataset(points)
         ids = np.arange(ds.n_objects)
         (crossing,) = region_crossings(ds, ids, REGION)
-        refined = refine_crossing_direction(ds, ids, crossing, radius=5.0)
+        (refined,) = refine_exits(ds, ids, [crossing], radius=5.0)
         # The refined direction leans more towards +x than the raw one.
         assert refined.direction[0] > crossing.direction[0] - 1e-9
         assert np.linalg.norm(refined.direction) == pytest.approx(1.0)
@@ -89,7 +89,7 @@ class TestDirectionRefinement:
         points = np.array([[5, 5, 5], [15, 5, 5]], dtype=float)
         ds = chain_dataset(points)
         (crossing,) = region_crossings(ds, np.array([0]), REGION)
-        refined = refine_crossing_direction(ds, np.array([0]), crossing, radius=1e-6)
+        (refined,) = refine_exits(ds, np.array([0]), [crossing], radius=1e-6)
         assert np.allclose(refined.direction, crossing.direction)
 
     @pytest.mark.parametrize(
@@ -106,4 +106,5 @@ class TestDirectionRefinement:
         ds = chain_dataset(np.array(points, dtype=float))
         crossing = Crossing(0, np.array([5.0, 5.0, 5.0]), np.array([1.0, 0.0, 0.0]))
         ids = np.arange(ds.n_objects)
-        assert refine_crossing_direction(ds, ids, crossing, radius=5.0) is crossing
+        (refined,) = refine_exits(ds, ids, [crossing], radius=5.0)
+        assert refined is crossing

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.datagen.dataset import Dataset, NavigationGraph
 from repro.geometry import AABB
 from repro.index import FlatIndex, STRTree
 from tests.oracles.index import page_bounds
@@ -124,3 +126,85 @@ class TestLayoutOnEveryDataset:
         far = dataset.bounds.hi + 10.0 * (dataset.bounds.extent + 1.0)
         nothing = index.query(AABB(far, far + 1.0))
         assert nothing.n_objects == 0 and len(nothing.page_ids) == 0
+
+
+# -- query_many against a per-region brute force ----------------------------------
+
+
+def brute_force_query(index, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(object_ids, page_ids)`` of one region, scanning every object and leaf."""
+    dataset = index.dataset
+    objects = np.all((dataset.obj_lo <= hi) & (dataset.obj_hi >= lo), axis=1)
+    pages = np.all((index._leaf_lo <= hi) & (index._leaf_hi >= lo), axis=1)
+    return np.flatnonzero(objects), np.flatnonzero(pages)
+
+
+def random_segments(rng, n: int) -> Dataset:
+    p0 = rng.uniform(0.0, 20.0, size=(n, 3))
+    return Dataset(
+        name="segments",
+        p0=p0,
+        p1=p0 + rng.normal(scale=rng.choice([0.0, 0.5, 3.0]), size=(n, 3)),
+        radius=rng.uniform(0.0, 0.3, size=n),
+        structure_id=np.zeros(n, dtype=np.int64),
+        branch_id=np.zeros(n, dtype=np.int64),
+        nav=NavigationGraph(np.zeros((1, 3)), []),
+    )
+
+
+#: How a batch reaches ``query_many``.
+QUERY_FORMS = {
+    "aabbs": lambda boxes: [AABB(lo, hi) for lo, hi in boxes],
+    "iterator": lambda boxes: iter([AABB(lo, hi) for lo, hi in boxes]),
+    "packed": lambda boxes: boxes,
+}
+
+
+class TestQueryMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        index_class=st.sampled_from([STRTree, FlatIndex]),
+        fanout=st.sampled_from([4, 9, 16]),
+        form=st.sampled_from(sorted(QUERY_FORMS)),
+        n_regions=st.integers(0, 10),
+    )
+    def test_matches_per_region_brute_force(self, seed, index_class, fanout, form, n_regions):
+        rng = np.random.default_rng(seed)
+        index = index_class(random_segments(rng, int(rng.integers(1, 300))), fanout=fanout)
+        boxes = []
+        for _ in range(n_regions):
+            kind = rng.choice(["inside", "miss", "duplicate", "flat"])
+            if kind == "duplicate" and boxes:
+                boxes.append(boxes[int(rng.integers(len(boxes)))].copy())
+                continue
+            lo = rng.uniform(-2.0, 22.0, size=3) + (100.0 if kind == "miss" else 0.0)
+            extent = np.zeros(3) if kind == "flat" else rng.uniform(0.0, 12.0, size=3)
+            boxes.append(np.array([lo, lo + extent]))
+        packed = np.array(boxes).reshape(len(boxes), 2, 3)
+
+        results = index.query_many(QUERY_FORMS[form](packed))
+        assert len(results) == len(boxes)
+        for (lo, hi), result in zip(packed, results):
+            objects, pages = brute_force_query(index, lo, hi)
+            assert result.object_ids.dtype == result.page_ids.dtype == np.int64
+            assert np.array_equal(result.object_ids, objects)
+            assert np.array_equal(result.page_ids, pages)
+            single = index.query(AABB(lo, hi))
+            assert np.array_equal(single.object_ids, result.object_ids)
+            assert np.array_equal(single.page_ids, result.page_ids)
+
+    def test_an_empty_batch(self, tissue_flat):
+        assert tissue_flat.query_many([]) == []
+        assert tissue_flat.query_many(iter(())) == []
+        assert tissue_flat.query_many(np.zeros((0, 2, 3))) == []
+
+    def test_regions_that_miss_the_dataset(self, tissue, tissue_rtree):
+        far = tissue.bounds.hi + 10.0 * (tissue.bounds.extent + 1.0)
+        inside = AABB.cube(tissue.bounds.center, 60_000.0)
+        results = tissue_rtree.query_many([AABB(far, far + 1.0), inside, AABB(-far - 1.0, -far)])
+        assert [r.n_objects for r in results[::2]] == [0, 0]
+        assert [len(r.page_ids) for r in results[::2]] == [0, 0]
+        objects, pages = brute_force_query(tissue_rtree, inside.lo, inside.hi)
+        assert np.array_equal(results[1].object_ids, objects) and len(objects)
+        assert np.array_equal(results[1].page_ids, pages)

@@ -47,6 +47,7 @@ _GONE = """
     segment_segment_distance cells_of_segment clip_segment_to_aabb _slab_clip slab_clip
     segment_aabb_intersects OraclePrefetcher bind_sequence
     Segment point_segment_distance flat_id reset_stats aabbs_intersect_arrays
+    refine_crossing_direction
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer

@@ -1,7 +1,8 @@
 """Differential tests of the array-native prediction path.
 
-Three per-query Python loops left ``src/`` -- the bucket-dict graph
-build, the eager per-component exit refinement, and the per-step
+Four per-query Python loops left ``src/`` -- the bucket-dict graph
+build, the eager per-component exit refinement, the per-exit gather of
+a track's refinement (``tests/oracles/graph.py``), and the per-step
 ``AABB`` generator behind incremental prefetch regions.  They live on
 here as oracles: the array passes that replaced them must produce the
 same *bits in the same order*, because edge order fixes adjacency-set
@@ -21,16 +22,12 @@ from repro.geometry.grid import UniformGrid
 from repro.geometry.primitives import segments_clip_intervals
 from repro.graph import SpatialGraph, build_graph, build_graph_grid_hash
 from repro.graph.builder import _sample_segment_cells
-from repro.graph.traversal import (
-    Crossing,
-    refine_crossing_direction,
-    region_crossings_grouped,
-)
+from repro.graph.traversal import Crossing, refine_exits, region_crossings_grouped
 from repro.index import FlatIndex, STRTree
 from repro.util import dot, norm
 from repro.workload import generate_sequence
 from tests.oracles.geometry import slab_clip
-from tests.oracles.graph import edges_of
+from tests.oracles.graph import edges_of, refine_crossing_direction
 from tests.oracles.index import ScalarSTRTree
 
 
@@ -250,6 +247,108 @@ class TestDeferredRefinement:
         far = max(walks[1:], key=lambda w: np.linalg.norm(w.queries[0].center - first[-1].center))
         tracker = assert_trackers_agree(tissue, tissue_flat, first + far.queries)
         assert tracker.resets >= 1
+
+
+# -- oracle 2a: one gather per exit ------------------------------------------------------
+
+
+def assert_refines_like_the_oracle(dataset, component_ids, exits, radius):
+    got = refine_exits(dataset, component_ids, exits, radius)
+    want = [refine_crossing_direction(dataset, component_ids, e, radius) for e in exits]
+    assert [crossing_bits(c) for c in got] == [crossing_bits(c) for c in want]
+    return got
+
+
+def unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+class TestTrackRefinement:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        radius=st.sampled_from([0.0, 0.5, 2.0, 6.0, 50.0]),
+    )
+    def test_matches_per_exit_refinement(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        p0 = rng.uniform(-10, 10, size=(n, 3))
+        p1 = p0 + rng.normal(scale=rng.choice([0.0, 0.3, 3.0]), size=(n, 3))
+        # Some zero-length objects, whose deltas the mean must skip.
+        zero = rng.random(n) < 0.2
+        p1[zero] = p0[zero]
+        dataset = segment_dataset(p0, p1)
+        component_ids = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        exits = []
+        for _ in range(int(rng.integers(0, 7))):
+            # Exits on a midpoint, near a few of them, or far from all.
+            anchor = (p0[rng.integers(n)] + p1[rng.integers(n)]) / 2.0
+            point = anchor + rng.normal(scale=rng.choice([0.0, 1.0, 100.0]), size=3)
+            exits.append(Crossing(int(rng.integers(n)), point, unit(rng.normal(size=3))))
+        assert_refines_like_the_oracle(dataset, component_ids, exits, radius)
+
+    def test_each_near_count(self):
+        # Midpoints at x = 0, 1, 2, 3 on a line; the radius picks 0, 1,
+        # 2, 3 or 4 of them for an exit at x = -0.5.
+        p0 = np.array([[x, 0.0, 0.0] for x in range(4)]) - [0.0, 0.5, 0.0]
+        p1 = p0 + [0.0, 1.0, 0.0]
+        dataset = segment_dataset(p0, p1)
+        direction = unit([1.0, 0.2, 0.0])
+        exits = [Crossing(0, np.array([-0.5, 0.0, 0.0]), direction)]
+        for radius, expect_changed in ((0.1, False), (0.6, True), (1.6, True), (2.6, True)):
+            (got,) = assert_refines_like_the_oracle(dataset, np.arange(4), exits, radius)
+            assert (got is exits[0]) != expect_changed
+
+    def test_a_track_mixing_near_counts(self):
+        p0 = np.array([[x, 0.0, 0.0] for x in range(6)], dtype=float)
+        p1 = p0 + [1.0, 0.1, 0.0]
+        dataset = segment_dataset(p0, p1)
+        exits = [
+            Crossing(0, np.array([-3.0, 0.0, 0.0]), unit([-1.0, 0.0, 0.0])),  # none near
+            Crossing(1, np.array([0.5, 0.0, 0.0]), unit([-1.0, 0.0, 0.0])),  # one
+            Crossing(2, np.array([6.0, 0.0, 0.0]), unit([1.0, 0.0, 0.0])),  # two
+            Crossing(3, np.array([3.0, 0.0, 0.0]), unit([0.0, 1.0, 0.0])),  # three or more
+        ]
+        got = assert_refines_like_the_oracle(dataset, np.arange(6)[::-1], exits, 1.2)
+        assert got[0] is exits[0]
+        assert all(g is not e for g, e in zip(got[1:], exits[1:]))
+
+    def test_degenerate_tracks(self):
+        direction = unit([1.0, 0.0, 0.0])
+        at_origin = Crossing(0, np.zeros(3), direction)
+        # Near objects of zero length: no direction to average.
+        points = segment_dataset(np.zeros((2, 3)), np.zeros((2, 3)))
+        (got,) = assert_refines_like_the_oracle(points, np.arange(2), [at_origin], 1.0)
+        assert got is at_origin
+        # Two opposite deltas square to the exit: alignment 0 keeps both
+        # signs, and their mean is the zero vector.
+        p0 = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        opposite = segment_dataset(p0, -p0)
+        (got,) = assert_refines_like_the_oracle(opposite, np.arange(2), [at_origin], 1.0)
+        assert got is at_origin
+        # Three or more coincident midpoints: an axis from a zero matrix.
+        stacked = segment_dataset(np.zeros((4, 3)), np.zeros((4, 3)))
+        assert_refines_like_the_oracle(stacked, np.arange(4), [at_origin], 1.0)
+        # No exits at all, and an exit exactly on the radius.
+        assert refine_exits(stacked, np.arange(4), [], 1.0) == []
+        on_edge = Crossing(0, np.array([1.0, 0.0, 0.0]), unit([0.0, 1.0, 1.0]))
+        (got,) = assert_refines_like_the_oracle(stacked, np.arange(4), [on_edge], 1.0)
+        assert got is not on_edge
+
+    def test_tracker_refinement_on_query_results(self, tissue, tissue_flat, rng):
+        sequence = generate_sequence(tissue, rng, n_queries=10, volume=60_000.0)
+        refined = 0
+        for query in sequence.queries:
+            ids = tissue_flat.query(query.bounds).object_ids
+            graph = build_graph(tissue, ids, query.bounds).graph
+            side = float(np.cbrt(query.bounds.volume))
+            components = [np.fromiter(c, dtype=np.int64) for c in graph.connected_components()]
+            crossings = region_crossings_grouped(tissue, components, query.bounds)
+            for object_ids, exits in zip(components, crossings):
+                assert_refines_like_the_oracle(tissue, object_ids, exits, side * 0.3)
+                refined += len(exits)
+        assert refined > 10
 
 
 # -- oracle 2b: one scalar score per crossing ---------------------------------------------

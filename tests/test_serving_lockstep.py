@@ -5,8 +5,8 @@ leader/follower plan sharing; the same shared cache as the reference)
 is only allowed to change *where* pure work happens, never what any
 client observes.  The matrix here pins that: for every client count x
 contention mode x prefetcher x cache size, the lockstep report equals
-the round-robin report **bit for bit** -- every per-query record, every per-client contention counter,
-every shared-cache total, the tick count.  Timing claims (the perf
+the round-robin report **bit for bit** -- every per-query record, every
+per-client contention counter, every shared-cache total, the tick count.  Timing claims (the perf
 suite's 5x) are only meaningful on top of this equality.
 
 Also pinned: N=1 lockstep reproduces ``SimulationEngine.run`` exactly
@@ -20,6 +20,8 @@ only).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,8 @@ from repro.baselines import EWMAPrefetcher, StraightLinePrefetcher
 from repro.baselines.base import PrefetchTarget
 from repro.core import ScoutOptPrefetcher, ScoutPrefetcher
 from repro.geometry.aabb import AABB
+from repro.index import FlatIndex
+from repro.index.rtree import STRTree
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
 from repro.sim.engine import PROBE_CHUNK, QuerySession, resolve_ahead
 from repro.sim.results import metrics_from_dict, metrics_to_dict
@@ -294,6 +298,97 @@ class TestFillAhead:
         with pytest.raises(ValueError, match="bundle for query 0 replayed at cursor 1"):
             session.step_query(work)
         assert session.query_index == 1 and len(session.metrics.records) == 1
+
+
+class CountingIndex(FlatIndex):
+    """A FLAT index that counts its query and probe-pass calls."""
+
+    def __init__(self, dataset) -> None:
+        self.calls: Counter = Counter()
+        super().__init__(dataset, fanout=16)
+
+    def query(self, region):
+        self.calls["query"] += 1
+        return super().query(region)
+
+    def query_many(self, regions):
+        self.calls["query_many"] += 1
+        return super().query_many(regions)
+
+    def pages_for_regions(self, regions):
+        self.calls["pages_for_regions"] += 1
+        return super().pages_for_regions(regions)
+
+
+class TestOnePassPerStage:
+    """The single-client step fills each stage in one pass, and a step
+    handed its pure work (by the tick or a tape) fetches nothing again."""
+
+    @pytest.fixture()
+    def walk(self, tissue):
+        clients = multiclient_sessions(tissue, n_clients=1, seed=5, n_queries=8, volume=30_000.0)
+        return CountingIndex(tissue), clients[0].sequence
+
+    def test_a_stepped_walk_is_served_by_one_query_many(self, tissue, walk):
+        index, sequence = walk
+        session = QuerySession(SimulationEngine(index), sequence, ScoutPrefetcher(tissue))
+        session.run()
+        assert (index.calls["query"], index.calls["query_many"]) == (0, 1)
+
+    def test_a_step_filled_ahead_or_taped_fetches_no_result(self, tissue, walk):
+        index, sequence = walk
+        engine = SimulationEngine(index)
+        results = index.query_many([query.bounds for query in sequence.queries])
+        ahead = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        taped = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        tape = taped.plan_tape()
+        replaying = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        index.calls.clear()
+        for result, work in zip(results, tape):
+            ahead.step_query(ahead.fill_ahead(result))
+            taped.step_query_replay(work)
+            replaying.step_query_replay(work)
+        assert index.calls["query"] == index.calls["query_many"] == 0
+        assert ahead.done and taped.done and replaying.done
+
+    def test_a_plan_filled_by_its_step_is_probed_in_one_pass(self, tissue, walk):
+        index, sequence = walk
+        session = QuerySession(SimulationEngine(index), sequence, ScoutPrefetcher(tissue))
+        planned = 0
+        while not session.done:
+            # The first step's walk-wide query_many is one probe pass more.
+            before = index.calls["pages_for_regions"] - index.calls["query_many"]
+            work = session.step_query_capture()
+            if not work.streams:
+                continue
+            planned += 1
+            # Every stream's first chunk is resolved, consumed or not,
+            # and the first pass answered all of them.
+            for stream in work.streams:
+                assert len(stream._resolved) >= min(PROBE_CHUNK, len(stream._regions))
+            passes = index.calls["pages_for_regions"] - index.calls["query_many"] - before
+            deeper = sum(-(-len(s._resolved) // PROBE_CHUNK) - 1 for s in work.streams)
+            assert passes == 1 + deeper
+        assert planned > 0
+
+    def test_the_lockstep_tick_keeps_its_probe_passes(self, monkeypatch):
+        """The tick resolves every stream itself: a step it filled must
+        not probe again (157 passes per seed-7 ``fleet_thrash`` repetition)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
+        from e2e_workloads import FleetWorkload
+
+        workload = FleetWorkload("fleet_thrash")
+        workload.build(7)
+        passes = Counter()
+        probe = STRTree.pages_for_regions
+
+        def counted(index, regions):
+            passes["pages_for_regions"] += 1
+            return probe(index, regions)
+
+        monkeypatch.setattr(STRTree, "pages_for_regions", counted)
+        workload.repetition()
+        assert passes["pages_for_regions"] == 157
 
 
 class TestPlanSharing:

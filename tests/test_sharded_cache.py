@@ -289,6 +289,25 @@ class TestRebalancer:
         assert first.per_shard_stats() == second.per_shard_stats()
         assert listing(first) == listing(second)
 
+    def test_scalar_touch_is_a_batch_of_one(self):
+        """``touch(p)`` feeds the hop clock and the load EWMA like ``touch_many([p])``."""
+        index = FlatIndex(make_neuron_tissue(n_neurons=8, seed=7), fanout=16)
+        scalar, batched = (
+            hilbert_cache(index, 4, pages_per_shard=8, rebalance=True, rebalance_interval=1)
+            for _ in range(2)
+        )
+        pages = np.argsort(page_hilbert_keys(index))[:20].tolist()
+        for cache in (scalar, batched):
+            cache.insert_many(pages[::2])
+        for i in range(100):
+            page = pages[i % 20]
+            assert scalar.touch(page) == batched.touch_many([page])[0]
+        assert scalar.rebalance_events == batched.rebalance_events == 79
+        assert (scalar.hops, scalar.hop_seconds) == (batched.hops, batched.hop_seconds)
+        assert np.array_equal(scalar._ewma, batched._ewma)
+        assert scalar.per_shard_stats() == batched.per_shard_stats()
+        assert listing(scalar) == listing(batched)
+
     def test_rebalance_moves_pages_without_eviction_accounting(self, tissue_flat):
         cache = self._fresh(tissue_flat)
         for batch in skewed_batches(tissue_flat):
