@@ -332,7 +332,8 @@ class SimulationEngine:
 
         ``streams`` is one (possibly shared) :class:`_SharedProbeStream`
         per target (:meth:`_probe_streams`), read at this call's own
-        position in each.
+        position in each: a region already resolved is read off the
+        stream's list, and only a position past it asks ``get``.
         """
         if not targets:
             return 0, 0.0
@@ -355,13 +356,18 @@ class SimulationEngine:
                 if remaining <= 0:
                     break
                 share, stream, position, _ = state
+                # get extends this list in place, so it stays current.
+                resolved = stream._resolved
                 allotment = pass_budget * (share / total_share) + carry
                 spent = 0.0
                 while spent < allotment and remaining > 0:
-                    probe_pages = stream.get(position)
-                    if probe_pages is None:
-                        state[3] = True
-                        break
+                    if position < len(resolved):
+                        probe_pages = resolved[position]
+                    else:
+                        probe_pages = stream.get(position)
+                        if probe_pages is None:
+                            state[3] = True
+                            break
                     position += 1
                     state[2] = position
                     advanced = True
@@ -642,10 +648,11 @@ class QuerySession:
 
         mine.shared_hits += n_hits
         if self.client_id is not None:
-            # NO_OWNER never equals a client id: every other tag is a cross-client hit.
-            owners = cache.owners_many(compress(pages, hit_mask))
-            mine.cross_client_hits += n_hits - owners.count(self.client_id)
-            mine.evicted_misses += cache.evicted_many(miss_pages).count(True)
+            # One pass: hits on pages another client (or nobody) tagged,
+            # misses on pages the cache once held and evicted.
+            foreign, evicted = cache.attribute_many(pages, hit_mask, self.client_id)
+            mine.cross_client_hits += foreign
+            mine.evicted_misses += evicted
 
         # Data-level hit accounting (§3.3): an object is served from
         # the cache when its page was prefetched.  Every object page is
@@ -737,22 +744,25 @@ class QuerySession:
                 work.n_candidates = getattr(self.prefetcher, "n_candidates", 0)
             n_candidates = work.n_candidates
 
+        n_objects = result.n_objects
+        # Positional, in field order: matching fifteen keywords cost more
+        # than the rest of the record on the hit path.
         record = QueryRecord(
-            index=self._cursor,
-            pages_needed=len(pages),
-            pages_hit=n_hits,
-            objects_needed=result.n_objects,
-            objects_hit=objects_hit,
-            residual_seconds=residual,
-            cold_seconds=work.cold,
-            window_seconds=window,
-            prediction_seconds=prediction_cost,
-            graph_build_seconds=build_cost,
-            prefetch_pages=prefetch_pages,
-            prefetch_seconds=prefetch_seconds,
-            gap_io_pages=gap_pages_used,
-            n_result_objects=result.n_objects,
-            n_candidates=n_candidates,
+            self._cursor,  # index
+            len(pages),  # pages_needed
+            n_hits,  # pages_hit
+            n_objects,  # objects_needed
+            objects_hit,
+            residual,  # residual_seconds
+            work.cold,  # cold_seconds
+            window,  # window_seconds
+            prediction_cost,  # prediction_seconds
+            build_cost,  # graph_build_seconds
+            prefetch_pages,
+            prefetch_seconds,
+            gap_pages_used,  # gap_io_pages
+            n_objects,  # n_result_objects
+            n_candidates,
         )
         self.metrics.records.append(record)
         self._cursor += 1

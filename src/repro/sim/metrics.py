@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """Accounting of one query in a sequence."""
 

@@ -79,7 +79,7 @@ from repro.sim.results import (
     canonical_json,
     cell_key,
 )
-from repro.storage.faults import FAULT_PREFETCHER_BUILDERS, FaultPlan
+from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardSpec
 from repro.storage.tiered import StorageSpec
 from repro.workload.multiclient import multiclient_sessions
@@ -126,10 +126,6 @@ _PREFETCHER_BUILDERS: dict[str, Callable[..., Any]] = {
     "polynomial": lambda ds, ix, p: PolynomialPrefetcher(**p),
     "hilbert": lambda ds, ix, p: HilbertPrefetcher(ds, **p),
     "none": lambda ds, ix, p: NoPrefetcher(),
-    # Fault-injection kinds (``_sleep`` / ``_fail`` / ``_exit``) for the
-    # orchestrator's own test surface, consolidated in the faults module
-    # under their historical names.
-    **FAULT_PREFETCHER_BUILDERS,
 }
 
 

@@ -219,35 +219,33 @@ class ServingSimulator:
         ``pages_for_regions`` pass over the tick's probe streams.  Either
         way every active session then steps *in client order* -- all
         cache and disk mutations happen there, as in round-robin.
+
+        The tick keeps its live sessions -- ``(start tick, session,
+        tape)`` in client order -- and drops the finished ones after each
+        tick; a tick where only staggered clients wait still counts.
         """
-        tapes = None
-        if plans_shareable(prefetchers, self.config.faults):
+        tapes = [None] * len(sessions)
+        shared = plans_shareable(prefetchers, self.config.faults)
+        if shared:
             by_walk: dict[int, list] = {}
             for session in sessions:
                 if id(session.sequence) not in by_walk:
                     by_walk[id(session.sequence)] = session.plan_tape()
             tapes = [by_walk[id(session.sequence)] for session in sessions]
+        live = [
+            (client.start_tick, session, tape)
+            for client, session, tape in zip(clients, sessions, tapes)
+            if not session.done
+        ]
 
         tick = 0
-        while True:
-            active = [
-                i
-                for i, (client, session) in enumerate(zip(clients, sessions))
-                if not session.done and client.start_tick <= tick
-            ]
-            waiting = any(
-                not session.done and client.start_tick > tick
-                for client, session in zip(clients, sessions)
-            )
-            if not active and not waiting:
-                break
-
-            if tapes is not None:
-                for i in active:
-                    session = sessions[i]
-                    session.step_query_replay(tapes[i][session.query_index])
+        while live:
+            if shared:
+                for start, session, tape in live:
+                    if start <= tick:
+                        session.step_query_replay(tape[session.query_index])
             else:
-                batch = [sessions[i] for i in active]
+                batch = [session for start, session, _ in live if start <= tick]
                 bounds = [s.sequence.queries[s.query_index].bounds for s in batch]
                 bundles = [
                     session.fill_ahead(result)
@@ -257,4 +255,5 @@ class ServingSimulator:
                 for session, work in zip(batch, bundles):
                     session.step_query(work)
             tick += 1
+            live = [entry for entry in live if not entry[1].done]
         return tick

@@ -33,9 +33,14 @@ Two implementations share one observable contract, and one is built:
 
 Both answer one contract (DESIGN.md §6.1).  Callers ask the batch API
 (:meth:`touch_many`, :meth:`contains_many`, :meth:`missing_many`,
-:meth:`owners_many`, :meth:`evicted_many`, :meth:`insert_many`): any
-iterable of ints in, a ``list`` of plain ``bool`` / ``int`` out, equal
-element-wise to the scalar ``touch`` / ``insert`` loop.  Besides the
+:meth:`insert_many`): any iterable of ints in, a ``list`` of plain
+``bool`` / ``int`` out, equal element-wise to the scalar ``touch`` /
+``insert`` loop.  A served query's attribution is one more batch call,
+:meth:`PrefetchCache.attribute_many` (the demand touch's hit flags in,
+``(foreign_hits, evicted_misses)`` out), which only the built caches
+answer.  :meth:`owners_many` and :meth:`evicted_many` ask the same two
+questions page by page; nothing in the package calls them, and they
+stay defined because the benchmark harness names them.  Besides the
 counters, the only other ops are the ones the sharded cache's
 rebalancer moves pages with: ``len``, :meth:`cached_pages`,
 :meth:`owner_of` and :meth:`discard`.  There is no scalar membership or
@@ -204,6 +209,29 @@ class PrefetchCache:
         """
         evicted = self._evicted
         return [p in evicted for p in _keys(page_ids)]
+
+    def attribute_many(
+        self, page_ids: Iterable[int], hit: Iterable[bool], client_id: int
+    ) -> tuple[int, int]:
+        """``(foreign_hits, evicted_misses)`` of one served batch, in one pass.
+
+        ``hit`` is the batch's :meth:`touch_many` answer.  A hit is
+        foreign when its page is not tagged ``client_id`` (untagged pages
+        included: a client id is never :data:`NO_OWNER`); a miss is
+        eviction-induced when its page carries the eviction mark.  Equal
+        to ``hit.count(True) - owners_many(hit pages).count(client_id)``
+        and ``evicted_many(miss pages).count(True)``; no counters, no
+        recency changes.
+        """
+        owner_of, evicted = self._pages.get, self._evicted
+        foreign = evicted_misses = 0
+        for page_id, was_hit in zip(_keys(page_ids), hit):
+            if not was_hit:
+                if page_id in evicted:
+                    evicted_misses += 1
+            elif owner_of(page_id) != client_id:
+                foreign += 1
+        return foreign, evicted_misses
 
 
 class ArrayCache:

@@ -33,20 +33,12 @@ so fault-injected experiments keep the repo's determinism contract:
 ``jobs=1`` and ``jobs=N`` sweeps are bit-identical, and round-robin and
 lockstep serving schedules (which issue disk reads in the same client
 order) stay bit-identical under faults.
-
-The module also hosts the *orchestrator-level* fault registry: the
-``_sleep`` / ``_fail`` / ``_exit`` prefetcher builders that the sweep
-runner's timeout/retry/pool-respawn tests inject through ordinary cell
-specs (see :data:`FAULT_PREFETCHER_BUILDERS`).
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +46,6 @@ from repro.storage.disk import DiskModel, _canonical
 from repro.storage.stats import IOStats
 
 __all__ = [
-    "FAULT_PREFETCHER_BUILDERS",
     "CircuitBreaker",
     "FaultPlan",
     "FaultyDiskModel",
@@ -349,72 +340,3 @@ class CircuitBreaker:
             self.opens += 1
             self._cooldown_left = self.cooldown
             self._consecutive_failures = 0
-
-
-# -- orchestrator-level fault registry ----------------------------------------------
-#
-# These builders inject faults one level up from the disk: into the
-# sweep runner's *cell execution*, through ordinary prefetcher specs.
-# They exist so the timeout/retry/pool-respawn machinery can be
-# exercised with real cell specs in any worker process (registries
-# travel with the module, unlike monkeypatches, so they work under every
-# multiprocessing start method).  The runner merges this registry into
-# its prefetcher-builder table, keeping the historical kind names.
-
-
-def _build_sleep_prefetcher(ds: Any, ix: Any, p: Mapping[str, Any]):
-    """Fault-injection kind ``_sleep``: stall ``seconds``, then act as ``none``."""
-    time.sleep(float(p.get("seconds", 0.0)))
-    from repro.baselines import NoPrefetcher
-
-    return NoPrefetcher()
-
-
-def _build_fail_prefetcher(ds: Any, ix: Any, p: Mapping[str, Any]):
-    """Fault-injection kind ``_fail``: raise during construction.
-
-    With ``once_flag`` set, the first attempt creates that file and
-    raises while later attempts succeed -- a deterministic transient
-    failure for exercising retry-then-succeed.
-    """
-    flag = p.get("once_flag")
-    if flag is not None:
-        flag_path = Path(flag)
-        if flag_path.exists():
-            from repro.baselines import NoPrefetcher
-
-            return NoPrefetcher()
-        flag_path.touch()
-    raise RuntimeError(str(p.get("message", "injected cell failure")))
-
-
-def _build_exit_prefetcher(ds: Any, ix: Any, p: Mapping[str, Any]):
-    """Fault-injection kind ``_exit``: kill the hosting process with ``os._exit``.
-
-    Simulates a hard worker death (OOM kill, segfault): the process
-    vanishes without unwinding, which breaks a
-    :class:`~concurrent.futures.ProcessPoolExecutor` and exercises the
-    runner's pool-respawn path.  With ``once_flag`` set, only the first
-    attempt dies (the flag file persists across the respawned pool);
-    ``seconds`` delays the death so sibling cells can finish first.
-    Pooled runs only -- in a serial run this kills the sweep itself.
-    """
-    flag = p.get("once_flag")
-    if flag is not None:
-        flag_path = Path(flag)
-        if flag_path.exists():
-            from repro.baselines import NoPrefetcher
-
-            return NoPrefetcher()
-        flag_path.touch()
-    time.sleep(float(p.get("seconds", 0.0)))
-    os._exit(int(p.get("code", 1)))
-
-
-#: The orchestrator's fault-injection prefetcher kinds, merged into the
-#: sweep runner's builder registry under their historical names.
-FAULT_PREFETCHER_BUILDERS: dict[str, Callable[..., Any]] = {
-    "_sleep": _build_sleep_prefetcher,
-    "_fail": _build_fail_prefetcher,
-    "_exit": _build_exit_prefetcher,
-}

@@ -390,6 +390,23 @@ class ShardedCache:
     def evicted_many(self, page_ids) -> list[bool]:
         return self._fan_out("evicted_many", *self._by_shard(page_ids))
 
+    def attribute_many(self, page_ids, hit: list[bool], client_id: int) -> tuple[int, int]:
+        """``(foreign_hits, evicted_misses)`` of one served batch: routed
+        once, each shard attributes its own pages, the counts summed.
+        ``hit`` is the batch's :meth:`touch_many` answer."""
+        pages, groups = self._by_shard(page_ids)
+        if len(groups) == 1:
+            (shard_id,) = groups
+            return self._shards[shard_id].attribute_many(pages, hit, client_id)
+        foreign = evicted_misses = 0
+        for shard_id, positions in groups.items():
+            shard_foreign, shard_evicted = self._shards[shard_id].attribute_many(
+                [pages[i] for i in positions], [hit[i] for i in positions], client_id
+            )
+            foreign += shard_foreign
+            evicted_misses += shard_evicted
+        return foreign, evicted_misses
+
     # -- rebalancing ----------------------------------------------------------
 
     def _maybe_rebalance(self) -> None:

@@ -5,7 +5,7 @@ The def check: :func:`defs` lists each ``def`` of a package tree (plain
 functions, methods, properties, nested and decorated functions) by the
 key the recorder in ``sitecustomize.py`` writes, ``path:first-line:name``.
 A def no entry point entered (``entered.log``) must be named by
-:data:`ALLOWLIST`, whose entries are of four kinds only (:data:`KINDS`);
+:data:`ALLOWLIST`, whose entries are of three kinds only (:data:`KINDS`);
 an entry naming a class covers its methods.  An entry is stale when it
 names no def, or when an entry point entered a def it covers: the
 allowlist spares only what nothing runs.  ``__repr__`` and ``__str__``
@@ -58,12 +58,11 @@ REPORT = OUT / "never_entered.txt"
 
 EXEMPT = frozenset({"__repr__", "__str__"})
 
-#: The four reasons a def may stay unentered.
+#: The three reasons a def may stay unentered.
 KINDS = {
     "e2e": "the benchmark's tracer pins it (span point or captured class): ROADMAP item 19",
     "error": "an error path no deterministic driver reaches",
     "protocol": "an abstract protocol method: subclasses override it",
-    "fault-kind": "a runner fault-injection prefetcher kind pool workers must import",
 }
 
 _E2E = "benchmarks/e2e/e2e_trace.py"
@@ -75,10 +74,14 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
         f"{_E2E} patches its ops and captures its instances; nothing in src builds it",
     ),
     "storage/cache.py::PrefetchCache.touch": ("e2e", f"a {_E2E} span point"),
+    "storage/cache.py::PrefetchCache.owners_many": ("e2e", f"a {_E2E} span point"),
+    "storage/cache.py::PrefetchCache.evicted_many": ("e2e", f"a {_E2E} span point"),
     "storage/sharded.py::ShardedCache.touch": ("e2e", f"a {_E2E} span point"),
     "storage/sharded.py::ShardedCache.insert": ("e2e", f"a {_E2E} span point"),
     "storage/sharded.py::ShardedCache.route": ("e2e", f"a {_E2E} span point"),
     "storage/sharded.py::ShardedCache.contains_many": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.owners_many": ("e2e", f"a {_E2E} span point"),
+    "storage/sharded.py::ShardedCache.evicted_many": ("e2e", f"a {_E2E} span point"),
     "baselines/extrapolation.py::VelocityPrefetcher.plan": ("e2e", f"a {_E2E} span point"),
     "graph/traversal.py::region_crossings": ("e2e", f"a {_E2E} span point"),
     "sim/engine.py::QuerySession.step_query_capture": ("e2e", f"a {_E2E} span point"),
@@ -91,9 +94,6 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
     "baselines/base.py::Prefetcher.plan": ("protocol", "every prefetcher overrides it"),
     "index/base.py::SpatialIndex._build": ("protocol", "STRTree overrides it"),
     "index/base.py::SpatialIndex.pages_for_region": ("protocol", "STRTree overrides it"),
-    "storage/faults.py::_build_sleep_prefetcher": ("fault-kind", "runner kind _sleep"),
-    "storage/faults.py::_build_fail_prefetcher": ("fault-kind", "runner kind _fail"),
-    "storage/faults.py::_build_exit_prefetcher": ("fault-kind", "runner kind _exit"),
 }
 
 

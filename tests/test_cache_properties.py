@@ -15,7 +15,9 @@ observable state after every single step.  The batch contract itself
 (any iterable of ints in, a list of plain ``bool`` / ``int`` out) is
 held for both backends and a rebalancing sharded cache.  The caches
 answer membership, owner and eviction questions only in batches, so the
-reference for those is :class:`ModelLRU`.
+reference for those is :class:`ModelLRU`.  A served query's one-pass
+attribution (``attribute_many``) is held to the owner and eviction
+lookups it replaced, on the dict cache and both sharded layouts.
 """
 
 from __future__ import annotations
@@ -385,6 +387,108 @@ def test_every_batch_op_answers_a_list_of_plain_values(tissue_flat, kind, form, 
         assert type(got) is list and all(type(value) is answer_type for value in got), name
         assert got == one_by_one(scalar, name, probe), name
     assert (batch.hits, batch.misses) == (scalar.hits, scalar.misses)
+
+
+# -- served-query attribution: one pass, the two lookups' counts ---------------
+
+
+def attribution_cache(kind: str, index, *, rebalance: bool = True):
+    """A small cache of each class a serving session attributes on: the
+    dict cache, a Hilbert-sharded cache (rebalancing after every batch
+    unless told not to) and a hash-sharded one.  Small enough to evict
+    constantly."""
+    if kind == "dict":
+        return PrefetchCache(4)
+    if kind == "hash":
+        return ShardedCache(
+            ShardSpec(n_shards=3, partition="hash"), [PrefetchCache(2) for _ in range(3)]
+        )
+    spec = ShardSpec(
+        n_shards=3, shard_cache_pages=2, rebalance=rebalance, rebalance_interval=1
+    )
+    return make_sharded_cache(spec, 0, index=index)
+
+
+def two_lookups(cache, pages: list[int], hit: list[bool], client_id: int) -> tuple[int, int]:
+    """What the served step counted before ``attribute_many``: the hits'
+    owner tags and the misses' eviction marks, asked separately."""
+    hit_pages = [page for page, was_hit in zip(pages, hit) if was_hit]
+    miss_pages = [page for page, was_hit in zip(pages, hit) if not was_hit]
+    own = cache.owners_many(hit_pages).count(client_id)
+    return len(hit_pages) - own, cache.evicted_many(miss_pages).count(True)
+
+
+def cache_view(cache) -> tuple:
+    """Counters and per-shard LRU listings: what attribution must not move."""
+    shards = cache.shards if isinstance(cache, ShardedCache) else [cache]
+    return (
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        cache.insertions,
+        [shard.cached_pages() for shard in shards],
+    )
+
+
+#: Insert / touch histories with untagged (``None``) owners; the caches
+#: above hold 2-4 pages per shard, so pages are evicted and re-inserted.
+attribution_history = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_many"), st.lists(page_ids, max_size=6), owners),
+        st.tuples(st.just("touch_many"), st.lists(page_ids, max_size=6)),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("kind", ["dict", "hilbert", "hash"])
+@settings(deadline=None)
+@given(
+    history=attribution_history,
+    probe=st.lists(page_ids, max_size=10),
+    # Owners are 0-3, so clients 4 and 5 own nothing.
+    client_id=st.integers(min_value=0, max_value=5),
+)
+def test_attribute_many_equals_the_owner_and_eviction_lookups(
+    tissue_flat, kind, history, probe, client_id
+):
+    cache = attribution_cache(kind, tissue_flat)
+    for name, *operands in history:
+        getattr(cache, name)(*operands)
+    hit = cache.touch_many(probe)
+    expected = two_lookups(cache, probe, hit, client_id)
+    before = cache_view(cache)
+    assert cache.attribute_many(probe, hit, client_id) == expected
+    assert cache.attribute_many(np.asarray(probe, dtype=np.int64), hit, client_id) == expected
+    assert cache_view(cache) == before
+
+
+@pytest.mark.parametrize("kind", ["dict", "hilbert", "hash"])
+def test_attribute_many_counts_each_case(tissue_flat, kind):
+    """One history with every case: own, another client's and untagged
+    hits, a page evicted and brought back, evicted misses, misses never
+    cached; an empty batch; a client that owns nothing.  (No rebalancing:
+    a split move re-routes pages away from their eviction marks.)"""
+    cache = attribution_cache(kind, tissue_flat, rebalance=False)
+    cache.insert_many(range(12), owner=0)  # every shard overflows: evictions
+    gone = [page for page, mark in zip(range(12), cache.evicted_many(range(12))) if mark]
+    back, still_gone = gone[0], gone[1:]
+    cache.insert_many([back], owner=2)  # re-inserted: its mark clears
+    cache.insert_many([13], owner=None)
+    own = [
+        page
+        for page, there in zip(range(12), cache.contains_many(range(12)))
+        if there and page != back
+    ]
+    probe = [back, 13, *own, *still_gone, 14, 15]
+    hit = cache.touch_many(probe)
+    n_hits = hit.count(True)
+    assert n_hits == 2 + len(own) and len(still_gone) > 0
+    for client_id, foreign in [(0, n_hits - len(own)), (2, n_hits - 1), (5, n_hits)]:
+        answer = (foreign, len(still_gone))
+        assert cache.attribute_many(probe, hit, client_id) == answer
+        assert two_lookups(cache, probe, hit, client_id) == answer
+    assert cache.attribute_many([], [], 0) == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["dict", "array", "sharded"])

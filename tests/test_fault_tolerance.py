@@ -9,7 +9,8 @@ schema version or envelope mismatch is classified stale (recomputed),
 never rendered.  A worker that dies *hard* (``os._exit``, simulating an OOM
 kill or segfault) breaks the process pool; the runner must respawn it,
 re-enqueue the in-flight cells with one attempt charged, and finish the
-sweep.
+sweep.  The failing cells are built from the fault-injection kinds of
+``tests/oracles/faults.py``, registered with the runner on import.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from repro.sim import (
     WorkloadSpec,
     run_cell,
 )
+from tests.oracles import faults
+
+# The ``_sleep`` / ``_fail`` / ``_exit`` kinds the cells below inject.
+faults.register()
 
 TINY_DATASET = DatasetSpec("neuron", {"n_neurons": 6, "seed": 11})
 TINY_INDEX = IndexSpec("flat", {"fanout": 16})

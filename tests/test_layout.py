@@ -48,6 +48,7 @@ _GONE = """
     segment_aabb_intersects OraclePrefetcher bind_sequence
     Segment point_segment_distance flat_id reset_stats aabbs_intersect_arrays
     refine_crossing_direction
+    FAULT_PREFETCHER_BUILDERS _build_sleep_prefetcher _build_fail_prefetcher _build_exit_prefetcher
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer

@@ -32,13 +32,14 @@ from repro.baselines.base import PrefetchTarget
 from repro.core import ScoutOptPrefetcher, ScoutPrefetcher
 from repro.geometry.aabb import AABB
 from repro.index import FlatIndex
+from repro.index.base import SpatialIndex
 from repro.index.rtree import STRTree
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
-from repro.sim.engine import PROBE_CHUNK, QuerySession, resolve_ahead
+from repro.sim.engine import PROBE_CHUNK, QuerySession, _SharedProbeStream, resolve_ahead
 from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.storage.cache import PrefetchCache
 from repro.storage.faults import FaultPlan
-from repro.storage.sharded import ShardSpec
+from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec
 from repro.workload import multiclient_sessions
 
@@ -389,6 +390,79 @@ class TestOnePassPerStage:
         monkeypatch.setattr(STRTree, "pages_for_regions", counted)
         workload.repetition()
         assert passes["pages_for_regions"] == 157
+
+    def test_a_served_query_is_attributed_in_one_pass(self, tissue, tissue_flat, monkeypatch):
+        """Each step with a client id makes one ``touch_many`` and one
+        ``attribute_many`` on its cache, and no separate owner or eviction
+        lookup -- taped, ticked or round-robin, plain or sharded."""
+        calls = Counter()
+        for cls in (PrefetchCache, ShardedCache):
+            for name in ("touch_many", "attribute_many", "owners_many", "evicted_many"):
+                original = getattr(cls, name)
+
+                def counted(cache, *args, _original=original, _key=(cls.__name__, name)):
+                    calls[_key] += 1
+                    return _original(cache, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        sharded = SimulationConfig(
+            cache_capacity_pages=64, shards=ShardSpec(n_shards=4, partition="hash")
+        )
+        for mode, config, top in [
+            ("hotspot", SimulationConfig(), "PrefetchCache"),  # taped
+            ("independent", SimulationConfig(cache_capacity_pages=48), "PrefetchCache"),
+            ("hotspot", sharded, "ShardedCache"),
+        ]:
+            clients = multiclient_sessions(
+                tissue, n_clients=4, seed=5, n_queries=5, volume=30_000.0,
+                mode=mode, hot_pool=2, stagger=1,
+            )
+            for lockstep, fleet in [(True, EWMAPrefetcher), (False, EWMAPrefetcher),
+                                    (True, lambda: ScoutPrefetcher(tissue))]:
+                calls.clear()
+                report = ServingSimulator(tissue_flat, config).run(
+                    clients, [fleet() for _ in clients], lockstep=lockstep
+                )
+                steps = sum(len(client.metrics.records) for client in report.clients)
+                assert steps == 4 * 5
+                assert calls[top, "touch_many"] == calls[top, "attribute_many"] == steps
+                for cls in ("PrefetchCache", "ShardedCache"):
+                    assert calls[cls, "owners_many"] == calls[cls, "evicted_many"] == 0
+
+    def test_scout_walk_probe_passes_split_by_origin(self, monkeypatch):
+        """One seed-7 ``scout_walk`` repetition probes 1,490 times: 48 walk
+        ``query_many`` passes, 1,098 whole-plan first-chunk passes, and 344
+        one-stream passes for a stream's deeper chunks (``get``)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
+        from e2e_workloads import ScoutWalk
+
+        workload = ScoutWalk()
+        workload.build(7)
+        passes = Counter()
+        origin = []
+        probe, query_many, get = (
+            STRTree.pages_for_regions, SpatialIndex.query_many, _SharedProbeStream.get,
+        )
+
+        def counted_probe(index, regions):
+            passes[origin[-1] if origin else "plan"] += 1
+            return probe(index, regions)
+
+        def from_origin(name, original):
+            def wrapped(*args):
+                origin.append(name)
+                try:
+                    return original(*args)
+                finally:
+                    origin.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(STRTree, "pages_for_regions", counted_probe)
+        monkeypatch.setattr(SpatialIndex, "query_many", from_origin("walk", query_many))
+        monkeypatch.setattr(_SharedProbeStream, "get", from_origin("deeper", get))
+        workload.repetition()
+        assert dict(passes) == {"walk": 48, "plan": 1098, "deeper": 344}
 
 
 class TestPlanSharing:
