@@ -2,20 +2,18 @@
 
 One process owns the serving plane the simulator shares out: a dataset,
 its page-granular index, one shared prefetch cache and one disk model
-(optionally fault-wrapped, complete with the per-client circuit
-breakers of DESIGN.md §7).  Each client *connection* runs a
-:class:`~repro.sim.engine.QuerySession`, whose ``step_query`` is
-exactly the unit an event loop needs: a query advances in one
-synchronous, sub-millisecond step, so the daemon executes steps inline
-on the loop and concurrency lives in the *queueing*, not in threads
-(which also keeps the shared cache single-writer by construction).
-A step's *pure* work -- index result, prediction, plan -- depends only
-on the walk and the position in it, so when plans are shareable the
-daemon tapes each pool walk once, on the walk's first query
-(:meth:`~repro.sim.engine.QuerySession.plan_tape`), and every session
-on that walk reads the tape (``step_query_replay``) instead of
-recomputing it; cache touches, disk reads and budget spending still
-execute per request, in FIFO order.
+(optionally fault-wrapped, with DESIGN.md §7's per-client circuit
+breakers).  Each client *connection* runs a
+:class:`~repro.sim.engine.QuerySession`.  One worker steps the admitted
+queries inline on the loop through the simulator's own tick,
+:func:`~repro.sim.serve.step_tick`, in FIFO order, a tick ending at the
+first query whose connection is already in it: concurrency lives in
+the *queueing*, not in threads, and the shared cache is single-writer
+by construction.  When plans are shareable each pool walk is taped on
+its first query (:meth:`~repro.sim.engine.QuerySession.plan_tape`) and
+the tick replays the tape instead of recomputing the pure work; cache
+touches, disk reads and budget spending still run per request, in
+FIFO order.
 
 Admission is a bounded deque of jobs: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
@@ -28,11 +26,10 @@ Replies leave in request order through each connection's deque of
 reply slots: every reply but a query's fills its slot at once, the
 worker fills a query's, and a flush writes all the leading filled
 slots as one ``write``.  The worker flushes the connections it touched
-when the admission deque runs dry, or after ``WORKER_BATCH`` jobs, when
-it also yields to the loop -- so a drain burst costs one write per
-connection per pass, not one per reply, and under light load each reply
-still leaves the moment it is computed.  The connection handler reads
-whole chunks and cuts the frames out with
+after each pass (``WORKER_BATCH`` jobs at most, then it yields to the
+loop), so a drain burst costs one write per connection per pass, and
+under light load each reply still leaves the moment it is computed.
+The connection handler reads whole chunks and cuts the frames out with
 :class:`~repro.serve.protocol.FrameSplitter`; a frame left half-sent for
 :data:`FRAME_STALL_S` costs its connection one error reply and the close.
 
@@ -64,7 +61,7 @@ from repro.quickstart import default_prefetcher
 from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import FrameSplitter, ProtocolError, encode_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
-from repro.sim.serve import plans_shareable
+from repro.sim.serve import plans_shareable, step_tick
 from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec, TieredStore
@@ -495,10 +492,7 @@ class ServeDaemon:
 
     def _shards_report(self) -> dict:
         """The sharded-cache slice of the final report (counters when K > 1)."""
-        report: dict = {
-            "n_shards": self.config.shards,
-            "partition": self.config.partition,
-        }
+        report: dict = {"n_shards": self.config.shards, "partition": self.config.partition}
         if isinstance(self.cache, ShardedCache):
             report.update(
                 per_shard=self.cache.per_shard_stats(),
@@ -512,38 +506,30 @@ class ServeDaemon:
     # -- background tasks --------------------------------------------------------
 
     async def _worker(self) -> None:
-        """Run the admitted jobs in FIFO order, flushing the replies in batches."""
+        """Run up to ``WORKER_BATCH`` admitted jobs a pass, in FIFO order, then flush;
+        a tick ends at the first job whose connection is already in it."""
         jobs = self._jobs
         loop = asyncio.get_running_loop()
         while True:
-            touched = set()
-            for _ in range(min(len(jobs), WORKER_BATCH)):
-                job = jobs.popleft()
-                if job is None:
-                    for outbox in touched:
-                        outbox.flush()
-                    return
-                job.frame = encode_frame(self._answer(job))
-                touched.add(job.outbox)
-            for outbox in touched:
+            batch, tick = [], {}
+            while jobs and jobs[0] is not None and len(batch) < WORKER_BATCH:
+                batch.append(jobs.popleft())
+            for job in batch:
+                if job.state in tick:
+                    self._run_tick(tick)
+                    tick = {}
+                self._join(job, tick)
+            self._run_tick(tick)
+            for outbox in {job.outbox for job in batch}:
                 outbox.flush()
+            if jobs and jobs[0] is None:  # the shutdown sentinel, behind every job
+                jobs.popleft()
+                return
             if jobs:
                 await asyncio.sleep(0)
             else:
                 self._wakeup = loop.create_future()
                 await self._wakeup
-
-    def _answer(self, job: _Job) -> dict:
-        """Execute one job into its reply; a failed step is an error reply."""
-        try:
-            reply = self._execute(job.state)
-        except Exception as error:  # defensive: a session bug must not kill the loop
-            self.recorder.count_error()
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        latency = time.perf_counter() - job.enqueued_at
-        self.recorder.observe(latency)
-        reply["latency_ms"] = 1e3 * latency
-        return reply
 
     def _enqueue(self, job: _Job | None) -> None:
         """Append to the admission deque and wake the worker if it sleeps."""
@@ -552,37 +538,52 @@ class ServeDaemon:
             self._wakeup.set_result(None)
             self._wakeup = None
 
-    def _execute(self, state: _ConnectionState) -> dict:
-        """Advance one session step (renewing an exhausted session in place)."""
-        session = state.session
-        if session.done:
-            session = session.renew(self._make_prefetcher())
-            state.session = session
-            state.sessions_completed += 1
-            self.sessions_completed += 1
-        # Tapes are only ever added, so "is my walk taped?" is a safe
-        # per-step test.  A walk is taped once, on its first query, with
-        # a fresh prefetcher: a build that raises consumes no session's,
-        # gets the guard's error reply and leaves the walk untaped.
-        tape = state.walk_tape
-        if not tape and state.walk in self._untaped:
-            self._untaped.discard(state.walk)
-            tape.extend(session.renew(self._make_prefetcher()).plan_tape())
-        if tape:
-            record = session.step_query_replay(tape[session.query_index])
-            self.plans_replayed += 1
+    def _join(self, job: _Job, tick: dict) -> None:
+        """Add a job to the tick: renew an exhausted session, tape a new walk
+        (once, with a fresh prefetcher; a build that raises answers its job
+        alone and leaves the walk untaped for good)."""
+        state = job.state
+        try:
+            if state.session.done:
+                state.session = state.session.renew(self._make_prefetcher())
+                state.sessions_completed += 1
+                self.sessions_completed += 1
+            if not state.walk_tape and state.walk in self._untaped:
+                self._untaped.discard(state.walk)
+                state.walk_tape.extend(state.session.renew(self._make_prefetcher()).plan_tape())
+        except Exception as error:  # defensive: a session bug must not kill the loop
+            self.recorder.count_error()
+            job.frame = encode_frame({"ok": False, "error": f"{type(error).__name__}: {error}"})
         else:
-            record = session.step_query()
-        return {
-            "ok": True,
-            "client_id": state.client_id,
-            "query_index": record.index,
-            "pages_needed": record.pages_needed,
-            "pages_hit": record.pages_hit,
-            "prefetch_pages": record.prefetch_pages,
-            "session_done": session.done,
-            "sessions_completed": state.sessions_completed,
-        }
+            tick[state] = job
+
+    def _run_tick(self, tick: dict) -> None:
+        """Step one tick; a step that raises fails its job and every job behind it."""
+        records = step_tick(self.index, [(state.session, state.walk_tape) for state in tick])
+        try:
+            for (state, job), record in zip(tick.items(), records):
+                self.plans_replayed += bool(state.walk_tape)
+                latency = time.perf_counter() - job.enqueued_at
+                self.recorder.observe(latency)
+                job.frame = encode_frame(
+                    {
+                        "ok": True,
+                        "client_id": state.client_id,
+                        "query_index": record.index,
+                        "pages_needed": record.pages_needed,
+                        "pages_hit": record.pages_hit,
+                        "prefetch_pages": record.prefetch_pages,
+                        "session_done": state.session.done,
+                        "sessions_completed": state.sessions_completed,
+                        "latency_ms": 1e3 * latency,
+                    }
+                )
+        except Exception as error:  # defensive: a session bug must not kill the loop
+            frame = encode_frame({"ok": False, "error": f"{type(error).__name__}: {error}"})
+            for job in tick.values():
+                if job.frame is None:
+                    self.recorder.count_error()
+                    job.frame = frame
 
     async def _reporter(self, announce) -> None:
         """Emit one interval latency report per ``report_interval`` seconds."""

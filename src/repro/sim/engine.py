@@ -83,21 +83,19 @@ class _SharedProbeStream:
         self._regions = regions
         self._resolved: list[list[int]] = []
 
-    def get(self, position: int) -> list[int] | None:
-        """The page ids of the region at ``position``, or ``None`` past the end."""
-        resolved = self._resolved
-        while position >= len(resolved):
-            if len(resolved) == len(self._regions):
-                return None
+    def get(self, position: int) -> list[int]:
+        """The page ids of the region at ``position``.  Readers go in order and
+        stop at the end, so only the first position of a chunk resolves it."""
+        if position >= len(self._resolved):
             resolve_ahead(self._index, [self])
-        return resolved[position]
+        return self._resolved[position]
 
 
 def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> None:
     """Resolve the next chunk of every stream in ONE ``pages_for_regions`` pass.
 
     ``get`` is the one-stream call; a plan tape hands in every stream
-    of its walk, the lockstep tick every stream of the tick, a step
+    of its walk, the tick (``step_tick``) every stream of the tick, a step
     that fills its own plan every stream of that plan.  Chunks
     concatenate as packed corners and the answers split back: each
     stream holds what it would have alone, each region's pages listed.
@@ -357,17 +355,16 @@ class SimulationEngine:
                     break
                 share, stream, position, _ = state
                 # get extends this list in place, so it stays current.
-                resolved = stream._resolved
+                resolved, end = stream._resolved, len(stream._regions)
                 allotment = pass_budget * (share / total_share) + carry
                 spent = 0.0
                 while spent < allotment and remaining > 0:
-                    if position < len(resolved):
-                        probe_pages = resolved[position]
-                    else:
-                        probe_pages = stream.get(position)
-                        if probe_pages is None:
-                            state[3] = True
-                            break
+                    if position == end:
+                        state[3] = True
+                        break
+                    probe_pages = (
+                        resolved[position] if position < len(resolved) else stream.get(position)
+                    )
                     position += 1
                     state[2] = position
                     advanced = True
@@ -593,7 +590,7 @@ class QuerySession:
     def step_query(self, work: "_QueryBundle | None" = None) -> QueryRecord | None:
         """Advance one whole query; its record, or ``None`` when done.
 
-        ``work`` is the query's pure-work record when the lockstep tick
+        ``work`` is the query's pure-work record when the tick
         filled one ahead or a plan tape holds one: the step
         reads what is filled and computes the rest through the same
         ``_fill_*`` definitions, so a query stepped alone is the case
@@ -630,7 +627,8 @@ class QuerySession:
         n_hits = hit_mask.count(True)
         miss_pages = list(compress(pages, map(not_, hit_mask))) if n_hits else pages
         try:
-            residual = disk.read_pages(miss_pages)
+            # No miss, no read: every disk layer answers an empty batch 0.0.
+            residual = disk.read_pages(miss_pages) if miss_pages else 0.0
         except ReadFailure as failure:
             # The user is still owed the data: recover with a clean
             # demand re-read, charging both the doomed attempts and

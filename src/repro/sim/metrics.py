@@ -234,7 +234,7 @@ class ServeReport:
     Pools the per-client metrics with the counters the shared cache,
     the tiered store and the sharded cache keep themselves, read off
     the layers the run built.
-    ``n_ticks`` is how many round-robin scheduler passes the run took
+    ``n_ticks`` is how many ticks the run took, either scheduler
     (staggered clients idle through their first ticks).
     """
 

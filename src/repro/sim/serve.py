@@ -24,12 +24,13 @@ Two schedulers produce **bit-identical reports** (pinned by
     the reference loop above -- one client's full query at a time; the
     oracle the tests compare against;
 ``lockstep``
-    the vectorized plane sweeps run on.  When :func:`plans_shareable`
+    the vectorized plane sweeps run on, one :func:`step_tick` per tick --
+    the tick the serving daemon runs too.  When :func:`plans_shareable`
     holds, each walk's pure work is taped once before anything steps
     (:meth:`~repro.sim.engine.QuerySession.plan_tape`) and every tick
-    replays it for every active client; otherwise each tick batches the
-    pure work ahead of its steps (one ``query_many`` pass, ``fill_ahead``,
-    one ``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
+    replays it; otherwise each tick batches the pure work ahead of its
+    steps (one ``query_many`` pass, ``fill_ahead``, one
+    ``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
     shared; every cache touch, disk read and budget decision still
     executes in exact client order, which is why the reports match bit
     for bit.
@@ -42,17 +43,17 @@ property suite in ``tests/test_serving.py``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
 from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, resolve_ahead
-from repro.sim.metrics import ServeReport
+from repro.sim.metrics import QueryRecord, ServeReport
 from repro.storage.faults import FaultPlan
 from repro.storage.tiered import TierStats
 from repro.workload.multiclient import ClientWorkload
 
-__all__ = ["ServingSimulator", "plans_shareable"]
+__all__ = ["ServingSimulator", "plans_shareable", "step_tick"]
 
 
 def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None) -> bool:
@@ -80,9 +81,32 @@ def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None)
     first = prefetchers[0]
     if not isinstance(first, PositionOnlyPrefetcher):
         return False
-    return all(
-        type(p) is type(first) and p.name == first.name for p in prefetchers
-    )
+    return all(type(p) is type(first) and p.name == first.name for p in prefetchers)
+
+
+def step_tick(
+    index: SpatialIndex, entries: list[tuple[QuerySession, list | None]]
+) -> Iterator[QueryRecord]:
+    """Step each ``(session, tape)`` entry once, in entry order, yielding its record.
+
+    The one tick of the shared-cache plane (DESIGN.md §6.1, §8), fed the
+    active clients by the lockstep scheduler and the admitted jobs by the
+    daemon; a session appears at most once.  A taped entry replays its
+    tape; the untaped ones share one ``query_many``, ``fill_ahead`` each
+    and one ``resolve_ahead``, made only when there is one.  A step that
+    raises ends the tick: the entries behind it do not advance.
+    """
+    untaped = [session for session, tape in entries if not tape]
+    if untaped:
+        bounds = [s.sequence.queries[s.query_index].bounds for s in untaped]
+        bundles = [s.fill_ahead(result) for s, result in zip(untaped, index.query_many(bounds))]
+        resolve_ahead(index, [stream for work in bundles for stream in work.streams or ()])
+        filled = iter(bundles)
+    for session, tape in entries:
+        if tape:
+            yield session.step_query_replay(tape[session.query_index])
+        else:
+            yield session.step_query(next(filled))
 
 
 class ServingSimulator:
@@ -170,14 +194,8 @@ class ServingSimulator:
             faults_active=faulty,
             tiers_active=tiered,
             shards_active=sharded,
-            shard_requests=(
-                [shard.hits + shard.misses for shard in cache.shards]
-                if sharded
-                else None
-            ),
-            shard_hits=(
-                [shard.hits for shard in cache.shards] if sharded else None
-            ),
+            shard_requests=[s.hits + s.misses for s in cache.shards] if sharded else None,
+            shard_hits=[shard.hits for shard in cache.shards] if sharded else None,
             shard_rebalances=cache.rebalance_events if sharded else None,
             shard_pages_moved=cache.pages_moved if sharded else None,
             tier_hits=tier_stats.tier_hits,
@@ -209,24 +227,15 @@ class ServingSimulator:
         return tick
 
     def _run_lockstep(self, clients, sessions, prefetchers) -> int:
-        """The vectorized plane: share or batch the pure work, then step.
+        """The vectorized plane: one :func:`step_tick` per tick, in client order.
 
-        With shareable plans, one tape per distinct sequence object is
-        built up front from that walk's first session, and each tick
-        replays it at every active session's own cursor.  Otherwise each
-        tick resolves every active query in one ``query_many`` pass and
-        fills its pure work ahead (``fill_ahead``), with ONE
-        ``pages_for_regions`` pass over the tick's probe streams.  Either
-        way every active session then steps *in client order* -- all
-        cache and disk mutations happen there, as in round-robin.
-
-        The tick keeps its live sessions -- ``(start tick, session,
-        tape)`` in client order -- and drops the finished ones after each
-        tick; a tick where only staggered clients wait still counts.
+        With shareable plans, each distinct sequence object is taped up
+        front from its first session.  The live sessions -- ``(start
+        tick, session, tape)`` -- drop out once finished; a tick where
+        only staggered clients wait still counts.
         """
         tapes = [None] * len(sessions)
-        shared = plans_shareable(prefetchers, self.config.faults)
-        if shared:
+        if plans_shareable(prefetchers, self.config.faults):
             by_walk: dict[int, list] = {}
             for session in sessions:
                 if id(session.sequence) not in by_walk:
@@ -240,20 +249,9 @@ class ServingSimulator:
 
         tick = 0
         while live:
-            if shared:
-                for start, session, tape in live:
-                    if start <= tick:
-                        session.step_query_replay(tape[session.query_index])
-            else:
-                batch = [session for start, session, _ in live if start <= tick]
-                bounds = [s.sequence.queries[s.query_index].bounds for s in batch]
-                bundles = [
-                    session.fill_ahead(result)
-                    for session, result in zip(batch, self.index.query_many(bounds))
-                ]
-                resolve_ahead(self.index, [s for work in bundles for s in work.streams or ()])
-                for session, work in zip(batch, bundles):
-                    session.step_query(work)
+            active = [(session, tape) for start, session, tape in live if start <= tick]
+            for _ in step_tick(self.index, active):
+                pass
             tick += 1
             live = [entry for entry in live if not entry[1].done]
         return tick

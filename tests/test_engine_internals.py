@@ -120,7 +120,7 @@ class TestIncrementalRegions:
         # The explicit stream resolves exactly its two boxes, in order.
         for position, box in enumerate(boxes):
             assert np.array_equal(streams[0].get(position), engine.index.pages_for_region(box))
-        assert streams[0].get(len(boxes)) is None
+        assert len(streams[0]._resolved) == len(boxes)  # and nothing past them
 
 
 class TestBudgetAccounting:

@@ -207,6 +207,21 @@ RULES = {
         "storage/sharded.py",
         flags=("owners = np.unique(routed)", "ok = np.all(routed == owner)"),
     ),
+    "No second tick": Rule(
+        "§6.1, §8",
+        r"\.step_query(_replay)?\(|\.fill_ahead\(|resolve_ahead",
+        "serve/daemon.py",
+        flags=(
+            "record = session.step_query()",
+            "record = session.step_query_replay(tape[session.query_index])",
+            "work = session.fill_ahead(result)",
+            "resolve_ahead(self.index, streams)",
+        ),
+        spares=(
+            "records = step_tick(self.index, entries)",
+            "from repro.sim.serve import plans_shareable, step_tick",
+        ),
+    ),
     "No third lockstep branch": Rule(
         "§6.1", "group_size", "sim/serve.py", flags=("for group_size in sizes:",)
     ),

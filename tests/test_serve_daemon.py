@@ -724,37 +724,59 @@ class TestPlanTapes:
         assert final["requests_admitted"] == 4 * k
         assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
 
-    def test_walk_whose_tape_build_raises_steps_plainly_for_good(self, monkeypatch):
+    @pytest.mark.parametrize("session_pool", [1, 2], ids=["one-walk", "taped-and-untaped-walks"])
+    def test_walk_whose_tape_build_raises_steps_plainly_for_good(self, monkeypatch, session_pool):
         queries = 6
-        builds = []
+        builds, ticks = [], []
+        plan_tape, step_tick = QuerySession.plan_tape, daemon_module.step_tick
 
-        def build_raising(session):
+        def build_raising_for_walk_0(session):
             builds.append(session)
-            raise RuntimeError("tape build blew up")
+            if session.client_id % session_pool == 0:
+                raise RuntimeError("tape build blew up")
+            return plan_tape(session)
 
-        monkeypatch.setattr(QuerySession, "plan_tape", build_raising)
+        def recorded_tick(index, entries):
+            ticks.append([bool(tape) for _, tape in entries])
+            return step_tick(index, entries)
+
+        monkeypatch.setattr(QuerySession, "plan_tape", build_raising_for_walk_0)
+        monkeypatch.setattr(daemon_module, "step_tick", recorded_tick)
 
         async def scenario(daemon):
             streams = [await _connect(daemon.port) for _ in range(2)]
             try:
                 for stream in streams:
                     assert (await _ask(stream, "hello"))["ok"]
-                # The walk's first query builds its tape; the build raises
+                # Walk 0's first query builds its tape; the build raises
                 # and the worker's guard answers that query alone.
                 failed = await _ask(streams[0], "query")
                 # Neither a renewal nor a second connection on the walk
-                # tries again: from here on every session steps plainly.
-                replies = [await _ask(streams[0], "query") for _ in range(2 * queries + 1)]
-                replies += [await _ask(streams[1], "query") for _ in range(3)]
+                # tries again: from here on walk 0 steps plainly.  Both
+                # connections' queries queue before the idle worker wakes,
+                # so connection 0's last and connection 1's first share a
+                # tick.
+                await _until(lambda: daemon._wakeup is not None)
+                wakeup, daemon._wakeup = daemon._wakeup, None
+                streams[0][1].write(QUERY * (2 * queries + 1))
+                await _until(lambda: len(daemon._jobs) == 2 * queries + 1)
+                streams[1][1].write(QUERY * 3)
+                await _until(lambda: len(daemon._jobs) == 2 * queries + 4)
+                wakeup.set_result(None)
+                replies = [await read_frame(streams[0][0]) for _ in range(2 * queries + 1)]
+                replies += [await read_frame(streams[1][0]) for _ in range(3)]
                 return failed, replies, daemon.final_report()
             finally:
                 for _, writer in streams:
                     writer.close()
 
-        config = daemon_config(session_pool=1, queries_per_session=queries)
+        config = daemon_config(session_pool=session_pool, queries_per_session=queries)
         failed, replies, final = asyncio.run(_with_daemon(config, scenario))
         assert failed["ok"] is False and "tape build blew up" in failed["error"]
-        assert len(builds) == 1
+        assert len(builds) == session_pool
+        # Walk 1 (if any) is taped, so the shared tick mixes an untaped
+        # entry and a taped one.
+        assert [False, session_pool == 2] in ticks
         # The failed build consumed no session's prefetcher, so the reply
         # stream equals plain stepping without the failed request.
         expected, cache, sessions_completed = _reference_run(
@@ -765,8 +787,64 @@ class TestPlanTapes:
         assert replies == expected
         assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
         assert final["sessions_completed"] == sessions_completed
-        assert final["plans_replayed"] == 0
+        assert final["plans_replayed"] == (3 if session_pool == 2 else 0)
         assert final["latency"]["errors"] == 1
+
+    @pytest.mark.parametrize("raiser", [0, 1], ids=["first-in-tick", "second-in-tick"])
+    def test_a_step_that_raises_fails_its_job_and_the_jobs_behind_it_in_its_tick(
+        self, monkeypatch, raiser
+    ):
+        k = 4
+        config = daemon_config(session_pool=2, queries_per_session=6)
+        replay, raised = QuerySession.step_query_replay, []
+        # Client 0's last query and client 1's first share the one two-job
+        # tick (a tick ends at a connection already in it); one of them raises.
+        at = {0: k - 1, 1: 0}[raiser]
+
+        def replay_raising_once(session, work):
+            if not raised and (session.client_id, session.query_index) == (raiser, at):
+                raised.append(session)
+                raise RuntimeError("replay blew up")
+            return replay(session, work)
+
+        monkeypatch.setattr(QuerySession, "step_query_replay", replay_raising_once)
+
+        async def scenario(daemon):
+            # Nothing wakes the idle worker until both writes are admitted,
+            # so the ticks do not depend on the loop's timing.
+            await _until(lambda: daemon._wakeup is not None)
+            wakeup, daemon._wakeup = daemon._wakeup, None
+            streams = [await _connect(daemon.port) for _ in range(2)]
+            for _, writer in streams:
+                writer.write(HELLO + QUERY * k)
+            await _until(lambda: len(daemon._jobs) == 2 * k)
+            wakeup.set_result(None)
+            replies = []
+            for reader, writer in streams:
+                replies.append([await read_frame(reader) for _ in range(k + 1)])
+                writer.close()
+            return replies, daemon.final_report()
+
+        per_connection, final = asyncio.run(_with_daemon(config, scenario))
+        per_connection.sort(key=lambda replies: replies[0]["client_id"])
+        # The raising job fails, and so does the job behind it in the
+        # tick; the job ahead of it keeps its real reply.
+        failed = {(0, k - 1), (1, 0)} if raiser == 0 else {(1, 0)}
+        oks = []
+        for c, replies in enumerate(per_connection):
+            for i, reply in enumerate(replies[1:]):
+                if (c, i) in failed:
+                    assert reply == {"ok": False, "error": "RuntimeError: replay blew up"}
+                else:
+                    assert reply.pop("latency_ms") >= 0
+                    oks.append(reply)
+        # A failed job's session did not advance: the later ticks serve
+        # exactly what plain stepping without the failed requests serves.
+        expected, cache, _ = _reference_run(config, 2, [(0, k - (raiser == 0)), (1, k - 1)])
+        assert oks == expected
+        assert final["latency"]["errors"] == len(failed)
+        assert final["latency"]["errors"] + len(oks) == final["requests_admitted"] == 2 * k
+        assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
 
 
 def _framed(payload: bytes) -> bytes:

@@ -282,10 +282,10 @@ class TestFillAhead:
         resolve_ahead(tissue_flat, batched)  # second chunk; the explicit ones are done
         assert [len(stream._resolved) for stream in batched] == [3, 16, 3]
         for lone, ahead in zip(alone, batched):
-            for position in range(n_steps + 1):
+            # Readers stop at the end: the plan loop retires a target there.
+            for position in range(len(lone._regions)):
                 want, got = lone.get(position), ahead.get(position)
-                assert (want is None and got is None) or np.array_equal(want, got)
-                assert want is None or (type(want) is type(got) is list and want == got)
+                assert type(want) is type(got) is list and want == got
         assert len(batched[1]._resolved) == n_steps
 
     def test_filled_bundle_at_the_wrong_cursor_raises(self, tissue, tissue_flat):
