@@ -83,17 +83,22 @@ class PrefetchTarget:
             raise ValueError("share must be non-negative")
 
 
-def concentric_corners(center: np.ndarray, side: float) -> np.ndarray:
-    """Packed ``(3, 2, 3)`` corners of the concentric regions around ``center``.
+def concentric_corners(center: np.ndarray, side) -> np.ndarray:
+    """Packed ``(..., 3, 2, 3)`` corners of the concentric regions around ``center``.
 
-    Row ``k`` holds the ``lo`` / ``hi`` that ``AABB.from_center_extent(
-    center, side * CONCENTRIC_FACTORS[k])`` builds, by the same
-    floating-point operations (``extent = side * f``, ``half = extent /
-    2.0``, ``center -/+ half``) and without validating three boxes.
+    ``center`` is one ``(3,)`` point with a scalar ``side``, or ``(k, 3)``
+    rows with ``(k,)`` sides.  Row ``j`` of a point's block holds the
+    ``lo`` / ``hi`` that ``AABB.from_center_extent(center, side *
+    CONCENTRIC_FACTORS[j])`` builds, by the same floating-point
+    operations (``extent = side * f``, ``half = extent / 2.0``, ``center
+    -/+ half``) and without validating a box.
     """
-    center = np.asarray(center, dtype=np.float64)
-    half = (side * CONCENTRIC_FACTORS / 2.0)[:, None]
-    return np.stack((center - half, center + half), axis=1)
+    center = np.asarray(center, dtype=np.float64)[..., None, :]
+    half = (np.asarray(side)[..., None] * CONCENTRIC_FACTORS / 2.0)[..., None]
+    corners = np.empty(half.shape[:-1] + (2, 3))
+    np.subtract(center, half, out=corners[..., 0, :])
+    np.add(center, half, out=corners[..., 1, :])
+    return corners
 
 
 class Prefetcher(abc.ABC):
@@ -138,7 +143,19 @@ class Prefetcher(abc.ABC):
 
 
 class PositionOnlyPrefetcher(Prefetcher):
-    """Common bookkeeping for baselines that only use query positions."""
+    """Common bookkeeping and the one plan kernel of the position-only baselines.
+
+    A subclass supplies its prediction rows, ``_predict(centers,
+    start)``: for each cursor ``i`` from ``start`` (at least ``history -
+    1``) to the last, the ``predicted`` center and the ``direction`` it
+    extrapolates from ``centers[:i + 1]``, as two ``(k, 3)`` arrays.  :meth:`_targets`
+    turns rows into targets: :meth:`plan_walk` runs it over a whole walk
+    (a plan tape), and each subclass's ``plan`` runs it on the last
+    observed cursor only, so the arithmetic has one definition.
+    """
+
+    #: Centers a prediction needs.
+    history = 2
 
     def __init__(self) -> None:
         self._centers: list[np.ndarray] = []
@@ -152,12 +169,32 @@ class PositionOnlyPrefetcher(Prefetcher):
         self._centers.append(observed.center)
         self._sides.append(observed.side)
 
-    @property
-    def last_side(self) -> float:
-        return self._sides[-1] if self._sides else 1.0
+    def plan_walk(self, bounds: list[AABB]) -> list[list[PrefetchTarget]]:
+        """Every cursor's plan over a walk's query bounds, in one kernel pass.
 
-    def _target_at(self, predicted_center: np.ndarray, direction: np.ndarray) -> PrefetchTarget:
-        """A target prefetching concentric regions around the predicted center.
+        Entry ``i`` is what :meth:`plan` returns after observing queries
+        ``0..i``, bit for bit.  This prefetcher's history is neither read
+        nor changed.
+        """
+        observed = [ObservedQuery(i, box, None) for i, box in enumerate(bounds)]
+        centers = np.array([query.center for query in observed])
+        sides = np.array([query.side for query in observed])
+        return [[] if target is None else [target] for target in self._targets(centers, sides, 0)]
+
+    def _last_plan(self) -> list[PrefetchTarget]:
+        """What ``plan`` returns: the kernel on the last observed cursor."""
+        n = len(self._centers)
+        if n < self.history:
+            return []
+        (target,) = self._targets(np.array(self._centers), np.array(self._sides), n - 1)
+        return [] if target is None else [target]
+
+    def _targets(
+        self, centers: np.ndarray, sides: np.ndarray, first: int
+    ) -> list[PrefetchTarget | None]:
+        """The target after observing ``centers[:i + 1]``, for each cursor
+        ``i >= first``: ``None`` before ``history`` centers or on zero
+        movement.
 
         Trajectory-extrapolation methods prefetch *around the predicted
         location* (§2.2); growing concentric regions let a short window
@@ -165,11 +202,20 @@ class PositionOnlyPrefetcher(Prefetcher):
         expansion along the structure is SCOUT's own §5.1 technique and
         is deliberately not granted to the baselines.)
         """
-        direction = np.asarray(direction, dtype=np.float64)
-        length = norm(direction)
-        if length > 0:
-            direction = direction / length
-        regions = concentric_corners(predicted_center, self.last_side)
-        return PrefetchTarget(
-            anchor=predicted_center, direction=direction, share=1.0, regions=regions
-        )
+        targets: list[PrefetchTarget | None] = [None] * (len(centers) - first)
+        start = max(first, self.history - 1)
+        if start >= len(centers):
+            return targets
+        predicted, direction = self._predict(centers, start)
+        regions = concentric_corners(predicted, sides[start:])
+        for row, (anchor, vector) in enumerate(zip(predicted, direction)):
+            length = norm(vector)
+            if length == 0:
+                continue
+            if length > 0:
+                # Normalised here and again by the target, as each plan always was.
+                vector = vector / length
+            targets[start - first + row] = PrefetchTarget(
+                anchor=anchor, direction=vector, share=1.0, regions=regions[row]
+            )
+        return targets

@@ -17,12 +17,12 @@ queries make the trace jagged, and higher-degree polynomials oscillate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.baselines.base import PositionOnlyPrefetcher, PrefetchTarget
-from repro.util import norm
 
 __all__ = [
     "EWMAPrefetcher",
@@ -35,19 +35,41 @@ __all__ = [
 VELOCITY_WINDOW = 3
 
 
+@functools.lru_cache(maxsize=1024)
+def _recency_weights(lam: float, n: int) -> np.ndarray:
+    """EWMA's weights over ``n`` movements as a read-only ``(n, 1)`` column,
+    oldest first: λ on the last, (1-λ)·λ on the one before, ...,
+    renormalised.  Computed for each ``n`` on its own (a slice of a
+    longer power array rounds differently)."""
+    weights = lam * (1.0 - lam) ** np.arange(n)
+    weights /= weights.sum()
+    weights.flags.writeable = False
+    return weights[::-1, None]
+
+
 class StraightLinePrefetcher(PositionOnlyPrefetcher):
     """Linear extrapolation of the last two query centers."""
 
     name = "straight-line"
+    #: Recent movements averaged into the velocity (the last one alone).
+    window = 1
 
     def plan(self) -> list[PrefetchTarget]:
-        if len(self._centers) < 2:
-            return []
-        delta = self._centers[-1] - self._centers[-2]
-        if norm(delta) == 0:
-            return []
-        predicted = self._centers[-1] + delta
-        return [self._target_at(predicted, delta)]
+        return self._last_plan()
+
+    def _predict(self, centers: np.ndarray, start: int):
+        """The mean of the last ``window`` movements (all of them, while
+        fewer), added to the last center; the velocity is the direction."""
+        movements = centers[1:] - centers[:-1]
+        cursors = np.arange(start, len(centers))
+        count = np.minimum(cursors, self.window)
+        first = cursors - count
+        velocity = movements[first]
+        for k in range(1, self.window):
+            later = movements[np.minimum(first + k, len(movements) - 1)]
+            velocity = np.where((k < count)[:, None], velocity + later, velocity)
+        velocity = velocity / count[:, None]
+        return centers[start:] + velocity, velocity
 
 
 class PolynomialPrefetcher(PositionOnlyPrefetcher):
@@ -65,45 +87,37 @@ class PolynomialPrefetcher(PositionOnlyPrefetcher):
         if degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         self.degree = degree
+        self.history = degree + 1
         self.name = f"poly-{degree}"
 
     def plan(self) -> list[PrefetchTarget]:
-        needed = self.degree + 1
-        if len(self._centers) < needed:
-            return []
-        recent = self._centers[-needed:]
+        return self._last_plan()
+
+    def _predict(self, centers: np.ndarray, start: int):
+        """The zero-difference point; the direction runs from the last center."""
+        oldest, end = start - self.degree, len(centers) - self.degree
         predicted = sum(
-            (-1) ** (self.degree - k) * math.comb(needed, k) * center
-            for k, center in enumerate(recent)
+            (-1) ** (self.degree - k) * math.comb(self.history, k) * centers[oldest + k : end + k]
+            for k in range(self.history)
         )
-        direction = predicted - self._centers[-1]
-        if norm(direction) == 0:
-            return []
-        return [self._target_at(predicted, direction)]
+        return predicted, predicted - centers[start:]
 
 
-class VelocityPrefetcher(PositionOnlyPrefetcher):
+class VelocityPrefetcher(StraightLinePrefetcher):
     """Straight-line extrapolation with a velocity averaged over a window."""
 
     name = f"velocity-{VELOCITY_WINDOW}"
+    window = VELOCITY_WINDOW
 
     def plan(self) -> list[PrefetchTarget]:
-        if len(self._centers) < 2:
-            return []
-        recent = np.array(self._centers[-(VELOCITY_WINDOW + 1):])
-        velocity = np.diff(recent, axis=0).mean(axis=0)
-        if norm(velocity) == 0:
-            return []
-        predicted = self._centers[-1] + velocity
-        return [self._target_at(predicted, velocity)]
+        return self._last_plan()
 
 
 class EWMAPrefetcher(PositionOnlyPrefetcher):
     """Exponentially weighted moving average of the movement vectors.
 
     The last movement is weighted λ, the one before (1-λ)·λ, and so on
-    (§2.2); implemented with the equivalent recursion ``v ← λ·Δ +
-    (1-λ)·v`` with weights renormalized over the observed history.
+    (§2.2), with the weights renormalized over the observed history.
     """
 
     def __init__(self, lam: float = 0.3) -> None:
@@ -114,15 +128,15 @@ class EWMAPrefetcher(PositionOnlyPrefetcher):
         self.name = f"ewma-{lam:g}"
 
     def plan(self) -> list[PrefetchTarget]:
-        if len(self._centers) < 2:
-            return []
-        movements = np.diff(np.array(self._centers), axis=0)
-        n = len(movements)
-        # Most recent movement first: weights λ, (1-λ)λ, (1-λ)²λ, ...
-        weights = self.lam * (1.0 - self.lam) ** np.arange(n)
-        weights /= weights.sum()
-        velocity = (weights[::-1, None] * movements).sum(axis=0)
-        if norm(velocity) == 0:
-            return []
-        predicted = self._centers[-1] + velocity
-        return [self._target_at(predicted, velocity)]
+        return self._last_plan()
+
+    def _predict(self, centers: np.ndarray, start: int):
+        """The weighted velocity over every movement so far, added to the last center."""
+        movements = centers[1:] - centers[:-1]
+        velocity = np.array(
+            [
+                (_recency_weights(self.lam, n) * movements[:n]).sum(axis=0)
+                for n in range(start, len(centers))
+            ]
+        )
+        return centers[start:] + velocity, velocity

@@ -165,8 +165,11 @@ class STRTree(SpatialIndex):
 
         The frontier is a set of (node, region) pairs; every level
         prunes and expands all pairs in one vectorized step.  Pairs stay
-        grouped by region (expansion preserves order), so the final
-        per-region split is a pair of ``searchsorted`` cuts.
+        grouped by region (expansion preserves order), so one in-place
+        sort of ``region * n_pages + page`` orders every region's pages
+        without moving a pair out of its group, and the per-region
+        split is a pair of ``searchsorted`` cuts.  Each region's pages
+        are a read-only slice of that one sorted array.
         """
         n_regions = len(qlo)
         empty = np.empty(0, dtype=np.int64)
@@ -201,7 +204,12 @@ class STRTree(SpatialIndex):
             qhi.take(region, axis=0),
         )
         node, region = node[hit], region[hit]
-        cuts = np.searchsorted(region, np.arange(n_regions + 1))
-        return [np.sort(node[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        offset = region * len(self._leaf_lo)
+        pages = offset + node
+        pages.sort()
+        pages -= offset
+        pages.flags.writeable = False
+        cuts = np.searchsorted(region, np.arange(n_regions + 1)).tolist()
+        return [pages[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
     # -- introspection ----------------------------------------------------------

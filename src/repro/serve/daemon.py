@@ -9,11 +9,11 @@ queries inline on the loop through the simulator's own tick,
 :func:`~repro.sim.serve.step_tick`, in FIFO order, a tick ending at the
 first query whose connection is already in it: concurrency lives in
 the *queueing*, not in threads, and the shared cache is single-writer
-by construction.  When plans are shareable each pool walk is taped on
-its first query (:meth:`~repro.sim.engine.QuerySession.plan_tape`) and
-the tick replays the tape instead of recomputing the pure work; cache
-touches, disk reads and budget spending still run per request, in
-FIFO order.
+by construction.  Each pool walk's index results are fetched at boot;
+when plans are shareable each walk is also taped on its first query
+(:func:`~repro.sim.serve.plan_tapes`) and the tick replays the tape
+instead of recomputing the pure work; cache touches, disk reads and
+budget spending still run per request, in FIFO order.
 
 Admission is a bounded deque of jobs: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
@@ -60,8 +60,8 @@ from typing import Callable
 from repro.quickstart import default_prefetcher
 from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import FrameSplitter, ProtocolError, encode_frame
-from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
-from repro.sim.serve import plans_shareable, step_tick
+from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, walk_results
+from repro.sim.serve import plan_tapes, plans_shareable, step_tick
 from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec, TieredStore
@@ -275,10 +275,11 @@ class ServeDaemon:
         self._make_prefetcher = functools.partial(
             default_prefetcher(config.prefetcher).build, self.dataset, self.index
         )
-        # One plan tape per pool walk (DESIGN.md §8), filled on the
-        # walk's first query; ``_untaped`` holds the walks still to try.
-        # Every session runs the configured prefetcher, so one instance
-        # decides eligibility for all.
+        # Per pool walk (DESIGN.md §8): its index results, fetched once, and
+        # its plan tape, filled on its first query (``_untaped`` holds the
+        # walks still to try; every session runs the configured prefetcher,
+        # so one instance decides eligibility for all).
+        self._results = [walk_results(self.index, client.sequence) for client in self.pool]
         self._tapes: list[list] = [[] for _ in self.pool]
         shareable = plans_shareable([self._make_prefetcher()], faults)
         self._untaped = set(range(len(self.pool))) if shareable else set()
@@ -540,8 +541,7 @@ class ServeDaemon:
 
     def _join(self, job: _Job, tick: dict) -> None:
         """Add a job to the tick: renew an exhausted session, tape a new walk
-        (once, with a fresh prefetcher; a build that raises answers its job
-        alone and leaves the walk untaped for good)."""
+        once (a build that raises answers its job alone, untaped for good)."""
         state = job.state
         try:
             if state.session.done:
@@ -550,7 +550,7 @@ class ServeDaemon:
                 self.sessions_completed += 1
             if not state.walk_tape and state.walk in self._untaped:
                 self._untaped.discard(state.walk)
-                state.walk_tape.extend(state.session.renew(self._make_prefetcher()).plan_tape())
+                state.walk_tape.extend(*plan_tapes(self.index, [state.session]))
         except Exception as error:  # defensive: a session bug must not kill the loop
             self.recorder.count_error()
             job.frame = encode_frame({"ok": False, "error": f"{type(error).__name__}: {error}"})
@@ -709,6 +709,7 @@ class ServeDaemon:
             cache=self.cache,
             disk=self.disk,
             client_id=client_id,
+            results=self._results[walk],
         )
         return _ConnectionState(client_id, walk, self._tapes[walk], session)
 

@@ -34,7 +34,7 @@ from operator import not_
 
 import numpy as np
 
-from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
+from repro.baselines.base import ObservedQuery, PositionOnlyPrefetcher, Prefetcher, PrefetchTarget
 from repro.index.base import SpatialIndex, region_corners
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import PrefetchCache
@@ -44,7 +44,7 @@ from repro.storage.sharded import ShardedCache, ShardSpec, make_sharded_cache
 from repro.storage.tiered import StorageSpec, TieredStore
 from repro.workload.sequence import QuerySequence
 
-__all__ = ["QuerySession", "SimulationConfig", "SimulationEngine"]
+__all__ = ["QuerySession", "SimulationConfig", "SimulationEngine", "walk_results"]
 
 #: Regions a probe stream resolves per ``pages_for_regions`` pass.
 PROBE_CHUNK = 8
@@ -91,12 +91,18 @@ class _SharedProbeStream:
         return self._resolved[position]
 
 
+def walk_results(index: SpatialIndex, sequence: QuerySequence) -> list:
+    """Every query's index result, from one ``query_many`` over the walk:
+    the one fetch of a walk's results, whoever reads them (DESIGN.md §6.1)."""
+    return index.query_many([query.bounds for query in sequence.queries])
+
+
 def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> None:
     """Resolve the next chunk of every stream in ONE ``pages_for_regions`` pass.
 
-    ``get`` is the one-stream call; a plan tape hands in every stream
-    of its walk, the tick (``step_tick``) every stream of the tick, a step
-    that fills its own plan every stream of that plan.  Chunks
+    ``get`` is the one-stream call; ``plan_tapes`` hands in every stream
+    of its tapes, the tick (``step_tick``) every stream of the tick, a
+    step that fills its own plan every stream of that plan.  Chunks
     concatenate as packed corners and the answers split back: each
     stream holds what it would have alone, each region's pages listed.
     """
@@ -132,8 +138,7 @@ class _QueryBundle:
     """
 
     cursor: int
-    result: object = None
-    #: The result's pages as plain ints, listed once for every replay.
+    #: The walk result's pages as plain ints, listed once for every replay.
     pages: list[int] | None = None
     #: Result objects stored on each page of ``pages`` (aligned with it).
     objects_on_page: list[int] | None = None
@@ -431,6 +436,7 @@ class QuerySession:
         cache: PrefetchCache | ShardedCache | None = None,
         disk: DiskModel | None = None,
         client_id: int | None = None,
+        results: list | None = None,
     ) -> None:
         self.engine = engine
         self.sequence = sequence
@@ -445,9 +451,8 @@ class QuerySession:
         #: it as is.  Tier and shard totals stay on their layers.
         self.client_metrics = ClientMetrics(client_id=client_id, metrics=self.metrics)
         self._cursor = 0
-        #: The walk's index results, fetched by the first step that was
-        #: handed none (:meth:`_walk_results`).
-        self._results: list | None = None
+        #: The walk's index results: a serving run's one fetch, or this one.
+        self.results = walk_results(engine.index, sequence) if results is None else results
         # The demand touch's cross-shard hops are residual time for this
         # query, read off the sharded cache's hop clock (DESIGN.md §10).
         self._shard_cache = self.cache if isinstance(self.cache, ShardedCache) else None
@@ -474,7 +479,7 @@ class QuerySession:
         return self._cursor
 
     def renew(self, prefetcher: Prefetcher) -> "QuerySession":
-        """A fresh session on the same sequence, cache, disk and client id.
+        """A fresh session on the same sequence, results, cache, disk and client id.
 
         The serving daemon's session-reuse hook (DESIGN.md §8): a
         connection whose session is exhausted wraps around to a new one
@@ -489,6 +494,7 @@ class QuerySession:
             cache=self.cache,
             disk=self.disk,
             client_id=self.client_id,
+            results=self.results,
         )
 
     # -- stepping -------------------------------------------------------------------
@@ -499,51 +505,46 @@ class QuerySession:
             self.step_query()
         return self.metrics
 
-    def _walk_results(self) -> list:
-        """Every query's index result, from one ``query_many`` over the walk."""
-        if self._results is None:
-            bounds = [query.bounds for query in self.sequence.queries]
-            self._results = self.engine.index.query_many(bounds)
-        return self._results
-
-    def _fill_served(self, work: "_QueryBundle", result) -> None:
-        """The index result, its page list and its cold read time."""
-        work.result = result
-        work.pages = np.asarray(work.result.page_ids, dtype=np.int64).ravel().tolist()
+    def _fill_served(self, work: "_QueryBundle") -> None:
+        """The index result's page list and its cold read time."""
+        result = self.results[work.cursor]
+        work.pages = np.asarray(result.page_ids, dtype=np.int64).ravel().tolist()
         work.cold = self.disk.cost_if_cold(work.pages)
 
-    def _fill_prediction(self, work: "_QueryBundle") -> None:
-        """Observe the query; prediction / build cost and the gap list."""
-        prefetcher, bounds = self.prefetcher, self.sequence.queries[work.cursor].bounds
-        prefetcher.observe(ObservedQuery(work.cursor, bounds, work.result.object_ids))
+    def _fill_prediction(self, work: "_QueryBundle", observe: bool = True) -> None:
+        """Observe the query (unless planned already); costs and gap list."""
+        prefetcher, cursor = self.prefetcher, work.cursor
+        if observe:
+            bounds, result = self.sequence.queries[cursor].bounds, self.results[cursor]
+            prefetcher.observe(ObservedQuery(cursor, bounds, result.object_ids))
         work.prediction_cost = prefetcher.prediction_cost_seconds()
         work.build_cost = prefetcher.graph_build_cost_seconds()
         # Plans are only taped for gap-free prefetchers, so every
         # session replaying a tape sees the same (empty) gap list.
         work.gap_pages = prefetcher.gap_io_pages()
 
-    def _fill_plan(self, work: "_QueryBundle") -> None:
-        """The plan's targets, one probe stream each."""
-        work.targets = self.prefetcher.plan()
-        query = self.sequence.queries[work.cursor]
-        work.streams = self.engine._probe_streams(work.targets, query)
+    def _fill_plan(self, work: "_QueryBundle", targets: list | None = None) -> None:
+        """The plan's targets (the prefetcher's, unless given), one probe stream each."""
+        work.targets = self.prefetcher.plan() if targets is None else targets
+        work.streams = self.engine._probe_streams(work.targets, self.sequence.queries[work.cursor])
 
-    def fill_ahead(self, result) -> "_QueryBundle":
+    def fill_ahead(self) -> "_QueryBundle":
         """The next query's pure work, filled ahead of its step (DESIGN.md §6.1)."""
-        return self._fill(self._cursor, result)
+        return self._fill(self._cursor)
 
-    def _fill(self, cursor: int, result) -> "_QueryBundle":
+    def _fill(self, cursor: int, plan: list | None = None) -> "_QueryBundle":
         """Query ``cursor``'s pure work, as far as its step is certain to go:
         the served part always; the observation when the breaker is absent
         or closed (only this session's own step changes it); the plan when
-        no gap I/O precedes it and the window outlasts the prediction cost."""
+        no gap I/O precedes it and the window outlasts the prediction cost.
+        A ``plan`` from the walk kernel is used as is, observing nothing."""
         work = _QueryBundle(cursor=cursor)
-        self._fill_served(work, result)
+        self._fill_served(work)
         if self._breaker is None or self._breaker.state == CircuitBreaker.CLOSED:
-            self._fill_prediction(work)
+            self._fill_prediction(work, observe=plan is None)
             window = self.sequence.window_ratio * work.cold
             if not work.gap_pages and window - work.prediction_cost > 0:
-                self._fill_plan(work)
+                self._fill_plan(work, plan)
         return work
 
     def plan_tape(self) -> list["_QueryBundle"]:
@@ -552,20 +553,20 @@ class QuerySession:
         The one plan-sharing mechanism (DESIGN.md §6.1, §8): when
         :func:`~repro.sim.serve.plans_shareable` holds, every session on
         the walk, this one included, steps through
-        ``step_query_replay(tape[cursor])``.  Built before the session
-        steps: one ``query_many`` over the walk, each query filled as by
-        :meth:`fill_ahead` plus its candidate count, then one
-        ``pages_for_regions`` pass over every probe stream's first chunk.
-        Touches no cache and charges no disk time.
+        ``step_query_replay(tape[cursor])``.  Each query is filled as by
+        :meth:`fill_ahead` plus its candidate count, a position-only
+        prefetcher's plans by one kernel pass (``plan_walk``).  Touches
+        no cache, charges no disk time, resolves no probe stream.
         """
+        prefetcher, queries = self.prefetcher, self.sequence.queries
+        plans = [None] * len(queries)
+        if isinstance(prefetcher, PositionOnlyPrefetcher):
+            plans = prefetcher.plan_walk([query.bounds for query in queries])
         tape = []
-        for cursor, result in enumerate(self._walk_results()):
-            work = self._fill(cursor, result)
-            work.n_candidates = getattr(self.prefetcher, "n_candidates", 0)
+        for cursor, plan in enumerate(plans):
+            work = self._fill(cursor, plan)
+            work.n_candidates = getattr(prefetcher, "n_candidates", 0)
             tape.append(work)
-        resolve_ahead(
-            self.engine.index, [stream for work in tape for stream in work.streams or ()]
-        )
         return tape
 
     def step_query_capture(self) -> "_QueryBundle | None":
@@ -594,10 +595,8 @@ class QuerySession:
         filled one ahead or a plan tape holds one: the step
         reads what is filled and computes the rest through the same
         ``_fill_*`` definitions, so a query stepped alone is the case
-        of a record nobody has filled.  Each stage the step fills
-        itself is one pass: the first unfilled step fetches the whole
-        walk's index results (:meth:`_walk_results`), and a plan it
-        fills has every stream's first chunk resolved together.
+        of a record nobody has filled.  A plan the step fills itself has
+        every stream's first chunk resolved in one pass.
         """
         if self.done:
             return None
@@ -610,9 +609,9 @@ class QuerySession:
         page_table = engine.index.page_table
 
         # -- serve ------------------------------------------------------------------
-        if work.result is None:
-            self._fill_served(work, self._walk_results()[work.cursor])
-        result, pages = work.result, work.pages
+        if work.pages is None:
+            self._fill_served(work)
+        result, pages = self.results[self._cursor], work.pages
 
         # Pages in the prefetch cache are hits; the rest is residual
         # I/O.  Result pages do NOT enter the prefetch cache -- the

@@ -51,6 +51,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -827,7 +828,8 @@ class ParallelRunner:
             # cells still waiting in `work` never ran, so they re-enter
             # the next batch uncharged.
             window = max_workers + 1
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            # Forked whatever the default start method (DESIGN.md §6.2).
+            pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=get_context("fork"))
             broken = False
             pending: dict[Future, tuple[CellSpec, int, float]] = {}
 

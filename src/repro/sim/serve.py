@@ -25,15 +25,14 @@ Two schedulers produce **bit-identical reports** (pinned by
     oracle the tests compare against;
 ``lockstep``
     the vectorized plane sweeps run on, one :func:`step_tick` per tick --
-    the tick the serving daemon runs too.  When :func:`plans_shareable`
-    holds, each walk's pure work is taped once before anything steps
-    (:meth:`~repro.sim.engine.QuerySession.plan_tape`) and every tick
-    replays it; otherwise each tick batches the pure work ahead of its
-    steps (one ``query_many`` pass, ``fill_ahead``, one
-    ``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
-    shared; every cache touch, disk read and budget decision still
-    executes in exact client order, which is why the reports match bit
-    for bit.
+    the tick the serving daemon runs too.  Each walk's index results are
+    fetched once per run; when :func:`plans_shareable` holds, each walk
+    is taped once before anything steps (:func:`plan_tapes`) and every
+    tick replays it, otherwise each tick fills its steps' pure work
+    ahead (``fill_ahead``, one ``pages_for_regions`` pass).  Only *pure*
+    work is ever hoisted or shared; every cache touch, disk read and
+    budget decision still executes in exact client order, which is why
+    the reports match bit for bit.
 
 With one client the shared cache and disk degenerate to private ones,
 so ``ServingSimulator`` over a single session is bit-identical to
@@ -47,13 +46,14 @@ from typing import Iterator, Sequence
 
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
 from repro.index.base import SpatialIndex
-from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, resolve_ahead
+from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
+from repro.sim.engine import resolve_ahead, walk_results
 from repro.sim.metrics import QueryRecord, ServeReport
 from repro.storage.faults import FaultPlan
 from repro.storage.tiered import TierStats
 from repro.workload.multiclient import ClientWorkload
 
-__all__ = ["ServingSimulator", "plans_shareable", "step_tick"]
+__all__ = ["ServingSimulator", "plan_tapes", "plans_shareable", "step_tick"]
 
 
 def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None) -> bool:
@@ -84,6 +84,13 @@ def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None)
     return all(type(p) is type(first) and p.name == first.name for p in prefetchers)
 
 
+def plan_tapes(index: SpatialIndex, sessions: Sequence[QuerySession]) -> list[list]:
+    """Each session's walk tape; one probe pass resolves all their first chunks."""
+    tapes = [session.plan_tape() for session in sessions]
+    resolve_ahead(index, [s for tape in tapes for work in tape for s in work.streams or ()])
+    return tapes
+
+
 def step_tick(
     index: SpatialIndex, entries: list[tuple[QuerySession, list | None]]
 ) -> Iterator[QueryRecord]:
@@ -92,16 +99,14 @@ def step_tick(
     The one tick of the shared-cache plane (DESIGN.md §6.1, §8), fed the
     active clients by the lockstep scheduler and the admitted jobs by the
     daemon; a session appears at most once.  A taped entry replays its
-    tape; the untaped ones share one ``query_many``, ``fill_ahead`` each
-    and one ``resolve_ahead``, made only when there is one.  A step that
-    raises ends the tick: the entries behind it do not advance.
+    tape; the untaped ones are filled ahead (``fill_ahead`` each) and
+    share one ``resolve_ahead``, made only when there is one.  A step
+    that raises ends the tick: the entries behind it do not advance.
     """
-    untaped = [session for session, tape in entries if not tape]
-    if untaped:
-        bounds = [s.sequence.queries[s.query_index].bounds for s in untaped]
-        bundles = [s.fill_ahead(result) for s, result in zip(untaped, index.query_many(bounds))]
+    bundles = [session.fill_ahead() for session, tape in entries if not tape]
+    if bundles:
         resolve_ahead(index, [stream for work in bundles for stream in work.streams or ()])
-        filled = iter(bundles)
+    filled = iter(bundles)
     for session, tape in entries:
         if tape:
             yield session.step_query_replay(tape[session.query_index])
@@ -135,8 +140,7 @@ class ServingSimulator:
         do, see :func:`repro.sim.runner.run_serving_cell`); both
         schedulers serve from the same cache and the report is
         bit-identical either way.  Lockstep replays per-walk plan tapes
-        whenever that is sound: every client on the same position-only
-        prefetcher and no fault that can fire.
+        whenever :func:`plans_shareable` holds.
         """
         clients = list(clients)
         if not clients:
@@ -146,22 +150,17 @@ class ServingSimulator:
                 f"got {len(prefetchers)} prefetchers for {len(clients)} clients; "
                 "each client needs its own instance"
             )
-        # The report gates read the config, not the built objects: an
-        # inert spec builds no layer (``SimulationConfig.build_disk``)
-        # but still flags its counters into stored records.
+        # The report gates read the config, not the built objects: an inert
+        # spec builds no layer but still flags its counters into stored
+        # records.  Tiers and shards never perturb the pure observe/plan
+        # work, so plans stay shareable under them (DESIGN.md §9, §10).
         faulty = self.config.faults is not None
-        # A storage tier never perturbs the pure observe/plan work (tier
-        # state only decides which backing reads are charged), so plan
-        # sharing stays available; the report just flags the tier so the
-        # additive counters persist (DESIGN.md §9).
         tiered = self.config.storage is not None and self.config.storage.tiering_active
-        # A sharded cache keeps plan sharing available for the same
-        # reason: routing and rebalancing only redistribute which shard
-        # absorbs a touch, and both schedulers feed the cache identical
-        # batch sequences (DESIGN.md §10).
         sharded = self.config.shards is not None and self.config.shards.sharding_active
         cache = self.config.build_cache(self.index)
         disk = self.config.build_disk()
+        walks = {id(client.sequence): client.sequence for client in clients}
+        results = {key: walk_results(self.index, walk) for key, walk in walks.items()}
         sessions = [
             QuerySession(
                 self.engine,
@@ -170,6 +169,7 @@ class ServingSimulator:
                 cache=cache,
                 disk=disk,
                 client_id=client.client_id,
+                results=results[id(client.sequence)],
             )
             for client, prefetcher in zip(clients, prefetchers)
         ]
@@ -230,20 +230,17 @@ class ServingSimulator:
         """The vectorized plane: one :func:`step_tick` per tick, in client order.
 
         With shareable plans, each distinct sequence object is taped up
-        front from its first session.  The live sessions -- ``(start
-        tick, session, tape)`` -- drop out once finished; a tick where
-        only staggered clients wait still counts.
+        front from its first session, all in one :func:`plan_tapes`.  The
+        live sessions -- ``(start tick, session, tape)`` -- drop out once
+        finished; a tick where only staggered clients wait still counts.
         """
-        tapes = [None] * len(sessions)
+        by_walk = {}
         if plans_shareable(prefetchers, self.config.faults):
-            by_walk: dict[int, list] = {}
-            for session in sessions:
-                if id(session.sequence) not in by_walk:
-                    by_walk[id(session.sequence)] = session.plan_tape()
-            tapes = [by_walk[id(session.sequence)] for session in sessions]
+            first = {id(session.sequence): session for session in reversed(sessions)}
+            by_walk = dict(zip(first, plan_tapes(self.index, list(first.values()))))
         live = [
-            (client.start_tick, session, tape)
-            for client, session, tape in zip(clients, sessions, tapes)
+            (client.start_tick, session, by_walk.get(id(session.sequence)))
+            for client, session in zip(clients, sessions)
             if not session.done
         ]
 

@@ -7,6 +7,8 @@ Tests must not mutate them.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,14 @@ def tissue_flat(tissue):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["fork", "forkserver"])
+def start_method(request):
+    """The interpreter's default start method, set for one pooled sweep
+    case: the runner must not depend on it (``forkserver`` is Linux's
+    default from Python 3.14)."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(previous, force=True)

@@ -18,6 +18,7 @@ from repro.baselines.hilbert_prefetch import N_PREFETCH_CELLS
 from repro.geometry import AABB, boxes_overlap
 from repro.index.base import region_corners
 from tests.oracles.baselines import OraclePrefetcher
+from tests.oracles import extrapolation as replaced
 
 
 def observe_path(prefetcher, centers, side=10.0):
@@ -73,8 +74,73 @@ class TestConcentricCorners:
         ):
             observe_path(prefetcher, [[0, 0, 0], [3, 1, 0], [6, 2, 1], [9, 4, 1]], side=7.0)
             (target,) = prefetcher.plan()
-            expected = concentric_corners(target.anchor, prefetcher.last_side)
+            expected = concentric_corners(target.anchor, prefetcher._sides[-1])
             assert np.array_equal(target.regions, expected)
+
+
+#: Each position-only baseline, with its replaced per-query plan.
+KERNELS = {
+    "straight-line": (StraightLinePrefetcher, replaced.straight_line),
+    "poly-2": (lambda: PolynomialPrefetcher(2), lambda c, s: replaced.polynomial(c, s, 2)),
+    "poly-3": (lambda: PolynomialPrefetcher(3), lambda c, s: replaced.polynomial(c, s, 3)),
+    "velocity": (VelocityPrefetcher, replaced.velocity),
+    "ewma-0.3": (lambda: EWMAPrefetcher(0.3), lambda c, s: replaced.ewma(c, s, 0.3)),
+    "ewma-0.7": (lambda: EWMAPrefetcher(0.7), lambda c, s: replaced.ewma(c, s, 0.7)),
+}
+
+
+@st.composite
+def _walks(draw):
+    """Query bounds of a walk of 1-12 queries; a step may stand still."""
+    coordinate = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    point = st.lists(coordinate, min_size=3, max_size=3).map(np.array)
+    centers = [draw(point)]
+    for _ in range(draw(st.integers(0, 11))):
+        centers.append(centers[-1] if draw(st.booleans()) else draw(point))
+    sides = draw(st.lists(st.floats(0.5, 200.0), min_size=len(centers), max_size=len(centers)))
+    return [AABB.from_center_extent(c, side) for c, side in zip(centers, sides)]
+
+
+def _bytes(plan):
+    return [
+        (t.anchor.tobytes(), t.direction.tobytes(), t.regions.tobytes(), t.share) for t in plan
+    ]
+
+
+class TestPlanKernel:
+    """One kernel plans a whole walk; ``plan()`` is its last row."""
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    @given(bounds=_walks())
+    def test_each_row_is_the_plan_after_observing_its_prefix(self, kind, bounds):
+        make, replaced_plan = KERNELS[kind]
+        walk = make().plan_walk(bounds)
+        assert len(walk) == len(bounds)
+        stepped, centers, sides = make(), [], []
+        for i, box in enumerate(bounds):
+            observed = ObservedQuery(i, box, np.empty(0, dtype=np.int64))
+            stepped.observe(observed)
+            centers.append(observed.center)
+            sides.append(observed.side)
+            row = _bytes(walk[i])
+            assert row == _bytes(stepped.plan())
+            assert row == _bytes(replaced_plan(centers, sides))
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_short_and_still_walks_plan_nothing(self, kind):
+        make, _ = KERNELS[kind]
+        box = AABB.from_center_extent(np.array([1.0, 2.0, 3.0]), 10.0)
+        assert make().plan_walk([]) == []
+        assert make().plan_walk([box]) == [[]]
+        assert make().plan_walk([box] * 5) == [[]] * 5
+
+    def test_planning_a_walk_leaves_the_history_alone(self):
+        prefetcher = EWMAPrefetcher(0.3)
+        observe_path(prefetcher, [[0, 0, 0], [3, 1, 0]])
+        before = _bytes(prefetcher.plan())
+        walk = [AABB.from_center_extent(np.array([x, 0.0, 0.0]), 5.0) for x in (0, 4, 9)]
+        assert len(prefetcher.plan_walk(walk)[2]) == 1
+        assert _bytes(prefetcher.plan()) == before and len(prefetcher._centers) == 2
 
 
 class TestStraightLine:

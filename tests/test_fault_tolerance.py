@@ -93,6 +93,7 @@ class TestFailureEnvelope:
         assert result.ok and result.attempts == 2
         assert report.n_computed == 1 and report.n_failed == 0
 
+    @pytest.mark.usefixtures("start_method")
     def test_pooled_failures_do_not_abort_siblings(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         report = ParallelRunner(jobs=2, store=store, retries=0).run(
@@ -123,6 +124,7 @@ class TestTimeouts:
         assert "timeout" in hung.error.lower()
         assert ok.ok
 
+    @pytest.mark.usefixtures("start_method")
     def test_pooled_hanging_cell_times_out(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         report = ParallelRunner(jobs=2, store=store, timeout=0.3, retries=0).run(
@@ -132,6 +134,7 @@ class TestTimeouts:
         assert by_key[HANGING_CELL.key()].status == "timeout"
         assert by_key[OK_CELL.key()].ok
 
+    @pytest.mark.usefixtures("start_method")
     def test_pooled_failure_elapsed_excludes_queue_wait(self, tmp_path):
         # With jobs=1 worth of slots busy, a queued cell waits; its
         # failure envelope must still record execution time (~timeout
@@ -158,6 +161,7 @@ class TestTimeouts:
             ParallelRunner(retries=-1)
 
 
+@pytest.mark.usefixtures("start_method")
 class TestOneLedger:
     """Serial and pooled attempts settle through the same ledger."""
 
@@ -183,6 +187,7 @@ class TestOneLedger:
         ]
 
 
+@pytest.mark.usefixtures("start_method")
 class TestPoolCrashes:
     """A worker killed mid-sweep must not abort the run."""
 
@@ -269,7 +274,9 @@ class TestPoolRaces:
     """What a real pool does only by timing, made deterministic."""
 
     def _script(self, monkeypatch, steps: list[str]) -> None:
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda max_workers: _ScriptedPool(steps))
+        monkeypatch.setattr(
+            runner, "ProcessPoolExecutor", lambda max_workers, mp_context: _ScriptedPool(steps)
+        )
 
     def test_a_pool_broken_before_a_submit_carries_the_cell_over(self, monkeypatch):
         self._script(monkeypatch, ["run", "refuse"])

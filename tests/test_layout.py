@@ -222,6 +222,21 @@ RULES = {
             "from repro.sim.serve import plans_shareable, step_tick",
         ),
     ),
+    "One results source": Rule(
+        "§6.1, §8",
+        r"\.query_many\(",
+        "sim serve",
+        flags=(
+            "bundles = [s.fill_ahead(result)"
+            " for s, result in zip(untaped, index.query_many(bounds))]",
+            ("serve/daemon.py", "results = self.index.query_many(bounds)"),
+        ),
+        spares=(
+            "results = {key: walk_results(self.index, walk) for key, walk in walks.items()}",
+            "fetch = SpatialIndex.query_many",
+        ),
+        allowed=("return index.query_many([query.bounds for query in sequence.queries])",),
+    ),
     "No third lockstep branch": Rule(
         "§6.1", "group_size", "sim/serve.py", flags=("for group_size in sizes:",)
     ),

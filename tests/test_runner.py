@@ -126,6 +126,7 @@ class TestSpecs:
 
 
 class TestDeterminism:
+    @pytest.mark.usefixtures("start_method")
     def test_parallel_matches_serial_bit_for_bit(self):
         matrix = tiny_matrix()
         serial = ParallelRunner(jobs=1).run(matrix.cells())

@@ -53,6 +53,7 @@ from repro.serve import daemon as daemon_module
 from repro.serve import loadgen
 from repro.serve.daemon import STOP_SIGNALS
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
+from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession
 from repro.sim.metrics import LatencyReport
 
@@ -845,6 +846,51 @@ class TestPlanTapes:
         assert final["latency"]["errors"] == len(failed)
         assert final["latency"]["errors"] + len(oks) == final["requests_admitted"] == 2 * k
         assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
+
+
+class TestOneResultsSource:
+    """A daemon fetches each pool walk's index results once, for its lifetime."""
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(fault_rate=0.05), dict(prefetcher="scout")], ids=["faults", "scout"]
+    )
+    @pytest.mark.parametrize("per_connection", [12, 60])
+    def test_an_untaped_pipelined_drain_fetches_each_walk_once(
+        self, monkeypatch, overrides, per_connection
+    ):
+        # Untaped walks, pipelined: every tick holds one job per connection,
+        # and each session renews several times.
+        fetched = []
+        query_many = SpatialIndex.query_many
+
+        def counted(index, regions):
+            fetched.append(len(regions))
+            return query_many(index, regions)
+
+        monkeypatch.setattr(SpatialIndex, "query_many", counted)
+        pool, queries = 3, 5
+        config = daemon_config(
+            session_pool=pool, queries_per_session=queries, max_queue=256, **overrides
+        )
+
+        async def scenario(daemon):
+            streams = [await _connect(daemon.port) for _ in range(2)]
+            for _, writer in streams:
+                writer.write(HELLO + QUERY * per_connection)
+            replies = [
+                [await read_frame(reader) for _ in range(per_connection + 1)]
+                for reader, _ in streams
+            ]
+            for _, writer in streams:
+                writer.close()
+            return replies, daemon.final_report()
+
+        replies, final = asyncio.run(_with_daemon(config, scenario))
+        assert all(reply["ok"] for replies_of in replies for reply in replies_of)
+        assert final["requests_admitted"] == 2 * per_connection
+        assert final["plans_replayed"] == 0
+        assert final["sessions_completed"] >= 2 * (per_connection // queries - 1)
+        assert fetched == [queries] * pool
 
 
 def _framed(payload: bytes) -> bytes:

@@ -155,9 +155,10 @@ class TestQuerySession:
             raise AssertionError("the session re-queried a pre-resolved result")
 
         monkeypatch.setattr(tissue_flat, "query", no_query)
-        session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
-        for result in results:
-            session.step_query(session.fill_ahead(result))
+        monkeypatch.setattr(tissue_flat, "query_many", no_query)
+        session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3), results=results)
+        for _ in results:
+            session.step_query(session.fill_ahead())
         assert session.done
         assert session.metrics.records == reference.records
 

@@ -1,7 +1,7 @@
 """Lockstep serving plane: bit-identity against the round-robin reference.
 
-The vectorized scheduler (batched ``query_many`` per tick,
-leader/follower plan sharing; the same shared cache as the reference)
+The vectorized scheduler (each walk's results fetched once, ticks
+filled ahead, walk plan tapes; the same shared cache as the reference)
 is only allowed to change *where* pure work happens, never what any
 client observes.  The matrix here pins that: for every client count x
 contention mode x prefetcher x cache size, the lockstep report equals
@@ -35,7 +35,13 @@ from repro.index import FlatIndex
 from repro.index.base import SpatialIndex
 from repro.index.rtree import STRTree
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
-from repro.sim.engine import PROBE_CHUNK, QuerySession, _SharedProbeStream, resolve_ahead
+from repro.sim.engine import (
+    PROBE_CHUNK,
+    QuerySession,
+    _SharedProbeStream,
+    resolve_ahead,
+    walk_results,
+)
 from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.storage.cache import PrefetchCache
 from repro.storage.faults import FaultPlan
@@ -233,9 +239,9 @@ class TestFillAhead:
         filled = []  # per record, as it left fill_ahead: (predicted, gapped, planned)
         fill_ahead = QuerySession.fill_ahead
 
-        def spy(session, result):
-            work = fill_ahead(session, result)
-            assert work.result is result and work.cold is not None
+        def spy(session):
+            work = fill_ahead(session)
+            assert work.pages is not None and work.cold is not None
             filled.append(
                 (work.prediction_cost is not None, bool(work.gap_pages), work.streams is not None)
             )
@@ -293,7 +299,7 @@ class TestFillAhead:
         sequence = clients[0].sequence
         engine = SimulationEngine(tissue_flat)
         session = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
-        work = session.fill_ahead(tissue_flat.query(sequence.queries[0].bounds))
+        work = session.fill_ahead()
         assert work.prediction_cost is not None
         session.step_query(work)
         with pytest.raises(ValueError, match="bundle for query 0 replayed at cursor 1"):
@@ -337,20 +343,26 @@ class TestOnePassPerStage:
         assert (index.calls["query"], index.calls["query_many"]) == (0, 1)
 
     def test_a_step_filled_ahead_or_taped_fetches_no_result(self, tissue, walk):
+        """Sessions handed their walk's results fetch nothing, whether a
+        step is filled ahead, taped, replayed or renewed."""
         index, sequence = walk
         engine = SimulationEngine(index)
-        results = index.query_many([query.bounds for query in sequence.queries])
-        ahead = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
-        taped = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
-        tape = taped.plan_tape()
-        replaying = QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3))
+        results = walk_results(index, sequence)
         index.calls.clear()
-        for result, work in zip(results, tape):
-            ahead.step_query(ahead.fill_ahead(result))
+        ahead, taped, replaying = (
+            QuerySession(engine, sequence, EWMAPrefetcher(lam=0.3), results=results)
+            for _ in range(3)
+        )
+        tape = taped.plan_tape()
+        for work in tape:
+            ahead.step_query(ahead.fill_ahead())
             taped.step_query_replay(work)
             replaying.step_query_replay(work)
+        renewed = ahead.renew(EWMAPrefetcher(lam=0.3))
+        renewed.run()
         assert index.calls["query"] == index.calls["query_many"] == 0
         assert ahead.done and taped.done and replaying.done
+        assert renewed.results is results
 
     def test_a_plan_filled_by_its_step_is_probed_in_one_pass(self, tissue, walk):
         index, sequence = walk
@@ -374,22 +386,33 @@ class TestOnePassPerStage:
 
     def test_the_lockstep_tick_keeps_its_probe_passes(self, monkeypatch):
         """The tick resolves every stream itself: a step it filled must
-        not probe again (157 passes per seed-7 ``fleet_thrash`` repetition)."""
+        not probe again.  One seed-7 ``fleet_thrash`` repetition probes in
+        one ``query_many`` per walk (64 walks; 79 tick-wide calls before
+        each walk was fetched once) and 78 tick passes."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
         from e2e_workloads import FleetWorkload
 
         workload = FleetWorkload("fleet_thrash")
         workload.build(7)
         passes = Counter()
-        probe = STRTree.pages_for_regions
+        fetching = []
+        probe, query_many = STRTree.pages_for_regions, SpatialIndex.query_many
 
         def counted(index, regions):
-            passes["pages_for_regions"] += 1
+            passes["walk" if fetching else "tick"] += 1
             return probe(index, regions)
 
+        def fetch(index, regions):
+            fetching.append(True)
+            try:
+                return query_many(index, regions)
+            finally:
+                fetching.pop()
+
         monkeypatch.setattr(STRTree, "pages_for_regions", counted)
+        monkeypatch.setattr(SpatialIndex, "query_many", fetch)
         workload.repetition()
-        assert passes["pages_for_regions"] == 157
+        assert dict(passes) == {"walk": 64, "tick": 78}
 
     def test_a_served_query_is_attributed_in_one_pass(self, tissue, tissue_flat, monkeypatch):
         """Each step with a client id makes one ``touch_many`` and one
@@ -470,10 +493,11 @@ class TestPlanSharing:
     def test_followers_actually_replay_the_leader(self, tissue, tissue_flat, stagger):
         """Plan sharing must engage (else the equivalence tests are vacuous).
 
-        Only the session that tapes the shared hot walk observes; the
-        others replay the tape and skip ``observe()`` entirely, so their
-        prefetcher history stays empty -- observable proof the tape, not
-        a recomputation, served them, whatever their start ticks.
+        The walk kernel plans the shared hot walk's tape without
+        observing, and every session replays the tape and skips
+        ``observe()`` entirely, so every prefetcher history stays empty
+        -- observable proof the tape, not a recomputation, served them,
+        whatever their start ticks.
         """
         clients = multiclient_sessions(
             tissue, n_clients=4, seed=5, n_queries=4, volume=30_000.0,
@@ -482,8 +506,7 @@ class TestPlanSharing:
         prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
         vectorized = ServingSimulator(tissue_flat).run(clients, prefetchers, lockstep=True)
         histories = [len(p._centers) for p in prefetchers]
-        assert histories[0] == 4  # the taping session observed every query
-        assert histories[1:] == [0, 0, 0]  # the others replayed, never observed
+        assert histories == [0, 0, 0, 0]  # every session replayed, none observed
         reference = ServingSimulator(tissue_flat).run(
             clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=False
         )
