@@ -29,7 +29,12 @@ from repro.index.base import PAGE_FANOUT, SpatialIndex, region_corners
 from repro.storage.page import PageTable
 from repro.util import csr_expand
 
-__all__ = ["STRTree", "TreeLevel", "str_partition"]
+__all__ = ["PROBE_BLOCK", "STRTree", "TreeLevel", "str_partition"]
+
+#: Regions one batched descent carries.  Its pair frontier gathers four
+#: ``(pairs, 3)`` corner arrays per level, so a pass over more regions
+#: runs block by block and its transient memory stays that of one block.
+PROBE_BLOCK = 64
 
 
 def str_partition(centers: np.ndarray, fanout: int) -> list[np.ndarray]:
@@ -161,7 +166,8 @@ class STRTree(SpatialIndex):
         return self._pages_for_boxes(*region_corners(regions))
 
     def _pages_for_boxes(self, qlo: np.ndarray, qhi: np.ndarray) -> list[np.ndarray]:
-        """Batched traversal over ``(n, 3)`` probe-corner arrays.
+        """Batched traversal over ``(n, 3)`` probe-corner arrays, one
+        :data:`PROBE_BLOCK` of regions at a time.
 
         The frontier is a set of (node, region) pairs; every level
         prunes and expands all pairs in one vectorized step.  Pairs stay
@@ -169,8 +175,18 @@ class STRTree(SpatialIndex):
         sort of ``region * n_pages + page`` orders every region's pages
         without moving a pair out of its group, and the per-region
         split is a pair of ``searchsorted`` cuts.  Each region's pages
-        are a read-only slice of that one sorted array.
+        are a read-only slice of its block's one sorted array.
         """
+        if len(qlo) <= PROBE_BLOCK:
+            return self._descend(qlo, qhi)
+        pages: list[np.ndarray] = []
+        for start in range(0, len(qlo), PROBE_BLOCK):
+            end = start + PROBE_BLOCK
+            pages += self._descend(qlo[start:end], qhi[start:end])
+        return pages
+
+    def _descend(self, qlo: np.ndarray, qhi: np.ndarray) -> list[np.ndarray]:
+        """One block of :meth:`_pages_for_boxes`."""
         n_regions = len(qlo)
         empty = np.empty(0, dtype=np.int64)
         if not self._levels:

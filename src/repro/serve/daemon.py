@@ -12,8 +12,9 @@ the *queueing*, not in threads, and the shared cache is single-writer
 by construction.  Each pool walk's index results are fetched at boot;
 when plans are shareable each walk is also taped on its first query
 (:func:`~repro.sim.serve.plan_tapes`) and the tick replays the tape
-instead of recomputing the pure work; cache touches, disk reads and
-budget spending still run per request, in FIFO order.
+instead of recomputing the pure work, for each session until its
+breaker first opens; cache touches, disk reads and budget spending
+still run per request, in FIFO order.
 
 Admission is a bounded deque of jobs: a ``query`` arriving while
 ``max_queue`` requests are already waiting is shed immediately with a
@@ -281,7 +282,7 @@ class ServeDaemon:
         # so one instance decides eligibility for all).
         self._results = [walk_results(self.index, client.sequence) for client in self.pool]
         self._tapes: list[list] = [[] for _ in self.pool]
-        shareable = plans_shareable([self._make_prefetcher()], faults)
+        shareable = plans_shareable([self._make_prefetcher()])
         self._untaped = set(range(len(self.pool))) if shareable else set()
 
         self.recorder = LatencyRecorder()
@@ -561,8 +562,8 @@ class ServeDaemon:
         """Step one tick; a step that raises fails its job and every job behind it."""
         records = step_tick(self.index, [(state.session, state.walk_tape) for state in tick])
         try:
-            for (state, job), record in zip(tick.items(), records):
-                self.plans_replayed += bool(state.walk_tape)
+            for (state, job), (record, replayed) in zip(tick.items(), records):
+                self.plans_replayed += replayed
                 latency = time.perf_counter() - job.enqueued_at
                 self.recorder.observe(latency)
                 job.frame = encode_frame(

@@ -76,19 +76,32 @@ class _SharedProbeStream:
     every session sees the identical per-region page sets it would have
     computed alone (probe resolution is pure: region in, pages out).  A
     query stepped alone is the one-consumer case of the same schedule.
+    A stream that one reader reads once -- a tape that only one session
+    replays -- is made :meth:`compact` before it resolves: it keeps the
+    pass's read-only page arrays and lists a region per read, since a
+    list's boxed ints take ~4.5x the array's bytes and a tape holds its
+    first chunks for the whole run.
     """
 
     def __init__(self, index, regions) -> None:
         self._index = index
         self._regions = regions
-        self._resolved: list[list[int]] = []
+        #: Per resolved region: its pages as plain ints (a page array when compact).
+        self._resolved: list = []
+        #: What the plan loop reads directly: the resolved lists (none when compact).
+        self._listed: list[list[int]] = self._resolved
+
+    def compact(self) -> None:
+        """Keep resolved regions as page arrays, each listed per read."""
+        self._listed = []
 
     def get(self, position: int) -> list[int]:
         """The page ids of the region at ``position``.  Readers go in order and
         stop at the end, so only the first position of a chunk resolves it."""
         if position >= len(self._resolved):
             resolve_ahead(self._index, [self])
-        return self._resolved[position]
+        pages = self._resolved[position]
+        return pages if self._listed is self._resolved else pages.tolist()
 
 
 def walk_results(index: SpatialIndex, sequence: QuerySequence) -> list:
@@ -104,7 +117,8 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
     of its tapes, the tick (``step_tick``) every stream of the tick, a
     step that fills its own plan every stream of that plan.  Chunks
     concatenate as packed corners and the answers split back: each
-    stream holds what it would have alone, each region's pages listed.
+    stream holds what it would have alone, each region's pages listed
+    (kept as the pass's page array in a compact stream).
     """
     chunks = [s._regions[len(s._resolved) : len(s._resolved) + PROBE_CHUNK] for s in streams]
     pending = [(stream, chunk) for stream, chunk in zip(streams, chunks) if len(chunk)]
@@ -117,10 +131,12 @@ def resolve_ahead(index: SpatialIndex, streams: list[_SharedProbeStream]) -> Non
         regions = np.stack((np.concatenate(los), np.concatenate(his)), axis=1)
     answers = iter(index.pages_for_regions(regions))
     for stream, chunk in pending:
-        stream._resolved.extend(pages.tolist() for pages in islice(answers, len(chunk)))
+        pages = islice(answers, len(chunk))
+        listed = stream._listed is stream._resolved
+        stream._resolved.extend(map(np.ndarray.tolist, pages) if listed else pages)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _QueryBundle:
     """The pure (cache- and disk-independent) work of one query.
 
@@ -134,7 +150,8 @@ class _QueryBundle:
     shareable, so reading it is exactly the computation the replaying
     session would have done itself; all cache touches, disk reads and
     budget spending stay per-client.  ``None`` marks a field nobody has
-    computed yet.
+    computed yet.  Records compare by identity: the tick looks for
+    ``None`` among them (``step_tick``), one C-level scan.
     """
 
     cursor: int
@@ -336,7 +353,8 @@ class SimulationEngine:
         ``streams`` is one (possibly shared) :class:`_SharedProbeStream`
         per target (:meth:`_probe_streams`), read at this call's own
         position in each: a region already resolved is read off the
-        stream's list, and only a position past it asks ``get``.
+        stream's list, and only a position past it (or any position of a
+        compact stream) asks ``get``.
         """
         if not targets:
             return 0, 0.0
@@ -360,7 +378,7 @@ class SimulationEngine:
                     break
                 share, stream, position, _ = state
                 # get extends this list in place, so it stays current.
-                resolved, end = stream._resolved, len(stream._regions)
+                listed, end = stream._listed, len(stream._regions)
                 allotment = pass_budget * (share / total_share) + carry
                 spent = 0.0
                 while spent < allotment and remaining > 0:
@@ -368,7 +386,7 @@ class SimulationEngine:
                         state[3] = True
                         break
                     probe_pages = (
-                        resolved[position] if position < len(resolved) else stream.get(position)
+                        listed[position] if position < len(listed) else stream.get(position)
                     )
                     position += 1
                     state[2] = position
@@ -451,6 +469,8 @@ class QuerySession:
         #: it as is.  Tier and shard totals stay on their layers.
         self.client_metrics = ClientMetrics(client_id=client_id, metrics=self.metrics)
         self._cursor = 0
+        #: Whether this session has left its walk's plan tape (``tape_entry``).
+        self._left_tape = False
         #: The walk's index results: a serving run's one fetch, or this one.
         self.results = walk_results(engine.index, sequence) if results is None else results
         # The demand touch's cross-shard hops are residual time for this
@@ -511,12 +531,16 @@ class QuerySession:
         work.pages = np.asarray(result.page_ids, dtype=np.int64).ravel().tolist()
         work.cold = self.disk.cost_if_cold(work.pages)
 
+    def _observe(self, cursor: int) -> None:
+        """Let the prefetcher observe query ``cursor`` (bounds + result content)."""
+        bounds, result = self.sequence.queries[cursor].bounds, self.results[cursor]
+        self.prefetcher.observe(ObservedQuery(cursor, bounds, result.object_ids))
+
     def _fill_prediction(self, work: "_QueryBundle", observe: bool = True) -> None:
         """Observe the query (unless planned already); costs and gap list."""
-        prefetcher, cursor = self.prefetcher, work.cursor
+        prefetcher = self.prefetcher
         if observe:
-            bounds, result = self.sequence.queries[cursor].bounds, self.results[cursor]
-            prefetcher.observe(ObservedQuery(cursor, bounds, result.object_ids))
+            self._observe(work.cursor)
         work.prediction_cost = prefetcher.prediction_cost_seconds()
         work.build_cost = prefetcher.graph_build_cost_seconds()
         # Plans are only taped for gap-free prefetchers, so every
@@ -553,7 +577,8 @@ class QuerySession:
         The one plan-sharing mechanism (DESIGN.md §6.1, §8): when
         :func:`~repro.sim.serve.plans_shareable` holds, every session on
         the walk, this one included, steps through
-        ``step_query_replay(tape[cursor])``.  Each query is filled as by
+        ``step_query_replay(tape[cursor])`` until its breaker first opens
+        (:meth:`tape_entry`).  Each query is filled as by
         :meth:`fill_ahead` plus its candidate count, a position-only
         prefetcher's plans by one kernel pass (``plan_walk``).  Touches
         no cache, charges no disk time, resolves no probe stream.
@@ -578,13 +603,35 @@ class QuerySession:
         self.step_query(work)
         return work
 
+    def tape_entry(self, tape: list | None) -> "_QueryBundle | None":
+        """This step's entry of its walk's plan ``tape``; ``None`` steps untaped.
+
+        A session replays its walk's tape from its first query until its
+        breaker first opens, then leaves it for good (DESIGN.md §6.1, §7):
+        from there its observe/plan work depends on which queries the
+        breaker lets it prefetch, which no tape knows.  On leaving, its
+        prefetcher observes every query it replayed; a breaker that has
+        never opened never skipped one, so that history is exact.  A
+        renewal is a new session and starts on the tape again.
+        """
+        if not tape:
+            return None
+        breaker = self._breaker
+        if breaker is None or not breaker.opens:
+            return tape[self._cursor]
+        if not self._left_tape:
+            self._left_tape = True
+            for cursor in range(self._cursor):
+                self._observe(cursor)
+        return None
+
     def step_query_replay(self, work: "_QueryBundle") -> QueryRecord | None:
-        """Advance one query, reading a plan tape's entry (:meth:`plan_tape`).
+        """Advance one query, reading a plan tape's entry (:meth:`tape_entry`).
 
         Observing and planning are skipped entirely, so this session's
-        prefetcher goes stale and must never be consulted again; cache
-        touches, disk reads and budget spending all still happen here,
-        per-client, in scheduler order.
+        prefetcher lags the walk until the session leaves the tape, which
+        observes what it skipped; cache touches, disk reads and budget
+        spending all still happen here, per-client, in scheduler order.
         """
         return self.step_query(work)
 

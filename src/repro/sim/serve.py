@@ -28,8 +28,9 @@ Two schedulers produce **bit-identical reports** (pinned by
     the tick the serving daemon runs too.  Each walk's index results are
     fetched once per run; when :func:`plans_shareable` holds, each walk
     is taped once before anything steps (:func:`plan_tapes`) and every
-    tick replays it, otherwise each tick fills its steps' pure work
-    ahead (``fill_ahead``, one ``pages_for_regions`` pass).  Only *pure*
+    tick replays it for each session whose breaker has never opened;
+    every other step has its pure work filled ahead by the tick
+    (``fill_ahead``, one ``pages_for_regions`` pass).  Only *pure*
     work is ever hoisted or shared; every cache touch, disk read and
     budget decision still executes in exact client order, which is why
     the reports match bit for bit.
@@ -42,6 +43,7 @@ property suite in ``tests/test_serving.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Sequence
 
 from repro.baselines.base import PositionOnlyPrefetcher, Prefetcher
@@ -49,69 +51,84 @@ from repro.index.base import SpatialIndex
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine
 from repro.sim.engine import resolve_ahead, walk_results
 from repro.sim.metrics import QueryRecord, ServeReport
-from repro.storage.faults import FaultPlan
 from repro.storage.tiered import TierStats
 from repro.workload.multiclient import ClientWorkload
 
 __all__ = ["ServingSimulator", "plan_tapes", "plans_shareable", "step_tick"]
 
 
-def plans_shareable(prefetchers: Sequence[Prefetcher], faults: FaultPlan | None) -> bool:
+def plans_shareable(prefetchers: Sequence[Prefetcher]) -> bool:
     """Whether sessions may read one another's pure observe/plan work.
 
     The one rule of plan sharing, for the lockstep scheduler and the
-    serving daemon alike: when it holds, every session replays its
-    walk's plan tape (DESIGN.md §6.1, §8); otherwise nothing is taped.
-    That is only sound when the observe/plan work is a pure function of
-    the observed sequence:
+    serving daemon alike: when it holds, every walk is taped and each
+    session replays its walk's plan tape (DESIGN.md §6.1, §8);
+    otherwise nothing is taped.  That is sound when every session runs
+    a position-only prefetcher (plans derive from observed centers
+    alone, and no gap I/O whose pulls could depend on cache state) of
+    the same configuration (type and name -- the name encodes the
+    parameters), so identical observations imply identical predictions.
 
-    * every session runs a position-only prefetcher (plans derive from
-      observed centers alone, and no gap I/O whose pulls could depend
-      on cache state) of the same configuration (type and name -- the
-      name encodes the parameters), so identical observations imply
-      identical predictions;
-    * no fault plan that can fire: per-client breaker state diverges
-      under failures, so one session's observe/plan work is no longer a
-      pure replay of another's.  (Every driver still reads the shared
-      faulty disk in exact request order, so reports and the fault RNG
-      draw sequence stay bit-identical without sharing.)
+    Faults do not enter the rule.  A session's observe/plan work departs
+    from its walk's only where its circuit breaker first opens and
+    starts skipping queries, so a session replays until then and steps
+    untaped from there (:meth:`~repro.sim.engine.QuerySession.tape_entry`).
+    Every driver reads the shared faulty disk in exact request order, so
+    reports and the fault RNG draw sequence stay bit-identical.
     """
-    if faults is not None and faults.active:
-        return False
     first = prefetchers[0]
     if not isinstance(first, PositionOnlyPrefetcher):
         return False
     return all(type(p) is type(first) and p.name == first.name for p in prefetchers)
 
 
-def plan_tapes(index: SpatialIndex, sessions: Sequence[QuerySession]) -> list[list]:
-    """Each session's walk tape; one probe pass resolves all their first chunks."""
+def plan_tapes(
+    index: SpatialIndex, sessions: Sequence[QuerySession], lone: Sequence[bool] = ()
+) -> list[list]:
+    """Each session's walk tape; one probe pass resolves all their first chunks.
+
+    ``lone`` flags, per session, a tape that no other session will
+    replay; its probe streams are compact (a region listed per read,
+    never kept as a list), the others are listed once for every reader.
+    """
     tapes = [session.plan_tape() for session in sessions]
-    resolve_ahead(index, [s for tape in tapes for work in tape for s in work.streams or ()])
+    streams = [stream for tape in tapes for work in tape for stream in work.streams or ()]
+    for tape, alone in zip(tapes, lone):
+        if alone:
+            for work in tape:
+                for stream in work.streams or ():
+                    stream.compact()
+    resolve_ahead(index, streams)
     return tapes
 
 
 def step_tick(
     index: SpatialIndex, entries: list[tuple[QuerySession, list | None]]
-) -> Iterator[QueryRecord]:
-    """Step each ``(session, tape)`` entry once, in entry order, yielding its record.
+) -> Iterator[tuple[QueryRecord, bool]]:
+    """Step each ``(session, tape)`` entry once, in entry order, yielding
+    its record and whether it replayed the tape.
 
     The one tick of the shared-cache plane (DESIGN.md §6.1, §8), fed the
     active clients by the lockstep scheduler and the admitted jobs by the
-    daemon; a session appears at most once.  A taped entry replays its
-    tape; the untaped ones are filled ahead (``fill_ahead`` each) and
+    daemon; a session appears at most once.  An entry whose session is
+    on its tape (:meth:`~repro.sim.engine.QuerySession.tape_entry`)
+    replays it; the others are filled ahead (``fill_ahead`` each) and
     share one ``resolve_ahead``, made only when there is one.  A step
     that raises ends the tick: the entries behind it do not advance.
     """
-    bundles = [session.fill_ahead() for session, tape in entries if not tape]
-    if bundles:
+    taped = [session.tape_entry(tape) for session, tape in entries]
+    bundles = []
+    if None in taped:
+        bundles = [
+            session.fill_ahead() for (session, _), work in zip(entries, taped) if work is None
+        ]
         resolve_ahead(index, [stream for work in bundles for stream in work.streams or ()])
     filled = iter(bundles)
-    for session, tape in entries:
-        if tape:
-            yield session.step_query_replay(tape[session.query_index])
+    for (session, _), work in zip(entries, taped):
+        if work is None:
+            yield session.step_query(next(filled)), False
         else:
-            yield session.step_query(next(filled))
+            yield session.step_query_replay(work), True
 
 
 class ServingSimulator:
@@ -230,14 +247,17 @@ class ServingSimulator:
         """The vectorized plane: one :func:`step_tick` per tick, in client order.
 
         With shareable plans, each distinct sequence object is taped up
-        front from its first session, all in one :func:`plan_tapes`.  The
+        front from its first session, all in one :func:`plan_tapes`; a
+        walk only one client steps gets a compact tape.  The
         live sessions -- ``(start tick, session, tape)`` -- drop out once
         finished; a tick where only staggered clients wait still counts.
         """
         by_walk = {}
-        if plans_shareable(prefetchers, self.config.faults):
+        if plans_shareable(prefetchers):
             first = {id(session.sequence): session for session in reversed(sessions)}
-            by_walk = dict(zip(first, plan_tapes(self.index, list(first.values()))))
+            readers = Counter(id(session.sequence) for session in sessions)
+            lone = [readers[walk] == 1 for walk in first]
+            by_walk = dict(zip(first, plan_tapes(self.index, list(first.values()), lone)))
         live = [
             (client.start_tick, session, by_walk.get(id(session.sequence)))
             for client, session in zip(clients, sessions)

@@ -149,8 +149,24 @@ class PrefetchCache:
         self.insertions += 1
 
     def insert_many(self, page_ids: Iterable[int], owner: int | None = None) -> None:
+        """:meth:`insert` every page in order, in one loop."""
+        if self.capacity_pages == 0:
+            return
+        cached, evicted, capacity = self._pages, self._evicted, self.capacity_pages
+        n_evicted = n_inserted = 0
         for page_id in page_ids:
-            self.insert(page_id, owner)
+            page_id = int(page_id)
+            if page_id in cached:
+                cached.move_to_end(page_id)
+                continue
+            if len(cached) >= capacity:
+                evicted.add(cached.popitem(last=False)[0])
+                n_evicted += 1
+            cached[page_id] = owner
+            evicted.discard(page_id)
+            n_inserted += 1
+        self.evictions += n_evicted
+        self.insertions += n_inserted
 
     def discard(self, page_id: int) -> bool:
         """Remove a page without eviction accounting; ``True`` if removed.

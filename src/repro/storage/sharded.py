@@ -311,7 +311,8 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        self._fan_out("insert_many", *self._by_shard(page_ids), owner)
+        for shard_id, pages in self._by_shard(page_ids, positions=False)[1].items():
+            self._shards[shard_id].insert_many(pages, owner)
 
     # -- batch operations -----------------------------------------------------
 
@@ -340,19 +341,23 @@ class ShardedCache:
                 self._maybe_rebalance()
         return hit
 
-    def _by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
-        """The batch as a list and its input positions by owning shard:
-        one ``tolist``, one routing pass.  A shard that owns the whole batch
-        (the common case under Hilbert locality) needs no position list."""
+    def _by_shard(
+        self, page_ids, *, positions: bool = True
+    ) -> tuple[list[int], dict[int, Sequence[int]]]:
+        """The batch as a list and, by owning shard, its input positions (or,
+        without ``positions``, its pages in input order): one ``tolist``, one
+        routing pass, one grouping pass.  A shard that owns the whole batch
+        (the common case under Hilbert locality) needs no split."""
         pages = _keys(page_ids)
         if not pages:
             return pages, {}
+        items = range(len(pages)) if positions else pages
         routed = self.route_many(pages).tolist()
         if routed.count(routed[0]) == len(routed):
-            return pages, {routed[0]: range(len(pages))}
+            return pages, {routed[0]: items}
         groups: dict[int, list[int]] = {}
-        for position, shard_id in enumerate(routed):
-            groups.setdefault(shard_id, []).append(position)
+        for item, shard_id in zip(items, routed):
+            groups.setdefault(shard_id, []).append(item)
         return pages, groups
 
     def _fan_out(self, op: str, pages: list[int], groups, *args):
@@ -376,13 +381,16 @@ class ShardedCache:
         return self._fan_out("contains_many", *self._by_shard(page_ids))
 
     def missing_many(self, page_ids) -> list[int]:
-        pages, groups = self._by_shard(page_ids)
-        if len(groups) < 2:
-            return self._fan_out("missing_many", pages, groups)
+        pages, groups = self._by_shard(page_ids, positions=False)
+        if len(groups) == 1:
+            ((shard_id, group),) = groups.items()
+            return self._shards[shard_id].missing_many(group)
         # An order-preserving filter, not a value per page: a straddling
-        # batch asks where its pages are, on the routing it already has.
-        cached = self._fan_out("contains_many", pages, groups)
-        return [int(p) for p, there in zip(pages, cached) if not there]
+        # batch asks each shard for its own missing pages.
+        missing = set()
+        for shard_id, group in groups.items():
+            missing.update(self._shards[shard_id].missing_many(group))
+        return [int(p) for p in pages if p in missing]
 
     def owners_many(self, page_ids) -> list[int]:
         return self._fan_out("owners_many", *self._by_shard(page_ids))

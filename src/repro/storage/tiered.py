@@ -82,6 +82,21 @@ MISS_ENTRIES = 16
 STREAM_DEPTH = 4
 
 
+def _refresh(lru: OrderedDict, pages: Iterable[int], capacity: int) -> list[int]:
+    """Make each page the most recent entry of ``lru``, in order, then trim
+    ``lru`` to ``capacity``; returns the entries pushed out, least recent first.
+
+    Trimming only ever takes the least recent entry, so one trim after the
+    batch leaves the order that a trim after every page leaves, and for
+    pages new to ``lru`` and distinct pushes out the same entries.
+    """
+    for page in pages:
+        lru[page] = None
+        lru.move_to_end(page)
+    excess = len(lru) - capacity
+    return [lru.popitem(last=False)[0] for _ in range(excess)] if excess > 0 else []
+
+
 @dataclass(frozen=True)
 class StorageSpec:
     """Picklable spec of the storage hierarchy in front of the disk.
@@ -245,24 +260,29 @@ class TieredStore:
             return 0.0
         ts = self.tier_stats
         ts.requests += len(pages)
+        tier, victim, stream, miss_tags = self._tier, self._victim, self._stream, self._miss_tags
+        use_victim, use_stream, use_miss = self._use_victim, self._use_stream, self._use_miss
         misses: list[int] = []
+        tier_hits = 0
         for page in pages:
-            if self._tier_touch(page):
-                ts.tier_hits += 1
-            elif self._use_victim and page in self._victim:
-                del self._victim[page]
+            if page in tier:
+                tier.move_to_end(page)
+                tier_hits += 1
+            elif use_victim and page in victim:
+                del victim[page]
                 ts.victim_hits += 1
-                self._tier_fill(page)
-            elif self._use_stream and page in self._stream:
-                del self._stream[page]
+                self._tier_fill((page,))
+            elif use_stream and page in stream:
+                del stream[page]
                 ts.stream_hits += 1
-                self._tier_fill(page)
-            elif self._use_miss and page in self._miss_tags:
+                self._tier_fill((page,))
+            elif use_miss and page in miss_tags:
                 ts.miss_hits += 1
-                self._miss_tags.move_to_end(page)
-                self._tier_fill(page)
+                miss_tags.move_to_end(page)
+                self._tier_fill((page,))
             else:
                 misses.append(page)
+        ts.tier_hits += tier_hits
         if not misses:
             return 0.0
 
@@ -280,54 +300,42 @@ class TieredStore:
             elapsed += stall
         if self._pagefile is not None:
             elapsed += self._serve_slots(misses)
-        if self._use_miss:
-            for page in misses:
-                self._miss_tags[page] = None
-                self._miss_tags.move_to_end(page)
-                if len(self._miss_tags) > MISS_ENTRIES:
-                    self._miss_tags.popitem(last=False)
-        if self._use_stream:
+        # Nothing below looks a page up, so each structure is refreshed
+        # once for the whole batch.
+        if use_miss:
+            _refresh(miss_tags, misses, MISS_ENTRIES)
+        if use_stream:
             self._stream_fill(misses)
-        for page in misses:
-            self._tier_fill(page)
+        self._tier_fill(misses)
         return elapsed
 
     # -- tier structures ----------------------------------------------------
 
-    def _tier_touch(self, page: int) -> bool:
-        if page in self._tier:
-            self._tier.move_to_end(page)
-            return True
-        return False
-
-    def _tier_fill(self, page: int) -> None:
-        if self.spec.tier_pages <= 0:
-            return
-        self._tier[page] = None
-        self._tier.move_to_end(page)
-        if len(self._tier) > self.spec.tier_pages:
-            evicted, _ = self._tier.popitem(last=False)
-            self.tier_stats.tier_evictions += 1
+    def _tier_fill(self, pages: Sequence[int]) -> None:
+        """Fill pages the tier does not hold; its evictions go to the victim buffer."""
+        evicted = _refresh(self._tier, pages, self.spec.tier_pages) if self.spec.tier_pages else ()
+        if evicted:
+            self.tier_stats.tier_evictions += len(evicted)
             if self._use_victim:
-                self.tier_stats.writebacks += 1
-                self._victim[evicted] = None
-                self._victim.move_to_end(evicted)
-                if len(self._victim) > VICTIM_ENTRIES:
-                    self._victim.popitem(last=False)
+                self.tier_stats.writebacks += len(evicted)
+                _refresh(self._victim, evicted, VICTIM_ENTRIES)
 
     def _stream_fill(self, misses: Sequence[int]) -> None:
         """Prefill the successors of every contiguous run of the batch."""
         limit = None if self._page_table is None else self._page_table.n_pages
+        ahead = []
         for i, page in enumerate(misses):
             if i + 1 < len(misses) and misses[i + 1] == page + 1:
                 continue  # not a run tail
-            for ahead in range(page + 1, page + 1 + STREAM_DEPTH):
-                if limit is not None and ahead >= limit:
-                    break
-                self._stream[ahead] = None
-                self._stream.move_to_end(ahead)
-        while len(self._stream) > STREAM_DEPTH * 4:
-            self._stream.popitem(last=False)
+            end = page + 1 + STREAM_DEPTH
+            ahead.extend(range(page + 1, end if limit is None else min(end, limit)))
+        # Most recent first: once the batch alone fills the buffer, all it
+        # held is pushed out, and the buffer is the batch's newest entries.
+        newest = list(dict.fromkeys(reversed(ahead)))
+        if len(newest) >= STREAM_DEPTH * 4:
+            self._stream = OrderedDict.fromkeys(reversed(newest[: STREAM_DEPTH * 4]))
+        else:
+            _refresh(self._stream, ahead, STREAM_DEPTH * 4)
 
     # -- byte service (mmap backend) ----------------------------------------
 

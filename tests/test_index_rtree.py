@@ -1,5 +1,7 @@
 """STR R-tree: structure invariants and query exactness vs brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.geometry import AABB
 from repro.index import STRTree
-from repro.index.rtree import str_partition
+from repro.index.base import region_corners
+from repro.index.rtree import PROBE_BLOCK, str_partition
 from tests.oracles.geometry import box_contains
 from tests.oracles.index import page_bounds
 
@@ -128,3 +131,47 @@ class TestQueryExactness:
         result = tissue_rtree.query(region)
         assert result.n_objects == 0 and len(result.page_ids) == 0
 
+
+
+def random_boxes(rng, bounds, n: int, side: float) -> np.ndarray:
+    """``n`` packed ``(2, 3)`` cubes of ``side`` centred uniformly in ``bounds``."""
+    centers = bounds.lo + rng.random((n, 3)) * (bounds.hi - bounds.lo)
+    return np.stack((centers - side / 2.0, centers + side / 2.0), axis=1)
+
+
+class TestProbeBlocks:
+    """A long probe pass runs in :data:`PROBE_BLOCK`-region blocks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.sampled_from(
+            [1, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 2 * PROBE_BLOCK, 3 * PROBE_BLOCK - 5]
+        ),
+        side=st.sampled_from([2.0, 30.0, 3_000.0]),
+    )
+    def test_a_blocked_pass_equals_the_unblocked_one(self, tissue, tissue_rtree, seed, n, side):
+        regions = random_boxes(np.random.default_rng(seed), tissue.bounds, n, side)
+        blocked = tissue_rtree.pages_for_regions(regions)
+        whole = tissue_rtree._descend(*region_corners(regions))
+        assert len(blocked) == len(whole) == n
+        for got, want, region in zip(blocked, whole, regions):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            alone = tissue_rtree.pages_for_region(AABB(region[0], region[1]))
+            assert np.array_equal(got, alone)
+
+    def test_a_long_pass_peaks_like_one_block(self, tissue, tissue_rtree):
+        """The gathers of one pass over eight blocks stay those of one block:
+        its traced allocation peak is within 1.5x (an unblocked pass: ~7x)."""
+        regions = random_boxes(np.random.default_rng(3), tissue.bounds, 8 * PROBE_BLOCK, 2.0)
+
+        def peak(boxes) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tissue_rtree.pages_for_regions(boxes)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(regions) <= 1.5 * peak(regions[:PROBE_BLOCK])

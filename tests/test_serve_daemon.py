@@ -680,15 +680,26 @@ class TestPlanTapes:
         final = _assert_equals_reference(config, connections, bursts)
         assert final["plans_replayed"] == final["requests_admitted"]
 
-    @pytest.mark.parametrize(
-        "overrides", [dict(prefetcher="scout"), dict(fault_rate=0.05)], ids=["scout", "faults"]
-    )
-    def test_ineligible_configurations_never_replay(self, overrides):
-        config = daemon_config(session_pool=2, queries_per_session=6, **overrides)
+    def test_an_ineligible_prefetcher_never_replays(self):
+        config = daemon_config(session_pool=2, queries_per_session=6, prefetcher="scout")
         bursts = _seeded_bursts(seed=6, n_connections=3, n_bursts=24, max_size=5)
         final = _assert_equals_reference(config, 3, bursts)
         assert final["sessions_completed"] >= 3
         assert final["plans_replayed"] == 0
+
+    @pytest.mark.parametrize("fault_rate", [0.05, 0.9])
+    def test_a_faulty_drain_replays_until_breakers_open(self, fault_rate):
+        # Faults tape every walk too.  A session replays until its breaker
+        # first opens (at 0.9 some do; at 0.05 none), then steps untaped,
+        # its prefetcher observing what it replayed; a renewal replays again.
+        # Twelve queries a session leave room for half-open probes to plan.
+        config = daemon_config(session_pool=2, queries_per_session=12, fault_rate=fault_rate)
+        bursts = _seeded_bursts(seed=6, n_connections=3, n_bursts=24, max_size=5)
+        final = _assert_equals_reference(config, 3, bursts)
+        assert final["sessions_completed"] >= 3
+        assert final["plans_replayed"] > 0
+        left_a_tape = final["plans_replayed"] < final["requests_admitted"]
+        assert left_a_tape == (fault_rate > 0.5)
 
     def test_mixed_ops_pipelined_on_two_connections_keep_request_order(self):
         k = 8
@@ -851,9 +862,7 @@ class TestPlanTapes:
 class TestOneResultsSource:
     """A daemon fetches each pool walk's index results once, for its lifetime."""
 
-    @pytest.mark.parametrize(
-        "overrides", [dict(fault_rate=0.05), dict(prefetcher="scout")], ids=["faults", "scout"]
-    )
+    @pytest.mark.parametrize("overrides", [dict(prefetcher="scout")], ids=["scout"])
     @pytest.mark.parametrize("per_connection", [12, 60])
     def test_an_untaped_pipelined_drain_fetches_each_walk_once(
         self, monkeypatch, overrides, per_connection

@@ -26,6 +26,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import EWMAPrefetcher, StraightLinePrefetcher
 from repro.baselines.base import PrefetchTarget
@@ -35,6 +37,7 @@ from repro.index import FlatIndex
 from repro.index.base import SpatialIndex
 from repro.index.rtree import STRTree
 from repro.sim import ServingSimulator, SimulationConfig, SimulationEngine
+from repro.sim import serve as serve_module
 from repro.sim.engine import (
     PROBE_CHUNK,
     QuerySession,
@@ -200,13 +203,13 @@ class TestLockstepEquivalence:
         assert report_state(shared) == report_state(reference)
 
 
-def chaos_config(**faults) -> SimulationConfig:
+def chaos_config(seed: int = 11, **faults) -> SimulationConfig:
     """Shards + tiers + faults composed, as on the e2e ``fleet_thrash``."""
     return SimulationConfig(
         cache_capacity_pages=24,
         shards=ShardSpec(n_shards=4, shard_cache_pages=8, rebalance=True, rebalance_interval=4),
         storage=StorageSpec(miss_path="combined", tier_pages=6),
-        faults=FaultPlan(seed=11, **faults),
+        faults=FaultPlan(seed=seed, **faults),
     )
 
 
@@ -219,7 +222,8 @@ class TestFillAhead:
     ):
         """``retry_limit=0`` makes every transient error a failed read, so
         breakers trip: in one tick some sessions are filled through the
-        plan and some (open / half-open) only through the result."""
+        plan and some (open / half-open) only through the result.  EWMA
+        sessions replay their walks' tapes until their breakers open."""
         n_clients, n_queries = 6, 10
         clients = multiclient_sessions(
             tissue, n_clients=n_clients, seed=5, n_queries=n_queries, volume=30_000.0,
@@ -236,27 +240,43 @@ class TestFillAhead:
 
         reference = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=False)
 
-        filled = []  # per record, as it left fill_ahead: (predicted, gapped, planned)
-        fill_ahead = QuerySession.fill_ahead
+        filled = []  # per record, as it left fill_ahead: (tick, predicted, gapped, planned)
+        replayed = []  # per record replayed off a tape: its tick
+        fill_ahead, replay = QuerySession.fill_ahead, QuerySession.step_query_replay
 
         def spy(session):
             work = fill_ahead(session)
             assert work.pages is not None and work.cold is not None
             filled.append(
-                (work.prediction_cost is not None, bool(work.gap_pages), work.streams is not None)
+                (
+                    work.cursor,
+                    work.prediction_cost is not None,
+                    bool(work.gap_pages),
+                    work.streams is not None,
+                )
             )
             return work
 
+        def replay_spy(session, work):
+            replayed.append(work.cursor)
+            return replay(session, work)
+
         monkeypatch.setattr(QuerySession, "fill_ahead", spy)
+        monkeypatch.setattr(QuerySession, "step_query_replay", replay_spy)
         vectorized = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=True)
         assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
         assert vectorized.breaker_opens > 0 and vectorized.degraded_ticks > 0
 
-        # Faults rule out plan sharing and nobody is staggered: every
-        # tick fills one record per client, in client order.
-        assert len(filled) == n_clients * n_queries
-        ticks = [filled[t : t + n_clients] for t in range(0, len(filled), n_clients)]
-        assert any({predicted for predicted, _, _ in tick} == {True, False} for tick in ticks)
+        # Nobody is staggered, so a record's tick is its query index.  An
+        # EWMA session replays until its breaker first opens and is filled
+        # ahead from then on; SCOUT is never taped.
+        assert len(filled) + len(replayed) == n_clients * n_queries
+        assert bool(replayed) == (kind == "ewma")
+        ticks = [
+            {predicted for t, predicted, _, _ in filled if t == tick} for tick in range(n_queries)
+        ]
+        assert {True, False} in ticks
+        filled = [entry[1:] for entry in filled]
         assert any(planned for _, _, planned in filled)
         assert all(predicted for predicted, _, planned in filled if planned)
         # A non-empty gap list spends budget on cache-dependent reads
@@ -287,12 +307,21 @@ class TestFillAhead:
         assert [len(stream._resolved) for stream in batched] == [3, 8, 3]
         resolve_ahead(tissue_flat, batched)  # second chunk; the explicit ones are done
         assert [len(stream._resolved) for stream in batched] == [3, 16, 3]
-        for lone, ahead in zip(alone, batched):
+        compact = streams()
+        for stream in compact:
+            stream.compact()
+        resolve_ahead(tissue_flat, compact)
+        for lone, ahead, kept in zip(alone, batched, compact):
             # Readers stop at the end: the plan loop retires a target there.
             for position in range(len(lone._regions)):
                 want, got = lone.get(position), ahead.get(position)
                 assert type(want) is type(got) is list and want == got
-        assert len(batched[1]._resolved) == n_steps
+                assert ahead._listed[position] is got  # listed once, read directly
+                # A compact stream keeps the page array and lists it per read.
+                listed = kept.get(position)
+                assert type(listed) is list and listed == want and not kept._listed
+                assert isinstance(kept._resolved[position], np.ndarray)
+        assert len(batched[1]._resolved) == len(compact[1]._resolved) == n_steps
 
     def test_filled_bundle_at_the_wrong_cursor_raises(self, tissue, tissue_flat):
         clients = multiclient_sessions(tissue, n_clients=1, seed=5, n_queries=3, volume=30_000.0)
@@ -388,31 +417,38 @@ class TestOnePassPerStage:
         """The tick resolves every stream itself: a step it filled must
         not probe again.  One seed-7 ``fleet_thrash`` repetition probes in
         one ``query_many`` per walk (64 walks; 79 tick-wide calls before
-        each walk was fetched once) and 78 tick passes."""
+        each walk was fetched once) and one pass for the first chunks of
+        all 64 tapes; no session reads past them, so no tick probes (78
+        tick passes while faults kept every walk untaped)."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
         from e2e_workloads import FleetWorkload
 
         workload = FleetWorkload("fleet_thrash")
         workload.build(7)
         passes = Counter()
-        fetching = []
+        origin = []
         probe, query_many = STRTree.pages_for_regions, SpatialIndex.query_many
+        plan_tapes = serve_module.plan_tapes
 
         def counted(index, regions):
-            passes["walk" if fetching else "tick"] += 1
+            passes[origin[-1] if origin else "tick"] += 1
             return probe(index, regions)
 
-        def fetch(index, regions):
-            fetching.append(True)
-            try:
-                return query_many(index, regions)
-            finally:
-                fetching.pop()
+        def within(name, function):
+            def call(*args):
+                origin.append(name)
+                try:
+                    return function(*args)
+                finally:
+                    origin.pop()
+
+            return call
 
         monkeypatch.setattr(STRTree, "pages_for_regions", counted)
-        monkeypatch.setattr(SpatialIndex, "query_many", fetch)
+        monkeypatch.setattr(SpatialIndex, "query_many", within("walk", query_many))
+        monkeypatch.setattr(serve_module, "plan_tapes", within("tape", plan_tapes))
         workload.repetition()
-        assert dict(passes) == {"walk": 64, "tick": 78}
+        assert dict(passes) == {"walk": 64, "tape": 1}
 
     def test_a_served_query_is_attributed_in_one_pass(self, tissue, tissue_flat, monkeypatch):
         """Each step with a client id makes one ``touch_many`` and one
@@ -511,6 +547,47 @@ class TestPlanSharing:
             clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=False
         )
         assert report_state(vectorized) == report_state(reference)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        mode=st.sampled_from(["independent", "hotspot"]),
+        stagger=st.sampled_from([0, 1]),
+        kind=st.sampled_from(["ewma", "line"]),
+    )
+    def test_sessions_leave_the_tape_when_their_breakers_open(
+        self, tissue, tissue_flat, seed, mode, stagger, kind
+    ):
+        """Faults tape every walk: a session replays until its breaker
+        first opens, then observes what it replayed and steps untaped.
+        ``retry_limit=0`` and ``breaker_threshold=1`` make breakers open
+        mid-walk; hotspot sessions share tapes, independent ones do not."""
+        clients = multiclient_sessions(
+            tissue, n_clients=6, seed=5, n_queries=8, volume=30_000.0,
+            mode=mode, hot_pool=2, stagger=stagger,
+        )
+        config = chaos_config(
+            seed, transient_rate=0.5, retry_limit=0, breaker_threshold=1, breaker_cooldown=2
+        )
+        reference = ServingSimulator(tissue_flat, config).run(
+            clients, [make_prefetcher(kind, tissue) for _ in clients], lockstep=False
+        )
+        replayed = []
+        replay = QuerySession.step_query_replay
+
+        def replay_spy(session, work):
+            replayed.append(work.cursor)
+            return replay(session, work)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(QuerySession, "step_query_replay", replay_spy)
+            vectorized = ServingSimulator(tissue_flat, config).run(
+                clients, [make_prefetcher(kind, tissue) for _ in clients], lockstep=True
+            )
+        assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
+        assert vectorized.breaker_opens > 0
+        # Every session replays its first query; some leave before their last.
+        assert len(clients) <= len(replayed) < len(clients) * 8
 
     def test_heterogeneous_fleet_disables_sharing(self, tissue, tissue_flat):
         """Mixed prefetcher configs must not share plans -- and stay exact."""

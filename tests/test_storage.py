@@ -118,9 +118,12 @@ class TestDiskModel:
                 return np.array(pages, dtype={"float": np.float64}.get(form, form))
             return tuple(pages) if form == "tuple" else list(pages)
 
-        got = _canonical(batch())
+        given = batch()
+        got = _canonical(given)
         assert got == sorted(set(int(p) for p in batch()))
         assert all(type(p) is int for p in got)
+        # A list already canonical, what each layer hands the next, passes as is.
+        assert (got is given) == (type(given) is list and given == got)
         # The layers below read the same batch the same way.
         assert DiskModel().read_pages(batch()) == DiskModel().read_pages(got)
         assert DiskModel().trim_to_budget(batch(), 0.01) == DiskModel().trim_to_budget(got, 0.01)
