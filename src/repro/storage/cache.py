@@ -134,19 +134,7 @@ class PrefetchCache:
         accounting; re-inserts keep the original tag (and recency moves
         to the end, as before).
         """
-        if self.capacity_pages == 0:
-            return
-        page_id = int(page_id)
-        if page_id in self._pages:
-            self._pages.move_to_end(page_id)
-            return
-        while len(self._pages) >= self.capacity_pages:
-            evicted, _ = self._pages.popitem(last=False)
-            self._evicted.add(evicted)
-            self.evictions += 1
-        self._pages[page_id] = owner
-        self._evicted.discard(page_id)
-        self.insertions += 1
+        self.insert_many((page_id,), owner)
 
     def insert_many(self, page_ids: Iterable[int], owner: int | None = None) -> None:
         """:meth:`insert` every page in order, in one loop."""
@@ -159,7 +147,7 @@ class PrefetchCache:
             if page_id in cached:
                 cached.move_to_end(page_id)
                 continue
-            if len(cached) >= capacity:
+            while len(cached) >= capacity:
                 evicted.add(cached.popitem(last=False)[0])
                 n_evicted += 1
             cached[page_id] = owner

@@ -311,7 +311,7 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        for shard_id, pages in self._by_shard(page_ids, positions=False)[1].items():
+        for shard_id, pages in self._pages_by_shard(page_ids)[1].items():
             self._shards[shard_id].insert_many(pages, owner)
 
     # -- batch operations -----------------------------------------------------
@@ -324,7 +324,7 @@ class ShardedCache:
         EWMA.  Sub-batches preserve input order, so each shard sees the
         touches it would have seen had every page been routed alone.
         """
-        pages, groups = self._by_shard(page_ids)
+        pages, groups = self._positions_by_shard(page_ids)
         if not pages:
             return []
         hit = self._fan_out("touch_many", pages, groups)
@@ -341,24 +341,29 @@ class ShardedCache:
                 self._maybe_rebalance()
         return hit
 
-    def _by_shard(
-        self, page_ids, *, positions: bool = True
-    ) -> tuple[list[int], dict[int, Sequence[int]]]:
-        """The batch as a list and, by owning shard, its input positions (or,
-        without ``positions``, its pages in input order): one ``tolist``, one
-        routing pass, one grouping pass.  A shard that owns the whole batch
-        (the common case under Hilbert locality) needs no split."""
+    def _positions_by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
+        """The batch as a list and, by owning shard, its input positions."""
         pages = _keys(page_ids)
+        return pages, self._group(pages, range(len(pages)))
+
+    def _pages_by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
+        """The batch as a list and, by owning shard, its pages in input order."""
+        pages = _keys(page_ids)
+        return pages, self._group(pages, pages)
+
+    def _group(self, pages: list[int], items: Sequence[int]) -> dict[int, Sequence[int]]:
+        """``items`` (one per page) by the shard that owns each page, in input
+        order: one routing pass, one grouping pass.  A shard that owns the
+        whole batch (the common case under Hilbert locality) needs no split."""
         if not pages:
-            return pages, {}
-        items = range(len(pages)) if positions else pages
+            return {}
         routed = self.route_many(pages).tolist()
         if routed.count(routed[0]) == len(routed):
-            return pages, {routed[0]: items}
+            return {routed[0]: items}
         groups: dict[int, list[int]] = {}
         for item, shard_id in zip(items, routed):
             groups.setdefault(shard_id, []).append(item)
-        return pages, groups
+        return groups
 
     def _fan_out(self, op: str, pages: list[int], groups, *args):
         """Run cache method ``op`` on the shards that own the batch.
@@ -378,10 +383,10 @@ class ShardedCache:
         return out
 
     def contains_many(self, page_ids) -> list[bool]:
-        return self._fan_out("contains_many", *self._by_shard(page_ids))
+        return self._fan_out("contains_many", *self._positions_by_shard(page_ids))
 
     def missing_many(self, page_ids) -> list[int]:
-        pages, groups = self._by_shard(page_ids, positions=False)
+        pages, groups = self._pages_by_shard(page_ids)
         if len(groups) == 1:
             ((shard_id, group),) = groups.items()
             return self._shards[shard_id].missing_many(group)
@@ -393,16 +398,16 @@ class ShardedCache:
         return [int(p) for p in pages if p in missing]
 
     def owners_many(self, page_ids) -> list[int]:
-        return self._fan_out("owners_many", *self._by_shard(page_ids))
+        return self._fan_out("owners_many", *self._positions_by_shard(page_ids))
 
     def evicted_many(self, page_ids) -> list[bool]:
-        return self._fan_out("evicted_many", *self._by_shard(page_ids))
+        return self._fan_out("evicted_many", *self._positions_by_shard(page_ids))
 
     def attribute_many(self, page_ids, hit: list[bool], client_id: int) -> tuple[int, int]:
         """``(foreign_hits, evicted_misses)`` of one served batch: routed
         once, each shard attributes its own pages, the counts summed.
         ``hit`` is the batch's :meth:`touch_many` answer."""
-        pages, groups = self._by_shard(page_ids)
+        pages, groups = self._positions_by_shard(page_ids)
         if len(groups) == 1:
             (shard_id,) = groups
             return self._shards[shard_id].attribute_many(pages, hit, client_id)

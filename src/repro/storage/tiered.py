@@ -329,13 +329,7 @@ class TieredStore:
                 continue  # not a run tail
             end = page + 1 + STREAM_DEPTH
             ahead.extend(range(page + 1, end if limit is None else min(end, limit)))
-        # Most recent first: once the batch alone fills the buffer, all it
-        # held is pushed out, and the buffer is the batch's newest entries.
-        newest = list(dict.fromkeys(reversed(ahead)))
-        if len(newest) >= STREAM_DEPTH * 4:
-            self._stream = OrderedDict.fromkeys(reversed(newest[: STREAM_DEPTH * 4]))
-        else:
-            _refresh(self._stream, ahead, STREAM_DEPTH * 4)
+        _refresh(self._stream, ahead, STREAM_DEPTH * 4)
 
     # -- byte service (mmap backend) ----------------------------------------
 
