@@ -35,8 +35,8 @@ it, since smoke-size grids may differ).  A flag the entry does not list
 is refused.  The cells fan out over ``--jobs`` worker processes; every
 finished cell is persisted to a JSON-lines store keyed by the cell
 spec's content hash, and the figure tables render from the stored
-results.  Serving cells always run on the vectorized lockstep scheduler
-(bit-identical to the round-robin reference, DESIGN.md §6.1).
+results.  Serving cells run on the one scheduler, one ``step_tick`` per
+tick (bit-identical to the round-robin test oracle, DESIGN.md §6.1).
 Re-runs against the same ``--out`` file resume: successful cells in the
 store are skipped (disable with ``--no-resume``); corrupt or stale
 store lines are dropped and recomputed.  Fault tolerance: ``--timeout``

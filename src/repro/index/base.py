@@ -6,14 +6,13 @@ queries with both the matching object ids and the page ids that must be
 fetched to produce them.  The simulator charges I/O for the *pages*; the
 prefetchers reason about the *objects*.
 
-Alongside the single-region page probe, every index answers *batched*
-probes -- :meth:`SpatialIndex.pages_for_regions` and
+Every index answers *batched* probes -- ``pages_for_regions`` and
 :meth:`SpatialIndex.query_many` -- so callers that fan one simulated
 query into dozens of small region probes (the incremental prefetch
-plan, SCOUT-OPT's gap walk, the lockstep tick's probe streams, a whole
-walk's queries) can amortize the traversal over one vectorized pass.
-The batched page probe is defined to be element-wise identical to the
-single-region one; :meth:`SpatialIndex.query` is a batch of one.
+plan, SCOUT-OPT's gap walk, the tick's probe streams, a whole walk's
+queries) amortize the traversal over one vectorized pass.  There is
+no second descent for one region: :meth:`SpatialIndex.pages_for_region`
+is a batch of one, as :meth:`SpatialIndex.query` is.
 """
 
 from __future__ import annotations

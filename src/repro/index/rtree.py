@@ -9,12 +9,12 @@ on disk in a spatially coherent page order.
 
 The tree is stored packed, structure-of-arrays: every level holds its
 node boxes as contiguous ``(n, 3)`` corner arrays plus CSR child
-offsets, and queries run level-synchronously -- the whole frontier of
-surviving nodes is intersected against the probe box in one vectorized
-operation per level instead of one Python stack pop (and a pair of tiny
-``np.any``/``np.all`` reductions) per node.  Batched probes share the
-same machinery with a ``(node, region)`` pair frontier, so dozens of
-small prefetch regions cost a handful of array passes total.
+offsets, and probes run level-synchronously -- the whole frontier of
+surviving ``(node, region)`` pairs is intersected against its probe
+boxes in one vectorized operation per level instead of one Python stack
+pop (and a pair of tiny ``np.any``/``np.all`` reductions) per node.
+There is one descent: dozens of small prefetch regions cost a handful
+of array passes total, and a single-region probe is a batch of one.
 """
 
 from __future__ import annotations
@@ -134,31 +134,7 @@ class STRTree(SpatialIndex):
     # -- queries --------------------------------------------------------------
 
     def pages_for_region(self, region: AABB) -> np.ndarray:
-        qlo, qhi = region.lo, region.hi
-        if not self._levels:
-            # One leaf: no internal structure to traverse.
-            if boxes_overlap(self._leaf_lo, self._leaf_hi, qlo, qhi)[0]:
-                return np.array([0], dtype=np.int64)
-            return np.empty(0, dtype=np.int64)
-
-        # Every node lies inside the root's box, so the root needs no
-        # test of its own: the descent starts at its children.
-        frontier = self._levels[0].children
-        for level in self._levels[1:]:
-            hit = boxes_overlap(
-                level.lo.take(frontier, axis=0), level.hi.take(frontier, axis=0), qlo, qhi
-            )
-            survivors = frontier[hit]
-            if not len(survivors):
-                return np.empty(0, dtype=np.int64)
-            starts = level.child_start[survivors]
-            counts = level.child_start[survivors + 1] - starts
-            frontier = level.children[csr_expand(starts, counts)]
-
-        hit = boxes_overlap(
-            self._leaf_lo.take(frontier, axis=0), self._leaf_hi.take(frontier, axis=0), qlo, qhi
-        )
-        return np.sort(frontier[hit])
+        return self._descend(region.lo[None], region.hi[None])[0]
 
     def pages_for_regions(self, regions) -> list[np.ndarray]:
         if not len(regions):
@@ -194,7 +170,8 @@ class STRTree(SpatialIndex):
             one = np.array([0], dtype=np.int64)
             return [one.copy() if h else empty for h in hits]
 
-        # As in pages_for_region, the descent starts below the root.
+        # Every node lies inside the root's box, so the root needs no
+        # test of its own: the descent starts at its children.
         top = self._levels[0].children
         node = np.tile(top, n_regions)
         region = np.repeat(np.arange(n_regions, dtype=np.int64), len(top))

@@ -34,7 +34,7 @@ from operator import not_
 
 import numpy as np
 
-from repro.baselines.base import ObservedQuery, PositionOnlyPrefetcher, Prefetcher, PrefetchTarget
+from repro.baselines.base import ObservedQuery, Prefetcher, PrefetchTarget
 from repro.index.base import SpatialIndex, region_corners
 from repro.sim.metrics import ClientMetrics, QueryRecord, SequenceMetrics
 from repro.storage.cache import PrefetchCache
@@ -142,10 +142,12 @@ class _QueryBundle:
 
     :meth:`QuerySession.step_query` computes each field the first time
     a step needs it and reads it afterwards, so whoever comes first --
-    the walk's plan tape (:meth:`QuerySession.plan_tape`), the lockstep
-    tick's :meth:`QuerySession.fill_ahead`, or the step itself -- fills
-    the record, and every session that replays a tape
-    (:meth:`QuerySession.step_query_replay`) reads it.  Everything here
+    the walk's plan tape (:meth:`QuerySession.plan_tape`), the tick's
+    :meth:`QuerySession.fill_ahead`, or the step itself -- fills the
+    record, and every session that replays a tape
+    (:meth:`QuerySession.step_query_replay`) reads it.  A tape seeds
+    each bundle with its plan (``targets``); a bundle observes exactly
+    when it holds no plan.  Everything here
     is a pure function of the walk and the cursor when plans are
     shareable, so reading it is exactly the computation the replaying
     session would have done itself; all cache touches, disk reads and
@@ -536,10 +538,10 @@ class QuerySession:
         bounds, result = self.sequence.queries[cursor].bounds, self.results[cursor]
         self.prefetcher.observe(ObservedQuery(cursor, bounds, result.object_ids))
 
-    def _fill_prediction(self, work: "_QueryBundle", observe: bool = True) -> None:
-        """Observe the query (unless planned already); costs and gap list."""
+    def _fill_prediction(self, work: "_QueryBundle") -> None:
+        """Observe the query (unless its bundle holds a plan); costs and gap list."""
         prefetcher = self.prefetcher
-        if observe:
+        if work.targets is None:
             self._observe(work.cursor)
         work.prediction_cost = prefetcher.prediction_cost_seconds()
         work.build_cost = prefetcher.graph_build_cost_seconds()
@@ -547,52 +549,45 @@ class QuerySession:
         # session replaying a tape sees the same (empty) gap list.
         work.gap_pages = prefetcher.gap_io_pages()
 
-    def _fill_plan(self, work: "_QueryBundle", targets: list | None = None) -> None:
-        """The plan's targets (the prefetcher's, unless given), one probe stream each."""
-        work.targets = self.prefetcher.plan() if targets is None else targets
+    def _fill_plan(self, work: "_QueryBundle") -> None:
+        """The plan's targets (the prefetcher's, unless the bundle holds them),
+        one probe stream each."""
+        if work.targets is None:
+            work.targets = self.prefetcher.plan()
         work.streams = self.engine._probe_streams(work.targets, self.sequence.queries[work.cursor])
 
     def fill_ahead(self) -> "_QueryBundle":
         """The next query's pure work, filled ahead of its step (DESIGN.md §6.1)."""
-        return self._fill(self._cursor)
+        return self._fill(_QueryBundle(cursor=self._cursor))
 
-    def _fill(self, cursor: int, plan: list | None = None) -> "_QueryBundle":
-        """Query ``cursor``'s pure work, as far as its step is certain to go:
-        the served part always; the observation when the breaker is absent
-        or closed (only this session's own step changes it); the plan when
-        no gap I/O precedes it and the window outlasts the prediction cost.
-        A ``plan`` from the walk kernel is used as is, observing nothing."""
-        work = _QueryBundle(cursor=cursor)
+    def _fill(self, work: "_QueryBundle") -> "_QueryBundle":
+        """A query's pure work, as far as its step is certain to go: the
+        served part always; the observation when the breaker is absent or
+        closed (only this session's own step changes it); the plan when no
+        gap I/O precedes it and the window outlasts the prediction cost.
+        A bundle seeded with its plan observes nothing."""
         self._fill_served(work)
         if self._breaker is None or self._breaker.state == CircuitBreaker.CLOSED:
-            self._fill_prediction(work, observe=plan is None)
+            self._fill_prediction(work)
             window = self.sequence.window_ratio * work.cold
             if not work.gap_pages and window - work.prediction_cost > 0:
-                self._fill_plan(work, plan)
+                self._fill_plan(work)
         return work
 
     def plan_tape(self) -> list["_QueryBundle"]:
         """Every query's pure work in walk order: the walk's plan tape.
 
         The one plan-sharing mechanism (DESIGN.md §6.1, §8): when
-        :func:`~repro.sim.serve.plans_shareable` holds, every session on
-        the walk, this one included, steps through
-        ``step_query_replay(tape[cursor])`` until its breaker first opens
-        (:meth:`tape_entry`).  Each query is filled as by
-        :meth:`fill_ahead` plus its candidate count, a position-only
-        prefetcher's plans by one kernel pass (``plan_walk``).  Touches
-        no cache, charges no disk time, resolves no probe stream.
+        :func:`~repro.sim.serve.plans_shareable` holds -- a position-only
+        fleet, the only one taped -- every session on the walk, this one
+        included, steps through ``step_query_replay(tape[cursor])`` until
+        its breaker first opens (:meth:`tape_entry`).  Each query is
+        filled as by :meth:`fill_ahead`, its bundle seeded with its plan
+        from one kernel pass over the walk (``plan_walk``).  Touches no
+        cache, charges no disk time, resolves no probe stream.
         """
-        prefetcher, queries = self.prefetcher, self.sequence.queries
-        plans = [None] * len(queries)
-        if isinstance(prefetcher, PositionOnlyPrefetcher):
-            plans = prefetcher.plan_walk([query.bounds for query in queries])
-        tape = []
-        for cursor, plan in enumerate(plans):
-            work = self._fill(cursor, plan)
-            work.n_candidates = getattr(prefetcher, "n_candidates", 0)
-            tape.append(work)
-        return tape
+        plans = self.prefetcher.plan_walk([query.bounds for query in self.sequence.queries])
+        return [self._fill(_QueryBundle(cursor, targets=plan)) for cursor, plan in enumerate(plans)]
 
     def step_query_capture(self) -> "_QueryBundle | None":
         """Advance one query alone; returns the record of its pure work.

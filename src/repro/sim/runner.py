@@ -543,16 +543,16 @@ def run_serving_cell(spec: CellSpec) -> tuple[CellResult, "ServeReport"]:
     :class:`~repro.sim.metrics.ServeReport` (contention counters) is
     returned alongside for callers that hold the live object.
 
-    Sweeps always serve with the vectorized lockstep scheduler: its
-    reports are bit-identical to the round-robin reference's (pinned by
+    Serving has one scheduler, one ``step_tick`` per tick; its reports
+    are bit-identical to the round-robin test oracle's (pinned by
     ``tests/test_serving_lockstep.py``), so cell keys and stored results
-    do not depend on the scheduler -- only the wall-clock does.
+    depend on the clients, prefetchers and config alone.
     """
     from repro.sim.serve import ServingSimulator
 
     started = time.perf_counter()
     index, clients, prefetchers, config = prepare_serving_cell(spec)
-    report = ServingSimulator(index, config).run(clients, prefetchers, lockstep=True)
+    report = ServingSimulator(index, config).run(clients, prefetchers)
     result = CellResult(
         key=spec.key(),
         spec=spec.to_dict(),

@@ -13,27 +13,22 @@ pressure that decides whether prefetching still pays off at scale
   :class:`~repro.storage.disk.DiskModel`; prefetched pages are
   owner-tagged, so hits can be attributed across clients and misses to
   eviction pressure;
-* scheduling is deterministic round-robin at query granularity: each
-  tick, every live (started, unfinished) client executes its next query
-  in client order.  ``start_tick`` staggering delays arrivals.
+* scheduling is deterministic at query granularity: each tick, every
+  live (started, unfinished) client executes its next query in client
+  order.  ``start_tick`` staggering delays arrivals.
 
-Two schedulers produce **bit-identical reports** (pinned by
-``tests/test_serving_lockstep.py``):
-
-``round_robin`` (default)
-    the reference loop above -- one client's full query at a time; the
-    oracle the tests compare against;
-``lockstep``
-    the vectorized plane sweeps run on, one :func:`step_tick` per tick --
-    the tick the serving daemon runs too.  Each walk's index results are
-    fetched once per run; when :func:`plans_shareable` holds, each walk
-    is taped once before anything steps (:func:`plan_tapes`) and every
-    tick replays it for each session whose breaker has never opened;
-    every other step has its pure work filled ahead by the tick
-    (``fill_ahead``, one ``pages_for_regions`` pass).  Only *pure*
-    work is ever hoisted or shared; every cache touch, disk read and
-    budget decision still executes in exact client order, which is why
-    the reports match bit for bit.
+One scheduler steps those ticks, one :func:`step_tick` each -- the tick
+the serving daemon runs too.  Each walk's index results are fetched
+once per run; when :func:`plans_shareable` holds, each walk is taped
+once before anything steps (:func:`plan_tapes`) and every tick replays
+it for each session whose breaker has never opened; every other step
+has its pure work filled ahead by the tick (``fill_ahead``, one
+``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
+shared; every cache touch, disk read and budget decision still executes
+in exact client order.  The proof is a test oracle that shares none of
+that machinery, ``tests/oracles/serving.py::RoundRobinSimulator`` (one
+client's full query at a time): its reports equal this scheduler's bit
+for bit (``tests/test_serving_lockstep.py``).
 
 With one client the shared cache and disk degenerate to private ones,
 so ``ServingSimulator`` over a single session is bit-identical to
@@ -60,7 +55,7 @@ __all__ = ["ServingSimulator", "plan_tapes", "plans_shareable", "step_tick"]
 def plans_shareable(prefetchers: Sequence[Prefetcher]) -> bool:
     """Whether sessions may read one another's pure observe/plan work.
 
-    The one rule of plan sharing, for the lockstep scheduler and the
+    The one rule of plan sharing, for the simulator's scheduler and the
     serving daemon alike: when it holds, every walk is taped and each
     session replays its walk's plan tape (DESIGN.md §6.1, §8);
     otherwise nothing is taped.  That is sound when every session runs
@@ -109,7 +104,7 @@ def step_tick(
     its record and whether it replayed the tape.
 
     The one tick of the shared-cache plane (DESIGN.md §6.1, §8), fed the
-    active clients by the lockstep scheduler and the admitted jobs by the
+    active clients by the simulator's scheduler and the admitted jobs by the
     daemon; a session appears at most once.  An entry whose session is
     on its tape (:meth:`~repro.sim.engine.QuerySession.tape_entry`)
     replays it; the others are filled ahead (``fill_ahead`` each) and
@@ -144,21 +139,25 @@ class ServingSimulator:
         clients: Sequence[ClientWorkload],
         prefetchers: Sequence[Prefetcher],
         *,
-        lockstep: bool = False,
+        lockstep: bool = True,
     ) -> ServeReport:
         """Serve every client to completion; returns the pooled report.
 
         ``prefetchers`` is parallel to ``clients``: each client owns its
         prefetcher instance (prediction state is per-user), while cache
         and disk are shared.  Deterministic: same clients + prefetchers
-        in, same report out, regardless of wall-clock or scheduler.
+        in, same report out, regardless of wall-clock.  Ticks replay
+        per-walk plan tapes whenever :func:`plans_shareable` holds.
 
-        ``lockstep`` selects the vectorized scheduler (sweeps always
-        do, see :func:`repro.sim.runner.run_serving_cell`); both
-        schedulers serve from the same cache and the report is
-        bit-identical either way.  Lockstep replays per-walk plan tapes
-        whenever :func:`plans_shareable` holds.
+        ``lockstep=True`` is accepted for callers written when a second
+        scheduler existed; any other value raises ``TypeError``, since
+        the round-robin reference now lives in the tests.
         """
+        if lockstep is not True:
+            raise TypeError(
+                f"lockstep={lockstep!r}: serving has one scheduler; the round-robin "
+                "reference is tests.oracles.serving.RoundRobinSimulator"
+            )
         clients = list(clients)
         if not clients:
             raise ValueError("serving needs at least one client")
@@ -191,10 +190,7 @@ class ServingSimulator:
             for client, prefetcher in zip(clients, prefetchers)
         ]
 
-        if lockstep:
-            n_ticks = self._run_lockstep(clients, sessions, prefetchers)
-        else:
-            n_ticks = self._run_round_robin(clients, sessions)
+        n_ticks = self._schedule(clients, sessions, prefetchers)
 
         # Each layer counter has one owner: the tier and hop totals are
         # read off the store and cache this run built, like the cache's
@@ -222,29 +218,10 @@ class ServingSimulator:
             shard_hop_seconds=cache.hop_seconds if sharded else 0.0,
         )
 
-    # -- schedulers -----------------------------------------------------------
+    # -- the scheduler --------------------------------------------------------
 
-    def _run_round_robin(self, clients, sessions) -> int:
-        """The reference loop: one client's full query at a time."""
-        tick = 0
-        while True:
-            advanced = False
-            waiting = False
-            for client, session in zip(clients, sessions):
-                if session.done:
-                    continue
-                if client.start_tick > tick:
-                    waiting = True
-                    continue
-                session.step_query()
-                advanced = True
-            if not advanced and not waiting:
-                break
-            tick += 1
-        return tick
-
-    def _run_lockstep(self, clients, sessions, prefetchers) -> int:
-        """The vectorized plane: one :func:`step_tick` per tick, in client order.
+    def _schedule(self, clients, sessions, prefetchers) -> int:
+        """One :func:`step_tick` per tick, in client order; returns the tick count.
 
         With shareable plans, each distinct sequence object is taped up
         front from its first session, all in one :func:`plan_tapes`; a

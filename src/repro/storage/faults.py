@@ -30,9 +30,9 @@ This module makes storage misbehaviour a *first-class, seeded input*:
 
 Everything is a pure function of the plan's seed and the call sequence,
 so fault-injected experiments keep the repo's determinism contract:
-``jobs=1`` and ``jobs=N`` sweeps are bit-identical, and round-robin and
-lockstep serving schedules (which issue disk reads in the same client
-order) stay bit-identical under faults.
+``jobs=1`` and ``jobs=N`` sweeps are bit-identical, and the serving
+scheduler and its round-robin test oracle (which issue disk reads in the
+same client order) stay bit-identical under faults.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ picklable :class:`ShardSpec`:
   ``K - 1`` split keys cut the sorted key sequence into equal page
   counts and compile into a page -> owning shard table (rebuilt after
   each split move); routing a batch is ONE gather from it
-  (:meth:`ShardedCache.route_many`), so the lockstep scheduler keeps
-  its single-pass shape.
+  (:meth:`ShardedCache.route_many`), so the serving tick keeps its
+  single-pass shape.
 * ``hash`` -- :func:`repro.util.slice_of` over raw page ids, the same
   documented "key -> slice i of n" rule the sharded result store uses.
 
@@ -43,8 +43,8 @@ whose owner changed migrate (``discard`` + re-insert, preserving LRU
 order and owner tags -- no eviction accounting, the pages are moving,
 not dying).  ``rebalance_events`` and ``pages_moved`` are reported.
 Both the EWMA and the split moves are pure functions of the touch
-sequence, so round-robin and lockstep serving -- which issue identical
-batch sequences -- rebalance identically.
+sequence, so the serving scheduler and its round-robin test oracle --
+which issue identical batch sequences -- rebalance identically.
 
 **Hop latency** (``hop_latency_s > 0``): a batch that fans out to ``S``
 distinct shards charges ``(S - 1) * hop_latency_s`` of *simulated* time

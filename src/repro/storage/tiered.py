@@ -7,8 +7,8 @@ hardware-ish structures that absorb specific miss patterns.  This module
 models that hierarchy as a :class:`TieredStore` that is
 interface-identical to :class:`~repro.storage.disk.DiskModel` /
 :class:`~repro.storage.faults.FaultyDiskModel`, so every consumer --
-``QuerySession``, ``ServingSimulator`` (both schedulers), the serving
-daemon -- takes it unchanged.
+``QuerySession``, ``ServingSimulator``, the serving daemon -- takes it
+unchanged.
 
 The miss path follows the SimpleScalar memory-hierarchy taxonomy
 (SNIPPETS.md, Snippet 3): on a tier miss the request probes, in order,

@@ -41,9 +41,9 @@ HOTSPOT_ZIPF_S = 1.2
 class ClientWorkload:
     """One client's navigation session in a serving run.
 
-    ``start_tick`` staggers session arrival: the round-robin scheduler
-    leaves the client idle until that many scheduler passes have
-    elapsed, modelling users joining over time instead of all at once.
+    ``start_tick`` staggers session arrival: the serving scheduler
+    leaves the client idle until that many ticks have elapsed,
+    modelling users joining over time instead of all at once.
     """
 
     client_id: int

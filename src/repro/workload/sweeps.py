@@ -544,8 +544,9 @@ def clients_matrix(
     """The client-scaling serving grid: clients x prefetchers x cache sizes.
 
     Every cell is a multi-client serving run (``serve`` mapping on the
-    spec): N concurrent sessions round-robin over one shared prefetch
-    cache and disk, staggered by :data:`SERVE_STAGGER` ticks.  ``mode``
+    spec): N concurrent sessions take turns, one query per tick in
+    client order, over one shared prefetch cache and disk, staggered by
+    :data:`SERVE_STAGGER` ticks.  ``mode``
     picks the contention regime of
     :func:`repro.workload.multiclient.multiclient_sessions`
     (``independent`` walks vs Zipf-skewed ``hotspot`` sharing).  Cells

@@ -503,7 +503,7 @@ def test_an_empty_batch_answer_is_a_fresh_list(tissue_flat, kind):
             assert getattr(cache, name)([]) == [], name
 
 
-# -- partition invariant under lockstep serving ------------------------------
+# -- partition invariant under serving ---------------------------------------
 
 
 @settings(deadline=None, max_examples=10)
@@ -517,22 +517,23 @@ def test_lockstep_serving_partitions_cache_totals(
     tissue, tissue_flat, n_clients, mode, cache_pages, seed
 ):
     """Per-client hits+misses partition the shared cache's counters under
-    the lockstep scheduler (the round-robin counterpart lives in
-    test_serving.py)."""
+    the scheduler, whose report equals the round-robin oracle's (with
+    staggered arrivals in test_serving.py)."""
     from repro.baselines import EWMAPrefetcher
     from repro.sim import ServingSimulator, SimulationConfig
     from repro.workload import multiclient_sessions
+    from tests.oracles.serving import RoundRobinSimulator
 
     clients = multiclient_sessions(
         tissue, n_clients=n_clients, seed=seed, n_queries=3,
         volume=30_000.0, mode=mode,
     )
     config = SimulationConfig(cache_capacity_pages=cache_pages)
-    report = ServingSimulator(tissue_flat, config).run(
-        clients,
-        [EWMAPrefetcher(lam=0.3) for _ in clients],
-        lockstep=True,
+    report, reference = (
+        simulator(tissue_flat, config).run(clients, [EWMAPrefetcher(lam=0.3) for _ in clients])
+        for simulator in (ServingSimulator, RoundRobinSimulator)
     )
+    assert report == reference
     assert sum(c.shared_hits for c in report.clients) == report.cache_hits
     assert sum(c.shared_misses for c in report.clients) == report.cache_misses
     for client in report.clients:

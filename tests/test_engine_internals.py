@@ -110,6 +110,9 @@ class TestIncrementalRegions:
         assert np.all(np.diff(boxes[:, 1, 0] - boxes[:, 0, 0]) >= 0)
 
     def test_explicit_regions_passthrough(self, engine, sequence):
+        # Imported here: this module also runs as a script (the AVX-512 child).
+        from tests.oracles.index import pages_for_region_scalar
+
         boxes = (AABB([0, 0, 0], [1, 1, 1]), AABB([5, 5, 5], [6, 6, 6]))
         explicit = PrefetchTarget(anchor=np.zeros(3), direction=np.zeros(3), regions=boxes)
         incremental = self.make_target()
@@ -119,7 +122,9 @@ class TestIncrementalRegions:
         assert streams[1]._regions.shape == (engine.config.incremental_max_steps, 2, 3)
         # The explicit stream resolves exactly its two boxes, in order.
         for position, box in enumerate(boxes):
-            assert np.array_equal(streams[0].get(position), engine.index.pages_for_region(box))
+            assert np.array_equal(
+                streams[0].get(position), pages_for_region_scalar(engine.index, box)
+            )
         assert len(streams[0]._resolved) == len(boxes)  # and nothing past them
 
 

@@ -13,8 +13,8 @@ Four load-bearing guarantees are pinned here:
   documented thresholds, purely counter-driven;
 * **accounting under faults** -- per-client ``shared_hits`` /
   ``shared_misses`` / ``failed_reads`` still partition the shared
-  cache's totals exactly, and round-robin and lockstep serving stay
-  bit-identical with faults active.
+  cache's totals exactly, and the scheduler stays bit-identical to its
+  round-robin oracle with faults active.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.sim.serve import ServingSimulator
 from repro.storage import CircuitBreaker, DiskModel, FaultPlan, FaultyDiskModel, ReadFailure
 from repro.storage.faults import BACKOFF_BASE_S, BACKOFF_CAP_S
 from repro.workload import generate_sequences
+from tests.oracles.serving import RoundRobinSimulator
 
 
 def max_backoff_s(plan: FaultPlan) -> float:
@@ -342,10 +343,9 @@ class TestServingUnderFaults:
     def test_round_robin_and_lockstep_identical_under_faults(self):
         spec = chaos_cell(0.7)
         index, clients, prefetchers, config = prepare_serving_cell(spec)
-        sim = ServingSimulator(index, config)
-        reference = sim.run(clients, prefetchers, lockstep=False)
+        reference = RoundRobinSimulator(index, config).run(clients, prefetchers)
         _, fresh_clients, fresh_prefetchers, _ = prepare_serving_cell(spec)
-        vectorized = sim.run(fresh_clients, fresh_prefetchers, lockstep=True)
+        vectorized = ServingSimulator(index, config).run(fresh_clients, fresh_prefetchers)
         assert asdict(reference) == asdict(vectorized)
 
     def test_breaker_degrades_and_surfaces_counters(self):

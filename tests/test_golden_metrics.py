@@ -45,6 +45,7 @@ from repro.workload.sweeps import (
     fig13_matrix,
     fig17_matrix,
 )
+from tests.oracles.serving import RoundRobinSimulator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -71,9 +72,9 @@ def golden_cells() -> dict[str, CellSpec]:
         # One serving cell with real contention: three clients follow a
         # single hot sequence through an undersized shared cache, so the
         # fixture freezes cross-client hits and eviction-induced misses
-        # alongside the ordinary metric set.  The two serving schedulers
-        # are proven bit-identical (test_serving_lockstep.py), so this
-        # fixture pins both at once.
+        # alongside the ordinary metric set.  Every serving cell runs
+        # through the scheduler and its round-robin oracle, whose reports
+        # must be equal, so this fixture pins both at once.
         "clients": CellSpec(
             dataset=DatasetSpec("neuron", {"n_neurons": 6, "seed": 7}),
             index=IndexSpec("flat", {"fanout": 16}),
@@ -193,11 +194,14 @@ def compute_serving_metrics(spec: CellSpec) -> dict:
     Same keys as the single-client path (clients stand in for
     sequences) plus the contention counters that make a serving run a
     serving run: cross-client hits, eviction-induced misses, shared
-    cache evictions and the tick count.  Scheduler-agnostic by the
-    lockstep bit-identity guarantee.
+    cache evictions and the tick count.  The cell runs through the
+    scheduler and through its round-robin oracle, and the two reports
+    must be equal, so one fixture pins both.
     """
     index, clients, prefetchers, config = prepare_serving_cell(spec)
     report = ServingSimulator(index, config).run(clients, prefetchers)
+    _, clients, prefetchers, _ = prepare_serving_cell(spec)
+    assert RoundRobinSimulator(index, config).run(clients, prefetchers) == report
 
     records = [record for client in report.clients for record in client.metrics.records]
     eligible = [record for client in report.clients for record in client.metrics.eligible]

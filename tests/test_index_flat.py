@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datagen.dataset import Dataset, NavigationGraph
 from repro.geometry import AABB
 from repro.index import FlatIndex, STRTree
-from tests.oracles.index import page_bounds
+from tests.oracles.index import page_bounds, pages_for_region_scalar
 
 
 class TestLayout:
@@ -98,7 +98,7 @@ class TestLayoutOnEveryDataset:
     def test_batched_probes_equal_single_probes(self, laid_out):
         dataset, index = laid_out
         regions = probes(dataset, seed=2)
-        singles = [index.pages_for_region(r) for r in regions]
+        singles = [pages_for_region_scalar(index, r) for r in regions]
         packed = np.array([[r.lo, r.hi] for r in regions])
         for batched in (index.pages_for_regions(regions), index.pages_for_regions(packed)):
             assert len(batched) == len(singles)
@@ -110,8 +110,6 @@ class TestLayoutOnEveryDataset:
             assert np.array_equal(many.page_ids, one.page_ids)
 
     def test_vectorized_descent_matches_the_scalar_oracle(self, laid_out):
-        from tests.oracles.index import pages_for_region_scalar
-
         dataset, index = laid_out
         for region in probes(dataset, seed=3):
             assert np.array_equal(

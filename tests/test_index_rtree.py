@@ -12,7 +12,7 @@ from repro.index import STRTree
 from repro.index.base import region_corners
 from repro.index.rtree import PROBE_BLOCK, str_partition
 from tests.oracles.geometry import box_contains
-from tests.oracles.index import page_bounds
+from tests.oracles.index import page_bounds, pages_for_region_scalar
 
 
 def toy_dataset(points: np.ndarray) -> Dataset:
@@ -157,7 +157,7 @@ class TestProbeBlocks:
         assert len(blocked) == len(whole) == n
         for got, want, region in zip(blocked, whole, regions):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-            alone = tissue_rtree.pages_for_region(AABB(region[0], region[1]))
+            alone = pages_for_region_scalar(tissue_rtree, AABB(region[0], region[1]))
             assert np.array_equal(got, alone)
 
     def test_a_long_pass_peaks_like_one_block(self, tissue, tissue_rtree):

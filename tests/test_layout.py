@@ -39,7 +39,8 @@ RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
 
 #: Every name that left the package: the scalar oracles, now in
 #: ``tests/oracles/`` (``slab_clip`` and ``object_crossings`` under a
-#: public name there), and the API only tests called.  No ``src/repro``
+#: public name there, the round-robin serving loop as a simulator
+#: subclass), and the API only tests called.  No ``src/repro``
 #: module may define one (function, class or method) or name one.
 _GONE = """
     oracles scalar_ref ScalarSTRTree ScalarFlatIndex pages_for_region_scalar
@@ -49,6 +50,7 @@ _GONE = """
     Segment point_segment_distance flat_id reset_stats aabbs_intersect_arrays
     refine_crossing_direction
     FAULT_PREFETCHER_BUILDERS _build_sleep_prefetcher _build_fail_prefetcher _build_exit_prefetcher
+    _run_round_robin RoundRobinSimulator
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer
@@ -317,8 +319,30 @@ RULES = {
             "from repro.index.scalar_ref import ScalarSTRTree",
             "grid.flat_id((0, 0, 0))",
             "from repro.storage.cache import ArrayCache",
+            "class Simulator:\n    def _run_round_robin(self, clients, sessions): ...",
+            "from tests.oracles.serving import RoundRobinSimulator",
         ),
-        spares=(("storage/cache.py", "class ArrayCache: ..."), "name = 'flat_id'"),
+        spares=(
+            ("storage/cache.py", "class ArrayCache: ..."),
+            "name = 'flat_id'",
+            'raise TypeError("the reference is tests.oracles.serving.RoundRobinSimulator")',
+        ),
+    ),
+    "One descent": Rule(
+        "§11",
+        r"\bfrontier\s*=|\bfrontier\[|_levels\[0\]\.children",
+        "index/rtree.py",
+        flags=(
+            "frontier = self._levels[0].children",
+            "survivors = frontier[hit]",
+            "node = np.tile(self._levels[0].children, n_regions)",
+        ),
+        spares=(
+            "top = self._levels[0].children",
+            "return self._descend(region.lo[None], region.hi[None])[0]",
+            "The frontier is a set of (node, region) pairs; every level",
+        ),
+        allowed=("top = self._levels[0].children",),
     ),
     "No boolean row reduction": Rule(
         "§11",

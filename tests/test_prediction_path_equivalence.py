@@ -28,7 +28,7 @@ from repro.util import dot, norm
 from repro.workload import generate_sequence
 from tests.oracles.geometry import slab_clip
 from tests.oracles.graph import edges_of, refine_crossing_direction
-from tests.oracles.index import ScalarSTRTree
+from tests.oracles.index import ScalarSTRTree, pages_for_region_scalar
 
 
 def segment_dataset(p0: np.ndarray, p1: np.ndarray) -> Dataset:
@@ -446,7 +446,7 @@ class TestPackedCorners:
             answers = index.pages_for_regions(boxes)
             assert len(answers) == len(regions)
             for region, pages in zip(regions, answers):
-                expected = index.pages_for_region(region)
+                expected = pages_for_region_scalar(index, region)
                 assert pages.dtype == expected.dtype
                 assert np.array_equal(pages, expected)
             # A slice of packed corners is packed corners.
@@ -462,4 +462,4 @@ class TestPackedCorners:
         ]
         regions.append(AABB([1e7] * 3, [1e7 + 1] * 3))
         for region, pages in zip(regions, tissue_flat.pages_for_regions(packed(regions))):
-            assert np.array_equal(pages, tissue_flat.pages_for_region(region))
+            assert np.array_equal(pages, pages_for_region_scalar(tissue_flat, region))

@@ -39,6 +39,7 @@ from repro.storage import (
 )
 from repro.workload import generate_sequences, multiclient_sessions
 from repro.workload.multiclient import zipf_weights
+from tests.oracles.serving import RoundRobinSimulator
 
 
 def make_prefetcher(kind: str, tissue):
@@ -110,9 +111,14 @@ class TestQuerySession:
         assert session.step_query_capture() is None
         assert session.metrics.records == records
 
-    @pytest.mark.parametrize("mode", ["capture", "tape"])
     @pytest.mark.parametrize(
-        "make", [partial(EWMAPrefetcher, lam=0.3), NoPrefetcher], ids=["ewma", "planless"]
+        "make, mode",
+        [
+            pytest.param(partial(EWMAPrefetcher, lam=0.3), "capture", id="ewma-capture"),
+            pytest.param(NoPrefetcher, "capture", id="planless-capture"),
+            # Only a position-only fleet is taped: its walk kernel plans the tape.
+            pytest.param(partial(EWMAPrefetcher, lam=0.3), "tape", id="ewma-tape"),
+        ],
     )
     def test_capture_then_replay_equals_independent_steps(
         self, tissue, tissue_flat, make, mode
@@ -314,7 +320,7 @@ class TestDisabledLayerIsNotBuilt:
 
         def report(config):
             fleet = [EWMAPrefetcher(lam=0.3) for _ in clients]
-            return asdict(ServingSimulator(tissue_flat, config).run(clients, fleet, lockstep=True))
+            return asdict(ServingSimulator(tissue_flat, config).run(clients, fleet))
 
         served = report(config)
         bare = report(SimulationConfig(cache_capacity_pages=capacity))
@@ -332,7 +338,8 @@ class TestDisabledLayerIsNotBuilt:
 
 
 class TestOneCacheClass:
-    """Both schedulers serve from the dict cache; nothing selects another."""
+    """The scheduler and its round-robin oracle serve from the dict cache;
+    nothing selects another."""
 
     @pytest.mark.parametrize(
         "shards", [None, ShardSpec(n_shards=2, partition="hash")], ids=["plain", "sharded"]
@@ -351,12 +358,13 @@ class TestOneCacheClass:
         clients = multiclient_sessions(
             tissue, n_clients=3, seed=5, n_queries=2, volume=30_000.0
         )
-        simulator = ServingSimulator(
-            tissue_flat, SimulationConfig(cache_capacity_pages=48, shards=shards)
-        )
-        for lockstep in (False, True):
+        config = SimulationConfig(cache_capacity_pages=48, shards=shards)
+        for simulator in (
+            RoundRobinSimulator(tissue_flat, config),
+            ServingSimulator(tissue_flat, config),
+        ):
             handed.clear()
-            simulator.run(clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=lockstep)
+            simulator.run(clients, [EWMAPrefetcher(lam=0.3) for _ in clients])
             shared = handed[0]
             assert len(handed) == 3 and all(cache is shared for cache in handed)
             if shards is None:

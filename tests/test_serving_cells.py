@@ -20,6 +20,7 @@ from repro.sim.runner import (
     run_serving_cell,
 )
 from repro.workload.sweeps import clients_matrix
+from tests.oracles.serving import RoundRobinSimulator
 
 
 def serving_spec(n_clients=2, serve_extra=(), sim=()):
@@ -119,11 +120,16 @@ class TestServeCellExecution:
 
 class TestLockstepPlumbing:
     def test_sweep_cells_match_the_round_robin_reference(self):
-        """Sweeps serve lockstep; the round-robin oracle must agree exactly."""
-        spec = serving_spec()
+        """Sweeps serve through the one tick; the round-robin oracle must agree
+        exactly, on a hot walk through a cache small enough that step order
+        decides hits."""
+        spec = serving_spec(
+            n_clients=4, serve_extra={"mode": "hotspot", "hot_pool": 1},
+            sim={"cache_capacity_pages": 8},
+        )
         result, report = run_serving_cell(spec)
         index, clients, prefetchers, config = prepare_serving_cell(spec)
-        reference = ServingSimulator(index, config).run(clients, prefetchers, lockstep=False)
+        reference = RoundRobinSimulator(index, config).run(clients, prefetchers)
         assert report == reference
         assert result.metrics == reference.to_aggregate()
 

@@ -1,20 +1,20 @@
-"""Lockstep serving plane: bit-identity against the round-robin reference.
+"""The serving scheduler: bit-identity against the round-robin oracle.
 
-The vectorized scheduler (each walk's results fetched once, ticks
-filled ahead, walk plan tapes; the same shared cache as the reference)
-is only allowed to change *where* pure work happens, never what any
-client observes.  The matrix here pins that: for every client count x
-contention mode x prefetcher x cache size, the lockstep report equals
-the round-robin report **bit for bit** -- every per-query record, every
-per-client contention counter, every shared-cache total, the tick count.  Timing claims (the perf
-suite's 5x) are only meaningful on top of this equality.
+The scheduler (each walk's results fetched once, ticks filled ahead,
+walk plan tapes) is only allowed to change *where* pure work happens,
+never what any client observes.  The matrix here pins that against
+``tests.oracles.serving.RoundRobinSimulator``, which steps one client's
+full query at a time through none of that machinery
+(``TestReferenceIndependence`` spies on it): for every client count x
+contention mode x prefetcher x cache size, the two reports are equal
+**bit for bit** -- every per-query record, every per-client contention
+counter, every shared-cache total, the tick count.
 
-Also pinned: N=1 lockstep reproduces ``SimulationEngine.run`` exactly
-(extending the PR-5 invariant to the new scheduler), that plan sharing
-engages only for an eligible fleet, that a follower's data-level hit
-count is its own (not its leader's), and the ``to_aggregate`` round trip
-that carries the contention counters into stored records (additive keys
-only).
+Also pinned: one client reproduces ``SimulationEngine.run`` exactly,
+that plan sharing engages only for an eligible fleet, that a follower's
+data-level hit count is its own (not its leader's), and the
+``to_aggregate`` round trip that carries the contention counters into
+stored records (additive keys only).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec
 from repro.workload import multiclient_sessions
+from tests.oracles.serving import RoundRobinSimulator
 
 
 def make_prefetcher(kind: str, tissue):
@@ -63,7 +64,7 @@ def make_prefetcher(kind: str, tissue):
 
 def serve(tissue, index, *, n_clients, kind="ewma", mode="independent",
           stagger=0, cache_pages=None, n_queries=4, seed=5, hot_pool=4,
-          **run_kwargs):
+          simulator=ServingSimulator):
     clients = multiclient_sessions(
         tissue,
         n_clients=n_clients,
@@ -76,7 +77,7 @@ def serve(tissue, index, *, n_clients, kind="ewma", mode="independent",
     )
     config = SimulationConfig(cache_capacity_pages=cache_pages)
     prefetchers = [make_prefetcher(kind, tissue) for _ in clients]
-    return ServingSimulator(index, config).run(clients, prefetchers, **run_kwargs)
+    return simulator(index, config).run(clients, prefetchers)
 
 
 def report_state(report) -> tuple:
@@ -112,11 +113,11 @@ class TestLockstepEquivalence:
         n_queries = 2 if n_clients == 64 else 4
         reference = serve(
             tissue, tissue_flat, n_clients=n_clients, mode=mode, kind=kind,
-            n_queries=n_queries, lockstep=False,
+            n_queries=n_queries, simulator=RoundRobinSimulator,
         )
         vectorized = serve(
             tissue, tissue_flat, n_clients=n_clients, mode=mode, kind=kind,
-            n_queries=n_queries, lockstep=True,
+            n_queries=n_queries,
         )
         assert report_state(vectorized) == report_state(reference)
 
@@ -127,11 +128,11 @@ class TestLockstepEquivalence:
         """Staggered arrivals and tiny (evicting) caches."""
         reference = serve(
             tissue, tissue_flat, n_clients=4, mode="hotspot", stagger=stagger,
-            cache_pages=cache_pages, n_queries=5, lockstep=False,
+            cache_pages=cache_pages, n_queries=5, simulator=RoundRobinSimulator,
         )
         vectorized = serve(
             tissue, tissue_flat, n_clients=4, mode="hotspot", stagger=stagger,
-            cache_pages=cache_pages, n_queries=5, lockstep=True,
+            cache_pages=cache_pages, n_queries=5,
         )
         assert report_state(vectorized) == report_state(reference)
 
@@ -143,9 +144,7 @@ class TestLockstepEquivalence:
         clients = multiclient_sessions(
             tissue, n_clients=1, seed=5, n_queries=8, volume=30_000.0
         )
-        report = ServingSimulator(tissue_flat).run(
-            clients, [make_prefetcher(kind, tissue)], lockstep=True
-        )
+        report = ServingSimulator(tissue_flat).run(clients, [make_prefetcher(kind, tissue)])
         reference = SimulationEngine(tissue_flat).run(
             clients[0].sequence, make_prefetcher(kind, tissue)
         )
@@ -172,7 +171,7 @@ class TestLockstepEquivalence:
         )
         assert len({id(client.sequence) for client in clients}) == 1  # 1 leader, 8 followers
         report = ServingSimulator(tissue_flat, SimulationConfig(cache_capacity_pages=4)).run(
-            clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=True
+            clients, [EWMAPrefetcher(lam=0.3) for _ in clients]
         )
         assert len(touches) == n_clients * n_queries  # one demand touch per step, tick-major
 
@@ -197,10 +196,64 @@ class TestLockstepEquivalence:
     def test_share_plans_off_is_still_identical(self, tissue, tissue_flat):
         """Sharing is an optimization, not a semantic: the reference never shares."""
         shared = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
-                       hot_pool=2, lockstep=True)
+                       hot_pool=2)
         reference = serve(tissue, tissue_flat, n_clients=6, mode="hotspot",
-                          hot_pool=2, lockstep=False)
+                          hot_pool=2, simulator=RoundRobinSimulator)
         assert report_state(shared) == report_state(reference)
+
+
+class TestReferenceIndependence:
+    """The oracle shares no machinery with the tick it checks."""
+
+    def test_round_robin_reaches_none_of_the_tick(self, monkeypatch, tissue, tissue_flat):
+        """No tick, fill-ahead, tape or shared probe pass runs under the
+        oracle, and every step it makes fills its own pure work -- over a
+        shareable fleet with faults and staggered arrivals."""
+        reached = Counter()
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                reached[name] += 1
+                raise AssertionError(f"{name} was reached")
+
+            return call
+
+        for name in ("step_tick", "resolve_ahead", "plan_tapes"):
+            monkeypatch.setattr(serve_module, name, refuse(name))
+        for name in ("fill_ahead", "tape_entry", "plan_tape"):
+            monkeypatch.setattr(QuerySession, name, refuse(name))
+        step_query = QuerySession.step_query
+        bundles = []
+
+        def step_spy(session, work=None):
+            bundles.append(work)
+            return step_query(session, work)
+
+        monkeypatch.setattr(QuerySession, "step_query", step_spy)
+        clients = multiclient_sessions(
+            tissue, n_clients=4, seed=5, n_queries=5, volume=30_000.0,
+            mode="hotspot", hot_pool=2, stagger=1,
+        )
+        config = chaos_config(transient_rate=0.2, breaker_threshold=1)
+        RoundRobinSimulator(tissue_flat, config).run(
+            clients, [EWMAPrefetcher(lam=0.3) for _ in clients]
+        )
+        assert not reached
+        assert bundles == [None] * (4 * 5)
+        # The spies are live: the scheduler under test tapes this fleet first.
+        with pytest.raises(AssertionError, match="plan_tapes was reached"):
+            ServingSimulator(tissue_flat, config).run(
+                clients, [EWMAPrefetcher(lam=0.3) for _ in clients]
+            )
+
+    @pytest.mark.parametrize("value", [False, None, 1])
+    def test_run_has_no_second_scheduler(self, tissue, tissue_flat, value):
+        """A stale ``lockstep=False`` cannot compare the tick with itself."""
+        clients = multiclient_sessions(tissue, n_clients=2, seed=5, n_queries=2, volume=30_000.0)
+        with pytest.raises(TypeError, match="RoundRobinSimulator"):
+            ServingSimulator(tissue_flat).run(
+                clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=value
+            )
 
 
 def chaos_config(seed: int = 11, **faults) -> SimulationConfig:
@@ -238,7 +291,7 @@ class TestFillAhead:
                 return [ScoutOptPrefetcher(tissue, tissue_flat) for _ in clients]
             return [make_prefetcher(kind, tissue) for _ in clients]
 
-        reference = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=False)
+        reference = RoundRobinSimulator(tissue_flat, config).run(clients, fleet())
 
         filled = []  # per record, as it left fill_ahead: (tick, predicted, gapped, planned)
         replayed = []  # per record replayed off a tape: its tick
@@ -263,7 +316,7 @@ class TestFillAhead:
 
         monkeypatch.setattr(QuerySession, "fill_ahead", spy)
         monkeypatch.setattr(QuerySession, "step_query_replay", replay_spy)
-        vectorized = ServingSimulator(tissue_flat, config).run(clients, fleet(), lockstep=True)
+        vectorized = ServingSimulator(tissue_flat, config).run(clients, fleet())
         assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
         assert vectorized.breaker_opens > 0 and vectorized.degraded_ticks > 0
 
@@ -476,12 +529,13 @@ class TestOnePassPerStage:
                 tissue, n_clients=4, seed=5, n_queries=5, volume=30_000.0,
                 mode=mode, hot_pool=2, stagger=1,
             )
-            for lockstep, fleet in [(True, EWMAPrefetcher), (False, EWMAPrefetcher),
-                                    (True, lambda: ScoutPrefetcher(tissue))]:
+            for simulator, fleet in [
+                (ServingSimulator, EWMAPrefetcher),
+                (RoundRobinSimulator, EWMAPrefetcher),
+                (ServingSimulator, lambda: ScoutPrefetcher(tissue)),
+            ]:
                 calls.clear()
-                report = ServingSimulator(tissue_flat, config).run(
-                    clients, [fleet() for _ in clients], lockstep=lockstep
-                )
+                report = simulator(tissue_flat, config).run(clients, [fleet() for _ in clients])
                 steps = sum(len(client.metrics.records) for client in report.clients)
                 assert steps == 4 * 5
                 assert calls[top, "touch_many"] == calls[top, "attribute_many"] == steps
@@ -540,11 +594,11 @@ class TestPlanSharing:
             mode="hotspot", hot_pool=1, stagger=stagger,
         )
         prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
-        vectorized = ServingSimulator(tissue_flat).run(clients, prefetchers, lockstep=True)
+        vectorized = ServingSimulator(tissue_flat).run(clients, prefetchers)
         histories = [len(p._centers) for p in prefetchers]
         assert histories == [0, 0, 0, 0]  # every session replayed, none observed
-        reference = ServingSimulator(tissue_flat).run(
-            clients, [EWMAPrefetcher(lam=0.3) for _ in clients], lockstep=False
+        reference = RoundRobinSimulator(tissue_flat).run(
+            clients, [EWMAPrefetcher(lam=0.3) for _ in clients]
         )
         assert report_state(vectorized) == report_state(reference)
 
@@ -569,8 +623,8 @@ class TestPlanSharing:
         config = chaos_config(
             seed, transient_rate=0.5, retry_limit=0, breaker_threshold=1, breaker_cooldown=2
         )
-        reference = ServingSimulator(tissue_flat, config).run(
-            clients, [make_prefetcher(kind, tissue) for _ in clients], lockstep=False
+        reference = RoundRobinSimulator(tissue_flat, config).run(
+            clients, [make_prefetcher(kind, tissue) for _ in clients]
         )
         replayed = []
         replay = QuerySession.step_query_replay
@@ -582,7 +636,7 @@ class TestPlanSharing:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(QuerySession, "step_query_replay", replay_spy)
             vectorized = ServingSimulator(tissue_flat, config).run(
-                clients, [make_prefetcher(kind, tissue) for _ in clients], lockstep=True
+                clients, [make_prefetcher(kind, tissue) for _ in clients]
             )
         assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
         assert vectorized.breaker_opens > 0
@@ -600,8 +654,8 @@ class TestPlanSharing:
             return [EWMAPrefetcher(lam=0.3), EWMAPrefetcher(lam=0.7),
                     StraightLinePrefetcher()]
 
-        reference = ServingSimulator(tissue_flat).run(clients, fleet(), lockstep=False)
-        vectorized = ServingSimulator(tissue_flat).run(clients, fleet(), lockstep=True)
+        reference = RoundRobinSimulator(tissue_flat).run(clients, fleet())
+        vectorized = ServingSimulator(tissue_flat).run(clients, fleet())
         assert report_state(vectorized) == report_state(reference)
 
 
@@ -611,7 +665,7 @@ class TestAggregateCarryThrough:
     def test_to_aggregate_carries_contention_counters(self, tissue, tissue_flat):
         report = serve(
             tissue, tissue_flat, n_clients=4, kind="scout", mode="hotspot",
-            hot_pool=1, stagger=1, n_queries=8, lockstep=False,
+            hot_pool=1, stagger=1, n_queries=8,
         )
         assert report.cross_client_hits > 0  # the interesting case
         pooled = report.to_aggregate()
@@ -621,8 +675,7 @@ class TestAggregateCarryThrough:
     def test_serving_metrics_round_trip_through_store_schema(
         self, tissue, tissue_flat
     ):
-        report = serve(tissue, tissue_flat, n_clients=2, n_queries=3,
-                       lockstep=False)
+        report = serve(tissue, tissue_flat, n_clients=2, n_queries=3)
         pooled = report.to_aggregate()
         data = metrics_to_dict(pooled)
         assert data["cross_client_hits"] == report.cross_client_hits

@@ -16,8 +16,8 @@ when it isn't sharding.  This suite pins the contract from four sides:
   partitioning schemes, with and without rebalancing.
 * **Serving invariance**: for a fixed multi-client workload the demand
   stream is partition-invariant (the total per-shard request count does
-  not depend on K or the scheme), and the round-robin and lockstep
-  schedulers produce bit-identical reports *through* a sharded cache,
+  not depend on K or the scheme), and the scheduler and its round-robin
+  oracle produce bit-identical reports *through* a sharded cache,
   rebalancer included; the K = 8 hot-shard scale-out is pinned exactly
   in simulated q/s.
 * **Determinism**: two identically-specced caches fed the same touch
@@ -49,6 +49,7 @@ from repro.storage.sharded import (
     page_hilbert_keys,
 )
 from repro.workload import multiclient_sessions
+from tests.oracles.serving import RoundRobinSimulator
 
 # -- op-sequence machinery ----------------------------------------------------------
 
@@ -529,7 +530,7 @@ class TestOwnerTableAndFanOut:
 
         monkeypatch.setattr(ShardedCache, "touch_many", spy)
         prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
-        report = ServingSimulator(index, config).run(clients, prefetchers, lockstep=True)
+        report = ServingSimulator(index, config).run(clients, prefetchers)
         assert (report.shard_rebalances, report.shard_pages_moved) == (30, 948)
         assert trajectory[-1] == (
             30, 948, [57076, 96058, 159945, 161733, 167692, 238061, 238812]
@@ -543,7 +544,7 @@ class TestOwnerTableAndFanOut:
 # -- serving invariance -------------------------------------------------------------
 
 
-def serve_sharded(tissue, index, shards, *, lockstep=False, n_clients=4):
+def serve_sharded(tissue, index, shards, *, simulator=ServingSimulator, n_clients=4):
     clients = multiclient_sessions(
         tissue,
         n_clients=n_clients,
@@ -556,7 +557,7 @@ def serve_sharded(tissue, index, shards, *, lockstep=False, n_clients=4):
     )
     config = SimulationConfig(cache_capacity_pages=16, shards=shards)
     prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
-    return ServingSimulator(index, config).run(clients, prefetchers, lockstep=lockstep)
+    return simulator(index, config).run(clients, prefetchers)
 
 
 class TestServingThroughShards:
@@ -575,8 +576,8 @@ class TestServingThroughShards:
         self, tissue, tissue_flat, partition, k
     ):
         spec = ShardSpec(n_shards=k, partition=partition, rebalance=partition == "hilbert")
-        reference = serve_sharded(tissue, tissue_flat, spec, lockstep=False)
-        vectorized = serve_sharded(tissue, tissue_flat, spec, lockstep=True)
+        reference = serve_sharded(tissue, tissue_flat, spec, simulator=RoundRobinSimulator)
+        vectorized = serve_sharded(tissue, tissue_flat, spec)
         assert dataclasses.asdict(vectorized) == dataclasses.asdict(reference)
 
     def test_request_total_is_partition_invariant(self, tissue, tissue_flat):
@@ -646,7 +647,7 @@ class TestServingThroughShards:
         def serve(shards):
             config = SimulationConfig(cache_capacity_pages=64, shards=shards)
             prefetchers = [EWMAPrefetcher(lam=0.3) for _ in clients]
-            return ServingSimulator(index, config).run(clients, prefetchers, lockstep=True)
+            return ServingSimulator(index, config).run(clients, prefetchers)
 
         single = serve(None).to_aggregate()
         report = serve(ShardSpec(n_shards=8, shard_cache_pages=64, rebalance=True))

@@ -8,7 +8,8 @@ wraps -- every return value, every stat, after every operation.  The
 differential properties here let hypothesis search the operation space
 for a divergence; the serving-level tests then lift the guarantee to
 whole :class:`~repro.sim.serve.ServingSimulator` reports and prove the
-two schedulers stay bit-identical *with* tiering enabled.
+scheduler stays bit-identical to its round-robin oracle *with* tiering
+enabled.
 
 The second family of properties checks the layer accounting itself:
 each requested page resolves at exactly one layer, so the counters
@@ -37,6 +38,7 @@ from repro.storage.tiered import (
     TierStats,
     TieredStore,
 )
+from tests.oracles.serving import RoundRobinSimulator
 
 #: Small page universe so read batches collide (tier hits, victim
 #: swap-backs, stream-buffer pickups on page+1 runs).
@@ -364,13 +366,13 @@ def _serving_fixture(n_clients=3, n_queries=5):
     return index, clients, fleet
 
 
-def _serve(index, clients, fleet, storage, **kwargs):
+def _serve(index, clients, fleet, storage, simulator=None):
     from dataclasses import asdict
 
     from repro.sim import ServingSimulator, SimulationConfig
 
     config = SimulationConfig(storage=storage)
-    return asdict(ServingSimulator(index, config).run(clients, fleet(), **kwargs))
+    return asdict((simulator or ServingSimulator)(index, config).run(clients, fleet()))
 
 
 @pytest.mark.parametrize("backend", ["ram", "mmap"])
@@ -393,8 +395,8 @@ def test_disabled_store_serving_report_matches_bare_disk(backend, tmp_path):
 def test_round_robin_and_lockstep_agree_over_a_tiered_store(miss_path):
     index, clients, fleet = _serving_fixture()
     spec = StorageSpec(miss_path=miss_path, tier_pages=6)
-    rr = _serve(index, clients, fleet, spec, lockstep=False)
-    ls = _serve(index, clients, fleet, spec, lockstep=True)
+    rr = _serve(index, clients, fleet, spec, RoundRobinSimulator)
+    ls = _serve(index, clients, fleet, spec)
     assert rr == ls
     assert rr["tiers_active"]
 
@@ -419,8 +421,8 @@ def test_serving_report_reads_the_layers_counters(monkeypatch):
         storage=StorageSpec(miss_path="combined", tier_pages=8, fill_stall_s=1e-3),
         shards=ShardSpec(n_shards=4, partition="hash", hop_latency_s=1e-4),
     )
-    for lockstep in (False, True):
-        report = ServingSimulator(index, config).run(clients, fleet(), lockstep=lockstep)
+    for simulator in (RoundRobinSimulator, ServingSimulator):
+        report = simulator(index, config).run(clients, fleet())
         ts, cache = built["build_disk"].tier_stats, built["build_cache"]
         layers = dict(
             tier_hits=ts.tier_hits,

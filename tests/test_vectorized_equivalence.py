@@ -183,7 +183,7 @@ class TestBatchedRegionProperty:
             batched = index.pages_for_regions(regions)
             assert len(batched) == len(regions)
             for region, pages in zip(regions, batched):
-                naive = index.pages_for_region(region)
+                naive = pages_for_region_scalar(index, region)
                 assert pages.dtype == np.int64
                 assert np.array_equal(pages, naive)
                 # and the per-region result is the brute-force truth
