@@ -29,8 +29,12 @@ Every lookup/insert routes to its owning shard and lands in that
 shard's own counters, so the per-shard counters *exactly partition* the
 request stream: ``requests == sum(shard.hits + shard.misses)`` holds by
 construction and is hypothesis-checked in the test-suite.  Batch ops
-are list-native like the shards' own (DESIGN.md §10): one ``tolist``,
-one routing pass, answers written into a list by input position.
+are list-native like the shards' own (DESIGN.md §10): one ``tolist``
+and one routing pass; a batch one shard owns goes to that shard
+intact, a straddling one is split by owner with each per-page answer
+written into a list by input position -- except ``missing_many``,
+whose straddling batch is one filter pass over the owning shards'
+page dicts.
 
 **Hot-shard rebalancing** (``rebalance=True``, range partitioning
 only): the detector keeps an EWMA of per-shard demand load, fed once
@@ -311,8 +315,9 @@ class ShardedCache:
         self._shards[self.route(int(page_id))].insert(page_id, owner)
 
     def insert_many(self, page_ids, owner: int | None = None) -> None:
-        for shard_id, pages in self._pages_by_shard(page_ids)[1].items():
-            self._shards[shard_id].insert_many(pages, owner)
+        pages = _keys(page_ids)
+        for shard_id, group in self._group(pages, pages).items():
+            self._shards[shard_id].insert_many(group, owner)
 
     # -- batch operations -----------------------------------------------------
 
@@ -345,11 +350,6 @@ class ShardedCache:
         """The batch as a list and, by owning shard, its input positions."""
         pages = _keys(page_ids)
         return pages, self._group(pages, range(len(pages)))
-
-    def _pages_by_shard(self, page_ids) -> tuple[list[int], dict[int, Sequence[int]]]:
-        """The batch as a list and, by owning shard, its pages in input order."""
-        pages = _keys(page_ids)
-        return pages, self._group(pages, pages)
 
     def _group(self, pages: list[int], items: Sequence[int]) -> dict[int, Sequence[int]]:
         """``items`` (one per page) by the shard that owns each page, in input
@@ -386,16 +386,18 @@ class ShardedCache:
         return self._fan_out("contains_many", *self._positions_by_shard(page_ids))
 
     def missing_many(self, page_ids) -> list[int]:
-        pages, groups = self._pages_by_shard(page_ids)
-        if len(groups) == 1:
-            ((shard_id, group),) = groups.items()
-            return self._shards[shard_id].missing_many(group)
-        # An order-preserving filter, not a value per page: a straddling
-        # batch asks each shard for its own missing pages.
-        missing = set()
-        for shard_id, group in groups.items():
-            missing.update(self._shards[shard_id].missing_many(group))
-        return [int(p) for p in pages if p in missing]
+        """The pages no shard caches, in input order: routed once.  A batch
+        that one shard owns delegates intact; a straddling one is one
+        order-preserving pass over the owning shards' page dicts (only a
+        page's owner ever holds it)."""
+        pages = _keys(page_ids)
+        if not pages:
+            return []
+        routed = self.route_many(pages).tolist()
+        if routed.count(routed[0]) == len(routed):
+            return self._shards[routed[0]].missing_many(pages)
+        cached = [shard._pages for shard in self._shards]
+        return [int(p) for p, shard_id in zip(pages, routed) if p not in cached[shard_id]]
 
     def owners_many(self, page_ids) -> list[int]:
         return self._fan_out("owners_many", *self._positions_by_shard(page_ids))

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from repro.storage.disk import DiskModel, _canonical
@@ -82,19 +82,25 @@ MISS_ENTRIES = 16
 STREAM_DEPTH = 4
 
 
-def _refresh(lru: OrderedDict, pages: Iterable[int], capacity: int) -> list[int]:
+def _refresh(lru: dict, pages: Iterable[int], capacity: int) -> list[int]:
     """Make each page the most recent entry of ``lru``, in order, then trim
     ``lru`` to ``capacity``; returns the entries pushed out, least recent first.
 
-    Trimming only ever takes the least recent entry, so one trim after the
-    batch leaves the order that a trim after every page leaves, and for
-    pages new to ``lru`` and distinct pushes out the same entries.
+    ``lru`` is a plain dict, whose insertion order is its recency order: a
+    page is refreshed by popping and re-setting it, and the trim reads only
+    the oldest keys past ``capacity`` (``islice``), never the whole
+    structure, so a large tier pays nothing extra.  Trimming only ever
+    takes the least recent entry, so one trim after the batch leaves the
+    order that a trim after every page leaves, and for pages new to ``lru``
+    and distinct pushes out the same entries.
     """
     for page in pages:
+        lru.pop(page, None)
         lru[page] = None
-        lru.move_to_end(page)
-    excess = len(lru) - capacity
-    return [lru.popitem(last=False)[0] for _ in range(excess)] if excess > 0 else []
+    evicted = list(islice(lru, max(0, len(lru) - capacity)))
+    for page in evicted:
+        del lru[page]
+    return evicted
 
 
 @dataclass(frozen=True)
@@ -206,10 +212,11 @@ class TieredStore:
         self._inner = inner if inner is not None else DiskModel()
         self.spec = spec or StorageSpec()
         self.tier_stats = TierStats()
-        self._tier: OrderedDict[int, None] = OrderedDict()
-        self._victim: OrderedDict[int, None] = OrderedDict()
-        self._stream: OrderedDict[int, None] = OrderedDict()
-        self._miss_tags: OrderedDict[int, None] = OrderedDict()
+        # Plain dicts: insertion order is recency order, least recent first.
+        self._tier: dict[int, None] = {}
+        self._victim: dict[int, None] = {}
+        self._stream: dict[int, None] = {}
+        self._miss_tags: dict[int, None] = {}
         self._use_victim = self.spec.miss_path in ("victim", "combined")
         self._use_stream = self.spec.miss_path in ("stream", "combined")
         self._use_miss = self.spec.miss_path in ("miss", "combined")
@@ -266,7 +273,8 @@ class TieredStore:
         tier_hits = 0
         for page in pages:
             if page in tier:
-                tier.move_to_end(page)
+                del tier[page]
+                tier[page] = None
                 tier_hits += 1
             elif use_victim and page in victim:
                 del victim[page]
@@ -278,7 +286,8 @@ class TieredStore:
                 self._tier_fill((page,))
             elif use_miss and page in miss_tags:
                 ts.miss_hits += 1
-                miss_tags.move_to_end(page)
+                del miss_tags[page]
+                miss_tags[page] = None
                 self._tier_fill((page,))
             else:
                 misses.append(page)
@@ -320,15 +329,18 @@ class TieredStore:
                 self.tier_stats.writebacks += len(evicted)
                 _refresh(self._victim, evicted, VICTIM_ENTRIES)
 
-    def _stream_fill(self, misses: Sequence[int]) -> None:
-        """Prefill the successors of every contiguous run of the batch."""
-        limit = None if self._page_table is None else self._page_table.n_pages
+    def _stream_fill(self, misses: list[int]) -> None:
+        """Prefill the successors of every contiguous run of the batch.
+
+        ``misses`` is strictly increasing, so a page is a run tail exactly
+        when its successor in the batch is not ``page + 1``; pairing each
+        miss with the next one finds the tails in one pass.
+        """
+        limit = float("inf") if self._page_table is None else self._page_table.n_pages
         ahead = []
-        for i, page in enumerate(misses):
-            if i + 1 < len(misses) and misses[i + 1] == page + 1:
-                continue  # not a run tail
-            end = page + 1 + STREAM_DEPTH
-            ahead.extend(range(page + 1, end if limit is None else min(end, limit)))
+        for page, after in zip(misses, misses[1:] + [None]):
+            if after != page + 1:  # a run tail
+                ahead.extend(range(page + 1, min(page + 1 + STREAM_DEPTH, limit)))
         _refresh(self._stream, ahead, STREAM_DEPTH * 4)
 
     # -- byte service (mmap backend) ----------------------------------------

@@ -209,6 +209,21 @@ RULES = {
         "storage/sharded.py",
         flags=("owners = np.unique(routed)", "ok = np.all(routed == owner)"),
     ),
+    "No OrderedDict on the tier structures": Rule(
+        "§9",
+        r"\bOrderedDict\b|\.move_to_end\(|popitem\(last=False\)",
+        "storage/tiered.py",
+        flags=(
+            "self._tier: OrderedDict[int, None] = OrderedDict()",
+            "tier.move_to_end(page)",
+            "return [lru.popitem(last=False)[0] for _ in range(excess)]",
+        ),
+        spares=(
+            "from collections import defaultdict",
+            "# a pop, then a set: the plain dict's move_to_end",
+            "newest = lru.popitem()",
+        ),
+    ),
     "No second tick": Rule(
         "§6.1, §8",
         r"\.step_query(_replay)?\(|\.fill_ahead\(|resolve_ahead",

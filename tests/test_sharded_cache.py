@@ -357,6 +357,32 @@ class TestRebalancer:
         assert cache.rebalance_events == 0
         assert np.array_equal(cache._splits, splits)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        # Two shards never rebalance here: the hot range is half the load.
+        k=st.sampled_from([4, 8]),
+        probes=st.lists(st.lists(st.integers(0, 63), max_size=12), max_size=3),
+    )
+    def test_batch_membership_follows_every_rebalance(self, tissue_flat, seed, k, probes):
+        """A page lives only on its owner *now*: after every batch of a cache
+        that may rebalance every second batch, ``missing_many`` and
+        ``contains_many`` answer membership in the union of the shards'
+        pages -- for the batch, for every page (a batch straddling all
+        shards) and for arbitrary batches, duplicates included."""
+        cache = hilbert_cache(
+            tissue_flat, k, pages_per_shard=8, rebalance=True, rebalance_interval=2
+        )
+        every_page = list(range(tissue_flat.page_table.n_pages))
+        for batch in skewed_batches(tissue_flat, n_batches=40, seed=seed):
+            cache.insert_many(batch)
+            cache.touch_many(batch)
+            cached = {page for shard in cache.shards for page in shard.cached_pages()}
+            for probe in (batch.tolist(), every_page, *probes):
+                assert cache.missing_many(probe) == [p for p in probe if p not in cached]
+                assert cache.contains_many(probe) == [p in cached for p in probe]
+        assert cache.rebalance_events > 0
+
     def test_split_keys_stay_sorted_across_rebalances(self, tissue_flat):
         cache = self._fresh(tissue_flat)
         for batch in skewed_batches(tissue_flat, n_batches=400, seed=9):

@@ -37,6 +37,7 @@ from repro.storage.tiered import (
     StorageSpec,
     TierStats,
     TieredStore,
+    _refresh,
 )
 from tests.oracles.serving import RoundRobinSimulator
 
@@ -148,6 +149,34 @@ class _PerPageModel:
             del self.stream[: max(0, len(self.stream) - STREAM_DEPTH * 4)]
         for page in misses:
             self._fill(page)
+
+
+class TestRefresh:
+    """``_refresh`` on a plain dict is the list LRU, batch for batch."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        capacity=st.integers(min_value=1, max_value=8),
+        churn=st.integers(min_value=0, max_value=300),
+        # Duplicates, empty batches and batches longer than the capacity.
+        batches=st.lists(st.lists(page_ids, max_size=20), max_size=12),
+    )
+    def test_refresh_equals_a_list_lru(self, capacity, churn, batches):
+        lru: dict[int, None] = {}
+        model: list[int] = []
+        # Fresh pages pushed through one at a time: the dict deletes from
+        # the front and appends at the back past several resizes.
+        warm = [[100 + page] for page in range(churn)]
+        for batch in warm + batches:
+            pushed_out = []
+            for page in batch:
+                if page in model:
+                    model.remove(page)
+                model.append(page)
+            while len(model) > capacity:
+                pushed_out.append(model.pop(0))
+            assert _refresh(lru, batch, capacity) == pushed_out
+            assert list(lru) == model
 
 
 class TestDisabledStoreIsTheBareDisk:
