@@ -91,10 +91,8 @@ def main() -> None:
         with PageFile(path) as probe:
             print(f"After corrupting slot 3: torn slots = {probe.scan_torn()}")
 
-        store = TieredStore(
-            DiskModel(), StorageSpec(backend="mmap", path=str(path)),
-            page_table=page_table,
-        )
+        store = TieredStore(DiskModel(), StorageSpec(backend="mmap", path=str(path)))
+        store.bind_page_table(page_table)
         store.read_pages([3])
         ts = store.tier_stats
         print(

@@ -166,22 +166,6 @@ def _parse_shard(value: str) -> tuple[int, int]:
     return shard_index, n_shards
 
 
-#: Figure-specific sweep flag (argparse dest) -> the error answered when
-#: it is set for a figure whose registry entry does not list it.
-_FOREIGN_FLAG_ERRORS = {
-    "benches": "--benches applies to --figure 10|11|12; use --panels for Figs 13/17",
-    "panels": "--panels applies to --figure 13|17, not --figure {figure}",
-    "points": "--points applies to --figure 13, not --figure {figure}",
-    "datasets": "--datasets applies to --figure 17, not --figure {figure}",
-    "neurons": "--neurons applies to the neuron-tissue grids "
-    "(figures 3, 10-13, clients, chaos, tiers, shards)",
-    "clients": "--clients applies to --figure clients, not --figure {figure}",
-    "cache_pages": "--cache-pages applies to --figure clients, not --figure {figure}",
-    "contention": "--contention applies to --figure clients, not --figure {figure}",
-    "sequences": "--sequences does not apply to --figure {figure} (each client runs one session)",
-}
-
-
 def _build_sweep_parser(figures) -> argparse.ArgumentParser:
     """The sweep parser over a figure registry (``--figure`` value -> entry)."""
 
@@ -343,10 +327,13 @@ def _sweep_command(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     figure = FIGURES[args.figure]
     # Refuse mixed-figure flags loudly: running the wrong (possibly
-    # much larger) grid is worse than an argparse error.
-    for flag, message in _FOREIGN_FLAG_ERRORS.items():
-        if flag not in figure.flags and getattr(args, flag) != parser.get_default(flag):
-            parser.error(message.format(figure=args.figure))
+    # much larger) grid is worse than an argparse error.  The registry
+    # says which figures take a flag; the first one set is refused.
+    for flag in vars(args):
+        takers = "|".join(str(name) for name, entry in FIGURES.items() if flag in entry.flags)
+        if takers and flag not in figure.flags and getattr(args, flag) != parser.get_default(flag):
+            option = "--" + flag.replace("_", "-")
+            parser.error(f"{option} applies to --figure {takers}, not --figure {args.figure}")
     if args.seed is None:
         args.seed = figure.seed
     figure_stem = args.figure if isinstance(args.figure, str) else f"fig{args.figure}"

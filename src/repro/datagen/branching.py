@@ -351,7 +351,6 @@ def grow_tree(
     root: np.ndarray,
     initial_direction: np.ndarray,
     config: BranchingConfig,
-    branch_id_offset: int = 0,
 ) -> TreeGeometry:
     """Grow one branching tree rooted at ``root``.
 
@@ -359,5 +358,4 @@ def grow_tree(
     its start and end junction nodes, and one cylinder object per step.
     """
     tree, _ = grow_forest(rng, 1, lambda _: (root, initial_direction), config)
-    tree.branch_of_object += branch_id_offset
     return tree

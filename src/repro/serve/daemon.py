@@ -486,7 +486,6 @@ class ServeDaemon:
                 tier_hits=ts.tier_hits,
                 miss_path_hits=ts.mechanism_hits,
                 backing_pages=ts.backing_pages,
-                stall_seconds=ts.stall_seconds,
                 torn_detected=ts.torn_detected,
                 torn_repaired=ts.torn_repaired,
             )
@@ -501,7 +500,6 @@ class ServeDaemon:
                 rebalance_events=self.cache.rebalance_events,
                 pages_moved=self.cache.pages_moved,
                 hops=self.cache.hops,
-                hop_seconds=self.cache.hop_seconds,
             )
         return report
 

@@ -49,6 +49,11 @@ __all__ = ["QuerySession", "SimulationConfig", "SimulationEngine", "walk_results
 #: Regions a probe stream resolves per ``pages_for_regions`` pass.
 PROBE_CHUNK = 8
 
+#: Fraction of the current region side each incremental step advances
+#: along the extrapolated axis (overlapping regions re-hit cached pages
+#: at no cost, §5.1).
+INCREMENTAL_ADVANCE_FRACTION = 0.6
+
 
 class _SharedProbeStream:
     """Memoized per-region page lists of one target's probe boxes.
@@ -188,11 +193,6 @@ class SimulationConfig:
     #: Largest incremental region side as a fraction of the query side.
     incremental_max_fraction: float = 1.5
 
-    #: Fraction of the current region side each incremental step
-    #: advances along the extrapolated axis (overlapping regions re-hit
-    #: cached pages at no cost, §5.1).
-    incremental_advance_fraction: float = 0.6
-
     #: Upper bound on incremental steps per target (windows run out far
     #: earlier in practice; this is a safety net).
     incremental_max_steps: int = 24
@@ -277,7 +277,7 @@ class SimulationEngine:
         for _ in range(cfg.incremental_max_steps):
             offsets.append(advanced + region_side / 2.0)
             half_sides.append(region_side / 2.0)
-            advanced += region_side * cfg.incremental_advance_fraction
+            advanced += region_side * INCREMENTAL_ADVANCE_FRACTION
             region_side = min(region_side * cfg.incremental_growth, max_side)
         return np.array(offsets), np.array(half_sides)
 
@@ -475,9 +475,6 @@ class QuerySession:
         self._left_tape = False
         #: The walk's index results: a serving run's one fetch, or this one.
         self.results = walk_results(engine.index, sequence) if results is None else results
-        # The demand touch's cross-shard hops are residual time for this
-        # query, read off the sharded cache's hop clock (DESIGN.md §10).
-        self._shard_cache = self.cache if isinstance(self.cache, ShardedCache) else None
         if isinstance(self.disk, TieredStore):
             self.disk.bind_page_table(engine.index.page_table)
         # Armed from the config's plan: every driver builds the disk it
@@ -661,10 +658,7 @@ class QuerySession:
         # from the prefetch cache rather than from disk", §3.3).
         # touch never inserts, so membership is invariant across the
         # batch and the hit flags' complement is exactly the miss set.
-        shard_cache = self._shard_cache
-        hop_mark = 0.0 if shard_cache is None else shard_cache.hop_seconds
         hit_mask = cache.touch_many(pages)
-        hop_seconds = 0.0 if shard_cache is None else shard_cache.hop_seconds - hop_mark
         n_hits = hit_mask.count(True)
         miss_pages = list(compress(pages, map(not_, hit_mask))) if n_hits else pages
         try:
@@ -680,10 +674,6 @@ class QuerySession:
             mine.failed_reads += len(miss_pages)
         else:
             mine.shared_misses += len(miss_pages)
-        if hop_seconds:
-            # Cross-shard fan-out on the demand path is user-visible
-            # latency: charge it to residual time like a tier stall.
-            residual += hop_seconds
 
         mine.shared_hits += n_hits
         if self.client_id is not None:

@@ -136,12 +136,10 @@ ADDITIVE_METRICS: tuple[tuple[str, type, str | None], ...] = (
     ("tier_hits", int, "tiers_active"),
     ("miss_path_hits", int, "tiers_active"),
     ("tier_fills", int, "tiers_active"),
-    ("tier_stall_seconds", float, "tiers_active"),
     ("shard_requests", _ints, "shards_active"),
     ("shard_hits", _ints, "shards_active"),
     ("shard_rebalances", int, "shards_active"),
     ("shard_pages_moved", int, "shards_active"),
-    ("shard_hop_seconds", float, "shards_active"),
 )
 
 
@@ -174,7 +172,6 @@ class AggregateMetrics:
     tier_hits: int | None = None
     miss_path_hits: int | None = None
     tier_fills: int | None = None
-    tier_stall_seconds: float | None = None
     #: Sharded-cache counters (DESIGN.md §10; ``K > 1`` only).
     #: ``shard_requests``/``shard_hits`` are per-shard, in shard order,
     #: and exactly partition the shared cache's touch totals.
@@ -182,7 +179,6 @@ class AggregateMetrics:
     shard_hits: list[int] | None = None
     shard_rebalances: int | None = None
     shard_pages_moved: int | None = None
-    shard_hop_seconds: float | None = None
 
     def __str__(self) -> str:
         return (
@@ -254,12 +250,11 @@ class ServeReport:
     tiers_active: bool = False
     #: The store's own tier counters (zero without a tiered store):
     #: requests absorbed by the storage-side tier cache and by the
-    #: miss-path mechanisms below it, pages pulled from the backing
-    #: store, and the simulated fill-stall seconds charged.
+    #: miss-path mechanisms below it, and pages pulled from the
+    #: backing store.
     tier_hits: int = 0
     miss_path_hits: int = 0
     tier_fills: int = 0
-    tier_stall_seconds: float = 0.0
     #: Whether the run's cache was sharded (``K > 1``); gates the shard
     #: counters' persistence the same way (DESIGN.md §10).
     shards_active: bool = False
@@ -271,9 +266,6 @@ class ServeReport:
     #: Rebalancer activity over the run (``None`` when unsharded).
     shard_rebalances: int | None = None
     shard_pages_moved: int | None = None
-    #: Simulated cross-shard hop seconds the sharded cache charged on
-    #: the demand path (zero when unsharded).
-    shard_hop_seconds: float = 0.0
 
     @property
     def aggregate_hit_rate(self) -> float:

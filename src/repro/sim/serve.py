@@ -192,7 +192,7 @@ class ServingSimulator:
 
         n_ticks = self._schedule(clients, sessions, prefetchers)
 
-        # Each layer counter has one owner: the tier and hop totals are
+        # Each layer counter has one owner: the tier and shard totals are
         # read off the store and cache this run built, like the cache's
         # hits (an inactive layer's counters are zero).
         tier_stats = disk.tier_stats if tiered else TierStats()
@@ -214,8 +214,6 @@ class ServingSimulator:
             tier_hits=tier_stats.tier_hits,
             miss_path_hits=tier_stats.mechanism_hits,
             tier_fills=tier_stats.backing_pages,
-            tier_stall_seconds=tier_stats.stall_seconds,
-            shard_hop_seconds=cache.hop_seconds if sharded else 0.0,
         )
 
     # -- the scheduler --------------------------------------------------------

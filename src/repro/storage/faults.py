@@ -111,7 +111,8 @@ class FaultPlan:
     breaker: bool = True
     #: Consecutive prefetch-path failures that trip the breaker.
     breaker_threshold: int = 3
-    #: Degraded (demand-paging) queries before a half-open re-probe.
+    #: Queries from a trip to its half-open re-probe, the probe included:
+    #: ``breaker_cooldown - 1`` degraded (demand-paging) queries, then the probe.
     breaker_cooldown: int = 4
 
     def __post_init__(self) -> None:
@@ -150,9 +151,9 @@ class FaultyDiskModel:
     model, as a deployment would size them from nominal device specs.
     """
 
-    def __init__(self, plan: FaultPlan | None = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self._inner = DiskModel()
-        self.plan = plan or FaultPlan()
+        self.plan = plan
         seed = int(self.plan.seed)
         self._transient_rng = np.random.default_rng([seed, _STREAM_TRANSIENT])
         self._latency_rng = np.random.default_rng([seed, _STREAM_LATENCY])
@@ -283,8 +284,9 @@ class CircuitBreaker:
     * **closed** -- prefetching runs normally; ``breaker_threshold``
       *consecutive* prefetch-path failures trip the breaker;
     * **open** -- the client is degraded to demand paging (no observe,
-      no plan, no prefetch I/O); each degraded query counts down the
-      cooldown, and when it expires the next query probes half-open;
+      no plan, no prefetch I/O); every query counts down the cooldown,
+      so the ``cooldown - 1`` queries after the trip are degraded and
+      the ``cooldown``-th probes half-open;
     * **half-open** -- one trial query prefetches normally; success
       closes the breaker, failure re-opens it for a fresh cooldown.
 

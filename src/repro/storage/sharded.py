@@ -50,12 +50,9 @@ Both the EWMA and the split moves are pure functions of the touch
 sequence, so the serving scheduler and its round-robin test oracle --
 which issue identical batch sequences -- rebalance identically.
 
-**Hop latency** (``hop_latency_s > 0``): a batch that fans out to ``S``
-distinct shards charges ``(S - 1) * hop_latency_s`` of *simulated* time
-into :attr:`ShardedCache.hop_seconds` -- the coordinator pays one hop
-per extra shard contacted on the demand path.  ``QuerySession``
-charges its demand touch's delta to that query's residual time; the
-serving report reads the total off the cache.
+**Hops**: a demand batch that fans out to ``S`` distinct shards counts
+``S - 1`` hops into :attr:`ShardedCache.hops` (the daemon reports it).
+A hop charges no simulated time: a query's time is disk time.
 
 ``SimulationConfig.build_cache`` builds a :class:`ShardedCache` only
 for ``K > 1``; one shard *is* the plain cache.  Constructed directly
@@ -112,9 +109,6 @@ class ShardSpec:
     #: Cache pages *per shard*; ``None`` splits the caller's total
     #: capacity as evenly as possible (first shards take the remainder).
     shard_cache_pages: int | None = None
-    #: Simulated seconds charged per extra shard a demand batch fans
-    #: out to (0 disables hop accounting).
-    hop_latency_s: float = 0.0
     #: Enable the hot-shard detector + split-point rebalancer
     #: (range/``hilbert`` partitioning only).
     rebalance: bool = False
@@ -132,8 +126,6 @@ class ShardSpec:
             raise ValueError(
                 f"shard_cache_pages must be >= 0, got {self.shard_cache_pages}"
             )
-        if self.hop_latency_s < 0:
-            raise ValueError(f"hop_latency_s must be >= 0, got {self.hop_latency_s}")
         if self.rebalance and self.partition != "hilbert":
             raise ValueError("rebalance requires range (hilbert) partitioning")
         if self.rebalance_interval < 1:
@@ -239,6 +231,8 @@ class ShardedCache:
             self._splits = None
         # Routing / rebalancing state and counters.
         self.hops = 0
+        # Always 0.0: a hop charges no time.  Kept only because
+        # ``benchmarks/e2e/e2e_bench.py`` reads it into its traced counts.
         self.hop_seconds = 0.0
         self.rebalance_events = 0
         self.pages_moved = 0
@@ -324,18 +318,16 @@ class ShardedCache:
     def touch_many(self, page_ids) -> list[bool]:
         """Touch every page on its owning shard; the hit flags.
 
-        The demand path: hop latency accrues here (one hop per extra
-        shard contacted) and a rebalancing cache feeds its hot-shard
-        EWMA.  Sub-batches preserve input order, so each shard sees the
+        The demand path: hops are counted here (one per extra shard
+        contacted) and a rebalancing cache feeds its hot-shard EWMA.
+        Sub-batches preserve input order, so each shard sees the
         touches it would have seen had every page been routed alone.
         """
         pages, groups = self._positions_by_shard(page_ids)
         if not pages:
             return []
         hit = self._fan_out("touch_many", pages, groups)
-        extra = len(groups) - 1
-        self.hops += extra
-        self.hop_seconds += extra * self.spec.hop_latency_s
+        self.hops += len(groups) - 1
         if self.spec.rebalance:
             counts = np.zeros(self._k)
             for shard_id, positions in groups.items():

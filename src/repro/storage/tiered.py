@@ -27,8 +27,9 @@ The miss path follows the SimpleScalar memory-hierarchy taxonomy
 
 Mechanism hits are free, per the snippet's "no additional timing
 penalty" modeling assumption; only backing reads charge time, through
-the wrapped inner model (the sole mover of the simulated disk head), so
-the per-tier partition invariant holds on every fault-free run::
+the wrapped inner model (the sole mover of the simulated disk head),
+and the store adds no stall of its own.  The per-tier partition
+invariant holds on every fault-free run::
 
     requests == tier_hits + victim_hits + stream_hits + miss_hits
                 + backing_pages (+ failed_fills under faults)
@@ -120,9 +121,6 @@ class StorageSpec:
     miss_path: str = "none"
     #: Capacity of the storage-side tier cache, in pages; 0 disables it.
     tier_pages: int = 0
-    #: Simulated stall charged per backing fill call, in seconds --
-    #: the tier's analogue of the fault plane's latency surcharges.
-    fill_stall_s: float = 0.0
     #: Page-file location for the ``mmap`` backend; ``None`` uses a
     #: private temporary file (kept out of cell specs so content hashes
     #: stay machine-independent).
@@ -139,8 +137,6 @@ class StorageSpec:
             )
         if self.tier_pages < 0:
             raise ValueError(f"tier_pages must be >= 0, got {self.tier_pages}")
-        if self.fill_stall_s < 0:
-            raise ValueError(f"fill_stall_s must be >= 0, got {self.fill_stall_s}")
 
     @property
     def tiering_active(self) -> bool:
@@ -176,7 +172,8 @@ class TierStats:
     writebacks: int = 0
     #: Pages whose backing fill failed (exhausted-retries read faults).
     failed_fills: int = 0
-    #: Simulated fill-stall seconds charged (included in ``seconds_busy``).
+    #: Always 0.0: nothing charges a fill stall.  Kept only because
+    #: ``benchmarks/e2e/e2e_bench.py`` reads it into its traced counts.
     stall_seconds: float = 0.0
     #: Page-file slots that failed checksum verification when served.
     torn_detected: int = 0
@@ -203,14 +200,9 @@ class TieredStore:
     them from the healthy model.
     """
 
-    def __init__(
-        self,
-        inner: DiskModel | FaultyDiskModel | None = None,
-        spec: StorageSpec | None = None,
-        page_table=None,
-    ) -> None:
-        self._inner = inner if inner is not None else DiskModel()
-        self.spec = spec or StorageSpec()
+    def __init__(self, inner: DiskModel | FaultyDiskModel, spec: StorageSpec) -> None:
+        self._inner = inner
+        self.spec = spec
         self.tier_stats = TierStats()
         # Plain dicts: insertion order is recency order, least recent first.
         self._tier: dict[int, None] = {}
@@ -224,8 +216,6 @@ class TieredStore:
         self._page_table = None
         self._pagefile: PageFile | None = None
         self._owns_pagefile = False
-        if page_table is not None:
-            self.bind_page_table(page_table)
 
     # -- delegated surface --------------------------------------------------
 
@@ -302,11 +292,6 @@ class TieredStore:
             raise
         ts.backing_pages += len(misses)
         ts.backing_calls += 1
-        stall = self.spec.fill_stall_s
-        if stall:
-            ts.stall_seconds += stall
-            self._inner.stats.seconds_busy += stall
-            elapsed += stall
         if self._pagefile is not None:
             elapsed += self._serve_slots(misses)
         # Nothing below looks a page up, so each structure is refreshed

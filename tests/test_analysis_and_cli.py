@@ -205,7 +205,7 @@ FOREIGN_FLAGS = {
     "--benches": (
         "adhoc_stat",
         ["10", "11", "12"],
-        "--benches applies to --figure 10|11|12; use --panels for Figs 13/17",
+        "--benches applies to --figure 10|11|12, not --figure {figure}",
     ),
     "--panels": ("a", ["13", "17"], "--panels applies to --figure 13|17, not --figure {figure}"),
     "--points": ("2", ["13"], "--points applies to --figure 13, not --figure {figure}"),
@@ -213,8 +213,8 @@ FOREIGN_FLAGS = {
     "--neurons": (
         "6",
         ["3", "10", "11", "12", "13", *SERVING],
-        "--neurons applies to the neuron-tissue grids "
-        "(figures 3, 10-13, clients, chaos, tiers, shards)",
+        "--neurons applies to --figure 3|10|11|12|13|clients|chaos|tiers|shards, "
+        "not --figure {figure}",
     ),
     "--clients": (
         "1,2",
@@ -234,7 +234,7 @@ FOREIGN_FLAGS = {
     "--sequences": (
         "2",
         ["3", "10", "11", "12", "13", "14", "17"],
-        "--sequences does not apply to --figure {figure} (each client runs one session)",
+        "--sequences applies to --figure 3|10|11|12|13|14|17, not --figure {figure}",
     ),
 }
 

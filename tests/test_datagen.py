@@ -47,12 +47,6 @@ class TestGrowTree:
         assert n_branches == 7
         assert 7 * 3 <= len(tree.p0) <= 7 * 5
 
-    def test_branch_id_offset(self, rng):
-        tree = grow_tree(
-            rng, np.zeros(3), np.array([0, 0, 1.0]), self.config(), branch_id_offset=100
-        )
-        assert tree.branch_of_object.min() >= 100
-
     def test_segments_are_connected_chains(self, rng):
         tree = grow_tree(rng, np.zeros(3), np.array([0, 0, 1.0]), self.config())
         for branch in np.unique(tree.branch_of_object):

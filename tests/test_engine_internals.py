@@ -16,6 +16,7 @@ from repro.geometry import AABB
 from repro.index import STRTree
 from repro.index.base import region_corners
 from repro.sim import SimulationEngine
+from repro.sim.engine import INCREMENTAL_ADVANCE_FRACTION
 from repro.storage.disk import POSITIONING_S, STRIPE_WAYS, TRANSFER_S_PER_PAGE
 from repro.workload import generate_sequence, generate_sequences
 
@@ -75,7 +76,7 @@ class TestIncrementalRegions:
         # Each step advances by a fraction of the side it just probed.
         starts = offsets - half_sides
         assert starts[0] == 0.0
-        assert np.diff(starts) == pytest.approx(sides[:-1] * cfg.incremental_advance_fraction)
+        assert np.diff(starts) == pytest.approx(sides[:-1] * INCREMENTAL_ADVANCE_FRACTION)
 
     def test_regions_advance_along_direction(self, engine):
         target = self.make_target(direction=(0.0, 3.0, 4.0), anchor=(1.0, 2.0, 3.0))

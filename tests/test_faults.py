@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import EWMAPrefetcher
-from repro.sim import SimulationConfig, run_experiment
+from repro.sim import QuerySession, SimulationConfig, SimulationEngine, run_experiment
 from repro.sim.results import ResultStore, merge_stores
 from repro.sim.runner import (
     CellSpec,
@@ -303,6 +303,34 @@ class TestCircuitBreaker:
         # every close was preceded by a half-open probe.
         assert all(state == CircuitBreaker.OPEN for allowed, state in trace if not allowed)
         assert closes <= half_opens <= opens
+
+    @pytest.mark.parametrize("cooldown", [1, 2, 3, 4])
+    def test_a_trip_degrades_cooldown_minus_one_queries(self, tissue, tissue_flat, cooldown):
+        """Session level: between a trip and its probe, ``cooldown - 1``
+        queries are served degraded."""
+        plan = FaultPlan(transient_rate=1.0, breaker_threshold=1, breaker_cooldown=cooldown)
+        config = SimulationConfig(faults=plan)
+        (sequence,) = generate_sequences(
+            tissue, n_sequences=1, seed=3, n_queries=40, volume=60_000.0
+        )
+        session = QuerySession(
+            SimulationEngine(tissue_flat, config), sequence, EWMAPrefetcher(lam=0.3)
+        )
+        assert isinstance(session.disk, FaultyDiskModel)
+        mine = session.client_metrics
+        runs, run = [], None
+        while not session.done:
+            degraded, opens = mine.degraded_ticks, mine.breaker_opens
+            session.step_query()
+            if mine.degraded_ticks > degraded:
+                run += 1
+            elif run is not None:
+                runs.append(run)  # this query was the probe
+                run = None
+            if mine.breaker_opens > opens:
+                run = 0
+        assert len(runs) >= 3
+        assert runs == [cooldown - 1] * len(runs)
 
 
 # -- serving under faults ----------------------------------------------------------

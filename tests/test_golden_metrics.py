@@ -240,7 +240,6 @@ def compute_serving_metrics(spec: CellSpec) -> dict:
             tier_hits=int(report.tier_hits),
             miss_path_hits=int(report.miss_path_hits),
             tier_fills=int(report.tier_fills),
-            tier_stall_seconds=float(report.tier_stall_seconds),
         )
     if report.shards_active:
         # Routing-side keys only when the cell shards the cache (K > 1),

@@ -6,7 +6,9 @@ its DESIGN.md section, the paths it scans, one finder (a line regex with
 finder), the lines it allows, the counterexamples it must flag and the
 near misses it must spare.  The tree obeys every row, and every row is
 proven to fire.  :data:`REMOVED_KEYWORDS` binds each keyword only tests
-set against its callable's signature (DESIGN.md §2).
+set against its callable's signature (DESIGN.md §2), and
+:data:`SPEC_FIELDS` pins what the layer specs and the engine config
+still let a caller set.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import ast
 import inspect
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -29,9 +31,13 @@ from repro.datagen import (
     make_neuron_tissue,
     make_road_network,
 )
+from repro.datagen.branching import grow_tree
 from repro.geometry import Frustum
 from repro.serve.loadgen import bursty_arrivals, run_loadgen
-from repro.sim.engine import QuerySession
+from repro.sim.engine import QuerySession, SimulationConfig
+from repro.storage.faults import FaultyDiskModel
+from repro.storage.sharded import ShardSpec
+from repro.storage.tiered import StorageSpec, TieredStore
 
 PACKAGE = Path(repro.__file__).parent
 
@@ -315,9 +321,20 @@ RULES = {
         r"|charge_prediction_cost|match_distance_factor|max_prefetch_locations"
         r"|gap_io_budget_fraction|target_density|n_highways|segments_per_road"
         r"|drop_probability|cells_per_axis|n_prefetch_cells|max_iterations|on_mean_s"
-        r"|off_mean_s|connect_timeout|include_diagonal|LayeredPrefetcher)\b",
-        flags=("latency_factor = 2.0", "class LayeredPrefetcher(Prefetcher):"),
-        spares=("fig17_query_volume = 24",),
+        r"|off_mean_s|connect_timeout|include_diagonal|LayeredPrefetcher|fill_stall_s"
+        r"|hop_latency_s|incremental_advance_fraction|branch_id_offset)\b",
+        flags=(
+            "latency_factor = 2.0",
+            "class LayeredPrefetcher(Prefetcher):",
+            "    fill_stall_s: float = 0.0",
+            "self.hop_seconds += extra * self.spec.hop_latency_s",
+        ),
+        spares=(
+            "fig17_query_volume = 24",
+            "    stall_seconds: float = 0.0",
+            "        self.hop_seconds = 0.0",
+            "            advanced += region_side * INCREMENTAL_ADVANCE_FRACTION",
+        ),
     ),
     "No retired timing harness": Rule(
         "§4",
@@ -455,6 +472,11 @@ REMOVED_KEYWORDS = {
     bursty_arrivals: ("on_mean_s", "off_mean_s"),
     run_loadgen: ("connect_timeout",),
     QuerySession.step_query: ("result",),
+    StorageSpec: ("fill_stall_s",),
+    ShardSpec: ("hop_latency_s",),
+    SimulationConfig: ("incremental_advance_fraction",),
+    TieredStore: ("page_table",),
+    grow_tree: ("branch_id_offset",),
 }
 
 
@@ -469,3 +491,36 @@ REMOVED_KEYWORDS = {
 def test_setting_only_tests_set_is_gone(target, keyword):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         inspect.signature(target).bind_partial(**{keyword: None})
+
+
+#: Constructors that take no optional argument: their defaults were set
+#: only by tests.
+NO_OPTIONAL_ARGUMENT = (TieredStore, FaultyDiskModel)
+
+
+@pytest.mark.parametrize("target", NO_OPTIONAL_ARGUMENT, ids=lambda target: target.__qualname__)
+def test_no_optional_argument(target):
+    parameters = inspect.signature(target).parameters.values()
+    assert [p.name for p in parameters if p.default is not p.empty] == []
+
+
+#: Every settable field of the layer specs and the engine config, in order.
+SPEC_FIELDS = {
+    StorageSpec: ("backend", "miss_path", "tier_pages", "path"),
+    ShardSpec: ("n_shards", "partition", "shard_cache_pages", "rebalance", "rebalance_interval"),
+    SimulationConfig: (
+        "cache_capacity_pages",
+        "incremental_start_fraction",
+        "incremental_growth",
+        "incremental_max_fraction",
+        "incremental_max_steps",
+        "faults",
+        "storage",
+        "shards",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", SPEC_FIELDS, ids=lambda spec: spec.__qualname__)
+def test_spec_fields_are_pinned(spec):
+    assert tuple(field.name for field in fields(spec)) == SPEC_FIELDS[spec]

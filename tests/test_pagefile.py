@@ -230,7 +230,8 @@ class TestCrashRecovery:
 
         table = small_table()
         spec = StorageSpec(backend="mmap", path=str(tmp_path / "pages.pf"))
-        store = TieredStore(DiskModel(), spec, page_table=table)
+        store = TieredStore(DiskModel(), spec)
+        store.bind_page_table(table)
         served = []
         verify = PageFile.read_page
         monkeypatch.setattr(
@@ -319,8 +320,9 @@ def test_ram_and_mmap_backends_are_metric_identical(tmp_path):
         path=str(tmp_path / "pages.pf"),
     )
     ram_disk, mm_disk = DiskModel(), DiskModel()
-    ram = TieredStore(ram_disk, spec_ram, page_table=table)
-    mm = TieredStore(mm_disk, spec_mmap, page_table=table)
+    ram, mm = TieredStore(ram_disk, spec_ram), TieredStore(mm_disk, spec_mmap)
+    ram.bind_page_table(table)
+    mm.bind_page_table(table)
     try:
         for batch in ([0, 1], [1, 2], [3], [0, 1, 2, 3], []):
             assert mm.read_pages(batch) == ram.read_pages(batch)

@@ -57,9 +57,7 @@ def _spec(i: int) -> dict:
 
 def _metrics(i: int) -> AggregateMetrics:
     tiers = (
-        dict(tier_hits=3 * i, miss_path_hits=i, tier_fills=5 + i, tier_stall_seconds=0.125 * i)
-        if i % 2
-        else {}
+        dict(tier_hits=3 * i, miss_path_hits=i, tier_fills=5 + i) if i % 2 else {}
     )
     return AggregateMetrics(
         n_sequences=2,

@@ -296,7 +296,6 @@ class TestDisabledLayerIsNotBuilt:
             pytest.param("faults", FaultPlan(), id="zero-rate-plan"),
             pytest.param("faults", FaultPlan(breaker=False), id="zero-rate-plan-no-breaker"),
             pytest.param("storage", StorageSpec(), id="default-storage"),
-            pytest.param("storage", StorageSpec(fill_stall_s=0.01), id="stall-without-tier"),
             pytest.param("shards", ShardSpec(n_shards=1), id="one-shard"),
             pytest.param(
                 "shards", ShardSpec(n_shards=1, shard_cache_pages=32), id="one-sized-shard"

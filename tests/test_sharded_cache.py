@@ -191,15 +191,15 @@ class TestPartitionLaws:
         )
         assert [s.capacity_pages for s in pinned.shards] == [7, 7, 7]
 
-    def test_hop_accounting_charges_per_extra_shard(self, tissue_flat):
-        cache = hilbert_cache(tissue_flat, 4, hop_latency_s=0.25)
+    def test_hops_count_each_extra_shard(self, tissue_flat):
+        cache = hilbert_cache(tissue_flat, 4)
         pages = np.arange(tissue_flat.page_table.n_pages, dtype=np.int64)
         routed = cache.route_many(pages)
         span = int(np.unique(routed).size)
         assert span == 4  # the whole table fans out to every shard
         cache.touch_many(pages)
         assert cache.hops == span - 1
-        assert cache.hop_seconds == pytest.approx((span - 1) * 0.25)
+        assert cache.hop_seconds == 0.0  # a hop charges no time
         one_shard = pages[routed == routed[0]]
         before = cache.hops
         cache.touch_many(one_shard)
@@ -229,7 +229,6 @@ class TestSpecValidation:
             (dict(n_shards=0), "n_shards"),
             (dict(partition="range"), "unknown partition"),
             (dict(shard_cache_pages=-1), "shard_cache_pages"),
-            (dict(hop_latency_s=-0.1), "hop_latency_s"),
             (dict(n_shards=2, partition="hash", rebalance=True), "rebalance requires"),
             (dict(rebalance_interval=0), "rebalance_interval"),
         ],
@@ -291,7 +290,7 @@ class TestRebalancer:
         assert listing(first) == listing(second)
 
     def test_scalar_touch_is_a_batch_of_one(self):
-        """``touch(p)`` feeds the hop clock and the load EWMA like ``touch_many([p])``."""
+        """``touch(p)`` counts hops and feeds the load EWMA like ``touch_many([p])``."""
         index = FlatIndex(make_neuron_tissue(n_neurons=8, seed=7), fanout=16)
         scalar, batched = (
             hilbert_cache(index, 4, pages_per_shard=8, rebalance=True, rebalance_interval=1)
@@ -304,7 +303,7 @@ class TestRebalancer:
             page = pages[i % 20]
             assert scalar.touch(page) == batched.touch_many([page])[0]
         assert scalar.rebalance_events == batched.rebalance_events == 79
-        assert (scalar.hops, scalar.hop_seconds) == (batched.hops, batched.hop_seconds)
+        assert scalar.hops == batched.hops
         assert np.array_equal(scalar._ewma, batched._ewma)
         assert scalar.per_shard_stats() == batched.per_shard_stats()
         assert listing(scalar) == listing(batched)

@@ -332,20 +332,18 @@ class TestLayerPartitionInvariant:
         assert store.tier_stats.backing_pages == len(tails) + 1
         assert store.tier_stats.stream_hits == 1
 
-    def test_fill_stall_charges_simulated_time(self):
-        spec = StorageSpec(tier_pages=4, fill_stall_s=0.25)
+    def test_a_backing_fill_charges_the_inner_read_only(self):
         inner = DiskModel()
-        store = TieredStore(inner, spec)
-        elapsed = store.read_pages([7])
+        store = TieredStore(inner, StorageSpec(tier_pages=4))
         bare = DiskModel().read_pages([7])
-        assert elapsed == pytest.approx(bare + 0.25)
-        assert store.tier_stats.stall_seconds == pytest.approx(0.25)
-        assert inner.stats.seconds_busy == pytest.approx(bare + 0.25)
+        assert store.read_pages([7]) == bare
+        assert inner.stats.seconds_busy == bare
+        assert store.tier_stats.stall_seconds == 0.0
 
 
 class TestStorageSpec:
     def test_roundtrips_through_dict(self):
-        spec = StorageSpec(miss_path="combined", tier_pages=5, fill_stall_s=0.1)
+        spec = StorageSpec(miss_path="combined", tier_pages=5)
         assert _layer_spec("storage", dataclasses.asdict(spec)) == spec
 
     def test_rejects_unknown_keys(self):
@@ -356,11 +354,9 @@ class TestStorageSpec:
         with pytest.raises(ValueError, match="unknown miss path"):
             StorageSpec(miss_path="assoc")
 
-    def test_rejects_negative_tier_or_stall(self):
+    def test_rejects_negative_tier_pages(self):
         with pytest.raises(ValueError, match="tier_pages"):
             StorageSpec(tier_pages=-1)
-        with pytest.raises(ValueError, match="fill_stall_s"):
-            StorageSpec(fill_stall_s=-1.0)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
@@ -431,34 +427,32 @@ def test_round_robin_and_lockstep_agree_over_a_tiered_store(miss_path):
 
 
 def test_serving_report_reads_the_layers_counters(monkeypatch):
-    """The tier and hop totals have one owner, the layer: the report
-    carries the counters of the store and cache its run built."""
+    """The tier totals have one owner, the layer: the report carries the
+    counters of the store its run built."""
     from repro.sim import ServingSimulator, SimulationConfig
     from repro.storage.sharded import ShardSpec
 
     built = {}
-    for name in ("build_disk", "build_cache"):
+    build = SimulationConfig.build_disk
 
-        def capture(self, *args, _name=name, _build=getattr(SimulationConfig, name)):
-            built[_name] = _build(self, *args)
-            return built[_name]
+    def capture(self):
+        built["disk"] = build(self)
+        return built["disk"]
 
-        monkeypatch.setattr(SimulationConfig, name, capture)
+    monkeypatch.setattr(SimulationConfig, "build_disk", capture)
 
     index, clients, fleet = _serving_fixture()
     config = SimulationConfig(
-        storage=StorageSpec(miss_path="combined", tier_pages=8, fill_stall_s=1e-3),
-        shards=ShardSpec(n_shards=4, partition="hash", hop_latency_s=1e-4),
+        storage=StorageSpec(miss_path="combined", tier_pages=8),
+        shards=ShardSpec(n_shards=4, partition="hash"),
     )
     for simulator in (RoundRobinSimulator, ServingSimulator):
         report = simulator(index, config).run(clients, fleet())
-        ts, cache = built["build_disk"].tier_stats, built["build_cache"]
+        ts = built["disk"].tier_stats
         layers = dict(
             tier_hits=ts.tier_hits,
             miss_path_hits=ts.mechanism_hits,
             tier_fills=ts.backing_pages,
-            tier_stall_seconds=ts.stall_seconds,
-            shard_hop_seconds=cache.hop_seconds,
         )
         assert report.tiers_active and report.shards_active
         assert {name: getattr(report, name) for name in layers} == layers

@@ -259,10 +259,10 @@ def _dataset_bytes(dataset: Dataset) -> tuple:
     return (dataset.name, dataset.dims, *(_array_bytes(a) for a in arrays), edges)
 
 
-def _assert_same_tree(rng_args, root, direction, config, branch_id_offset=0):
+def _assert_same_tree(rng_args, root, direction, config):
     walk_rng, rng = np.random.default_rng(*rng_args), np.random.default_rng(*rng_args)
-    expected = _walked_tree(walk_rng, root, direction, config, branch_id_offset)
-    tree = grow_tree(rng, root, direction, config, branch_id_offset)
+    expected = _walked_tree(walk_rng, root, direction, config)
+    tree = grow_tree(rng, root, direction, config)
     assert _tree_bytes(tree) == _tree_bytes(expected)
     assert rng.bit_generator.state == walk_rng.bit_generator.state
 
@@ -281,7 +281,6 @@ class TestMatchesTheWalk:
         direction_jitter=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**32 - 1),
         direction=st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, -2.0, 0.5)]),
-        branch_id_offset=st.integers(0, 50),
     )
     def test_grow_tree(
         self,
@@ -293,7 +292,6 @@ class TestMatchesTheWalk:
         direction_jitter,
         seed,
         direction,
-        branch_id_offset,
     ):
         config = BranchingConfig(
             n_stems=n_stems,
@@ -304,7 +302,7 @@ class TestMatchesTheWalk:
             direction_jitter=direction_jitter,
         )
         root = np.array([1.5, -3.0, 7.25])
-        _assert_same_tree((seed,), root, np.array(direction), config, branch_id_offset)
+        _assert_same_tree((seed,), root, np.array(direction), config)
 
     @pytest.mark.parametrize("n_neurons", [1, 8, 16, 40])
     def test_neuron_tissue(self, n_neurons):
