@@ -589,7 +589,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="page-file path for --storage mmap (reused if it exists; "
-        "default: a fresh temp file, removed at shutdown)",
+        "default: a private temp file, unlinked as soon as it is mapped)",
     )
     parser.add_argument(
         "--shards",

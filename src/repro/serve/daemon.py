@@ -10,8 +10,8 @@ queries inline on the loop through the simulator's own tick,
 first query whose connection is already in it: concurrency lives in
 the *queueing*, not in threads, and the shared cache is single-writer
 by construction.  Each pool walk's index results are fetched at boot;
-when plans are shareable each walk is also taped on its first query
-(:func:`~repro.sim.serve.plan_tapes`) and the tick replays the tape
+when plans are shareable every pool walk is also taped at boot, in one
+:func:`~repro.sim.serve.plan_tapes` call, and the tick replays the tape
 instead of recomputing the pure work, for each session until its
 breaker first opens; cache touches, disk reads and budget spending
 still run per request, in FIFO order.
@@ -135,7 +135,7 @@ class DaemonConfig:
     #: Storage-side tier cache capacity in pages; 0 disables the tier.
     tier_pages: int = 0
     #: Page-file path for the ``mmap`` backend (``None``: a private temp
-    #: file, removed at shutdown).
+    #: file, unlinked as soon as it is mapped).
     pagefile: str | None = None
     #: Cache shard count; 0 or 1 keeps the single unsharded cache, K > 1
     #: routes every touch through a :class:`~repro.storage.sharded.
@@ -198,19 +198,12 @@ class _Outbox:
 
 
 class _ConnectionState:
-    """One connection's session slot (renewed in place when exhausted).
+    """One connection's session slot (renewed in place when exhausted)."""
 
-    ``walk_tape`` is the walk's plan tape, the one list every connection
-    on the walk shares: empty until the walk's first query fills it,
-    and for good when plans are not shareable or that build raised.
-    """
+    __slots__ = ("client_id", "session", "sessions_completed")
 
-    __slots__ = ("client_id", "walk", "walk_tape", "session", "sessions_completed")
-
-    def __init__(self, client_id: int, walk: int, walk_tape: list, session: QuerySession):
+    def __init__(self, client_id: int, session: QuerySession):
         self.client_id = client_id
-        self.walk = walk
-        self.walk_tape = walk_tape
         self.session = session
         self.sessions_completed = 0
 
@@ -259,12 +252,8 @@ class ServeDaemon:
         )
         self.engine = SimulationEngine(self.index, self.sim_config)
         self.cache = self.sim_config.build_cache(self.index)
-        self.disk = self.sim_config.build_disk()
-        if isinstance(self.disk, TieredStore):
-            # Sessions would bind lazily, but the daemon serves pages from
-            # its very first query -- materialize the page file up front so
-            # a bad --pagefile fails at boot, not mid-request.
-            self.disk.bind_page_table(self.index.page_table)
+        # An mmap store opens its page file here: a bad --pagefile fails the boot.
+        self.disk = self.sim_config.build_disk(self.index)
         self.pool = multiclient_sessions(
             self.dataset,
             n_clients=config.session_pool,
@@ -276,14 +265,16 @@ class ServeDaemon:
         self._make_prefetcher = functools.partial(
             default_prefetcher(config.prefetcher).build, self.dataset, self.index
         )
-        # Per pool walk (DESIGN.md §8): its index results, fetched once, and
-        # its plan tape, filled on its first query (``_untaped`` holds the
-        # walks still to try; every session runs the configured prefetcher,
-        # so one instance decides eligibility for all).
+        # Per pool walk (DESIGN.md §8): its index results and, when plans
+        # are shareable, its plan tape, both built here from one throwaway
+        # session per walk (every session runs the configured prefetcher,
+        # so one instance decides eligibility for all).  A build that
+        # raises fails the boot.
         self._results = [walk_results(self.index, client.sequence) for client in self.pool]
-        self._tapes: list[list] = [[] for _ in self.pool]
-        shareable = plans_shareable([self._make_prefetcher()])
-        self._untaped = set(range(len(self.pool))) if shareable else set()
+        self._tapes: list[list | None] = [None] * len(self.pool)
+        if plans_shareable([self._make_prefetcher()]):
+            walks = range(len(self.pool))
+            self._tapes = plan_tapes(self.index, [self._session(walk, None) for walk in walks])
 
         self.recorder = LatencyRecorder()
         #: Each interval report's latency summary, in order.
@@ -539,26 +530,17 @@ class ServeDaemon:
             self._wakeup = None
 
     def _join(self, job: _Job, tick: dict) -> None:
-        """Add a job to the tick: renew an exhausted session, tape a new walk
-        once (a build that raises answers its job alone, untaped for good)."""
+        """Add a job to the tick, renewing its exhausted session first."""
         state = job.state
-        try:
-            if state.session.done:
-                state.session = state.session.renew(self._make_prefetcher())
-                state.sessions_completed += 1
-                self.sessions_completed += 1
-            if not state.walk_tape and state.walk in self._untaped:
-                self._untaped.discard(state.walk)
-                state.walk_tape.extend(*plan_tapes(self.index, [state.session]))
-        except Exception as error:  # defensive: a session bug must not kill the loop
-            self.recorder.count_error()
-            job.frame = encode_frame({"ok": False, "error": f"{type(error).__name__}: {error}"})
-        else:
-            tick[state] = job
+        if state.session.done:
+            state.session = state.session.renew(self._make_prefetcher())
+            state.sessions_completed += 1
+            self.sessions_completed += 1
+        tick[state] = job
 
     def _run_tick(self, tick: dict) -> None:
         """Step one tick; a step that raises fails its job and every job behind it."""
-        records = step_tick(self.index, [(state.session, state.walk_tape) for state in tick])
+        records = step_tick(self.index, [state.session for state in tick])
         try:
             for (state, job), (record, replayed) in zip(tick.items(), records):
                 self.plans_replayed += replayed
@@ -700,8 +682,11 @@ class ServeDaemon:
     def _open_session(self) -> _ConnectionState:
         client_id = self._next_client_id
         self._next_client_id += 1
-        walk = client_id % len(self.pool)
-        session = QuerySession(
+        return _ConnectionState(client_id, self._session(client_id % len(self.pool), client_id))
+
+    def _session(self, walk: int, client_id: int | None) -> QuerySession:
+        """A fresh session on pool walk ``walk``, with its results and tape."""
+        return QuerySession(
             self.engine,
             self.pool[walk].sequence,
             self._make_prefetcher(),
@@ -709,8 +694,8 @@ class ServeDaemon:
             disk=self.disk,
             client_id=client_id,
             results=self._results[walk],
+            tape=self._tapes[walk],
         )
-        return _ConnectionState(client_id, walk, self._tapes[walk], session)
 
     def _admit(self, state: _ConnectionState | None, outbox: _Outbox) -> None:
         """Admission control: queue the query, or answer it now (shed or error)."""

@@ -222,8 +222,9 @@ class SimulationConfig:
     # behaviour builds nothing.  Reports keep reading the *config* for
     # their gate flags, so an inert spec still echoes in stored records.
 
-    def build_disk(self) -> DiskModel | FaultyDiskModel | TieredStore:
-        """The disk this config prescribes: bare, fault-wrapped, tiered."""
+    def build_disk(self, index: SpatialIndex) -> DiskModel | FaultyDiskModel | TieredStore:
+        """The disk this config prescribes: bare, fault-wrapped, tiered.
+        A store is bound to ``index``'s page table here, where it is built."""
         faults, storage = self.faults, self.storage
         if faults is None or not faults.active:
             disk: DiskModel | FaultyDiskModel = DiskModel()
@@ -232,7 +233,9 @@ class SimulationConfig:
         # An mmap store serves real bytes even with tiering off.
         if storage is None or (not storage.tiering_active and storage.backend == "ram"):
             return disk
-        return TieredStore(disk, storage)
+        store = TieredStore(disk, storage)
+        store.bind_page_table(index.page_table)
+        return store
 
     def build_cache(self, index: SpatialIndex) -> PrefetchCache | ShardedCache:
         """The prefetch cache this config prescribes: plain or sharded."""
@@ -457,13 +460,14 @@ class QuerySession:
         disk: DiskModel | None = None,
         client_id: int | None = None,
         results: list | None = None,
+        tape: list | None = None,
     ) -> None:
         self.engine = engine
         self.sequence = sequence
         self.prefetcher = prefetcher
         config = engine.config
         self.cache = config.build_cache(engine.index) if cache is None else cache
-        self.disk = config.build_disk() if disk is None else disk
+        self.disk = config.build_disk(engine.index) if disk is None else disk
         self.client_id = client_id
         self.metrics = SequenceMetrics()
         #: This client's per-sequence records plus its shared-cache and
@@ -475,8 +479,9 @@ class QuerySession:
         self._left_tape = False
         #: The walk's index results: a serving run's one fetch, or this one.
         self.results = walk_results(engine.index, sequence) if results is None else results
-        if isinstance(self.disk, TieredStore):
-            self.disk.bind_page_table(engine.index.page_table)
+        #: The walk's plan tape, shared by every session on the walk
+        #: (``tape_entry``); ``None`` steps untaped.
+        self.tape = tape
         # Armed from the config's plan: every driver builds the disk it
         # passes in from this same config (``build_disk``).
         self._breaker: CircuitBreaker | None = None
@@ -498,7 +503,7 @@ class QuerySession:
         return self._cursor
 
     def renew(self, prefetcher: Prefetcher) -> "QuerySession":
-        """A fresh session on the same sequence, results, cache, disk and client id.
+        """A fresh session on the same sequence, results, tape, cache, disk and client id.
 
         The serving daemon's session-reuse hook (DESIGN.md §8): a
         connection whose session is exhausted wraps around to a new one
@@ -514,6 +519,7 @@ class QuerySession:
             disk=self.disk,
             client_id=self.client_id,
             results=self.results,
+            tape=self.tape,
         )
 
     # -- stepping -------------------------------------------------------------------
@@ -595,8 +601,8 @@ class QuerySession:
         self.step_query(work)
         return work
 
-    def tape_entry(self, tape: list | None) -> "_QueryBundle | None":
-        """This step's entry of its walk's plan ``tape``; ``None`` steps untaped.
+    def tape_entry(self) -> "_QueryBundle | None":
+        """This step's entry of its walk's plan tape; ``None`` steps untaped.
 
         A session replays its walk's tape from its first query until its
         breaker first opens, then leaves it for good (DESIGN.md §6.1, §7):
@@ -606,11 +612,11 @@ class QuerySession:
         never opened never skipped one, so that history is exact.  A
         renewal is a new session and starts on the tape again.
         """
-        if not tape:
+        if self.tape is None:
             return None
         breaker = self._breaker
         if breaker is None or not breaker.opens:
-            return tape[self._cursor]
+            return self.tape[self._cursor]
         if not self._left_tape:
             self._left_tape = True
             for cursor in range(self._cursor):

@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "ADDITIVE_METRICS",
     "AggregateMetrics",
+    "BASE_METRICS",
     "ClientMetrics",
     "LatencyReport",
     "QueryRecord",
@@ -115,6 +116,30 @@ class SequenceMetrics:
 
 def _ints(values) -> list[int]:
     return [int(v) for v in values]
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+#: The base metric keys: ``(name, cast)`` of every field every
+#: :class:`AggregateMetrics` carries, in emission order.  Every stored
+#: record holds all of them (one missing makes the record stale); the
+#: value is stored as computed and read back through ``cast``, and an
+#: infinite ``speedup`` is stored as ``null``.
+#: :func:`repro.sim.results.metrics_to_dict` / ``metrics_from_dict``
+#: iterate this table and :data:`ADDITIVE_METRICS` after it.
+BASE_METRICS: tuple[tuple[str, type], ...] = (
+    ("n_sequences", int),
+    ("cache_hit_rate", float),
+    ("hit_rate_std", float),
+    ("speedup", float),
+    ("response_seconds", float),
+    ("cold_seconds", float),
+    ("graph_build_seconds", float),
+    ("prediction_seconds", float),
+    ("per_sequence_hit_rates", _floats),
+)
 
 
 #: The additive metric keys: ``(name, cast, gate)`` in *emission order*

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.sim.metrics import ADDITIVE_METRICS, AggregateMetrics
+from repro.sim.metrics import ADDITIVE_METRICS, BASE_METRICS, AggregateMetrics
 from repro.util import slice_of
 
 __all__ = [
@@ -78,20 +78,6 @@ STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 _STATUSES = (STATUS_OK, STATUS_FAILED, STATUS_TIMEOUT)
 
-#: Fields every persisted metrics dict must carry (mirrors
-#: :class:`~repro.sim.metrics.AggregateMetrics`).
-_METRIC_FIELDS = (
-    "n_sequences",
-    "cache_hit_rate",
-    "hit_rate_std",
-    "speedup",
-    "response_seconds",
-    "cold_seconds",
-    "graph_build_seconds",
-    "prediction_seconds",
-    "per_sequence_hit_rates",
-)
-
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON used for hashing and cache keys."""
@@ -106,26 +92,19 @@ def cell_key(spec: Mapping[str, Any]) -> str:
 def metrics_to_dict(metrics: AggregateMetrics) -> dict[str, Any]:
     """JSON-safe dict of one cell's aggregate metrics.
 
-    An infinite speedup (zero residual I/O) is stored as ``null``;
-    :func:`metrics_from_dict` restores it.
+    Every :data:`~repro.sim.metrics.BASE_METRICS` key is present, in
+    table order; an infinite speedup (zero residual I/O) is stored as
+    ``null``, and :func:`metrics_from_dict` restores it.
 
     The :data:`~repro.sim.metrics.ADDITIVE_METRICS` keys are present
     only when set (serving cells; a layer's counters only when the
     layer is active), in table order, so records of cells that predate
     a key -- and therefore existing stores -- stay byte-identical.
     """
-    speedup = metrics.speedup
-    data = {
-        "n_sequences": metrics.n_sequences,
-        "cache_hit_rate": metrics.cache_hit_rate,
-        "hit_rate_std": metrics.hit_rate_std,
-        "speedup": None if math.isinf(speedup) else speedup,
-        "response_seconds": metrics.response_seconds,
-        "cold_seconds": metrics.cold_seconds,
-        "graph_build_seconds": metrics.graph_build_seconds,
-        "prediction_seconds": metrics.prediction_seconds,
-        "per_sequence_hit_rates": list(metrics.per_sequence_hit_rates),
-    }
+    data = {name: getattr(metrics, name) for name, _ in BASE_METRICS}
+    if math.isinf(data["speedup"]):
+        data["speedup"] = None
+    data["per_sequence_hit_rates"] = list(data["per_sequence_hit_rates"])
     for name, cast, _ in ADDITIVE_METRICS:
         value = getattr(metrics, name)
         if value is not None:
@@ -135,17 +114,9 @@ def metrics_to_dict(metrics: AggregateMetrics) -> dict[str, Any]:
 
 def metrics_from_dict(data: Mapping[str, Any]) -> AggregateMetrics:
     """Rebuild :class:`AggregateMetrics` from a stored record."""
-    speedup = data["speedup"]
+    base = {**data, "speedup": math.inf if data["speedup"] is None else data["speedup"]}
     return AggregateMetrics(
-        n_sequences=int(data["n_sequences"]),
-        cache_hit_rate=float(data["cache_hit_rate"]),
-        hit_rate_std=float(data["hit_rate_std"]),
-        speedup=float("inf") if speedup is None else float(speedup),
-        response_seconds=float(data["response_seconds"]),
-        cold_seconds=float(data["cold_seconds"]),
-        graph_build_seconds=float(data["graph_build_seconds"]),
-        prediction_seconds=float(data["prediction_seconds"]),
-        per_sequence_hit_rates=[float(r) for r in data["per_sequence_hit_rates"]],
+        **{name: cast(base[name]) for name, cast in BASE_METRICS},
         **{
             name: None if data.get(name) is None else cast(data[name])
             for name, cast, _ in ADDITIVE_METRICS
@@ -269,7 +240,7 @@ def _classify_record(record: Any) -> str:
         metrics = record.get("metrics")
         if not isinstance(metrics, dict):
             return _STALE
-        if not all(field_name in metrics for field_name in _METRIC_FIELDS):
+        if not all(name in metrics for name, _ in BASE_METRICS):
             # Valid JSON from an older revision that tracked fewer
             # metrics: explicitly stale, never silently rendered.
             return _STALE

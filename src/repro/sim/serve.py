@@ -20,10 +20,11 @@ pressure that decides whether prefetching still pays off at scale
 One scheduler steps those ticks, one :func:`step_tick` each -- the tick
 the serving daemon runs too.  Each walk's index results are fetched
 once per run; when :func:`plans_shareable` holds, each walk is taped
-once before anything steps (:func:`plan_tapes`) and every tick replays
-it for each session whose breaker has never opened; every other step
-has its pure work filled ahead by the tick (``fill_ahead``, one
-``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
+once before anything steps (:func:`plan_tapes`, as the daemon tapes
+its pool at boot), every session carries its walk's tape as it carries
+its results, and every tick replays it for each session whose breaker
+has never opened; every other step has its pure work filled ahead by
+the tick (``fill_ahead``, one ``pages_for_regions`` pass).  Only *pure* work is ever hoisted or
 shared; every cache touch, disk read and budget decision still executes
 in exact client order.  The proof is a test oracle that shares none of
 that machinery, ``tests/oracles/serving.py::RoundRobinSimulator`` (one
@@ -98,28 +99,26 @@ def plan_tapes(
 
 
 def step_tick(
-    index: SpatialIndex, entries: list[tuple[QuerySession, list | None]]
+    index: SpatialIndex, sessions: list[QuerySession]
 ) -> Iterator[tuple[QueryRecord, bool]]:
-    """Step each ``(session, tape)`` entry once, in entry order, yielding
-    its record and whether it replayed the tape.
+    """Step each session once, in list order, yielding its record and
+    whether it replayed its walk's tape.
 
     The one tick of the shared-cache plane (DESIGN.md §6.1, §8), fed the
     active clients by the simulator's scheduler and the admitted jobs by the
-    daemon; a session appears at most once.  An entry whose session is
-    on its tape (:meth:`~repro.sim.engine.QuerySession.tape_entry`)
-    replays it; the others are filled ahead (``fill_ahead`` each) and
-    share one ``resolve_ahead``, made only when there is one.  A step
-    that raises ends the tick: the entries behind it do not advance.
+    daemon; a session appears at most once.  A session on its tape
+    (:meth:`~repro.sim.engine.QuerySession.tape_entry`) replays it; the
+    others are filled ahead (``fill_ahead`` each) and share one
+    ``resolve_ahead``, made only when there is one.  A step that raises
+    ends the tick: the sessions behind it do not advance.
     """
-    taped = [session.tape_entry(tape) for session, tape in entries]
+    taped = [session.tape_entry() for session in sessions]
     bundles = []
     if None in taped:
-        bundles = [
-            session.fill_ahead() for (session, _), work in zip(entries, taped) if work is None
-        ]
+        bundles = [session.fill_ahead() for session, work in zip(sessions, taped) if work is None]
         resolve_ahead(index, [stream for work in bundles for stream in work.streams or ()])
     filled = iter(bundles)
-    for (session, _), work in zip(entries, taped):
+    for session, work in zip(sessions, taped):
         if work is None:
             yield session.step_query(next(filled)), False
         else:
@@ -174,7 +173,7 @@ class ServingSimulator:
         tiered = self.config.storage is not None and self.config.storage.tiering_active
         sharded = self.config.shards is not None and self.config.shards.sharding_active
         cache = self.config.build_cache(self.index)
-        disk = self.config.build_disk()
+        disk = self.config.build_disk(self.index)
         walks = {id(client.sequence): client.sequence for client in clients}
         results = {key: walk_results(self.index, walk) for key, walk in walks.items()}
         sessions = [
@@ -222,27 +221,28 @@ class ServingSimulator:
         """One :func:`step_tick` per tick, in client order; returns the tick count.
 
         With shareable plans, each distinct sequence object is taped up
-        front from its first session, all in one :func:`plan_tapes`; a
-        walk only one client steps gets a compact tape.  The
-        live sessions -- ``(start tick, session, tape)`` -- drop out once
-        finished; a tick where only staggered clients wait still counts.
+        front from its first session, all in one :func:`plan_tapes`, and
+        every session on it carries that tape; a walk only one client
+        steps gets a compact tape.  The live sessions -- ``(start tick,
+        session)`` -- drop out once finished; a tick where only
+        staggered clients wait still counts.
         """
-        by_walk = {}
         if plans_shareable(prefetchers):
             first = {id(session.sequence): session for session in reversed(sessions)}
             readers = Counter(id(session.sequence) for session in sessions)
             lone = [readers[walk] == 1 for walk in first]
             by_walk = dict(zip(first, plan_tapes(self.index, list(first.values()), lone)))
+            for session in sessions:
+                session.tape = by_walk[id(session.sequence)]
         live = [
-            (client.start_tick, session, by_walk.get(id(session.sequence)))
+            (client.start_tick, session)
             for client, session in zip(clients, sessions)
             if not session.done
         ]
 
         tick = 0
         while live:
-            active = [(session, tape) for start, session, tape in live if start <= tick]
-            for _ in step_tick(self.index, active):
+            for _ in step_tick(self.index, [session for start, session in live if start <= tick]):
                 pass
             tick += 1
             live = [entry for entry in live if not entry[1].done]

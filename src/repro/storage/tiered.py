@@ -58,7 +58,6 @@ from pathlib import Path
 from repro.storage.disk import DiskModel, _canonical
 from repro.storage.faults import FaultyDiskModel, ReadFailure
 from repro.storage.pagefile import PageFile, PageFileError, TornPageError
-from repro.storage.stats import IOStats
 
 __all__ = [
     "MISS_PATHS",
@@ -215,7 +214,6 @@ class TieredStore:
         self._tiering = self.spec.tiering_active
         self._page_table = None
         self._pagefile: PageFile | None = None
-        self._owns_pagefile = False
 
     # -- delegated surface --------------------------------------------------
 
@@ -335,34 +333,34 @@ class TieredStore:
 
         The ``mmap`` backend needs the table both to build its slots and
         to repair torn ones; the ``ram`` backend ignores it beyond using
-        ``n_pages`` to bound stream readahead.  Safe to call repeatedly
-        with the same table.
+        ``n_pages`` to bound stream readahead.  A private page file (no
+        ``spec.path``) is unlinked as soon as it is mapped: the mapping
+        outlives the name (POSIX), so no exit -- a crash or a kill
+        included -- leaves it behind.
         """
-        if page_table is self._page_table:
-            return
         self._page_table = page_table
         if self.spec.backend != "mmap" or page_table is None:
             return
         self.close()
-        if self.spec.path is not None:
-            path = Path(self.spec.path)
-            if path.exists():
-                pagefile = PageFile(path)
-                try:
-                    pagefile.check_table(page_table)
-                except PageFileError:
-                    pagefile.close()
-                    raise
-                self._pagefile = pagefile
-                self._owns_pagefile = False
-                return
-        else:
+        if self.spec.path is None:
             fd, name = tempfile.mkstemp(prefix="scout-pages-", suffix=".pf")
             os.close(fd)
-            os.unlink(name)
-            path = Path(name)
+            try:
+                self._pagefile = PageFile.create(name, page_table)
+            finally:
+                os.unlink(name)
+            return
+        path = Path(self.spec.path)
+        if path.exists():
+            pagefile = PageFile(path)
+            try:
+                pagefile.check_table(page_table)
+            except PageFileError:
+                pagefile.close()
+                raise
+            self._pagefile = pagefile
+            return
         self._pagefile = PageFile.create(path, page_table)
-        self._owns_pagefile = self.spec.path is None
 
     def _serve_slots(self, pages: Sequence[int]) -> float:
         """Fetch real bytes for the pages; repair (never serve) torn slots.
@@ -384,14 +382,7 @@ class TieredStore:
         return repair
 
     def close(self) -> None:
-        """Flush and close the page file; remove it if it was private."""
-        if self._pagefile is None:
-            return
-        path = self._pagefile.path
-        self._pagefile.close()
-        self._pagefile = None
-        if self._owns_pagefile:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        """Flush and close the page file."""
+        if self._pagefile is not None:
+            self._pagefile.close()
+            self._pagefile = None

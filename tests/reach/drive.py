@@ -14,7 +14,8 @@ and lines it (and every process it forks or starts) runs into
 - ``run`` and ``run --list``;
 - ``serve`` + ``loadgen`` legs: the plain plane with a ``stats`` op and
   short interval reports, a fresh then reused mmap page file (and one
-  built for another dataset, which ``serve`` refuses), a sharded cache,
+  built for another dataset, which ``serve`` refuses), a private page
+  file that must be gone after ``ready`` and after a SIGKILL, a sharded cache,
   bursty arrivals on a healthy and on a faulty disk, and a SIGTERM
   mid-load;
 - the eight ``examples/*.py``;
@@ -28,8 +29,9 @@ report file says it did not do its job, fails the run: a sweep with a
 failed cell (save the deliberate timeout leg), a paper figure missing a
 ``shape:`` line, a serving grid missing a table heading, a resume that
 recomputed, a ``merge`` or ``compact`` that lost a cell, a ``loadgen``
-report with an error, a short count or an undrained daemon, or a daemon
-report whose admitted and shed requests do not add up to the load.  The
+report with an error, a short count or an undrained daemon, a daemon
+report whose admitted and shed requests do not add up to the load, or a
+private page file left in its ``TMPDIR``.  The
 outputs, stores and reports stay in ``results/reach/``.  Then the
 tier-1 command runs under the same recorder into
 ``results/reach/tier1.log`` at a fixed Hypothesis seed
@@ -49,6 +51,7 @@ import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from tests.reach.check import LOG, OUT, PACKAGE, REPO, TIER1_LOG
 from tests.reach.check import main as check
@@ -155,6 +158,11 @@ def books_problems(final: dict, requests: int | None, replays: bool = False) -> 
     return unmet(found, **wanted)
 
 
+def pagefiles_left(directory) -> list[str]:
+    """Each private page file (``scout-pages-*``) in ``directory``, said as a problem."""
+    return [f"left {path.name}" for path in sorted(Path(directory).glob("scout-pages-*"))]
+
+
 def require(what: str, problems: list[str]) -> None:
     if problems:
         raise SystemExit(f"reach: {what}: {'; '.join(problems)}")
@@ -215,7 +223,7 @@ def cells() -> None:
 class Daemon:
     """One ``serve`` child: booted to its ``ready`` line, stopped by the caller."""
 
-    def __init__(self, name: str, flags: list[str]) -> None:
+    def __init__(self, name: str, flags: list[str], env: dict = ENV) -> None:
         self.name = name
         self.requests: int | None = None
         self.stdout = open(OUT / f"serve-{name}.log", "w")
@@ -223,7 +231,7 @@ class Daemon:
         argv += ["--queries-per-session", "12", "--report-interval", "0.2", *flags]
         argv += ["--report", str(OUT / f"serve-{name}.json")]
         self.process = subprocess.Popen(
-            argv, cwd=REPO, env=ENV, stdout=self.stdout, stderr=subprocess.STDOUT, text=True
+            argv, cwd=REPO, env=env, stdout=self.stdout, stderr=subprocess.STDOUT, text=True
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and self.process.poll() is None:
@@ -279,6 +287,16 @@ def daemons() -> None:
     # A page file built for another dataset is refused at boot.
     foreign = [*CLI, "serve", "--port", "0", "--neurons", "6", *mmap]
     run([*foreign, "--pagefile", str(pagefile)], expect=2)
+    # A private page file is unlinked once mapped: none is left after
+    # ``ready``, nor after a SIGKILL that skips the drain.
+    tmpdir = OUT / "private-tmp"
+    tmpdir.mkdir()
+    private = Daemon("mmap-private", ["--storage", "mmap"], {**ENV, "TMPDIR": str(tmpdir)})
+    require("serve mmap-private after ready", pagefiles_left(tmpdir))
+    private.process.kill()
+    private.process.wait(timeout=60)
+    private.stdout.close()
+    require("serve mmap-private after SIGKILL", pagefiles_left(tmpdir))
 
     sharded = Daemon("shards", ["--shards", "4", "--partition", "hilbert"])
     sharded.loadgen(200, poisson)

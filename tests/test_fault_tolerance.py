@@ -33,6 +33,7 @@ from repro.sim import (
     WorkloadSpec,
     run_cell,
 )
+from repro.sim.metrics import BASE_METRICS
 from tests.oracles import faults
 
 # The ``_sleep`` / ``_fail`` / ``_exit`` kinds the cells below inject.
@@ -326,10 +327,11 @@ class TestSchemaCompatibility:
         assert report.n_computed == 1 and report.n_skipped == 0
         assert ResultStore(path).load()[OK_CELL.key()].ok
 
-    def test_missing_metric_key_is_stale_not_corrupt(self, tmp_path):
+    @pytest.mark.parametrize("key", [name for name, _ in BASE_METRICS])
+    def test_missing_metric_key_is_stale_not_corrupt(self, tmp_path, key):
         path = self._stored(tmp_path)
         record = json.loads(path.read_text())
-        del record["metrics"]["prediction_seconds"]  # written by an older revision
+        del record["metrics"][key]  # written by an older revision
         path.write_text(json.dumps(record) + "\n")
 
         store = ResultStore(path)

@@ -46,7 +46,8 @@ RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
 #: Every name that left the package: the scalar oracles, now in
 #: ``tests/oracles/`` (``slab_clip`` and ``object_crossings`` under a
 #: public name there, the round-robin serving loop as a simulator
-#: subclass), and the API only tests called.  No ``src/repro``
+#: subclass), the API only tests called, and the daemon's lazy-taping
+#: and page-file-removal state.  No ``src/repro``
 #: module may define one (function, class or method) or name one.
 _GONE = """
     oracles scalar_ref ScalarSTRTree ScalarFlatIndex pages_for_region_scalar
@@ -57,6 +58,7 @@ _GONE = """
     refine_crossing_direction
     FAULT_PREFETCHER_BUILDERS _build_sleep_prefetcher _build_fail_prefetcher _build_exit_prefetcher
     _run_round_robin RoundRobinSimulator
+    _untaped walk_tape _owns_pagefile
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer
@@ -241,7 +243,7 @@ RULES = {
             "resolve_ahead(self.index, streams)",
         ),
         spares=(
-            "records = step_tick(self.index, entries)",
+            "records = step_tick(self.index, [state.session for state in tick])",
             "from repro.sim.serve import plans_shareable, step_tick",
         ),
     ),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -280,27 +281,44 @@ class TestReusedFileBelongsToTheDataset:
         assert "error: page file" in capsys.readouterr().err
 
 
-def test_a_private_page_file_lives_from_bind_to_close():
+def test_a_private_page_file_is_unlinked_as_soon_as_it_is_mapped(tmp_path, monkeypatch):
     """``serve --storage mmap`` without ``--pagefile``: each bound table
-    gets a temporary page file, and the store removes the ones it made."""
+    gets a temporary page file whose name is gone once it is mapped, so
+    the store serves from the mapping and nothing is left to remove."""
     from repro.storage.disk import DiskModel
 
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     store = TieredStore(DiskModel(), StorageSpec(backend="mmap"))
     store.bind_page_table(small_table())
     first = store._pagefile
-    assert first.path.name.startswith("scout-pages-") and first.n_pages == 4
+    assert first.path.name.startswith("scout-pages-") and first.path.parent == tmp_path
+    assert first.n_pages == 4 and list(tmp_path.iterdir()) == []
     store.bind_page_table(PageTable([np.array([0, 1]), np.array([2])]))
     second = store._pagefile
-    assert second.n_pages == 2 and second.path != first.path
-    assert first._file is None and not first.path.exists()
+    assert second.n_pages == 2 and first._file is None
+    assert list(tmp_path.iterdir()) == []
+    np.testing.assert_array_equal(second.read_page(1), [2])
     assert store.read_pages([0, 1]) == DiskModel().read_pages([0, 1])
     store.close()
-    assert second._file is None and not second.path.exists()
+    assert second._file is None
     store.close()
-    # A temporary-file sweeper got there first: closing still succeeds.
-    store.bind_page_table(small_table())
-    store._pagefile.path.unlink()
-    store.close()
+
+
+def test_no_mmap_run_leaves_a_page_file(tissue, tissue_flat, tmp_path, monkeypatch):
+    """Runs that never close their store -- a serving run and an
+    experiment, one store per sequence -- leave no page file behind."""
+    from repro.baselines import EWMAPrefetcher
+    from repro.sim import ServingSimulator, SimulationConfig, run_experiment
+    from repro.workload.multiclient import multiclient_sessions
+    from repro.workload.sequence import generate_sequences
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    config = SimulationConfig(storage=StorageSpec(backend="mmap"))
+    clients = multiclient_sessions(tissue, n_clients=2, seed=5, n_queries=4, volume=30_000.0)
+    ServingSimulator(tissue_flat, config).run(clients, [EWMAPrefetcher() for _ in clients])
+    sequences = generate_sequences(tissue, n_sequences=3, seed=3, n_queries=4, volume=30_000.0)
+    run_experiment(tissue_flat, sequences, EWMAPrefetcher(), config)
+    assert list(tmp_path.glob("scout-pages-*")) == []
 
 
 def test_ram_and_mmap_backends_are_metric_identical(tmp_path):

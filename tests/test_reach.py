@@ -506,3 +506,10 @@ def test_the_package_carries_few_markers_each_with_a_kind_and_a_reason():
     assert len(found) <= 25
     for marker in found:
         assert marker.kind in KINDS and marker.reason and len(marker.block), marker
+
+
+def test_a_private_page_file_left_behind_is_flagged(tmp_path):
+    assert drive.pagefiles_left(tmp_path) == []
+    (tmp_path / "unrelated.pf").touch()
+    (tmp_path / "scout-pages-x1.pf").touch()
+    assert drive.pagefiles_left(tmp_path) == ["left scout-pages-x1.pf"]

@@ -27,7 +27,7 @@ from repro.sim import (
     cell_key,
     run_cell,
 )
-from repro.sim.results import CellResult
+from repro.sim.results import CellResult, metrics_from_dict, metrics_to_dict
 
 TINY_DATASET = DatasetSpec("neuron", {"n_neurons": 6, "seed": 11})
 TINY_INDEX = IndexSpec("flat", {"fanout": 16})
@@ -276,6 +276,37 @@ class TestCorruptStore:
         assert reloaded[original.key].elapsed_seconds == doctored.elapsed_seconds
 
 
+#: A SCOUT cell, and an EWMA serving cell with faults, tiers and shards on.
+PLAIN_CELL = CellSpec(TINY_DATASET, TINY_INDEX, TINY_WORKLOAD, PrefetcherSpec("scout"), seed=3)
+LAYERED_CELL = dataclasses.replace(
+    PLAIN_CELL,
+    workload=WorkloadSpec(n_sequences=4, n_queries=6, volume=20_000.0),
+    prefetcher=PrefetcherSpec("ewma", {"lam": 0.3}),
+    serve={"n_clients": 4, "mode": "hotspot", "hot_pool": 2},
+    faults={"transient_rate": 0.3, "retry_limit": 0, "breaker_threshold": 1, "seed": 5},
+    storage={"miss_path": "combined", "tier_pages": 8},
+    shards={"n_shards": 2, "partition": "hash"},
+)
+#: Their metrics as the store writes them, pinned byte for byte.
+PLAIN_METRICS = (
+    '{"n_sequences": 2, "cache_hit_rate": 0.9178082191780822, "hit_rate_std": '
+    '0.07058101472995093, "speedup": 2.5, "response_seconds": 0.031968750000000004, '
+    '"cold_seconds": 0.079921875, "graph_build_seconds": 0.0037159999999999997, '
+    '"prediction_seconds": 0.004038, "per_sequence_hit_rates": [0.8269230769230769, '
+    '0.9680851063829787]}'
+)
+LAYERED_METRICS = (
+    '{"n_sequences": 4, "cache_hit_rate": 0.5491525423728814, "hit_rate_std": '
+    '0.3731846966828174, "speedup": 3.4999999999999996, "response_seconds": '
+    '0.04972916666666667, "cold_seconds": 0.17405208333333333, "graph_build_seconds": 0.0, '
+    '"prediction_seconds": 0.0, "per_sequence_hit_rates": [0.7936507936507936, '
+    '0.8888888888888888, 0.8888888888888888, 0.0], "cross_client_hits": 30, '
+    '"evicted_misses": 0, "failed_reads": 5, "degraded_ticks": 9, "breaker_opens": 3, '
+    '"tier_hits": 34, "miss_path_hits": 14, "tier_fills": 27, "shard_requests": [52, 46], '
+    '"shard_hits": [20, 23], "shard_rebalances": 0, "shard_pages_moved": 0}'
+)
+
+
 class TestRoundTrip:
     def test_stored_metrics_round_trip_exactly(self, tmp_path):
         cells = tiny_matrix().cells()
@@ -299,6 +330,17 @@ class TestRoundTrip:
         store.append(result)
         reloaded = ResultStore(path).load()[result.key]
         assert math.isinf(reloaded.metrics.speedup)
+
+    @pytest.mark.parametrize(
+        "cell,line",
+        [
+            pytest.param(PLAIN_CELL, PLAIN_METRICS, id="plain"),
+            pytest.param(LAYERED_CELL, LAYERED_METRICS, id="serving-all-layers"),
+        ],
+    )
+    def test_stored_metrics_keep_their_bytes(self, cell, line):
+        assert json.dumps(metrics_to_dict(run_cell(cell).metrics)) == line
+        assert json.dumps(metrics_to_dict(metrics_from_dict(json.loads(line)))) == line
 
     def test_cell_key_matches_module_helper(self):
         cell = tiny_matrix().cells()[0]

@@ -659,6 +659,28 @@ def _assert_equals_reference(config, n_connections, bursts):
     return final
 
 
+def _pipelined_drain(config: DaemonConfig, per_connection: int) -> dict:
+    """Two connections each write hello and ``per_connection`` queries at
+    once; every reply must be ok.  Returns the final report."""
+
+    async def scenario(daemon):
+        streams = [await _connect(daemon.port) for _ in range(2)]
+        for _, writer in streams:
+            writer.write(HELLO + QUERY * per_connection)
+        replies = [
+            [await read_frame(reader) for _ in range(per_connection + 1)]
+            for reader, _ in streams
+        ]
+        for _, writer in streams:
+            writer.close()
+        return replies, daemon.final_report()
+
+    replies, final = asyncio.run(_with_daemon(config, scenario))
+    assert all(reply["ok"] for replies_of in replies for reply in replies_of)
+    assert final["requests_admitted"] == 2 * per_connection
+    return final
+
+
 class TestPlanTapes:
     """Tapes move pure work from compute to read and nothing else."""
 
@@ -672,8 +694,8 @@ class TestPlanTapes:
         assert final["plans_replayed"] == final["requests_admitted"]
 
     def test_every_request_replays_its_walks_tape(self):
-        # Distinct walks: each walk is taped on its first query, so
-        # every request, first lifetime included, replays.
+        # Distinct walks: each walk is taped at boot, so every request,
+        # first lifetime included, replays.
         connections, per_connection, queries = 3, 13, 5
         config = daemon_config(session_pool=4, queries_per_session=queries)
         bursts = [(c, per_connection) for c in range(connections)]
@@ -737,71 +759,34 @@ class TestPlanTapes:
         assert final["requests_admitted"] == 4 * k
         assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
 
-    @pytest.mark.parametrize("session_pool", [1, 2], ids=["one-walk", "taped-and-untaped-walks"])
-    def test_walk_whose_tape_build_raises_steps_plainly_for_good(self, monkeypatch, session_pool):
-        queries = 6
-        builds, ticks = [], []
-        plan_tape, step_tick = QuerySession.plan_tape, daemon_module.step_tick
+    @pytest.mark.parametrize("prefetcher,calls", [("ewma", [8]), ("scout", [])])
+    def test_the_pool_is_taped_at_boot_in_one_call(self, monkeypatch, prefetcher, calls):
+        taped = []
+        plan_tapes = daemon_module.plan_tapes
 
-        def build_raising_for_walk_0(session):
-            builds.append(session)
-            if session.client_id % session_pool == 0:
-                raise RuntimeError("tape build blew up")
-            return plan_tape(session)
+        def recorded(index, sessions, *lone):
+            taped.append(len(sessions))
+            return plan_tapes(index, sessions, *lone)
 
-        def recorded_tick(index, entries):
-            ticks.append([bool(tape) for _, tape in entries])
-            return step_tick(index, entries)
+        monkeypatch.setattr(daemon_module, "plan_tapes", recorded)
+        ServeDaemon(daemon_config(session_pool=8, prefetcher=prefetcher))
+        assert taped == calls
 
-        monkeypatch.setattr(QuerySession, "plan_tape", build_raising_for_walk_0)
-        monkeypatch.setattr(daemon_module, "step_tick", recorded_tick)
+    def test_a_pipelined_drain_replays_every_request(self):
+        # Fault-free EWMA walks are taped at boot, so no request of a
+        # pipelined drain, renewals included, steps untaped.
+        config = daemon_config(session_pool=3, queries_per_session=5, max_queue=256)
+        final = _pipelined_drain(config, 60)
+        assert final["sessions_completed"] >= 2 * (60 // 5 - 1)
+        assert final["plans_replayed"] == final["requests_admitted"]
 
-        async def scenario(daemon):
-            streams = [await _connect(daemon.port) for _ in range(2)]
-            try:
-                for stream in streams:
-                    assert (await _ask(stream, "hello"))["ok"]
-                # Walk 0's first query builds its tape; the build raises
-                # and the worker's guard answers that query alone.
-                failed = await _ask(streams[0], "query")
-                # Neither a renewal nor a second connection on the walk
-                # tries again: from here on walk 0 steps plainly.  Both
-                # connections' queries queue before the idle worker wakes,
-                # so connection 0's last and connection 1's first share a
-                # tick.
-                await _until(lambda: daemon._wakeup is not None)
-                wakeup, daemon._wakeup = daemon._wakeup, None
-                streams[0][1].write(QUERY * (2 * queries + 1))
-                await _until(lambda: len(daemon._jobs) == 2 * queries + 1)
-                streams[1][1].write(QUERY * 3)
-                await _until(lambda: len(daemon._jobs) == 2 * queries + 4)
-                wakeup.set_result(None)
-                replies = [await read_frame(streams[0][0]) for _ in range(2 * queries + 1)]
-                replies += [await read_frame(streams[1][0]) for _ in range(3)]
-                return failed, replies, daemon.final_report()
-            finally:
-                for _, writer in streams:
-                    writer.close()
+    def test_a_tape_build_that_raises_fails_the_boot(self, monkeypatch):
+        def raising(session):
+            raise RuntimeError("tape build blew up")
 
-        config = daemon_config(session_pool=session_pool, queries_per_session=queries)
-        failed, replies, final = asyncio.run(_with_daemon(config, scenario))
-        assert failed["ok"] is False and "tape build blew up" in failed["error"]
-        assert len(builds) == session_pool
-        # Walk 1 (if any) is taped, so the shared tick mixes an untaped
-        # entry and a taped one.
-        assert [False, session_pool == 2] in ticks
-        # The failed build consumed no session's prefetcher, so the reply
-        # stream equals plain stepping without the failed request.
-        expected, cache, sessions_completed = _reference_run(
-            config, 2, [(0, 2 * queries + 1), (1, 3)]
-        )
-        for reply in replies:
-            assert reply.pop("latency_ms") >= 0
-        assert replies == expected
-        assert (final["cache"]["hits"], final["cache"]["misses"]) == (cache.hits, cache.misses)
-        assert final["sessions_completed"] == sessions_completed
-        assert final["plans_replayed"] == (3 if session_pool == 2 else 0)
-        assert final["latency"]["errors"] == 1
+        monkeypatch.setattr(QuerySession, "plan_tape", raising)
+        with pytest.raises(RuntimeError, match="tape build blew up"):
+            ServeDaemon(daemon_config())
 
     @pytest.mark.parametrize("raiser", [0, 1], ids=["first-in-tick", "second-in-tick"])
     def test_a_step_that_raises_fails_its_job_and_the_jobs_behind_it_in_its_tick(
@@ -879,25 +864,12 @@ class TestOneResultsSource:
 
         monkeypatch.setattr(SpatialIndex, "query_many", counted)
         pool, queries = 3, 5
-        config = daemon_config(
-            session_pool=pool, queries_per_session=queries, max_queue=256, **overrides
+        final = _pipelined_drain(
+            daemon_config(
+                session_pool=pool, queries_per_session=queries, max_queue=256, **overrides
+            ),
+            per_connection,
         )
-
-        async def scenario(daemon):
-            streams = [await _connect(daemon.port) for _ in range(2)]
-            for _, writer in streams:
-                writer.write(HELLO + QUERY * per_connection)
-            replies = [
-                [await read_frame(reader) for _ in range(per_connection + 1)]
-                for reader, _ in streams
-            ]
-            for _, writer in streams:
-                writer.close()
-            return replies, daemon.final_report()
-
-        replies, final = asyncio.run(_with_daemon(config, scenario))
-        assert all(reply["ok"] for replies_of in replies for reply in replies_of)
-        assert final["requests_admitted"] == 2 * per_connection
         assert final["plans_replayed"] == 0
         assert final["sessions_completed"] >= 2 * (per_connection // queries - 1)
         assert fetched == [queries] * pool

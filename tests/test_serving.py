@@ -307,7 +307,7 @@ class TestDisabledLayerIsNotBuilt:
     ):
         config = SimulationConfig(cache_capacity_pages=48, **{layer: spec})
         capacity = getattr(spec, "shard_cache_pages", None) or 48
-        assert type(config.build_disk()) is DiskModel
+        assert type(config.build_disk(tissue_flat)) is DiskModel
         cache = config.build_cache(tissue_flat)
         assert type(cache) is PrefetchCache
         assert cache.capacity_pages == capacity
@@ -329,11 +329,14 @@ class TestDisabledLayerIsNotBuilt:
         assert bare.pop("faults_active") is False
         assert served == bare
 
-    def test_mmap_store_is_still_built(self):
-        """It serves real bytes, so tiering off does not make it inert."""
-        disk = SimulationConfig(storage=StorageSpec(backend="mmap")).build_disk()
+    def test_mmap_store_is_still_built(self, tissue_flat):
+        """It serves real bytes, so tiering off does not make it inert;
+        it is bound to the index's page table where it is built."""
+        disk = SimulationConfig(storage=StorageSpec(backend="mmap")).build_disk(tissue_flat)
         assert type(disk) is TieredStore
         assert not disk.spec.tiering_active
+        assert disk._pagefile.n_pages == tissue_flat.page_table.n_pages
+        disk.close()
 
 
 class TestOneCacheClass:

@@ -435,8 +435,8 @@ def test_serving_report_reads_the_layers_counters(monkeypatch):
     built = {}
     build = SimulationConfig.build_disk
 
-    def capture(self):
-        built["disk"] = build(self)
+    def capture(self, index):
+        built["disk"] = build(self, index)
         return built["disk"]
 
     monkeypatch.setattr(SimulationConfig, "build_disk", capture)
