@@ -60,7 +60,9 @@ and reporting the bytes reclaimed.
 client connections speak a length-prefixed JSON protocol, each runs a
 resumable :class:`~repro.sim.engine.QuerySession` against one shared
 cache and disk, and the daemon reports p50/p99/p999 latency, throughput
-and queue depth per interval, shedding load past ``--max-queue``.
+and queue depth per interval, shedding load past ``--max-queue``.  Its
+layer flags become the daemon's one :class:`~repro.sim.engine.SimulationConfig`
+(a fault plan only for a positive ``--fault-rate``; DESIGN.md §6.3).
 ``loadgen`` drives it with seeded open-loop Poisson or bursty arrivals
 and writes the client-side latency report (``--shutdown`` drains the
 daemon gracefully afterwards).
@@ -72,8 +74,10 @@ import argparse
 import sys
 
 from repro.quickstart import PREFETCHER_NAMES, quick_experiment
-from repro.storage.sharded import PARTITIONS
-from repro.storage.tiered import MISS_PATHS, STORAGE_BACKENDS
+from repro.sim.engine import SimulationConfig
+from repro.storage.faults import FaultPlan
+from repro.storage.sharded import PARTITIONS, ShardSpec
+from repro.storage.tiered import MISS_PATHS, STORAGE_BACKENDS, StorageSpec
 from repro.workload import MICROBENCHMARKS
 
 __all__ = ["main"]
@@ -594,9 +598,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards",
         type=int,
-        default=0,
-        action=_bounded(0),
-        help="cache shard count: 0 or 1 keeps the single unsharded cache, "
+        default=1,
+        action=_bounded(1),
+        help="cache shard count: 1 keeps the single unsharded cache, "
         "K > 1 routes every touch through a partitioned cache of K "
         "shards (DESIGN.md §10)",
     )
@@ -636,17 +640,27 @@ def _serve_command(argv: list[str]) -> int:
         session_pool=args.pool,
         queries_per_session=args.queries_per_session,
         mode=args.mode,
-        cache_pages=args.cache_pages,
         max_queue=args.max_queue,
         report_interval=args.report_interval,
         report_path=args.report,
-        fault_rate=args.fault_rate,
-        storage=args.storage,
-        miss_path=args.miss_path,
-        tier_pages=args.tier_pages,
-        pagefile=args.pagefile,
-        shards=args.shards,
-        partition=args.partition,
+        sim=SimulationConfig(
+            cache_capacity_pages=args.cache_pages,
+            # A plan arms per-client breakers, so a zero rate builds none.
+            faults=FaultPlan(
+                transient_rate=args.fault_rate,
+                corrupt_rate=args.fault_rate / 2.0,
+                seed=args.seed,
+            )
+            if args.fault_rate > 0
+            else None,
+            storage=StorageSpec(
+                backend=args.storage,
+                miss_path=args.miss_path,
+                tier_pages=args.tier_pages,
+                path=args.pagefile,
+            ),
+            shards=ShardSpec(n_shards=args.shards, partition=args.partition),
+        ),
     )
     try:
         daemon = ServeDaemon(config)

@@ -9,7 +9,12 @@ each connection as a resumable :class:`~repro.sim.engine.QuerySession`
 against one shared cache and disk, and measures what hit rate alone
 hides: wall-clock latency percentiles (p50/p99/p999), throughput, queue
 depth, and admission-control behavior under Poisson and bursty arrivals
-(``scout-repro loadgen``).
+(``scout-repro loadgen``).  The daemon takes its layers as one
+:class:`~repro.sim.engine.SimulationConfig`, so it serves from the
+cache and disk a simulation run would build; the daemon and the load
+generator each keep their latencies, shed and error counts in one
+:class:`~repro.serve.latency.LatencyRecorder` ledger, which every
+report they write reads.
 """
 
 from repro.serve.daemon import DaemonConfig, ServeDaemon

@@ -1,9 +1,12 @@
 """The ``scout-repro serve`` asyncio daemon (DESIGN.md §8).
 
 One process owns the serving plane the simulator shares out: a dataset,
-its page-granular index, one shared prefetch cache and one disk model
-(optionally fault-wrapped, with DESIGN.md §7's per-client circuit
-breakers).  Each client *connection* runs a
+its page-granular index, one shared prefetch cache and one disk model.
+The config's :class:`~repro.sim.engine.SimulationConfig` builds both, as
+it builds them for a simulation run (sharded, fault-wrapped with
+DESIGN.md §7's per-client circuit breakers, tiered: DESIGN.md §6.3's
+one pass-through rule); the daemon has no layer rule of its own.  Each
+client *connection* runs a
 :class:`~repro.sim.engine.QuerySession`.  One worker steps the admitted
 queries inline on the loop through the simulator's own tick,
 :func:`~repro.sim.serve.step_tick`, in FIFO order, a tick ending at the
@@ -21,7 +24,10 @@ Admission is a bounded deque of jobs: a ``query`` arriving while
 ``shed: true`` reply instead of queueing without bound -- overload
 degrades into fast rejections and honest shed counts, not into a
 latency collapse.  Request latency is measured from *enqueue* to
-reply-ready, so queueing delay is part of every percentile.
+reply-ready, so queueing delay is part of every percentile.  Every
+report reads one ledger (:class:`~repro.serve.latency.LatencyRecorder`,
+which also holds the shed count): an interval report summarizes it
+from the last interval's end, ``stats`` and the final report all of it.
 
 Replies leave in request order through each connection's deque of
 reply slots: every reply but a query's fills its slot at once, the
@@ -63,7 +69,6 @@ from repro.serve.latency import LatencyRecorder
 from repro.serve.protocol import FrameSplitter, ProtocolError, encode_frame
 from repro.sim.engine import QuerySession, SimulationConfig, SimulationEngine, walk_results
 from repro.sim.serve import plan_tapes, plans_shareable, step_tick
-from repro.storage.faults import FaultPlan
 from repro.storage.sharded import ShardedCache, ShardSpec
 from repro.storage.tiered import StorageSpec, TieredStore
 from repro.workload.multiclient import multiclient_sessions
@@ -104,7 +109,7 @@ class DaemonConfig:
     port: int = 0
     #: Synthetic tissue size backing the daemon's dataset and index.
     n_neurons: int = 16
-    #: Root seed of the workload pool (and the fault plan, if any).
+    #: Root seed of the workload pool.
     seed: int = 21
     #: Prefetcher every session runs, one of
     #: :data:`repro.quickstart.PREFETCHER_NAMES`.
@@ -115,34 +120,17 @@ class DaemonConfig:
     #: Queries per session; an exhausted session is renewed in place.
     queries_per_session: int = 20
     mode: str = "hotspot"
-    #: Shared cache capacity in pages (``None``: the engine's sizing rule).
-    cache_pages: int | None = None
     #: Admission-control bound: queries queued beyond this are shed.
     max_queue: int = 64
     #: Seconds between interval latency reports on stdout.
     report_interval: float = 5.0
     #: Where to write the final JSON report (``None``: stdout only).
     report_path: str | None = None
-    #: Transient-read fault rate; > 0 wraps the disk in a seeded
-    #: :class:`~repro.storage.faults.FaultyDiskModel` (breakers armed).
-    fault_rate: float = 0.0
-    #: Page-store backend: ``ram`` (analytic disk model only) or ``mmap``
-    #: (a real on-disk :class:`~repro.storage.pagefile.PageFile` behind
-    #: the :class:`~repro.storage.tiered.TieredStore`).
-    storage: str = "ram"
-    #: Miss-path mechanism between cache and backing store (DESIGN.md §9).
-    miss_path: str = "none"
-    #: Storage-side tier cache capacity in pages; 0 disables the tier.
-    tier_pages: int = 0
-    #: Page-file path for the ``mmap`` backend (``None``: a private temp
-    #: file, unlinked as soon as it is mapped).
-    pagefile: str | None = None
-    #: Cache shard count; 0 or 1 keeps the single unsharded cache, K > 1
-    #: routes every touch through a :class:`~repro.storage.sharded.
-    #: ShardedCache` over K shards (DESIGN.md §10).
-    shards: int = 0
-    #: Partition scheme for the sharded cache (``hilbert`` or ``hash``).
-    partition: str = "hilbert"
+    #: The serving plane's layers, built by the one pass-through rule
+    #: (DESIGN.md §6.3): the shared cache's size and shards, the disk's
+    #: fault plan (which also arms per-client breakers, DESIGN.md §7) and
+    #: its tiered store.
+    sim: SimulationConfig = SimulationConfig()
 
 
 class _Slot:
@@ -226,34 +214,10 @@ class ServeDaemon:
 
         self.dataset = make_neuron_tissue(n_neurons=config.n_neurons, seed=config.seed)
         self.index = FlatIndex(self.dataset, fanout=16)
-        faults = None
-        if config.fault_rate > 0:
-            faults = FaultPlan(
-                transient_rate=config.fault_rate,
-                corrupt_rate=config.fault_rate / 2.0,
-                seed=config.seed,
-            )
-        storage = None
-        if config.storage != "ram" or config.miss_path != "none" or config.tier_pages > 0:
-            storage = StorageSpec(
-                backend=config.storage,
-                miss_path=config.miss_path,
-                tier_pages=config.tier_pages,
-                path=config.pagefile,
-            )
-        shards = None
-        if config.shards > 0:
-            shards = ShardSpec(n_shards=config.shards, partition=config.partition)
-        self.sim_config = SimulationConfig(
-            cache_capacity_pages=config.cache_pages,
-            faults=faults,
-            storage=storage,
-            shards=shards,
-        )
-        self.engine = SimulationEngine(self.index, self.sim_config)
-        self.cache = self.sim_config.build_cache(self.index)
+        self.engine = SimulationEngine(self.index, config.sim)
+        self.cache = config.sim.build_cache(self.index)
         # An mmap store opens its page file here: a bad --pagefile fails the boot.
-        self.disk = self.sim_config.build_disk(self.index)
+        self.disk = config.sim.build_disk(self.index)
         self.pool = multiclient_sessions(
             self.dataset,
             n_clients=config.session_pool,
@@ -280,7 +244,6 @@ class ServeDaemon:
         #: Each interval report's latency summary, in order.
         self.intervals: list[dict] = []
         self.requests_admitted = 0
-        self.requests_shed = 0
         #: Requests served from a plan tape instead of observe/plan work.
         self.plans_replayed = 0
         self._interval_replayed_mark = 0
@@ -438,18 +401,23 @@ class ServeDaemon:
         # Also collects a reset peer's error, which nobody else awaits.
         await asyncio.gather(*closes, return_exceptions=True)
 
+    def _books(self) -> dict:
+        """The counters the final report and the ``stats`` reply share."""
+        return {
+            "requests_admitted": self.requests_admitted,
+            "plans_replayed": self.plans_replayed,
+            "requests_shed": self.recorder.shed,
+            "sessions_completed": self.sessions_completed,
+            "queue_depth_max": self.queue_depth_max,
+            "latency": self.recorder.total(),
+        }
+
     def final_report(self) -> dict:
         """The end-of-run JSON report (also written to ``report_path``)."""
-        total = self.recorder.total()
         return {
             "type": "final",
             "drained": self._stopped.is_set() or self._draining,
-            "requests_admitted": self.requests_admitted,
-            "plans_replayed": self.plans_replayed,
-            "requests_shed": self.requests_shed,
-            "sessions_completed": self.sessions_completed,
-            "queue_depth_max": self.queue_depth_max,
-            "latency": total.summary(),
+            **self._books(),
             "intervals": self.intervals,
             "cache": {
                 "capacity_pages": self.cache.capacity_pages,
@@ -458,17 +426,18 @@ class ServeDaemon:
                 "evictions": self.cache.evictions,
                 "insertions": self.cache.insertions,
             },
-            "faults_active": self.sim_config.faults is not None,
+            "faults_active": self.config.sim.faults is not None,
             "storage": self._storage_report(),
             "shards": self._shards_report(),
         }
 
     def _storage_report(self) -> dict:
         """The tiered-store slice of the final report (stats survive close)."""
+        spec = self.config.sim.storage or StorageSpec()
         report: dict = {
-            "backend": self.config.storage,
-            "miss_path": self.config.miss_path,
-            "tier_pages": self.config.tier_pages,
+            "backend": spec.backend,
+            "miss_path": spec.miss_path,
+            "tier_pages": spec.tier_pages,
         }
         if isinstance(self.disk, TieredStore):
             ts = self.disk.tier_stats
@@ -484,7 +453,8 @@ class ServeDaemon:
 
     def _shards_report(self) -> dict:
         """The sharded-cache slice of the final report (counters when K > 1)."""
-        report: dict = {"n_shards": self.config.shards, "partition": self.config.partition}
+        spec = self.config.sim.shards or ShardSpec()
+        report: dict = {"n_shards": spec.n_shards, "partition": spec.partition}
         if isinstance(self.cache, ShardedCache):
             report.update(
                 per_shard=self.cache.per_shard_stats(),
@@ -574,7 +544,7 @@ class ServeDaemon:
 
     def interval_report(self) -> dict:
         """Snapshot the open interval into a JSON report."""
-        summary = self.recorder.snapshot().summary()
+        summary = self.recorder.snapshot()
         self.intervals.append(summary)
         depth_max = self._interval_depth_max
         self._interval_depth_max = 0
@@ -704,7 +674,6 @@ class ServeDaemon:
         elif self._draining or len(self._jobs) >= self.config.max_queue:
             # A query refused during the drain is shed like one refused
             # at the bound, so the books still partition what was offered.
-            self.requests_shed += 1
             self.recorder.count_shed()
             if self._draining:
                 outbox.reply({"ok": False, "shed": True, "error": "draining"})
@@ -722,14 +691,9 @@ class ServeDaemon:
     def _stats_reply(self) -> dict:
         return {
             "ok": True,
-            "requests_admitted": self.requests_admitted,
-            "plans_replayed": self.plans_replayed,
-            "requests_shed": self.requests_shed,
-            "sessions_completed": self.sessions_completed,
+            **self._books(),
             "queue_depth": len(self._jobs),
-            "queue_depth_max": self.queue_depth_max,
             "connections": len(self._writers),
-            "latency": self.recorder.total().summary(),
         }
 
 

@@ -135,14 +135,14 @@ async def _drive_connection(
     schedule: np.ndarray,
     start: float,
     recorder: LatencyRecorder,
-    counts: dict,
-) -> None:
+) -> int:
     """Fire one connection's slice of the schedule, open-loop.
 
     The sender writes each query frame at its scheduled offset from
     ``start``; the reader matches responses FIFO (the daemon answers
     per-connection frames in order) and scores latency against the
-    *scheduled* time.
+    *scheduled* time.  Returns the most ``sessions_completed`` a reply
+    carried.
     """
 
     async def send() -> None:
@@ -152,26 +152,24 @@ async def _drive_connection(
                 await asyncio.sleep(delay)
             await write_frame(writer, {"op": "query"})
 
-    async def receive() -> None:
+    async def receive() -> int:
+        completed = 0
         for offset in schedule:
             frame = await read_frame(reader)
             if frame is None:
                 raise ConnectionError("daemon closed the connection mid-load")
             now = time.perf_counter()
             if frame.get("shed"):
-                counts["shed"] += 1
                 recorder.count_shed()
             elif not frame.get("ok"):
-                counts["errors"] += 1
                 recorder.count_error()
             else:
-                counts["ok"] += 1
                 recorder.observe(max(0.0, now - (start + offset)))
-                counts["sessions_completed"] = max(
-                    counts["sessions_completed"], frame.get("sessions_completed", 0)
-                )
+                completed = max(completed, frame.get("sessions_completed", 0))
+        return completed
 
-    await asyncio.gather(send(), receive())
+    _, completed = await asyncio.gather(send(), receive())
+    return completed
 
 
 async def run_loadgen(
@@ -220,11 +218,10 @@ async def run_loadgen(
             client_ids.append(reply["client_id"])
 
         recorder = LatencyRecorder()
-        counts = {"ok": 0, "shed": 0, "errors": 0, "sessions_completed": 0}
         start = time.perf_counter()
-        await asyncio.gather(
+        completed = await asyncio.gather(
             *(
-                _drive_connection(reader, writer, piece, start, recorder, counts)
+                _drive_connection(reader, writer, piece, start, recorder)
                 for (reader, writer), piece in zip(streams, slices)
             )
         )
@@ -244,7 +241,7 @@ async def run_loadgen(
         for _, writer in streams:
             writer.close()
 
-    report = recorder.total()
+    latency = recorder.total()
     return {
         "type": "loadgen",
         "process": process,
@@ -254,12 +251,12 @@ async def run_loadgen(
         "connections": connections,
         "client_ids": client_ids,
         "requests": n_scheduled,
-        "ok": counts["ok"],
-        "shed": counts["shed"],
-        "errors": counts["errors"],
-        "sessions_completed_max": counts["sessions_completed"],
+        "ok": latency["count"],
+        "shed": latency["shed"],
+        "errors": latency["errors"],
+        "sessions_completed_max": max(completed),
         "elapsed_seconds": elapsed,
-        "achieved_qps": counts["ok"] / elapsed if elapsed > 0 else 0.0,
+        "achieved_qps": latency["count"] / elapsed if elapsed > 0 else 0.0,
         "drained": drained,
-        "latency": report.summary(),
+        "latency": latency,
     }

@@ -20,7 +20,6 @@ the sharded cache keep for themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "AggregateMetrics",
     "BASE_METRICS",
     "ClientMetrics",
-    "LatencyReport",
     "QueryRecord",
     "SequenceMetrics",
     "ServeReport",
@@ -347,141 +345,6 @@ class ServeReport:
         return (
             f"{len(self.clients)} clients: hit-rate {100 * self.aggregate_hit_rate:.1f}% "
             f"cross-client {self.cross_client_hits} evicted-misses {self.evicted_misses}"
-        )
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """Latency distribution of one serving (reporting) interval.
-
-    The serving daemon (:mod:`repro.serve`) measures *wall-clock*
-    request latency -- the number hit-rate alone hides -- and reports it
-    as percentiles per reporting interval.  Reports keep their full
-    sorted sample list (exact quantiles; serving intervals hold at most
-    tens of thousands of samples, so retention is cheap and exactness
-    beats a sketch), which makes :meth:`merge` *associative*: merging is
-    a sorted union plus counter sums, so interval reports can be folded
-    into run totals in any grouping and always agree with one report
-    computed over the union of samples.  That associativity is
-    hypothesis-checked in ``tests/test_latency.py``.
-
-    ``samples`` are seconds, sorted ascending.  ``shed`` counts requests
-    rejected by admission control (they have no latency: they were never
-    served); ``errors`` counts requests that failed outright.
-    """
-
-    samples: tuple[float, ...]
-    shed: int = 0
-    errors: int = 0
-    duration_seconds: float = 0.0
-
-    @classmethod
-    def from_values(
-        cls,
-        values,
-        *,
-        shed: int = 0,
-        errors: int = 0,
-        duration_seconds: float = 0.0,
-    ) -> "LatencyReport":
-        """Build a report from unsorted latency samples (seconds)."""
-        return cls(
-            samples=tuple(sorted(float(v) for v in values)),
-            shed=shed,
-            errors=errors,
-            duration_seconds=duration_seconds,
-        )
-
-    @property
-    def count(self) -> int:
-        """Requests actually served (shed and errored excluded)."""
-        return len(self.samples)
-
-    def quantile(self, q: float) -> float:
-        """Exact nearest-rank quantile; NaN on an empty report.
-
-        Nearest-rank (the smallest sample with at least ``q`` of the
-        distribution at or below it) never interpolates, so a reported
-        p99 is a latency some request actually experienced, and
-        quantiles are monotone in ``q`` by construction.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q}")
-        if not self.samples:
-            return math.nan
-        rank = max(1, math.ceil(q * len(self.samples)))
-        return self.samples[rank - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    @property
-    def p999(self) -> float:
-        return self.quantile(0.999)
-
-    @property
-    def max(self) -> float:
-        return self.samples[-1] if self.samples else math.nan
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else math.nan
-
-    @property
-    def throughput_qps(self) -> float:
-        """Served requests per second of interval wall time."""
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.count / self.duration_seconds
-
-    def merge(self, other: "LatencyReport") -> "LatencyReport":
-        """Fold two interval reports into one (associative, commutative)."""
-        merged = np.concatenate(
-            [
-                np.asarray(self.samples, dtype=np.float64),
-                np.asarray(other.samples, dtype=np.float64),
-            ]
-        )
-        merged.sort(kind="stable")
-        return LatencyReport(
-            samples=tuple(merged.tolist()),
-            shed=self.shed + other.shed,
-            errors=self.errors + other.errors,
-            duration_seconds=self.duration_seconds + other.duration_seconds,
-        )
-
-    def summary(self) -> dict:
-        """The percentile summary serialized into latency JSON reports.
-
-        An empty report's percentiles, max and mean are ``None`` (JSON
-        ``null``): ``json.dumps`` would write NaN as the bare token
-        ``NaN``, which is not JSON (RFC 8259) and which strict parsers
-        such as jq and ``JSON.parse`` reject.
-        """
-        served = bool(self.samples)
-        return {
-            "count": self.count,
-            "shed": self.shed,
-            "errors": self.errors,
-            "duration_seconds": self.duration_seconds,
-            "throughput_qps": self.throughput_qps,
-            "p50_ms": 1e3 * self.p50 if served else None,
-            "p99_ms": 1e3 * self.p99 if served else None,
-            "p999_ms": 1e3 * self.p999 if served else None,
-            "max_ms": 1e3 * self.max if served else None,
-            "mean_ms": 1e3 * self.mean if served else None,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"{self.count} samples: p50 {1e3 * self.p50:.2f}ms "
-            f"p99 {1e3 * self.p99:.2f}ms p999 {1e3 * self.p999:.2f}ms "
-            f"(shed {self.shed}, errors {self.errors})"
         )
 
 

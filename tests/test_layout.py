@@ -33,6 +33,7 @@ from repro.datagen import (
 )
 from repro.datagen.branching import grow_tree
 from repro.geometry import Frustum
+from repro.serve import DaemonConfig
 from repro.serve.loadgen import bursty_arrivals, run_loadgen
 from repro.sim.engine import QuerySession, SimulationConfig
 from repro.storage.faults import FaultyDiskModel
@@ -46,8 +47,8 @@ RETIRED_MODULES = ("repro.perf", "pytest_benchmark")
 #: Every name that left the package: the scalar oracles, now in
 #: ``tests/oracles/`` (``slab_clip`` and ``object_crossings`` under a
 #: public name there, the round-robin serving loop as a simulator
-#: subclass), the API only tests called, and the daemon's lazy-taping
-#: and page-file-removal state.  No ``src/repro``
+#: subclass), the API only tests called, the daemon's lazy-taping
+#: and page-file-removal state, and the second latency report.  No ``src/repro``
 #: module may define one (function, class or method) or name one.
 _GONE = """
     oracles scalar_ref ScalarSTRTree ScalarFlatIndex pages_for_region_scalar
@@ -59,6 +60,7 @@ _GONE = """
     FAULT_PREFETCHER_BUILDERS _build_sleep_prefetcher _build_fail_prefetcher _build_exit_prefetcher
     _run_round_robin RoundRobinSimulator
     _untaped walk_tape _owns_pagefile
+    LatencyReport
 """
 GONE_FROM_PACKAGE = tuple(_GONE.split())
 #: The one oracle left in the package, by its home: the e2e tracer
@@ -245,6 +247,27 @@ RULES = {
         spares=(
             "records = step_tick(self.index, [state.session for state in tick])",
             "from repro.sim.serve import plans_shareable, step_tick",
+        ),
+    ),
+    "One layer rule": Rule(
+        "§6.3",
+        r"\b(FaultPlan|StorageSpec|ShardSpec)\(",
+        "serve/daemon.py",
+        flags=(
+            "faults = FaultPlan(transient_rate=config.fault_rate, seed=config.seed)",
+            "storage = StorageSpec(backend=config.storage, tier_pages=config.tier_pages)",
+            "shards = ShardSpec(n_shards=config.shards, partition=config.partition)",
+        ),
+        spares=(
+            "from repro.storage.tiered import StorageSpec, TieredStore",
+            "spec = self.config.sim.shards or ShardSpec",
+            "self.cache = config.sim.build_cache(self.index)",
+            "plan = MyFaultPlan(rate)",
+        ),
+        # A report reads a missing spec as the default one; that decides no layer.
+        allowed=(
+            "spec = self.config.sim.storage or StorageSpec()",
+            "spec = self.config.sim.shards or ShardSpec()",
         ),
     ),
     "One results source": Rule(
@@ -506,10 +529,25 @@ def test_no_optional_argument(target):
     assert [p.name for p in parameters if p.default is not p.empty] == []
 
 
-#: Every settable field of the layer specs and the engine config, in order.
+#: Every settable field of the layer specs, the engine config and the
+#: daemon config (which takes its layers as one engine config), in order.
 SPEC_FIELDS = {
     StorageSpec: ("backend", "miss_path", "tier_pages", "path"),
     ShardSpec: ("n_shards", "partition", "shard_cache_pages", "rebalance", "rebalance_interval"),
+    DaemonConfig: (
+        "host",
+        "port",
+        "n_neurons",
+        "seed",
+        "prefetcher",
+        "session_pool",
+        "queries_per_session",
+        "mode",
+        "max_queue",
+        "report_interval",
+        "report_path",
+        "sim",
+    ),
     SimulationConfig: (
         "cache_capacity_pages",
         "incremental_start_fraction",

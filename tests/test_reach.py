@@ -356,8 +356,8 @@ def test_the_recorder_outlives_a_signal_handler_raising_inside_it(tmp_path):
 
         signal.signal(signal.SIGALRM, mod.on_alarm)
         for _ in range(100):
-            signal.setitimer(signal.ITIMER_REAL, 1e-4)
             try:
+                signal.setitimer(signal.ITIMER_REAL, 1e-4)
                 while True:
                     mod.spin()
             except TimeoutError:

@@ -37,6 +37,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,10 +53,15 @@ from repro.serve import (
 from repro.serve import daemon as daemon_module
 from repro.serve import loadgen
 from repro.serve.daemon import STOP_SIGNALS
+from repro.serve.latency import summary
 from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 from repro.index.base import SpatialIndex
-from repro.sim.engine import QuerySession
-from repro.sim.metrics import LatencyReport
+from repro.sim.engine import QuerySession, SimulationConfig
+from repro.storage.cache import PrefetchCache
+from repro.storage.disk import DiskModel
+from repro.storage.faults import FaultPlan, FaultyDiskModel
+from repro.storage.sharded import ShardedCache, ShardSpec
+from repro.storage.tiered import StorageSpec, TieredStore
 
 
 def daemon_config(**overrides) -> DaemonConfig:
@@ -71,6 +77,11 @@ def daemon_config(**overrides) -> DaemonConfig:
     )
     defaults.update(overrides)
     return DaemonConfig(**defaults)
+
+
+def faulty(rate: float) -> SimulationConfig:
+    """The layers ``serve --fault-rate rate`` builds at the default seed."""
+    return SimulationConfig(faults=FaultPlan(transient_rate=rate, corrupt_rate=rate / 2.0, seed=21))
 
 
 def _not_json(token: str):
@@ -284,7 +295,7 @@ class TestProtocolOps:
                 "errors": 0,
                 "achieved_qps": 0.0,
                 "drained": None,
-                "latency": LatencyReport(samples=(), shed=3).summary(),
+                "latency": summary([], shed=3, errors=0, duration=0.0),
             }
 
         monkeypatch.setattr("repro.serve.run_loadgen", all_shed)
@@ -427,7 +438,7 @@ class TestLoadgenEndToEnd:
                 requests=300,
                 seed=1,
             )
-            return report, daemon.requests_shed, daemon.requests_admitted
+            return report, daemon.recorder.shed, daemon.requests_admitted
 
         report, daemon_shed, daemon_admitted = asyncio.run(
             _with_daemon(daemon_config(max_queue=1), scenario)
@@ -502,15 +513,15 @@ class TestLoadgenEndToEnd:
     @pytest.mark.parametrize(
         "layer",
         [
-            dict(storage="mmap", miss_path="combined", tier_pages=64),
-            dict(shards=4, partition="hilbert"),
+            dict(storage=StorageSpec(backend="mmap", miss_path="combined", tier_pages=64)),
+            dict(shards=ShardSpec(n_shards=4, partition="hilbert")),
         ],
         ids=["mmap-combined-tier64", "hilbert-4-shards"],
     )
     def test_final_report_accounts_for_the_layer(self, tmp_path, layer):
         """What the reach driver's mmap and shards legs boot, with the books read here."""
         if "storage" in layer:
-            layer = dict(layer, pagefile=str(tmp_path / "pages.pf"))
+            layer = dict(storage=replace(layer["storage"], path=str(tmp_path / "pages.pf")))
 
         async def scenario(daemon):
             report = await run_loadgen(
@@ -526,7 +537,8 @@ class TestLoadgenEndToEnd:
             await asyncio.wait_for(daemon._stopped.wait(), timeout=10)
             return report, daemon.final_report()
 
-        report, final = asyncio.run(_with_daemon(daemon_config(**layer), scenario))
+        config = daemon_config(sim=SimulationConfig(**layer))
+        report, final = asyncio.run(_with_daemon(config, scenario))
         assert report["requests"] == 200 and report["errors"] == 0
         assert report["drained"] is True
         assert final["type"] == "final" and final["drained"] is True
@@ -716,7 +728,7 @@ class TestPlanTapes:
         # replayed; a renewal replays again.  Twelve queries a session leave
         # room for half-open probes to plan.  Only 0.9 is sure to open a
         # breaker; 0.05 checks that rare faults keep the drain exact.
-        config = daemon_config(session_pool=2, queries_per_session=12, fault_rate=fault_rate)
+        config = daemon_config(session_pool=2, queries_per_session=12, sim=faulty(fault_rate))
         bursts = _seeded_bursts(seed=6, n_connections=3, n_bursts=24, max_size=5)
         final = _assert_equals_reference(config, 3, bursts)
         assert final["sessions_completed"] >= 3
@@ -1545,6 +1557,7 @@ SERVE_REFUSES = {
     "--neurons": ("0", "must be"),
     "--report-interval": ("0", "must be"),
     "--cache-pages": ("-5", "must be"),
+    "--shards": ("0", "must be"),
     "--port": ("70000", "must be"),
     "--pagefile": ("pages.pf", "applies to --storage mmap only"),
     "--partition": ("hash", "applies to --shards >= 2 only"),
@@ -1583,7 +1596,55 @@ class TestDaemonConfigValidation:
         with pytest.raises(ValueError, match="unknown prefetcher"):
             ServeDaemon(daemon_config(prefetcher="oracle"))
 
-    def test_fault_rate_wraps_the_disk(self):
-        daemon = ServeDaemon(daemon_config(fault_rate=0.05))
-        assert daemon.sim_config.faults is not None
-        assert daemon.final_report()["faults_active"] is True
+    @pytest.mark.parametrize(
+        "sim, cache, disk",
+        [
+            (SimulationConfig(), PrefetchCache, DiskModel),
+            (SimulationConfig(storage=StorageSpec(), shards=ShardSpec()), PrefetchCache, DiskModel),
+            (faulty(0.05), PrefetchCache, FaultyDiskModel),
+            (SimulationConfig(storage=StorageSpec(tier_pages=8)), PrefetchCache, TieredStore),
+            (SimulationConfig(shards=ShardSpec(n_shards=2)), ShardedCache, DiskModel),
+        ],
+        ids=["no-spec", "inert-specs", "faults", "tier", "shards"],
+    )
+    def test_the_config_builds_the_layers(self, sim, cache, disk):
+        daemon = ServeDaemon(daemon_config(sim=sim))
+        assert (type(daemon.cache), type(daemon.disk)) == (cache, disk)
+        assert daemon.final_report()["faults_active"] is (sim.faults is not None)
+
+    @pytest.mark.parametrize(
+        "flags, sim",
+        [
+            ([], SimulationConfig(storage=StorageSpec(), shards=ShardSpec())),
+            (
+                ["--fault-rate", "0.05", "--seed", "3", "--cache-pages", "300"],
+                SimulationConfig(
+                    cache_capacity_pages=300,
+                    faults=FaultPlan(transient_rate=0.05, corrupt_rate=0.025, seed=3),
+                    storage=StorageSpec(),
+                    shards=ShardSpec(),
+                ),
+            ),
+            (
+                ["--storage", "mmap", "--miss-path", "combined", "--tier-pages", "64"]
+                + ["--pagefile", "pages.pf", "--shards", "4", "--partition", "hash"],
+                SimulationConfig(
+                    storage=StorageSpec("mmap", "combined", 64, path="pages.pf"),
+                    shards=ShardSpec(n_shards=4, partition="hash"),
+                ),
+            ),
+        ],
+        ids=["defaults", "faults", "storage-and-shards"],
+    )
+    def test_serve_flags_build_the_daemons_config(self, monkeypatch, flags, sim):
+        """A plan only for a positive fault rate; a storage and a shard spec always."""
+        booted = []
+
+        def boot(config):
+            booted.append(config)
+            raise SystemExit(0)
+
+        monkeypatch.setattr("repro.serve.ServeDaemon", boot)
+        with pytest.raises(SystemExit):
+            cli.main(["serve", "--port", "0", *flags])
+        assert [config.sim for config in booted] == [sim]
